@@ -64,6 +64,23 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
 
 
+def _grid_step(text: str) -> Fraction:
+    step = _rational(text)
+    if not 0 < step <= 1:
+        raise argparse.ArgumentTypeError(f"grid step must satisfy 0 < step <= 1, got {text!r}")
+    return step
+
+
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"count must be >= 0, got {text!r}")
+    return value
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(tok) for tok in text.split(",") if tok.strip())
@@ -357,20 +374,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(ker, "json")
 
     form = checks.add_parser("formulas", help="closed forms vs brute-force pushforward")
-    form.add_argument("--measures", type=int, default=5,
+    form.add_argument("--measures", type=_count, default=5,
                       help="random measures per family (plus 3 point masses)")
     form.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_output_flags(form, "json")
 
     tab = checks.add_parser("tables", help="window-table structure and inequalities")
-    tab.add_argument("--measures", type=int, default=5)
+    tab.add_argument("--measures", type=_count, default=5)
     tab.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_output_flags(tab, "json")
 
     wts = checks.add_parser("weights", help="master inequality across measures x (p,q)")
-    wts.add_argument("--measures", type=int, default=3)
-    wts.add_argument("--grid", type=_rational, default=Fraction(1, 4),
-                     help="(p, q) grid step, exact rational")
+    wts.add_argument("--measures", type=_count, default=3)
+    wts.add_argument("--grid", type=_grid_step, default=Fraction(1, 4),
+                     help="(p, q) grid step, exact rational in (0, 1]")
     wts.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_output_flags(wts, "json")
 

@@ -13,6 +13,7 @@ TIMeasure is a Fraction; floats never enter a verification path.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -33,7 +34,7 @@ from .core import (
     iter_words,
     pattern,
 )
-from .pca import Alphabet, Boundary, Configuration, ModelSpec, local_rule
+from .pca import Boundary, Configuration, TripleClass, class_law, triple_class
 
 MAX_ORDER = 10
 
@@ -224,54 +225,73 @@ def cylinder_prob(mu: TIMeasure, pat: Patternish) -> Fraction:
     return sum((marg[i] for i in indices), Fraction(0))
 
 
-@lru_cache(maxsize=None)
-def _envelope_rule(triple: tuple[EnvSymbol, ...], params: Params) -> tuple[Fraction, ...]:
-    law = local_rule(ModelSpec(Alphabet.ENVELOPE, 0, params), triple)
-    return (law.prob0, law.probQ, law.prob1)
+_TRIPLE_CLASS = tuple(triple_class(t) for t in iter_words(3))  # by base-3 index
 
 
-@lru_cache(maxsize=None)
-def _pushforward_kernel(pat: CylinderPattern, params: Params) -> tuple[Fraction, ...]:
-    """kernel[u] = P(the updated window lies in pat | input word u), u over span+2 sites.
+@dataclass(frozen=True)
+class _SignatureTable:
+    """The parameter-free part of a pattern's pushforward kernel.
 
-    Output sites are independent given the input word, so the probability of each
-    disjoint set-row of the pattern is a product of single-site masses.
+    ``groups`` pairs each class signature (the classes of the span triples of an
+    input word over span+2 sites) with the base-3 indices of the words that have
+    it; ``rows`` are the pattern's disjoint plain rows.
     """
+
+    rows: tuple[tuple[frozenset, ...], ...]
+    groups: tuple[tuple[tuple[TripleClass, ...], tuple[int, ...]], ...]
+
+
+@lru_cache(maxsize=None)
+def _signature_table(pat: CylinderPattern) -> _SignatureTable:
     span = pat.span
-    rows = [plain.cells for plain in expand_pattern(pat)]
+    by_sig: dict[tuple[TripleClass, ...], list[int]] = {}
+    for u in range(3 ** (span + 2)):
+        sig = tuple(_TRIPLE_CLASS[u // 3 ** (span - 1 - j) % 27] for j in range(span))
+        by_sig.setdefault(sig, []).append(u)
+    rows = tuple(plain.cells for plain in expand_pattern(pat))
+    return _SignatureTable(rows, tuple((sig, tuple(us)) for sig, us in by_sig.items()))
+
+
+@lru_cache(maxsize=None)
+def _pushforward_kernel(pat: CylinderPattern,
+                        params: Params) -> tuple[tuple[Fraction, tuple[int, ...]], ...]:
+    """(P(the updated window lies in pat | signature), word indices) per signature.
+
+    The rule's law depends on a triple only through its class, so every input
+    word of one signature has the same kernel value.  Output sites are
+    independent given the input word, so each disjoint row of the pattern
+    contributes a product of single-site masses.  Zero entries are dropped.
+    """
+    table = _signature_table(pat)
+    laws = [class_law(cls, params) for cls in TripleClass]
+    mass = {(cell, cls): laws[cls].mass(cell)
+            for cell in {c for cells in table.rows for c in cells} for cls in TripleClass}
     kernel = []
-    for u in iter_words(span + 2):
-        laws = [_envelope_rule(u[j:j + 3], params) for j in range(span)]
-        total = Fraction(0)
-        for cells in rows:
-            prod = Fraction(1)
-            for law, cell in zip(laws, cells):
-                mass = sum((law[s.value] for s in cell), Fraction(0))
-                if mass == 0:
-                    prod = Fraction(0)
-                    break
-                prod *= mass
-            total += prod
-        kernel.append(total)
+    for sig, words in table.groups:
+        total = sum((math.prod(mass[cell, cls] for cls, cell in zip(sig, cells))
+                     for cells in table.rows), Fraction(0))
+        if total:
+            kernel.append((total, words))
     return tuple(kernel)
 
 
-def pushforward_cylinder(mu: TIMeasure, pat: Patternish, params: Params,
-                         offset: int = 0) -> Fraction:
+def pushforward_cylinder(mu: TIMeasure, pat: Patternish, params: Params) -> Fraction:
     """Probability of the cylinder event after one synchronous update of mu.
 
-    Sums mu(u) * P(window matches | u) over all words u on the span+2 input sites.
-    The neighbourhood offset only relabels which absolute sites those are, so for
-    a translation-invariant mu the value does not depend on it.
+    Sums P(window matches | signature) * mu(words of that signature) over the
+    class signatures of the words on the span+2 input sites.
     """
-    del offset
     pat = _as_pattern(pat)
     if pat.span + 2 > mu.order:
         raise ValueError(
             f"pushforward of span {pat.span} needs order >= {pat.span + 2}, have {mu.order}")
-    kernel = _pushforward_kernel(pat, params)
     marg = mu.marginals[pat.span + 2]
-    return sum((m * k for m, k in zip(marg, kernel) if m and k), Fraction(0))
+    total = Fraction(0)
+    for k, words in _pushforward_kernel(pat, params):
+        mass = sum((marg[u] for u in words if marg[u]), Fraction(0))
+        if mass:
+            total += k * mass
+    return total
 
 
 # ------------------------------------------------------------------ identities
@@ -452,7 +472,7 @@ def _weight_chain(ev: Callable[[str], Fraction], params: Params) -> tuple[Fracti
     """w0..w4 evaluated with cylinder values supplied by ``ev``.
 
     The chained form and the expanded final display are the same polynomial in
-    the cylinder values; the assert keeps the two transcriptions honest.
+    the cylinder values; comparing them keeps the two transcriptions honest.
     """
     p, q, r = params.p, params.q, params.r
     w0 = ev("?") + 2 * ev("0?") - ev("?0?") + 2 * ev("100?")
@@ -467,7 +487,8 @@ def _weight_chain(ev: Callable[[str], Fraction], params: Params) -> tuple[Fracti
                 - 2 * p * r * (ev("1?") + ev("10?"))
                 - 2 * p * p * r * (ev("1??") + ev("1?0?") + ev("10??"))
                 - 4 * r * ev("1?01") - 2 * p * p * r * (ev("1?00") + ev("10?0")))
-    assert w4 == explicit, "chained w4 disagrees with its expanded display"
+    if w4 != explicit:
+        raise RuntimeError("chained w4 disagrees with its expanded display")
     return (w0, w1, w2, w3, w4)
 
 

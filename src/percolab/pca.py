@@ -24,7 +24,7 @@ infinite-lattice dynamics restricted to that window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, IntEnum
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -187,24 +187,44 @@ class Configuration:
 
 # ------------------------------------------------------------------ local rule
 
+class TripleClass(IntEnum):
+    """The three cases of the local rule; the output law depends on nothing else."""
+
+    HAS_ONE = 0
+    ALL_ZERO = 1
+    MIXED = 2  # over {0,?} with at least one ?
+
+
+def triple_class(triple: Sequence[EnvSymbol]) -> TripleClass:
+    if any(s is EnvSymbol.ONE for s in triple):
+        return TripleClass.HAS_ONE
+    if all(s is EnvSymbol.ZERO for s in triple):
+        return TripleClass.ALL_ZERO
+    return TripleClass.MIXED
+
+
+def class_law(cls: TripleClass, params: Params) -> LocalDistribution:
+    """Exact output law shared by every triple of the class."""
+    p, q, r = params.p, params.q, params.r
+    zero = Fraction(0)
+    if cls is TripleClass.HAS_ONE:
+        return LocalDistribution(1 - q, zero, q)
+    if cls is TripleClass.ALL_ZERO:
+        return LocalDistribution(p, zero, 1 - p)
+    return LocalDistribution(p, r, q)
+
+
 def local_rule(model: ModelSpec, triple: Sequence[Union[EnvSymbol, BinSymbol]]) -> LocalDistribution:
-    """Exact one-site output law for a neighbourhood triple."""
+    """Exact one-site output law for a neighbourhood triple.
+
+    A binary triple is never MIXED, so both alphabets share the class laws.
+    """
     syms = tuple(s.to_env() if isinstance(s, BinSymbol) else s for s in triple)
     if len(syms) != 3 or not all(isinstance(s, EnvSymbol) for s in syms):
         raise ValueError(f"need a triple of symbols, got {triple!r}")
-    p, q, r = model.params.p, model.params.q, model.params.r
-    zero = Fraction(0)
-    if model.alphabet is Alphabet.BINARY:
-        if any(s is EnvSymbol.QMARK for s in syms):
-            raise ValueError("? symbol passed to a binary model")
-        if all(s is EnvSymbol.ZERO for s in syms):
-            return LocalDistribution(p, zero, 1 - p)
-        return LocalDistribution(1 - q, zero, q)
-    if any(s is EnvSymbol.ONE for s in syms):
-        return LocalDistribution(1 - q, zero, q)
-    if all(s is EnvSymbol.ZERO for s in syms):
-        return LocalDistribution(p, zero, 1 - p)
-    return LocalDistribution(p, r, q)
+    if model.alphabet is Alphabet.BINARY and any(s is EnvSymbol.QMARK for s in syms):
+        raise ValueError("? symbol passed to a binary model")
+    return class_law(triple_class(syms), model.params)
 
 
 # ------------------------------------------------------------------ stepping

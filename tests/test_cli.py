@@ -199,6 +199,24 @@ def test_verify_invalid_params_clean_error(capsys):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ("weights", "--grid", "0"),
+    ("weights", "--grid", "2"),
+    ("weights", "--grid=-1/4"),
+    ("formulas", "--measures", "-1"),
+    ("tables", "--measures", "-1"),
+    ("weights", "--measures", "-1"),
+], ids=lambda argv: " ".join(argv))
+def test_verify_rejects_bad_grid_and_measures(argv):
+    # a subprocess with a timeout, so a grid step that never advances fails fast
+    proc = subprocess.run([sys.executable, "-m", "percolab.cli", "verify", *argv],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "error: argument" in proc.stderr
+
+
 def test_default_seed_is_stable():
     assert DEFAULT_SEED == 1729
 

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -6,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from percolab.core import EnvSymbol, Params, iter_words, pattern
+from percolab.cli import FORMULA_GRID
+from percolab.core import EnvSymbol, Params, iter_words, pattern, pattern_words
 from percolab.measures import (
     CLOSED_FORM_IDS,
     IDENTITIES,
+    _WEIGHT_SPANS,
     MeasureFamily,
     TIMeasure,
     closed_form,
@@ -176,20 +180,43 @@ def test_pushforward_frozen_example():
     assert pushforward_cylinder(PRODUCT, "?", PP) == Fraction(387, 2000)
 
 
+def _oracle_kernel(pat, params):
+    """kernel[u] built word by word, u in base-3 index order: the sum over the output
+    words w in the pattern of prod_j P(site j becomes w_j | u[j:j+3])."""
+    model = ModelSpec(Alphabet.ENVELOPE, 0, params)
+    laws = {}
+    for t in iter_words(3):
+        law = local_rule(model, t)
+        laws[tuple(s.value for s in t)] = (law.prob0, law.probQ, law.prob1)
+    outputs = [tuple(s.value for s in w) for w in pattern_words(pat)]
+    span = pat.span
+    kernel = []
+    for u in itertools.product(range(3), repeat=span + 2):
+        site_laws = [laws[u[j:j + 3]] for j in range(span)]
+        total = Fraction(0)
+        for w in outputs:
+            factors = [law[s] for law, s in zip(site_laws, w)]
+            if all(factors):
+                total += math.prod(factors)
+        kernel.append(total)
+    return kernel
+
+
 def test_pushforward_against_direct_enumeration():
-    # independent oracle: sum mu(u) * prod of single-site laws, no kernel reuse
-    for params in (PP, Params(Fraction(1, 2), Fraction(1, 2))):
-        model = ModelSpec(Alphabet.ENVELOPE, 0, params)
-        for pat_text, span in (("?", 1), ("0?", 2)):
-            want = Fraction(0)
-            target = [pattern(ch).cells[0] for ch in pat_text]
-            for u in iter_words(span + 2):
-                mass = Fraction(1)
-                for j, cell in enumerate(target):
-                    law = local_rule(model, u[j:j + 3])
-                    mass *= law.mass(cell)
-                want += MARKOV.word_prob(u) * mass
-            assert pushforward_cylinder(MARKOV, pat_text, params) == want
+    # independent oracle: no signature grouping, no hat expansion, no kernel reuse
+    edges = [pt for pt in FORMULA_GRID if pt.p == 0 or pt.q == 0 or pt.p + pt.q == 1]
+    points = [PP, Params(0, 0)] + edges
+    patterns = sorted(set(CLOSED_FORM_IDS) | set(_WEIGHT_SPANS)) + ["1 ***", "[0?] ***"]
+    measures = [PRODUCT, MARKOV] + [point_mass(s) for s in (Z, Q, O)]
+    for params in points:
+        for pat_text in patterns:
+            pat = pattern(pat_text)
+            kernel = _oracle_kernel(pat, params)
+            for mu in measures:
+                marg = mu.marginals[pat.span + 2]
+                want = sum((m * k for m, k in zip(marg, kernel) if m and k), Fraction(0))
+                assert pushforward_cylinder(mu, pat, params) == want, \
+                    (pat_text, mu.name, str(params))
 
 
 def test_pushforward_point_mass_and_edges():
@@ -198,12 +225,6 @@ def test_pushforward_point_mass_and_edges():
     # all-open edge p = q = 0: any mixed window turns into ? surely
     free = Params(0, 0)
     assert pushforward_cylinder(PRODUCT, "?", free) == cylinder_prob(PRODUCT, "***")
-
-
-def test_pushforward_offset_is_relabelling():
-    for pat in ("?", "10?", "1?01"):
-        assert (pushforward_cylinder(MARKOV, pat, PP, offset=0)
-                == pushforward_cylinder(MARKOV, pat, PP, offset=-1))
 
 
 def test_pushforward_span_limit():

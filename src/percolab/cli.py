@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import random
 import sys
 from fractions import Fraction
 from importlib import metadata
@@ -22,13 +21,12 @@ from .core import EnvSymbol, Params, as_fraction
 from .game import GameVersion, draw_fraction, kernel_correspondence
 from .measures import (
     CLOSED_FORM_IDS,
-    MeasureFamily,
+    FORMULA_GRID,
     closed_form,
     empirical_measure,
     frac_str,
-    point_mass,
     pushforward_cylinder,
-    random_measure,
+    sampled_measures,
     stationary_conclusion_check,
     verify_master_inequality,
     verify_table_inequality,
@@ -46,15 +44,6 @@ _INIT_SYMBOL = {"qmarks": EnvSymbol.QMARK, "zeros": EnvSymbol.ZERO, "ones": EnvS
 _COARSE_GRID = ((Fraction(1, 5), Fraction(3, 10)), (Fraction(1, 2), Fraction(1, 2)),
                 (Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)),
                 (Fraction(1, 100), Fraction(1, 100)))
-
-# 20 rational points covering the interior plus the p=0, q=0 and p+q=1 edges.
-FORMULA_GRID = tuple(Params(Fraction(a), Fraction(b)) for a, b in (
-    ("0", "1"), ("1", "0"), ("1/2", "1/2"), ("1/5", "4/5"),
-    ("0", "1/3"), ("0", "2/3"), ("1/3", "0"), ("2/3", "0"),
-    ("1/5", "3/10"), ("1/100", "1/100"), ("1/3", "1/5"), ("1/2", "1/4"),
-    ("1/4", "1/2"), ("3/10", "3/10"), ("1/10", "1/10"), ("2/5", "1/5"),
-    ("1/5", "2/5"), ("1/6", "1/6"), ("9/10", "1/20"), ("1/20", "9/10"),
-))
 
 
 def _rational(text: str) -> Fraction:
@@ -91,6 +80,16 @@ def _int_list(text: str) -> tuple[int, ...]:
     return values
 
 
+def _axis(start: Fraction, stop: Fraction, step: Fraction) -> tuple[Fraction, ...]:
+    """start, start+step, ... up to and including stop, exactly; needs step > 0."""
+    values = []
+    x = start
+    while x <= stop:
+        values.append(x)
+        x += step
+    return tuple(values)
+
+
 def _grid_spec(text: str) -> tuple[Fraction, ...]:
     """start:stop:step, all exact rationals, endpoints inclusive."""
     parts = text.split(":")
@@ -99,12 +98,7 @@ def _grid_spec(text: str) -> tuple[Fraction, ...]:
     start, stop, step = (_rational(tok) for tok in parts)
     if step <= 0 or stop < start:
         raise argparse.ArgumentTypeError(f"bad grid spec {text!r}")
-    values = []
-    x = start
-    while x <= stop:
-        values.append(x)
-        x += step
-    return tuple(values)
+    return _axis(start, stop, step)
 
 
 def _artifact_version() -> str:
@@ -140,7 +134,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     alphabet = Alphabet.ENVELOPE if cfg.model == "envelope" else Alphabet.BINARY
     init_symbol = _INIT_SYMBOL[cfg.init]
     if alphabet is Alphabet.BINARY and init_symbol is EnvSymbol.QMARK:
-        raise SystemExit("simulate: --init qmarks needs --model envelope")
+        raise ValueError("simulate: --init qmarks needs --model envelope")
     params = Params(cfg.p, cfg.q)
     model = ModelSpec(alphabet, cfg.offset, params)
     init = Configuration.constant(cfg.width, init_symbol, Boundary.CYCLIC)
@@ -159,11 +153,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def _param_axis(single: Optional[Fraction], grid: Optional[tuple[Fraction, ...]],
                 flag: str) -> tuple[Fraction, ...]:
     if single is not None and grid is not None:
-        raise SystemExit(f"game: give --{flag} or --{flag}-grid, not both")
+        raise ValueError(f"game: give --{flag} or --{flag}-grid, not both")
     if grid is not None:
         return grid
     if single is None:
-        raise SystemExit(f"game: --{flag} or --{flag}-grid is required")
+        raise ValueError(f"game: --{flag} or --{flag}-grid is required")
     return (single,)
 
 
@@ -176,7 +170,7 @@ def cmd_game(cfg: RunConfig) -> int:
         for q in qs:
             if not (0 <= p and 0 <= q and p + q <= 1):
                 if len(ps) == 1 and len(qs) == 1:
-                    raise SystemExit(f"game: (p={p}, q={q}) is outside the region")
+                    raise ValueError(f"game: (p={p}, q={q}) is outside the region")
                 continue  # grid corners outside the simplex are just skipped
             params = Params(p, q)
             for horizon in cfg.horizons:
@@ -193,22 +187,12 @@ def cmd_game(cfg: RunConfig) -> int:
 
 # ------------------------------------------------------------------ verify
 
-def _sampled_measures(count: int, seed: int, order: int = 6):
-    rng = random.Random(seed)
-    mus = [point_mass(EnvSymbol.ZERO, order), point_mass(EnvSymbol.ONE, order),
-           point_mass(EnvSymbol.QMARK, order)]
-    for _ in range(count):
-        mus.append(random_measure(MeasureFamily.PRODUCT, rng, order))
-        mus.append(random_measure(MeasureFamily.REVERSIBLE_MARKOV, rng, order))
-    return mus
-
-
 def _verify_lemmas(cfg: RunConfig) -> tuple[dict, bool]:
     if cfg.grid == "coarse":
         points = [Params(p, q) for p, q in _COARSE_GRID]
     else:
-        points = [Params(Fraction(i, 6), Fraction(j, 6))
-                  for i in range(7) for j in range(7 - i)]
+        axis = _axis(Fraction(0), Fraction(1), Fraction(1, 6))
+        points = [Params(p, q) for p in axis for q in axis if p + q <= 1]
     reports = [verify_lemma(which, params).to_json_dict()
                for params in points for which in (1, 2)]
     passed = all(r["violation_count"] == 0 for r in reports)
@@ -225,7 +209,7 @@ def _verify_kernel(cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def _verify_formulas(cfg: RunConfig) -> tuple[dict, bool]:
-    mus = _sampled_measures(cfg.measures, cfg.seed)
+    mus = sampled_measures(cfg.measures, cfg.seed)
     failures = []
     comparisons = 0
     for mu in mus:
@@ -246,7 +230,7 @@ def _verify_formulas(cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def _verify_tables(cfg: RunConfig) -> tuple[dict, bool]:
-    mus = _sampled_measures(cfg.measures, cfg.seed)
+    mus = sampled_measures(cfg.measures, cfg.seed)
     reports = [verify_table_inequality(which, mu).to_json_dict()
                for mu in mus for which in ("ineq_1", "ineq_2")]
     passed = all(r["pass"] for r in reports)
@@ -255,13 +239,8 @@ def _verify_tables(cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def _verify_weights(cfg: RunConfig) -> tuple[dict, bool]:
-    mus = _sampled_measures(cfg.measures, cfg.seed)
-    step = cfg.grid
-    axis = []
-    x = Fraction(0)
-    while x <= 1:
-        axis.append(x)
-        x += step
+    mus = sampled_measures(cfg.measures, cfg.seed)
+    axis = _axis(Fraction(0), Fraction(1), cfg.grid)
     points = [Params(p, q) for p in axis for q in axis if 0 < p + q <= 1]
     runs = 0
     min_slack = None
@@ -306,17 +285,16 @@ def cmd_verify(cfg: RunConfig) -> int:
     report, passed = _VERIFY_DISPATCH[cfg.check](cfg)
     report.setdefault("seed", getattr(cfg, "seed", None))
     report["artifact_version"] = _artifact_version()
-    if cfg.format == "csv":
-        raise SystemExit("verify: reports are JSON; drop --format csv")
     _emit(_json_text(report), cfg.out)
     return 0 if passed else 1
 
 
 # ------------------------------------------------------------------ parser
 
-def _add_output_flags(sp: argparse.ArgumentParser, default_format: str) -> None:
+def _add_output_flags(sp: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
+    """--out and --format; the first of ``formats`` is the default."""
     sp.add_argument("--out", help="output path (default: stdout)")
-    sp.add_argument("--format", choices=("csv", "json"), default=default_format)
+    sp.add_argument("--format", choices=formats, default=formats[0])
 
 
 def _add_game_flags(sp: argparse.ArgumentParser, grids_required: bool) -> None:
@@ -330,7 +308,7 @@ def _add_game_flags(sp: argparse.ArgumentParser, grids_required: bool) -> None:
     sp.add_argument("--horizons", type=_int_list, default=(10, 50, 100))
     sp.add_argument("--samples", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_output_flags(sp, "csv")
+    _add_output_flags(sp, ("csv", "json"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--offset", type=int, default=0,
                      help="neighbourhood offset i, window {i, i+1, i+2}")
     sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_output_flags(sim, "csv")
+    _add_output_flags(sim, ("csv", "json"))
     sim.set_defaults(func=cmd_simulate)
 
     game = sub.add_parser("game", help="draw-fraction estimates over horizons")
@@ -365,31 +343,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     lem = checks.add_parser("lemmas", help="kernel monotonicity, all 729 pairs per point")
     lem.add_argument("--grid", choices=("coarse", "fine"), default="coarse")
-    _add_output_flags(lem, "json")
+    _add_output_flags(lem, ("json",))
 
     ker = checks.add_parser("kernel", help="game classification law vs local rule")
     ker.add_argument("--version", choices=("v1", "v2", "v3", "v4", "all"), default="all")
     ker.add_argument("--p", type=_rational, required=True)
     ker.add_argument("--q", type=_rational, required=True)
-    _add_output_flags(ker, "json")
+    _add_output_flags(ker, ("json",))
 
     form = checks.add_parser("formulas", help="closed forms vs brute-force pushforward")
     form.add_argument("--measures", type=_count, default=5,
                       help="random measures per family (plus 3 point masses)")
     form.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_output_flags(form, "json")
+    _add_output_flags(form, ("json",))
 
     tab = checks.add_parser("tables", help="window-table structure and inequalities")
     tab.add_argument("--measures", type=_count, default=5)
     tab.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_output_flags(tab, "json")
+    _add_output_flags(tab, ("json",))
 
     wts = checks.add_parser("weights", help="master inequality across measures x (p,q)")
     wts.add_argument("--measures", type=_count, default=3)
     wts.add_argument("--grid", type=_grid_step, default=Fraction(1, 4),
                      help="(p, q) grid step, exact rational in (0, 1]")
     wts.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_output_flags(wts, "json")
+    _add_output_flags(wts, ("json",))
 
     sta = checks.add_parser("stationary", help="long-run empirical stationarity gauge")
     sta.add_argument("--p", type=_rational, required=True)
@@ -399,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     sta.add_argument("--offset", type=int, default=0)
     sta.add_argument("--order", type=int, default=6)
     sta.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_output_flags(sta, "json")
+    _add_output_flags(sta, ("json",))
 
     verify.set_defaults(func=cmd_verify)
     return parser
@@ -409,7 +387,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     cfg = build_parser().parse_args(argv)
     try:
         return cfg.func(cfg)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

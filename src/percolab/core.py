@@ -289,27 +289,3 @@ def expand_pattern(pat: CylinderPattern) -> list[CylinderPattern]:
         out.append(CylinderPattern(cells))
     return out
 
-
-def word_in_pattern(word: Sequence[EnvSymbol], pat: CylinderPattern) -> bool:
-    """Membership test, implemented directly on the cells (not via expansion)."""
-    if len(word) != pat.span:
-        raise ValueError(f"word length {len(word)} != pattern span {pat.span}")
-    pos = 0
-    for cell in pat.cells:
-        if isinstance(cell, Hat):
-            chunk = tuple(word[pos : pos + cell.span])
-            if any(s is EnvSymbol.ONE for s in chunk):
-                return False
-            if all(s is EnvSymbol.ZERO for s in chunk):
-                return False
-            pos += cell.span
-        else:
-            if word[pos] not in cell:
-                return False
-            pos += 1
-    return True
-
-
-def pattern_words(pat: CylinderPattern) -> list[Word]:
-    """All words of span length lying in the pattern's event."""
-    return [w for w in iter_words(pat.span) if word_in_pattern(w, pat)]

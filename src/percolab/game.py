@@ -199,47 +199,6 @@ def kernel_correspondence(version: GameVersion, params: Params) -> KernelReport:
 
 # ------------------------------------------------------------- draw estimates
 
-@dataclass(frozen=True, eq=False)
-class ClassGrid:
-    """Backward-induction classes of every line from the frontier down to the
-    base site, keyed by the line parameter k; origins give the absolute index
-    of each line's first entry under the i = x identification."""
-
-    version: GameVersion
-    horizon: int
-    lines: dict[int, np.ndarray]
-    origins: dict[int, int]
-
-    def origin_class(self) -> GameClass:
-        base = self.lines[0]
-        return GameClass(int(base[-self.origins[0]]))
-
-
-def solve_sample(
-    version: GameVersion, params: Params, horizon: int, stream: SeededStream
-) -> ClassGrid:
-    """Classify one sampled label field down to the base site at (line 0, index 0).
-
-    The line s steps above the base covers absolute indices
-    [s*offset, s*offset + 2s]; the frontier (s = horizon) starts all-D.
-    """
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    step_k = version.line_step
-    lines: dict[int, np.ndarray] = {}
-    origins: dict[int, int] = {}
-    classes = np.full(1 + 2 * horizon, GameClass.D, dtype=np.int8)
-    lines[horizon * step_k] = classes
-    origins[horizon * step_k] = horizon * version.offset
-    for s in range(horizon - 1, -1, -1):
-        origin = s * version.offset
-        labels = sample_labels(params, stream, s, origin, 1 + 2 * s)
-        classes = classify_line(labels, classes, version)
-        lines[s * step_k] = classes
-        origins[s * step_k] = origin
-    return ClassGrid(version, horizon, lines, origins)
-
-
 def _batch_final_classes(
     version: GameVersion,
     params: Params,
@@ -247,8 +206,13 @@ def _batch_final_classes(
     samples: int,
     stream: SeededStream,
 ) -> np.ndarray:
-    """Base-site classes for ``samples`` independent label fields (row i uses
-    stream.child(i)), computed line-at-a-time across all samples."""
+    """Base-site classes for ``samples`` independent label fields, computed
+    line-at-a-time across all samples.
+
+    Row i is keyed by the i-th of ``stream.child_seeds_u64(samples)``; the line
+    s steps above the base covers absolute indices [s*offset, s*offset + 2s],
+    and the frontier (s = horizon) starts all-D.
+    """
     seeds = stream.child_seeds_u64(samples)
     classes = np.full((samples, 1 + 2 * horizon), GameClass.D, dtype=np.int8)
     for s in range(horizon - 1, -1, -1):

@@ -181,6 +181,17 @@ def random_measure(family: MeasureFamily, rng: random.Random, order: int = 6) ->
             return reversible_markov_measure(w, order=order)
 
 
+def sampled_measures(per_family: int, seed: int, order: int = 6) -> list[TIMeasure]:
+    """The point masses on 0, 1 and ?, then ``per_family`` draws from each family,
+    product and reversible Markov alternating, from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    mus = [point_mass(s, order) for s in (EnvSymbol.ZERO, EnvSymbol.ONE, EnvSymbol.QMARK)]
+    for _ in range(per_family):
+        mus.append(random_measure(MeasureFamily.PRODUCT, rng, order))
+        mus.append(random_measure(MeasureFamily.REVERSIBLE_MARKOV, rng, order))
+    return mus
+
+
 def empirical_measure(row: Configuration, order: int) -> TIMeasure:
     """Sliding-window word frequencies of a cyclic row, as exact counts/width.
 
@@ -294,60 +305,19 @@ def pushforward_cylinder(mu: TIMeasure, pat: Patternish, params: Params) -> Frac
     return total
 
 
-# ------------------------------------------------------------------ identities
-
-# Linear relations between cylinder probabilities: each side is a list of
-# (coefficient, pattern) and the residual lhs - rhs must vanish.  All of them are
-# plain marginal/partition bookkeeping valid for any translation-invariant
-# measure, except one_hat3_split whose collapsed double term also needs
-# reflection invariance.
-IDENTITIES: dict[str, tuple[tuple[tuple[int, str], ...], tuple[tuple[int, str], ...]]] = {
-    "hat3_left_extension": (((1, "***"),),
-                            ((1, "1 ***"), (1, "[0?] [0?] ***"), (1, "1 [0?] ***"))),
-    "hat_block_shift": (((1, "1 [0?] ***"),),
-                        ((1, "1 *** [0?]"), (1, "1000?"), (-1, "1?000"))),
-    "left_split_1000q": (((1, "1000?"),),
-                         ((1, "000?"), (-1, "?000?"), (-1, "0000?"))),
-    "left_split_000q": (((1, "000?"),),
-                        ((1, "?000?"), (1, "0000?"), (1, "1000?"))),
-    "right_split_000q": (((1, "000??"), (1, "000?0")),
-                         ((1, "000?"), (-1, "000?1"))),
-    "zeros_hat3": (((1, "0 0 0 ***"),),
-                   ((1, "000?"), (1, "0000?"), (1, "00000?"),
-                    (-1, "0 0 0 ** 1"), (-1, "000?1"))),
-    "zeros_hat2": (((1, "0 0 0 **"),),
-                   ((1, "000?"), (1, "0000?"), (-1, "000?1"))),
-    "zeros_q_pad": (((1, "0 0 0 ? [0?]"),),
-                    ((1, "000?"), (-1, "000?1"))),
-    "zeros_q_pad2": (((1, "0 0 0 ? [0?] [0?]"),),
-                     ((1, "000?"), (-1, "000?1"), (-1, "0 0 0 ? [0?] 1"))),
-    "zeros_hat2_pad": (((1, "0 0 0 ** [0?]"),),
-                       ((1, "000?"), (1, "0000?"), (-1, "000?1"), (-1, "0 0 0 ** 1"))),
-    "one_hat3_split": (((1, "1 ***"),),
-                       ((1, "1?"), (1, "10?"), (1, "100?"),
-                        (-1, "1?1"), (-1, "1??1"), (-2, "1?01"))),
-    "one_qq_right": (((1, "1???"), (1, "1??0")),
-                     ((1, "1??"), (-1, "1??1"))),
-}
-
-_REFLECTION_ONLY_IDENTITIES = frozenset({"one_hat3_split"})
-
-
-def verify_identity(name: str, mu: TIMeasure) -> Fraction:
-    """Residual (lhs - rhs) of a named identity; zero when it holds."""
-    lhs, rhs = IDENTITIES[name]
-    total = Fraction(0)
-    for coef, pat in lhs:
-        total += coef * cylinder_prob(mu, pat)
-    for coef, pat in rhs:
-        total -= coef * cylinder_prob(mu, pat)
-    return total
-
-
 # ------------------------------------------------------------------ closed forms
 
 CLOSED_FORM_IDS = ("?", "0?", "?0?", "1?", "10?", "100?", "000?",
                    "1??", "1?0?", "10??", "1?00", "10?0", "1?01")
+
+# 20 rational points covering the interior plus the p=0, q=0 and p+q=1 edges.
+FORMULA_GRID = tuple(Params(Fraction(a), Fraction(b)) for a, b in (
+    ("0", "1"), ("1", "0"), ("1/2", "1/2"), ("1/5", "4/5"),
+    ("0", "1/3"), ("0", "2/3"), ("1/3", "0"), ("2/3", "0"),
+    ("1/5", "3/10"), ("1/100", "1/100"), ("1/3", "1/5"), ("1/2", "1/4"),
+    ("1/4", "1/2"), ("3/10", "3/10"), ("1/10", "1/10"), ("2/5", "1/5"),
+    ("1/5", "2/5"), ("1/6", "1/6"), ("9/10", "1/20"), ("1/20", "9/10"),
+))
 
 
 @dataclass(frozen=True)
@@ -463,10 +433,6 @@ def closed_form(name: str, mu: TIMeasure, params: Params) -> ClosedFormResult:
 
 
 # ------------------------------------------------------------------ weights
-
-_WEIGHT_SPANS = ("?", "0?", "?0?", "100?", "1?", "10?", "1??", "1?0?", "10??",
-                 "1?01", "1?00", "10?0")
-
 
 def _weight_chain(ev: Callable[[str], Fraction], params: Params) -> tuple[Fraction, ...]:
     """w0..w4 evaluated with cylinder values supplied by ``ev``.

@@ -94,13 +94,9 @@ class SeededStream:
         sites = n0 + np.arange(count, dtype=np.int64)
         return _to_unit(_key_u64(self._seed_u64(), t, sites))
 
-    def child(self, k: int) -> "SeededStream":
-        """Derived stream for sample k; distinct k give independent (t, n) tables."""
-        with np.errstate(over="ignore"):
-            h = _finalize(self._seed_u64() ^ (_as_u64(k) * _MUL1 + _TAG_CHILD))
-        return SeededStream(int(h))
-
     def child_seeds_u64(self, count: int) -> np.ndarray:
+        """Seeds of the derived streams for samples 0..count-1; distinct samples
+        get independent (t, n) tables."""
         ks = np.arange(count, dtype=np.int64)
         with np.errstate(over="ignore"):
             return _finalize(self._seed_u64() ^ (_as_u64(ks) * _MUL1 + _TAG_CHILD))
@@ -298,18 +294,6 @@ def trajectory(
     return TrajectoryResult(tuple(rows), cfg)
 
 
-def envelope_of_pair(cfg_a: Configuration, cfg_b: Configuration) -> Configuration:
-    """Sitewise summary of two binary rows: common value where equal, ? where not."""
-    if cfg_a.has_qmark or cfg_b.has_qmark:
-        raise ValueError("envelope_of_pair takes binary rows")
-    if cfg_a.width != cfg_b.width:
-        raise ValueError(f"width mismatch: {cfg_a.width} != {cfg_b.width}")
-    if cfg_a.boundary is not cfg_b.boundary or cfg_a.origin != cfg_b.origin:
-        raise ValueError("rows must cover the same window")
-    cells = np.where(cfg_a.cells == cfg_b.cells, cfg_a.cells, np.int8(1))
-    return Configuration(cells, cfg_a.boundary, cfg_a.origin)
-
-
 def coupled_step(
     cfg_a: Configuration,
     cfg_b: Configuration,
@@ -319,24 +303,12 @@ def coupled_step(
 ) -> tuple[Configuration, Configuration]:
     """Advance two binary rows with the same (t, n) variates (common-randomness coupling).
 
-    Each output row has exactly the marginal law of ``step`` on its own input:
-    both invert the CDF in the order 0 < 1 at the same uniform.
+    Randomness is keyed by (seed, t, n), so two ``step`` calls with the same
+    stream and ``t`` already share every variate; each output row has exactly
+    the marginal law of ``step`` on its own input.
     """
     if model.alphabet is not Alphabet.BINARY:
         raise ValueError("coupled_step is defined for the binary alphabet")
-    if cfg_a.has_qmark or cfg_b.has_qmark:
-        raise ValueError("? symbol passed to a binary model")
     if cfg_a.width != cfg_b.width or cfg_a.boundary is not cfg_b.boundary or cfg_a.origin != cfg_b.origin:
         raise ValueError("rows must cover the same window")
-    a1, b1, c1, out_origin, out_width = _neighbour_views(cfg_a, model.offset)
-    a2, b2, c2, _, _ = _neighbour_views(cfg_b, model.offset)
-    t0_a, _ = _thresholds(a1, b1, c1, model.params, binary=True)
-    t0_b, _ = _thresholds(a2, b2, c2, model.params, binary=True)
-    u = stream.u01_range(t, out_origin, out_width)
-    out_a = (u >= t0_a).astype(np.int8) * 2
-    out_b = (u >= t0_b).astype(np.int8) * 2
-    boundary = cfg_a.boundary
-    return (
-        Configuration(out_a, boundary, out_origin),
-        Configuration(out_b, boundary, out_origin),
-    )
+    return step(cfg_a, model, stream, t), step(cfg_b, model, stream, t)

@@ -1,0 +1,165 @@
+"""Reference implementations the tests compare the package against.
+
+Each one does the job of some part of ``percolab`` the slow, direct way (one
+sample at a time, one word at a time, one stream at a time), so that agreement
+with the fast path is evidence that the fast path is right.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Sequence
+
+import numpy as np
+
+from percolab.core import CylinderPattern, EnvSymbol, Hat, Params, Word, iter_words
+from percolab.game import GameClass, GameVersion, classify_line, sample_labels
+from percolab.measures import TIMeasure, cylinder_prob
+from percolab.pca import Configuration, SeededStream
+
+# ------------------------------------------------------------------ streams
+
+
+def child_stream(stream: SeededStream, k: int) -> SeededStream:
+    """The stream of sample k, as the batched game solver keys it."""
+    return SeededStream(int(stream.child_seeds_u64(k + 1)[k]))
+
+
+# ------------------------------------------------------------------ rows
+
+
+def envelope_of_pair(cfg_a: Configuration, cfg_b: Configuration) -> Configuration:
+    """Sitewise summary of two binary rows: common value where equal, ? where not."""
+    if cfg_a.has_qmark or cfg_b.has_qmark:
+        raise ValueError("envelope_of_pair takes binary rows")
+    if cfg_a.width != cfg_b.width:
+        raise ValueError(f"width mismatch: {cfg_a.width} != {cfg_b.width}")
+    if cfg_a.boundary is not cfg_b.boundary or cfg_a.origin != cfg_b.origin:
+        raise ValueError("rows must cover the same window")
+    cells = np.where(cfg_a.cells == cfg_b.cells, cfg_a.cells, np.int8(1))
+    return Configuration(cells, cfg_a.boundary, cfg_a.origin)
+
+
+# ------------------------------------------------------------------ game
+
+
+@dataclass(frozen=True, eq=False)
+class ClassGrid:
+    """Backward-induction classes of every line from the frontier down to the
+    base site, keyed by the line parameter k; origins give the absolute index
+    of each line's first entry under the i = x identification."""
+
+    version: GameVersion
+    horizon: int
+    lines: dict[int, np.ndarray]
+    origins: dict[int, int]
+
+    def origin_class(self) -> GameClass:
+        base = self.lines[0]
+        return GameClass(int(base[-self.origins[0]]))
+
+
+def solve_sample(
+    version: GameVersion, params: Params, horizon: int, stream: SeededStream
+) -> ClassGrid:
+    """Classify one sampled label field down to the base site at (line 0, index 0).
+
+    The line s steps above the base covers absolute indices
+    [s*offset, s*offset + 2s]; the frontier (s = horizon) starts all-D.
+    """
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    step_k = version.line_step
+    lines: dict[int, np.ndarray] = {}
+    origins: dict[int, int] = {}
+    classes = np.full(1 + 2 * horizon, GameClass.D, dtype=np.int8)
+    lines[horizon * step_k] = classes
+    origins[horizon * step_k] = horizon * version.offset
+    for s in range(horizon - 1, -1, -1):
+        origin = s * version.offset
+        labels = sample_labels(params, stream, s, origin, 1 + 2 * s)
+        classes = classify_line(labels, classes, version)
+        lines[s * step_k] = classes
+        origins[s * step_k] = origin
+    return ClassGrid(version, horizon, lines, origins)
+
+
+# ------------------------------------------------------------------ patterns
+
+
+def word_in_pattern(word: Sequence[EnvSymbol], pat: CylinderPattern) -> bool:
+    """Membership test, implemented directly on the cells (not via expansion)."""
+    if len(word) != pat.span:
+        raise ValueError(f"word length {len(word)} != pattern span {pat.span}")
+    pos = 0
+    for cell in pat.cells:
+        if isinstance(cell, Hat):
+            chunk = tuple(word[pos : pos + cell.span])
+            if any(s is EnvSymbol.ONE for s in chunk):
+                return False
+            if all(s is EnvSymbol.ZERO for s in chunk):
+                return False
+            pos += cell.span
+        else:
+            if word[pos] not in cell:
+                return False
+            pos += 1
+    return True
+
+
+def pattern_words(pat: CylinderPattern) -> list[Word]:
+    """All words of span length lying in the pattern's event."""
+    return [w for w in iter_words(pat.span) if word_in_pattern(w, pat)]
+
+
+# ------------------------------------------------------------------ measures
+
+# The cylinders the weight chain w0..w4 reads.
+WEIGHT_SPANS = ("?", "0?", "?0?", "100?", "1?", "10?", "1??", "1?0?", "10??",
+                "1?01", "1?00", "10?0")
+
+# Linear relations between cylinder probabilities: each side is a list of
+# (coefficient, pattern) and the residual lhs - rhs must vanish.  All of them are
+# plain marginal/partition bookkeeping valid for any translation-invariant
+# measure, except one_hat3_split whose collapsed double term also needs
+# reflection invariance.
+IDENTITIES: dict[str, tuple[tuple[tuple[int, str], ...], tuple[tuple[int, str], ...]]] = {
+    "hat3_left_extension": (((1, "***"),),
+                            ((1, "1 ***"), (1, "[0?] [0?] ***"), (1, "1 [0?] ***"))),
+    "hat_block_shift": (((1, "1 [0?] ***"),),
+                        ((1, "1 *** [0?]"), (1, "1000?"), (-1, "1?000"))),
+    "left_split_1000q": (((1, "1000?"),),
+                         ((1, "000?"), (-1, "?000?"), (-1, "0000?"))),
+    "left_split_000q": (((1, "000?"),),
+                        ((1, "?000?"), (1, "0000?"), (1, "1000?"))),
+    "right_split_000q": (((1, "000??"), (1, "000?0")),
+                         ((1, "000?"), (-1, "000?1"))),
+    "zeros_hat3": (((1, "0 0 0 ***"),),
+                   ((1, "000?"), (1, "0000?"), (1, "00000?"),
+                    (-1, "0 0 0 ** 1"), (-1, "000?1"))),
+    "zeros_hat2": (((1, "0 0 0 **"),),
+                   ((1, "000?"), (1, "0000?"), (-1, "000?1"))),
+    "zeros_q_pad": (((1, "0 0 0 ? [0?]"),),
+                    ((1, "000?"), (-1, "000?1"))),
+    "zeros_q_pad2": (((1, "0 0 0 ? [0?] [0?]"),),
+                     ((1, "000?"), (-1, "000?1"), (-1, "0 0 0 ? [0?] 1"))),
+    "zeros_hat2_pad": (((1, "0 0 0 ** [0?]"),),
+                       ((1, "000?"), (1, "0000?"), (-1, "000?1"), (-1, "0 0 0 ** 1"))),
+    "one_hat3_split": (((1, "1 ***"),),
+                       ((1, "1?"), (1, "10?"), (1, "100?"),
+                        (-1, "1?1"), (-1, "1??1"), (-2, "1?01"))),
+    "one_qq_right": (((1, "1???"), (1, "1??0")),
+                     ((1, "1??"), (-1, "1??1"))),
+}
+
+
+def verify_identity(name: str, mu: TIMeasure) -> Fraction:
+    """Residual (lhs - rhs) of a named identity; zero when it holds."""
+    lhs, rhs = IDENTITIES[name]
+    total = Fraction(0)
+    for coef, pat in lhs:
+        total += coef * cylinder_prob(mu, pat)
+    for coef, pat in rhs:
+        total -= coef * cylinder_prob(mu, pat)
+    return total

@@ -6,21 +6,18 @@ deterministic; the pinned numbers double as regression guards.
 """
 
 import math
-import random
 import time
 from fractions import Fraction
 
-from percolab.cli import FORMULA_GRID
 from percolab.core import EnvSymbol, Params
 from percolab.game import GameVersion, draw_fraction, kernel_correspondence
 from percolab.measures import (
     CLOSED_FORM_IDS,
-    MeasureFamily,
+    FORMULA_GRID,
     closed_form,
     cylinder_prob,
-    point_mass,
     pushforward_cylinder,
-    random_measure,
+    sampled_measures,
     verify_master_inequality,
     verify_table_inequality,
     table_structure,
@@ -52,15 +49,6 @@ def _line(name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"{name} — {detail}"
 
 
-def _sample_measures(per_family: int, seed: int, order: int = 6):
-    rng = random.Random(seed)
-    mus = [point_mass(s, order) for s in (EnvSymbol.ZERO, EnvSymbol.QMARK, EnvSymbol.ONE)]
-    for _ in range(per_family):
-        mus.append(random_measure(MeasureFamily.PRODUCT, rng, order))
-        mus.append(random_measure(MeasureFamily.REVERSIBLE_MARKOV, rng, order))
-    return mus
-
-
 def test_1_kernel_correspondence_exact():
     t0 = time.perf_counter()
     comparisons = 0
@@ -79,7 +67,7 @@ def test_1_kernel_correspondence_exact():
 
 def test_2_closed_forms_match_pushforward():
     t0 = time.perf_counter()
-    mus = _sample_measures(50, seed=20260816)
+    mus = sampled_measures(50, seed=20260816)
     assert len(mus) == 103  # 3 point masses + 50 per family
     failures = []
     checked = 0
@@ -118,7 +106,7 @@ def test_4_window_tables_and_inequalities():
     structures = [table_structure(t) for t in
                   ("ineq1_rows", "ineq2_rows_q", "ineq2_rows_0q", "ineq2_rows_00q")]
     structural_ok = all(s.ok for s in structures)
-    mus = _sample_measures(5, seed=4)
+    mus = sampled_measures(5, seed=4)
     reports = [verify_table_inequality(which, mu)
                for mu in mus for which in ("ineq_1", "ineq_2")]
     slack_ok = all(r.passed for r in reports)
@@ -130,7 +118,7 @@ def test_4_window_tables_and_inequalities():
 
 
 def test_5_master_weight_inequality():
-    mus = _sample_measures(5, seed=5)
+    mus = sampled_measures(5, seed=5)
     failures = []
     worst = None
     for mu in mus:
@@ -148,7 +136,7 @@ def test_5_master_weight_inequality():
 
 
 def test_6_weight_chain_matches_display():
-    mus = _sample_measures(5, seed=6)
+    mus = sampled_measures(5, seed=6)
     bad = []
     for mu in mus:
         ev = lambda t: cylinder_prob(mu, t)  # noqa: E731

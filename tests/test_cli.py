@@ -5,16 +5,28 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from percolab.cli import DEFAULT_SEED, _grid_spec, _int_list, _rational, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def exit_status(capsys, *argv):
+    """(exit status, stderr) of main, whether it returns the status or argparse raises it."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ parsing
@@ -70,8 +82,21 @@ def test_simulate_envelope_qmarks_decay(capsys):
 
 
 def test_simulate_binary_rejects_qmark_init(capsys):
-    with pytest.raises(SystemExit):
-        main(["simulate", "--model", "binary", "--p", "1/4", "--q", "1/4", "--steps", "2"])
+    code, err = exit_status(capsys, "simulate", "--model", "binary", "--p", "1/4",
+                            "--q", "1/4", "--steps", "2")
+    assert code == 2
+    assert err == "error: simulate: --init qmarks needs --model envelope\n"
+
+
+def test_unwritable_out_is_a_clean_error(tmp_path):
+    path = tmp_path / "missing" / "x.csv"
+    proc = subprocess.run([sys.executable, "-m", "percolab.cli", "simulate", "--p", "1/4",
+                           "--q", "1/4", "--width", "10", "--steps", "2", "--out", str(path)],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert str(path) in proc.stderr
 
 
 def test_simulate_offset_changes_trajectory(capsys):
@@ -112,12 +137,12 @@ def test_game_v4_deterministic_no_draws(capsys):
 
 
 def test_game_requires_params(capsys):
-    with pytest.raises(SystemExit):
-        main(["game", "--version", "v1", "--horizons", "5"])
-    with pytest.raises(SystemExit):
-        main(["game", "--p", "1/4", "--p-grid", "0:1:1/2", "--q", "1/4"])
-    with pytest.raises(SystemExit):
-        main(["game", "--p", "3/4", "--q", "1/2", "--horizons", "5", "--samples", "10"])
+    for argv in (("game", "--version", "v1", "--horizons", "5"),
+                 ("game", "--p", "1/4", "--p-grid", "0:1:1/2", "--q", "1/4"),
+                 ("game", "--p", "3/4", "--q", "1/2", "--horizons", "5", "--samples", "10")):
+        code, err = exit_status(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error: game: ") and err.count("\n") == 1, argv
 
 
 def test_sweep_skips_outside_region(capsys):
@@ -188,8 +213,9 @@ def test_verify_stationary_informational(capsys):
 
 
 def test_verify_rejects_csv_format(capsys):
-    with pytest.raises(SystemExit):
-        main(["verify", "lemmas", "--format", "csv"])
+    code, err = exit_status(capsys, "verify", "lemmas", "--format", "csv")
+    assert code == 2
+    assert "argument --format: invalid choice: 'csv'" in err
 
 
 def test_verify_invalid_params_clean_error(capsys):
@@ -227,3 +253,18 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True
+
+
+def test_benchmark_tracer_finds_every_traced_name():
+    # perfbench/spans.py rebinds the layer functions by name when a traced run
+    # starts, so a rename or move in src/ breaks it; this catches that in tests
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "child.py"),
+                           str(ROOT / "src"), "trace", "--", "verify", "kernel",
+                           "--version", "v1", "--p", "1/2", "--q", "1/4"],
+                          capture_output=True, text=True, timeout=60, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["pass"] is True
+    reports = [line for line in proc.stderr.splitlines() if line.startswith("PERFBENCH ")]
+    assert len(reports) == 1
+    spans = json.loads(reports[0].removeprefix("PERFBENCH "))["spans"]
+    assert "game.kernel_check" in spans

@@ -16,12 +16,12 @@ from percolab.core import (
     expand_pattern,
     iter_words,
     pattern,
-    pattern_words,
     symbol_leq,
     upper_sets,
-    word_in_pattern,
     word_str,
 )
+
+from oracles import pattern_words, word_in_pattern
 
 Z, Q, O = EnvSymbol.ZERO, EnvSymbol.QMARK, EnvSymbol.ONE
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from percolab.core import EnvSymbol, Params, StochOrder, iter_words, symbol_leq
 from percolab.game import (
-    ClassGrid,
     DrawEstimate,
     GameClass,
     GameVersion,
@@ -17,10 +16,11 @@ from percolab.game import (
     kernel_correspondence,
     out_set,
     sample_labels,
-    solve_sample,
     wilson_interval,
 )
 from percolab.pca import SeededStream
+
+from oracles import child_stream, solve_sample
 
 W, D, L = GameClass.W, GameClass.D, GameClass.L
 TRAP, OPEN, TARGET = SiteLabel.TRAP, SiteLabel.OPEN, SiteLabel.TARGET
@@ -187,7 +187,7 @@ def test_solve_sample_matches_batch():
     for version in GameVersion:
         est = draw_fraction(version, params, horizon=8, samples=30, stream=stream)
         single = [
-            solve_sample(version, params, 8, stream.child(i)).origin_class()
+            solve_sample(version, params, 8, child_stream(stream, i)).origin_class()
             for i in range(30)
         ]
         assert est.draws == sum(1 for c in single if c == D)
@@ -199,7 +199,7 @@ def test_horizon_refinement_is_pathwise():
     stream = SeededStream(99)
     for version in (GameVersion.V1, GameVersion.V3):
         for i in range(25):
-            child = stream.child(i)
+            child = child_stream(stream, i)
             prev = None
             for horizon in range(7):
                 cls = solve_sample(version, params, horizon, child).origin_class()

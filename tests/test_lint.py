@@ -16,3 +16,28 @@ def test_no_assert_in_src():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in src: {found}"
+
+
+def _is_main_guard(node):
+    return (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+            and isinstance(node.test.left, ast.Name) and node.test.left.id == "__name__")
+
+
+def test_no_system_exit_in_src():
+    # exit code 1 means "a check failed" and bad input exits 2 through main's
+    # error path, so nothing else may pick an exit status; the __main__ guard's
+    # sys.exit(main()) only passes main's status on
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        guarded = {id(node) for guard in ast.walk(tree) if _is_main_guard(guard)
+                   for node in ast.walk(guard)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "SystemExit":
+                    found.append(f"{path.name}:{node.lineno}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "exit" and id(node) not in guarded):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"exits outside main's error path: {found}"

@@ -8,12 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from percolab.cli import FORMULA_GRID
-from percolab.core import EnvSymbol, Params, iter_words, pattern, pattern_words
+from percolab.core import EnvSymbol, Params, iter_words, pattern
 from percolab.measures import (
     CLOSED_FORM_IDS,
-    IDENTITIES,
-    _WEIGHT_SPANS,
+    FORMULA_GRID,
     MeasureFamily,
     TIMeasure,
     closed_form,
@@ -26,7 +24,6 @@ from percolab.measures import (
     reversible_markov_measure,
     stationary_conclusion_check,
     table_structure,
-    verify_identity,
     verify_master_inequality,
     verify_table_inequality,
     weight,
@@ -40,6 +37,8 @@ from percolab.pca import (
     local_rule,
     trajectory,
 )
+
+from oracles import IDENTITIES, WEIGHT_SPANS, pattern_words, verify_identity
 
 Z, Q, O = EnvSymbol.ZERO, EnvSymbol.QMARK, EnvSymbol.ONE
 
@@ -206,7 +205,7 @@ def test_pushforward_against_direct_enumeration():
     # independent oracle: no signature grouping, no hat expansion, no kernel reuse
     edges = [pt for pt in FORMULA_GRID if pt.p == 0 or pt.q == 0 or pt.p + pt.q == 1]
     points = [PP, Params(0, 0)] + edges
-    patterns = sorted(set(CLOSED_FORM_IDS) | set(_WEIGHT_SPANS)) + ["1 ***", "[0?] ***"]
+    patterns = sorted(set(CLOSED_FORM_IDS) | set(WEIGHT_SPANS)) + ["1 ***", "[0?] ***"]
     measures = [PRODUCT, MARKOV] + [point_mass(s) for s in (Z, Q, O)]
     for params in points:
         for pat_text in patterns:

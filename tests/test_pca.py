@@ -12,12 +12,13 @@ from percolab.pca import (
     ModelSpec,
     SeededStream,
     coupled_step,
-    envelope_of_pair,
     local_rule,
     step,
     trajectory,
     u01_block,
 )
+
+from oracles import child_stream, envelope_of_pair
 
 Z, Q, O = EnvSymbol.ZERO, EnvSymbol.QMARK, EnvSymbol.ONE
 
@@ -79,7 +80,7 @@ def test_stream_determinism_and_keying():
 
 def test_child_streams_are_distinct_and_match_block_path():
     s = SeededStream(99)
-    kids = [s.child(k) for k in range(6)]
+    kids = [child_stream(s, k) for k in range(6)]
     seeds = {kid.seed for kid in kids}
     assert len(seeds) == 6 and s.seed not in seeds
     arr = s.child_seeds_u64(6)
@@ -281,3 +282,36 @@ def test_coupled_step_rejects_envelope_model():
     a = Configuration.constant(10, Z, Boundary.CYCLIC)
     with pytest.raises(ValueError):
         coupled_step(a, a, env_model(), SeededStream(1), t=0)
+
+
+@pytest.mark.parametrize("other", [
+    Configuration.constant(11, O, Boundary.CYCLIC),
+    Configuration.constant(10, O, Boundary.LIGHTCONE),
+    Configuration.constant(10, O, Boundary.CYCLIC, origin=1),
+    Configuration.from_symbols([O] * 9 + [Q], Boundary.CYCLIC),
+], ids=["width", "boundary", "origin", "qmark"])
+def test_coupled_step_rejects_rows_off_one_binary_window(other):
+    a = Configuration.constant(10, Z, Boundary.CYCLIC)
+    with pytest.raises(ValueError):
+        coupled_step(a, other, bin_model(), SeededStream(1), t=0)
+
+
+@pytest.mark.parametrize("offset", [0, -1])
+def test_envelope_step_covers_coupled_pair(offset):
+    # under common randomness the three-symbol rule is the envelope of the binary
+    # one: wherever the envelope row is decided, both coupled binary rows equal it
+    params = Params(Fraction(1, 4), Fraction(1, 4))  # float cut points are exact
+    rng = np.random.RandomState(6)
+    a = Configuration((rng.randint(0, 2, size=400) * 2).astype(np.int8), Boundary.CYCLIC)
+    b = Configuration((rng.randint(0, 2, size=400) * 2).astype(np.int8), Boundary.CYCLIC)
+    env = envelope_of_pair(a, b)
+    stream = SeededStream(31)
+    disagreements = 0
+    for t in range(20):
+        a, b = coupled_step(a, b, bin_model(offset, params), stream, t)
+        env = step(env, env_model(offset, params), stream, t)
+        decided = env.cells != Q.value
+        assert np.array_equal(a.cells[decided], env.cells[decided])
+        assert np.array_equal(b.cells[decided], env.cells[decided])
+        disagreements += int((a.cells != b.cells).sum())
+    assert disagreements > 0  # the pair did not coalesce at once

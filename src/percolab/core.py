@@ -6,8 +6,8 @@ probability distributions, the two stochastic orders on the alphabet, and cylind
 patterns (contiguous runs of symbol subsets, with two shorthand tokens ``**`` and
 ``***`` for the hatted sets {0,?}^2 \\ {00} and {0,?}^3 \\ {000}).
 
-Probabilities are exact ``fractions.Fraction`` values unless a simulation context
-explicitly works in floats.
+Every probability here is an exact ``fractions.Fraction``: ``as_fraction`` and
+``LocalDistribution`` refuse a float with ``TypeError``.
 """
 
 from __future__ import annotations
@@ -44,19 +44,6 @@ class EnvSymbol(IntEnum):
             return _SYMBOL_BY_CHAR[ch]
         except KeyError:
             raise ValueError(f"not a symbol: {ch!r}") from None
-
-
-class BinSymbol(IntEnum):
-    """Binary sub-alphabet; embeds into EnvSymbol preserving 0 and 1."""
-
-    ZERO = 0
-    ONE = 1
-
-    def to_env(self) -> EnvSymbol:
-        return EnvSymbol.ZERO if self is BinSymbol.ZERO else EnvSymbol.ONE
-
-    def __str__(self) -> str:
-        return "01"[self.value]
 
 
 SYMBOLS = (EnvSymbol.ZERO, EnvSymbol.QMARK, EnvSymbol.ONE)
@@ -106,36 +93,28 @@ class Params:
 
 @dataclass(frozen=True)
 class LocalDistribution:
-    """Distribution of one output symbol; exact (Fraction) or float entries.
+    """Exact distribution of one output symbol; the entries sum to 1 exactly."""
 
-    Exact entries must sum to 1 exactly; float entries within 1e-12.
-    """
-
-    prob0: Union[Fraction, float]
-    probQ: Union[Fraction, float]
-    prob1: Union[Fraction, float]
+    prob0: Fraction
+    probQ: Fraction
+    prob1: Fraction
 
     def __post_init__(self) -> None:
+        for name in ("prob0", "probQ", "prob1"):
+            object.__setattr__(self, name, as_fraction(getattr(self, name)))
         vals = (self.prob0, self.probQ, self.prob1)
         if any(v < 0 for v in vals):
             raise ValueError(f"negative probability in {vals}")
-        if self.exact:
-            if sum(vals) != 1:
-                raise ValueError(f"probabilities sum to {sum(vals)}, not 1")
-        elif abs(float(sum(vals)) - 1.0) > 1e-12:
-            raise ValueError(f"float probabilities sum to {sum(vals)}, not ~1")
+        if sum(vals) != 1:
+            raise ValueError(f"probabilities sum to {sum(vals)}, not 1")
 
-    @property
-    def exact(self) -> bool:
-        return all(isinstance(v, (Fraction, int)) for v in (self.prob0, self.probQ, self.prob1))
-
-    def prob(self, sym: EnvSymbol) -> Union[Fraction, float]:
+    def prob(self, sym: EnvSymbol) -> Fraction:
         return (self.prob0, self.probQ, self.prob1)[sym.value]
 
-    def mass(self, symbols: Iterable[EnvSymbol]) -> Union[Fraction, float]:
+    def mass(self, symbols: Iterable[EnvSymbol]) -> Fraction:
         return sum(self.prob(s) for s in symbols)
 
-    def as_dict(self) -> dict[str, Union[Fraction, float]]:
+    def as_dict(self) -> dict[str, Fraction]:
         return {"0": self.prob0, "?": self.probQ, "1": self.prob1}
 
 
@@ -264,10 +243,6 @@ class CylinderPattern:
             else:
                 out.append("[" + "".join(str(s) for s in sorted(cell)) + "]")
         return " ".join(out)
-
-
-def pattern(text: str) -> CylinderPattern:
-    return CylinderPattern.parse(text)
 
 
 def expand_pattern(pat: CylinderPattern) -> list[CylinderPattern]:

@@ -86,15 +86,6 @@ class GameClass(IntEnum):
     L = 2
 
 
-def sample_labels(
-    params: Params, stream: SeededStream, line_index: int, origin: int, width: int
-) -> np.ndarray:
-    """Labels of sites origin..origin+width-1 on the line ``line_index`` steps
-    above the base; keyed by (line_index, site) so the field is reusable."""
-    u = stream.u01_range(line_index, origin, width)
-    return _labels_from_u(u, params)
-
-
 def _labels_from_u(u: np.ndarray, params: Params) -> np.ndarray:
     t0 = float(params.p)
     t1 = 1.0 - float(params.q)
@@ -279,8 +270,9 @@ def draw_fraction(
 ) -> DrawEstimate:
     """Monte Carlo upper bound on the base site's draw probability.
 
-    Sharing the label field across horizons (see sample_labels) makes the
-    estimate nonincreasing in ``horizon`` sample by sample, not just in law.
+    A label is keyed by (sample, line, site), so every horizon reads the same
+    label field; that makes the estimate nonincreasing in ``horizon`` sample by
+    sample, not just in law.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")

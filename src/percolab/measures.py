@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -32,18 +32,10 @@ from .core import (
     as_fraction,
     expand_pattern,
     iter_words,
-    pattern,
 )
 from .pca import Boundary, Configuration, TripleClass, class_law, triple_class
 
 MAX_ORDER = 10
-
-Patternish = Union[str, CylinderPattern]
-
-
-def _as_pattern(pat: Patternish) -> CylinderPattern:
-    return pattern(pat) if isinstance(pat, str) else pat
-
 
 def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
@@ -100,9 +92,6 @@ class TIMeasure:
         for s in word:
             idx = idx * 3 + s.value
         return self.marginals[len(word)][idx]
-
-    def prob(self, pat: Patternish) -> Fraction:
-        return cylinder_prob(self, pat)
 
     def __str__(self) -> str:
         return self.name
@@ -214,22 +203,27 @@ def empirical_measure(row: Configuration, order: int) -> TIMeasure:
 # ------------------------------------------------------------------ cylinders
 
 @lru_cache(maxsize=None)
-def _plain_word_indices(pat: CylinderPattern) -> tuple[int, tuple[int, ...]]:
-    """(span, base-3 indices of the disjoint plain words in the event)."""
-    span = pat.span
+def _plain_word_indices(
+        text: str) -> tuple[int, tuple[tuple[frozenset, ...], ...], tuple[int, ...]]:
+    """(span, disjoint plain rows, base-3 indices of the words in the event).
+
+    The one place a pattern text is parsed: once per distinct text.
+    """
+    pat = CylinderPattern.parse(text)
+    rows = tuple(plain.cells for plain in expand_pattern(pat))
     indices = []
-    for plain in expand_pattern(pat):
-        for combo in iproduct(*plain.cells):
+    for cells in rows:
+        for combo in iproduct(*cells):
             idx = 0
             for s in combo:
                 idx = idx * 3 + s.value
             indices.append(idx)
-    return span, tuple(indices)
+    return pat.span, rows, tuple(indices)
 
 
-def cylinder_prob(mu: TIMeasure, pat: Patternish) -> Fraction:
-    pat = _as_pattern(pat)
-    span, indices = _plain_word_indices(pat)
+def cylinder_prob(mu: TIMeasure, text: str) -> Fraction:
+    """Probability under mu of the cylinder event named by the pattern text."""
+    span, _, indices = _plain_word_indices(text)
     if span > mu.order:
         raise ValueError(f"pattern span {span} exceeds measure order {mu.order}")
     marg = mu.marginals[span]
@@ -253,18 +247,17 @@ class _SignatureTable:
 
 
 @lru_cache(maxsize=None)
-def _signature_table(pat: CylinderPattern) -> _SignatureTable:
-    span = pat.span
+def _signature_table(text: str) -> _SignatureTable:
+    span, rows, _ = _plain_word_indices(text)
     by_sig: dict[tuple[TripleClass, ...], list[int]] = {}
     for u in range(3 ** (span + 2)):
         sig = tuple(_TRIPLE_CLASS[u // 3 ** (span - 1 - j) % 27] for j in range(span))
         by_sig.setdefault(sig, []).append(u)
-    rows = tuple(plain.cells for plain in expand_pattern(pat))
     return _SignatureTable(rows, tuple((sig, tuple(us)) for sig, us in by_sig.items()))
 
 
 @lru_cache(maxsize=None)
-def _pushforward_kernel(pat: CylinderPattern,
+def _pushforward_kernel(text: str,
                         params: Params) -> tuple[tuple[Fraction, tuple[int, ...]], ...]:
     """(P(the updated window lies in pat | signature), word indices) per signature.
 
@@ -273,7 +266,7 @@ def _pushforward_kernel(pat: CylinderPattern,
     independent given the input word, so each disjoint row of the pattern
     contributes a product of single-site masses.  Zero entries are dropped.
     """
-    table = _signature_table(pat)
+    table = _signature_table(text)
     laws = [class_law(cls, params) for cls in TripleClass]
     mass = {(cell, cls): laws[cls].mass(cell)
             for cell in {c for cells in table.rows for c in cells} for cls in TripleClass}
@@ -286,19 +279,19 @@ def _pushforward_kernel(pat: CylinderPattern,
     return tuple(kernel)
 
 
-def pushforward_cylinder(mu: TIMeasure, pat: Patternish, params: Params) -> Fraction:
+def pushforward_cylinder(mu: TIMeasure, text: str, params: Params) -> Fraction:
     """Probability of the cylinder event after one synchronous update of mu.
 
     Sums P(window matches | signature) * mu(words of that signature) over the
     class signatures of the words on the span+2 input sites.
     """
-    pat = _as_pattern(pat)
-    if pat.span + 2 > mu.order:
+    span = _plain_word_indices(text)[0]
+    if span + 2 > mu.order:
         raise ValueError(
-            f"pushforward of span {pat.span} needs order >= {pat.span + 2}, have {mu.order}")
-    marg = mu.marginals[pat.span + 2]
+            f"pushforward of span {span} needs order >= {span + 2}, have {mu.order}")
+    marg = mu.marginals[span + 2]
     total = Fraction(0)
-    for k, words in _pushforward_kernel(pat, params):
+    for k, words in _pushforward_kernel(text, params):
         mass = sum((marg[u] for u in words if marg[u]), Fraction(0))
         if mass:
             total += k * mass
@@ -499,32 +492,28 @@ _INEQ2_ROWS_00Q: tuple[tuple[int, str], ...] = (
     (-1, "?00?"), (-1, "000?"), (-1, "100?"),
 )
 
-# Scope predicates on a window over columns -2..2 (index = column + 2).
-_Z, _Q = EnvSymbol.ZERO, EnvSymbol.QMARK
-_SCOPES: dict[str, Callable[[tuple[EnvSymbol, ...]], bool]] = {
-    "eta0=?": lambda w: w[2] is _Q,
-    "eta0=0,eta1=?": lambda w: w[2] is _Z and w[3] is _Q,
-    "eta0..2=00?": lambda w: w[2] is _Z and w[3] is _Z and w[4] is _Q,
-}
-
-_TABLES: dict[str, tuple[tuple[tuple[int, str], ...], str, bool]] = {
-    # table id -> (rows, scope id, union must equal the scope exactly)
-    "ineq1_rows": (_INEQ1_ROWS, "eta0=?", False),
-    "ineq2_rows_q": (_INEQ2_ROWS_Q, "eta0=?", False),
-    "ineq2_rows_0q": (_INEQ2_ROWS_0Q, "eta0=0,eta1=?", True),
-    "ineq2_rows_00q": (_INEQ2_ROWS_00Q, "eta0..2=00?", True),
+_TABLES: dict[str, tuple[tuple[tuple[int, str], ...], tuple[int, str], bool]] = {
+    # table id -> (rows, scope as a row, union must equal the scope exactly)
+    "ineq1_rows": (_INEQ1_ROWS, (0, "?"), False),
+    "ineq2_rows_q": (_INEQ2_ROWS_Q, (0, "?"), False),
+    "ineq2_rows_0q": (_INEQ2_ROWS_0Q, (0, "0?"), True),
+    "ineq2_rows_00q": (_INEQ2_ROWS_00Q, (0, "00?"), True),
 }
 
 
-def _row_matches(window: tuple[EnvSymbol, ...], row: tuple[int, str]) -> bool:
+def _window_words(row: tuple[int, str]) -> frozenset[int]:
+    """Indices of the words over columns -2..2 that the row matches."""
     start, syms = row
-    return all(window[start + 2 + j] is EnvSymbol.from_char(ch)
-               for j, ch in enumerate(syms))
+    left, right = start + 2, 3 - start - len(syms)
+    if left < 0 or right < 0:
+        raise ValueError(f"row {row!r} leaves the columns -2..2")
+    text = " ".join(["[0?1]"] * left + [syms] + ["[0?1]"] * right)
+    return frozenset(_plain_word_indices(text)[2])
 
 
 @dataclass(frozen=True)
 class TableStructure:
-    """Measure-free facts about one row table, from 3^5 window enumeration."""
+    """Measure-free facts about one row table, from the word sets of its rows."""
 
     table: str
     rows: int
@@ -539,19 +528,13 @@ class TableStructure:
 
 @lru_cache(maxsize=None)
 def table_structure(table: str) -> TableStructure:
-    rows, scope_id, exact = _TABLES[table]
-    scope = _SCOPES[scope_id]
-    disjoint = within = True
-    covered = True
-    for window in iter_words(5):
-        hits = sum(1 for row in rows if _row_matches(window, row))
-        if hits > 1:
-            disjoint = False
-        if hits and not scope(window):
-            within = False
-        if scope(window) and not hits:
-            covered = False
-    return TableStructure(table, len(rows), disjoint, within, covered if exact else None)
+    rows, scope_row, exact = _TABLES[table]
+    scope = _window_words(scope_row)
+    words = [_window_words(row) for row in rows]
+    union = frozenset().union(*words)
+    disjoint = sum(map(len, words)) == len(union)
+    covered = scope <= union if exact else None
+    return TableStructure(table, len(rows), disjoint, union <= scope, covered)
 
 
 def _linear(mu: TIMeasure, terms: Sequence[tuple[int, str]]) -> Fraction:
@@ -618,8 +601,9 @@ def verify_table_inequality(which: str, mu: TIMeasure) -> TableReport:
     """Check one of the two assembled inequalities on a reflection-invariant measure.
 
     Structure (disjoint rows inside the claimed scope, exact unions where claimed)
-    is verified measure-free over all 3^5 windows; the inequality itself and the
-    displayed intermediate right-hand sides are then evaluated exactly on mu.
+    is verified measure-free on the sets of five-site words the rows match; the
+    inequality itself and the displayed intermediate right-hand sides are then
+    evaluated exactly on mu.
     """
     if which not in ("ineq_1", "ineq_2"):
         raise ValueError(f"which must be 'ineq_1' or 'ineq_2', got {which!r}")

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .core import (
     EnvSymbol,
@@ -30,8 +29,7 @@ from .core import (
     upper_sets,
     word_str,
 )
-
-Number = Union[Fraction, float]
+from .pca import Alphabet, ModelSpec, local_rule
 
 
 @dataclass(frozen=True)
@@ -41,14 +39,14 @@ class DominationCheck:
     order: StochOrder
     d1: LocalDistribution
     d2: LocalDistribution
-    margins: tuple[Number, ...]  # d2(U) - d1(U) per upper set, smallest set first
+    margins: tuple[Fraction, ...]  # d2(U) - d1(U) per upper set, smallest set first
 
     @property
     def holds(self) -> bool:
         return all(m >= 0 for m in self.margins)
 
     @property
-    def worst_margin(self) -> Number:
+    def worst_margin(self) -> Fraction:
         return min(self.margins)
 
 
@@ -89,7 +87,7 @@ class LemmaReport:
         return len(self.violations)
 
     @property
-    def worst_margin(self) -> Number:
+    def worst_margin(self) -> Fraction:
         return min((r.check.worst_margin for r in self.comparable), default=Fraction(0))
 
     @property
@@ -123,8 +121,6 @@ def verify_lemma(which: int, params: Params) -> LemmaReport:
     which=1: total order, with the direction reversal (u <= v implies
     rule(v) <= rule(u)); which=2: partial order, direction preserved.
     """
-    from .pca import ModelSpec, Alphabet, local_rule  # deferred: avoid import cycle
-
     if which not in (1, 2):
         raise ValueError(f"which must be 1 or 2, got {which!r}")
     order = StochOrder.TOTAL if which == 1 else StochOrder.PARTIAL

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import BinSymbol, EnvSymbol, LocalDistribution, Params
+from .core import EnvSymbol, LocalDistribution, Params
 
 # ------------------------------------------------------------------ randomness
 
@@ -166,19 +165,15 @@ class Configuration:
 
     @classmethod
     def constant(
-        cls, width: int, symbol: Union[EnvSymbol, BinSymbol], boundary: Boundary, origin: int = 0
+        cls, width: int, symbol: EnvSymbol, boundary: Boundary, origin: int = 0
     ) -> "Configuration":
-        sym = symbol.to_env() if isinstance(symbol, BinSymbol) else symbol
-        return cls(np.full(width, sym.value, dtype=np.int8), boundary, origin)
+        return cls(np.full(width, symbol.value, dtype=np.int8), boundary, origin)
 
     @classmethod
     def from_symbols(
-        cls, symbols: Iterable[Union[EnvSymbol, BinSymbol]], boundary: Boundary, origin: int = 0
+        cls, symbols: Iterable[EnvSymbol], boundary: Boundary, origin: int = 0
     ) -> "Configuration":
-        codes = [
-            (s.to_env() if isinstance(s, BinSymbol) else s).value for s in symbols
-        ]
-        return cls(np.array(codes, dtype=np.int8), boundary, origin)
+        return cls(np.array([s.value for s in symbols], dtype=np.int8), boundary, origin)
 
 
 # ------------------------------------------------------------------ local rule
@@ -202,20 +197,19 @@ def triple_class(triple: Sequence[EnvSymbol]) -> TripleClass:
 def class_law(cls: TripleClass, params: Params) -> LocalDistribution:
     """Exact output law shared by every triple of the class."""
     p, q, r = params.p, params.q, params.r
-    zero = Fraction(0)
     if cls is TripleClass.HAS_ONE:
-        return LocalDistribution(1 - q, zero, q)
+        return LocalDistribution(1 - q, 0, q)
     if cls is TripleClass.ALL_ZERO:
-        return LocalDistribution(p, zero, 1 - p)
+        return LocalDistribution(p, 0, 1 - p)
     return LocalDistribution(p, r, q)
 
 
-def local_rule(model: ModelSpec, triple: Sequence[Union[EnvSymbol, BinSymbol]]) -> LocalDistribution:
+def local_rule(model: ModelSpec, triple: Sequence[EnvSymbol]) -> LocalDistribution:
     """Exact one-site output law for a neighbourhood triple.
 
     A binary triple is never MIXED, so both alphabets share the class laws.
     """
-    syms = tuple(s.to_env() if isinstance(s, BinSymbol) else s for s in triple)
+    syms = tuple(triple)
     if len(syms) != 3 or not all(isinstance(s, EnvSymbol) for s in syms):
         raise ValueError(f"need a triple of symbols, got {triple!r}")
     if model.alphabet is Alphabet.BINARY and any(s is EnvSymbol.QMARK for s in syms):

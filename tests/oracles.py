@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from percolab.core import CylinderPattern, EnvSymbol, Hat, Params, Word, iter_words
-from percolab.game import GameClass, GameVersion, classify_line, sample_labels
+from percolab.game import GameClass, GameVersion, _labels_from_u, classify_line
 from percolab.measures import TIMeasure, cylinder_prob
 from percolab.pca import Configuration, SeededStream
 
@@ -58,6 +58,15 @@ class ClassGrid:
     def origin_class(self) -> GameClass:
         base = self.lines[0]
         return GameClass(int(base[-self.origins[0]]))
+
+
+def sample_labels(
+    params: Params, stream: SeededStream, line_index: int, origin: int, width: int
+) -> np.ndarray:
+    """Labels of sites origin..origin+width-1 on the line ``line_index`` steps
+    above the base; keyed by (line_index, site) so the field is reusable."""
+    u = stream.u01_range(line_index, origin, width)
+    return _labels_from_u(u, params)
 
 
 def solve_sample(

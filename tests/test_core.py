@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from percolab.core import (
-    BinSymbol,
     CylinderPattern,
     EnvSymbol,
     Hat,
@@ -15,7 +14,6 @@ from percolab.core import (
     as_fraction,
     expand_pattern,
     iter_words,
-    pattern,
     symbol_leq,
     upper_sets,
     word_str,
@@ -34,11 +32,6 @@ def test_symbol_chars():
         assert EnvSymbol.from_char(str(s)) is s
     with pytest.raises(ValueError):
         EnvSymbol.from_char("x")
-
-
-def test_binary_embedding():
-    assert BinSymbol.ZERO.to_env() is Z
-    assert BinSymbol.ONE.to_env() is O
 
 
 def test_total_order_is_total_and_transitive():
@@ -125,7 +118,6 @@ def test_as_fraction_rejects_floats():
 
 def test_local_distribution_exact_sum():
     d = LocalDistribution(Fraction(1, 5), Fraction(1, 2), Fraction(3, 10))
-    assert d.exact
     assert d.prob(Q) == Fraction(1, 2)
     assert d.mass({Z, O}) == Fraction(1, 2)
     with pytest.raises(ValueError):
@@ -134,53 +126,56 @@ def test_local_distribution_exact_sum():
         LocalDistribution(Fraction(-1, 5), Fraction(1, 2), Fraction(7, 10))
 
 
-def test_local_distribution_float_mode():
-    d = LocalDistribution(0.25, 0.25, 0.5)
-    assert not d.exact
-    with pytest.raises(ValueError):
-        LocalDistribution(0.25, 0.25, 0.6)
+def test_local_distribution_rejects_floats():
+    for entries in ((0.25, Fraction(1, 4), Fraction(1, 2)),
+                    (Fraction(1, 4), Fraction(1, 4), 0.5),
+                    (0.25, 0.25, 0.5)):
+        with pytest.raises(TypeError):
+            LocalDistribution(*entries)
+    d = LocalDistribution(0, 1, 0)
+    assert all(type(v) is Fraction for v in (d.prob0, d.probQ, d.prob1))
 
 
 # ---------------------------------------------------------------- patterns
 
 def test_parse_and_render():
-    pat = pattern("1 [0?] ***")
+    pat = CylinderPattern.parse("1 [0?] ***")
     assert pat.span == 5
     assert str(pat) == "1 [0?] ***"
-    assert pattern("100?").span == 4
-    assert str(pattern("1 0 0 ?")) == "1 0 0 ?"
-    assert pattern("**").cells == (Hat.HAT2,)
+    assert CylinderPattern.parse("100?").span == 4
+    assert str(CylinderPattern.parse("1 0 0 ?")) == "1 0 0 ?"
+    assert CylinderPattern.parse("**").cells == (Hat.HAT2,)
 
 
 def test_parse_rejects_malformed():
     with pytest.raises(ValueError):
-        pattern("")
+        CylinderPattern.parse("")
     with pytest.raises(ValueError):
-        pattern("[]")
+        CylinderPattern.parse("[]")
     with pytest.raises(ValueError):
-        pattern("[0?")
+        CylinderPattern.parse("[0?")
     with pytest.raises(ValueError):
         CylinderPattern((frozenset(),))
 
 
 def test_hat3_event_is_seven_words():
-    words = pattern_words(pattern("***"))
+    words = pattern_words(CylinderPattern.parse("***"))
     assert len(words) == 7
     assert all(O not in w for w in words)
     assert (Z, Z, Z) not in words
-    assert word_in_pattern((Q, Q, Z), pattern("***"))
-    assert not word_in_pattern((Z, Z, Z), pattern("***"))
+    assert word_in_pattern((Q, Q, Z), CylinderPattern.parse("***"))
+    assert not word_in_pattern((Z, Z, Z), CylinderPattern.parse("***"))
 
 
 def test_one_hat2_expansion():
-    words = {word_str(w) for w in pattern_words(pattern("1 **"))}
+    words = {word_str(w) for w in pattern_words(CylinderPattern.parse("1 **"))}
     assert words == {"1?0", "10?", "1??"}
-    assert word_in_pattern((O, Z, Q), pattern("1 **"))
+    assert word_in_pattern((O, Z, Q), CylinderPattern.parse("1 **"))
 
 
 def test_expansion_disjoint_and_complete():
     for text in ["***", "1 **", "** ***", "[0?] *** 1", "*** ***"]:
-        pat = pattern(text)
+        pat = CylinderPattern.parse(text)
         plains = expand_pattern(pat)
         assert all(p.is_plain for p in plains)
         for w in iter_words(pat.span):
@@ -189,7 +184,7 @@ def test_expansion_disjoint_and_complete():
 
 
 def test_plain_pattern_expands_to_itself():
-    pat = pattern("1 0 0 ?")
+    pat = CylinderPattern.parse("1 0 0 ?")
     assert expand_pattern(pat) == [pat]
 
 
@@ -214,4 +209,4 @@ def test_membership_matches_expansion(cells):
 
 def test_word_length_mismatch_raises():
     with pytest.raises(ValueError):
-        word_in_pattern((Z, Z), pattern("***"))
+        word_in_pattern((Z, Z), CylinderPattern.parse("***"))

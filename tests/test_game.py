@@ -3,11 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from percolab.core import EnvSymbol, Params, StochOrder, iter_words, symbol_leq
+from percolab.core import EnvSymbol, Params, StochOrder, symbol_leq
 from percolab.game import (
-    DrawEstimate,
     GameClass,
     GameVersion,
     SiteLabel,
@@ -15,12 +14,11 @@ from percolab.game import (
     draw_fraction,
     kernel_correspondence,
     out_set,
-    sample_labels,
     wilson_interval,
 )
 from percolab.pca import SeededStream
 
-from oracles import child_stream, solve_sample
+from oracles import child_stream, sample_labels, solve_sample
 
 W, D, L = GameClass.W, GameClass.D, GameClass.L
 TRAP, OPEN, TARGET = SiteLabel.TRAP, SiteLabel.OPEN, SiteLabel.TARGET

@@ -41,3 +41,25 @@ def test_no_system_exit_in_src():
                   and node.func.attr == "exit" and id(node) not in guarded):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"exits outside main's error path: {found}"
+
+
+def _unused_imports(tree):
+    """(line, name) of each name an import binds that nothing in the module reads."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound.append((node.lineno, name))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in bound if name not in used]
+
+
+def test_no_unused_imports_in_src():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line} {name}" for line, name in _unused_imports(tree)]
+    assert not found, f"imported but never used: {found}"

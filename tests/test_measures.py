@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from percolab.core import EnvSymbol, Params, iter_words, pattern
+from percolab.core import CylinderPattern, EnvSymbol, Params, iter_words
+from percolab import measures
 from percolab.measures import (
     CLOSED_FORM_IDS,
     FORMULA_GRID,
@@ -209,12 +210,12 @@ def test_pushforward_against_direct_enumeration():
     measures = [PRODUCT, MARKOV] + [point_mass(s) for s in (Z, Q, O)]
     for params in points:
         for pat_text in patterns:
-            pat = pattern(pat_text)
+            pat = CylinderPattern.parse(pat_text)
             kernel = _oracle_kernel(pat, params)
             for mu in measures:
                 marg = mu.marginals[pat.span + 2]
                 want = sum((m * k for m, k in zip(marg, kernel) if m and k), Fraction(0))
-                assert pushforward_cylinder(mu, pat, params) == want, \
+                assert pushforward_cylinder(mu, pat_text, params) == want, \
                     (pat_text, mu.name, str(params))
 
 
@@ -344,6 +345,37 @@ def test_table_structures():
     assert (t4.rows, t4.disjoint, t4.within_scope, t4.covers_scope) == (3, True, True, True)
 
 
+@pytest.mark.parametrize("rows, scope, exact, want", [
+    # every window matching 1?0 at columns -1..1 also matches 1? at -1..0
+    (((-1, "1?"), (-1, "1?0")), (0, "?"), False, (False, True, None)),
+    # the row's site 0 is a 0, outside the scope eta0=?
+    (((-1, "1?"), (-1, "10")), (0, "?"), False, (True, False, None)),
+    # 00? and 10? leave ?0? uncovered in the scope eta0..1=0?
+    (((-1, "00?"), (-1, "10?")), (0, "0?"), True, (True, True, False)),
+    # adding the missing row makes the union exact
+    (((-1, "00?"), (-1, "10?"), (-1, "?0?")), (0, "0?"), True, (True, True, True)),
+])
+def test_table_structure_flags_bad_tables(monkeypatch, rows, scope, exact, want):
+    monkeypatch.setitem(measures._TABLES, "probe", (rows, scope, exact))
+    table_structure.cache_clear()
+    try:
+        got = table_structure("probe")
+    finally:
+        table_structure.cache_clear()
+    assert (got.disjoint, got.within_scope, got.covers_scope) == want
+    assert got.ok == all(flag in (True, None) for flag in want)
+
+
+def test_table_row_must_fit_the_window(monkeypatch):
+    monkeypatch.setitem(measures._TABLES, "probe", (((1, "1?0"),), (0, "?"), False))
+    table_structure.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="columns"):
+            table_structure("probe")
+    finally:
+        table_structure.cache_clear()
+
+
 def test_ineq1_rows_sum_to_each_displayed_form():
     for mu in _invariant_measures(n_random=2):
         rep = verify_table_inequality("ineq_1", mu)
@@ -428,6 +460,22 @@ def test_master_errors():
         verify_master_inequality(product_measure(1, 0, 0, order=5), PP)
     with pytest.raises(ValueError, match="reflection"):
         verify_master_inequality(_asymmetric_empirical(), PP)
+
+
+def test_master_parses_each_pattern_once(monkeypatch):
+    mu, params = MARKOV, Params(Fraction(1, 7), Fraction(2, 7))
+    first = verify_master_inequality(mu, params)
+    parse = CylinderPattern.parse.__func__
+    calls = []
+
+    def counting(cls, text):
+        calls.append(text)
+        return parse(cls, text)
+
+    monkeypatch.setattr(CylinderPattern, "parse", classmethod(counting))
+    again = verify_master_inequality(mu, params)
+    assert calls == []
+    assert again.to_json_dict() == first.to_json_dict()
 
 
 def test_master_report_json():

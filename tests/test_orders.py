@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from percolab.core import EnvSymbol, LocalDistribution, Params, StochOrder
-from percolab.orders import DominationCheck, dominates, triple_leq, verify_lemma
+from percolab.orders import dominates, triple_leq, verify_lemma
 
 Z, Q, O = EnvSymbol.ZERO, EnvSymbol.QMARK, EnvSymbol.ONE
 

@@ -114,9 +114,6 @@ class LocalDistribution:
     def mass(self, symbols: Iterable[EnvSymbol]) -> Fraction:
         return sum(self.prob(s) for s in symbols)
 
-    def as_dict(self) -> dict[str, Fraction]:
-        return {"0": self.prob0, "?": self.probQ, "1": self.prob1}
-
 
 class StochOrder(Enum):
     """The two orders on the alphabet used for stochastic domination.
@@ -203,10 +200,6 @@ class CylinderPattern:
     @property
     def span(self) -> int:
         return sum(c.span if isinstance(c, Hat) else 1 for c in self.cells)
-
-    @property
-    def is_plain(self) -> bool:
-        return all(not isinstance(c, Hat) for c in self.cells)
 
     @classmethod
     def parse(cls, text: str) -> "CylinderPattern":

@@ -21,10 +21,19 @@ Draw probabilities are estimated by starting the frontier line, at distance T
 above the base site, in the all-D (unresolved) state and inducting down.
 Labels are keyed by (line index, absolute site) so the sampled label field is
 shared across horizons: raising T only ever resolves D's, never flips a W/L.
+
+The induction does only the work that can still change the draw count. An
+open site is D only if one of its out-neighbours is D, and trap and target
+sites are never D, so once a sample's line holds no D no line below it does:
+its base site is W or L, and the sample is dropped. Samples are also processed
+in chunks of bounded size. Both are exact because a label is a counter-based
+function of (sample seed, line, site): which other samples are present, and in
+which chunk, changes no sample's labels.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -92,6 +101,35 @@ def _labels_from_u(u: np.ndarray, params: Params) -> np.ndarray:
     return (u >= t0).astype(np.int8) + (u >= t1).astype(np.int8)
 
 
+def _class_table() -> np.ndarray:
+    """The game's rule as a lookup: entry 27*label + 9*n0 + 3*n1 + n2 is the
+    class of a site with that label and out-neighbour classes (n0, n1, n2).
+
+    Built from the game's own definition, not from `pca.local_rule`, so that
+    kernel_correspondence compares two independent derivations.
+    """
+    table = np.empty(81, dtype=np.int8)
+    for label in SiteLabel:
+        for nbrs in itertools.product(GameClass, repeat=3):
+            if label is SiteLabel.TRAP:
+                cls = GameClass.W
+            elif label is SiteLabel.TARGET:
+                cls = GameClass.L
+            elif GameClass.L in nbrs:
+                cls = GameClass.W  # move onto a losing site
+            elif all(c is GameClass.W for c in nbrs):
+                cls = GameClass.L  # every move hands the opponent a win
+            else:
+                cls = GameClass.D
+            n0, n1, n2 = nbrs
+            table[27 * label + 9 * n0 + 3 * n1 + n2] = cls
+    table.setflags(write=False)
+    return table
+
+
+_CLASS_TABLE = _class_table()
+
+
 def classify_line(labels, next_classes, version: GameVersion) -> np.ndarray:
     """One backward-induction step: classes on a line from its own labels and
     the successor line's classes.
@@ -109,16 +147,9 @@ def classify_line(labels, next_classes, version: GameVersion) -> np.ndarray:
             f"successor line must cover every out-neighbourhood: "
             f"need width {labels.shape[-1] + 2}, got {nxt.shape[-1]}"
         )
-    n0, n1, n2 = nxt[..., :-2], nxt[..., 1:-1], nxt[..., 2:]
-    some_l = (n0 == GameClass.L) | (n1 == GameClass.L) | (n2 == GameClass.L)
-    all_w = (n0 == GameClass.W) & (n1 == GameClass.W) & (n2 == GameClass.W)
-    open_class = np.where(some_l, GameClass.W, np.where(all_w, GameClass.L, GameClass.D))
-    out = np.where(
-        labels == SiteLabel.TRAP,
-        GameClass.W,
-        np.where(labels == SiteLabel.TARGET, GameClass.L, open_class),
-    )
-    return out.astype(np.int8)
+    # every term is at most 54, 18, 6 or 2, so the index (at most 80) fits in int8
+    idx = labels * 27 + nxt[..., :-2] * 9 + nxt[..., 1:-1] * 3 + nxt[..., 2:]
+    return _CLASS_TABLE[idx]
 
 
 # ------------------------------------------------------------- correspondence
@@ -190,26 +221,46 @@ def kernel_correspondence(version: GameVersion, params: Params) -> KernelReport:
 
 # ------------------------------------------------------------- draw estimates
 
-def _batch_final_classes(
+# Cells of one chunk's class block: bounds the per-line temporaries of the
+# hash and the lookup (several 8-byte arrays of this many entries).
+_CELL_BUDGET = 1 << 20
+
+
+def _count_draws(
     version: GameVersion,
     params: Params,
     horizon: int,
     samples: int,
     stream: SeededStream,
-) -> np.ndarray:
-    """Base-site classes for ``samples`` independent label fields, computed
-    line-at-a-time across all samples.
+) -> int:
+    """Number of the ``samples`` independent label fields whose base site is
+    D, computed line-at-a-time across samples.
 
-    Row i is keyed by the i-th of ``stream.child_seeds_u64(samples)``; the line
-    s steps above the base covers absolute indices [s*offset, s*offset + 2s],
-    and the frontier (s = horizon) starts all-D.
+    Sample i is keyed by the i-th of ``stream.child_seeds_u64(samples)``; the
+    line s steps above the base covers absolute indices [s*offset, s*offset + 2s],
+    and the frontier (s = horizon) starts all-D. A sample whose line holds no D
+    can never give a D base site (an open site is D only next to a D), so it
+    is dropped before the next line is hashed, and a chunk stops once none is
+    left. Samples run in chunks of at most _CELL_BUDGET frontier cells; since
+    labels depend only on (sample seed, line, site), neither dropping nor
+    chunking changes any remaining sample's labels, and the count is exact.
     """
-    seeds = stream.child_seeds_u64(samples)
-    classes = np.full((samples, 1 + 2 * horizon), GameClass.D, dtype=np.int8)
-    for s in range(horizon - 1, -1, -1):
-        u = u01_block(seeds, s, s * version.offset, 1 + 2 * s)
-        classes = classify_line(_labels_from_u(u, params), classes, version)
-    return classes[:, 0]
+    all_seeds = stream.child_seeds_u64(samples)
+    rows = max(1, _CELL_BUDGET // (1 + 2 * horizon))
+    draws = 0
+    for start in range(0, samples, rows):
+        seeds = all_seeds[start : start + rows]
+        classes = np.full((seeds.size, 1 + 2 * horizon), GameClass.D, dtype=np.int8)
+        for s in range(horizon - 1, -1, -1):
+            live = (classes == GameClass.D).any(axis=1)
+            if not live.all():
+                seeds, classes = seeds[live], classes[live]
+                if seeds.size == 0:
+                    break
+            u = u01_block(seeds, s, s * version.offset, 1 + 2 * s)
+            classes = classify_line(_labels_from_u(u, params), classes, version)
+        draws += int(np.count_nonzero(classes[:, 0] == GameClass.D))
+    return draws
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -278,6 +329,5 @@ def draw_fraction(
         raise ValueError("horizon must be >= 0")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    final = _batch_final_classes(version, params, horizon, samples, stream)
-    draws = int((final == GameClass.D).sum())
+    draws = _count_draws(version, params, horizon, samples, stream)
     return DrawEstimate(version, params, horizon, samples, draws, stream.seed)

@@ -85,14 +85,6 @@ class TIMeasure:
         reflect = all(probs[i] == probs[_reverse_index(i, order)] for i in range(3**order))
         return cls(order, tuple(margs), name, reflect)
 
-    def word_prob(self, word: Sequence[EnvSymbol]) -> Fraction:
-        if len(word) > self.order:
-            raise ValueError(f"word length {len(word)} exceeds order {self.order}")
-        idx = 0
-        for s in word:
-            idx = idx * 3 + s.value
-        return self.marginals[len(word)][idx]
-
     def __str__(self) -> str:
         return self.name
 

@@ -85,9 +85,6 @@ class SeededStream:
     def _seed_u64(self):
         return _U64(self.seed & _MASK64)
 
-    def u01(self, t: int, n: int) -> float:
-        return float(_to_unit(_key_u64(self._seed_u64(), t, n)))
-
     def u01_range(self, t: int, n0: int, count: int) -> np.ndarray:
         """Variates at sites n0, n0+1, ..., n0+count-1 of step t."""
         sites = n0 + np.arange(count, dtype=np.int64)
@@ -139,7 +136,7 @@ class Configuration:
         arr = np.array(self.cells, dtype=np.int8)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("cells must be a nonempty 1-D array")
-        if not np.isin(arr, (0, 1, 2)).all():
+        if arr.view(np.uint8).max() > 2:  # a negative code reads as 128..255
             raise ValueError("cell codes must be 0 (zero), 1 (?), or 2 (one)")
         arr.setflags(write=False)
         object.__setattr__(self, "cells", arr)
@@ -223,11 +220,8 @@ def _neighbour_views(cfg: Configuration, offset: int):
     """Return (a, b, c) triple views and the output row's absolute origin/width."""
     cells, width = cfg.cells, cfg.width
     if cfg.boundary is Boundary.CYCLIC:
-        base = np.arange(width) + offset
-        a = cells[base % width]
-        b = cells[(base + 1) % width]
-        c = cells[(base + 2) % width]
-        return a, b, c, cfg.origin, width
+        ext = np.take(cells, np.arange(offset, offset + width + 2), mode="wrap")
+        return ext[:-2], ext[1:-1], ext[2:], cfg.origin, width
     if width < 3:
         raise ValueError("window exhausted: LightCone row narrower than 3 cells")
     # Output site n is computable iff its whole neighbourhood lies in the window:

@@ -13,12 +13,25 @@ from typing import Sequence
 
 import numpy as np
 
-from percolab.core import CylinderPattern, EnvSymbol, Hat, Params, Word, iter_words
+from percolab.core import (
+    CylinderPattern,
+    EnvSymbol,
+    Hat,
+    LocalDistribution,
+    Params,
+    Word,
+    iter_words,
+)
 from percolab.game import GameClass, GameVersion, _labels_from_u, classify_line
 from percolab.measures import TIMeasure, cylinder_prob
-from percolab.pca import Configuration, SeededStream
+from percolab.pca import Configuration, SeededStream, _key_u64, _to_unit
 
 # ------------------------------------------------------------------ streams
+
+
+def u01(stream: SeededStream, t: int, n: int) -> float:
+    """The variate at (t, n), hashed one scalar key at a time."""
+    return float(_to_unit(_key_u64(stream._seed_u64(), t, n)))
 
 
 def child_stream(stream: SeededStream, k: int) -> SeededStream:
@@ -94,7 +107,18 @@ def solve_sample(
     return ClassGrid(version, horizon, lines, origins)
 
 
+# ------------------------------------------------------------------ laws
+
+
+def as_dict(dist: LocalDistribution) -> dict[str, Fraction]:
+    return {"0": dist.prob0, "?": dist.probQ, "1": dist.prob1}
+
+
 # ------------------------------------------------------------------ patterns
+
+
+def is_plain(pat: CylinderPattern) -> bool:
+    return all(not isinstance(c, Hat) for c in pat.cells)
 
 
 def word_in_pattern(word: Sequence[EnvSymbol], pat: CylinderPattern) -> bool:
@@ -123,6 +147,17 @@ def pattern_words(pat: CylinderPattern) -> list[Word]:
 
 
 # ------------------------------------------------------------------ measures
+
+
+def word_prob(mu: TIMeasure, word: Sequence[EnvSymbol]) -> Fraction:
+    """mu of the cylinder of one plain word, read straight from the marginals."""
+    if len(word) > mu.order:
+        raise ValueError(f"word length {len(word)} exceeds order {mu.order}")
+    idx = 0
+    for s in word:
+        idx = idx * 3 + s.value
+    return mu.marginals[len(word)][idx]
+
 
 # The cylinders the weight chain w0..w4 reads.
 WEIGHT_SPANS = ("?", "0?", "?0?", "100?", "1?", "10?", "1??", "1?0?", "10??",

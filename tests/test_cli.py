@@ -268,3 +268,19 @@ def test_benchmark_tracer_finds_every_traced_name():
     assert len(reports) == 1
     spans = json.loads(reports[0].removeprefix("PERFBENCH "))["spans"]
     assert "game.kernel_check" in spans
+
+
+def test_game_memory_is_bounded_in_samples():
+    # 300k samples x 61 frontier cells: an unchunked solver peaks near 0.7 GB
+    code = ("import resource, sys\n"
+            "from percolab.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+            "sys.exit(rc)\n")
+    proc = subprocess.run([sys.executable, "-c", code, "game", "--version", "v1",
+                           "--p", "9/20", "--q", "9/20", "--horizons", "30",
+                           "--samples", "300000", "--seed", "7"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    peak_kb = int(proc.stderr.split()[-1])  # Linux reports ru_maxrss in KiB
+    assert peak_kb < 150 * 1024

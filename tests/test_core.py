@@ -19,7 +19,7 @@ from percolab.core import (
     word_str,
 )
 
-from oracles import pattern_words, word_in_pattern
+from oracles import is_plain, pattern_words, word_in_pattern
 
 Z, Q, O = EnvSymbol.ZERO, EnvSymbol.QMARK, EnvSymbol.ONE
 
@@ -177,7 +177,7 @@ def test_expansion_disjoint_and_complete():
     for text in ["***", "1 **", "** ***", "[0?] *** 1", "*** ***"]:
         pat = CylinderPattern.parse(text)
         plains = expand_pattern(pat)
-        assert all(p.is_plain for p in plains)
+        assert all(is_plain(p) for p in plains)
         for w in iter_words(pat.span):
             hits = sum(word_in_pattern(w, p) for p in plains)
             assert hits == (1 if word_in_pattern(w, pat) else 0)

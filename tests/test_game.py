@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from percolab import game
 from percolab.core import EnvSymbol, Params, StochOrder, symbol_leq
 from percolab.game import (
     GameClass,
@@ -18,7 +19,7 @@ from percolab.game import (
 )
 from percolab.pca import SeededStream
 
-from oracles import child_stream, sample_labels, solve_sample
+from oracles import as_dict, child_stream, sample_labels, solve_sample
 
 W, D, L = GameClass.W, GameClass.D, GameClass.L
 TRAP, OPEN, TARGET = SiteLabel.TRAP, SiteLabel.OPEN, SiteLabel.TARGET
@@ -136,9 +137,9 @@ def test_kernel_correspondence_spot_values():
     report = kernel_correspondence(GameVersion.V1, Params(p, q))
     by_triple = {c.triple: c.induced for c in report.comparisons}
     Z, Q, O = EnvSymbol.ZERO, EnvSymbol.QMARK, EnvSymbol.ONE
-    assert by_triple[(Z, Z, Z)].as_dict() == {"0": p, "?": Fraction(0), "1": 1 - p}
-    assert by_triple[(Z, Q, Z)].as_dict() == {"0": p, "?": 1 - p - q, "1": q}
-    assert by_triple[(O, Z, Z)].as_dict() == {"0": 1 - q, "?": Fraction(0), "1": q}
+    assert as_dict(by_triple[(Z, Z, Z)]) == {"0": p, "?": Fraction(0), "1": 1 - p}
+    assert as_dict(by_triple[(Z, Q, Z)]) == {"0": p, "?": 1 - p - q, "1": q}
+    assert as_dict(by_triple[(O, Z, Z)]) == {"0": 1 - q, "?": Fraction(0), "1": q}
 
 
 # ------------------------------------------------------------- label sampling
@@ -189,6 +190,40 @@ def test_solve_sample_matches_batch():
             for i in range(30)
         ]
         assert est.draws == sum(1 for c in single if c == D)
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 8])
+@pytest.mark.parametrize("params", [
+    Params(Fraction(1, 4), Fraction(1, 4)),
+    Params(Fraction(1, 20), Fraction(1, 20)),  # D's live long, some reach the base
+    Params(0, 0),  # nothing ever resolves, so nothing is dropped
+    Params(1, 0),  # every site is a trap: all samples drop after one line
+    Params(0, 1),  # every site is a target: likewise
+], ids=str)
+@pytest.mark.parametrize("version", list(GameVersion), ids=lambda v: v.value)
+def test_pruned_chunked_draws_match_oracle(version, params, horizon, monkeypatch):
+    # seven samples per chunk, and 100 samples, so the last chunk is short
+    monkeypatch.setattr(game, "_CELL_BUDGET", 7 * (1 + 2 * horizon))
+    hashed_rows = []
+    real_u01_block = game.u01_block
+
+    def spy(seeds, t, n0, count):
+        hashed_rows.append(seeds.size)
+        return real_u01_block(seeds, t, n0, count)
+
+    monkeypatch.setattr(game, "u01_block", spy)
+    stream = SeededStream(61)
+    est = draw_fraction(version, params, horizon, 100, stream)
+    single = [
+        solve_sample(version, params, horizon, child_stream(stream, i)).origin_class()
+        for i in range(100)
+    ]
+    assert est.draws == sum(1 for c in single if c == D)
+    assert max(hashed_rows, default=0) <= 7
+    if params.r == 1:
+        assert sum(hashed_rows) == 100 * horizon
+    elif params.r == 0:
+        assert sum(hashed_rows) == 100 * min(horizon, 1)
 
 
 def test_horizon_refinement_is_pathwise():

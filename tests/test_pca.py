@@ -11,6 +11,7 @@ from percolab.pca import (
     Configuration,
     ModelSpec,
     SeededStream,
+    _neighbour_views,
     coupled_step,
     local_rule,
     step,
@@ -18,7 +19,7 @@ from percolab.pca import (
     u01_block,
 )
 
-from oracles import child_stream, envelope_of_pair
+from oracles import as_dict, child_stream, envelope_of_pair, u01
 
 Z, Q, O = EnvSymbol.ZERO, EnvSymbol.QMARK, EnvSymbol.ONE
 
@@ -37,19 +38,19 @@ def bin_model(offset=0, params=PARAMS):
 
 def test_local_rule_binary():
     d = local_rule(bin_model(params=Params(Fraction(3, 10), Fraction(1, 2))), (Z, Z, Z))
-    assert d.as_dict() == {"0": Fraction(3, 10), "?": Fraction(0), "1": Fraction(7, 10)}
+    assert as_dict(d) == {"0": Fraction(3, 10), "?": Fraction(0), "1": Fraction(7, 10)}
     d = local_rule(bin_model(params=Params(Fraction(3, 10), Fraction(1, 2))), (Z, O, Z))
-    assert d.as_dict() == {"0": Fraction(1, 2), "?": Fraction(0), "1": Fraction(1, 2)}
+    assert as_dict(d) == {"0": Fraction(1, 2), "?": Fraction(0), "1": Fraction(1, 2)}
 
 
 def test_local_rule_envelope():
     d = local_rule(env_model(), (Q, Z, Z))
-    assert d.as_dict() == {"0": Fraction(1, 5), "?": Fraction(1, 2), "1": Fraction(3, 10)}
+    assert as_dict(d) == {"0": Fraction(1, 5), "?": Fraction(1, 2), "1": Fraction(3, 10)}
     d = local_rule(env_model(), (Z, Z, Z))
-    assert d.as_dict() == {"0": Fraction(1, 5), "?": Fraction(0), "1": Fraction(4, 5)}
+    assert as_dict(d) == {"0": Fraction(1, 5), "?": Fraction(0), "1": Fraction(4, 5)}
     # any 1 in the window wins over any ?
     d = local_rule(env_model(), (Q, O, Q))
-    assert d.as_dict() == {"0": Fraction(7, 10), "?": Fraction(0), "1": Fraction(3, 10)}
+    assert as_dict(d) == {"0": Fraction(7, 10), "?": Fraction(0), "1": Fraction(3, 10)}
 
 
 def test_local_rule_r_zero_collapses():
@@ -67,14 +68,14 @@ def test_local_rule_rejects_qmark_in_binary():
 
 def test_stream_determinism_and_keying():
     s = SeededStream(1729)
-    assert s.u01(3, 5) == SeededStream(1729).u01(3, 5)
-    assert s.u01(3, 5) != s.u01(4, 5)
-    assert s.u01(3, 5) != s.u01(3, 6)
+    assert u01(s, 3, 5) == u01(SeededStream(1729), 3, 5)
+    assert u01(s, 3, 5) != u01(s, 4, 5)
+    assert u01(s, 3, 5) != u01(s, 3, 6)
     # block form agrees with pointwise form, including negative sites
     block = s.u01_range(7, -4, 9)
     assert block.shape == (9,)
     for j in range(9):
-        assert block[j] == s.u01(7, -4 + j)
+        assert block[j] == u01(s, 7, -4 + j)
     assert all(0.0 <= u < 1.0 for u in block)
 
 
@@ -108,6 +109,23 @@ def test_configuration_validation():
     assert cfg.counts() == (0, 5, 0) and cfg.has_qmark
     with pytest.raises(ValueError):
         cfg.cells[0] = 0  # frozen buffer
+
+
+@pytest.mark.parametrize("code", [-1, 3, 127])
+def test_configuration_rejects_codes_outside_the_alphabet(code):
+    with pytest.raises(ValueError):
+        Configuration(np.array([0, code, 2], dtype=np.int8), Boundary.CYCLIC)
+
+
+@pytest.mark.parametrize("offset", [0, -1])
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_cyclic_neighbour_views_wrap(width, offset):
+    cells = np.array([0, 2, 1, 1][:width], dtype=np.int8)
+    cfg = Configuration(cells, Boundary.CYCLIC, origin=5)
+    *views, origin, out_width = _neighbour_views(cfg, offset)
+    assert (origin, out_width) == (5, width)
+    for k, view in enumerate(views):
+        assert np.array_equal(view, cells[(np.arange(width) + offset + k) % width])
 
 
 def test_from_symbols_roundtrip():

@@ -2,10 +2,13 @@
 
 Every site of Z^2 independently carries a label: trap with probability p,
 target with probability q, open with probability r = 1 - p - q. A token is
-pushed along one of four out-neighbourhood schemes (V1-V4 below); landing on a
-trap wins for the player who moved there, landing on a target loses, and play
-continues through open sites. Under optimal play each site splits into W
-(the player to move from it wins), L (loses), or D (neither can force a win).
+pushed along one of four out-neighbourhood schemes: from (x, y) to
+(x, y+2), (x+1, y+1), (x+2, y) for V1; (x, y+1), (x+1, y+1), (x+2, y+1) for
+V2; (x+1, y), (x, y+1), (x-1, y+2) for V3; (x-1, y+1), (x, y+1), (x+1, y+1)
+for V4. Landing on a trap wins for the player who moved there, landing on a
+target loses, and play continues through open sites. Under optimal play each
+site splits into W (the player to move from it wins), L (loses), or D
+(neither can force a win).
 
 Classification is pure backward induction: the class of a site is a function
 of its own label and the classes of its three out-neighbours, which all lie on
@@ -55,26 +58,6 @@ class GameVersion(Enum):
     def offset(self) -> int:
         """Neighbourhood offset i under the i = x line identification."""
         return 0 if self in (GameVersion.V1, GameVersion.V2) else -1
-
-    @property
-    def line_step(self) -> int:
-        """Increment of the line parameter k from one line to its successor."""
-        return 2 if self is GameVersion.V1 else 1
-
-    def line_of(self, x: int, y: int) -> int:
-        """Line parameter k of site (x, y): diagonals for V1/V3, horizontals for V2/V4."""
-        return x + y if self in (GameVersion.V1, GameVersion.V3) else y
-
-
-def out_set(v: GameVersion, x: int, y: int) -> tuple[tuple[int, int], ...]:
-    """The three out-neighbours of (x, y), in the scheme's fixed order."""
-    if v is GameVersion.V1:
-        return ((x, y + 2), (x + 1, y + 1), (x + 2, y))
-    if v is GameVersion.V2:
-        return ((x, y + 1), (x + 1, y + 1), (x + 2, y + 1))
-    if v is GameVersion.V3:
-        return ((x + 1, y), (x, y + 1), (x - 1, y + 2))
-    return ((x - 1, y + 1), (x, y + 1), (x + 1, y + 1))
 
 
 class SiteLabel(IntEnum):
@@ -241,15 +224,16 @@ def _count_draws(
     and the frontier (s = horizon) starts all-D. A sample whose line holds no D
     can never give a D base site (an open site is D only next to a D), so it
     is dropped before the next line is hashed, and a chunk stops once none is
-    left. Samples run in chunks of at most _CELL_BUDGET frontier cells; since
-    labels depend only on (sample seed, line, site), neither dropping nor
-    chunking changes any remaining sample's labels, and the count is exact.
+    left. Samples run in chunks of at most _CELL_BUDGET frontier cells, and a
+    chunk's seeds are made when it starts, so memory does not grow with
+    ``samples``; since labels depend only on (sample seed, line, site), neither
+    dropping nor chunking changes any remaining sample's labels, and the count
+    is exact.
     """
-    all_seeds = stream.child_seeds_u64(samples)
     rows = max(1, _CELL_BUDGET // (1 + 2 * horizon))
     draws = 0
     for start in range(0, samples, rows):
-        seeds = all_seeds[start : start + rows]
+        seeds = stream.child_seeds_u64(min(rows, samples - start), start)
         classes = np.full((seeds.size, 1 + 2 * horizon), GameClass.D, dtype=np.int8)
         for s in range(horizon - 1, -1, -1):
             live = (classes == GameClass.D).any(axis=1)

@@ -1,21 +1,24 @@
 """Exact cylinder calculus for translation-invariant measures on the three-symbol line.
 
-A measure is stored as its exact distribution on words of length ``order``; every
-shorter marginal is derived once at construction and translation consistency is
-validated there, so a cylinder probability is position-free by definition.  On top
-of that sit: the brute-force pushforward of a cylinder event under one synchronous
-update, a catalog of closed-form expressions for pushforward probabilities of small
-cylinders (with their non-negative remainder terms), a chain of weight functionals
-w0..w4, two inequalities assembled by summing rows of window tables, and the master
-inequality comparing w4 before and after one update.  Everything downstream of a
-TIMeasure is a Fraction; floats never enter a verification path.
+A measure is stored as integer counts over one denominator: its distribution on
+words of length ``order`` and every shorter marginal, derived once at
+construction, where translation consistency is validated, so a cylinder
+probability is position-free by definition.  On top of that sit: the brute-force
+pushforward of a cylinder event under one synchronous update, a catalog of
+closed-form expressions for pushforward probabilities of small cylinders (with
+their non-negative remainder terms), a chain of weight functionals w0..w4, two
+inequalities assembled by summing rows of window tables, and the master
+inequality comparing w4 before and after one update.  Cylinder and pushforward
+probabilities are summed in Python ints and leave as Fractions; everything built
+from them is a Fraction, and floats never enter a verification path.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -47,64 +50,83 @@ def frac_str(x: Fraction) -> str:
 class TIMeasure:
     """A translation-invariant probability measure, known through order ``order``.
 
-    ``marginals[k]`` is the exact distribution on words of length k, indexed by
-    the word read as a base-3 integer (symbol codes, leftmost digit most
-    significant).  Construction rejects tables that are not normalized or whose
-    left- and right-marginals disagree at some length, so any instance really is
-    the restriction of a translation-invariant measure.
+    ``counts[k]`` is the distribution on words of length k as integer numerators
+    over the one denominator ``den`` that every length shares: the word whose
+    symbol codes, read as a base-3 integer with the leftmost digit most
+    significant, equal i has probability ``counts[k][i] / den``.  Construction
+    rejects tables that are not integers, not normalized, or whose left- and
+    right-marginals disagree at some length, so any instance really is the
+    restriction of a translation-invariant measure.  ``signature_masses`` holds
+    the pushforward's grouped word masses, summed once per span and kept here,
+    so they are freed with the measure.
     """
 
     order: int
-    marginals: tuple[tuple[Fraction, ...], ...]
+    counts: tuple[tuple[int, ...], ...]
+    den: int
     name: str
     reflection_invariant: bool
+    signature_masses: dict[int, tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False)
 
     @classmethod
-    def from_table(cls, order: int, table: Sequence[Fraction], name: str) -> "TIMeasure":
+    def from_table(cls, order: int, counts: Sequence[int], den: int,
+                   name: str) -> "TIMeasure":
+        """The measure whose length-``order`` word i has probability counts[i] / den."""
         if not 1 <= order <= MAX_ORDER:
             raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
-        probs = tuple(as_fraction(x) for x in table)
-        if len(probs) != 3**order:
-            raise ValueError(f"table has {len(probs)} entries, expected {3 ** order}")
-        if any(x < 0 for x in probs):
+        top = tuple(counts)
+        kinds = set(map(type, top)) | {type(den)}
+        if kinds != {int}:
+            names = sorted(k.__name__ for k in kinds - {int})
+            raise TypeError(f"measure tables are int counts over an int denominator, got {names}")
+        if den <= 0:
+            raise ValueError(f"denominator must be positive, got {den}")
+        if len(top) != 3**order:
+            raise ValueError(f"table has {len(top)} entries, expected {3 ** order}")
+        if min(top) < 0:
             raise ValueError("negative entry in measure table")
-        if sum(probs) != 1:
-            raise ValueError(f"table sums to {sum(probs)}, not 1")
-        margs = [probs]
-        for length in range(order - 1, -1, -1):
+        if sum(top) != den:
+            raise ValueError(f"table sums to {Fraction(sum(top), den)}, not 1")
+        margs = [top]
+        for _ in range(order):  # drop the rightmost site
             upper = margs[0]
-            margs.insert(0, tuple(upper[3 * i] + upper[3 * i + 1] + upper[3 * i + 2]
-                                  for i in range(3**length)))
-        for length in range(order):  # drop-left must agree with drop-right
+            margs.insert(0, tuple([a + b + c for a, b, c in
+                                   zip(upper[0::3], upper[1::3], upper[2::3])]))
+        for length in range(order):  # dropping the leftmost site must agree
             step = 3**length
             upper = margs[length + 1]
-            left = tuple(upper[j] + upper[step + j] + upper[2 * step + j]
-                         for j in range(step))
+            left = tuple([a + b + c for a, b, c in
+                          zip(upper[:step], upper[step:2 * step], upper[2 * step:])])
             if left != margs[length]:
                 raise ValueError("table is not translation consistent")
-        reflect = all(probs[i] == probs[_reverse_index(i, order)] for i in range(3**order))
-        return cls(order, tuple(margs), name, reflect)
+        reflect = tuple(map(top.__getitem__, _reversal(order))) == top
+        return cls(order, tuple(margs), den, name, reflect)
 
     def __str__(self) -> str:
         return self.name
 
 
-def _reverse_index(idx: int, length: int) -> int:
-    out = 0
+@lru_cache(maxsize=None)
+def _reversal(length: int) -> tuple[int, ...]:
+    """For each base-3 word index of the given length, the index of the reversed word."""
+    out = [0]
     for _ in range(length):
-        idx, digit = divmod(idx, 3)
-        out = out * 3 + digit
-    return out
+        # prepending digit d to w appends d to reversed(w)
+        out = [3 * rev + d for d in range(3) for rev in out]
+    return tuple(out)
 
 
 def product_measure(p0, pQ, p1, order: int = 6) -> TIMeasure:
     """i.i.d. sites with P(0), P(?), P(1) = p0, pQ, p1."""
     marg = tuple(as_fraction(x) for x in (p0, pQ, p1))
-    table = [Fraction(1)]
+    den = math.lcm(*(m.denominator for m in marg))
+    site = [m.numerator * (den // m.denominator) for m in marg]
+    table = [1]
     for _ in range(order):
-        table = [x * m for x in table for m in marg]
+        table = [x * m for x in table for m in site]
     name = f"product({marg[0]},{marg[1]},{marg[2]})"
-    return TIMeasure.from_table(order, table, name)
+    return TIMeasure.from_table(order, table, den**order, name)
 
 
 def point_mass(symbol: EnvSymbol, order: int = 6) -> TIMeasure:
@@ -118,7 +140,8 @@ def reversible_markov_measure(weights: Sequence[Sequence[int]], order: int = 6) 
 
     pi(a) = W(a)/sum(W) with W(a) the row sum, K(a,b) = w(a,b)/W(a).  Symmetry of w
     is detailed balance, which makes the word distribution reflection invariant; a
-    symbol with zero row sum gets pi = 0 and is unreachable.
+    symbol with zero row sum gets pi = 0 and is unreachable.  The counts share the
+    denominator sum(W) * lcm(nonzero W(a))^(order-1).
     """
     w = [[as_fraction(weights[a][b]) for b in range(3)] for a in range(3)]
     for a in range(3):
@@ -127,18 +150,21 @@ def reversible_markov_measure(weights: Sequence[Sequence[int]], order: int = 6) 
                 raise ValueError("weights must be non-negative")
             if w[a][b] != w[b][a]:
                 raise ValueError("weight matrix must be symmetric")
-    row = [sum(w[a]) for a in range(3)]
+    scale = math.lcm(*(x.denominator for row in w for x in row))  # pi and K ignore scale
+    w_int = [[x.numerator * (scale // x.denominator) for x in row] for row in w]
+    row = [sum(w_int[a]) for a in range(3)]
     total = sum(row)
     if total == 0:
         raise ValueError("weight matrix is identically zero")
-    pi = [row[a] / total for a in range(3)]
-    kernel = [[w[a][b] / row[a] if row[a] > 0 else Fraction(b == a) for b in range(3)]
-              for a in range(3)]
-    table = [pi[a] for a in range(3)]
+    lcm_row = math.lcm(*(s for s in row if s > 0))
+    # kernel[a][b] / lcm_row is K(a,b); a zero row stays put
+    kernel = [[w_int[a][b] * (lcm_row // row[a]) if row[a] else lcm_row * (a == b)
+               for b in range(3)] for a in range(3)]
+    table = list(row)
     for _ in range(order - 1):
         table = [x * kernel[i % 3][b] for i, x in enumerate(table) for b in range(3)]
     name = f"markov({[[int(weights[a][b]) for b in range(3)] for a in range(3)]})"
-    return TIMeasure.from_table(order, table, name)
+    return TIMeasure.from_table(order, table, total * lcm_row ** (order - 1), name)
 
 
 class MeasureFamily(Enum):
@@ -174,7 +200,7 @@ def sampled_measures(per_family: int, seed: int, order: int = 6) -> list[TIMeasu
 
 
 def empirical_measure(row: Configuration, order: int) -> TIMeasure:
-    """Sliding-window word frequencies of a cyclic row, as exact counts/width.
+    """Sliding-window word counts of a cyclic row, over the denominator width.
 
     Translation consistent by construction (every window position counted once
     around the cycle); reflection invariance is whatever it happens to be.
@@ -187,9 +213,8 @@ def empirical_measure(row: Configuration, order: int) -> TIMeasure:
     idx = np.zeros(row.width, dtype=np.int64)
     for j in range(order):
         idx = idx * 3 + np.roll(codes, -j)
-    counts = np.bincount(idx, minlength=3**order)
-    table = [Fraction(int(c), row.width) for c in counts]
-    return TIMeasure.from_table(order, table, f"empirical(width={row.width})")
+    counts = np.bincount(idx, minlength=3**order).tolist()
+    return TIMeasure.from_table(order, counts, row.width, f"empirical(width={row.width})")
 
 
 # ------------------------------------------------------------------ cylinders
@@ -218,76 +243,69 @@ def cylinder_prob(mu: TIMeasure, text: str) -> Fraction:
     span, _, indices = _plain_word_indices(text)
     if span > mu.order:
         raise ValueError(f"pattern span {span} exceeds measure order {mu.order}")
-    marg = mu.marginals[span]
-    return sum((marg[i] for i in indices), Fraction(0))
+    marg = mu.counts[span]
+    return Fraction(sum([marg[i] for i in indices]), mu.den)
 
 
 _TRIPLE_CLASS = tuple(triple_class(t) for t in iter_words(3))  # by base-3 index
 
 
-@dataclass(frozen=True)
-class _SignatureTable:
-    """The parameter-free part of a pattern's pushforward kernel.
-
-    ``groups`` pairs each class signature (the classes of the span triples of an
-    input word over span+2 sites) with the base-3 indices of the words that have
-    it; ``rows`` are the pattern's disjoint plain rows.
-    """
-
-    rows: tuple[tuple[frozenset, ...], ...]
-    groups: tuple[tuple[tuple[TripleClass, ...], tuple[int, ...]], ...]
-
-
 @lru_cache(maxsize=None)
-def _signature_table(text: str) -> _SignatureTable:
-    span, rows, _ = _plain_word_indices(text)
+def _signature_groups(span: int) -> tuple[tuple[tuple[TripleClass, ...], tuple[int, ...]], ...]:
+    """The input words over span+2 sites grouped by class signature (the classes
+    of their span consecutive triples): (signature, base-3 word indices) pairs,
+    in order of each signature's first word.  Parameter- and pattern-free."""
     by_sig: dict[tuple[TripleClass, ...], list[int]] = {}
     for u in range(3 ** (span + 2)):
         sig = tuple(_TRIPLE_CLASS[u // 3 ** (span - 1 - j) % 27] for j in range(span))
         by_sig.setdefault(sig, []).append(u)
-    return _SignatureTable(rows, tuple((sig, tuple(us)) for sig, us in by_sig.items()))
+    return tuple((sig, tuple(us)) for sig, us in by_sig.items())
+
+
+def _group_masses(marg: tuple[int, ...], span: int) -> tuple[int, ...]:
+    """The counts of the span+2 marginal summed within each signature group."""
+    return tuple(sum([marg[u] for u in words]) for _, words in _signature_groups(span))
 
 
 @lru_cache(maxsize=None)
-def _pushforward_kernel(text: str,
-                        params: Params) -> tuple[tuple[Fraction, tuple[int, ...]], ...]:
-    """(P(the updated window lies in pat | signature), word indices) per signature.
+def _pushforward_kernel(text: str, params: Params) -> tuple[int, tuple[int, ...]]:
+    """(den, k) with k[g] / den = P(the updated window lies in the pattern | the
+    input word has signature g), g indexing _signature_groups(span).
 
     The rule's law depends on a triple only through its class, so every input
     word of one signature has the same kernel value.  Output sites are
     independent given the input word, so each disjoint row of the pattern
-    contributes a product of single-site masses.  Zero entries are dropped.
+    contributes a product of single-site masses.  Every law entry is a multiple
+    of 1/scale with scale the lcm of the denominators of p and q, so a product
+    of span masses is an integer over den = scale^span.
     """
-    table = _signature_table(text)
+    span, rows, _ = _plain_word_indices(text)
+    scale = math.lcm(params.p.denominator, params.q.denominator)
     laws = [class_law(cls, params) for cls in TripleClass]
-    mass = {(cell, cls): laws[cls].mass(cell)
-            for cell in {c for cells in table.rows for c in cells} for cls in TripleClass}
-    kernel = []
-    for sig, words in table.groups:
-        total = sum((math.prod(mass[cell, cls] for cls, cell in zip(sig, cells))
-                     for cells in table.rows), Fraction(0))
-        if total:
-            kernel.append((total, words))
-    return tuple(kernel)
+    mass = {(cell, cls): (laws[cls].mass(cell) * scale).numerator
+            for cell in {c for cells in rows for c in cells} for cls in TripleClass}
+    kernel = tuple(sum(math.prod(mass[cell, cls] for cls, cell in zip(sig, cells))
+                       for cells in rows)
+                   for sig, _ in _signature_groups(span))
+    return scale**span, kernel
 
 
 def pushforward_cylinder(mu: TIMeasure, text: str, params: Params) -> Fraction:
     """Probability of the cylinder event after one synchronous update of mu.
 
-    Sums P(window matches | signature) * mu(words of that signature) over the
-    class signatures of the words on the span+2 input sites.
+    The dot product of the kernel with mu's word masses grouped by class
+    signature over the span+2 input sites; the grouped masses do not depend on
+    (p, q) or on the pattern beyond its span, so each measure sums them once.
     """
     span = _plain_word_indices(text)[0]
     if span + 2 > mu.order:
         raise ValueError(
             f"pushforward of span {span} needs order >= {span + 2}, have {mu.order}")
-    marg = mu.marginals[span + 2]
-    total = Fraction(0)
-    for k, words in _pushforward_kernel(text, params):
-        mass = sum((marg[u] for u in words if marg[u]), Fraction(0))
-        if mass:
-            total += k * mass
-    return total
+    den, kernel = _pushforward_kernel(text, params)
+    masses = mu.signature_masses.get(span)
+    if masses is None:
+        masses = mu.signature_masses[span] = _group_masses(mu.counts[span + 2], span)
+    return Fraction(sum(map(operator.mul, kernel, masses)), den * mu.den)
 
 
 # ------------------------------------------------------------------ closed forms
@@ -676,6 +694,13 @@ _MASTER_TERMS: tuple[tuple[str, Callable[[Fraction, Fraction, Fraction], Fractio
 )
 
 
+@lru_cache(maxsize=None)
+def _master_coefficients(params: Params) -> tuple[Fraction, ...]:
+    """The _MASTER_TERMS coefficients at one (p, q), in term order."""
+    p, q, r = params.p, params.q, params.r
+    return tuple(coef(p, q, r) for _, coef, _ in _MASTER_TERMS)
+
+
 @dataclass(frozen=True)
 class WeightReport:
     """Master inequality bookkeeping: weights before/after one update, slack terms."""
@@ -727,8 +752,8 @@ def verify_master_inequality(mu: TIMeasure, params: Params) -> WeightReport:
     p, q, r = params.p, params.q, params.r
     w_mu = _weight_chain(lambda t: cylinder_prob(mu, t), params)
     w_image = _weight_chain(lambda t: pushforward_cylinder(mu, t, params), params)
-    terms = [(name, coef(p, q, r) * _linear(mu, pats))
-             for name, coef, pats in _MASTER_TERMS]
+    terms = [(name, coef * _linear(mu, pats))
+             for (name, _, pats), coef in zip(_MASTER_TERMS, _master_coefficients(params))]
     cf = {name: closed_form(name, mu, params)
           for name in ("10?", "100?", "1??", "1?0?", "10??", "1?01", "1?00", "10?0")}
     d_term = (2 * p * r * cf["10?"].component("D")

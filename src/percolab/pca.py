@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -90,10 +90,11 @@ class SeededStream:
         sites = n0 + np.arange(count, dtype=np.int64)
         return _to_unit(_key_u64(self._seed_u64(), t, sites))
 
-    def child_seeds_u64(self, count: int) -> np.ndarray:
-        """Seeds of the derived streams for samples 0..count-1; distinct samples
-        get independent (t, n) tables."""
-        ks = np.arange(count, dtype=np.int64)
+    def child_seeds_u64(self, count: int, start: int = 0) -> np.ndarray:
+        """Seeds of the derived streams for samples start..start+count-1; distinct
+        samples get independent (t, n) tables, and sample k's seed does not
+        depend on which range it is made in."""
+        ks = np.arange(start, start + count, dtype=np.int64)
         with np.errstate(over="ignore"):
             return _finalize(self._seed_u64() ^ (_as_u64(ks) * _MUL1 + _TAG_CHILD))
 
@@ -165,12 +166,6 @@ class Configuration:
         cls, width: int, symbol: EnvSymbol, boundary: Boundary, origin: int = 0
     ) -> "Configuration":
         return cls(np.full(width, symbol.value, dtype=np.int8), boundary, origin)
-
-    @classmethod
-    def from_symbols(
-        cls, symbols: Iterable[EnvSymbol], boundary: Boundary, origin: int = 0
-    ) -> "Configuration":
-        return cls(np.array([s.value for s in symbols], dtype=np.int8), boundary, origin)
 
 
 # ------------------------------------------------------------------ local rule

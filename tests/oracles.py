@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from percolab.core import (
 )
 from percolab.game import GameClass, GameVersion, _labels_from_u, classify_line
 from percolab.measures import TIMeasure, cylinder_prob
-from percolab.pca import Configuration, SeededStream, _key_u64, _to_unit
+from percolab.pca import Boundary, Configuration, SeededStream, _key_u64, _to_unit
 
 # ------------------------------------------------------------------ streams
 
@@ -42,6 +42,13 @@ def child_stream(stream: SeededStream, k: int) -> SeededStream:
 # ------------------------------------------------------------------ rows
 
 
+def config_from_symbols(
+    symbols: Iterable[EnvSymbol], boundary: Boundary, origin: int = 0
+) -> Configuration:
+    """A row written out symbol by symbol."""
+    return Configuration(np.array([s.value for s in symbols], dtype=np.int8), boundary, origin)
+
+
 def envelope_of_pair(cfg_a: Configuration, cfg_b: Configuration) -> Configuration:
     """Sitewise summary of two binary rows: common value where equal, ? where not."""
     if cfg_a.has_qmark or cfg_b.has_qmark:
@@ -55,6 +62,27 @@ def envelope_of_pair(cfg_a: Configuration, cfg_b: Configuration) -> Configuratio
 
 
 # ------------------------------------------------------------------ game
+
+
+def out_set(v: GameVersion, x: int, y: int) -> tuple[tuple[int, int], ...]:
+    """The three out-neighbours of (x, y), in the scheme's fixed order."""
+    if v is GameVersion.V1:
+        return ((x, y + 2), (x + 1, y + 1), (x + 2, y))
+    if v is GameVersion.V2:
+        return ((x, y + 1), (x + 1, y + 1), (x + 2, y + 1))
+    if v is GameVersion.V3:
+        return ((x + 1, y), (x, y + 1), (x - 1, y + 2))
+    return ((x - 1, y + 1), (x, y + 1), (x + 1, y + 1))
+
+
+def line_of(v: GameVersion, x: int, y: int) -> int:
+    """Line parameter k of site (x, y): diagonals for V1/V3, horizontals for V2/V4."""
+    return x + y if v in (GameVersion.V1, GameVersion.V3) else y
+
+
+def line_step(v: GameVersion) -> int:
+    """Increment of the line parameter k from one line to its successor."""
+    return 2 if v is GameVersion.V1 else 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +120,7 @@ def solve_sample(
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    step_k = version.line_step
+    step_k = line_step(version)
     lines: dict[int, np.ndarray] = {}
     origins: dict[int, int] = {}
     classes = np.full(1 + 2 * horizon, GameClass.D, dtype=np.int8)
@@ -150,13 +178,13 @@ def pattern_words(pat: CylinderPattern) -> list[Word]:
 
 
 def word_prob(mu: TIMeasure, word: Sequence[EnvSymbol]) -> Fraction:
-    """mu of the cylinder of one plain word, read straight from the marginals."""
+    """mu of the cylinder of one plain word, read straight from the counts."""
     if len(word) > mu.order:
         raise ValueError(f"word length {len(word)} exceeds order {mu.order}")
     idx = 0
     for s in word:
         idx = idx * 3 + s.value
-    return mu.marginals[len(word)][idx]
+    return Fraction(mu.counts[len(word)][idx], mu.den)
 
 
 # The cylinders the weight chain w0..w4 reads.

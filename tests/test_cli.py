@@ -212,6 +212,13 @@ def test_verify_stationary_informational(capsys):
     assert Fraction(report["qmark"]) < Fraction(1, 10)
 
 
+def test_verify_stationary_rejects_zero_steps(capsys):
+    code, err = exit_status(capsys, "verify", "stationary", "--p", "1/4", "--q", "1/4",
+                            "--steps", "0")
+    assert code == 2
+    assert "error: steps must be >= 1" in err
+
+
 def test_verify_rejects_csv_format(capsys):
     code, err = exit_status(capsys, "verify", "lemmas", "--format", "csv")
     assert code == 2
@@ -255,32 +262,62 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["pass"] is True
 
 
-def test_benchmark_tracer_finds_every_traced_name():
-    # perfbench/spans.py rebinds the layer functions by name when a traced run
-    # starts, so a rename or move in src/ breaks it; this catches that in tests
+def _traced_spans(*argv):
+    """Per-name span summary of one command run under perfbench's tracer."""
     proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "child.py"),
-                           str(ROOT / "src"), "trace", "--", "verify", "kernel",
-                           "--version", "v1", "--p", "1/2", "--q", "1/4"],
+                           str(ROOT / "src"), "trace", "--", *argv],
                           capture_output=True, text=True, timeout=60, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["pass"] is True
     reports = [line for line in proc.stderr.splitlines() if line.startswith("PERFBENCH ")]
     assert len(reports) == 1
-    spans = json.loads(reports[0].removeprefix("PERFBENCH "))["spans"]
+    return json.loads(reports[0].removeprefix("PERFBENCH "))["spans"]
+
+
+def test_benchmark_tracer_finds_every_traced_name():
+    # perfbench/spans.py rebinds the layer functions by name when a traced run
+    # starts, so a rename or move in src/ breaks it; this catches that in tests
+    spans = _traced_spans("verify", "kernel", "--version", "v1", "--p", "1/2", "--q", "1/4")
     assert "game.kernel_check" in spans
+
+
+def test_benchmark_tracer_times_the_exact_layers():
+    # a measure built without going through TIMeasure.from_table, or a cylinder
+    # or table check reached other than through the module globals, would read
+    # as zero time in the benchmark
+    spans = _traced_spans("verify", "tables", "--measures", "1")
+    assert {"measures.construct", "measures.cylinder", "measures.tables"} <= set(spans)
+    assert spans["measures.construct"]["count"] == 5  # 3 point masses + 1 per family
+
+
+def _peak_rss_kb(*argv):
+    """Peak resident set size, in KiB, of one CLI run in a fresh interpreter.
+
+    Read from the child's VmHWM: its ru_maxrss would also count the RSS this
+    test process had when it spawned the child, which a long test session grows.
+    """
+    code = ("import re, sys\n"
+            "from percolab.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print(re.search(r'VmHWM:\\s*(\\d+) kB', fh.read()).group(1), file=sys.stderr)\n"
+            "sys.exit(rc)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stderr.split()[-1])
 
 
 def test_game_memory_is_bounded_in_samples():
     # 300k samples x 61 frontier cells: an unchunked solver peaks near 0.7 GB
-    code = ("import resource, sys\n"
-            "from percolab.cli import main\n"
-            "rc = main(sys.argv[1:])\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
-            "sys.exit(rc)\n")
-    proc = subprocess.run([sys.executable, "-c", code, "game", "--version", "v1",
-                           "--p", "9/20", "--q", "9/20", "--horizons", "30",
-                           "--samples", "300000", "--seed", "7"],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    peak_kb = int(proc.stderr.split()[-1])  # Linux reports ru_maxrss in KiB
+    peak_kb = _peak_rss_kb("game", "--version", "v1", "--p", "9/20", "--q", "9/20",
+                           "--horizons", "30", "--samples", "300000", "--seed", "7")
     assert peak_kb < 150 * 1024
+
+
+def test_game_seeds_are_made_per_chunk():
+    # four chunks of 2^20 samples: seeds made up front for all of them would
+    # hold 32 MB at once, and peak near 125 MB
+    peak_kb = _peak_rss_kb("game", "--version", "v1", "--p", "1/4", "--q", "1/4",
+                           "--horizons", "0", "--samples", "4000000", "--seed", "7")
+    assert peak_kb < 80 * 1024

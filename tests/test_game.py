@@ -14,12 +14,19 @@ from percolab.game import (
     classify_line,
     draw_fraction,
     kernel_correspondence,
-    out_set,
     wilson_interval,
 )
 from percolab.pca import SeededStream
 
-from oracles import as_dict, child_stream, sample_labels, solve_sample
+from oracles import (
+    as_dict,
+    child_stream,
+    line_of,
+    line_step,
+    out_set,
+    sample_labels,
+    solve_sample,
+)
 
 W, D, L = GameClass.W, GameClass.D, GameClass.L
 TRAP, OPEN, TARGET = SiteLabel.TRAP, SiteLabel.OPEN, SiteLabel.TARGET
@@ -44,10 +51,10 @@ def test_out_set_examples():
 
 @given(st.integers(-50, 50), st.integers(-50, 50), st.sampled_from(list(GameVersion)))
 def test_out_set_respects_line_structure(x, y, v):
-    k = v.line_of(x, y)
+    k = line_of(v, x, y)
     outs = out_set(v, x, y)
     # successors all on the next line, and their x-indices form the window x+i..x+i+2
-    assert all(v.line_of(*s) == k + v.line_step for s in outs)
+    assert all(line_of(v, *s) == k + line_step(v) for s in outs)
     assert sorted(s[0] for s in outs) == [x + v.offset + j for j in range(3)]
 
 
@@ -170,7 +177,7 @@ def test_sample_labels_frequencies():
 def test_solve_sample_geometry():
     for version in GameVersion:
         grid = solve_sample(version, Params(Fraction(1, 4), Fraction(1, 4)), 5, SeededStream(3))
-        step_k = version.line_step
+        step_k = line_step(version)
         assert sorted(grid.lines) == [s * step_k for s in range(6)]
         for s in range(6):
             k = s * step_k

@@ -1,7 +1,10 @@
+import functools
+import gc
 import itertools
 import json
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -39,7 +42,14 @@ from percolab.pca import (
     trajectory,
 )
 
-from oracles import IDENTITIES, WEIGHT_SPANS, pattern_words, verify_identity, word_prob
+from oracles import (
+    IDENTITIES,
+    WEIGHT_SPANS,
+    config_from_symbols,
+    pattern_words,
+    verify_identity,
+    word_prob,
+)
 
 Z, Q, O = EnvSymbol.ZERO, EnvSymbol.QMARK, EnvSymbol.ONE
 
@@ -105,20 +115,32 @@ def test_point_mass():
 
 def test_measure_validation():
     with pytest.raises(ValueError, match="order"):
-        TIMeasure.from_table(0, [], "x")
+        TIMeasure.from_table(0, [], 1, "x")
     with pytest.raises(ValueError, match="order"):
-        TIMeasure.from_table(11, [Fraction(1)] * 3**11, "x")
+        TIMeasure.from_table(11, [1] * 3**11, 3**11, "x")
     with pytest.raises(ValueError, match="entries"):
-        TIMeasure.from_table(1, [Fraction(1)], "x")
+        TIMeasure.from_table(1, [1], 1, "x")
     with pytest.raises(ValueError, match="negative"):
-        TIMeasure.from_table(1, [Fraction(2), Fraction(-1), Fraction(0)], "x")
+        TIMeasure.from_table(1, [2, -1, 0], 1, "x")
     with pytest.raises(ValueError, match="sums"):
-        TIMeasure.from_table(1, [Fraction(1, 2)] * 3, "x")
+        TIMeasure.from_table(1, [1, 1, 1], 2, "x")
+    with pytest.raises(ValueError, match="denominator"):
+        TIMeasure.from_table(1, [0, 0, 0], 0, "x")
+    with pytest.raises(ValueError, match="denominator"):
+        TIMeasure.from_table(1, [-1, 0, 0], -1, "x")
+    # entries and denominator are exact ints: no float, Fraction, bool or numpy int
+    for counts, den in (([0.5, 0.5, 0.0], 1), ([1, 0, 0], 1.0),
+                        ([Fraction(1), 0, 0], 1), ([True, False, False], 1),
+                        (list(np.array([1, 0, 0])), 1)):
+        with pytest.raises(TypeError, match="int"):
+            TIMeasure.from_table(1, counts, den, "x")
     # product of two different site marginals: left and right marginals disagree
-    a, b = (Fraction(1), Fraction(0), Fraction(0)), (Fraction(0), Fraction(1), Fraction(0))
+    a, b = (1, 0, 0), (0, 1, 0)
     table = [a[i] * b[j] for i in range(3) for j in range(3)]
     with pytest.raises(ValueError, match="translation"):
-        TIMeasure.from_table(2, table, "x")
+        TIMeasure.from_table(2, table, 1, "x")
+    mu = TIMeasure.from_table(1, [1, 2, 3], 6, "x")
+    assert (cylinder_prob(mu, "0"), cylinder_prob(mu, "?")) == (Fraction(1, 6), Fraction(1, 3))
 
 
 def test_markov_validation():
@@ -145,7 +167,7 @@ def test_random_families():
 
 
 def test_empirical_measure_small_row():
-    row = Configuration.from_symbols([Z, Q, O, Z], Boundary.CYCLIC)
+    row = config_from_symbols([Z, Q, O, Z], Boundary.CYCLIC)
     mu = empirical_measure(row, 2)
     assert word_prob(mu, (Z, Q)) == Fraction(1, 4)
     assert word_prob(mu, (Q, O)) == Fraction(1, 4)
@@ -157,10 +179,10 @@ def test_empirical_measure_small_row():
 
 
 def test_empirical_measure_errors():
-    row = Configuration.from_symbols([Z, Q, O, Z], Boundary.LIGHTCONE)
+    row = config_from_symbols([Z, Q, O, Z], Boundary.LIGHTCONE)
     with pytest.raises(ValueError, match="cyclic"):
         empirical_measure(row, 2)
-    cyc = Configuration.from_symbols([Z, Q, O, Z], Boundary.CYCLIC)
+    cyc = config_from_symbols([Z, Q, O, Z], Boundary.CYCLIC)
     with pytest.raises(ValueError, match="order"):
         empirical_measure(cyc, 11)
 
@@ -180,9 +202,11 @@ def test_pushforward_frozen_example():
     assert pushforward_cylinder(PRODUCT, "?", PP) == Fraction(387, 2000)
 
 
-def _oracle_kernel(pat, params):
+@functools.lru_cache(maxsize=None)
+def _oracle_kernel(pat_text, params):
     """kernel[u] built word by word, u in base-3 index order: the sum over the output
     words w in the pattern of prod_j P(site j becomes w_j | u[j:j+3])."""
+    pat = CylinderPattern.parse(pat_text)
     model = ModelSpec(Alphabet.ENVELOPE, 0, params)
     laws = {}
     for t in iter_words(3):
@@ -211,12 +235,98 @@ def test_pushforward_against_direct_enumeration():
     for params in points:
         for pat_text in patterns:
             pat = CylinderPattern.parse(pat_text)
-            kernel = _oracle_kernel(pat, params)
+            kernel = _oracle_kernel(pat_text, params)
             for mu in measures:
-                marg = mu.marginals[pat.span + 2]
+                marg = [Fraction(c, mu.den) for c in mu.counts[pat.span + 2]]
                 want = sum((m * k for m, k in zip(marg, kernel) if m and k), Fraction(0))
                 assert pushforward_cylinder(mu, pat_text, params) == want, \
                     (pat_text, mu.name, str(params))
+
+
+# Word probabilities of each fixture straight from its definition, one word at a
+# time in Fraction arithmetic: no integer counts, no shared denominator.
+
+def _product_word_prob(marg):
+    return lambda word: math.prod((marg[s] for s in word), start=Fraction(1))
+
+
+def _markov_word_prob(weights):
+    row = [sum(r) for r in weights]
+
+    def prob(word):
+        if not word:
+            return Fraction(1)
+        out = Fraction(row[word[0]], sum(row))
+        for a, b in zip(word, word[1:]):
+            out *= Fraction(weights[a][b], row[a]) if row[a] else Fraction(a == b)
+        return out
+    return prob
+
+
+def _empirical_word_prob(cells):
+    n = len(cells)
+    return lambda word: Fraction(
+        sum(all(cells[(i + j) % n] == s for j, s in enumerate(word)) for i in range(n)), n)
+
+
+def _oracle_fixtures():
+    """(measure, word probability from the definition) for each measure kind."""
+    marg = (Fraction(1, 2), Fraction(3, 10), Fraction(1, 5))
+    zero_row = [[2, 0, 1], [0, 0, 0], [1, 0, 3]]  # ? has row sum 0: never seen
+    cells = np.random.default_rng(11).integers(0, 3, size=40).astype(np.int8)
+    out = [(product_measure(*marg), _product_word_prob(marg)),
+           (reversible_markov_measure(zero_row), _markov_word_prob(zero_row)),
+           (empirical_measure(Configuration(cells, Boundary.CYCLIC), 6),
+            _empirical_word_prob(cells.tolist()))]
+    for sym in (Z, Q, O):
+        site = tuple(Fraction(int(s is sym)) for s in (Z, Q, O))
+        out.append((point_mass(sym), _product_word_prob(site)))
+    return out
+
+
+def test_counts_match_word_by_word_fractions():
+    edges = [pt for pt in FORMULA_GRID if pt.p == 0 or pt.q == 0 or pt.p + pt.q == 1]
+    patterns = sorted(set(CLOSED_FORM_IDS) | set(WEIGHT_SPANS)) + ["1 ***", "[0?] ***"]
+    for mu, prob in _oracle_fixtures():
+        tables = [[prob(w) for w in iter_words(length)] for length in range(mu.order + 1)]
+        for length, table in enumerate(tables):
+            assert [word_prob(mu, w) for w in iter_words(length)] == table, (mu.name, length)
+        for pat_text in patterns + ["0 0 0 ** 1", "1 *** 1", "?0000?"]:
+            pat = CylinderPattern.parse(pat_text)
+            want = sum((prob(w) for w in pattern_words(pat)), Fraction(0))
+            assert cylinder_prob(mu, pat_text) == want, (pat_text, mu.name)
+        for params in edges:
+            for pat_text in patterns:
+                kernel = _oracle_kernel(pat_text, params)
+                table = tables[CylinderPattern.parse(pat_text).span + 2]
+                want = sum((m * k for m, k in zip(table, kernel) if m and k), Fraction(0))
+                assert pushforward_cylinder(mu, pat_text, params) == want, \
+                    (pat_text, mu.name, str(params))
+
+
+def test_grouped_masses_are_summed_once_per_measure(monkeypatch):
+    # the signature masses do not depend on (p, q), so a second point reuses them
+    calls = []
+    real = measures._group_masses
+
+    def counting(marg, span):
+        calls.append(span)
+        return real(marg, span)
+
+    monkeypatch.setattr(measures, "_group_masses", counting)
+    mu = reversible_markov_measure([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
+    values = [pushforward_cylinder(mu, "10?", PP),
+              pushforward_cylinder(mu, "10?", Params(Fraction(1, 2), Fraction(1, 4))),
+              pushforward_cylinder(mu, "1?0", PP)]  # another pattern of the same span
+    assert calls == [3]
+    assert values == [pushforward_cylinder(MARKOV, "10?", PP),
+                      pushforward_cylinder(MARKOV, "10?", Params(Fraction(1, 2), Fraction(1, 4))),
+                      pushforward_cylinder(MARKOV, "1?0", PP)]
+    # the masses live on the measure, not in a cache that would keep it alive
+    ref = weakref.ref(mu)
+    del mu
+    gc.collect()
+    assert ref() is None
 
 
 def test_pushforward_point_mass_and_edges():

@@ -19,7 +19,7 @@ from percolab.pca import (
     u01_block,
 )
 
-from oracles import as_dict, child_stream, envelope_of_pair, u01
+from oracles import as_dict, child_stream, config_from_symbols, envelope_of_pair, u01
 
 Z, Q, O = EnvSymbol.ZERO, EnvSymbol.QMARK, EnvSymbol.ONE
 
@@ -92,6 +92,14 @@ def test_child_streams_are_distinct_and_match_block_path():
         assert np.array_equal(grid[k], kids[k].u01_range(2, -3, 5))
 
 
+def test_child_seeds_of_a_chunk_match_the_full_array():
+    # the game solver makes each chunk's seeds when the chunk starts
+    s = SeededStream(99)
+    full = s.child_seeds_u64(50)
+    for start, count in ((0, 50), (0, 7), (7, 7), (45, 5), (20, 0)):
+        assert np.array_equal(s.child_seeds_u64(count, start), full[start:start + count])
+
+
 def test_stream_uniformity():
     u = SeededStream(5).u01_range(0, 0, 100_000)
     assert abs(u.mean() - 0.5) < 0.004
@@ -129,7 +137,7 @@ def test_cyclic_neighbour_views_wrap(width, offset):
 
 
 def test_from_symbols_roundtrip():
-    cfg = Configuration.from_symbols([Z, Q, O, Z], Boundary.LIGHTCONE, origin=-2)
+    cfg = config_from_symbols([Z, Q, O, Z], Boundary.LIGHTCONE, origin=-2)
     assert cfg.symbols() == (Z, Q, O, Z)
     assert cfg.origin == -2 and cfg.width == 4
 
@@ -214,7 +222,7 @@ def test_lightcone_geometry():
 
 def test_cyclic_wraps():
     # width-3 cyclic row: every site sees all three cells, order depending on position
-    cfg = Configuration.from_symbols([Z, Z, O], Boundary.CYCLIC)
+    cfg = config_from_symbols([Z, Z, O], Boundary.CYCLIC)
     model = env_model(params=Params(1, 0))  # has-one triples go to 0 surely (q=0)
     out = step(cfg, model, SeededStream(2), t=0)
     assert out.counts() == (3, 0, 0) and out.width == 3 and out.origin == 0
@@ -245,14 +253,14 @@ def test_trajectory_deterministic_and_seed_sensitive():
 # ---------------------------------------------------------------- couplings
 
 def test_envelope_of_pair():
-    a = Configuration.from_symbols([Z, O, Z, O], Boundary.CYCLIC)
-    b = Configuration.from_symbols([Z, O, O, Z], Boundary.CYCLIC)
+    a = config_from_symbols([Z, O, Z, O], Boundary.CYCLIC)
+    b = config_from_symbols([Z, O, O, Z], Boundary.CYCLIC)
     env = envelope_of_pair(a, b)
     assert env.symbols() == (Z, O, Q, Q)
     with pytest.raises(ValueError):
-        envelope_of_pair(a, Configuration.from_symbols([Z, O, Z], Boundary.CYCLIC))
+        envelope_of_pair(a, config_from_symbols([Z, O, Z], Boundary.CYCLIC))
     with pytest.raises(ValueError):
-        envelope_of_pair(a, Configuration.from_symbols([Z, Q, Z, O], Boundary.CYCLIC))
+        envelope_of_pair(a, config_from_symbols([Z, Q, Z, O], Boundary.CYCLIC))
 
 
 def test_coupled_step_marginals_equal_plain_step():
@@ -306,7 +314,7 @@ def test_coupled_step_rejects_envelope_model():
     Configuration.constant(11, O, Boundary.CYCLIC),
     Configuration.constant(10, O, Boundary.LIGHTCONE),
     Configuration.constant(10, O, Boundary.CYCLIC, origin=1),
-    Configuration.from_symbols([O] * 9 + [Q], Boundary.CYCLIC),
+    config_from_symbols([O] * 9 + [Q], Boundary.CYCLIC),
 ], ids=["width", "boundary", "origin", "qmark"])
 def test_coupled_step_rejects_rows_off_one_binary_window(other):
     a = Configuration.constant(10, Z, Boundary.CYCLIC)

@@ -224,19 +224,6 @@ class CylinderPattern:
             raise ValueError(f"no cells in pattern text {text!r}")
         return cls(tuple(cells))
 
-    def __str__(self) -> str:
-        out = []
-        for cell in self.cells:
-            if cell is Hat.HAT2:
-                out.append("**")
-            elif cell is Hat.HAT3:
-                out.append("***")
-            elif len(cell) == 1:
-                out.append(str(next(iter(cell))))
-            else:
-                out.append("[" + "".join(str(s) for s in sorted(cell)) + "]")
-        return " ".join(out)
-
 
 def expand_pattern(pat: CylinderPattern) -> list[CylinderPattern]:
     """Materialize hat tokens into plain subset-cell patterns.

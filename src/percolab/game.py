@@ -147,11 +147,7 @@ class KernelComparison:
 
     @property
     def equal(self) -> bool:
-        return (
-            self.induced.prob0 == self.expected.prob0
-            and self.induced.probQ == self.expected.probQ
-            and self.induced.prob1 == self.expected.prob1
-        )
+        return self.induced == self.expected
 
 
 @dataclass(frozen=True)

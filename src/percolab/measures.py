@@ -34,9 +34,8 @@ from .core import (
     SYMBOLS,
     as_fraction,
     expand_pattern,
-    iter_words,
 )
-from .pca import Boundary, Configuration, TripleClass, class_law, triple_class
+from .pca import TRIPLE_CLASSES, Boundary, Configuration, TripleClass, class_law
 
 MAX_ORDER = 10
 
@@ -247,9 +246,6 @@ def cylinder_prob(mu: TIMeasure, text: str) -> Fraction:
     return Fraction(sum([marg[i] for i in indices]), mu.den)
 
 
-_TRIPLE_CLASS = tuple(triple_class(t) for t in iter_words(3))  # by base-3 index
-
-
 @lru_cache(maxsize=None)
 def _signature_groups(span: int) -> tuple[tuple[tuple[TripleClass, ...], tuple[int, ...]], ...]:
     """The input words over span+2 sites grouped by class signature (the classes
@@ -257,7 +253,7 @@ def _signature_groups(span: int) -> tuple[tuple[tuple[TripleClass, ...], tuple[i
     in order of each signature's first word.  Parameter- and pattern-free."""
     by_sig: dict[tuple[TripleClass, ...], list[int]] = {}
     for u in range(3 ** (span + 2)):
-        sig = tuple(_TRIPLE_CLASS[u // 3 ** (span - 1 - j) % 27] for j in range(span))
+        sig = tuple(TRIPLE_CLASSES[u // 3 ** (span - 1 - j) % 27] for j in range(span))
         by_sig.setdefault(sig, []).append(u)
     return tuple((sig, tuple(us)) for sig, us in by_sig.items())
 
@@ -347,18 +343,6 @@ class ClosedFormResult:
     @property
     def remainders_nonnegative(self) -> bool:
         return all(v >= 0 for k, v in self.components if k.startswith(("C", "D")))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "formula": self.formula,
-            "p": frac_str(self.params.p),
-            "q": frac_str(self.params.q),
-            "measure": self.measure,
-            "value": frac_str(self.value),
-            "components": {k: frac_str(v) for k, v in self.components},
-            "fully_specified": self.fully_specified,
-            "pass": self.remainders_nonnegative,
-        }
 
 
 def closed_form(name: str, mu: TIMeasure, params: Params) -> ClosedFormResult:

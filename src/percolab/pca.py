@@ -25,11 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .core import EnvSymbol, LocalDistribution, Params
+from .core import EnvSymbol, LocalDistribution, Params, iter_words
 
 # ------------------------------------------------------------------ randomness
 
@@ -158,9 +159,6 @@ class Configuration:
             int((self.cells == 2).sum()),
         )
 
-    def symbols(self) -> tuple[EnvSymbol, ...]:
-        return tuple(EnvSymbol(int(c)) for c in self.cells)
-
     @classmethod
     def constant(
         cls, width: int, symbol: EnvSymbol, boundary: Boundary, origin: int = 0
@@ -184,6 +182,10 @@ def triple_class(triple: Sequence[EnvSymbol]) -> TripleClass:
     if all(s is EnvSymbol.ZERO for s in triple):
         return TripleClass.ALL_ZERO
     return TripleClass.MIXED
+
+
+# The class of every triple, by its base-3 index 9a + 3b + c.
+TRIPLE_CLASSES = tuple(triple_class(t) for t in iter_words(3))
 
 
 def class_law(cls: TripleClass, params: Params) -> LocalDistribution:
@@ -224,27 +226,29 @@ def _neighbour_views(cfg: Configuration, offset: int):
     return cells[:-2], cells[1:-1], cells[2:], cfg.origin - offset, width - 2
 
 
-def _thresholds(a, b, c, params: Params, binary: bool):
-    """Per-site inverse-CDF cut points (t0, t1) in the code order 0 < ? < 1."""
+@lru_cache(maxsize=None)
+def _cut_points(params: Params) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse-CDF cut points (t0, t1) of every triple, by base-3 index, in the
+    code order 0 < ? < 1.  Only a MIXED triple has t1 > t0, so a binary row,
+    which holds no ?, reads the binary rule from the same table."""
     p, q, r = float(params.p), float(params.q), float(params.r)
-    has_one = (a == 2) | (b == 2) | (c == 2)
-    t0 = np.where(has_one, 1.0 - q, p)
-    if binary:
-        return t0, t0
-    all_zero = (a == 0) & (b == 0) & (c == 0)
-    t1 = t0 + np.where(has_one | all_zero, 0.0, r)
+    t0 = np.array([1.0 - q if cls is TripleClass.HAS_ONE else p for cls in TRIPLE_CLASSES])
+    t1 = t0 + np.array([r if cls is TripleClass.MIXED else 0.0 for cls in TRIPLE_CLASSES])
+    t0.setflags(write=False)
+    t1.setflags(write=False)
     return t0, t1
 
 
 def step(cfg: Configuration, model: ModelSpec, stream: SeededStream, t: int) -> Configuration:
     """Advance one row by one step; deterministic given (seed, t) and the input."""
-    binary = model.alphabet is Alphabet.BINARY
-    if binary and cfg.has_qmark:
+    if model.alphabet is Alphabet.BINARY and cfg.has_qmark:
         raise ValueError("? symbol passed to a binary model")
     a, b, c, out_origin, out_width = _neighbour_views(cfg, model.offset)
-    t0, t1 = _thresholds(a, b, c, model.params, binary)
+    # intp, not int8: numpy gathers with an int8 index much more slowly
+    triple = 9 * a.astype(np.intp) + 3 * b + c
+    t0, t1 = _cut_points(model.params)
     u = stream.u01_range(t, out_origin, out_width)
-    out = (u >= t0).astype(np.int8) + (u >= t1).astype(np.int8)
+    out = (u >= t0[triple]).astype(np.int8) + (u >= t1[triple]).astype(np.int8)
     return Configuration(out, cfg.boundary, out_origin)
 
 

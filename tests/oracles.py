@@ -19,12 +19,25 @@ from percolab.core import (
     Hat,
     LocalDistribution,
     Params,
+    StochOrder,
     Word,
     iter_words,
+    word_str,
 )
 from percolab.game import GameClass, GameVersion, _labels_from_u, classify_line
-from percolab.measures import TIMeasure, cylinder_prob
-from percolab.pca import Boundary, Configuration, SeededStream, _key_u64, _to_unit
+from percolab.measures import ClosedFormResult, TIMeasure, cylinder_prob, frac_str
+from percolab.orders import dominates, triple_leq
+from percolab.pca import (
+    Alphabet,
+    Boundary,
+    Configuration,
+    ModelSpec,
+    SeededStream,
+    _key_u64,
+    _neighbour_views,
+    _to_unit,
+    local_rule,
+)
 
 # ------------------------------------------------------------------ streams
 
@@ -49,6 +62,11 @@ def config_from_symbols(
     return Configuration(np.array([s.value for s in symbols], dtype=np.int8), boundary, origin)
 
 
+def symbols(cfg: Configuration) -> tuple[EnvSymbol, ...]:
+    """The row read back symbol by symbol."""
+    return tuple(EnvSymbol(int(c)) for c in cfg.cells)
+
+
 def envelope_of_pair(cfg_a: Configuration, cfg_b: Configuration) -> Configuration:
     """Sitewise summary of two binary rows: common value where equal, ? where not."""
     if cfg_a.has_qmark or cfg_b.has_qmark:
@@ -59,6 +77,34 @@ def envelope_of_pair(cfg_a: Configuration, cfg_b: Configuration) -> Configuratio
         raise ValueError("rows must cover the same window")
     cells = np.where(cfg_a.cells == cfg_b.cells, cfg_a.cells, np.int8(1))
     return Configuration(cells, cfg_a.boundary, cfg_a.origin)
+
+
+# ------------------------------------------------------------------ stepping
+
+
+def thresholds(a, b, c, params: Params, binary: bool):
+    """Per-site inverse-CDF cut points (t0, t1) in the code order 0 < ? < 1,
+    read from the site's own three cells."""
+    p, q, r = float(params.p), float(params.q), float(params.r)
+    has_one = (a == 2) | (b == 2) | (c == 2)
+    t0 = np.where(has_one, 1.0 - q, p)
+    if binary:
+        return t0, t0
+    all_zero = (a == 0) & (b == 0) & (c == 0)
+    t1 = t0 + np.where(has_one | all_zero, 0.0, r)
+    return t0, t1
+
+
+def step(cfg: Configuration, model: ModelSpec, stream: SeededStream, t: int) -> Configuration:
+    """One update with the cut points computed site by site from the cells."""
+    binary = model.alphabet is Alphabet.BINARY
+    if binary and cfg.has_qmark:
+        raise ValueError("? symbol passed to a binary model")
+    a, b, c, out_origin, out_width = _neighbour_views(cfg, model.offset)
+    t0, t1 = thresholds(a, b, c, model.params, binary)
+    u = stream.u01_range(t, out_origin, out_width)
+    out = (u >= t0).astype(np.int8) + (u >= t1).astype(np.int8)
+    return Configuration(out, cfg.boundary, out_origin)
 
 
 # ------------------------------------------------------------------ game
@@ -142,7 +188,63 @@ def as_dict(dist: LocalDistribution) -> dict[str, Fraction]:
     return {"0": dist.prob0, "?": dist.probQ, "1": dist.prob1}
 
 
+# ------------------------------------------------------------------ lemmas
+
+
+def lemma_report(which: int, params: Params, law=None) -> dict:
+    """``verify_lemma(which, params).to_json_dict()``, one domination check per
+    ordered triple pair.  ``law`` maps a triple to its output law and defaults
+    to the envelope rule at ``params``."""
+    order = StochOrder.TOTAL if which == 1 else StochOrder.PARTIAL
+    if law is None:
+        model = ModelSpec(Alphabet.ENVELOPE, 0, params)
+        law = lambda t: local_rule(model, t)  # noqa: E731
+    rule = {t: law(t) for t in iter_words(3)}
+    comparable = []
+    violations = []
+    total = 0
+    for u in iter_words(3):
+        for v in iter_words(3):
+            total += 1
+            if not triple_leq(order, u, v):
+                continue
+            if which == 1:
+                check = dominates(order, rule[v], rule[u])
+            else:
+                check = dominates(order, rule[u], rule[v])
+            comparable.append(check)
+            if not check.holds:
+                violations.append({"u": word_str(u), "v": word_str(v),
+                                   "margins": [str(m) for m in check.margins]})
+    return {
+        "which": which,
+        "order": "total" if which == 1 else "partial",
+        "p": str(params.p),
+        "q": str(params.q),
+        "total_pairs": total,
+        "comparable_pairs": len(comparable),
+        "violation_count": len(violations),
+        "worst_margin": str(min(check.worst_margin for check in comparable)),
+        "violations": violations,
+    }
+
+
 # ------------------------------------------------------------------ patterns
+
+
+def pattern_str(pat: CylinderPattern) -> str:
+    """The pattern written back as parseable text."""
+    out = []
+    for cell in pat.cells:
+        if cell is Hat.HAT2:
+            out.append("**")
+        elif cell is Hat.HAT3:
+            out.append("***")
+        elif len(cell) == 1:
+            out.append(str(next(iter(cell))))
+        else:
+            out.append("[" + "".join(str(s) for s in sorted(cell)) + "]")
+    return " ".join(out)
 
 
 def is_plain(pat: CylinderPattern) -> bool:
@@ -175,6 +277,20 @@ def pattern_words(pat: CylinderPattern) -> list[Word]:
 
 
 # ------------------------------------------------------------------ measures
+
+
+def closed_form_json(res: ClosedFormResult) -> dict:
+    """One evaluated catalog entry as a JSON-ready dict."""
+    return {
+        "formula": res.formula,
+        "p": frac_str(res.params.p),
+        "q": frac_str(res.params.q),
+        "measure": res.measure,
+        "value": frac_str(res.value),
+        "components": {k: frac_str(v) for k, v in res.components},
+        "fully_specified": res.fully_specified,
+        "pass": res.remainders_nonnegative,
+    }
 
 
 def word_prob(mu: TIMeasure, word: Sequence[EnvSymbol]) -> Fraction:

@@ -262,8 +262,8 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["pass"] is True
 
 
-def _traced_spans(*argv):
-    """Per-name span summary of one command run under perfbench's tracer."""
+def _traced_summary(*argv):
+    """Span and counter summary of one command run under perfbench's tracer."""
     proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "child.py"),
                            str(ROOT / "src"), "trace", "--", *argv],
                           capture_output=True, text=True, timeout=60, cwd=ROOT)
@@ -271,7 +271,12 @@ def _traced_spans(*argv):
     assert json.loads(proc.stdout)["pass"] is True
     reports = [line for line in proc.stderr.splitlines() if line.startswith("PERFBENCH ")]
     assert len(reports) == 1
-    return json.loads(reports[0].removeprefix("PERFBENCH "))["spans"]
+    return json.loads(reports[0].removeprefix("PERFBENCH "))
+
+
+def _traced_spans(*argv):
+    """Per-name span summary of one command run under perfbench's tracer."""
+    return _traced_summary(*argv)["spans"]
 
 
 def test_benchmark_tracer_finds_every_traced_name():
@@ -288,6 +293,13 @@ def test_benchmark_tracer_times_the_exact_layers():
     spans = _traced_spans("verify", "tables", "--measures", "1")
     assert {"measures.construct", "measures.cylinder", "measures.tables"} <= set(spans)
     assert spans["measures.construct"]["count"] == 5  # 3 point masses + 1 per family
+
+
+def test_benchmark_tracer_counts_lemma_pairs():
+    # the orders.lemma_pairs counter reads LemmaReport.total_pairs
+    summary = _traced_summary("verify", "lemmas", "--grid", "coarse")
+    assert summary["spans"]["orders.lemma"]["count"] == 10  # 5 points x 2 lemmas
+    assert summary["counters"]["orders.lemma_pairs"] == 10 * 729
 
 
 def _peak_rss_kb(*argv):

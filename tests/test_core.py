@@ -19,7 +19,7 @@ from percolab.core import (
     word_str,
 )
 
-from oracles import is_plain, pattern_words, word_in_pattern
+from oracles import is_plain, pattern_str, pattern_words, word_in_pattern
 
 Z, Q, O = EnvSymbol.ZERO, EnvSymbol.QMARK, EnvSymbol.ONE
 
@@ -141,9 +141,9 @@ def test_local_distribution_rejects_floats():
 def test_parse_and_render():
     pat = CylinderPattern.parse("1 [0?] ***")
     assert pat.span == 5
-    assert str(pat) == "1 [0?] ***"
+    assert pattern_str(pat) == "1 [0?] ***"
     assert CylinderPattern.parse("100?").span == 4
-    assert str(CylinderPattern.parse("1 0 0 ?")) == "1 0 0 ?"
+    assert pattern_str(CylinderPattern.parse("1 0 0 ?")) == "1 0 0 ?"
     assert CylinderPattern.parse("**").cells == (Hat.HAT2,)
 
 

@@ -45,6 +45,7 @@ from percolab.pca import (
 from oracles import (
     IDENTITIES,
     WEIGHT_SPANS,
+    closed_form_json,
     config_from_symbols,
     pattern_words,
     verify_identity,
@@ -413,7 +414,7 @@ def test_closed_form_errors():
 
 
 def test_closed_form_json():
-    blob = json.dumps(closed_form("100?", PRODUCT, PP).to_json_dict())
+    blob = json.dumps(closed_form_json(closed_form("100?", PRODUCT, PP)))
     data = json.loads(blob)
     assert data["formula"] == "100?"
     assert data["pass"] is True

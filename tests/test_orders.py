@@ -3,8 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from percolab import orders
+from percolab.cli import _axis
 from percolab.core import EnvSymbol, LocalDistribution, Params, StochOrder
 from percolab.orders import dominates, triple_leq, verify_lemma
+from percolab.pca import TripleClass, class_law, triple_class
+
+from oracles import lemma_report
 
 Z, Q, O = EnvSymbol.ZERO, EnvSymbol.QMARK, EnvSymbol.ONE
 
@@ -87,12 +92,59 @@ def test_lemma_sweep_violation_free(which, params):
 
 
 def test_equal_triples_give_equal_laws():
+    # a pair of triples of one class compares a law with itself; were any such
+    # pair to violate, every triple pair of that class would be reported
     params = Params(Fraction(1, 5), Fraction(3, 10))
+    for order in StochOrder:
+        for cls in TripleClass:
+            law = class_law(cls, params)
+            assert all(m == 0 for m in dominates(order, law, law).margins)
     for which in (1, 2):
         report = verify_lemma(which, params)
-        for res in report.comparable:
-            if res.u == res.v:
-                assert all(m == 0 for m in res.check.margins)
+        assert report.violations == ()
+        assert report.worst_margin == 0  # attained by the equal-class pairs
+
+
+_AXIS = _axis(Fraction(0), Fraction(1), Fraction(1, 6))
+FINE_GRID = [Params(p, q) for p in _AXIS for q in _AXIS if p + q <= 1]
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_lemma_report_matches_per_pair_oracle(which):
+    # the CLI's fine grid, with the p = 0, q = 0 and p + q = 1 edges
+    for params in FINE_GRID:
+        assert verify_lemma(which, params).to_json_dict() == lemma_report(which, params)
+
+
+def _rotated_law(cls, params):
+    """A non-monotone rule: each class takes the next class's law."""
+    return class_law(TripleClass((cls + 1) % 3), params)
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_lemma_violations_match_per_pair_oracle(which, monkeypatch):
+    monkeypatch.setattr(orders, "class_law", _rotated_law)
+    for params in FINE_GRID:
+        if params.r == 0:
+            continue  # the three class laws coincide, so no law of them can violate
+        got = verify_lemma(which, params).to_json_dict()
+        want = lemma_report(which, params, law=lambda t: _rotated_law(triple_class(t), params))
+        assert got["violation_count"] > 0
+        assert got == want  # u, v and margins of every violation, in order
+
+
+def test_lemma_checks_each_class_pair_once(monkeypatch):
+    calls = []
+
+    def counting(order, d1, d2):
+        calls.append((d1, d2))
+        return dominates(order, d1, d2)
+
+    monkeypatch.setattr(orders, "dominates", counting)
+    for which in (1, 2):
+        calls.clear()
+        verify_lemma(which, Params(Fraction(1, 5), Fraction(3, 10)))
+        assert 0 < len(calls) <= 9
 
 
 def test_verify_lemma_rejects_bad_which():

@@ -5,21 +5,27 @@ import numpy as np
 import pytest
 
 from percolab.core import EnvSymbol, Params
+from percolab.measures import FORMULA_GRID
 from percolab.pca import (
+    TRIPLE_CLASSES,
     Alphabet,
     Boundary,
     Configuration,
     ModelSpec,
     SeededStream,
+    TripleClass,
+    _cut_points,
     _neighbour_views,
     coupled_step,
     local_rule,
     step,
     trajectory,
+    triple_class,
     u01_block,
 )
 
-from oracles import as_dict, child_stream, config_from_symbols, envelope_of_pair, u01
+import oracles
+from oracles import as_dict, child_stream, config_from_symbols, envelope_of_pair, symbols, u01
 
 Z, Q, O = EnvSymbol.ZERO, EnvSymbol.QMARK, EnvSymbol.ONE
 
@@ -138,8 +144,59 @@ def test_cyclic_neighbour_views_wrap(width, offset):
 
 def test_from_symbols_roundtrip():
     cfg = config_from_symbols([Z, Q, O, Z], Boundary.LIGHTCONE, origin=-2)
-    assert cfg.symbols() == (Z, Q, O, Z)
+    assert symbols(cfg) == (Z, Q, O, Z)
     assert cfg.origin == -2 and cfg.width == 4
+
+
+# ---------------------------------------------------------------- cut points
+
+def test_triple_class_table_is_base3_indexed():
+    for a in (Z, Q, O):
+        for b in (Z, Q, O):
+            for c in (Z, Q, O):
+                assert TRIPLE_CLASSES[9 * a.value + 3 * b.value + c.value] is triple_class((a, b, c))
+
+
+CUT_GRID = [*FORMULA_GRID, Params(0, 0), Params(Fraction(2, 5), Fraction(3, 5)),
+            Params(Fraction(1, 3), Fraction(2, 3))]
+
+
+@pytest.mark.parametrize("params", CUT_GRID, ids=str)
+def test_cut_table_matches_sitewise_thresholds_bit_for_bit(params):
+    # float cut points decide every Monte Carlo output, so the table must hold
+    # exactly the floats the sitewise formula gives, not merely close ones
+    idx = np.arange(27)
+    a, b, c = (idx // 9).astype(np.int8), (idx // 3 % 3).astype(np.int8), (idx % 3).astype(np.int8)
+    t0, t1 = _cut_points(params)
+    want0, want1 = oracles.thresholds(a, b, c, params, binary=False)
+    assert t0.tobytes() == want0.tobytes() and t1.tobytes() == want1.tobytes()
+    binary = np.array([cls is not TripleClass.MIXED for cls in TRIPLE_CLASSES])
+    bin0, bin1 = oracles.thresholds(a, b, c, params, binary=True)
+    assert t0[binary].tobytes() == bin0[binary].tobytes()
+    assert t1[binary].tobytes() == bin1[binary].tobytes()
+
+
+@pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
+@pytest.mark.parametrize("offset", [0, -1])
+@pytest.mark.parametrize("alphabet", list(Alphabet), ids=lambda a: a.value)
+@pytest.mark.parametrize("params", [PARAMS, Params(0, 1), Params(Fraction(1, 3), Fraction(2, 3)),
+                                    Params(Fraction(1, 100), Fraction(1, 100)), Params(0, 0)],
+                         ids=str)
+def test_step_matches_sitewise_oracle(params, alphabet, offset, boundary):
+    rng = np.random.RandomState(17)
+    codes = [0, 2] if alphabet is Alphabet.BINARY else [0, 1, 2]
+    model = ModelSpec(alphabet, offset, params)
+    stream = SeededStream(2024)
+    for width in (3, 4, 57):
+        cfg = Configuration(rng.choice(codes, size=width).astype(np.int8), boundary, origin=-5)
+        for t in range(3):
+            if cfg.width < 3:
+                break
+            got = step(cfg, model, stream, t)
+            want = oracles.step(cfg, model, stream, t)
+            assert np.array_equal(got.cells, want.cells)
+            assert (got.origin, got.width, got.boundary) == (want.origin, want.width, want.boundary)
+            cfg = got
 
 
 # ---------------------------------------------------------------- one-step laws
@@ -256,7 +313,7 @@ def test_envelope_of_pair():
     a = config_from_symbols([Z, O, Z, O], Boundary.CYCLIC)
     b = config_from_symbols([Z, O, O, Z], Boundary.CYCLIC)
     env = envelope_of_pair(a, b)
-    assert env.symbols() == (Z, O, Q, Q)
+    assert symbols(env) == (Z, O, Q, Q)
     with pytest.raises(ValueError):
         envelope_of_pair(a, config_from_symbols([Z, O, Z], Boundary.CYCLIC))
     with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from importlib import metadata
@@ -92,14 +93,19 @@ def _axis(start: Fraction, stop: Fraction, step: Fraction) -> tuple[Fraction, ..
 
 
 def _grid_spec(text: str) -> tuple[Fraction, ...]:
-    """start:stop:step, all exact rationals, endpoints inclusive."""
+    """start:stop:step, all exact rationals, endpoints inclusive.
+
+    Only the values in [0, 1] are kept: no (p, q) point with p or q outside it
+    is in the region.
+    """
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"grid spec must be start:stop:step, got {text!r}")
     start, stop, step = (_rational(tok) for tok in parts)
     if step <= 0 or stop < start:
         raise argparse.ArgumentTypeError(f"bad grid spec {text!r}")
-    return _axis(start, stop, step)
+    first = start + max(0, math.ceil(-start / step)) * step  # the first value >= 0
+    return _axis(first, min(stop, Fraction(1)), step)
 
 
 def _artifact_version() -> str:
@@ -166,18 +172,15 @@ def cmd_game(cfg: RunConfig) -> int:
     version = GameVersion[cfg.version.upper()]
     ps = _param_axis(cfg.p, cfg.p_grid, "p")
     qs = _param_axis(cfg.q, cfg.q_grid, "q")
-    rows = []
-    for p in ps:
-        for q in qs:
-            if not (0 <= p and 0 <= q and p + q <= 1):
-                if len(ps) == 1 and len(qs) == 1:
-                    raise ValueError(f"game: (p={p}, q={q}) is outside the region")
-                continue  # grid corners outside the simplex are just skipped
-            params = Params(p, q)
-            for horizon in cfg.horizons:
-                est = draw_fraction(version, params, horizon, cfg.samples,
-                                    SeededStream(cfg.seed))
-                rows.append(est.to_json_dict())
+    # grid corners outside the simplex are just skipped
+    points = [Params(p, q) for p in ps for q in qs if 0 <= p and 0 <= q and p + q <= 1]
+    if not points:
+        if len(ps) == 1 and len(qs) == 1:
+            raise ValueError(f"game: (p={ps[0]}, q={qs[0]}) is outside the region")
+        raise ValueError("game: no requested (p, q) point lies in the region")
+    rows = [draw_fraction(version, params, horizon, cfg.samples,
+                          SeededStream(cfg.seed)).to_json_dict()
+            for params in points for horizon in cfg.horizons]
     if cfg.format == "json":
         _emit(_json_text(rows), cfg.out)
     else:

@@ -3,8 +3,9 @@
 Everything here is an immutable value: the parameter pair (p, q) with its derived
 open probability r = 1 - p - q, the three-symbol alphabet {0, ?, 1}, single-site
 probability distributions, the two stochastic orders on the alphabet, and cylinder
-patterns (contiguous runs of symbol subsets, with two shorthand tokens ``**`` and
-``***`` for the hatted sets {0,?}^2 \\ {00} and {0,?}^3 \\ {000}).
+patterns, parsed once into the set of words they contain (contiguous runs of
+symbol subsets, with two shorthand tokens ``**`` and ``***`` for the hatted sets
+{0,?}^2 \\ {00} and {0,?}^3 \\ {000}).
 
 Every probability here is an exact ``fractions.Fraction``: ``as_fraction`` and
 ``LocalDistribution`` refuse a float with ``TypeError``.
@@ -150,97 +151,46 @@ def _compute_upper_sets(order: StochOrder) -> tuple[frozenset[EnvSymbol], ...]:
 _UPPER_SETS = {o: _compute_upper_sets(o) for o in StochOrder}
 
 
-class Hat(Enum):
-    """Multi-cell tokens: the hatted sets over {0,?} minus the all-zero tuple."""
-
-    HAT2 = 2
-    HAT3 = 3
-
-    @property
-    def span(self) -> int:
-        return self.value
-
-
-Cell = Union[frozenset, Hat]  # frozenset[EnvSymbol] | Hat
-
-_Q = frozenset({EnvSymbol.QMARK})
-_Z = frozenset({EnvSymbol.ZERO})
-_ZQ = frozenset({EnvSymbol.ZERO, EnvSymbol.QMARK})
-_FULL = frozenset(SYMBOLS)
-
-# Disjoint decomposition of a hat token by the position of the first ?.
-_HAT_ALTERNATIVES = {
-    Hat.HAT2: ((_Q, _ZQ), (_Z, _Q)),
-    Hat.HAT3: ((_Q, _ZQ, _ZQ), (_Z, _Q, _ZQ), (_Z, _Z, _Q)),
-}
+# A hat token's event: every word over {0, ?} of its length except the all-zero
+# one.  The codes of 0 and ? are the base-3 digits 0 and 1.
+_HAT_WORDS = {tok: tuple(int("".join(d), 3) for d in product("01", repeat=len(tok)))[1:]
+              for tok in ("**", "***")}
 
 
 @dataclass(frozen=True)
 class CylinderPattern:
-    """A contiguous run of cells, each a nonempty symbol subset or a hat token."""
+    """A cylinder event on ``span`` consecutive sites, as the set of words in it.
 
-    cells: tuple[Cell, ...]
+    ``indices`` are the base-3 indices of those words, leftmost symbol most
+    significant (the order ``TIMeasure.counts`` uses), ascending and distinct.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.cells:
-            raise ValueError("empty pattern")
-        norm = []
-        for cell in self.cells:
-            if isinstance(cell, Hat):
-                norm.append(cell)
-                continue
-            sub = frozenset(cell)
-            if not sub:
-                raise ValueError("empty subset cell")
-            if not sub <= _FULL:
-                raise ValueError(f"cell {sub!r} is not a subset of the alphabet")
-            norm.append(sub)
-        object.__setattr__(self, "cells", tuple(norm))
-
-    @property
-    def span(self) -> int:
-        return sum(c.span if isinstance(c, Hat) else 1 for c in self.cells)
+    span: int
+    indices: tuple[int, ...]
 
     @classmethod
     def parse(cls, text: str) -> "CylinderPattern":
         """Whitespace-separated cells: ``0``, ``?``, ``1``, ``[0?]``, ``**``, ``***``.
 
         A run of bare symbol characters like ``100?`` is also accepted as shorthand
-        for the corresponding singleton cells.
+        for the corresponding singleton cells.  Each token allows a set of
+        sub-words and the event is their product, so no word is counted twice.
         """
-        cells: list[Cell] = []
+        span, indices = 0, [0]
         for tok in text.split():
-            if tok == "**":
-                cells.append(Hat.HAT2)
-            elif tok == "***":
-                cells.append(Hat.HAT3)
+            if tok in _HAT_WORDS:
+                length, sub = len(tok), _HAT_WORDS[tok]
             elif tok.startswith("["):
                 if not tok.endswith("]") or len(tok) < 3:
                     raise ValueError(f"malformed subset cell {tok!r}")
-                cells.append(frozenset(EnvSymbol.from_char(c) for c in tok[1:-1]))
+                length, sub = 1, sorted({EnvSymbol.from_char(c).value for c in tok[1:-1]})
             else:
-                cells.extend(frozenset({EnvSymbol.from_char(c)}) for c in tok)
-        if not cells:
+                word = 0
+                for c in tok:
+                    word = word * 3 + EnvSymbol.from_char(c).value
+                length, sub = len(tok), (word,)
+            indices = [i * 3**length + j for i in indices for j in sub]
+            span += length
+        if not span:
             raise ValueError(f"no cells in pattern text {text!r}")
-        return cls(tuple(cells))
-
-
-def expand_pattern(pat: CylinderPattern) -> list[CylinderPattern]:
-    """Materialize hat tokens into plain subset-cell patterns.
-
-    The returned patterns are pairwise disjoint as events and their union is the
-    event named by ``pat`` (hats decompose by the position of the first ?), so
-    summing probabilities over the expansion never double-counts.
-    """
-    alternatives: list[tuple[tuple[frozenset, ...], ...]] = []
-    for cell in pat.cells:
-        if isinstance(cell, Hat):
-            alternatives.append(_HAT_ALTERNATIVES[cell])
-        else:
-            alternatives.append(((cell,),))
-    out = []
-    for combo in product(*alternatives):
-        cells: tuple[frozenset, ...] = tuple(sub for part in combo for sub in part)
-        out.append(CylinderPattern(cells))
-    return out
-
+        return cls(span, tuple(indices))

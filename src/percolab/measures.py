@@ -3,14 +3,17 @@
 A measure is stored as integer counts over one denominator: its distribution on
 words of length ``order`` and every shorter marginal, derived once at
 construction, where translation consistency is validated, so a cylinder
-probability is position-free by definition.  On top of that sit: the brute-force
-pushforward of a cylinder event under one synchronous update, a catalog of
-closed-form expressions for pushforward probabilities of small cylinders (with
-their non-negative remainder terms), a chain of weight functionals w0..w4, two
-inequalities assembled by summing rows of window tables, and the master
-inequality comparing w4 before and after one update.  Cylinder and pushforward
-probabilities are summed in Python ints and leave as Fractions; everything built
-from them is a Fraction, and floats never enter a verification path.
+probability is position-free by definition.  A cylinder event is the set of word
+indices its pattern text parses to, parsed once per text: its probability sums
+the counts of those words.  On top of that sit: the brute-force pushforward of
+a cylinder event under one synchronous update, summed over the event's words, a
+catalog of closed-form expressions for pushforward probabilities of small
+cylinders (with their non-negative remainder terms), a chain of weight
+functionals w0..w4, two inequalities assembled by summing rows of window
+tables, and the master inequality comparing w4 before and after one update.
+Cylinder and pushforward probabilities are summed in Python ints and leave as
+Fractions; everything built from them is a Fraction, and floats never enter a
+verification path.
 """
 
 from __future__ import annotations
@@ -22,19 +25,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iproduct
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    CylinderPattern,
-    EnvSymbol,
-    Params,
-    SYMBOLS,
-    as_fraction,
-    expand_pattern,
-)
+from .core import CylinderPattern, EnvSymbol, Params, SYMBOLS, as_fraction
 from .pca import TRIPLE_CLASSES, Boundary, Configuration, TripleClass, class_law
 
 MAX_ORDER = 10
@@ -219,31 +214,21 @@ def empirical_measure(row: Configuration, order: int) -> TIMeasure:
 # ------------------------------------------------------------------ cylinders
 
 @lru_cache(maxsize=None)
-def _plain_word_indices(
-        text: str) -> tuple[int, tuple[tuple[frozenset, ...], ...], tuple[int, ...]]:
-    """(span, disjoint plain rows, base-3 indices of the words in the event).
+def _plain_word_indices(text: str) -> CylinderPattern:
+    """The parsed pattern: its span and the base-3 indices of the words in it.
 
     The one place a pattern text is parsed: once per distinct text.
     """
-    pat = CylinderPattern.parse(text)
-    rows = tuple(plain.cells for plain in expand_pattern(pat))
-    indices = []
-    for cells in rows:
-        for combo in iproduct(*cells):
-            idx = 0
-            for s in combo:
-                idx = idx * 3 + s.value
-            indices.append(idx)
-    return pat.span, rows, tuple(indices)
+    return CylinderPattern.parse(text)
 
 
 def cylinder_prob(mu: TIMeasure, text: str) -> Fraction:
     """Probability under mu of the cylinder event named by the pattern text."""
-    span, _, indices = _plain_word_indices(text)
-    if span > mu.order:
-        raise ValueError(f"pattern span {span} exceeds measure order {mu.order}")
-    marg = mu.counts[span]
-    return Fraction(sum([marg[i] for i in indices]), mu.den)
+    pat = _plain_word_indices(text)
+    if pat.span > mu.order:
+        raise ValueError(f"pattern span {pat.span} exceeds measure order {mu.order}")
+    marg = mu.counts[pat.span]
+    return Fraction(sum([marg[i] for i in pat.indices]), mu.den)
 
 
 @lru_cache(maxsize=None)
@@ -270,18 +255,20 @@ def _pushforward_kernel(text: str, params: Params) -> tuple[int, tuple[int, ...]
 
     The rule's law depends on a triple only through its class, so every input
     word of one signature has the same kernel value.  Output sites are
-    independent given the input word, so each disjoint row of the pattern
-    contributes a product of single-site masses.  Every law entry is a multiple
-    of 1/scale with scale the lcm of the denominators of p and q, so a product
-    of span masses is an integer over den = scale^span.
+    independent given the input word, so each word of the event contributes a
+    product of single-site masses.  Every law entry is a multiple of 1/scale
+    with scale the lcm of the denominators of p and q, so a product of span
+    masses is an integer over den = scale^span.
     """
-    span, rows, _ = _plain_word_indices(text)
+    pat = _plain_word_indices(text)
+    span = pat.span
     scale = math.lcm(params.p.denominator, params.q.denominator)
     laws = [class_law(cls, params) for cls in TripleClass]
-    mass = {(cell, cls): (laws[cls].mass(cell) * scale).numerator
-            for cell in {c for cells in rows for c in cells} for cls in TripleClass}
-    kernel = tuple(sum(math.prod(mass[cell, cls] for cls, cell in zip(sig, cells))
-                       for cells in rows)
+    # by_class[s][cls]: the mass the class law puts on symbol s, times scale
+    by_class = [tuple((law.prob(s) * scale).numerator for law in laws) for s in SYMBOLS]
+    words = [tuple(by_class[w // 3 ** (span - 1 - j) % 3] for j in range(span))
+             for w in pat.indices]
+    kernel = tuple(sum([math.prod(map(operator.getitem, sites, sig)) for sites in words])
                    for sig, _ in _signature_groups(span))
     return scale**span, kernel
 
@@ -293,7 +280,7 @@ def pushforward_cylinder(mu: TIMeasure, text: str, params: Params) -> Fraction:
     signature over the span+2 input sites; the grouped masses do not depend on
     (p, q) or on the pattern beyond its span, so each measure sums them once.
     """
-    span = _plain_word_indices(text)[0]
+    span = _plain_word_indices(text).span
     if span + 2 > mu.order:
         raise ValueError(
             f"pushforward of span {span} needs order >= {span + 2}, have {mu.order}")
@@ -327,7 +314,7 @@ class ClosedFormResult:
     specified entry it is computed from the written formula alone, otherwise it
     is written + remainder with the remainder obtained by subtracting the written
     part from the brute-force pushforward.  ``components`` carries the named
-    sub-expressions (written part, C/D remainders, alternate writings).
+    sub-expressions (written part, C/D remainders).
     """
 
     formula: str
@@ -364,9 +351,9 @@ def closed_form(name: str, mu: TIMeasure, params: Params) -> ClosedFormResult:
         comps = (("written", value),) + extra
         return ClosedFormResult(name, params, mu.name, value, comps, True)
 
-    def partial(written: Fraction, *extra: tuple[str, Fraction]) -> ClosedFormResult:
+    def partial(written: Fraction) -> ClosedFormResult:
         push = pushforward_cylinder(mu, name, params)
-        comps = (("written", written), ("C", push - written)) + extra
+        comps = (("written", written), ("C", push - written))
         return ClosedFormResult(name, params, mu.name, push, comps, False)
 
     if name == "?":
@@ -388,8 +375,7 @@ def closed_form(name: str, mu: TIMeasure, params: Params) -> ClosedFormResult:
         d_term = (q * p * p * r * c("*** ***") + q * p * p * r * c("1 [0?] [0?] ***")
                   + q * (1 - q) * p * r * c("1 [0?] ***") + q * (1 - q) ** 2 * r * c("1 ***"))
         value = (1 - p) * p * p * r * c("0 0 0 ***") + d_term
-        return full(value, ("C", c_term), ("D", d_term),
-                    ("written_via_C", p * p * r * r * c("0 0 0 ***") + c_term))
+        return full(value, ("C", c_term), ("D", d_term))
     if name == "10?":
         c_term = q * p * r * c("1 [0?] ***") + q * (1 - q) * r * c("1 ***")
         written = (1 - p) * p * r * c("0 0 0 **") + c_term
@@ -409,14 +395,10 @@ def closed_form(name: str, mu: TIMeasure, params: Params) -> ClosedFormResult:
     if name == "10?0":
         return partial((1 - p) * p * p * r * c("0 0 0 **")
                        + (1 - p) * p * r * r * c("0 0 0 ** 1"))
-    # 1?01: two equivalent writings; the second trades the reflected block for
-    # marginal identities, so their match is part of what the tests pin down.
-    written = (q * r * p * (1 - p) * c("** 0 0 0")
-               + (1 - p) * r * p * q * c("0 0 0 ? [0?]")
-               + (1 - p) * r * (1 - q) * q * c("000?1"))
-    alt = (2 * (1 - p) * r * p * q * c("000?") + (1 - p) * p * r * q * c("0000?")
-           + (1 - p) * r * q * (r - p) * c("000?1"))
-    return partial(written, ("written_alt", alt))
+    # 1?01
+    return partial(q * r * p * (1 - p) * c("** 0 0 0")
+                   + (1 - p) * r * p * q * c("0 0 0 ? [0?]")
+                   + (1 - p) * r * (1 - q) * q * c("000?1"))
 
 
 # ------------------------------------------------------------------ weights
@@ -502,7 +484,7 @@ def _window_words(row: tuple[int, str]) -> frozenset[int]:
     if left < 0 or right < 0:
         raise ValueError(f"row {row!r} leaves the columns -2..2")
     text = " ".join(["[0?1]"] * left + [syms] + ["[0?1]"] * right)
-    return frozenset(_plain_word_indices(text)[2])
+    return frozenset(_plain_word_indices(text).indices)
 
 
 @dataclass(frozen=True)

@@ -89,10 +89,6 @@ class LemmaReport:
     def violation_count(self) -> int:
         return len(self.violations)
 
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
     def to_json_dict(self) -> dict:
         return {
             "which": self.which,

@@ -14,9 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from percolab.core import (
-    CylinderPattern,
     EnvSymbol,
-    Hat,
     LocalDistribution,
     Params,
     StochOrder,
@@ -232,48 +230,44 @@ def lemma_report(which: int, params: Params, law=None) -> dict:
 # ------------------------------------------------------------------ patterns
 
 
-def pattern_str(pat: CylinderPattern) -> str:
-    """The pattern written back as parseable text."""
-    out = []
-    for cell in pat.cells:
-        if cell is Hat.HAT2:
-            out.append("**")
-        elif cell is Hat.HAT3:
-            out.append("***")
-        elif len(cell) == 1:
-            out.append(str(next(iter(cell))))
-        else:
-            out.append("[" + "".join(str(s) for s in sorted(cell)) + "]")
-    return " ".join(out)
+def text_span(text: str) -> int:
+    """Number of sites the pattern text covers: one per subset cell, one per
+    character of any other token."""
+    return sum(1 if tok.startswith("[") else len(tok) for tok in text.split())
 
 
-def is_plain(pat: CylinderPattern) -> bool:
-    return all(not isinstance(c, Hat) for c in pat.cells)
-
-
-def word_in_pattern(word: Sequence[EnvSymbol], pat: CylinderPattern) -> bool:
-    """Membership test, implemented directly on the cells (not via expansion)."""
-    if len(word) != pat.span:
-        raise ValueError(f"word length {len(word)} != pattern span {pat.span}")
+def word_in_text(word: Sequence[EnvSymbol], text: str) -> bool:
+    """Membership of one word in the event the pattern text names, read token by
+    token straight off the text."""
+    if len(word) != text_span(text):
+        raise ValueError(f"word length {len(word)} != pattern span {text_span(text)}")
+    chars = word_str(word)
     pos = 0
-    for cell in pat.cells:
-        if isinstance(cell, Hat):
-            chunk = tuple(word[pos : pos + cell.span])
-            if any(s is EnvSymbol.ONE for s in chunk):
+    for tok in text.split():
+        if tok in ("**", "***"):
+            chunk = chars[pos:pos + len(tok)]
+            if "1" in chunk or "?" not in chunk:
                 return False
-            if all(s is EnvSymbol.ZERO for s in chunk):
+        elif tok.startswith("["):
+            if chars[pos] not in tok[1:-1]:
                 return False
-            pos += cell.span
-        else:
-            if word[pos] not in cell:
-                return False
-            pos += 1
+        elif chars[pos:pos + len(tok)] != tok:
+            return False
+        pos += 1 if tok.startswith("[") else len(tok)
     return True
 
 
-def pattern_words(pat: CylinderPattern) -> list[Word]:
-    """All words of span length lying in the pattern's event."""
-    return [w for w in iter_words(pat.span) if word_in_pattern(w, pat)]
+def text_words(text: str) -> list[Word]:
+    """All words of the text's span lying in its event."""
+    return [w for w in iter_words(text_span(text)) if word_in_text(w, text)]
+
+
+def word_index(word: Sequence[EnvSymbol]) -> int:
+    """Base-3 index of a word, leftmost symbol most significant."""
+    idx = 0
+    for s in word:
+        idx = idx * 3 + s.value
+    return idx
 
 
 # ------------------------------------------------------------------ measures
@@ -293,14 +287,31 @@ def closed_form_json(res: ClosedFormResult) -> dict:
     }
 
 
+def written_via_c_100q(mu: TIMeasure, params: Params) -> Fraction:
+    """A second writing of the pushforward of 100?, through its C term; equal to
+    the catalog's value."""
+    p, q, r = params.p, params.q, params.r
+    c = lambda text: cylinder_prob(mu, text)  # noqa: E731
+    c_term = (q * p * p * r * c("***") + q * p * r * r * c("1 [0?] ***")
+              + q * r * r * (1 - q + p) * c("1 ***"))
+    return p * p * r * r * c("0 0 0 ***") + c_term
+
+
+def written_alt_1q01(mu: TIMeasure, params: Params) -> Fraction:
+    """A second writing of the written part of 1?01 that trades the reflected
+    block ``** 0 0 0`` for marginal identities; plus the catalog's C it gives
+    the pushforward."""
+    p, q, r = params.p, params.q, params.r
+    c = lambda text: cylinder_prob(mu, text)  # noqa: E731
+    return (2 * (1 - p) * r * p * q * c("000?") + (1 - p) * p * r * q * c("0000?")
+            + (1 - p) * r * q * (r - p) * c("000?1"))
+
+
 def word_prob(mu: TIMeasure, word: Sequence[EnvSymbol]) -> Fraction:
     """mu of the cylinder of one plain word, read straight from the counts."""
     if len(word) > mu.order:
         raise ValueError(f"word length {len(word)} exceeds order {mu.order}")
-    idx = 0
-    for s in word:
-        idx = idx * 3 + s.value
-    return Fraction(mu.counts[len(word)][idx], mu.den)
+    return Fraction(mu.counts[len(word)][word_index(word)], mu.den)
 
 
 # The cylinders the weight chain w0..w4 reads.

@@ -1,6 +1,8 @@
 """CLI behaviour: parsing, schemas, determinism, exit codes."""
 
 import argparse
+import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -57,6 +59,11 @@ def test_grid_spec_exact_inclusive():
         _grid_spec("1:0:1/2")
     with pytest.raises(argparse.ArgumentTypeError):
         _grid_spec("0:1:0")
+    # the lattice is start + k*step; values outside [0, 1] are never in the region
+    assert _grid_spec("-1/3:2/3:1/4") == (Fraction(1, 6), Fraction(5, 12), Fraction(2, 3))
+    assert _grid_spec("1/2:7:1/2") == (Fraction(1, 2), Fraction(1))
+    assert _grid_spec("2:5:1") == ()
+    assert _grid_spec("-3:-1:1") == ()
 
 
 # ------------------------------------------------------------------ simulate
@@ -139,10 +146,26 @@ def test_game_v4_deterministic_no_draws(capsys):
 def test_game_requires_params(capsys):
     for argv in (("game", "--version", "v1", "--horizons", "5"),
                  ("game", "--p", "1/4", "--p-grid", "0:1:1/2", "--q", "1/4"),
-                 ("game", "--p", "3/4", "--q", "1/2", "--horizons", "5", "--samples", "10")):
+                 ("game", "--p", "3/4", "--q", "1/2", "--horizons", "5", "--samples", "10"),
+                 # grids with no point in the region
+                 ("game", "--p-grid", "2:5:1", "--q", "0", "--horizons", "0"),
+                 ("game", "--p-grid=-3:-1:1", "--q-grid", "0:1:1", "--horizons", "0"),
+                 ("sweep", "--p-grid", "0:1:1/2", "--q-grid", "3/2:2:1/2", "--horizons", "0")):
         code, err = exit_status(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error: game: ") and err.count("\n") == 1, argv
+
+
+@pytest.mark.parametrize("grid", ["0:1000000000:1", "-1000000000:1:1"])
+def test_game_wide_grid_runs_only_the_region(grid):
+    # a subprocess with a timeout: listing every grid value before skipping the
+    # ones outside the region would take minutes and gigabytes here
+    proc = subprocess.run([sys.executable, "-m", "percolab.cli", "game", f"--p-grid={grid}",
+                           "--q", "0", "--samples", "1", "--horizons", "0"],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.strip().splitlines()[1:]
+    assert [r.split(",")[1:3] for r in rows] == [["0", "0"], ["1", "0"]]
 
 
 def test_sweep_skips_outside_region(capsys):
@@ -248,6 +271,29 @@ def test_verify_rejects_bad_grid_and_measures(argv):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert "error: argument" in proc.stderr
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, loaded by path: perfbench is not a package."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["exact_grid", "exact_measures"])
+def test_exact_workloads_print_the_reference_bytes(capsys, workload):
+    # the benchmark rejects any byte of change in these seed-0 outputs, so check
+    # them against its recorded digests here rather than only when it runs
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    assert reference["seed"] == 0
+    digests = []
+    for argv in _perfbench_workloads().commands(workload, 0):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, argv
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert digests == reference["sha256"][workload]
 
 
 def test_default_seed_is_stable():

@@ -6,20 +6,17 @@ from hypothesis import given, strategies as st
 from percolab.core import (
     CylinderPattern,
     EnvSymbol,
-    Hat,
     LocalDistribution,
     Params,
     StochOrder,
     SYMBOLS,
     as_fraction,
-    expand_pattern,
-    iter_words,
     symbol_leq,
     upper_sets,
     word_str,
 )
 
-from oracles import is_plain, pattern_str, pattern_words, word_in_pattern
+from oracles import text_span, text_words, word_in_text, word_index
 
 Z, Q, O = EnvSymbol.ZERO, EnvSymbol.QMARK, EnvSymbol.ONE
 
@@ -138,75 +135,74 @@ def test_local_distribution_rejects_floats():
 
 # ---------------------------------------------------------------- patterns
 
+def _rendered(pat):
+    """The words of a parsed pattern, written back out from their indices."""
+    return [word_str(EnvSymbol(i // 3 ** (pat.span - 1 - j) % 3) for j in range(pat.span))
+            for i in pat.indices]
+
+
 def test_parse_and_render():
     pat = CylinderPattern.parse("1 [0?] ***")
     assert pat.span == 5
-    assert pattern_str(pat) == "1 [0?] ***"
+    assert len(pat.indices) == 2 * 7
     assert CylinderPattern.parse("100?").span == 4
-    assert pattern_str(CylinderPattern.parse("1 0 0 ?")) == "1 0 0 ?"
-    assert CylinderPattern.parse("**").cells == (Hat.HAT2,)
+    assert _rendered(CylinderPattern.parse("1 0 0 ?")) == ["100?"]
+    assert _rendered(CylinderPattern.parse("**")) == ["0?", "?0", "??"]
+    assert _rendered(CylinderPattern.parse("[1?0] 0?")) == ["00?", "?0?", "10?"]
+    assert CylinderPattern.parse("  [0?]   1 ") == CylinderPattern.parse("[?0] 1")
 
 
 def test_parse_rejects_malformed():
-    with pytest.raises(ValueError):
-        CylinderPattern.parse("")
-    with pytest.raises(ValueError):
-        CylinderPattern.parse("[]")
-    with pytest.raises(ValueError):
-        CylinderPattern.parse("[0?")
-    with pytest.raises(ValueError):
-        CylinderPattern((frozenset(),))
+    for text in ("", "   ", "[]", "[0?", "*", "****", "1x", "[0x]", "0 ]"):
+        with pytest.raises(ValueError):
+            CylinderPattern.parse(text)
 
 
 def test_hat3_event_is_seven_words():
-    words = pattern_words(CylinderPattern.parse("***"))
+    words = text_words("***")
     assert len(words) == 7
     assert all(O not in w for w in words)
     assert (Z, Z, Z) not in words
-    assert word_in_pattern((Q, Q, Z), CylinderPattern.parse("***"))
-    assert not word_in_pattern((Z, Z, Z), CylinderPattern.parse("***"))
+    assert word_in_text((Q, Q, Z), "***")
+    assert not word_in_text((Z, Z, Z), "***")
+    assert _rendered(CylinderPattern.parse("***")) == [word_str(w) for w in words]
 
 
 def test_one_hat2_expansion():
-    words = {word_str(w) for w in pattern_words(CylinderPattern.parse("1 **"))}
+    words = {word_str(w) for w in text_words("1 **")}
     assert words == {"1?0", "10?", "1??"}
-    assert word_in_pattern((O, Z, Q), CylinderPattern.parse("1 **"))
-
-
-def test_expansion_disjoint_and_complete():
-    for text in ["***", "1 **", "** ***", "[0?] *** 1", "*** ***"]:
-        pat = CylinderPattern.parse(text)
-        plains = expand_pattern(pat)
-        assert all(is_plain(p) for p in plains)
-        for w in iter_words(pat.span):
-            hits = sum(word_in_pattern(w, p) for p in plains)
-            assert hits == (1 if word_in_pattern(w, pat) else 0)
+    assert word_in_text((O, Z, Q), "1 **")
+    assert set(_rendered(CylinderPattern.parse("1 **"))) == words
 
 
 def test_plain_pattern_expands_to_itself():
+    # a run of bare symbols names one word: the run itself
     pat = CylinderPattern.parse("1 0 0 ?")
-    assert expand_pattern(pat) == [pat]
+    assert pat == CylinderPattern.parse("100?")
+    assert pat.indices == (word_index((O, Z, Z, Q)),)
 
 
-_cells = st.one_of(
-    st.just(Hat.HAT2),
-    st.just(Hat.HAT3),
-    st.sets(st.sampled_from(SYMBOLS), min_size=1, max_size=3).map(frozenset),
+_tokens = st.one_of(
+    st.text("0?1", min_size=1, max_size=3),  # a bare run; length 1 is a singleton
+    st.sets(st.sampled_from("0?1"), min_size=1).map(lambda cs: "[" + "".join(cs) + "]"),
+    st.just("**"),
+    st.just("***"),
 )
 
 
-@given(st.lists(_cells, min_size=1, max_size=4))
-def test_membership_matches_expansion(cells):
-    pat = CylinderPattern(tuple(cells))
+@given(st.lists(_tokens, min_size=1, max_size=4))
+def test_parse_matches_text_oracle(tokens):
+    # the parsed indices are the event's words, each once, against a membership
+    # test read straight off the text
+    text = " ".join(tokens)
+    pat = CylinderPattern.parse(text)
+    assert pat.span == text_span(text)
     if pat.span > 7:
         return
-    plains = expand_pattern(pat)
-    for w in iter_words(pat.span):
-        hits = sum(word_in_pattern(w, p) for p in plains)
-        assert hits <= 1
-        assert (hits == 1) == word_in_pattern(w, pat)
+    assert len(set(pat.indices)) == len(pat.indices)
+    assert list(pat.indices) == sorted(word_index(w) for w in text_words(text))
 
 
 def test_word_length_mismatch_raises():
     with pytest.raises(ValueError):
-        word_in_pattern((Z, Z), CylinderPattern.parse("***"))
+        word_in_text((Z, Z), "***")

@@ -47,9 +47,13 @@ from oracles import (
     WEIGHT_SPANS,
     closed_form_json,
     config_from_symbols,
-    pattern_words,
+    text_span,
+    text_words,
     verify_identity,
+    word_index,
     word_prob,
+    written_alt_1q01,
+    written_via_c_100q,
 )
 
 Z, Q, O = EnvSymbol.ZERO, EnvSymbol.QMARK, EnvSymbol.ONE
@@ -191,10 +195,37 @@ def test_empirical_measure_errors():
 def test_cylinder_prob_errors_and_hats():
     with pytest.raises(ValueError, match="span"):
         cylinder_prob(PRODUCT, "0000000")
-    # hat expansion is disjoint: *** equals the sum over its seven plain words
+    # no word is counted twice: *** equals the sum over its seven plain words
     manual = sum(word_prob(MARKOV, w) for w in iter_words(3)
                  if any(s is Q for s in w) and not any(s is O for s in w))
     assert cylinder_prob(MARKOV, "***") == manual
+
+
+def test_every_pattern_text_parses_to_its_word_set(monkeypatch):
+    # record the texts the exact checks parse: the catalog and its writings, the
+    # weight chain, the master terms and the window-table rows
+    texts = set()
+    real = measures._plain_word_indices
+
+    def recording(text):
+        texts.add(text)
+        return real(text)
+
+    monkeypatch.setattr(measures, "_plain_word_indices", recording)
+    for fid in CLOSED_FORM_IDS:
+        closed_form(fid, MARKOV, PP)
+    verify_master_inequality(MARKOV, PP)
+    for which in ("ineq_1", "ineq_2"):
+        verify_table_inequality(which, MARKOV)
+    for rows, scope, _ in measures._TABLES.values():  # table_structure is cached
+        for row in rows + (scope,):
+            measures._window_words(row)
+    master = {pat for _, _, terms in measures._MASTER_TERMS for _, pat in terms}
+    assert set(CLOSED_FORM_IDS) | set(WEIGHT_SPANS) | master <= texts
+    for text in sorted(texts):
+        indices = real(text).indices
+        assert len(set(indices)) == len(indices), text
+        assert set(indices) == {word_index(w) for w in text_words(text)}, text
 
 
 # ------------------------------------------------------------------ pushforward
@@ -207,14 +238,13 @@ def test_pushforward_frozen_example():
 def _oracle_kernel(pat_text, params):
     """kernel[u] built word by word, u in base-3 index order: the sum over the output
     words w in the pattern of prod_j P(site j becomes w_j | u[j:j+3])."""
-    pat = CylinderPattern.parse(pat_text)
     model = ModelSpec(Alphabet.ENVELOPE, 0, params)
     laws = {}
     for t in iter_words(3):
         law = local_rule(model, t)
         laws[tuple(s.value for s in t)] = (law.prob0, law.probQ, law.prob1)
-    outputs = [tuple(s.value for s in w) for w in pattern_words(pat)]
-    span = pat.span
+    outputs = [tuple(s.value for s in w) for w in text_words(pat_text)]
+    span = text_span(pat_text)
     kernel = []
     for u in itertools.product(range(3), repeat=span + 2):
         site_laws = [laws[u[j:j + 3]] for j in range(span)]
@@ -228,17 +258,16 @@ def _oracle_kernel(pat_text, params):
 
 
 def test_pushforward_against_direct_enumeration():
-    # independent oracle: no signature grouping, no hat expansion, no kernel reuse
+    # independent oracle: no signature grouping, no parsed word set, no kernel reuse
     edges = [pt for pt in FORMULA_GRID if pt.p == 0 or pt.q == 0 or pt.p + pt.q == 1]
     points = [PP, Params(0, 0)] + edges
     patterns = sorted(set(CLOSED_FORM_IDS) | set(WEIGHT_SPANS)) + ["1 ***", "[0?] ***"]
     measures = [PRODUCT, MARKOV] + [point_mass(s) for s in (Z, Q, O)]
     for params in points:
         for pat_text in patterns:
-            pat = CylinderPattern.parse(pat_text)
             kernel = _oracle_kernel(pat_text, params)
             for mu in measures:
-                marg = [Fraction(c, mu.den) for c in mu.counts[pat.span + 2]]
+                marg = [Fraction(c, mu.den) for c in mu.counts[text_span(pat_text) + 2]]
                 want = sum((m * k for m, k in zip(marg, kernel) if m and k), Fraction(0))
                 assert pushforward_cylinder(mu, pat_text, params) == want, \
                     (pat_text, mu.name, str(params))
@@ -275,10 +304,14 @@ def _oracle_fixtures():
     marg = (Fraction(1, 2), Fraction(3, 10), Fraction(1, 5))
     zero_row = [[2, 0, 1], [0, 0, 0], [1, 0, 3]]  # ? has row sum 0: never seen
     cells = np.random.default_rng(11).integers(0, 3, size=40).astype(np.int8)
+    # the row 1000?0 repeated: its mirror image has other window counts, so an
+    # event read backwards has another pushforward
+    skew = np.array([2, 0, 0, 0, 1, 0] * 7, dtype=np.int8)
     out = [(product_measure(*marg), _product_word_prob(marg)),
-           (reversible_markov_measure(zero_row), _markov_word_prob(zero_row)),
-           (empirical_measure(Configuration(cells, Boundary.CYCLIC), 6),
-            _empirical_word_prob(cells.tolist()))]
+           (reversible_markov_measure(zero_row), _markov_word_prob(zero_row))]
+    for row in (cells, skew):
+        out.append((empirical_measure(Configuration(row, Boundary.CYCLIC), 6),
+                    _empirical_word_prob(row.tolist())))
     for sym in (Z, Q, O):
         site = tuple(Fraction(int(s is sym)) for s in (Z, Q, O))
         out.append((point_mass(sym), _product_word_prob(site)))
@@ -293,13 +326,12 @@ def test_counts_match_word_by_word_fractions():
         for length, table in enumerate(tables):
             assert [word_prob(mu, w) for w in iter_words(length)] == table, (mu.name, length)
         for pat_text in patterns + ["0 0 0 ** 1", "1 *** 1", "?0000?"]:
-            pat = CylinderPattern.parse(pat_text)
-            want = sum((prob(w) for w in pattern_words(pat)), Fraction(0))
+            want = sum((prob(w) for w in text_words(pat_text)), Fraction(0))
             assert cylinder_prob(mu, pat_text) == want, (pat_text, mu.name)
         for params in edges:
             for pat_text in patterns:
                 kernel = _oracle_kernel(pat_text, params)
-                table = tables[CylinderPattern.parse(pat_text).span + 2]
+                table = tables[text_span(pat_text) + 2]
                 want = sum((m * k for m, k in zip(table, kernel) if m and k), Fraction(0))
                 assert pushforward_cylinder(mu, pat_text, params) == want, \
                     (pat_text, mu.name, str(params))
@@ -390,10 +422,9 @@ def test_closed_forms_match_pushforward():
 def test_closed_form_alternate_writings():
     for mu in (PRODUCT, MARKOV):
         for params in GRID:
-            res = closed_form("100?", mu, params)
-            assert res.component("written_via_C") == res.value
+            assert written_via_c_100q(mu, params) == closed_form("100?", mu, params).value
             alt = closed_form("1?01", mu, params)
-            assert alt.component("written_alt") + alt.component("C") == alt.value
+            assert written_alt_1q01(mu, params) + alt.component("C") == alt.value
 
 
 def test_closed_form_components_split():
@@ -418,7 +449,7 @@ def test_closed_form_json():
     data = json.loads(blob)
     assert data["formula"] == "100?"
     assert data["pass"] is True
-    assert set(data["components"]) == {"written", "C", "D", "written_via_C"}
+    assert set(data["components"]) == {"written", "C", "D"}
 
 
 # ------------------------------------------------------------------ weights

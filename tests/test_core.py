@@ -11,6 +11,7 @@ from percolab.core import (
     StochOrder,
     SYMBOLS,
     as_fraction,
+    iter_words,
     symbol_leq,
     upper_sets,
     word_str,
@@ -182,6 +183,19 @@ def test_plain_pattern_expands_to_itself():
     assert pat.indices == (word_index((O, Z, Z, Q)),)
 
 
+def _hits(pat, word):
+    """How many times the pattern's word-index list names ``word``."""
+    return pat.indices.count(word_index(word))
+
+
+def test_expansion_disjoint_and_complete():
+    # the parsed word list names each word of the event exactly once, and no other
+    for text in ["***", "1 **", "** ***", "[0?] *** 1", "*** ***"]:
+        pat = CylinderPattern.parse(text)
+        for w in iter_words(pat.span):
+            assert _hits(pat, w) == (1 if word_in_text(w, text) else 0)
+
+
 _tokens = st.one_of(
     st.text("0?1", min_size=1, max_size=3),  # a bare run; length 1 is a singleton
     st.sets(st.sampled_from("0?1"), min_size=1).map(lambda cs: "[" + "".join(cs) + "]"),
@@ -191,7 +205,7 @@ _tokens = st.one_of(
 
 
 @given(st.lists(_tokens, min_size=1, max_size=4))
-def test_parse_matches_text_oracle(tokens):
+def test_membership_matches_expansion(tokens):
     # the parsed indices are the event's words, each once, against a membership
     # test read straight off the text
     text = " ".join(tokens)
@@ -201,6 +215,8 @@ def test_parse_matches_text_oracle(tokens):
         return
     assert len(set(pat.indices)) == len(pat.indices)
     assert list(pat.indices) == sorted(word_index(w) for w in text_words(text))
+    for w in iter_words(pat.span):
+        assert _hits(pat, w) == (1 if word_in_text(w, text) else 0)
 
 
 def test_word_length_mismatch_raises():

@@ -214,7 +214,7 @@ def empirical_measure(row: Configuration, order: int) -> TIMeasure:
 # ------------------------------------------------------------------ cylinders
 
 @lru_cache(maxsize=None)
-def _plain_word_indices(text: str) -> CylinderPattern:
+def _event(text: str) -> CylinderPattern:
     """The parsed pattern: its span and the base-3 indices of the words in it.
 
     The one place a pattern text is parsed: once per distinct text.
@@ -224,7 +224,7 @@ def _plain_word_indices(text: str) -> CylinderPattern:
 
 def cylinder_prob(mu: TIMeasure, text: str) -> Fraction:
     """Probability under mu of the cylinder event named by the pattern text."""
-    pat = _plain_word_indices(text)
+    pat = _event(text)
     if pat.span > mu.order:
         raise ValueError(f"pattern span {pat.span} exceeds measure order {mu.order}")
     marg = mu.counts[pat.span]
@@ -260,7 +260,7 @@ def _pushforward_kernel(text: str, params: Params) -> tuple[int, tuple[int, ...]
     with scale the lcm of the denominators of p and q, so a product of span
     masses is an integer over den = scale^span.
     """
-    pat = _plain_word_indices(text)
+    pat = _event(text)
     span = pat.span
     scale = math.lcm(params.p.denominator, params.q.denominator)
     laws = [class_law(cls, params) for cls in TripleClass]
@@ -279,8 +279,11 @@ def pushforward_cylinder(mu: TIMeasure, text: str, params: Params) -> Fraction:
     The dot product of the kernel with mu's word masses grouped by class
     signature over the span+2 input sites; the grouped masses do not depend on
     (p, q) or on the pattern beyond its span, so each measure sums them once.
+    A kernel build costs one product per (event word, signature group) pair:
+    one word per group for a plain word, but 3^k times that for an event with
+    k ``[0?1]`` cells.
     """
-    span = _plain_word_indices(text).span
+    span = _event(text).span
     if span + 2 > mu.order:
         raise ValueError(
             f"pushforward of span {span} needs order >= {span + 2}, have {mu.order}")
@@ -484,7 +487,7 @@ def _window_words(row: tuple[int, str]) -> frozenset[int]:
     if left < 0 or right < 0:
         raise ValueError(f"row {row!r} leaves the columns -2..2")
     text = " ".join(["[0?1]"] * left + [syms] + ["[0?1]"] * right)
-    return frozenset(_plain_word_indices(text).indices)
+    return frozenset(_event(text).indices)
 
 
 @dataclass(frozen=True)

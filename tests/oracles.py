@@ -287,16 +287,6 @@ def closed_form_json(res: ClosedFormResult) -> dict:
     }
 
 
-def written_via_c_100q(mu: TIMeasure, params: Params) -> Fraction:
-    """A second writing of the pushforward of 100?, through its C term; equal to
-    the catalog's value."""
-    p, q, r = params.p, params.q, params.r
-    c = lambda text: cylinder_prob(mu, text)  # noqa: E731
-    c_term = (q * p * p * r * c("***") + q * p * r * r * c("1 [0?] ***")
-              + q * r * r * (1 - q + p) * c("1 ***"))
-    return p * p * r * r * c("0 0 0 ***") + c_term
-
-
 def written_alt_1q01(mu: TIMeasure, params: Params) -> Fraction:
     """A second writing of the written part of 1?01 that trades the reflected
     block ``** 0 0 0`` for marginal identities; plus the catalog's C it gives

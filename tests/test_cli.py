@@ -64,6 +64,9 @@ def test_grid_spec_exact_inclusive():
     assert _grid_spec("1/2:7:1/2") == (Fraction(1, 2), Fraction(1))
     assert _grid_spec("2:5:1") == ()
     assert _grid_spec("-3:-1:1") == ()
+    # only the values in [0, 1] are listed, however wide the grid
+    assert _grid_spec("0:1000000000:1") == (Fraction(0), Fraction(1))
+    assert _grid_spec("-1000000000:1:1") == (Fraction(0), Fraction(1))
 
 
 # ------------------------------------------------------------------ simulate
@@ -154,18 +157,6 @@ def test_game_requires_params(capsys):
         code, err = exit_status(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error: game: ") and err.count("\n") == 1, argv
-
-
-@pytest.mark.parametrize("grid", ["0:1000000000:1", "-1000000000:1:1"])
-def test_game_wide_grid_runs_only_the_region(grid):
-    # a subprocess with a timeout: listing every grid value before skipping the
-    # ones outside the region would take minutes and gigabytes here
-    proc = subprocess.run([sys.executable, "-m", "percolab.cli", "game", f"--p-grid={grid}",
-                           "--q", "0", "--samples", "1", "--horizons", "0"],
-                          capture_output=True, text=True, timeout=30)
-    assert proc.returncode == 0, proc.stderr
-    rows = proc.stdout.strip().splitlines()[1:]
-    assert [r.split(",")[1:3] for r in rows] == [["0", "0"], ["1", "0"]]
 
 
 def test_sweep_skips_outside_region(capsys):

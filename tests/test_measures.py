@@ -53,7 +53,6 @@ from oracles import (
     word_index,
     word_prob,
     written_alt_1q01,
-    written_via_c_100q,
 )
 
 Z, Q, O = EnvSymbol.ZERO, EnvSymbol.QMARK, EnvSymbol.ONE
@@ -205,13 +204,13 @@ def test_every_pattern_text_parses_to_its_word_set(monkeypatch):
     # record the texts the exact checks parse: the catalog and its writings, the
     # weight chain, the master terms and the window-table rows
     texts = set()
-    real = measures._plain_word_indices
+    real = measures._event
 
     def recording(text):
         texts.add(text)
         return real(text)
 
-    monkeypatch.setattr(measures, "_plain_word_indices", recording)
+    monkeypatch.setattr(measures, "_event", recording)
     for fid in CLOSED_FORM_IDS:
         closed_form(fid, MARKOV, PP)
     verify_master_inequality(MARKOV, PP)
@@ -422,7 +421,9 @@ def test_closed_forms_match_pushforward():
 def test_closed_form_alternate_writings():
     for mu in (PRODUCT, MARKOV):
         for params in GRID:
-            assert written_via_c_100q(mu, params) == closed_form("100?", mu, params).value
+            p, r = params.p, params.r
+            res = closed_form("100?", mu, params)
+            assert p * p * r * r * cylinder_prob(mu, "0 0 0 ***") + res.component("C") == res.value
             alt = closed_form("1?01", mu, params)
             assert written_alt_1q01(mu, params) + alt.component("C") == alt.value
 

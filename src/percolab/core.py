@@ -68,6 +68,9 @@ class Params:
 
     The degenerate all-open point p = q = 0 is constructible (r = 1) but carries
     in_region = False; verification entry points that need p + q > 0 reject it.
+
+    The hash is computed once, at construction: every per-(p, q) cache looks a
+    Params up, and hashing a Fraction costs a modular inverse.
     """
 
     p: Fraction
@@ -78,6 +81,10 @@ class Params:
         object.__setattr__(self, "q", as_fraction(self.q))
         if not (0 <= self.p and 0 <= self.q and self.p + self.q <= 1):
             raise ValueError(f"need 0 <= p, 0 <= q, p+q <= 1; got p={self.p}, q={self.q}")
+        object.__setattr__(self, "_hash", hash((self.p, self.q)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def r(self) -> Fraction:

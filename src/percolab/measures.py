@@ -12,8 +12,11 @@ cylinders (with their non-negative remainder terms), a chain of weight
 functionals w0..w4, two inequalities assembled by summing rows of window
 tables, and the master inequality comparing w4 before and after one update.
 Cylinder and pushforward probabilities are summed in Python ints and leave as
-Fractions; everything built from them is a Fraction, and floats never enter a
-verification path.
+Fractions.  Every quantity built on top is a linear functional of those values
+at fixed (p, q): its transcription runs once per (p, q) on unit functionals,
+is compiled to integer coefficients over one denominator, and is evaluated on
+a measure as one integer dot product that leaves as one Fraction.  Floats
+never enter a verification path.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -51,8 +54,10 @@ class TIMeasure:
     rejects tables that are not integers, not normalized, or whose left- and
     right-marginals disagree at some length, so any instance really is the
     restriction of a translation-invariant measure.  ``signature_masses`` holds
-    the pushforward's grouped word masses, summed once per span and kept here,
-    so they are freed with the measure.
+    the pushforward's grouped word masses, summed once per span, and
+    ``cylinder_counts`` the numerator over ``den`` of each cylinder a compiled
+    functional has read, summed once per text; both are kept here, so they are
+    freed with the measure.
     """
 
     order: int
@@ -62,6 +67,7 @@ class TIMeasure:
     reflection_invariant: bool
     signature_masses: dict[int, tuple[int, ...]] = field(
         default_factory=dict, init=False, repr=False)
+    cylinder_counts: dict[str, int] = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def from_table(cls, order: int, counts: Sequence[int], den: int,
@@ -294,6 +300,136 @@ def pushforward_cylinder(mu: TIMeasure, text: str, params: Params) -> Fraction:
     return Fraction(sum(map(operator.mul, kernel, masses)), den * mu.den)
 
 
+# ------------------------------------------------------------------ linear functionals
+
+# A basis value of a measure mu at fixed (p, q): ("c", text) is mu of the
+# text's cylinder and ("f", text) its probability after one update of mu.
+Key = tuple[str, str]
+
+
+class Linear:
+    """A linear functional of a measure at fixed (p, q): exact coefficients on
+    basis values.
+
+    The closed forms, the weight chain, the table forms and the master terms
+    are transcribed once each; running a transcription on unit functionals
+    instead of numbers turns it into these, once per (p, q).  A key keeps its
+    place when its coefficient is zero, so the functional still reads every
+    value its transcription names.
+    """
+
+    __slots__ = ("coefs",)
+
+    def __init__(self, coefs: dict[Key, Fraction]) -> None:
+        self.coefs = coefs
+
+    def __add__(self, other: "Linear") -> "Linear":
+        out = dict(self.coefs)
+        for key, a in other.coefs.items():
+            out[key] = out.get(key, 0) + a
+        return Linear(out)
+
+    def __mul__(self, scalar: Fraction) -> "Linear":
+        return Linear({key: scalar * a for key, a in self.coefs.items()})
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> "Linear":
+        return self * -1
+
+    def __sub__(self, other: "Linear") -> "Linear":
+        return self + -other
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Linear):
+            return NotImplemented
+        keys = self.coefs.keys() | other.coefs.keys()
+        return all(self.coefs.get(key, 0) == other.coefs.get(key, 0) for key in keys)
+
+
+_ZERO = Linear({})
+
+
+def _cylinder(text: str) -> Linear:
+    """The unit functional mu -> mu(text)."""
+    return Linear({("c", text): 1})
+
+
+def _pushforward(text: str) -> Linear:
+    """The unit functional mu -> (image of mu)(text)."""
+    return Linear({("f", text): 1})
+
+
+def _cylinders(terms: Sequence[tuple[int, str]]) -> Linear:
+    """sum of coef * mu(text) over the (coef, text) terms."""
+    return sum((coef * _cylinder(text) for coef, text in terms), _ZERO)
+
+
+def _image(form: Linear) -> Linear:
+    """The same functional read on the updated measure: each cylinder value
+    replaced by its pushforward."""
+    return Linear({("f", text): a for (_, text), a in form.coefs.items()})
+
+
+class _Form(NamedTuple):
+    """Functionals at one (p, q), compiled to integers.
+
+    Basis value j of a measure mu is read as an integer numerator n[j] over
+    ``scales[j] * mu.den``; functional i is then ``sum(coefs * n[idx]) /
+    (den * mu.den)`` for its row (idx, coefs).
+    """
+
+    keys: tuple[Key, ...]
+    scales: tuple[int, ...]
+    rows: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    den: int
+
+
+def _compile(params: Optional[Params], linears: Sequence[Linear]) -> _Form:
+    """Integer coefficients over the one denominator L * s^k.
+
+    A cylinder numerator is over mu.den; a pushforward of span j is over
+    s^j * mu.den, where s = lcm(den p, den q) and s^j is its kernel's
+    denominator, so its coefficient carries the s^(k - j) it lacks, k the
+    widest span read; L clears the denominators the coefficients have left.
+    """
+    keys = tuple(dict.fromkeys(key for form in linears for key in form.coefs))
+    scales = tuple(
+        math.lcm(params.p.denominator, params.q.denominator) ** _event(text).span
+        if kind == "f" else 1 for kind, text in keys)
+    top = max(scales, default=1)
+    index = {key: j for j, key in enumerate(keys)}
+    lifted = [[(index[key], a * (top // scales[index[key]])) for key, a in form.coefs.items() if a]
+              for form in linears]
+    lcm = math.lcm(*(a.denominator for row in lifted for _, a in row))
+    rows = tuple((tuple(j for j, _ in row),
+                  tuple(a.numerator * (lcm // a.denominator) for _, a in row)) for row in lifted)
+    return _Form(keys, scales, rows, lcm * top)
+
+
+def _values(form: _Form, mu: TIMeasure, params: Optional[Params]) -> list[Fraction]:
+    """Each compiled functional on mu: one integer dot product, one Fraction.
+
+    Cylinder values come through cylinder_prob once per (measure, text) and
+    stay on the measure; pushforward values come through pushforward_cylinder,
+    which builds each kernel on its first call.
+    """
+    counts = mu.cylinder_counts
+    nums = []
+    for (kind, text), scale in zip(form.keys, form.scales):
+        if kind == "c":
+            num = counts.get(text)
+            if num is None:
+                value = cylinder_prob(mu, text)
+                num = counts[text] = value.numerator * (mu.den // value.denominator)
+        else:
+            value = pushforward_cylinder(mu, text, params)
+            num = value.numerator * (scale * mu.den // value.denominator)
+        nums.append(num)
+    den = form.den * mu.den
+    return [Fraction(sum([a * nums[j] for j, a in zip(idx, coefs)]), den) for idx, coefs in form.rows]
+
+
 # ------------------------------------------------------------------ closed forms
 
 CLOSED_FORM_IDS = ("?", "0?", "?0?", "1?", "10?", "100?", "000?",
@@ -335,29 +471,18 @@ class ClosedFormResult:
         return all(v >= 0 for k, v in self.components if k.startswith(("C", "D")))
 
 
-def closed_form(name: str, mu: TIMeasure, params: Params) -> ClosedFormResult:
-    """Evaluate one closed-form catalog entry exactly.
-
-    Requires a reflection-invariant measure of order >= 6 (two of the writings
-    use the reflected cylinder, and the widest right-hand side spans six sites).
-    """
-    if name not in CLOSED_FORM_IDS:
-        raise ValueError(f"unknown formula {name!r}; known: {CLOSED_FORM_IDS}")
-    if mu.order < 6:
-        raise ValueError(f"closed forms need order >= 6, have {mu.order}")
-    if not mu.reflection_invariant:
-        raise ValueError("closed forms assume a reflection-invariant measure")
+def _closed_form_parts(name: str, params: Params) -> tuple[bool, Linear, tuple[tuple[str, Linear], ...]]:
+    """(fully specified, value, named components) of one catalog entry, as
+    functionals at (p, q): the catalog's one transcription."""
     p, q, r = params.p, params.q, params.r
-    c = lambda text: cylinder_prob(mu, text)  # noqa: E731
+    c = _cylinder
+    push = _pushforward(name)
 
-    def full(value: Fraction, *extra: tuple[str, Fraction]) -> ClosedFormResult:
-        comps = (("written", value),) + extra
-        return ClosedFormResult(name, params, mu.name, value, comps, True)
+    def full(value: Linear, *extra: tuple[str, Linear]):
+        return True, value, (("written", value),) + extra
 
-    def partial(written: Fraction) -> ClosedFormResult:
-        push = pushforward_cylinder(mu, name, params)
-        comps = (("written", written), ("C", push - written))
-        return ClosedFormResult(name, params, mu.name, push, comps, False)
+    def partial(written: Linear):
+        return False, push, (("written", written), ("C", push - written))
 
     if name == "?":
         return full(r * c("***"))
@@ -382,9 +507,7 @@ def closed_form(name: str, mu: TIMeasure, params: Params) -> ClosedFormResult:
     if name == "10?":
         c_term = q * p * r * c("1 [0?] ***") + q * (1 - q) * r * c("1 ***")
         written = (1 - p) * p * r * c("0 0 0 **") + c_term
-        push = pushforward_cylinder(mu, name, params)
-        comps = (("written", written), ("C", c_term), ("D", push - written))
-        return ClosedFormResult(name, params, mu.name, push, comps, False)
+        return False, push, (("written", written), ("C", c_term), ("D", push - written))
     if name == "1??":
         return partial((1 - p) * r * r * c("0 0 0 ? [0?]"))
     if name == "1?0?":
@@ -404,13 +527,42 @@ def closed_form(name: str, mu: TIMeasure, params: Params) -> ClosedFormResult:
                    + (1 - p) * r * (1 - q) * q * c("000?1"))
 
 
+@lru_cache(maxsize=None)
+def _closed_form_form(name: str, params: Params) -> tuple[bool, tuple[str, ...], _Form]:
+    """Whether the entry is fully specified, its component names, and its value
+    then its components compiled at (p, q)."""
+    fully, value, comps = _closed_form_parts(name, params)
+    return fully, tuple(k for k, _ in comps), _compile(params, (value, *(v for _, v in comps)))
+
+
+def closed_form(name: str, mu: TIMeasure, params: Params) -> ClosedFormResult:
+    """Evaluate one closed-form catalog entry exactly.
+
+    Requires a reflection-invariant measure of order >= 6 (two of the writings
+    use the reflected cylinder, and the widest right-hand side spans six sites).
+    The entry is compiled once per (name, p, q); each measure costs one dot
+    product per reported value, and a partially specified entry reads its
+    pushforward through ``pushforward_cylinder``.
+    """
+    if name not in CLOSED_FORM_IDS:
+        raise ValueError(f"unknown formula {name!r}; known: {CLOSED_FORM_IDS}")
+    if mu.order < 6:
+        raise ValueError(f"closed forms need order >= 6, have {mu.order}")
+    if not mu.reflection_invariant:
+        raise ValueError("closed forms assume a reflection-invariant measure")
+    fully, names, form = _closed_form_form(name, params)
+    value, *parts = _values(form, mu, params)
+    return ClosedFormResult(name, params, mu.name, value, tuple(zip(names, parts)), fully)
+
+
 # ------------------------------------------------------------------ weights
 
-def _weight_chain(ev: Callable[[str], Fraction], params: Params) -> tuple[Fraction, ...]:
-    """w0..w4 evaluated with cylinder values supplied by ``ev``.
+def _weight_chain(ev: Callable[[str], Linear], params: Params) -> tuple[Linear, ...]:
+    """w0..w4 as functionals, with the unit functional of each cylinder from ``ev``.
 
-    The chained form and the expanded final display are the same polynomial in
-    the cylinder values; comparing them keeps the two transcriptions honest.
+    The chained form and the expanded final display are the same functional;
+    comparing them keeps the two transcriptions honest, for every measure at
+    once.
     """
     p, q, r = params.p, params.q, params.r
     w0 = ev("?") + 2 * ev("0?") - ev("?0?") + 2 * ev("100?")
@@ -430,13 +582,25 @@ def _weight_chain(ev: Callable[[str], Fraction], params: Params) -> tuple[Fracti
     return (w0, w1, w2, w3, w4)
 
 
+@lru_cache(maxsize=None)
+def _weights(params: Params) -> tuple[Linear, ...]:
+    """w0..w4 as functionals of the cylinder values at (p, q); the chain's
+    identity check runs here, once per (p, q)."""
+    return _weight_chain(_cylinder, params)
+
+
+@lru_cache(maxsize=None)
+def _weight_form(params: Params) -> _Form:
+    return _compile(params, _weights(params))
+
+
 def weight(k: int, mu: TIMeasure, params: Params) -> Fraction:
     """The k-th weight functional of the measure, k in 0..4."""
     if not 0 <= k <= 4:
         raise ValueError(f"weight index must be 0..4, got {k}")
     if mu.order < 4:
         raise ValueError(f"weights need order >= 4, have {mu.order}")
-    return _weight_chain(lambda t: cylinder_prob(mu, t), params)[k]
+    return _values(_weight_form(params), mu, params)[k]
 
 
 # ------------------------------------------------------------------ window tables
@@ -516,10 +680,6 @@ def table_structure(table: str) -> TableStructure:
     return TableStructure(table, len(rows), disjoint, union <= scope, covered)
 
 
-def _linear(mu: TIMeasure, terms: Sequence[tuple[int, str]]) -> Fraction:
-    return sum((coef * cylinder_prob(mu, pat) for coef, pat in terms), Fraction(0))
-
-
 _INEQ1_FORMS: tuple[tuple[str, tuple[tuple[int, str], ...]], ...] = (
     ("grouped", ((1, "***"), (-1, "0??"), (-1, "0?0"), (-1, "?00"), (2, "1 ***"),
                  (-2, "100?"), (-1, "??01"), (-1, "0?01"), (-1, "?0?1"), (-1, "00?1"),
@@ -576,13 +736,36 @@ class TableReport:
         }
 
 
+@lru_cache(maxsize=None)
+def _table_form(which: str) -> tuple[tuple[str, ...], tuple[str, ...], _Form]:
+    """The row tables, the form names, and the row sums, forms, lhs and rhs of
+    one inequality compiled (they are parameter-free)."""
+    def row_sum(rows: Sequence[tuple[int, str]]) -> Linear:
+        return _cylinders([(1, syms) for _, syms in rows])
+
+    if which == "ineq_1":
+        sums = (("ineq1_rows", row_sum(_INEQ1_ROWS)),)
+        forms = tuple((name, _cylinders(terms)) for name, terms in _INEQ1_FORMS)
+        lhs = _cylinder("?")
+        rhs = forms[-1][1]
+    else:
+        sums = (("ineq2_rows_q", row_sum(_INEQ2_ROWS_Q)),
+                ("ineq2_rows_0q", row_sum(_INEQ2_ROWS_0Q)),
+                ("ineq2_rows_00q", row_sum(_INEQ2_ROWS_00Q)))
+        forms = ()
+        lhs = _cylinders(_INEQ2_LHS)
+        rhs = _cylinders(_INEQ2_RHS)
+    linears = (*(v for _, v in sums), *(v for _, v in forms), lhs, rhs)
+    return tuple(k for k, _ in sums), tuple(k for k, _ in forms), _compile(None, linears)
+
+
 def verify_table_inequality(which: str, mu: TIMeasure) -> TableReport:
     """Check one of the two assembled inequalities on a reflection-invariant measure.
 
     Structure (disjoint rows inside the claimed scope, exact unions where claimed)
     is verified measure-free on the sets of five-site words the rows match; the
     inequality itself and the displayed intermediate right-hand sides are then
-    evaluated exactly on mu.
+    evaluated exactly on mu, each as one compiled functional.
     """
     if which not in ("ineq_1", "ineq_2"):
         raise ValueError(f"which must be 'ineq_1' or 'ineq_2', got {which!r}")
@@ -590,26 +773,12 @@ def verify_table_inequality(which: str, mu: TIMeasure) -> TableReport:
         raise ValueError(f"table inequalities need order >= 5, have {mu.order}")
     if not mu.reflection_invariant:
         raise ValueError("table inequalities assume a reflection-invariant measure")
-
-    def row_sum(rows: Sequence[tuple[int, str]]) -> Fraction:
-        return sum((cylinder_prob(mu, syms) for _, syms in rows), Fraction(0))
-
-    if which == "ineq_1":
-        structure = (table_structure("ineq1_rows"),)
-        sums = (("ineq1_rows", row_sum(_INEQ1_ROWS)),)
-        forms = tuple((name, _linear(mu, terms)) for name, terms in _INEQ1_FORMS)
-        lhs = cylinder_prob(mu, "?")
-        rhs = forms[-1][1]
-    else:
-        structure = tuple(table_structure(t)
-                          for t in ("ineq2_rows_q", "ineq2_rows_0q", "ineq2_rows_00q"))
-        sums = (("ineq2_rows_q", row_sum(_INEQ2_ROWS_Q)),
-                ("ineq2_rows_0q", row_sum(_INEQ2_ROWS_0Q)),
-                ("ineq2_rows_00q", row_sum(_INEQ2_ROWS_00Q)))
-        forms = ()
-        lhs = _linear(mu, _INEQ2_LHS)
-        rhs = _linear(mu, _INEQ2_RHS)
-    return TableReport(which, mu.name, structure, sums, forms, lhs, rhs)
+    tables, form_names, form = _table_form(which)
+    values = _values(form, mu, None)
+    sums = tuple(zip(tables, values))
+    forms = tuple(zip(form_names, values[len(tables):]))
+    return TableReport(which, mu.name, tuple(map(table_structure, tables)), sums, forms,
+                       values[-2], values[-1])
 
 
 # ------------------------------------------------------------------ master inequality
@@ -617,7 +786,7 @@ def verify_table_inequality(which: str, mu: TIMeasure) -> TableReport:
 # Slack terms subtracted on the right of the master inequality: coefficient(p,q,r)
 # times a signed combination of cylinder probabilities.  Every term must come out
 # non-negative on its own; D and D' (built from the closed-form remainders) are
-# appended by verify_master_inequality.
+# appended by _master_form.
 _MASTER_TERMS: tuple[tuple[str, Callable[[Fraction, Fraction, Fraction], Fraction],
                            tuple[tuple[int, str], ...]], ...] = (
     ("q(1+p-pr) [mu(0?)+mu(00?)]",
@@ -663,26 +832,17 @@ _MASTER_TERMS: tuple[tuple[str, Callable[[Fraction, Fraction, Fraction], Fractio
 )
 
 
-@lru_cache(maxsize=None)
-def _master_coefficients(params: Params) -> tuple[Fraction, ...]:
-    """The _MASTER_TERMS coefficients at one (p, q), in term order."""
-    p, q, r = params.p, params.q, params.r
-    return tuple(coef(p, q, r) for _, coef, _ in _MASTER_TERMS)
-
-
 @dataclass(frozen=True)
 class WeightReport:
-    """Master inequality bookkeeping: weights before/after one update, slack terms."""
+    """Master inequality bookkeeping: weights before/after one update, slack terms,
+    and the overall slack w4(mu) - w4(image) - sum of the terms."""
 
     params: Params
     measure: str
     w_mu: tuple[Fraction, ...]
     w_image: tuple[Fraction, ...]
     terms: tuple[tuple[str, Fraction], ...]
-
-    @property
-    def overall_slack(self) -> Fraction:
-        return self.w_mu[4] - self.w_image[4] - sum(v for _, v in self.terms)
+    overall_slack: Fraction
 
     @property
     def negative_terms(self) -> tuple[str, ...]:
@@ -705,12 +865,36 @@ class WeightReport:
         }
 
 
+@lru_cache(maxsize=None)
+def _master_form(params: Params) -> tuple[tuple[str, ...], _Form]:
+    """The slack term names, and w0..w4 of mu, w0..w4 of its image, the slack
+    terms and the overall slack compiled at (p, q)."""
+    p, q, r = params.p, params.q, params.r
+    w_mu = _weights(params)
+    terms = [(name, coef(p, q, r) * _cylinders(pats)) for name, coef, pats in _MASTER_TERMS]
+    cf = {name: dict(_closed_form_parts(name, params)[2])
+          for name in ("10?", "100?", "1??", "1?0?", "10??", "1?01", "1?00", "10?0")}
+    d_term = (2 * p * r * cf["10?"]["D"]
+              + 2 * p * p * r * (cf["1??"]["C"] + cf["1?0?"]["C"] + cf["10??"]["C"])
+              + 4 * r * cf["1?01"]["C"])
+    d_prime = (2 * (q + p * p * r) * cf["100?"]["D"]
+               + 2 * p * p * r * (cf["1?00"]["C"] + cf["10?0"]["C"]))
+    terms.append(("D (update remainders of 10?,1??,1?0?,10??,1?01)", d_term))
+    terms.append(("D' (update remainders of 100?,1?00,10?0)", d_prime))
+    w_image = tuple(map(_image, w_mu))
+    slack = w_mu[4] - w_image[4] - sum((v for _, v in terms), _ZERO)
+    linears = (*w_mu, *w_image, *(v for _, v in terms), slack)
+    return tuple(name for name, _ in terms), _compile(params, linears)
+
+
 def verify_master_inequality(mu: TIMeasure, params: Params) -> WeightReport:
     """Exact check that one update decreases w4 by at least the named slack terms.
 
     w4 of the updated measure is evaluated entirely through brute-force
     pushforward probabilities -- none of the closed forms enter that side.  The
     remainder terms D and D' reuse the closed-form catalog's C/D components.
+    Every reported value, the overall slack included, is a functional compiled
+    once per (p, q), so each measure costs one integer dot product per value.
     """
     if not params.in_region:
         raise ValueError("master inequality requires p + q > 0")
@@ -718,22 +902,10 @@ def verify_master_inequality(mu: TIMeasure, params: Params) -> WeightReport:
         raise ValueError(f"master inequality needs order >= 6, have {mu.order}")
     if not mu.reflection_invariant:
         raise ValueError("master inequality assumes a reflection-invariant measure")
-    p, q, r = params.p, params.q, params.r
-    w_mu = _weight_chain(lambda t: cylinder_prob(mu, t), params)
-    w_image = _weight_chain(lambda t: pushforward_cylinder(mu, t, params), params)
-    terms = [(name, coef * _linear(mu, pats))
-             for (name, _, pats), coef in zip(_MASTER_TERMS, _master_coefficients(params))]
-    cf = {name: closed_form(name, mu, params)
-          for name in ("10?", "100?", "1??", "1?0?", "10??", "1?01", "1?00", "10?0")}
-    d_term = (2 * p * r * cf["10?"].component("D")
-              + 2 * p * p * r * (cf["1??"].component("C") + cf["1?0?"].component("C")
-                                 + cf["10??"].component("C"))
-              + 4 * r * cf["1?01"].component("C"))
-    d_prime = (2 * (q + p * p * r) * cf["100?"].component("D")
-               + 2 * p * p * r * (cf["1?00"].component("C") + cf["10?0"].component("C")))
-    terms.append(("D (update remainders of 10?,1??,1?0?,10??,1?01)", d_term))
-    terms.append(("D' (update remainders of 100?,1?00,10?0)", d_prime))
-    return WeightReport(params, mu.name, w_mu, w_image, tuple(terms))
+    names, form = _master_form(params)
+    values = _values(form, mu, params)
+    return WeightReport(params, mu.name, tuple(values[:5]), tuple(values[5:10]),
+                        tuple(zip(names, values[10:-1])), values[-1])
 
 
 # ------------------------------------------------------------------ stationarity
@@ -767,12 +939,12 @@ class StationarityReport:
         }
 
 
-def stationary_conclusion_check(params: Params, mu: TIMeasure) -> StationarityReport:
-    if mu.order < 5:
-        raise ValueError(f"stationarity check needs order >= 5, have {mu.order}")
-    c = lambda text: cylinder_prob(mu, text)  # noqa: E731
+@lru_cache(maxsize=None)
+def _stationary_form(params: Params) -> tuple[str, tuple[str, ...], _Form]:
+    """The branch, the forced names, and mu(?), mu(?) - r*mu(***) and the forced
+    cylinders compiled at (p, q)."""
+    c = _cylinder
     p, q, r = params.p, params.q, params.r
-    gauge = abs(c("?") - r * c("***"))
     if r == 0:
         branch, forced = "r=0", (("mu(?)", c("?")),)
     elif q > 0:
@@ -783,4 +955,13 @@ def stationary_conclusion_check(params: Params, mu: TIMeasure) -> StationarityRe
                   ("mu(000?)", c("000?")), ("mu(***)", c("***")), ("mu(?)", c("?")))
     else:
         branch, forced = "p=q=0", ()
-    return StationarityReport(params, mu.name, branch, c("?"), gauge, forced)
+    linears = (c("?"), c("?") - r * c("***"), *(v for _, v in forced))
+    return branch, tuple(k for k, _ in forced), _compile(params, linears)
+
+
+def stationary_conclusion_check(params: Params, mu: TIMeasure) -> StationarityReport:
+    if mu.order < 5:
+        raise ValueError(f"stationarity check needs order >= 5, have {mu.order}")
+    branch, names, form = _stationary_form(params)
+    qmark, gauge, *forced = _values(form, mu, params)
+    return StationarityReport(params, mu.name, branch, qmark, abs(gauge), tuple(zip(names, forced)))

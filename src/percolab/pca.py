@@ -239,17 +239,27 @@ def _cut_points(params: Params) -> tuple[np.ndarray, np.ndarray]:
     return t0, t1
 
 
-def step(cfg: Configuration, model: ModelSpec, stream: SeededStream, t: int) -> Configuration:
-    """Advance one row by one step; deterministic given (seed, t) and the input."""
+def _triples(cfg: Configuration, model: ModelSpec):
+    """The base-3 index of each output site's triple, and the output row's
+    absolute origin and width, once the row is checked against the alphabet."""
     if model.alphabet is Alphabet.BINARY and cfg.has_qmark:
         raise ValueError("? symbol passed to a binary model")
     a, b, c, out_origin, out_width = _neighbour_views(cfg, model.offset)
     # intp, not int8: numpy gathers with an int8 index much more slowly
-    triple = 9 * a.astype(np.intp) + 3 * b + c
-    t0, t1 = _cut_points(model.params)
+    return 9 * a.astype(np.intp) + 3 * b + c, out_origin, out_width
+
+
+def _apply_rule(triple: np.ndarray, params: Params, u: np.ndarray) -> np.ndarray:
+    """The updated cells: site n inverts its triple's cut points at the variate u[n]."""
+    t0, t1 = _cut_points(params)
+    return (u >= t0[triple]).astype(np.int8) + (u >= t1[triple]).astype(np.int8)
+
+
+def step(cfg: Configuration, model: ModelSpec, stream: SeededStream, t: int) -> Configuration:
+    """Advance one row by one step; deterministic given (seed, t) and the input."""
+    triple, out_origin, out_width = _triples(cfg, model)
     u = stream.u01_range(t, out_origin, out_width)
-    out = (u >= t0[triple]).astype(np.int8) + (u >= t1[triple]).astype(np.int8)
-    return Configuration(out, cfg.boundary, out_origin)
+    return Configuration(_apply_rule(triple, model.params, u), cfg.boundary, out_origin)
 
 
 @dataclass(frozen=True)
@@ -290,12 +300,16 @@ def coupled_step(
 ) -> tuple[Configuration, Configuration]:
     """Advance two binary rows with the same (t, n) variates (common-randomness coupling).
 
-    Randomness is keyed by (seed, t, n), so two ``step`` calls with the same
-    stream and ``t`` already share every variate; each output row has exactly
-    the marginal law of ``step`` on its own input.
+    Randomness is keyed by (seed, t, n), so the two rows cover the same window
+    and each (t, n) is hashed once for both; each output row is exactly what
+    ``step`` makes of its own input.
     """
     if model.alphabet is not Alphabet.BINARY:
         raise ValueError("coupled_step is defined for the binary alphabet")
     if cfg_a.width != cfg_b.width or cfg_a.boundary is not cfg_b.boundary or cfg_a.origin != cfg_b.origin:
         raise ValueError("rows must cover the same window")
-    return step(cfg_a, model, stream, t), step(cfg_b, model, stream, t)
+    triple_a, out_origin, out_width = _triples(cfg_a, model)
+    triple_b, _, _ = _triples(cfg_b, model)
+    u = stream.u01_range(t, out_origin, out_width)
+    return (Configuration(_apply_rule(triple_a, model.params, u), cfg_a.boundary, out_origin),
+            Configuration(_apply_rule(triple_b, model.params, u), cfg_b.boundary, out_origin))

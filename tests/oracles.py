@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -23,7 +23,26 @@ from percolab.core import (
     word_str,
 )
 from percolab.game import GameClass, GameVersion, _labels_from_u, classify_line
-from percolab.measures import ClosedFormResult, TIMeasure, cylinder_prob, frac_str
+from percolab.measures import (
+    _INEQ1_FORMS,
+    _INEQ1_ROWS,
+    _INEQ2_LHS,
+    _INEQ2_RHS,
+    _INEQ2_ROWS_0Q,
+    _INEQ2_ROWS_00Q,
+    _INEQ2_ROWS_Q,
+    _MASTER_TERMS,
+    CLOSED_FORM_IDS,
+    ClosedFormResult,
+    StationarityReport,
+    TableReport,
+    TIMeasure,
+    WeightReport,
+    cylinder_prob,
+    frac_str,
+    pushforward_cylinder,
+    table_structure,
+)
 from percolab.orders import dominates, triple_leq
 from percolab.pca import (
     Alphabet,
@@ -352,3 +371,178 @@ def verify_identity(name: str, mu: TIMeasure) -> Fraction:
     for coef, pat in rhs:
         total -= coef * cylinder_prob(mu, pat)
     return total
+
+
+# ------------------------------------------------------------------ exact checks
+#
+# Each check evaluated the direct way: every cylinder and pushforward value read
+# through the public functions as a Fraction, and every formula combined in
+# Fraction arithmetic, measure by measure.
+
+
+def linear(mu: TIMeasure, terms: Sequence[tuple[int, str]]) -> Fraction:
+    """sum of coef * mu(text) over the (coef, text) terms."""
+    return sum((coef * cylinder_prob(mu, pat) for coef, pat in terms), Fraction(0))
+
+
+def closed_form(name: str, mu: TIMeasure, params: Params) -> ClosedFormResult:
+    """``measures.closed_form``, one Fraction at a time."""
+    if name not in CLOSED_FORM_IDS:
+        raise ValueError(f"unknown formula {name!r}; known: {CLOSED_FORM_IDS}")
+    if mu.order < 6:
+        raise ValueError(f"closed forms need order >= 6, have {mu.order}")
+    if not mu.reflection_invariant:
+        raise ValueError("closed forms assume a reflection-invariant measure")
+    p, q, r = params.p, params.q, params.r
+    c = lambda text: cylinder_prob(mu, text)  # noqa: E731
+
+    def full(value: Fraction, *extra: tuple[str, Fraction]) -> ClosedFormResult:
+        comps = (("written", value),) + extra
+        return ClosedFormResult(name, params, mu.name, value, comps, True)
+
+    def partial(written: Fraction) -> ClosedFormResult:
+        push = pushforward_cylinder(mu, name, params)
+        comps = (("written", written), ("C", push - written))
+        return ClosedFormResult(name, params, mu.name, push, comps, False)
+
+    if name == "?":
+        return full(r * c("***"))
+    if name == "0?":
+        return full(p * r * c("[0?] ***") + (1 - q) * r * c("1 ***"))
+    if name == "?0?":
+        return full(p * r * r * (c("[0?] [0?] ***") - c("0 0 0 **")))
+    if name == "1?":
+        return full(r * r * c("000?") + q * r * c("***"))
+    if name == "000?":
+        return full(p**3 * r * c("[0?] [0?] [0?] ***")
+                    + (1 - q) * p * p * r * c("1 [0?] [0?] ***")
+                    + (1 - q) ** 2 * p * r * c("1 [0?] ***")
+                    + (1 - q) ** 3 * r * c("1 ***"))
+    if name == "100?":
+        c_term = (q * p * p * r * c("***") + q * p * r * r * c("1 [0?] ***")
+                  + q * r * r * (1 - q + p) * c("1 ***"))
+        d_term = (q * p * p * r * c("*** ***") + q * p * p * r * c("1 [0?] [0?] ***")
+                  + q * (1 - q) * p * r * c("1 [0?] ***") + q * (1 - q) ** 2 * r * c("1 ***"))
+        value = (1 - p) * p * p * r * c("0 0 0 ***") + d_term
+        return full(value, ("C", c_term), ("D", d_term))
+    if name == "10?":
+        c_term = q * p * r * c("1 [0?] ***") + q * (1 - q) * r * c("1 ***")
+        written = (1 - p) * p * r * c("0 0 0 **") + c_term
+        push = pushforward_cylinder(mu, name, params)
+        comps = (("written", written), ("C", c_term), ("D", push - written))
+        return ClosedFormResult(name, params, mu.name, push, comps, False)
+    if name == "1??":
+        return partial((1 - p) * r * r * c("0 0 0 ? [0?]"))
+    if name == "1?0?":
+        return partial((1 - p) * r * r * p * c("0 0 0 ? [0?] [0?]"))
+    if name == "10??":
+        return partial((1 - p) * p * r * r * c("0 0 0 ** [0?]"))
+    if name == "1?00":
+        return partial((1 - p) * r * p * p * c("000?")
+                       + (1 - p) * r * r * p * c("0 0 0 ? [0?] 1")
+                       + (1 - p) * r * r * (1 + p - q) * c("000?1"))
+    if name == "10?0":
+        return partial((1 - p) * p * p * r * c("0 0 0 **")
+                       + (1 - p) * p * r * r * c("0 0 0 ** 1"))
+    return partial(q * r * p * (1 - p) * c("** 0 0 0")
+                   + (1 - p) * r * p * q * c("0 0 0 ? [0?]")
+                   + (1 - p) * r * (1 - q) * q * c("000?1"))
+
+
+def weight_chain(ev: Callable[[str], Fraction], params: Params) -> tuple[Fraction, ...]:
+    """w0..w4 from the cylinder values ``ev`` supplies, chained."""
+    p, q, r = params.p, params.q, params.r
+    w0 = ev("?") + 2 * ev("0?") - ev("?0?") + 2 * ev("100?")
+    w1 = w0 - p * (1 - r) * ev("?")
+    w2 = w1 - (2 * p * r * (ev("1?") + ev("10?"))
+               + 2 * p * p * r * (ev("1??") + ev("1?0?") + ev("10??"))
+               + 4 * r * ev("1?01") + 2 * p * ev("100?"))
+    w3 = w2 - 2 * (q + p * p * r) * ev("100?") - 2 * p * p * r * (ev("1?00") + ev("10?0"))
+    w4 = w3 - q * ev("?")
+    return (w0, w1, w2, w3, w4)
+
+
+def weight(k: int, mu: TIMeasure, params: Params) -> Fraction:
+    """``measures.weight``, one Fraction at a time."""
+    if not 0 <= k <= 4:
+        raise ValueError(f"weight index must be 0..4, got {k}")
+    if mu.order < 4:
+        raise ValueError(f"weights need order >= 4, have {mu.order}")
+    return weight_chain(lambda t: cylinder_prob(mu, t), params)[k]
+
+
+def table_report(which: str, mu: TIMeasure) -> TableReport:
+    """``measures.verify_table_inequality``, one Fraction at a time."""
+    if which not in ("ineq_1", "ineq_2"):
+        raise ValueError(f"which must be 'ineq_1' or 'ineq_2', got {which!r}")
+    if mu.order < 5:
+        raise ValueError(f"table inequalities need order >= 5, have {mu.order}")
+    if not mu.reflection_invariant:
+        raise ValueError("table inequalities assume a reflection-invariant measure")
+
+    def row_sum(rows: Sequence[tuple[int, str]]) -> Fraction:
+        return sum((cylinder_prob(mu, syms) for _, syms in rows), Fraction(0))
+
+    if which == "ineq_1":
+        structure = (table_structure("ineq1_rows"),)
+        sums = (("ineq1_rows", row_sum(_INEQ1_ROWS)),)
+        forms = tuple((name, linear(mu, terms)) for name, terms in _INEQ1_FORMS)
+        lhs = cylinder_prob(mu, "?")
+        rhs = forms[-1][1]
+    else:
+        structure = tuple(table_structure(t)
+                          for t in ("ineq2_rows_q", "ineq2_rows_0q", "ineq2_rows_00q"))
+        sums = (("ineq2_rows_q", row_sum(_INEQ2_ROWS_Q)),
+                ("ineq2_rows_0q", row_sum(_INEQ2_ROWS_0Q)),
+                ("ineq2_rows_00q", row_sum(_INEQ2_ROWS_00Q)))
+        forms = ()
+        lhs = linear(mu, _INEQ2_LHS)
+        rhs = linear(mu, _INEQ2_RHS)
+    return TableReport(which, mu.name, structure, sums, forms, lhs, rhs)
+
+
+def master_report(mu: TIMeasure, params: Params) -> WeightReport:
+    """``measures.verify_master_inequality``, one Fraction at a time; the overall
+    slack is w4(mu) - w4(image) minus the sum of the terms."""
+    if not params.in_region:
+        raise ValueError("master inequality requires p + q > 0")
+    if mu.order < 6:
+        raise ValueError(f"master inequality needs order >= 6, have {mu.order}")
+    if not mu.reflection_invariant:
+        raise ValueError("master inequality assumes a reflection-invariant measure")
+    p, q, r = params.p, params.q, params.r
+    w_mu = weight_chain(lambda t: cylinder_prob(mu, t), params)
+    w_image = weight_chain(lambda t: pushforward_cylinder(mu, t, params), params)
+    terms = [(name, coef(p, q, r) * linear(mu, pats)) for name, coef, pats in _MASTER_TERMS]
+    cf = {name: closed_form(name, mu, params)
+          for name in ("10?", "100?", "1??", "1?0?", "10??", "1?01", "1?00", "10?0")}
+    d_term = (2 * p * r * cf["10?"].component("D")
+              + 2 * p * p * r * (cf["1??"].component("C") + cf["1?0?"].component("C")
+                                 + cf["10??"].component("C"))
+              + 4 * r * cf["1?01"].component("C"))
+    d_prime = (2 * (q + p * p * r) * cf["100?"].component("D")
+               + 2 * p * p * r * (cf["1?00"].component("C") + cf["10?0"].component("C")))
+    terms.append(("D (update remainders of 10?,1??,1?0?,10??,1?01)", d_term))
+    terms.append(("D' (update remainders of 100?,1?00,10?0)", d_prime))
+    slack = w_mu[4] - w_image[4] - sum(v for _, v in terms)
+    return WeightReport(params, mu.name, w_mu, w_image, tuple(terms), slack)
+
+
+def stationary_report(params: Params, mu: TIMeasure) -> StationarityReport:
+    """``measures.stationary_conclusion_check``, one Fraction at a time."""
+    if mu.order < 5:
+        raise ValueError(f"stationarity check needs order >= 5, have {mu.order}")
+    c = lambda text: cylinder_prob(mu, text)  # noqa: E731
+    p, q, r = params.p, params.q, params.r
+    gauge = abs(c("?") - r * c("***"))
+    if r == 0:
+        branch, forced = "r=0", (("mu(?)", c("?")),)
+    elif q > 0:
+        branch, forced = "q>0", (("mu(***)", c("***")), ("mu(?)", c("?")))
+    elif p > 0:
+        branch = "q=0,p>0"
+        forced = (("mu(10?)", c("10?")), ("mu(000?1)", c("000?1")),
+                  ("mu(000?)", c("000?")), ("mu(***)", c("***")), ("mu(?)", c("?")))
+    else:
+        branch, forced = "p=q=0", ()
+    return StationarityReport(params, mu.name, branch, c("?"), gauge, forced)

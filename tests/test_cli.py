@@ -287,6 +287,26 @@ def test_exact_workloads_print_the_reference_bytes(capsys, workload):
     assert digests == reference["sha256"][workload]
 
 
+# The stdout sha256 of the README's exact verify commands, recorded before the
+# checks were compiled to integer functionals: they must keep printing the same
+# bytes, not just the benchmark's seed-0 command lines.
+README_VERIFY_DIGESTS = {
+    ("verify", "formulas", "--measures", "10"):
+        "426bd04443c5053d6421ee0077ed305df4d931ec08f2ddfd9cc7d31e271b310e",
+    ("verify", "weights", "--measures", "5", "--grid", "1/8"):
+        "9e8857529f04f9512056231e05b325e1c04804a2bdf0e1ad6b9455290eb78eaf",
+    ("verify", "tables"):
+        "bdb046a8f898d9fee2d2e6775d2d20435e9512e1c52b321fa22973ca07e3fcdf",
+}
+
+
+@pytest.mark.parametrize("argv", list(README_VERIFY_DIGESTS), ids=" ".join)
+def test_readme_verify_commands_print_the_recorded_bytes(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == README_VERIFY_DIGESTS[argv]
+
+
 def test_default_seed_is_stable():
     assert DEFAULT_SEED == 1729
 

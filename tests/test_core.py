@@ -17,6 +17,9 @@ from percolab.core import (
     word_str,
 )
 
+from percolab import measures
+from percolab.measures import product_measure, pushforward_cylinder
+
 from oracles import text_span, text_words, word_in_text, word_index
 
 Z, Q, O = EnvSymbol.ZERO, EnvSymbol.QMARK, EnvSymbol.ONE
@@ -88,6 +91,26 @@ def test_params_rejects_bad_values():
         Params(Fraction(-1, 4), Fraction(1, 2))
     with pytest.raises(TypeError):
         Params(0.3, 0.2)  # floats are inexact; must be given as strings
+
+
+def test_params_hash_is_made_once(monkeypatch):
+    a, b = Params(Fraction(1, 3), Fraction(1, 5)), Params("1/3", "0.2")
+    assert a == b and hash(a) == hash(b) == hash((a.p, a.q))
+    assert a != Params(Fraction(1, 5), Fraction(1, 3))
+    pushforward_cylinder(product_measure(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)), "10?", a)
+    calls = []
+    real = Fraction.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    hash(Fraction(2, 3))
+    assert len(calls) == 1  # the counter sees a Fraction hash
+    calls.clear()
+    measures._pushforward_kernel("10?", b)  # a cache hit keyed on an equal Params
+    assert calls == []
 
 
 rationals_01 = st.builds(

@@ -233,6 +233,30 @@ def test_pruned_chunked_draws_match_oracle(version, params, horizon, monkeypatch
         assert sum(hashed_rows) == 100 * min(horizon, 1)
 
 
+def test_slow_decay_partial_deaths_match_oracle(monkeypatch):
+    # p=q=1/100: samples lose their last D one at a time over the whole height,
+    # so the live set shrinks by a few rows at many lines instead of all at once
+    params = Params(Fraction(1, 100), Fraction(1, 100))
+    hashed_rows = []
+    real_u01_block = game.u01_block
+
+    def spy(seeds, t, n0, count):
+        hashed_rows.append(seeds.size)
+        return real_u01_block(seeds, t, n0, count)
+
+    monkeypatch.setattr(game, "u01_block", spy)
+    stream = SeededStream(61)
+    est = draw_fraction(GameVersion.V3, params, 80, 120, stream)
+    single = [
+        solve_sample(GameVersion.V3, params, 80, child_stream(stream, i)).origin_class()
+        for i in range(120)
+    ]
+    assert est.draws == sum(1 for c in single if c == D)
+    assert 0 < est.draws < 120
+    assert hashed_rows == sorted(hashed_rows, reverse=True)
+    assert len(set(hashed_rows)) > 10
+
+
 def test_horizon_refinement_is_pathwise():
     # same label field: a longer horizon may only resolve D's, never flip W/L
     params = Params(Fraction(1, 5), Fraction(3, 10))

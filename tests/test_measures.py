@@ -26,6 +26,7 @@ from percolab.measures import (
     pushforward_cylinder,
     random_measure,
     reversible_markov_measure,
+    sampled_measures,
     stationary_conclusion_check,
     table_structure,
     verify_master_inequality,
@@ -42,6 +43,7 @@ from percolab.pca import (
     trajectory,
 )
 
+import oracles
 from oracles import (
     IDENTITIES,
     WEIGHT_SPANS,
@@ -211,11 +213,13 @@ def test_every_pattern_text_parses_to_its_word_set(monkeypatch):
         return real(text)
 
     monkeypatch.setattr(measures, "_event", recording)
+    # a fresh copy of MARKOV: a measure keeps the cylinder counts it has read
+    mu = reversible_markov_measure([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
     for fid in CLOSED_FORM_IDS:
-        closed_form(fid, MARKOV, PP)
-    verify_master_inequality(MARKOV, PP)
+        closed_form(fid, mu, PP)
+    verify_master_inequality(mu, PP)
     for which in ("ineq_1", "ineq_2"):
-        verify_table_inequality(which, MARKOV)
+        verify_table_inequality(which, mu)
     for rows, scope, _ in measures._TABLES.values():  # table_structure is cached
         for row in rows + (scope,):
             measures._window_words(row)
@@ -659,6 +663,116 @@ def test_stationary_empirical_long_run():
     assert rep.qmark < Fraction(1, 100)
     assert rep.gauge < Fraction(1, 100)
     json.dumps(rep.to_json_dict())
+
+
+# ------------------------------------------------------------------ compiled functionals
+
+# FORMULA_GRID, two more points with r = 0, and the all-open point p = q = 0
+# (which the master inequality rejects).
+_FUNCTIONAL_POINTS = FORMULA_GRID + (
+    Params(Fraction(1, 3), Fraction(2, 3)), Params(Fraction(3, 4), Fraction(1, 4)), Params(0, 0))
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _json(report):
+    return report if isinstance(report, str) else report.to_json_dict()
+
+
+def test_compiled_checks_match_fraction_oracle():
+    # every reported value of every check, compiled once per (p, q), against the
+    # same check evaluated one Fraction at a time; the skewed empirical measure
+    # is not reflection invariant, so only its weights and stationarity report
+    # are values and everything else must refuse it with the same message
+    skew = np.array([2, 0, 0, 0, 1, 0] * 7, dtype=np.int8)
+    mus = sampled_measures(3, 1729) + [
+        empirical_measure(Configuration(skew, Boundary.CYCLIC), 6)]
+    for mu in mus:
+        for which in ("ineq_1", "ineq_2"):
+            got = _outcome(verify_table_inequality, which, mu)
+            want = _outcome(oracles.table_report, which, mu)
+            assert got == want and _json(got) == _json(want), (which, mu.name)
+        for params in _FUNCTIONAL_POINTS:
+            where = (mu.name, str(params))
+            for fid in CLOSED_FORM_IDS:
+                got = _outcome(closed_form, fid, mu, params)
+                want = _outcome(oracles.closed_form, fid, mu, params)
+                assert got == want, (fid, *where)
+                if not isinstance(got, str):
+                    assert closed_form_json(got) == closed_form_json(want), (fid, *where)
+            assert [weight(k, mu, params) for k in range(5)] == \
+                [oracles.weight(k, mu, params) for k in range(5)], where
+            got = _outcome(verify_master_inequality, mu, params)
+            want = _outcome(oracles.master_report, mu, params)
+            assert got == want and _json(got) == _json(want), where
+            got = stationary_conclusion_check(params, mu)
+            want = oracles.stationary_report(params, mu)
+            assert got == want and got.to_json_dict() == want.to_json_dict(), where
+
+
+def test_weight_chain_identity_rejects_a_disagreeing_display():
+    # the expanded display reads 1?01 second; hand it another cylinder there
+    reads = []
+
+    def ev(text):
+        reads.append(text)
+        if text == "1?01" and reads.count(text) == 2:
+            return measures._cylinder("1?10")
+        return measures._cylinder(text)
+
+    with pytest.raises(RuntimeError, match="chained w4 disagrees"):
+        measures._weight_chain(ev, PP)
+    assert reads.count("1?01") == 2
+    measures._weight_chain(measures._cylinder, PP)  # the honest evaluator passes
+    # functionals are equal when every coefficient is, a missing key reading 0
+    one, two = measures._cylinder("?"), measures._cylinder("?") + measures._cylinder("0?")
+    assert one != two and two != one
+    assert one == one + 0 * measures._cylinder("0?") == 2 * one - one
+
+
+def test_weight_chain_is_checked_once_per_point(monkeypatch):
+    calls = []
+    real = measures._weight_chain
+
+    def counting(ev, params):
+        calls.append(params)
+        return real(ev, params)
+
+    monkeypatch.setattr(measures, "_weight_chain", counting)
+    for cache in (measures._weights, measures._weight_form, measures._master_form):
+        cache.cache_clear()
+    points = (Params(Fraction(2, 7), Fraction(3, 11)), Params(Fraction(1, 9), Fraction(5, 9)))
+    for mu in sampled_measures(2, 7):
+        for params in points:
+            verify_master_inequality(mu, params)
+            weight(4, mu, params)
+    assert calls == list(points)
+
+
+def test_cylinder_counts_are_summed_once_per_measure(monkeypatch):
+    # each cylinder a compiled check reads costs one cylinder_prob per measure,
+    # however many points and checks read it
+    texts = []
+    real = measures.cylinder_prob
+
+    def counting(mu, text):
+        texts.append(text)
+        return real(mu, text)
+
+    monkeypatch.setattr(measures, "cylinder_prob", counting)
+    mu = reversible_markov_measure([[3, 1, 2], [1, 0, 1], [2, 1, 3]])
+    for params in (PP, Params(Fraction(1, 2), Fraction(1, 4))):
+        verify_master_inequality(mu, params)
+        stationary_conclusion_check(params, mu)
+    verify_table_inequality("ineq_1", mu)
+    assert len(texts) == len(set(texts)) > 40
+    assert set(texts) == set(mu.cylinder_counts)
 
 
 # ------------------------------------------------------------------ properties

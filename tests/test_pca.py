@@ -335,6 +335,28 @@ def test_coupled_step_marginals_equal_plain_step():
     assert np.array_equal(same_a.cells, same_b.cells)
 
 
+@pytest.mark.parametrize("boundary, offset", [(Boundary.CYCLIC, 0), (Boundary.LIGHTCONE, -1)])
+def test_coupled_step_hashes_each_site_once(monkeypatch, boundary, offset):
+    rng = np.random.RandomState(8)
+    a = Configuration((rng.randint(0, 2, size=50) * 2).astype(np.int8), boundary, origin=3)
+    b = Configuration((rng.randint(0, 2, size=50) * 2).astype(np.int8), boundary, origin=3)
+    model = bin_model(offset=offset)
+    stream = SeededStream(21)
+    want = (step(a, model, stream, t=4), step(b, model, stream, t=4))
+    hashed = []
+    real = SeededStream.u01_range
+
+    def counting(self, t, n0, count):
+        hashed.append(count)
+        return real(self, t, n0, count)
+
+    monkeypatch.setattr(SeededStream, "u01_range", counting)
+    got = coupled_step(a, b, model, stream, t=4)
+    assert hashed == [want[0].width]
+    for g, w in zip(got, want):
+        assert np.array_equal(g.cells, w.cells) and (g.origin, g.boundary) == (w.origin, w.boundary)
+
+
 def test_coupled_step_alternating_domination():
     # all-0 vs all-1: common randomness flips the pointwise order each step
     model = bin_model(params=Params(Fraction(1, 4), Fraction(1, 4)))

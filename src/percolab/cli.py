@@ -180,9 +180,9 @@ def cmd_game(cfg: RunConfig) -> int:
         if len(ps) == 1 and len(qs) == 1:
             raise ValueError(f"game: (p={ps[0]}, q={qs[0]}) is outside the region")
         raise ValueError("game: no requested (p, q) point lies in the region")
-    rows = [draw_fraction(version, params, horizon, cfg.samples,
-                          SeededStream(cfg.seed)).to_json_dict()
-            for params in points for horizon in cfg.horizons]
+    rows = [est.to_json_dict() for params in points
+            for est in draw_fraction(version, params, cfg.horizons, cfg.samples,
+                                     SeededStream(cfg.seed))]
     if cfg.format == "json":
         _emit(_json_text(rows), cfg.out)
     else:

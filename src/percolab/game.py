@@ -24,14 +24,24 @@ Draw probabilities are estimated by starting the frontier line, at distance T
 above the base site, in the all-D (unresolved) state and inducting down.
 Labels are keyed by (line index, absolute site) so the sampled label field is
 shared across horizons: raising T only ever resolves D's, never flips a W/L.
+The all-D frontier is the envelope automaton started from all-? in the light
+cone, so a sample's base site leaves D at its coupling-from-the-past
+coalescence time.
 
-The induction does only the work that can still change the draw count. An
-open site is D only if one of its out-neighbours is D, and trap and target
-sites are never D, so once a sample's line holds no D no line below it does:
-its base site is W or L, and the sample is dropped. Samples are also processed
-in chunks of bounded size. Both are exact because a label is a counter-based
-function of (sample seed, line, site): which other samples are present, and in
-which chunk, changes no sample's labels.
+One downward pass serves every requested horizon. It keeps one class layer per
+horizon above the current line, stacked so that every layer reads the same
+labels, which are hashed once per (sample, line). A horizon's layer enters,
+all-D, at its frontier line; the layers already there are widened back to the
+whole chunk with W in the rows they had dropped, which is harmless because a
+D-free line stays D-free (an open site is D only next to a D, and trap and
+target sites are never D). A row is dropped once no layer holds a D in it and
+a layer once none of its rows holds one: neither can give a D base site any
+more. The pass is exact because classes only refine as the horizon grows, so a
+longer horizon's D's are a subset of a shorter one's, and each layer is the
+induction its horizon alone would run. Samples are also processed in chunks of
+bounded size. Dropping and chunking are exact because a label is a
+counter-based function of (sample seed, line, site): which other samples are
+present, and in which chunk, changes no sample's labels.
 """
 
 from __future__ import annotations
@@ -41,11 +51,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
 from .core import EnvSymbol, LocalDistribution, Params, iter_words
-from .pca import Alphabet, ModelSpec, SeededStream, local_rule, u01_block
+from .pca import Alphabet, ModelSpec, SeededStream, local_rule, u01_block, variate_cut
 
 
 class GameVersion(Enum):
@@ -78,10 +89,14 @@ class GameClass(IntEnum):
     L = 2
 
 
-def _labels_from_u(u: np.ndarray, params: Params) -> np.ndarray:
-    t0 = float(params.p)
-    t1 = 1.0 - float(params.q)
-    return (u >= t0).astype(np.int8) + (u >= t1).astype(np.int8)
+def _label_cuts(params: Params) -> tuple[np.ndarray, np.ndarray]:
+    """The label cut points p and 1 - q, as floats, made variate cut points."""
+    return variate_cut(float(params.p)), variate_cut(1.0 - float(params.q))
+
+
+def _labels(k: np.ndarray, cuts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Site labels of the variates ``k``, by inverse CDF at ``_label_cuts``."""
+    return (k >= cuts[0]).view(np.int8) + (k >= cuts[1]).view(np.int8)
 
 
 def _class_table() -> np.ndarray:
@@ -200,7 +215,7 @@ def kernel_correspondence(version: GameVersion, params: Params) -> KernelReport:
 
 # ------------------------------------------------------------- draw estimates
 
-# Cells of one chunk's class block: bounds the per-line temporaries of the
+# Cells of one chunk's class stack: bounds the per-line temporaries of the
 # hash and the lookup (several 8-byte arrays of this many entries).
 _CELL_BUDGET = 1 << 20
 
@@ -208,38 +223,73 @@ _CELL_BUDGET = 1 << 20
 def _count_draws(
     version: GameVersion,
     params: Params,
-    horizon: int,
+    horizons: Sequence[int],
     samples: int,
     stream: SeededStream,
-) -> int:
-    """Number of the ``samples`` independent label fields whose base site is
-    D, computed line-at-a-time across samples.
+) -> dict[int, int]:
+    """For each distinct horizon, the number of the ``samples`` independent
+    label fields whose base site is D, in one downward pass per chunk.
 
     Sample i is keyed by the i-th of ``stream.child_seeds_u64(samples)``; the
-    line s steps above the base covers absolute indices [s*offset, s*offset + 2s],
-    and the frontier (s = horizon) starts all-D. A sample whose line holds no D
-    can never give a D base site (an open site is D only next to a D), so it
-    is dropped before the next line is hashed, and a chunk stops once none is
-    left. Samples run in chunks of at most _CELL_BUDGET frontier cells, and a
-    chunk's seeds are made when it starts, so memory does not grow with
-    ``samples``; since labels depend only on (sample seed, line, site), neither
-    dropping nor chunking changes any remaining sample's labels, and the count
-    is exact.
+    line s steps above the base covers absolute indices [s*offset, s*offset + 2s].
+    The pass walks the lines from H - 1 down to 0, H the largest horizon, with
+    ``stack[j]`` the classes that horizon ``layers[j]`` gives the ``live`` rows
+    of the chunk on the line below the current one: every layer of the stack is
+    1 + 2(s + 1) wide at line s, so the labels of a line are hashed once, for
+    the live rows, and classified in every layer.
+
+    - Horizon h enters at line h - 1 as an all-D layer. The rows that the other
+      layers had dropped come back as W lines, which stay D-free.
+    - A row is dropped before its next line is hashed once no layer holds a D
+      in it, and a layer once none of its rows does: an open site is D only
+      next to a D, so neither can give a D base site again.
+
+    Horizon 0 has no line to walk: its base site is the frontier, always D.
+    Samples run in chunks of at most _CELL_BUDGET stacked cells, and a chunk's
+    seeds are made when it starts, so memory does not grow with ``samples``;
+    since labels depend only on (sample seed, line, site), neither dropping nor
+    chunking changes any remaining sample's labels, and every count is exact.
     """
-    rows = max(1, _CELL_BUDGET // (1 + 2 * horizon))
-    draws = 0
+    levels = sorted(set(horizons), reverse=True)
+    cuts = _label_cuts(params)
+    draws = dict.fromkeys(levels, 0)
+    # the stack is widest on a horizon's frontier line h - 1: one layer of
+    # 1 + 2h cells per horizon at least h
+    widest = max((1 + 2 * h) * (i + 1) for i, h in enumerate(levels))
+    rows = max(1, _CELL_BUDGET // widest)
     for start in range(0, samples, rows):
         seeds = stream.child_seeds_u64(min(rows, samples - start), start)
-        classes = np.full((seeds.size, 1 + 2 * horizon), GameClass.D, dtype=np.int8)
-        for s in range(horizon - 1, -1, -1):
-            live = (classes == GameClass.D).any(axis=1)
-            if not live.all():
-                seeds, classes = seeds[live], classes[live]
-                if seeds.size == 0:
+        pending = list(levels)
+        layers: list[int] = []
+        stack = np.empty((0, 0, 0), dtype=np.int8)
+        live = np.arange(seeds.size)
+        for s in range(levels[0] - 1, -1, -1):
+            if pending and pending[0] == s + 1:
+                layers.append(pending.pop(0))
+                widened = np.full((len(layers), seeds.size, 2 * s + 3), GameClass.W,
+                                  dtype=np.int8)
+                if len(layers) > 1:
+                    widened[:-1, live] = stack
+                widened[-1] = GameClass.D
+                stack, live = widened, np.arange(seeds.size)
+            has_d = (stack == GameClass.D).any(axis=2)
+            kept = has_d.any(axis=1)
+            if not kept.all():
+                layers = [h for h, keep in zip(layers, kept) if keep]
+                stack, has_d = stack[kept], has_d[kept]
+            rows_kept = has_d.any(axis=0)
+            if not rows_kept.all():
+                stack, live = stack[:, rows_kept], live[rows_kept]
+            if not layers:
+                if not pending:
                     break
-            u = u01_block(seeds, s, s * version.offset, 1 + 2 * s)
-            classes = classify_line(_labels_from_u(u, params), classes, version)
-        draws += int(np.count_nonzero(classes[:, 0] == GameClass.D))
+                continue
+            k = u01_block(seeds[live], s, s * version.offset, 1 + 2 * s)
+            stack = classify_line(_labels(k, cuts), stack, version)
+        for h, layer in zip(layers, stack):
+            draws[h] += int(np.count_nonzero(layer[:, 0] == GameClass.D))
+        if pending:  # only horizon 0 is never entered
+            draws[0] += seeds.size
     return draws
 
 
@@ -295,19 +345,25 @@ class DrawEstimate:
 def draw_fraction(
     version: GameVersion,
     params: Params,
-    horizon: int,
+    horizons: Sequence[int],
     samples: int,
     stream: SeededStream,
-) -> DrawEstimate:
-    """Monte Carlo upper bound on the base site's draw probability.
+) -> tuple[DrawEstimate, ...]:
+    """Monte Carlo upper bounds on the base site's draw probability, one per
+    requested horizon, in the requested order (duplicates kept).
 
     A label is keyed by (sample, line, site), so every horizon reads the same
-    label field; that makes the estimate nonincreasing in ``horizon`` sample by
-    sample, not just in law.
+    label field; that makes the estimate nonincreasing in the horizon sample by
+    sample, not just in law. Every horizon is checked before any is run.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
+    horizons = tuple(horizons)
+    if not horizons:
+        raise ValueError("no horizon given")
+    for horizon in horizons:
+        if horizon < 0:
+            raise ValueError(f"horizon must be >= 0, got {horizon}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    draws = _count_draws(version, params, horizon, samples, stream)
-    return DrawEstimate(version, params, horizon, samples, draws, stream.seed)
+    draws = _count_draws(version, params, horizons, samples, stream)
+    return tuple(DrawEstimate(version, params, h, samples, draws[h], stream.seed)
+                 for h in horizons)

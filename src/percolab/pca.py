@@ -12,8 +12,14 @@ draws the new symbol independently per site:
 
 Randomness is counter-based: every (time, site) pair is hashed to one uniform
 variate, so results are independent of array width, evaluation order, and worker
-count. Sampling inverts the CDF in the fixed symbol-code order 0 < ? < 1, which
-makes the common-randomness coupling of two rows monotone in that order.
+count. A variate is the top 53 bits of its 64-bit hash, the integer k = h >> 11,
+and stands for u = k * 2**-53 in [0, 1); it is never made a float. Sampling
+inverts the CDF in the fixed symbol-code order 0 < ? < 1, which makes the
+common-randomness coupling of two rows monotone in that order. The cut points
+are the floats of a per-(p, q) table, and each is compared as the integer
+ceil(t * 2**53): k >= ceil(t * 2**53) iff k * 2**-53 >= t, exactly, because k is
+an integer and t * 2**53 is an exact float. A cut at or above 1.0 becomes 2**53
+or more, which no variate reaches.
 
 Two boundary policies: Cyclic keeps the width fixed and wraps indices; LightCone
 shrinks the row by 2 sites per step (both from the right for offset 0, one per
@@ -42,14 +48,29 @@ _TAG_T = _U64(0xD6E8FEB86659FD93)
 _TAG_N = _U64(0xA0761D6478BD642F)
 _TAG_CHILD = _U64(0x8BB84B93962EACC9)
 _MASK64 = (1 << 64) - 1
+_GOLD_INT, _MUL1_INT, _MUL2_INT, _TAG_T_INT = (int(c) for c in (_GOLD, _MUL1, _MUL2, _TAG_T))
 
 
-def _finalize(z):
-    """splitmix64 finalizer; accepts uint64 scalars or arrays."""
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> _U64(30))) * _MUL1
-        z = (z ^ (z >> _U64(27))) * _MUL2
-        return z ^ (z >> _U64(31))
+def _finalize(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, in place on a uint64 array (0-d too) that the
+    caller owns; returns it. Working in place makes one temporary, not six."""
+    t = np.empty_like(z)
+    np.right_shift(z, _U64(30), out=t)
+    z ^= t
+    z *= _MUL1
+    np.right_shift(z, _U64(27), out=t)
+    z ^= t
+    z *= _MUL2
+    np.right_shift(z, _U64(31), out=t)
+    z ^= t
+    return z
+
+
+def _finalize_int(z: int) -> int:
+    """splitmix64 finalizer on a Python int in [0, 2**64)."""
+    z = ((z ^ (z >> 30)) * _MUL1_INT) & _MASK64
+    z = ((z ^ (z >> 27)) * _MUL2_INT) & _MASK64
+    return z ^ (z >> 31)
 
 
 def _as_u64(x) -> np.ndarray:
@@ -58,23 +79,34 @@ def _as_u64(x) -> np.ndarray:
 
 
 def _key_u64(seed_u64, t, n):
-    """Hash (seed, t, n) to uint64; t, n may be scalars or broadcastable arrays."""
-    with np.errstate(over="ignore"):
-        h = _finalize(seed_u64 + _GOLD)
-        h = _finalize(h ^ (_as_u64(t) * _MUL2 + _TAG_T))
-        h = _finalize(h ^ (_as_u64(n) * _MUL1 + _TAG_N))
-    return h
+    """Hash (seed, t, n) to uint64; t, n may be scalars or broadcastable arrays.
+
+    With scalar seed and t, the (seed, t) prefix is computed in Python ints,
+    masked to 64 bits: the same bits as the numpy scalar finalizers, without
+    their fixed cost on every call.
+    """
+    with np.errstate(over="ignore"):  # uint64 scalar arithmetic wraps by design
+        if np.ndim(seed_u64) == 0 and np.ndim(t) == 0:
+            h = _finalize_int((int(seed_u64) + _GOLD_INT) & _MASK64)
+            h = _U64(_finalize_int(h ^ (((int(t) & _MASK64) * _MUL2_INT + _TAG_T_INT) & _MASK64)))
+        else:
+            h = _finalize(np.asarray(seed_u64 + _GOLD))
+            h = _finalize(h ^ (_as_u64(t) * _MUL2 + _TAG_T))
+        return _finalize(np.asarray(h ^ (_as_u64(n) * _MUL1 + _TAG_N)))
 
 
-def _to_unit(h) -> np.ndarray:
-    """Top 53 bits -> float64 in [0, 1)."""
-    return (h >> _U64(11)) * (2.0**-53)
+def variate_cut(t) -> np.ndarray:
+    """The integer cut point ceil(t * 2**53) of float cut point(s) ``t``: a
+    variate k is at or above it iff k * 2**-53 >= t."""
+    return np.ceil(np.asarray(t, dtype=np.float64) * 2.0**53).astype(_U64)
 
 
 def u01_block(seeds: np.ndarray, t: int, n0: int, count: int) -> np.ndarray:
-    """Uniforms for many streams at once: shape (len(seeds), count), keyed (t, n0+j)."""
+    """Variates for many streams at once: shape (len(seeds), count), keyed
+    (t, n0+j); each is the 53-bit integer k of the uniform k * 2**-53."""
     sites = n0 + np.arange(count, dtype=np.int64)
-    return _to_unit(_key_u64(seeds.reshape(-1, 1), t, sites.reshape(1, -1)))
+    h = _key_u64(seeds.reshape(-1, 1), t, sites.reshape(1, -1))
+    return np.right_shift(h, _U64(11), out=h)
 
 
 @dataclass(frozen=True)
@@ -87,9 +119,11 @@ class SeededStream:
         return _U64(self.seed & _MASK64)
 
     def u01_range(self, t: int, n0: int, count: int) -> np.ndarray:
-        """Variates at sites n0, n0+1, ..., n0+count-1 of step t."""
+        """Variates at sites n0, n0+1, ..., n0+count-1 of step t, as the 53-bit
+        integers k of the uniforms k * 2**-53."""
         sites = n0 + np.arange(count, dtype=np.int64)
-        return _to_unit(_key_u64(self._seed_u64(), t, sites))
+        h = _key_u64(self._seed_u64(), t, sites)
+        return np.right_shift(h, _U64(11), out=h)
 
     def child_seeds_u64(self, count: int, start: int = 0) -> np.ndarray:
         """Seeds of the derived streams for samples start..start+count-1; distinct
@@ -239,6 +273,15 @@ def _cut_points(params: Params) -> tuple[np.ndarray, np.ndarray]:
     return t0, t1
 
 
+@lru_cache(maxsize=None)
+def _variate_cuts(params: Params) -> tuple[np.ndarray, np.ndarray]:
+    """The cut points of ``_cut_points`` as integers, for comparing variates."""
+    c0, c1 = (variate_cut(t) for t in _cut_points(params))
+    c0.setflags(write=False)
+    c1.setflags(write=False)
+    return c0, c1
+
+
 def _triples(cfg: Configuration, model: ModelSpec):
     """The base-3 index of each output site's triple, and the output row's
     absolute origin and width, once the row is checked against the alphabet."""
@@ -249,17 +292,17 @@ def _triples(cfg: Configuration, model: ModelSpec):
     return 9 * a.astype(np.intp) + 3 * b + c, out_origin, out_width
 
 
-def _apply_rule(triple: np.ndarray, params: Params, u: np.ndarray) -> np.ndarray:
-    """The updated cells: site n inverts its triple's cut points at the variate u[n]."""
-    t0, t1 = _cut_points(params)
-    return (u >= t0[triple]).astype(np.int8) + (u >= t1[triple]).astype(np.int8)
+def _apply_rule(triple: np.ndarray, params: Params, k: np.ndarray) -> np.ndarray:
+    """The updated cells: site n inverts its triple's cut points at the variate k[n]."""
+    c0, c1 = _variate_cuts(params)
+    return (k >= c0[triple]).view(np.int8) + (k >= c1[triple]).view(np.int8)
 
 
 def step(cfg: Configuration, model: ModelSpec, stream: SeededStream, t: int) -> Configuration:
     """Advance one row by one step; deterministic given (seed, t) and the input."""
     triple, out_origin, out_width = _triples(cfg, model)
-    u = stream.u01_range(t, out_origin, out_width)
-    return Configuration(_apply_rule(triple, model.params, u), cfg.boundary, out_origin)
+    k = stream.u01_range(t, out_origin, out_width)
+    return Configuration(_apply_rule(triple, model.params, k), cfg.boundary, out_origin)
 
 
 @dataclass(frozen=True)
@@ -310,6 +353,6 @@ def coupled_step(
         raise ValueError("rows must cover the same window")
     triple_a, out_origin, out_width = _triples(cfg_a, model)
     triple_b, _, _ = _triples(cfg_b, model)
-    u = stream.u01_range(t, out_origin, out_width)
-    return (Configuration(_apply_rule(triple_a, model.params, u), cfg_a.boundary, out_origin),
-            Configuration(_apply_rule(triple_b, model.params, u), cfg_b.boundary, out_origin))
+    k = stream.u01_range(t, out_origin, out_width)
+    return (Configuration(_apply_rule(triple_a, model.params, k), cfg_a.boundary, out_origin),
+            Configuration(_apply_rule(triple_b, model.params, k), cfg_b.boundary, out_origin))

@@ -22,7 +22,7 @@ from percolab.core import (
     iter_words,
     word_str,
 )
-from percolab.game import GameClass, GameVersion, _labels_from_u, classify_line
+from percolab.game import GameClass, GameVersion, classify_line
 from percolab.measures import (
     _INEQ1_FORMS,
     _INEQ1_ROWS,
@@ -49,19 +49,45 @@ from percolab.pca import (
     Boundary,
     Configuration,
     ModelSpec,
+    _GOLD,
+    _MUL1,
+    _MUL2,
+    _TAG_N,
+    _TAG_T,
     SeededStream,
-    _key_u64,
+    _as_u64,
     _neighbour_views,
-    _to_unit,
     local_rule,
 )
 
 # ------------------------------------------------------------------ streams
 
 
+def _finalize(z):
+    """splitmix64 finalizer in plain numpy expressions, scalars or arrays."""
+    with np.errstate(over="ignore"):
+        z = (z ^ (z >> np.uint64(30))) * _MUL1
+        z = (z ^ (z >> np.uint64(27))) * _MUL2
+        return z ^ (z >> np.uint64(31))
+
+
+def key_u64(seed_u64, t, n):
+    """The (seed, t, n) hash with every step in numpy, (seed, t) prefix included."""
+    with np.errstate(over="ignore"):
+        h = _finalize(seed_u64 + _GOLD)
+        h = _finalize(h ^ (_as_u64(t) * _MUL2 + _TAG_T))
+        return _finalize(h ^ (_as_u64(n) * _MUL1 + _TAG_N))
+
+
+def u01_range(stream: SeededStream, t: int, n0: int, count: int) -> np.ndarray:
+    """The uniforms (h >> 11) * 2**-53 at sites n0..n0+count-1 of step t, as floats."""
+    sites = n0 + np.arange(count, dtype=np.int64)
+    return (key_u64(stream._seed_u64(), t, sites) >> np.uint64(11)) * 2.0**-53
+
+
 def u01(stream: SeededStream, t: int, n: int) -> float:
-    """The variate at (t, n), hashed one scalar key at a time."""
-    return float(_to_unit(_key_u64(stream._seed_u64(), t, n)))
+    """The uniform at (t, n), hashed one scalar key at a time."""
+    return float((key_u64(stream._seed_u64(), t, n) >> np.uint64(11)) * 2.0**-53)
 
 
 def child_stream(stream: SeededStream, k: int) -> SeededStream:
@@ -119,7 +145,7 @@ def step(cfg: Configuration, model: ModelSpec, stream: SeededStream, t: int) -> 
         raise ValueError("? symbol passed to a binary model")
     a, b, c, out_origin, out_width = _neighbour_views(cfg, model.offset)
     t0, t1 = thresholds(a, b, c, model.params, binary)
-    u = stream.u01_range(t, out_origin, out_width)
+    u = u01_range(stream, t, out_origin, out_width)
     out = (u >= t0).astype(np.int8) + (u >= t1).astype(np.int8)
     return Configuration(out, cfg.boundary, out_origin)
 
@@ -168,9 +194,10 @@ def sample_labels(
     params: Params, stream: SeededStream, line_index: int, origin: int, width: int
 ) -> np.ndarray:
     """Labels of sites origin..origin+width-1 on the line ``line_index`` steps
-    above the base; keyed by (line_index, site) so the field is reusable."""
-    u = stream.u01_range(line_index, origin, width)
-    return _labels_from_u(u, params)
+    above the base; keyed by (line_index, site) so the field is reusable. The
+    float uniforms are compared with the float cut points p and 1 - q."""
+    u = u01_range(stream, line_index, origin, width)
+    return (u >= float(params.p)).astype(np.int8) + (u >= 1.0 - float(params.q)).astype(np.int8)
 
 
 def solve_sample(

@@ -162,8 +162,7 @@ def test_7_qmark_mass_dies_out():
     q_start, q_end = res.rows[0].countQ, res.rows[-1].countQ
     sim_ok = q_start == 10_000 and q_end == 0  # pinned; 0 < 0.05 * width
 
-    ests = [draw_fraction(GameVersion.V1, QUARTER, h, 10_000, SeededStream(7))
-            for h in (10, 50, 100, 200)]
+    ests = draw_fraction(GameVersion.V1, QUARTER, (10, 50, 100, 200), 10_000, SeededStream(7))
     draws = [e.draws for e in ests]
     game_ok = (draws == [5, 0, 0, 0]  # pinned
                and all(a >= b for a, b in zip(draws, draws[1:]))

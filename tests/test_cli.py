@@ -273,7 +273,8 @@ def _perfbench_workloads():
     return module
 
 
-@pytest.mark.parametrize("workload", ["exact_grid", "exact_measures"])
+@pytest.mark.parametrize("workload", ["exact_grid", "exact_measures", "mc_fast_decay",
+                                      "mc_slow_decay"])
 def test_exact_workloads_print_the_reference_bytes(capsys, workload):
     # the benchmark rejects any byte of change in these seed-0 outputs, so check
     # them against its recorded digests here rather than only when it runs
@@ -307,6 +308,50 @@ def test_readme_verify_commands_print_the_recorded_bytes(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == README_VERIFY_DIGESTS[argv]
 
 
+# The stdout sha256 of the README's Monte Carlo commands, recorded before one
+# induction pass served every horizon and before variates became integers.
+README_MONTE_CARLO_DIGESTS = {
+    ("game", "--version", "v1", "--p", "1/4", "--q", "1/4", "--horizons", "10,50,100",
+     "--samples", "10000", "--seed", "7"):
+        "d529148bd06a13061baa0f117d729d0281b787841fe6cf61172c7736e243c065",
+    ("sweep", "--version", "v1", "--p-grid", "0:1:1/5", "--q-grid", "0:1:1/5",
+     "--horizons", "10,50,100", "--samples", "2000", "--seed", "7"):
+        "eb27f793c60d686140497700e4cb1fad9541b4ee134b1fe3c559f21279021022",
+}
+
+
+@pytest.mark.parametrize("argv", list(README_MONTE_CARLO_DIGESTS), ids=lambda a: a[0])
+def test_readme_monte_carlo_commands_print_the_recorded_bytes(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == README_MONTE_CARLO_DIGESTS[argv]
+
+
+def test_game_rejects_a_negative_horizon_before_hashing(capsys, monkeypatch):
+    from percolab import game
+
+    hashed = []
+    monkeypatch.setattr(game, "u01_block", lambda *args: hashed.append(args))
+    monkeypatch.setattr(game.SeededStream, "child_seeds_u64", lambda *args: hashed.append(args))
+    code = main(["game", "--p", "1/4", "--q", "1/4", "--horizons", "5,-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert hashed == []
+
+
+def test_game_keeps_repeated_horizons_in_the_requested_order(capsys):
+    # four rows, in the order asked for, with the bytes recorded before one
+    # pass served every horizon
+    code, out = run_cli(capsys, "game", "--version", "v2", "--p", "1/20", "--q", "1/20",
+                        "--horizons", "5,5,0,2", "--samples", "500", "--seed", "3")
+    assert code == 0
+    assert [row.split(",")[3] for row in out.splitlines()[1:]] == ["5", "5", "0", "2"]
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "0f6a2e610393cf861564f1dc7530da5c89b02bfcbb7d32ca6b2442be0c30a71d"
+
+
 def test_default_seed_is_stable():
     assert DEFAULT_SEED == 1729
 
@@ -319,16 +364,22 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["pass"] is True
 
 
-def _traced_summary(*argv):
-    """Span and counter summary of one command run under perfbench's tracer."""
+def _traced_run(*argv):
+    """Stdout and span and counter summary of one command run under perfbench's tracer."""
     proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "child.py"),
                            str(ROOT / "src"), "trace", "--", *argv],
                           capture_output=True, text=True, timeout=60, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["pass"] is True
     reports = [line for line in proc.stderr.splitlines() if line.startswith("PERFBENCH ")]
     assert len(reports) == 1
-    return json.loads(reports[0].removeprefix("PERFBENCH "))
+    return proc.stdout, json.loads(reports[0].removeprefix("PERFBENCH "))
+
+
+def _traced_summary(*argv):
+    """Span and counter summary of one verify command run under perfbench's tracer."""
+    stdout, summary = _traced_run(*argv)
+    assert json.loads(stdout)["pass"] is True
+    return summary
 
 
 def _traced_spans(*argv):
@@ -341,6 +392,15 @@ def test_benchmark_tracer_finds_every_traced_name():
     # starts, so a rename or move in src/ breaks it; this catches that in tests
     spans = _traced_spans("verify", "kernel", "--version", "v1", "--p", "1/2", "--q", "1/4")
     assert "game.kernel_check" in spans
+    _, game_run = _traced_run("game", "--p", "0", "--q", "0", "--horizons", "2,4",
+                              "--samples", "10")
+    _, simulate_run = _traced_run("simulate", "--p", "1/4", "--q", "1/4", "--width", "20",
+                                  "--steps", "3")
+    assert {"pca.hash", "game.classify", "game.induction"} <= set(game_run["spans"])
+    assert {"pca.hash", "pca.step"} <= set(simulate_run["spans"])
+    # one pass hashes each (sample, line) once: 10 samples x 4^2 sites, plus
+    # the 10 child seeds
+    assert game_run["counters"]["pca.hash_variates"] == 10 * 4**2 + 10
 
 
 def test_benchmark_tracer_times_the_exact_layers():

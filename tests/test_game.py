@@ -191,7 +191,7 @@ def test_solve_sample_matches_batch():
     params = Params(Fraction(1, 4), Fraction(1, 4))
     stream = SeededStream(2024)
     for version in GameVersion:
-        est = draw_fraction(version, params, horizon=8, samples=30, stream=stream)
+        est, = draw_fraction(version, params, horizons=(8,), samples=30, stream=stream)
         single = [
             solve_sample(version, params, 8, child_stream(stream, i)).origin_class()
             for i in range(30)
@@ -220,7 +220,7 @@ def test_pruned_chunked_draws_match_oracle(version, params, horizon, monkeypatch
 
     monkeypatch.setattr(game, "u01_block", spy)
     stream = SeededStream(61)
-    est = draw_fraction(version, params, horizon, 100, stream)
+    est, = draw_fraction(version, params, (horizon,), 100, stream)
     single = [
         solve_sample(version, params, horizon, child_stream(stream, i)).origin_class()
         for i in range(100)
@@ -246,7 +246,7 @@ def test_slow_decay_partial_deaths_match_oracle(monkeypatch):
 
     monkeypatch.setattr(game, "u01_block", spy)
     stream = SeededStream(61)
-    est = draw_fraction(GameVersion.V3, params, 80, 120, stream)
+    est, = draw_fraction(GameVersion.V3, params, (80,), 120, stream)
     single = [
         solve_sample(GameVersion.V3, params, 80, child_stream(stream, i)).origin_class()
         for i in range(120)
@@ -277,11 +277,11 @@ def test_horizon_refinement_is_pathwise():
 def test_draw_fraction_degenerate():
     stream = SeededStream(5)
     for version in GameVersion:
-        assert draw_fraction(version, Params(1, 0), 5, 200, stream).fraction == 0.0
-        assert draw_fraction(version, Params(0, 1), 5, 200, stream).fraction == 0.0
+        assert draw_fraction(version, Params(1, 0), (5,), 200, stream)[0].fraction == 0.0
+        assert draw_fraction(version, Params(0, 1), (5,), 200, stream)[0].fraction == 0.0
         # no traps or targets: nothing ever resolves
-        assert draw_fraction(version, Params(0, 0), 5, 200, stream).fraction == 1.0
-    assert draw_fraction(GameVersion.V2, Params(Fraction(1, 4), Fraction(1, 4)), 0, 50, stream).fraction == 1.0
+        assert draw_fraction(version, Params(0, 0), (5,), 200, stream)[0].fraction == 1.0
+    assert draw_fraction(GameVersion.V2, Params(Fraction(1, 4), Fraction(1, 4)), (0,), 50, stream)[0].fraction == 1.0
 
 
 def test_draw_fraction_deterministic_and_monotone():
@@ -289,12 +289,12 @@ def test_draw_fraction_deterministic_and_monotone():
     stream = SeededStream(314)
     fractions = []
     for horizon in (2, 5, 10, 20):
-        est = draw_fraction(GameVersion.V1, params, horizon, 400, stream)
-        again = draw_fraction(GameVersion.V1, params, horizon, 400, stream)
+        est, = draw_fraction(GameVersion.V1, params, (horizon,), 400, stream)
+        again, = draw_fraction(GameVersion.V1, params, (horizon,), 400, stream)
         assert est.draws == again.draws
         fractions.append(est.fraction)
     assert fractions == sorted(fractions, reverse=True)
-    est = draw_fraction(GameVersion.V1, params, 20, 400, stream)
+    est, = draw_fraction(GameVersion.V1, params, (20,), 400, stream)
     lo, hi = est.ci
     assert 0.0 <= lo <= est.fraction <= hi <= 1.0
     d = est.to_json_dict()
@@ -304,9 +304,9 @@ def test_draw_fraction_deterministic_and_monotone():
 def test_draw_fraction_input_checks():
     stream = SeededStream(1)
     with pytest.raises(ValueError):
-        draw_fraction(GameVersion.V1, Params(0, 0), -1, 10, stream)
+        draw_fraction(GameVersion.V1, Params(0, 0), (-1,), 10, stream)
     with pytest.raises(ValueError):
-        draw_fraction(GameVersion.V1, Params(0, 0), 5, 0, stream)
+        draw_fraction(GameVersion.V1, Params(0, 0), (5,), 0, stream)
 
 
 def test_wilson_interval_values():
@@ -318,3 +318,88 @@ def test_wilson_interval_values():
     assert 0.95 < lo < 1.0 and hi == 1.0
     with pytest.raises(ValueError):
         wilson_interval(0, 0)
+
+
+# ------------------------------------------------------------- one pass, many horizons
+
+ORACLE_POINTS = [
+    Params(Fraction(1, 4), Fraction(1, 4)),
+    Params(Fraction(1, 20), Fraction(1, 20)),
+    Params(0, 0),
+    Params(1, 0),
+    Params(0, 1),
+]
+
+
+@pytest.mark.parametrize("params", ORACLE_POINTS, ids=str)
+@pytest.mark.parametrize("version", list(GameVersion), ids=lambda v: v.value)
+def test_one_pass_matches_oracle_at_every_horizon(version, params, monkeypatch):
+    # a tiny cell budget makes chunks of one to three samples, so layers enter
+    # and drop across many chunks, and the last chunk is short
+    monkeypatch.setattr(game, "_CELL_BUDGET", 60)
+    hashed = []
+    real_u01_block = game.u01_block
+
+    def spy(seeds, t, n0, count):
+        hashed.extend((int(seed), t) for seed in seeds)
+        return real_u01_block(seeds, t, n0, count)
+
+    monkeypatch.setattr(game, "u01_block", spy)
+    stream = SeededStream(61)
+    samples = 40
+    children = [child_stream(stream, i) for i in range(samples)]
+    for horizons in ((6, 2, 9), (4, 4, 0, 7, 4), (0,), (5,), (1, 0, 3)):
+        hashed.clear()
+        ests = draw_fraction(version, params, horizons, samples, stream)
+        assert [e.horizon for e in ests] == list(horizons)
+        for est in ests:
+            single = [solve_sample(version, params, est.horizon, child).origin_class()
+                      for child in children]
+            assert est.draws == sum(1 for c in single if c == D), horizons
+            assert (est.samples, est.seed) == (samples, 61)
+        # each (sample, line) is hashed at most once, whatever the horizons
+        assert len(hashed) == len(set(hashed)), horizons
+
+
+def test_one_pass_hashes_each_line_once_per_sample(monkeypatch):
+    # p = q = 0: no site ever resolves, so every sample stays live in every
+    # layer and the pass hashes each line below the largest horizon once
+    hashed = []
+    real_u01_block = game.u01_block
+
+    def spy(seeds, t, n0, count):
+        hashed.append(seeds.size * count)
+        return real_u01_block(seeds, t, n0, count)
+
+    monkeypatch.setattr(game, "u01_block", spy)
+    ests = draw_fraction(GameVersion.V2, Params(0, 0), (3, 7, 5), 30, SeededStream(4))
+    assert sum(hashed) == 30 * 7**2
+    assert [e.draws for e in ests] == [30, 30, 30]
+
+
+def test_draw_fraction_checks_every_horizon_before_hashing(monkeypatch):
+    def no_hashing(*args):
+        raise AssertionError("hashed before every horizon was checked")
+
+    monkeypatch.setattr(game, "u01_block", no_hashing)
+    monkeypatch.setattr(SeededStream, "child_seeds_u64", no_hashing)
+    for horizons in ((5, -1), (-2,), ()):
+        with pytest.raises(ValueError):
+            draw_fraction(GameVersion.V1, Params(Fraction(1, 4), Fraction(1, 4)), horizons, 10,
+                          SeededStream(1))
+
+
+def test_stacked_classes_stay_within_the_cell_budget(monkeypatch):
+    # the stack is widest on a horizon's frontier line, one layer per horizon
+    # at least as long: here 2 x 19 cells per sample at line 8
+    monkeypatch.setattr(game, "_CELL_BUDGET", 200)
+    stack_cells = []
+    real_classify_line = game.classify_line
+
+    def spy(labels, next_classes, version):
+        stack_cells.append(next_classes.size)
+        return real_classify_line(labels, next_classes, version)
+
+    monkeypatch.setattr(game, "classify_line", spy)
+    draw_fraction(GameVersion.V1, Params(0, 0), (10, 9, 3, 0), 50, SeededStream(2))
+    assert max(stack_cells) == 5 * 2 * 19

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from percolab import game
 from percolab.core import EnvSymbol, Params
 from percolab.measures import FORMULA_GRID
 from percolab.pca import (
@@ -14,7 +15,9 @@ from percolab.pca import (
     ModelSpec,
     SeededStream,
     TripleClass,
+    _apply_rule,
     _cut_points,
+    _key_u64,
     _neighbour_views,
     coupled_step,
     local_rule,
@@ -22,6 +25,7 @@ from percolab.pca import (
     trajectory,
     triple_class,
     u01_block,
+    variate_cut,
 )
 
 import oracles
@@ -78,7 +82,7 @@ def test_stream_determinism_and_keying():
     assert u01(s, 3, 5) != u01(s, 4, 5)
     assert u01(s, 3, 5) != u01(s, 3, 6)
     # block form agrees with pointwise form, including negative sites
-    block = s.u01_range(7, -4, 9)
+    block = s.u01_range(7, -4, 9) * 2.0**-53
     assert block.shape == (9,)
     for j in range(9):
         assert block[j] == u01(s, 7, -4 + j)
@@ -107,9 +111,46 @@ def test_child_seeds_of_a_chunk_match_the_full_array():
 
 
 def test_stream_uniformity():
-    u = SeededStream(5).u01_range(0, 0, 100_000)
+    u = SeededStream(5).u01_range(0, 0, 100_000) * 2.0**-53
     assert abs(u.mean() - 0.5) < 0.004
     assert abs((u < 0.25).mean() - 0.25) < 0.01
+
+
+def test_key_prefix_in_python_ints_matches_numpy_bit_for_bit():
+    # with scalar seed and t the (seed, t) prefix is hashed in Python ints
+    rng = np.random.default_rng(5)
+    seeds = [0, 1, 2**63 - 1, 2**63, 2**64 - 1,
+             *(int(x) for x in rng.integers(0, 2**64, size=12, dtype=np.uint64))]
+    assert any(seed >= 2**63 for seed in seeds[5:])
+    ts = [0, 1, -1, -7, 2**31, -(2**40), 2**62]
+    sites = np.array([-(2**62), -5, -1, 0, 1, 3, 2**40], dtype=np.int64)
+    for seed in seeds:
+        seed_u64 = np.uint64(seed)
+        for t in ts:
+            want = oracles.key_u64(seed_u64, t, sites)
+            assert _key_u64(seed_u64, t, sites).tobytes() == want.tobytes()
+            assert int(_key_u64(seed_u64, t, -3)) == int(oracles.key_u64(seed_u64, t, -3))
+        stream = SeededStream(seed - 2**64 if seed >= 2**63 else seed)  # negative seeds too
+        assert np.array_equal(stream.u01_range(-2, -4, 7) * 2.0**-53,
+                              oracles.u01_range(stream, -2, -4, 7))
+    # the array path (one prefix per seed) is the same hash
+    block = u01_block(np.array(seeds, dtype=np.uint64), -3, -2, 5)
+    for row, seed in zip(block, seeds):
+        assert np.array_equal(row * 2.0**-53, oracles.u01_range(SeededStream(seed), -3, -2, 5))
+
+
+def test_variates_are_53_bit_integers():
+    k = SeededStream(3).u01_range(0, 0, 1000)
+    assert k.dtype == np.uint64 and int(k.max()) < 2**53
+    assert u01_block(SeededStream(3).child_seeds_u64(4), 1, 0, 9).dtype == np.uint64
+
+
+def test_variate_cut_edges():
+    assert int(variate_cut(0.0)) == 0
+    assert int(variate_cut(1.0)) == 2**53
+    assert int(variate_cut(1.0 + 2.0**-52)) > 2**53  # no variate reaches a cut above 1
+    assert int(variate_cut(2.0**-53)) == 1 and int(variate_cut(2.0**-54)) == 1
+    assert int(variate_cut(0.5)) == 2**52 and int(variate_cut(0.1)) == math.ceil(0.1 * 2**53)
 
 
 # ---------------------------------------------------------------- configuration
@@ -174,6 +215,25 @@ def test_cut_table_matches_sitewise_thresholds_bit_for_bit(params):
     bin0, bin1 = oracles.thresholds(a, b, c, params, binary=True)
     assert t0[binary].tobytes() == bin0[binary].tobytes()
     assert t1[binary].tobytes() == bin1[binary].tobytes()
+
+
+@pytest.mark.parametrize("params", [*CUT_GRID, Params(1, 0), Params(0, 1)], ids=str)
+def test_integer_cuts_decide_like_the_float_cuts(params):
+    # each comparison k >= ceil(t * 2**53) must agree with k * 2**-53 >= t on
+    # both sides of every cut the game labels and the step rule use
+    t0, t1 = _cut_points(params)
+    p, one_minus_q = float(params.p), 1.0 - float(params.q)
+    cuts = {int(variate_cut(t)) for t in (*t0, *t1, p, one_minus_q)}
+    ks = np.array(sorted({k for c in cuts for k in (c - 1, c) if k >= 0}), dtype=np.uint64)
+    u = ks * 2.0**-53
+    want = (u >= p).astype(np.int8) + (u >= one_minus_q).astype(np.int8)
+    assert np.array_equal(game._labels(ks, game._label_cuts(params)), want)
+    for triple in range(27):
+        got = _apply_rule(np.full(ks.size, triple), params, ks)
+        want = (u >= t0[triple]).astype(np.int8) + (u >= t1[triple]).astype(np.int8)
+        assert np.array_equal(got, want), triple
+    if params == Params(0, 0):
+        assert {0, 2**53} <= cuts
 
 
 @pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)

@@ -2,13 +2,15 @@
 
 Everything here is an immutable value: the parameter pair (p, q) with its derived
 open probability r = 1 - p - q, the three-symbol alphabet {0, ?, 1}, single-site
-probability distributions, the two stochastic orders on the alphabet, and cylinder
+probability distributions, the local rule's three triple classes with one exact
+output law each, the two stochastic orders on the alphabet, and cylinder
 patterns, parsed once into the set of words they contain (contiguous runs of
 symbol subsets, with two shorthand tokens ``**`` and ``***`` for the hatted sets
 {0,?}^2 \\ {00} and {0,?}^3 \\ {000}).
 
 Every probability here is an exact ``fractions.Fraction``: ``as_fraction`` and
-``LocalDistribution`` refuse a float with ``TypeError``.
+``LocalDistribution`` refuse a float with ``TypeError``.  The module needs only
+the standard library, so the exact checks built on it never import numpy.
 """
 
 from __future__ import annotations
@@ -121,6 +123,36 @@ class LocalDistribution:
 
     def mass(self, symbols: Iterable[EnvSymbol]) -> Fraction:
         return sum(self.prob(s) for s in symbols)
+
+
+class TripleClass(IntEnum):
+    """The three cases of the local rule; the output law depends on nothing else."""
+
+    HAS_ONE = 0
+    ALL_ZERO = 1
+    MIXED = 2  # over {0,?} with at least one ?
+
+
+def triple_class(triple: Sequence[EnvSymbol]) -> TripleClass:
+    if any(s is EnvSymbol.ONE for s in triple):
+        return TripleClass.HAS_ONE
+    if all(s is EnvSymbol.ZERO for s in triple):
+        return TripleClass.ALL_ZERO
+    return TripleClass.MIXED
+
+
+# The class of every triple, by its base-3 index 9a + 3b + c.
+TRIPLE_CLASSES = tuple(triple_class(t) for t in iter_words(3))
+
+
+def class_law(cls: TripleClass, params: Params) -> LocalDistribution:
+    """Exact output law shared by every triple of the class."""
+    p, q, r = params.p, params.q, params.r
+    if cls is TripleClass.HAS_ONE:
+        return LocalDistribution(1 - q, 0, q)
+    if cls is TripleClass.ALL_ZERO:
+        return LocalDistribution(p, 0, 1 - p)
+    return LocalDistribution(p, r, q)
 
 
 class StochOrder(Enum):

@@ -46,7 +46,6 @@ present, and in which chunk, changes no sample's labels.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -99,35 +98,6 @@ def _labels(k: np.ndarray, cuts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     return (k >= cuts[0]).view(np.int8) + (k >= cuts[1]).view(np.int8)
 
 
-def _class_table() -> np.ndarray:
-    """The game's rule as a lookup: entry 27*label + 9*n0 + 3*n1 + n2 is the
-    class of a site with that label and out-neighbour classes (n0, n1, n2).
-
-    Built from the game's own definition, not from `pca.local_rule`, so that
-    kernel_correspondence compares two independent derivations.
-    """
-    table = np.empty(81, dtype=np.int8)
-    for label in SiteLabel:
-        for nbrs in itertools.product(GameClass, repeat=3):
-            if label is SiteLabel.TRAP:
-                cls = GameClass.W
-            elif label is SiteLabel.TARGET:
-                cls = GameClass.L
-            elif GameClass.L in nbrs:
-                cls = GameClass.W  # move onto a losing site
-            elif all(c is GameClass.W for c in nbrs):
-                cls = GameClass.L  # every move hands the opponent a win
-            else:
-                cls = GameClass.D
-            n0, n1, n2 = nbrs
-            table[27 * label + 9 * n0 + 3 * n1 + n2] = cls
-    table.setflags(write=False)
-    return table
-
-
-_CLASS_TABLE = _class_table()
-
-
 def classify_line(labels, next_classes, version: GameVersion) -> np.ndarray:
     """One backward-induction step: classes on a line from its own labels and
     the successor line's classes.
@@ -145,9 +115,16 @@ def classify_line(labels, next_classes, version: GameVersion) -> np.ndarray:
             f"successor line must cover every out-neighbourhood: "
             f"need width {labels.shape[-1] + 2}, got {nxt.shape[-1]}"
         )
-    # every term is at most 54, 18, 6 or 2, so the index (at most 80) fits in int8
-    idx = labels * 27 + nxt[..., :-2] * 9 + nxt[..., 1:-1] * 3 + nxt[..., 2:]
-    return _CLASS_TABLE[idx]
+    # With W=0, D=1, L=2 an open site is W next to an L, L when all three
+    # out-neighbours are W and D otherwise: 2 - max(n0, n1, n2).  A trap is W
+    # and a target L, the codes of their labels.  So the class is
+    # label + (label is open) * (1 - max).
+    cls = np.maximum(nxt[..., :-2], nxt[..., 1:-1])
+    np.maximum(cls, nxt[..., 2:], out=cls)
+    np.subtract(1, cls, out=cls)
+    cls *= labels == SiteLabel.OPEN
+    cls += labels
+    return cls
 
 
 # ------------------------------------------------------------- correspondence
@@ -216,7 +193,7 @@ def kernel_correspondence(version: GameVersion, params: Params) -> KernelReport:
 # ------------------------------------------------------------- draw estimates
 
 # Cells of one chunk's class stack: bounds the per-line temporaries of the
-# hash and the lookup (several 8-byte arrays of this many entries).
+# hash and the classification (several 8-byte arrays of this many entries).
 _CELL_BUDGET = 1 << 20
 
 

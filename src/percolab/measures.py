@@ -28,12 +28,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
-import numpy as np
+from .core import (TRIPLE_CLASSES, CylinderPattern, EnvSymbol, Params, SYMBOLS, TripleClass,
+                   as_fraction, class_law)
 
-from .core import CylinderPattern, EnvSymbol, Params, SYMBOLS, as_fraction
-from .pca import TRIPLE_CLASSES, Boundary, Configuration, TripleClass, class_law
+if TYPE_CHECKING:
+    from .pca import Configuration
 
 MAX_ORDER = 10
 
@@ -204,7 +205,14 @@ def empirical_measure(row: Configuration, order: int) -> TIMeasure:
 
     Translation consistent by construction (every window position counted once
     around the cycle); reflection invariance is whatever it happens to be.
+    numpy and ``pca`` are imported here, not with the module: only a row,
+    which is already a numpy array, needs them, so the exact checks run
+    without numpy.
     """
+    import numpy as np
+
+    from .pca import Boundary
+
     if row.boundary is not Boundary.CYCLIC:
         raise ValueError("empirical measure needs a cyclic row")
     if not 1 <= order <= MAX_ORDER:

@@ -14,7 +14,7 @@ are comparable:
 * partial order (? on top): raising the input raises the output -- if u <= v
   coordinatewise then rule(u) is dominated by rule(v).
 
-The rule's law depends on a triple only through its class (``pca.TripleClass``),
+The rule's law depends on a triple only through its class (``core.TripleClass``),
 so every comparable pair reduces to one of at most 9 class pairs, and each
 class pair that occurs is checked once.
 """
@@ -30,12 +30,13 @@ from .core import (
     LocalDistribution,
     Params,
     StochOrder,
+    class_law,
     iter_words,
     symbol_leq,
+    triple_class,
     upper_sets,
     word_str,
 )
-from .pca import class_law, triple_class
 
 
 @dataclass(frozen=True)

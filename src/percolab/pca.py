@@ -10,6 +10,11 @@ draws the new symbol independently per site:
   triple 000 -> 0 w.p. p, 1 w.p. 1-p; a triple over {0,?} with at least one ?
   -> 0 w.p. p, 1 w.p. q, ? w.p. r.
 
+Those three triple classes and their exact laws live in ``core``
+(``TripleClass``, ``TRIPLE_CLASSES``, ``class_law``), where the exact checks
+read them without importing numpy; this module adds the numeric side: hashing,
+the per-(p, q) cut-point table and stepping rows.
+
 Randomness is counter-based: every (time, site) pair is hashed to one uniform
 variate, so results are independent of array width, evaluation order, and worker
 count. A variate is the top 53 bits of its 64-bit hash, the integer k = h >> 11,
@@ -30,13 +35,14 @@ infinite-lattice dynamics restricted to that window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import Enum
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .core import EnvSymbol, LocalDistribution, Params, iter_words
+from .core import (TRIPLE_CLASSES, EnvSymbol, LocalDistribution, Params, TripleClass,
+                   class_law, triple_class)
 
 # ------------------------------------------------------------------ randomness
 
@@ -201,36 +207,6 @@ class Configuration:
 
 
 # ------------------------------------------------------------------ local rule
-
-class TripleClass(IntEnum):
-    """The three cases of the local rule; the output law depends on nothing else."""
-
-    HAS_ONE = 0
-    ALL_ZERO = 1
-    MIXED = 2  # over {0,?} with at least one ?
-
-
-def triple_class(triple: Sequence[EnvSymbol]) -> TripleClass:
-    if any(s is EnvSymbol.ONE for s in triple):
-        return TripleClass.HAS_ONE
-    if all(s is EnvSymbol.ZERO for s in triple):
-        return TripleClass.ALL_ZERO
-    return TripleClass.MIXED
-
-
-# The class of every triple, by its base-3 index 9a + 3b + c.
-TRIPLE_CLASSES = tuple(triple_class(t) for t in iter_words(3))
-
-
-def class_law(cls: TripleClass, params: Params) -> LocalDistribution:
-    """Exact output law shared by every triple of the class."""
-    p, q, r = params.p, params.q, params.r
-    if cls is TripleClass.HAS_ONE:
-        return LocalDistribution(1 - q, 0, q)
-    if cls is TripleClass.ALL_ZERO:
-        return LocalDistribution(p, 0, 1 - p)
-    return LocalDistribution(p, r, q)
-
 
 def local_rule(model: ModelSpec, triple: Sequence[EnvSymbol]) -> LocalDistribution:
     """Exact one-site output law for a neighbourhood triple.

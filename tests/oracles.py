@@ -7,6 +7,7 @@ with the fast path is evidence that the fast path is right.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -22,7 +23,7 @@ from percolab.core import (
     iter_words,
     word_str,
 )
-from percolab.game import GameClass, GameVersion, classify_line
+from percolab.game import GameClass, GameVersion, SiteLabel
 from percolab.measures import (
     _INEQ1_FORMS,
     _INEQ1_ROWS,
@@ -174,6 +175,40 @@ def line_step(v: GameVersion) -> int:
     return 2 if v is GameVersion.V1 else 1
 
 
+def _class_table() -> np.ndarray:
+    """The game's rule as a lookup: entry 27*label + 9*n0 + 3*n1 + n2 is the
+    class of a site with that label and out-neighbour classes (n0, n1, n2),
+    read off the game's definition case by case."""
+    table = np.empty(81, dtype=np.int8)
+    for label in SiteLabel:
+        for nbrs in itertools.product(GameClass, repeat=3):
+            if label is SiteLabel.TRAP:
+                cls = GameClass.W
+            elif label is SiteLabel.TARGET:
+                cls = GameClass.L
+            elif GameClass.L in nbrs:
+                cls = GameClass.W  # move onto a losing site
+            elif all(c is GameClass.W for c in nbrs):
+                cls = GameClass.L  # every move hands the opponent a win
+            else:
+                cls = GameClass.D
+            n0, n1, n2 = nbrs
+            table[27 * label + 9 * n0 + 3 * n1 + n2] = cls
+    table.setflags(write=False)
+    return table
+
+
+CLASS_TABLE = _class_table()
+
+
+def classify_by_table(labels, next_classes) -> np.ndarray:
+    """``game.classify_line`` as a gather from ``CLASS_TABLE``: the out-neighbours
+    of labels[..., j] are next_classes[..., j:j+3]."""
+    labels = np.asarray(labels, dtype=np.intp)
+    nxt = np.asarray(next_classes, dtype=np.intp)
+    return CLASS_TABLE[labels * 27 + nxt[..., :-2] * 9 + nxt[..., 1:-1] * 3 + nxt[..., 2:]]
+
+
 @dataclass(frozen=True, eq=False)
 class ClassGrid:
     """Backward-induction classes of every line from the frontier down to the
@@ -219,7 +254,7 @@ def solve_sample(
     for s in range(horizon - 1, -1, -1):
         origin = s * version.offset
         labels = sample_labels(params, stream, s, origin, 1 + 2 * s)
-        classes = classify_line(labels, classes, version)
+        classes = classify_by_table(labels, classes)
         lines[s * step_k] = classes
         origins[s * step_k] = origin
     return ClassGrid(version, horizon, lines, origins)

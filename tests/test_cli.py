@@ -202,6 +202,23 @@ def test_verify_lemmas_coarse(capsys):
     assert all(r["violation_count"] == 0 for r in report["reports"])
 
 
+def test_verify_formulas_computes_each_pushforward_once(capsys, monkeypatch):
+    # a partially specified entry's value is its pushforward already, so only
+    # the fully specified entries call pushforward_cylinder for the comparison
+    from percolab import cli
+
+    called = []
+    pushforward = cli.pushforward_cylinder
+    monkeypatch.setattr(cli, "pushforward_cylinder",
+                        lambda mu, fid, params: called.append(fid) or pushforward(mu, fid, params))
+    code, out = run_cli(capsys, "verify", "formulas", "--measures", "0")
+    report = json.loads(out)
+    assert code == 0 and report["pass"] is True
+    assert report["comparisons"] == 3 * 20 * 13  # 3 point masses x 20 points x 13 entries
+    assert sorted(set(called)) == sorted(("?", "0?", "?0?", "1?", "100?", "000?"))
+    assert len(called) == 3 * 20 * 6
+
+
 def test_verify_tables_sampled(capsys):
     code, out = run_cli(capsys, "verify", "tables", "--measures", "1")
     report = json.loads(out)
@@ -392,6 +409,9 @@ def test_benchmark_tracer_finds_every_traced_name():
     # starts, so a rename or move in src/ breaks it; this catches that in tests
     spans = _traced_spans("verify", "kernel", "--version", "v1", "--p", "1/2", "--q", "1/4")
     assert "game.kernel_check" in spans
+    # verify kernel checks the classify_line that the game loop runs: once
+    # per label for each of the 27 successor triples
+    assert spans["game.classify"]["count"] == 3 * 27
     _, game_run = _traced_run("game", "--p", "0", "--q", "0", "--horizons", "2,4",
                               "--samples", "10")
     _, simulate_run = _traced_run("simulate", "--p", "1/4", "--q", "1/4", "--width", "20",
@@ -419,22 +439,29 @@ def test_benchmark_tracer_counts_lemma_pairs():
     assert summary["counters"]["orders.lemma_pairs"] == 10 * 729
 
 
+def _fresh_run(report: str, *argv):
+    """One CLI run in a fresh interpreter, then ``report``, code that prints
+    one integer to stderr; returns that integer."""
+    code = ("import re, resource, sys\n"
+            "from percolab.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            f"{report}\n"
+            "sys.exit(rc)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stderr.split()[-1])
+
+
 def _peak_rss_kb(*argv):
     """Peak resident set size, in KiB, of one CLI run in a fresh interpreter.
 
     Read from the child's VmHWM: its ru_maxrss would also count the RSS this
     test process had when it spawned the child, which a long test session grows.
     """
-    code = ("import re, sys\n"
-            "from percolab.cli import main\n"
-            "rc = main(sys.argv[1:])\n"
-            "with open('/proc/self/status') as fh:\n"
-            "    print(re.search(r'VmHWM:\\s*(\\d+) kB', fh.read()).group(1), file=sys.stderr)\n"
-            "sys.exit(rc)\n")
-    proc = subprocess.run([sys.executable, "-c", code, *argv],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return int(proc.stderr.split()[-1])
+    return _fresh_run("with open('/proc/self/status') as fh:\n"
+                      "    print(re.search(r'VmHWM:\\s*(\\d+) kB', fh.read()).group(1),"
+                      " file=sys.stderr)", *argv)
 
 
 def test_game_memory_is_bounded_in_samples():
@@ -450,3 +477,74 @@ def test_game_seeds_are_made_per_chunk():
     peak_kb = _peak_rss_kb("game", "--version", "v1", "--p", "1/4", "--q", "1/4",
                            "--horizons", "0", "--samples", "4000000", "--seed", "7")
     assert peak_kb < 80 * 1024
+
+
+def test_simulate_runs_on_a_settled_heap():
+    # each row allocates and frees numpy temporaries of about 80 KB; unless
+    # main settles glibc's heap before the first row, every row faults the
+    # heap top back in: about 29 000 to 48 000 minor faults instead of 5 200
+    faults = _fresh_run("print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt,"
+                        " file=sys.stderr)",
+                        "simulate", "--p", "1/4", "--q", "1/4", "--width", "10000",
+                        "--steps", "1000")
+    assert faults < 15_000
+
+
+# ------------------------------------------------------------------ imports
+
+# Runs each JSON-given argv through cli.main in one fresh interpreter and prints
+# which numeric modules were loaded whenever build_parser was called and at
+# the end, with main's exit codes.
+_MODULE_PROBE = """
+import contextlib, io, json, sys
+import percolab.cli as cli
+
+def loaded():
+    return [name for name in ("numpy", "percolab.pca", "percolab.game") if name in sys.modules]
+
+report = {"codes": [], "at_build_parser": []}
+build_parser = cli.build_parser
+
+def probed_build_parser():
+    report["at_build_parser"].append(loaded())
+    return build_parser()
+
+cli.build_parser = probed_build_parser
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        report["codes"].append(cli.main(argv))
+report["at_exit"] = loaded()
+print(json.dumps(report))
+"""
+
+
+def _probe_modules(*commands):
+    proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, json.dumps(commands)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_exact_verify_commands_never_import_numpy():
+    report = _probe_modules(["verify", "lemmas"], ["verify", "formulas", "--measures", "1"],
+                            ["verify", "tables", "--measures", "1"],
+                            ["verify", "weights", "--measures", "1", "--grid", "1/2"])
+    assert report["codes"] == [0, 0, 0, 0]
+    assert report["at_exit"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--p", "1/4", "--q", "1/4", "--width", "20", "--steps", "3"],
+    ["game", "--p", "1/4", "--q", "1/4", "--horizons", "3", "--samples", "10"],
+    ["sweep", "--p-grid", "0:1/2:1/2", "--q-grid", "1/4:1/4:1", "--horizons", "3",
+     "--samples", "10"],
+    ["verify", "kernel", "--version", "v1", "--p", "1/2", "--q", "1/4"],
+    ["verify", "stationary", "--p", "1/4", "--q", "1/4", "--width", "50", "--steps", "3"],
+], ids=lambda argv: " ".join(argv[:2]) if argv[0] == "verify" else argv[0])
+def test_row_commands_import_numpy_before_the_parser_is_built(argv):
+    # the benchmark counts everything up to build_parser's return as set-up and
+    # the rest as the command's work, so an import inside the command would
+    # slow its work rate by the whole import
+    report = _probe_modules(argv)
+    assert report["codes"] == [0]
+    assert report["at_build_parser"] == [["numpy", "percolab.pca", "percolab.game"]]

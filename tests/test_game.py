@@ -19,8 +19,10 @@ from percolab.game import (
 from percolab.pca import SeededStream
 
 from oracles import (
+    CLASS_TABLE,
     as_dict,
     child_stream,
+    classify_by_table,
     line_of,
     line_step,
     out_set,
@@ -66,18 +68,6 @@ def test_v1_parity():
 
 # ------------------------------------------------------------- classification
 
-def _reference_class(label, nxt):
-    if label == TRAP:
-        return W
-    if label == TARGET:
-        return L
-    if L in nxt:
-        return W
-    if all(c == W for c in nxt):
-        return L
-    return D
-
-
 def test_classify_line_spec_cases():
     v = GameVersion.V1
     assert classify_line([TRAP], [L, L, L], v)[0] == W
@@ -88,11 +78,27 @@ def test_classify_line_spec_cases():
 
 
 def test_classify_line_exhaustive_single_site():
+    # all 81 (label, out-neighbour classes) entries of the game's rule table
     for v in GameVersion:
         for label in SiteLabel:
             for nxt in itertools.product((W, D, L), repeat=3):
                 got = classify_line([label], list(nxt), v)[0]
-                assert got == _reference_class(label, nxt), (label, nxt)
+                assert got == CLASS_TABLE[27 * label + 9 * nxt[0] + 3 * nxt[1] + nxt[2]], \
+                    (label, nxt)
+
+
+@pytest.mark.parametrize("layers", [None, 1, 3])
+def test_classify_line_matches_the_class_table_on_stacks(layers):
+    # the shapes the induction pass uses: a (rows, width) label line against a
+    # (rows, width + 2) successor, or against a stack of layers of it
+    rng = np.random.RandomState(2)
+    for rows, width in ((1, 1), (7, 5), (200, 41)):
+        labels = rng.randint(0, 3, size=(rows, width)).astype(np.int8)
+        shape = (rows, width + 2) if layers is None else (layers, rows, width + 2)
+        nxt = rng.randint(0, 3, size=shape).astype(np.int8)
+        got = classify_line(labels, nxt, GameVersion.V1)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, classify_by_table(labels, nxt))
 
 
 def test_classify_line_width_checks():

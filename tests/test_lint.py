@@ -63,3 +63,41 @@ def test_no_unused_imports_in_src():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{line} {name}" for line, name in _unused_imports(tree)]
     assert not found, f"imported but never used: {found}"
+
+
+def _imports_run_on_import(tree):
+    """(line, module) of each import that runs when the module is imported: its
+    top-level statements, also under a top-level ``if`` or ``try``, but not
+    under ``if TYPE_CHECKING:``, which never runs.  A relative module keeps its
+    leading dots; ``from . import x`` names the module ``.x``."""
+    found = []
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            dots = "." * node.level
+            if node.module is None:
+                found += [(node.lineno, dots + alias.name) for alias in node.names]
+            else:
+                found.append((node.lineno, dots + node.module))
+        elif isinstance(node, ast.If):
+            if not (isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"):
+                pending += node.body + node.orelse
+        elif isinstance(node, ast.Try):
+            pending += node.body + node.orelse + node.finalbody
+            pending += [stmt for handler in node.handlers for stmt in handler.body]
+    return found
+
+
+def test_exact_modules_do_not_import_numpy():
+    # the exact verify commands load only cli and these modules, so one
+    # import of numpy, pca or game here would load numpy for every command
+    numeric = ("numpy", ".pca", ".game", "percolab.pca", "percolab.game")
+    found = []
+    for name in ("core.py", "measures.py", "orders.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"), filename=name)
+        found += [f"{name}:{line} {module}" for line, module in _imports_run_on_import(tree)
+                  if module in numeric or module.startswith("numpy.")]
+    assert not found, f"numeric imports in the exact modules: {found}"

@@ -422,6 +422,21 @@ def test_closed_forms_match_pushforward():
                 assert res.remainders_nonnegative, (fid, mu.name, str(params))
 
 
+def test_partial_closed_forms_are_the_pushforward():
+    # verify formulas reads a partially specified entry's value as its
+    # pushforward instead of computing the pushforward a second time
+    partial = set()
+    for mu in sampled_measures(2, 1729):
+        for params in FORMULA_GRID:
+            for fid in CLOSED_FORM_IDS:
+                res = closed_form(fid, mu, params)
+                if not res.fully_specified:
+                    partial.add(fid)
+                    assert res.value == pushforward_cylinder(mu, fid, params), \
+                        (fid, mu.name, str(params))
+    assert partial == {"10?", "1??", "1?0?", "10??", "1?00", "10?0", "1?01"}
+
+
 def test_closed_form_alternate_writings():
     for mu in (PRODUCT, MARKOV):
         for params in GRID:

@@ -5,9 +5,9 @@ from hypothesis import given, strategies as st
 
 from percolab import orders
 from percolab.cli import _axis
-from percolab.core import EnvSymbol, LocalDistribution, Params, StochOrder
+from percolab.core import (EnvSymbol, LocalDistribution, Params, StochOrder, TripleClass,
+                           class_law, triple_class)
 from percolab.orders import dominates, triple_leq, verify_lemma
-from percolab.pca import TripleClass, class_law, triple_class
 
 from oracles import lemma_report
 

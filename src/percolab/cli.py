@@ -445,7 +445,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     cfg = build_parser().parse_args(argv)
     try:
         return cfg.func(cfg)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # numpy's MemoryError names the size
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

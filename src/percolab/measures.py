@@ -215,6 +215,8 @@ def empirical_measure(row: Configuration, order: int) -> TIMeasure:
 
     if row.boundary is not Boundary.CYCLIC:
         raise ValueError("empirical measure needs a cyclic row")
+    if row.cells.ndim != 1:
+        raise ValueError("empirical measure needs one row, not a stack")
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
     codes = row.cells.astype(np.int64)

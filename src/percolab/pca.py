@@ -30,6 +30,10 @@ Two boundary policies: Cyclic keeps the width fixed and wraps indices; LightCone
 shrinks the row by 2 sites per step (both from the right for offset 0, one per
 side for offset -1) so that every surviving cell carries exactly the law of the
 infinite-lattice dynamics restricted to that window.
+
+A configuration is one row or a stack of rows over one window.  ``step`` draws
+one variate per (t, n) for every row of a stack, which couples the rows by
+common randomness while each steps exactly as it would alone.
 """
 
 from __future__ import annotations
@@ -160,14 +164,20 @@ class ModelSpec:
     offset: int
     params: Params
 
+    def __post_init__(self) -> None:
+        if abs(self.offset) > 2**62:  # so an offset plus a width stays in int64
+            raise ValueError(f"offset must satisfy |offset| <= 2**62, got {self.offset}")
+
 
 @dataclass(frozen=True, eq=False)
 class Configuration:
-    """A finite row of symbol codes with a boundary policy.
+    """A finite row of symbol codes, or a stack of rows, with a boundary policy.
 
-    ``origin`` is the absolute lattice index of cells[0]; it shifts under the
-    LightCone policy so that (t, n) randomness keys stay attached to absolute
-    sites, which is what makes window restriction exact.
+    ``cells`` has shape (width,) for one row, or (rows, width) for a stack of
+    rows over one window; ``step`` feeds every row of a stack the same (t, n)
+    variates.  ``origin`` is the absolute lattice index of the first column; it
+    shifts under the LightCone policy so that (t, n) randomness keys stay
+    attached to absolute sites, which is what makes window restriction exact.
     """
 
     cells: np.ndarray
@@ -176,8 +186,8 @@ class Configuration:
 
     def __post_init__(self) -> None:
         arr = np.array(self.cells, dtype=np.int8)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("cells must be a nonempty 1-D array")
+        if arr.ndim not in (1, 2) or arr.size == 0:
+            raise ValueError("cells must be a nonempty row or stack of rows")
         if arr.view(np.uint8).max() > 2:  # a negative code reads as 128..255
             raise ValueError("cell codes must be 0 (zero), 1 (?), or 2 (one)")
         arr.setflags(write=False)
@@ -185,14 +195,14 @@ class Configuration:
 
     @property
     def width(self) -> int:
-        return int(self.cells.size)
+        return int(self.cells.shape[-1])
 
     @property
     def has_qmark(self) -> bool:
         return bool((self.cells == 1).any())
 
     def counts(self) -> tuple[int, int, int]:
-        """(count of 0, count of ?, count of 1) -- exact integers."""
+        """(count of 0, count of ?, count of 1) over every row -- exact integers."""
         return (
             int((self.cells == 0).sum()),
             int((self.cells == 1).sum()),
@@ -227,13 +237,15 @@ def _neighbour_views(cfg: Configuration, offset: int):
     """Return (a, b, c) triple views and the output row's absolute origin/width."""
     cells, width = cfg.cells, cfg.width
     if cfg.boundary is Boundary.CYCLIC:
-        ext = np.take(cells, np.arange(offset, offset + width + 2), mode="wrap")
-        return ext[:-2], ext[1:-1], ext[2:], cfg.origin, width
+        # offset % width first: take's wrap mode reduces an index one width at a time
+        start = offset % width
+        ext = np.take(cells, np.arange(start, start + width + 2), axis=-1, mode="wrap")
+        return ext[..., :-2], ext[..., 1:-1], ext[..., 2:], cfg.origin, width
     if width < 3:
         raise ValueError("window exhausted: LightCone row narrower than 3 cells")
     # Output site n is computable iff its whole neighbourhood lies in the window:
     # n ranges over [origin - offset, origin + width - 1 - offset - 2].
-    return cells[:-2], cells[1:-1], cells[2:], cfg.origin - offset, width - 2
+    return cells[..., :-2], cells[..., 1:-1], cells[..., 2:], cfg.origin - offset, width - 2
 
 
 @lru_cache(maxsize=None)
@@ -269,13 +281,14 @@ def _triples(cfg: Configuration, model: ModelSpec):
 
 
 def _apply_rule(triple: np.ndarray, params: Params, k: np.ndarray) -> np.ndarray:
-    """The updated cells: site n inverts its triple's cut points at the variate k[n]."""
+    """The updated cells: site n of each row inverts its triple's cut points at the variate k[n]."""
     c0, c1 = _variate_cuts(params)
     return (k >= c0[triple]).view(np.int8) + (k >= c1[triple]).view(np.int8)
 
 
 def step(cfg: Configuration, model: ModelSpec, stream: SeededStream, t: int) -> Configuration:
-    """Advance one row by one step; deterministic given (seed, t) and the input."""
+    """Advance a row, or each row of a stack under the same variates, by one step;
+    deterministic given (seed, t) and the input."""
     triple, out_origin, out_width = _triples(cfg, model)
     k = stream.u01_range(t, out_origin, out_width)
     return Configuration(_apply_rule(triple, model.params, k), cfg.boundary, out_origin)
@@ -299,7 +312,8 @@ class TrajectoryResult:
 def trajectory(
     init: Configuration, model: ModelSpec, steps: int, stream: SeededStream
 ) -> TrajectoryResult:
-    """Run ``steps`` updates; returns T+1 rows of exact symbol counts (and width)."""
+    """Run ``steps`` updates; returns T+1 rows of exact symbol counts (and width);
+    a stack's counts are taken over every row, so they sum to rows * width."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     cfg = init
@@ -308,27 +322,3 @@ def trajectory(
         cfg = step(cfg, model, stream, t)
         rows.append(StepStats(t + 1, cfg.width, *cfg.counts()))
     return TrajectoryResult(tuple(rows), cfg)
-
-
-def coupled_step(
-    cfg_a: Configuration,
-    cfg_b: Configuration,
-    model: ModelSpec,
-    stream: SeededStream,
-    t: int,
-) -> tuple[Configuration, Configuration]:
-    """Advance two binary rows with the same (t, n) variates (common-randomness coupling).
-
-    Randomness is keyed by (seed, t, n), so the two rows cover the same window
-    and each (t, n) is hashed once for both; each output row is exactly what
-    ``step`` makes of its own input.
-    """
-    if model.alphabet is not Alphabet.BINARY:
-        raise ValueError("coupled_step is defined for the binary alphabet")
-    if cfg_a.width != cfg_b.width or cfg_a.boundary is not cfg_b.boundary or cfg_a.origin != cfg_b.origin:
-        raise ValueError("rows must cover the same window")
-    triple_a, out_origin, out_width = _triples(cfg_a, model)
-    triple_b, _, _ = _triples(cfg_b, model)
-    k = stream.u01_range(t, out_origin, out_width)
-    return (Configuration(_apply_rule(triple_a, model.params, k), cfg_a.boundary, out_origin),
-            Configuration(_apply_rule(triple_b, model.params, k), cfg_b.boundary, out_origin))

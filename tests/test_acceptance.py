@@ -9,6 +9,8 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from percolab.core import EnvSymbol, Params
 from percolab.game import GameVersion, draw_fraction, kernel_correspondence
 from percolab.measures import (
@@ -30,8 +32,8 @@ from percolab.pca import (
     Configuration,
     ModelSpec,
     SeededStream,
-    coupled_step,
     local_rule,
+    step,
     trajectory,
 )
 
@@ -177,27 +179,27 @@ def test_8_coupled_trajectories_coalesce():
     model = ModelSpec(Alphabet.BINARY, 0, QUARTER)
     width = 200
     total_disagree = 0
+    # all-0 over all-1, stacked: one step feeds both rows the same variates
+    extremes = np.array([[EnvSymbol.ZERO.value], [EnvSymbol.ONE.value]], dtype=np.int8)
     for seed in range(100):
-        a = Configuration.constant(width, EnvSymbol.ZERO, Boundary.CYCLIC)
-        b = Configuration.constant(width, EnvSymbol.ONE, Boundary.CYCLIC)
+        pair = Configuration(np.repeat(extremes, width, axis=1), Boundary.CYCLIC)
         stream = SeededStream(seed)
         for t in range(500):
-            a, b = coupled_step(a, b, model, stream, t)
-        total_disagree += int((a.cells != b.cells).sum())
+            pair = step(pair, model, stream, t)
+        total_disagree += int((pair.cells[0] != pair.cells[1]).sum())
     mean_density = total_disagree / (100 * width)
     couple_ok = total_disagree == 0 and mean_density < 0.05  # pinned
 
     # one synchronous step from constant rows: sites are i.i.d., so the count
     # of 1s is Binomial(n, pi1) with pi1 given by the local rule
     n = 10_000
-    a0 = Configuration.constant(n, EnvSymbol.ZERO, Boundary.CYCLIC)
-    b0 = Configuration.constant(n, EnvSymbol.ONE, Boundary.CYCLIC)
-    a1, b1 = coupled_step(a0, b0, model, SeededStream(11), 0)
+    pair = Configuration(np.repeat(extremes, n, axis=1), Boundary.CYCLIC)
+    a1, b1 = step(pair, model, SeededStream(11), 0).cells
     margins_ok = True
     pinned = {"zeros": 7597, "ones": 2496}
     for label, row, triple in (("zeros", a1, (EnvSymbol.ZERO,) * 3),
                                ("ones", b1, (EnvSymbol.ONE,) * 3)):
-        ones = int((row.cells == 2).sum())
+        ones = int((row == 2).sum())
         pi1 = float(local_rule(model, triple).prob(EnvSymbol.ONE))
         se = math.sqrt(pi1 * (1 - pi1) / n)
         margins_ok &= ones == pinned[label] and abs(ones / n - pi1) <= 3 * se

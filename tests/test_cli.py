@@ -117,6 +117,38 @@ def test_simulate_offset_changes_trajectory(capsys):
     assert base != shifted
 
 
+@pytest.mark.parametrize("command", [
+    ("simulate", "--width", "3", "--steps", "1"),
+    ("verify", "stationary", "--width", "5", "--steps", "1"),
+], ids=["simulate", "stationary"])
+@pytest.mark.parametrize("offset", ["100000000000000000000", "9223372036854775806",
+                                    "-4611686018427387905"])
+def test_offset_beyond_2_62_is_a_clean_error(capsys, command, offset):
+    # neighbour and key indices are int64, so an offset past 2**62 could not be held
+    code, err = exit_status(capsys, *command, "--p", "1/4", "--q", "1/4", "--offset", offset)
+    assert code == 2
+    assert err == f"error: offset must satisfy |offset| <= 2**62, got {offset}\n"
+
+
+def test_cyclic_offset_is_read_modulo_the_width(capsys):
+    # offsets 2**62 and 1 (= 2**62 mod 3) give the same run on a width-3 cycle;
+    # a subprocess with a timeout, so wrapping the far offset one width at a
+    # time would fail rather than hang
+    args = ["simulate", "--p", "1/4", "--q", "1/4", "--width", "3", "--steps", "50"]
+    proc = subprocess.run([sys.executable, "-m", "percolab.cli", *args, "--offset", str(2**62)],
+                          capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout) == run_cli(capsys, *args, "--offset", "1")
+
+
+def test_simulate_width_beyond_memory_is_a_clean_error(capsys):
+    # 10**16 cells is more than any address space holds, so allocating the row
+    # fails at once without touching memory
+    code, err = exit_status(capsys, "simulate", "--p", "1/4", "--q", "1/4",
+                            "--width", "10000000000000000", "--steps", "1")
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_simulate_json_format(capsys):
     code, out = run_cli(capsys, "simulate", "--p", "0", "--q", "1", "--init", "ones",
                         "--width", "6", "--steps", "2", "--format", "json")

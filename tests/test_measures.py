@@ -191,6 +191,10 @@ def test_empirical_measure_errors():
     cyc = config_from_symbols([Z, Q, O, Z], Boundary.CYCLIC)
     with pytest.raises(ValueError, match="order"):
         empirical_measure(cyc, 11)
+    # word windows run along one row; a stack's rows would run into each other
+    stack = Configuration(np.array([[0, 1, 2, 0], [2, 2, 0, 1]], dtype=np.int8), Boundary.CYCLIC)
+    with pytest.raises(ValueError, match="stack"):
+        empirical_measure(stack, 2)
 
 
 def test_cylinder_prob_errors_and_hats():

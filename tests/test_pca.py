@@ -19,7 +19,6 @@ from percolab.pca import (
     _cut_points,
     _key_u64,
     _neighbour_views,
-    coupled_step,
     local_rule,
     step,
     trajectory,
@@ -380,29 +379,44 @@ def test_envelope_of_pair():
         envelope_of_pair(a, config_from_symbols([Z, Q, Z, O], Boundary.CYCLIC))
 
 
-def test_coupled_step_marginals_equal_plain_step():
-    rng = np.random.RandomState(4)
-    cells_a = (rng.randint(0, 2, size=300) * 2).astype(np.int8)
-    cells_b = (rng.randint(0, 2, size=300) * 2).astype(np.int8)
-    a = Configuration(cells_a, Boundary.CYCLIC)
-    b = Configuration(cells_b, Boundary.CYCLIC)
-    model = bin_model(params=Params(Fraction(1, 4), Fraction(1, 4)))
-    stream = SeededStream(55)
-    out_a, out_b = coupled_step(a, b, model, stream, t=9)
-    assert np.array_equal(out_a.cells, step(a, model, stream, t=9).cells)
-    assert np.array_equal(out_b.cells, step(b, model, stream, t=9).cells)
-    same_a, same_b = coupled_step(a, a, model, stream, t=9)
-    assert np.array_equal(same_a.cells, same_b.cells)
+def _stack(*rows):
+    """One configuration holding ``rows``, which share one window."""
+    return Configuration(np.stack([row.cells for row in rows]), rows[0].boundary, rows[0].origin)
 
 
-@pytest.mark.parametrize("boundary, offset", [(Boundary.CYCLIC, 0), (Boundary.LIGHTCONE, -1)])
-def test_coupled_step_hashes_each_site_once(monkeypatch, boundary, offset):
+def _extremes(width):
+    """The binary rows all-0 and all-1, stacked."""
+    return _stack(Configuration.constant(width, Z, Boundary.CYCLIC),
+                  Configuration.constant(width, O, Boundary.CYCLIC))
+
+
+def test_stack_shape_width_and_counts():
+    stack = _extremes(7)
+    assert stack.cells.shape == (2, 7) and stack.width == 7
+    assert stack.counts() == (7, 0, 7)  # over every row
+    res = trajectory(stack, bin_model(), steps=2, stream=SeededStream(4))
+    assert all(row.width == 7 and row.count0 + row.countQ + row.count1 == 14 for row in res.rows)
+    with pytest.raises(ValueError):
+        Configuration(np.zeros((2, 2, 2), dtype=np.int8), Boundary.CYCLIC)
+    with pytest.raises(ValueError):
+        Configuration(np.zeros((2, 0), dtype=np.int8), Boundary.CYCLIC)
+
+
+@pytest.mark.parametrize("params", [PARAMS, Params(Fraction(1, 4), Fraction(1, 4)),
+                                    Params(Fraction(1, 100), Fraction(1, 100))], ids=str)
+@pytest.mark.parametrize("offset", [0, -1, 5])
+@pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
+@pytest.mark.parametrize("alphabet", list(Alphabet), ids=lambda a: a.value)
+def test_stacked_step_equals_per_row_step(monkeypatch, alphabet, boundary, offset, params):
+    # one variate per (t, n) serves every row, so a stack steps each of its rows
+    # exactly as step does alone, and hashes each output site once
     rng = np.random.RandomState(8)
-    a = Configuration((rng.randint(0, 2, size=50) * 2).astype(np.int8), boundary, origin=3)
-    b = Configuration((rng.randint(0, 2, size=50) * 2).astype(np.int8), boundary, origin=3)
-    model = bin_model(offset=offset)
+    codes = [0, 2] if alphabet is Alphabet.BINARY else [0, 1, 2]
+    model = ModelSpec(alphabet, offset, params)
     stream = SeededStream(21)
-    want = (step(a, model, stream, t=4), step(b, model, stream, t=4))
+    rows = [Configuration(rng.choice(codes, size=40).astype(np.int8), boundary, origin=3)
+            for _ in range(3)]
+    stack = _stack(*rows)
     hashed = []
     real = SeededStream.u01_range
 
@@ -410,55 +424,52 @@ def test_coupled_step_hashes_each_site_once(monkeypatch, boundary, offset):
         hashed.append(count)
         return real(self, t, n0, count)
 
-    monkeypatch.setattr(SeededStream, "u01_range", counting)
-    got = coupled_step(a, b, model, stream, t=4)
-    assert hashed == [want[0].width]
-    for g, w in zip(got, want):
-        assert np.array_equal(g.cells, w.cells) and (g.origin, g.boundary) == (w.origin, w.boundary)
+    for t in range(4):
+        want = [step(row, model, stream, t) for row in rows]
+        monkeypatch.setattr(SeededStream, "u01_range", counting)
+        stack = step(stack, model, stream, t)
+        monkeypatch.undo()
+        assert hashed == [want[0].width]
+        hashed.clear()
+        assert (stack.origin, stack.width, stack.boundary) == (want[0].origin, want[0].width,
+                                                               want[0].boundary)
+        for got, w in zip(stack.cells, want):
+            assert np.array_equal(got, w.cells)
+        rows = want
+
+
+def test_binary_step_rejects_a_stack_holding_a_qmark():
+    stack = _stack(Configuration.constant(10, Z, Boundary.CYCLIC),
+                   config_from_symbols([O] * 9 + [Q], Boundary.CYCLIC))
+    with pytest.raises(ValueError):
+        step(stack, bin_model(), SeededStream(1), t=0)
+    step(stack, env_model(), SeededStream(1), t=0)  # the envelope model takes it
 
 
 def test_coupled_step_alternating_domination():
     # all-0 vs all-1: common randomness flips the pointwise order each step
     model = bin_model(params=Params(Fraction(1, 4), Fraction(1, 4)))
-    a = Configuration.constant(500, Z, Boundary.CYCLIC)
-    b = Configuration.constant(500, EnvSymbol.ONE, Boundary.CYCLIC)
+    stack = _extremes(500)
     stream = SeededStream(123)
     low_is_a = True
     for t in range(6):
-        a, b = coupled_step(a, b, model, stream, t)
+        stack = step(stack, model, stream, t)
+        a, b = stack.cells
         if low_is_a:
-            assert (a.cells >= b.cells).all()
+            assert (a >= b).all()
         else:
-            assert (a.cells <= b.cells).all()
+            assert (a <= b).all()
         low_is_a = not low_is_a
 
 
 def test_coupled_step_disagreement_shrinks():
     model = bin_model(params=Params(Fraction(1, 4), Fraction(1, 4)))
-    a = Configuration.constant(2000, Z, Boundary.CYCLIC)
-    b = Configuration.constant(2000, EnvSymbol.ONE, Boundary.CYCLIC)
+    stack = _extremes(2000)
     stream = SeededStream(7)
     for t in range(200):
-        a, b = coupled_step(a, b, model, stream, t)
-    assert (a.cells != b.cells).mean() < 0.2
-
-
-def test_coupled_step_rejects_envelope_model():
-    a = Configuration.constant(10, Z, Boundary.CYCLIC)
-    with pytest.raises(ValueError):
-        coupled_step(a, a, env_model(), SeededStream(1), t=0)
-
-
-@pytest.mark.parametrize("other", [
-    Configuration.constant(11, O, Boundary.CYCLIC),
-    Configuration.constant(10, O, Boundary.LIGHTCONE),
-    Configuration.constant(10, O, Boundary.CYCLIC, origin=1),
-    config_from_symbols([O] * 9 + [Q], Boundary.CYCLIC),
-], ids=["width", "boundary", "origin", "qmark"])
-def test_coupled_step_rejects_rows_off_one_binary_window(other):
-    a = Configuration.constant(10, Z, Boundary.CYCLIC)
-    with pytest.raises(ValueError):
-        coupled_step(a, other, bin_model(), SeededStream(1), t=0)
+        stack = step(stack, model, stream, t)
+    a, b = stack.cells
+    assert (a != b).mean() < 0.2
 
 
 @pytest.mark.parametrize("offset", [0, -1])
@@ -470,13 +481,14 @@ def test_envelope_step_covers_coupled_pair(offset):
     a = Configuration((rng.randint(0, 2, size=400) * 2).astype(np.int8), Boundary.CYCLIC)
     b = Configuration((rng.randint(0, 2, size=400) * 2).astype(np.int8), Boundary.CYCLIC)
     env = envelope_of_pair(a, b)
+    pair = _stack(a, b)
     stream = SeededStream(31)
     disagreements = 0
     for t in range(20):
-        a, b = coupled_step(a, b, bin_model(offset, params), stream, t)
+        pair = step(pair, bin_model(offset, params), stream, t)
         env = step(env, env_model(offset, params), stream, t)
         decided = env.cells != Q.value
-        assert np.array_equal(a.cells[decided], env.cells[decided])
-        assert np.array_equal(b.cells[decided], env.cells[decided])
-        disagreements += int((a.cells != b.cells).sum())
+        for row in pair.cells:
+            assert np.array_equal(row[decided], env.cells[decided])
+        disagreements += int((pair.cells[0] != pair.cells[1]).sum())
     assert disagreements > 0  # the pair did not coalesce at once

@@ -57,7 +57,6 @@ from percolab.pca import (
     _TAG_T,
     SeededStream,
     _as_u64,
-    _neighbour_views,
     local_rule,
 )
 
@@ -139,12 +138,26 @@ def thresholds(a, b, c, params: Params, binary: bool):
     return t0, t1
 
 
+def neighbours(cfg: Configuration, offset: int):
+    """The (a, b, c) cells of each output site, by modular indexing for a cyclic
+    row, and the output row's absolute origin and width."""
+    cells, width = cfg.cells, cfg.width
+    if cfg.boundary is Boundary.CYCLIC:
+        a, b, c = (cells[..., [(n + offset + k) % width for n in range(width)]]
+                   for k in range(3))
+        return a, b, c, cfg.origin, width
+    if width < 3:
+        raise ValueError("window exhausted: LightCone row narrower than 3 cells")
+    a, b, c = (cells[..., k:k + width - 2] for k in range(3))
+    return a, b, c, cfg.origin - offset, width - 2
+
+
 def step(cfg: Configuration, model: ModelSpec, stream: SeededStream, t: int) -> Configuration:
     """One update with the cut points computed site by site from the cells."""
     binary = model.alphabet is Alphabet.BINARY
     if binary and cfg.has_qmark:
         raise ValueError("? symbol passed to a binary model")
-    a, b, c, out_origin, out_width = _neighbour_views(cfg, model.offset)
+    a, b, c, out_origin, out_width = neighbours(cfg, model.offset)
     t0, t1 = thresholds(a, b, c, model.params, binary)
     u = u01_range(stream, t, out_origin, out_width)
     out = (u >= t0).astype(np.int8) + (u >= t1).astype(np.int8)

@@ -450,6 +450,10 @@ def test_benchmark_tracer_finds_every_traced_name():
                                   "--steps", "3")
     assert {"pca.hash", "game.classify", "game.induction"} <= set(game_run["spans"])
     assert {"pca.hash", "pca.step"} <= set(simulate_run["spans"])
+    # simulate hashes each of its 3 x 20 output sites once, through u01_range,
+    # and steps only through step: work done elsewhere would read as no time
+    assert simulate_run["counters"]["pca.hash_variates"] == 3 * 20
+    assert simulate_run["spans"]["pca.step"]["count"] == 3
     # one pass hashes each (sample, line) once: 10 samples x 4^2 sites, plus
     # the 10 child seeds
     assert game_run["counters"]["pca.hash_variates"] == 10 * 4**2 + 10

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -15,9 +16,9 @@ from percolab.pca import (
     ModelSpec,
     SeededStream,
     TripleClass,
+    _TILE,
     _apply_rule,
     _cut_points,
-    _key_u64,
     _neighbour_views,
     local_rule,
     step,
@@ -115,27 +116,47 @@ def test_stream_uniformity():
     assert abs((u < 0.25).mean() - 0.25) < 0.01
 
 
+def _oracle_variates(seed, t, sites):
+    """The 53-bit variates of ``sites``, hashed by the all-numpy oracle."""
+    return oracles.key_u64(np.uint64(seed % 2**64), t, sites) >> np.uint64(11)
+
+
 def test_key_prefix_in_python_ints_matches_numpy_bit_for_bit():
-    # with scalar seed and t the (seed, t) prefix is hashed in Python ints
+    # u01_range hashes the (seed, t) prefix in Python ints, u01_block one prefix
+    # per seed in numpy: both must give the oracle's bits
     rng = np.random.default_rng(5)
     seeds = [0, 1, 2**63 - 1, 2**63, 2**64 - 1,
              *(int(x) for x in rng.integers(0, 2**64, size=12, dtype=np.uint64))]
     assert any(seed >= 2**63 for seed in seeds[5:])
     ts = [0, 1, -1, -7, 2**31, -(2**40), 2**62]
-    sites = np.array([-(2**62), -5, -1, 0, 1, 3, 2**40], dtype=np.int64)
+    starts = [-(2**62), -5, -3, -1, 0, 1, 3, 2**40]
     for seed in seeds:
-        seed_u64 = np.uint64(seed)
-        for t in ts:
-            want = oracles.key_u64(seed_u64, t, sites)
-            assert _key_u64(seed_u64, t, sites).tobytes() == want.tobytes()
-            assert int(_key_u64(seed_u64, t, -3)) == int(oracles.key_u64(seed_u64, t, -3))
         stream = SeededStream(seed - 2**64 if seed >= 2**63 else seed)  # negative seeds too
-        assert np.array_equal(stream.u01_range(-2, -4, 7) * 2.0**-53,
-                              oracles.u01_range(stream, -2, -4, 7))
-    # the array path (one prefix per seed) is the same hash
-    block = u01_block(np.array(seeds, dtype=np.uint64), -3, -2, 5)
-    for row, seed in zip(block, seeds):
-        assert np.array_equal(row * 2.0**-53, oracles.u01_range(SeededStream(seed), -3, -2, 5))
+        for t in ts:
+            for n0 in starts:
+                sites = n0 + np.arange(4, dtype=np.int64)
+                want = _oracle_variates(seed, t, sites)
+                assert stream.u01_range(t, n0, 4).tobytes() == want.tobytes()
+            assert int(stream.u01_range(t, -3, 1)[0]) == int(_oracle_variates(seed, t, -3))
+    sites = -2 + np.arange(5, dtype=np.int64)
+    for t in ts:
+        block = u01_block(np.array(seeds, dtype=np.uint64), t, -2, 5)
+        for row, seed in zip(block, seeds):
+            assert row.tobytes() == _oracle_variates(seed, t, sites).tobytes()
+
+
+@pytest.mark.parametrize("n0", [0, -7])
+@pytest.mark.parametrize("count", [401, _TILE + 3], ids=["line", "line-wider-than-a-tile"])
+def test_u01_block_tiles_match_the_oracle(count, n0):
+    # u01_block hashes whole rows in tiles of at most _TILE variates; every
+    # tile boundary must leave the bytes of the one-shot oracle hash
+    rows_per_tile = max(1, _TILE // count)
+    seeds = SeededStream(41).child_seeds_u64(rows_per_tile + 1)
+    sites = (n0 + np.arange(count, dtype=np.int64)).reshape(1, -1)
+    for rows in {max(1, rows_per_tile - 1), rows_per_tile, rows_per_tile + 1}:
+        want = oracles.key_u64(seeds[:rows].reshape(-1, 1), 9, sites) >> np.uint64(11)
+        got = u01_block(seeds[:rows], 9, n0, count)
+        assert got.shape == (rows, count) and got.tobytes() == want.tobytes()
 
 
 def test_variates_are_53_bit_integers():
@@ -161,6 +182,7 @@ def test_configuration_validation():
         Configuration(np.array([], dtype=np.int8), Boundary.CYCLIC)
     cfg = Configuration.constant(5, Q, Boundary.CYCLIC)
     assert cfg.counts() == (0, 5, 0) and cfg.has_qmark
+    assert all(type(n) is int for n in cfg.counts())  # they go into JSON rows
     with pytest.raises(ValueError):
         cfg.cells[0] = 0  # frozen buffer
 
@@ -171,15 +193,27 @@ def test_configuration_rejects_codes_outside_the_alphabet(code):
         Configuration(np.array([0, code, 2], dtype=np.int8), Boundary.CYCLIC)
 
 
-@pytest.mark.parametrize("offset", [0, -1])
+# neighbourhood offsets, some far outside the row; None stands for -(3w + 1),
+# w the row's width
+OFFSETS = [0, -1, 5, 2**40, pytest.param(None, id="-(3w+1)")]
+
+
+def _offset(offset, width):
+    return -(3 * width + 1) if offset is None else offset
+
+
+@pytest.mark.parametrize("offset", OFFSETS)
 @pytest.mark.parametrize("width", [1, 2, 3, 4])
 def test_cyclic_neighbour_views_wrap(width, offset):
-    cells = np.array([0, 2, 1, 1][:width], dtype=np.int8)
-    cfg = Configuration(cells, Boundary.CYCLIC, origin=5)
-    *views, origin, out_width = _neighbour_views(cfg, offset)
-    assert (origin, out_width) == (5, width)
-    for k, view in enumerate(views):
-        assert np.array_equal(view, cells[(np.arange(width) + offset + k) % width])
+    offset = _offset(offset, width)
+    stack = np.array([[0, 2, 1, 1], [1, 1, 2, 0], [2, 0, 0, 1]], dtype=np.int8)[:, :width]
+    for cells in (stack[0], stack):
+        cfg = Configuration(cells, Boundary.CYCLIC, origin=5)
+        *views, origin, out_width = _neighbour_views(cfg, offset)
+        assert (origin, out_width) == (5, width)
+        for k, view in enumerate(views):
+            want = cells[..., [(n + offset + k) % width for n in range(width)]]
+            assert view.shape == want.shape and np.array_equal(view, want)
 
 
 def test_from_symbols_roundtrip():
@@ -201,26 +235,42 @@ CUT_GRID = [*FORMULA_GRID, Params(0, 0), Params(Fraction(2, 5), Fraction(3, 5)),
             Params(Fraction(1, 3), Fraction(2, 3))]
 
 
+def test_largest_code_is_the_triple_class():
+    # _triples classes a triple by its largest code: 0 only for 000, 2 for any
+    # triple holding a 1, and 1 for the rest, which hold a ? and no 1
+    by_largest = {0: TripleClass.ALL_ZERO, 1: TripleClass.MIXED, 2: TripleClass.HAS_ONE}
+    for triple in itertools.product((Z, Q, O), repeat=3):
+        assert by_largest[max(s.value for s in triple)] is triple_class(triple), triple
+
+
+def _all_triples():
+    """The 27 triples as columns a, b, c, and each one's class index, its largest code."""
+    idx = np.arange(27)
+    a, b, c = (idx // 9).astype(np.int8), (idx // 3 % 3).astype(np.int8), (idx % 3).astype(np.int8)
+    return a, b, c, np.maximum(np.maximum(a, b), c).astype(np.intp)
+
+
 @pytest.mark.parametrize("params", CUT_GRID, ids=str)
 def test_cut_table_matches_sitewise_thresholds_bit_for_bit(params):
     # float cut points decide every Monte Carlo output, so the table must hold
     # exactly the floats the sitewise formula gives, not merely close ones
-    idx = np.arange(27)
-    a, b, c = (idx // 9).astype(np.int8), (idx // 3 % 3).astype(np.int8), (idx % 3).astype(np.int8)
+    a, b, c, largest = _all_triples()
     t0, t1 = _cut_points(params)
+    assert t0.shape == t1.shape == (3,)
     want0, want1 = oracles.thresholds(a, b, c, params, binary=False)
-    assert t0.tobytes() == want0.tobytes() and t1.tobytes() == want1.tobytes()
+    assert t0[largest].tobytes() == want0.tobytes() and t1[largest].tobytes() == want1.tobytes()
     binary = np.array([cls is not TripleClass.MIXED for cls in TRIPLE_CLASSES])
     bin0, bin1 = oracles.thresholds(a, b, c, params, binary=True)
-    assert t0[binary].tobytes() == bin0[binary].tobytes()
-    assert t1[binary].tobytes() == bin1[binary].tobytes()
+    assert t0[largest][binary].tobytes() == bin0[binary].tobytes()
+    assert t1[largest][binary].tobytes() == bin1[binary].tobytes()
 
 
 @pytest.mark.parametrize("params", [*CUT_GRID, Params(1, 0), Params(0, 1)], ids=str)
 def test_integer_cuts_decide_like_the_float_cuts(params):
     # each comparison k >= ceil(t * 2**53) must agree with k * 2**-53 >= t on
     # both sides of every cut the game labels and the step rule use
-    t0, t1 = _cut_points(params)
+    a, b, c, largest = _all_triples()
+    t0, t1 = oracles.thresholds(a, b, c, params, binary=False)
     p, one_minus_q = float(params.p), 1.0 - float(params.q)
     cuts = {int(variate_cut(t)) for t in (*t0, *t1, p, one_minus_q)}
     ks = np.array(sorted({k for c in cuts for k in (c - 1, c) if k >= 0}), dtype=np.uint64)
@@ -228,7 +278,7 @@ def test_integer_cuts_decide_like_the_float_cuts(params):
     want = (u >= p).astype(np.int8) + (u >= one_minus_q).astype(np.int8)
     assert np.array_equal(game._labels(ks, game._label_cuts(params)), want)
     for triple in range(27):
-        got = _apply_rule(np.full(ks.size, triple), params, ks)
+        got = _apply_rule(np.full(ks.size, largest[triple]), params, ks)
         want = (u >= t0[triple]).astype(np.int8) + (u >= t1[triple]).astype(np.int8)
         assert np.array_equal(got, want), triple
     if params == Params(0, 0):
@@ -236,20 +286,23 @@ def test_integer_cuts_decide_like_the_float_cuts(params):
 
 
 @pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
-@pytest.mark.parametrize("offset", [0, -1])
+@pytest.mark.parametrize("offset", OFFSETS)
 @pytest.mark.parametrize("alphabet", list(Alphabet), ids=lambda a: a.value)
 @pytest.mark.parametrize("params", [PARAMS, Params(0, 1), Params(Fraction(1, 3), Fraction(2, 3)),
                                     Params(Fraction(1, 100), Fraction(1, 100)), Params(0, 0)],
                          ids=str)
 def test_step_matches_sitewise_oracle(params, alphabet, offset, boundary):
+    # the oracle wraps a cyclic row by modular indexing, step by slicing
     rng = np.random.RandomState(17)
     codes = [0, 2] if alphabet is Alphabet.BINARY else [0, 1, 2]
-    model = ModelSpec(alphabet, offset, params)
     stream = SeededStream(2024)
-    for width in (3, 4, 57):
-        cfg = Configuration(rng.choice(codes, size=width).astype(np.int8), boundary, origin=-5)
+    widths = (1, 2, 3, 4, 57) if boundary is Boundary.CYCLIC else (3, 4, 57)
+    for width, shape in itertools.product(widths, [(), (3,)]):
+        model = ModelSpec(alphabet, _offset(offset, width), params)
+        cfg = Configuration(rng.choice(codes, size=(*shape, width)).astype(np.int8), boundary,
+                            origin=-5)
         for t in range(3):
-            if cfg.width < 3:
+            if cfg.width < 3 and boundary is Boundary.LIGHTCONE:
                 break
             got = step(cfg, model, stream, t)
             want = oracles.step(cfg, model, stream, t)

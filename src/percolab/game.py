@@ -28,18 +28,18 @@ The all-D frontier is the envelope automaton started from all-? in the light
 cone, so a sample's base site leaves D at its coupling-from-the-past
 coalescence time.
 
-One downward pass serves every requested horizon. It keeps one class layer per
-horizon above the current line, stacked so that every layer reads the same
-labels, which are hashed once per (sample, line). A horizon's layer enters,
-all-D, at its frontier line; the layers already there are widened back to the
-whole chunk with W in the rows they had dropped, which is harmless because a
-D-free line stays D-free (an open site is D only next to a D, and trap and
-target sites are never D). A row is dropped once no layer holds a D in it and
-a layer once none of its rows holds one: neither can give a D base site any
-more. The pass is exact because classes only refine as the horizon grows, so a
-longer horizon's D's are a subset of a shorter one's, and each layer is the
-induction its horizon alone would run. Samples are also processed in chunks of
-bounded size. Dropping and chunking are exact because a label is a
+One downward pass serves every requested horizon, hashing the labels once per
+(sample, line). Classes only refine as the horizon grows and a resolved site
+keeps its value, so of the m horizons entered so far (h enters, all-D, at its
+frontier line h - 1) a site is D at the d smallest and W, or L, at the other
+m - d: one code, 1 - (m - d) or 1 + (m - d), holds them all, and 1 (D) means D
+at every one. Labelled trap 1 - m, open 1 and target 1 + m, `classify_line`'s
+own rule inducts every horizon at once. A row is dropped once every code in it
+is 1 +- m: no horizon holds a D there, and a D-free line stays D-free (an open
+site is D only next to a D, and trap and target sites are never D). When a
+horizon enters no code changes, only m; dropped rows come back as 1 - m, W at
+the older horizons and D at the new one. Samples are also processed in chunks
+of bounded size. Dropping and chunking are exact because a label is a
 counter-based function of (sample seed, line, site): which other samples are
 present, and in which chunk, changes no sample's labels.
 """
@@ -93,9 +93,16 @@ def _label_cuts(params: Params) -> tuple[np.ndarray, np.ndarray]:
     return variate_cut(float(params.p)), variate_cut(1.0 - float(params.q))
 
 
-def _labels(k: np.ndarray, cuts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Site labels of the variates ``k``, by inverse CDF at ``_label_cuts``."""
-    return (k >= cuts[0]).view(np.int8) + (k >= cuts[1]).view(np.int8)
+def _labels(k: np.ndarray, cuts: tuple[np.ndarray, np.ndarray], m: int = 1,
+            dtype=np.int8) -> np.ndarray:
+    """Site labels of the variates ``k``, by inverse CDF at ``_label_cuts``, as
+    the codes 1 - m (trap), 1 (open) and 1 + m (target): with m = 1 these are
+    the `SiteLabel` codes."""
+    labels = (k >= cuts[0]).astype(dtype)
+    labels -= k < cuts[1]  # -1, 0, 1
+    labels *= m
+    labels += 1
+    return labels
 
 
 def classify_line(labels, next_classes, version: GameVersion) -> np.ndarray:
@@ -106,10 +113,14 @@ def classify_line(labels, next_classes, version: GameVersion) -> np.ndarray:
     next_classes[j], next_classes[j+1], next_classes[j+2] -- the line
     identification absorbs the offset, which only moves the window's absolute
     position (the caller's bookkeeping). Works on stacks of lines: the last
-    axis is the line. Deterministic.
+    axis is the line, and the classes keep the inputs' integer type. On the
+    codes of the module docstring the same rule inducts nested horizons at
+    once: an open site's 2 - (largest out-neighbour code 1 +- j) is W (L) at
+    the j longest horizons where a neighbour is L (all three are W), D at the
+    others. Deterministic.
     """
-    labels = np.asarray(labels, dtype=np.int8)
-    nxt = np.asarray(next_classes, dtype=np.int8)
+    labels = np.asarray(labels)
+    nxt = np.asarray(next_classes)
     if nxt.shape[-1] != labels.shape[-1] + 2:
         raise ValueError(
             f"successor line must cover every out-neighbourhood: "
@@ -119,7 +130,7 @@ def classify_line(labels, next_classes, version: GameVersion) -> np.ndarray:
     # out-neighbours are W and D otherwise: 2 - max(n0, n1, n2).  A trap is W
     # and a target L, the codes of their labels.  So the class is
     # label + (label is open) * (1 - max).
-    cls = np.maximum(nxt[..., :-2], nxt[..., 1:-1])
+    cls = np.maximum(nxt[..., :-2], nxt[..., 1:-1], dtype=np.result_type(labels, nxt))
     np.maximum(cls, nxt[..., 2:], out=cls)
     np.subtract(1, cls, out=cls)
     cls *= labels == SiteLabel.OPEN
@@ -192,8 +203,8 @@ def kernel_correspondence(version: GameVersion, params: Params) -> KernelReport:
 
 # ------------------------------------------------------------- draw estimates
 
-# Cells of one chunk's class stack: bounds the per-line temporaries of the
-# hash and the classification (several 8-byte arrays of this many entries).
+# Cells of one chunk's code line: bounds the per-line temporaries of the hash
+# and the classification (several 8-byte arrays of this many entries).
 _CELL_BUDGET = 1 << 20
 
 
@@ -210,62 +221,48 @@ def _count_draws(
     Sample i is keyed by the i-th of ``stream.child_seeds_u64(samples)``; the
     line s steps above the base covers absolute indices [s*offset, s*offset + 2s].
     The pass walks the lines from H - 1 down to 0, H the largest horizon, with
-    ``stack[j]`` the classes that horizon ``layers[j]`` gives the ``live`` rows
-    of the chunk on the line below the current one: every layer of the stack is
-    1 + 2(s + 1) wide at line s, so the labels of a line are hashed once, for
-    the live rows, and classified in every layer.
-
-    - Horizon h enters at line h - 1 as an all-D layer. The rows that the other
-      layers had dropped come back as W lines, which stay D-free.
-    - A row is dropped before its next line is hashed once no layer holds a D
-      in it, and a layer once none of its rows does: an open site is D only
-      next to a D, so neither can give a D base site again.
-
-    Horizon 0 has no line to walk: its base site is the frontier, always D.
-    Samples run in chunks of at most _CELL_BUDGET stacked cells, and a chunk's
-    seeds are made when it starts, so memory does not grow with ``samples``;
-    since labels depend only on (sample seed, line, site), neither dropping nor
-    chunking changes any remaining sample's labels, and every count is exact.
+    ``codes`` the packed classes (module docstring) of the ``live`` rows on the
+    line below, 1 + 2(s + 1) wide at line s, for the m positive horizons
+    entered so far. The horizon of rank i (0 = smallest positive) counts the
+    base codes c with m - |c - 1| > i; horizon 0 has no line to walk, its base
+    site is the frontier, always D. Samples run in chunks of at most
+    _CELL_BUDGET cells of the widest line, and a chunk's seeds are made when it
+    starts, so memory does not grow with ``samples``.
     """
-    levels = sorted(set(horizons), reverse=True)
+    levels = sorted({h for h in horizons if h > 0}, reverse=True)
+    top = max(horizons)
     cuts = _label_cuts(params)
-    draws = dict.fromkeys(levels, 0)
-    # the stack is widest on a horizon's frontier line h - 1: one layer of
-    # 1 + 2h cells per horizon at least h
-    widest = max((1 + 2 * h) * (i + 1) for i, h in enumerate(levels))
-    rows = max(1, _CELL_BUDGET // widest)
+    # the narrowest signed type holding every code 1 +- m: int8 up to 126 horizons
+    dtype = np.min_scalar_type(-2 - len(levels))
+    draws = dict.fromkeys(horizons, 0)
+    rows = max(1, _CELL_BUDGET // (1 + 2 * top))
     for start in range(0, samples, rows):
         seeds = stream.child_seeds_u64(min(rows, samples - start), start)
-        pending = list(levels)
-        layers: list[int] = []
-        stack = np.empty((0, 0, 0), dtype=np.int8)
-        live = np.arange(seeds.size)
-        for s in range(levels[0] - 1, -1, -1):
-            if pending and pending[0] == s + 1:
-                layers.append(pending.pop(0))
-                widened = np.full((len(layers), seeds.size, 2 * s + 3), GameClass.W,
-                                  dtype=np.int8)
-                if len(layers) > 1:
-                    widened[:-1, live] = stack
-                widened[-1] = GameClass.D
-                stack, live = widened, np.arange(seeds.size)
-            has_d = (stack == GameClass.D).any(axis=2)
-            kept = has_d.any(axis=1)
+        m, codes, live = 0, np.empty((0, 1), dtype=dtype), np.arange(0)
+        for s in range(top - 1, -1, -1):
+            if m < len(levels) and levels[m] == s + 1:
+                entered = np.full((seeds.size, 2 * s + 3), 1 - m, dtype=dtype)
+                if live.size:
+                    entered[live] = codes
+                codes, live = entered, np.arange(seeds.size)
+                m += 1
+            kept = (np.abs(codes - 1) < m).any(axis=1)
             if not kept.all():
-                layers = [h for h, keep in zip(layers, kept) if keep]
-                stack, has_d = stack[kept], has_d[kept]
-            rows_kept = has_d.any(axis=0)
-            if not rows_kept.all():
-                stack, live = stack[:, rows_kept], live[rows_kept]
-            if not layers:
-                if not pending:
+                codes, live = codes[kept], live[kept]
+            if not live.size:
+                if m == len(levels):
                     break
                 continue
-            k = u01_block(seeds[live], s, s * version.offset, 1 + 2 * s)
-            stack = classify_line(_labels(k, cuts), stack, version)
-        for h, layer in zip(layers, stack):
-            draws[h] += int(np.count_nonzero(layer[:, 0] == GameClass.D))
-        if pending:  # only horizon 0 is never entered
+            # passed straight through: no local keeps a line's variates alive
+            # while the next line is hashed
+            codes = classify_line(
+                _labels(u01_block(seeds[live], s, s * version.offset, 1 + 2 * s),
+                        cuts, m, dtype),
+                codes, version)
+        depth = m - np.abs(codes[:, 0] - 1)
+        for rank, h in enumerate(reversed(levels)):
+            draws[h] += int(np.count_nonzero(depth > rank))
+        if 0 in draws:
             draws[0] += seeds.size
     return draws
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -89,8 +90,8 @@ def test_classify_line_exhaustive_single_site():
 
 @pytest.mark.parametrize("layers", [None, 1, 3])
 def test_classify_line_matches_the_class_table_on_stacks(layers):
-    # the shapes the induction pass uses: a (rows, width) label line against a
-    # (rows, width + 2) successor, or against a stack of layers of it
+    # a (rows, width) label line against a (rows, width + 2) successor, the
+    # shape the induction pass uses, or against a stack of layers of it
     rng = np.random.RandomState(2)
     for rows, width in ((1, 1), (7, 5), (200, 41)):
         labels = rng.randint(0, 3, size=(rows, width)).astype(np.int8)
@@ -340,8 +341,8 @@ ORACLE_POINTS = [
 @pytest.mark.parametrize("params", ORACLE_POINTS, ids=str)
 @pytest.mark.parametrize("version", list(GameVersion), ids=lambda v: v.value)
 def test_one_pass_matches_oracle_at_every_horizon(version, params, monkeypatch):
-    # a tiny cell budget makes chunks of one to three samples, so layers enter
-    # and drop across many chunks, and the last chunk is short
+    # a tiny cell budget makes chunks of one to three samples, so horizons
+    # enter and rows drop across many chunks, and the last chunk is short
     monkeypatch.setattr(game, "_CELL_BUDGET", 60)
     hashed = []
     real_u01_block = game.u01_block
@@ -368,8 +369,8 @@ def test_one_pass_matches_oracle_at_every_horizon(version, params, monkeypatch):
 
 
 def test_one_pass_hashes_each_line_once_per_sample(monkeypatch):
-    # p = q = 0: no site ever resolves, so every sample stays live in every
-    # layer and the pass hashes each line below the largest horizon once
+    # p = q = 0: no site ever resolves, so every sample stays live at every
+    # horizon and the pass hashes each line below the largest horizon once
     hashed = []
     real_u01_block = game.u01_block
 
@@ -396,8 +397,8 @@ def test_draw_fraction_checks_every_horizon_before_hashing(monkeypatch):
 
 
 def test_stacked_classes_stay_within_the_cell_budget(monkeypatch):
-    # the stack is widest on a horizon's frontier line, one layer per horizon
-    # at least as long: here 2 x 19 cells per sample at line 8
+    # one code line per chunk for every horizon, widest on the largest
+    # horizon's frontier line: 200 // 21 = 9 samples of 21 cells at line 9
     monkeypatch.setattr(game, "_CELL_BUDGET", 200)
     stack_cells = []
     real_classify_line = game.classify_line
@@ -408,4 +409,84 @@ def test_stacked_classes_stay_within_the_cell_budget(monkeypatch):
 
     monkeypatch.setattr(game, "classify_line", spy)
     draw_fraction(GameVersion.V1, Params(0, 0), (10, 9, 3, 0), 50, SeededStream(2))
-    assert max(stack_cells) == 5 * 2 * 19
+    assert max(stack_cells) == 9 * 21 <= game._CELL_BUDGET
+
+
+# ------------------------------------------------------------- packed horizon codes
+
+def _nested_layers(rng, m, shape):
+    """Random classes of m nested horizons (layer 0 the shortest): each site is
+    D at its d smallest horizons and one value, W or L, at the other m - d."""
+    d = rng.randint(0, m + 1, size=shape)
+    value = np.where(rng.randint(0, 2, size=shape) == 1, L, W)
+    return np.stack([np.where(i < d, D, value) for i in range(m)]).astype(np.int8)
+
+
+def _encode(layers, dtype):
+    """The packed code 1 -+ (number of resolved horizons) of a nested stack."""
+    resolved = np.count_nonzero(layers != D, axis=0)
+    sign = np.where(layers[-1] == L, 1, -1)
+    return (1 + sign * resolved).astype(dtype)
+
+
+def _decode(codes, m):
+    """The m layers a packed code line stands for."""
+    codes = codes.astype(np.intp)
+    d = m - np.abs(codes - 1)
+    value = np.where(codes > 1, L, W)
+    return np.stack([np.where(i < d, D, value) for i in range(m)]).astype(np.int8)
+
+
+@pytest.mark.parametrize("m, dtype", [(1, np.int8), (2, np.int8), (5, np.int8),
+                                      (126, np.int8), (127, np.int16), (300, np.int16)])
+def test_one_classify_line_call_inducts_every_nested_horizon(m, dtype):
+    rng = np.random.RandomState(m)
+    for rows, width in ((1, 1), (9, 6), (40, 23)):
+        labels = rng.randint(0, 3, size=(rows, width)).astype(np.int8)
+        layers = _nested_layers(rng, m, (rows, width + 2))
+        codes = _encode(layers, dtype)
+        assert np.array_equal(_decode(codes, m), layers)
+        packed = classify_line((1 + (labels.astype(dtype) - 1) * m).astype(dtype), codes,
+                               GameVersion.V3)
+        assert packed.dtype == dtype
+        want = np.stack([classify_by_table(labels, layer) for layer in layers])
+        assert np.array_equal(_decode(packed, m), want)
+
+
+def test_packed_labels_are_the_site_labels_spread_by_m():
+    params = Params(Fraction(1, 4), Fraction(1, 4))
+    ks = SeededStream(3).u01_range(0, 0, 2000)
+    cuts = game._label_cuts(params)
+    labels = game._labels(ks, cuts)
+    assert labels.dtype == np.int8 and set(np.unique(labels)) == {TRAP, OPEN, TARGET}
+    for m, dtype in ((1, np.int8), (126, np.int8), (127, np.int16), (4000, np.int16)):
+        packed = game._labels(ks, cuts, m, dtype)
+        assert packed.dtype == dtype
+        assert np.array_equal(packed, 1 + (labels.astype(np.intp) - 1) * m)
+
+
+def test_more_horizons_than_int8_codes_hold_match_single_runs():
+    # 140 distinct horizons need codes 1 +- 140, past int8
+    params = Params(Fraction(1, 100), Fraction(1, 100))
+    stream = SeededStream(8)
+    horizons = tuple(range(1, 141))
+    ests = draw_fraction(GameVersion.V3, params, horizons, 20, stream)
+    singles = [draw_fraction(GameVersion.V3, params, (h,), 20, stream)[0].draws
+               for h in horizons]
+    assert [e.draws for e in ests] == singles
+    assert singles[-1] < singles[0]
+
+
+def test_no_line_outlives_its_classification():
+    # the largest line's variates, 1000 x 399 x 8 B, are the pass's largest
+    # array; holding the previous line's block while the next one is hashed
+    # takes the peak to about 2.5 of it
+    block = 1000 * 399 * 8
+    params = Params(Fraction(1, 100), Fraction(1, 100))
+    tracemalloc.start()
+    try:
+        draw_fraction(GameVersion.V3, params, (50, 100, 200), 1000, SeededStream(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * block

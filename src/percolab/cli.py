@@ -418,22 +418,6 @@ def _steps_rows(argv: Sequence[str]) -> bool:
     return words[:1] in _ROW_COMMANDS or words[:2] in _ROW_COMMANDS
 
 
-def _settle_heap() -> None:
-    """Allocate and free one untouched 8 MB block before any work.
-
-    The row loops allocate and free numpy temporaries of about 80 KB per row.
-    glibc's malloc hands the top of its heap back to the OS once 128 KB of it
-    is free, and faults it in again for the next row, unless freeing a larger
-    mmap'd block has already raised those thresholds; whether one has depends
-    on what importing happened to allocate.  Freeing one 8 MB block raises them
-    to 8 and 16 MB, so ``simulate --width 10000 --steps 1000`` takes about
-    5 200 minor page faults instead of 47 700, whatever the import history.
-    """
-    import numpy as np
-
-    np.empty(1 << 20)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if _steps_rows(argv):
@@ -441,7 +425,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # start-up and not as the command's run; the commands' own imports
         # from these layers then cost a dictionary lookup
         importlib.import_module(".game", __package__)  # imports pca and numpy too
-        _settle_heap()
     cfg = build_parser().parse_args(argv)
     try:
         return cfg.func(cfg)

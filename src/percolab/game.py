@@ -55,7 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import EnvSymbol, LocalDistribution, Params, iter_words
-from .pca import Alphabet, ModelSpec, SeededStream, local_rule, u01_block, variate_cut
+from .pca import Alphabet, ModelSpec, SeededStream, local_rule, u01_block, variate_cuts
 
 
 class GameVersion(Enum):
@@ -88,18 +88,15 @@ class GameClass(IntEnum):
     L = 2
 
 
-def _label_cuts(params: Params) -> tuple[np.ndarray, np.ndarray]:
-    """The label cut points p and 1 - q, as floats, made variate cut points."""
-    return variate_cut(float(params.p)), variate_cut(1.0 - float(params.q))
-
-
-def _labels(k: np.ndarray, cuts: tuple[np.ndarray, np.ndarray], m: int = 1,
+def _labels(k: np.ndarray, cuts: tuple[np.uint64, np.uint64, np.uint64], m: int = 1,
             dtype=np.int8) -> np.ndarray:
-    """Site labels of the variates ``k``, by inverse CDF at ``_label_cuts``, as
-    the codes 1 - m (trap), 1 (open) and 1 + m (target): with m = 1 these are
-    the `SiteLabel` codes."""
-    labels = (k >= cuts[0]).astype(dtype)
-    labels -= k < cuts[1]  # -1, 0, 1
+    """Site labels of the variates ``k``, by inverse CDF at the cuts p and
+    1 - q of ``cuts``, the ``variate_cuts`` of the parameters, as the codes
+    1 - m (trap), 1 (open) and 1 + m (target): with m = 1 these are the
+    `SiteLabel` codes."""
+    cut_p, _, cut_1q = cuts
+    labels = (k >= cut_p).astype(dtype)
+    labels -= k < cut_1q  # -1, 0, 1
     labels *= m
     labels += 1
     return labels
@@ -224,17 +221,22 @@ def _count_draws(
     ``codes`` the packed classes (module docstring) of the ``live`` rows on the
     line below, 1 + 2(s + 1) wide at line s, for the m positive horizons
     entered so far. The horizon of rank i (0 = smallest positive) counts the
-    base codes c with m - |c - 1| > i; horizon 0 has no line to walk, its base
-    site is the frontier, always D. Samples run in chunks of at most
-    _CELL_BUDGET cells of the widest line, and a chunk's seeds are made when it
-    starts, so memory does not grow with ``samples``.
+    base codes c with m - |c - 1| > i. Horizon 0 has no line to walk: its base
+    site is the frontier, always D, so it counts every sample and makes no seeds.
+    Samples run in chunks of at most _CELL_BUDGET cells of the widest line, and
+    a chunk's seeds are made when it starts, so memory does not grow with
+    ``samples``.
     """
+    draws = dict.fromkeys(horizons, 0)
+    if 0 in draws:
+        draws[0] = samples
     levels = sorted({h for h in horizons if h > 0}, reverse=True)
-    top = max(horizons)
-    cuts = _label_cuts(params)
+    if not levels:
+        return draws
+    top = levels[0]
+    cuts = variate_cuts(params)
     # the narrowest signed type holding every code 1 +- m: int8 up to 126 horizons
     dtype = np.min_scalar_type(-2 - len(levels))
-    draws = dict.fromkeys(horizons, 0)
     rows = max(1, _CELL_BUDGET // (1 + 2 * top))
     for start in range(0, samples, rows):
         seeds = stream.child_seeds_u64(min(rows, samples - start), start)
@@ -262,8 +264,6 @@ def _count_draws(
         depth = m - np.abs(codes[:, 0] - 1)
         for rank, h in enumerate(reversed(levels)):
             draws[h] += int(np.count_nonzero(depth > rank))
-        if 0 in draws:
-            draws[0] += seeds.size
     return draws
 
 

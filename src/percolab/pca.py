@@ -13,26 +13,27 @@ draws the new symbol independently per site:
 Those three triple classes and their exact laws live in ``core``
 (``TripleClass``, ``TRIPLE_CLASSES``, ``class_law``), where the exact checks
 read them without importing numpy; this module adds the numeric side: hashing,
-the per-(p, q) cut-point table and stepping rows.
+the integer cut points of (p, q) and stepping rows.
 
 Randomness is counter-based: every (time, site) pair is hashed to one uniform
 variate, so results are independent of array width, evaluation order, and worker
 count. A variate is the top 53 bits of its 64-bit hash, the integer k = h >> 11,
 and stands for u = k * 2**-53 in [0, 1); it is never made a float. Sampling
 inverts the CDF in the fixed symbol-code order 0 < ? < 1, which makes the
-common-randomness coupling of two rows monotone in that order. The cut points
-are the floats of a per-(p, q) table, and each is compared as the integer
-ceil(t * 2**53): k >= ceil(t * 2**53) iff k * 2**-53 >= t, exactly, because k is
-an integer and t * 2**53 is an exact float. A cut at or above 1.0 becomes 2**53
-or more, which no variate reaches.
+common-randomness coupling of two rows monotone in that order. Every law is
+inverted at the floats p, p + r and 1 - q, and each is compared as the integer
+ceil(t * 2**53) (``variate_cuts``): k >= ceil(t * 2**53) iff k * 2**-53 >= t,
+exactly, because k is an integer and t * 2**53 is an exact float. A cut at or
+above 1.0 becomes 2**53 or more, which no variate reaches.
 
-The table has one entry per triple class, and a triple's class is read from its
-largest code: 0 only for 000 (ALL_ZERO), 2 for any triple holding a 1 (HAS_ONE)
-and 1 for the rest, which hold a ? and no 1 (MIXED). A row's hash XORs the
-(seed, t) prefix, hashed in Python ints, into the per-site keys of its window,
-which are cached, so a cyclic row builds them once. ``u01_block`` hashes many
-streams in row tiles of at most ``_TILE`` variates, so its temporaries stay
-cache-sized however many streams it serves.
+A triple's class is read from its largest code, which selects its cuts: 0 only
+for 000 (ALL_ZERO), cut at p; 2 for any triple holding a 1 (HAS_ONE), cut at
+1 - q; and 1 for the rest, which hold a ? and no 1 (MIXED), cut at p and p + r.
+A binary row holds no ?, so the same cuts give the binary rule. A row's hash
+XORs the (seed, t) prefix, hashed in Python ints, into the per-site keys of its
+window, which are cached, so a cyclic row builds them once. ``u01_block``
+hashes many streams in row tiles of at most ``_TILE`` variates, so its
+temporaries stay cache-sized however many streams it serves.
 
 Two boundary policies: Cyclic keeps the width fixed and wraps indices, by
 copying the row's slices into a buffer two cells wider; LightCone shrinks the
@@ -47,6 +48,7 @@ common randomness while each steps exactly as it would alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -54,8 +56,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (TRIPLE_CLASSES, EnvSymbol, LocalDistribution, Params, TripleClass,
-                   class_law, triple_class)
+from .core import EnvSymbol, LocalDistribution, Params, class_law, triple_class
 
 # ------------------------------------------------------------------ randomness
 
@@ -120,12 +121,6 @@ def _site_keys(n0: int, count: int) -> np.ndarray:
     keys += _TAG_N
     keys.setflags(write=False)
     return keys
-
-
-def variate_cut(t) -> np.ndarray:
-    """The integer cut point ceil(t * 2**53) of float cut point(s) ``t``: a
-    variate k is at or above it iff k * 2**-53 >= t."""
-    return np.ceil(np.asarray(t, dtype=np.float64) * 2.0**53).astype(_U64)
 
 
 def u01_block(seeds: np.ndarray, t: int, n0: int, count: int) -> np.ndarray:
@@ -287,56 +282,52 @@ def _neighbour_views(cfg: Configuration, offset: int):
 
 
 @lru_cache(maxsize=None)
-def _cut_points(params: Params) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse-CDF cut points (t0, t1) of each triple class, in the code order
-    0 < ? < 1, indexed by the triple's largest code: 0, 1 and 2 are the classes
-    of 000, 00? and 001 (ALL_ZERO, MIXED and HAS_ONE).  Only a MIXED triple has
-    t1 > t0, so a binary row, which holds no ?, reads the binary rule from the
-    same table."""
+def variate_cuts(params: Params) -> tuple[np.uint64, np.uint64, np.uint64]:
+    """The integer cut points ceil(t * 2**53) of the floats p, p + r and 1 - q:
+    a variate k is at or above one iff k * 2**-53 >= t.  The rule inverts a
+    triple's class law at p (000), at p and p + r (MIXED) or at 1 - q (HAS_ONE),
+    and a game label at p and 1 - q.  numpy scalars, which numpy compares with
+    an array faster than Python ints."""
     p, q, r = float(params.p), float(params.q), float(params.r)
-    classes = TRIPLE_CLASSES[:3]
-    t0 = np.array([1.0 - q if cls is TripleClass.HAS_ONE else p for cls in classes])
-    t1 = t0 + np.array([r if cls is TripleClass.MIXED else 0.0 for cls in classes])
-    t0.setflags(write=False)
-    t1.setflags(write=False)
-    return t0, t1
-
-
-@lru_cache(maxsize=None)
-def _variate_cuts(params: Params) -> tuple[np.ndarray, np.ndarray]:
-    """The cut points of ``_cut_points`` as integers, for comparing variates."""
-    c0, c1 = (variate_cut(t) for t in _cut_points(params))
-    c0.setflags(write=False)
-    c1.setflags(write=False)
-    return c0, c1
+    return tuple(_U64(math.ceil(t * 2.0**53)) for t in (p, p + r, 1.0 - q))
 
 
 def _triples(cfg: Configuration, model: ModelSpec):
-    """The class index of each output site's triple, its largest code, and the
-    output row's absolute origin and width, once the row is checked against
-    the alphabet."""
+    """The largest code of each output site's triple, its class (module
+    docstring), and the output row's absolute origin and width, once the row is
+    checked against the alphabet."""
     if model.alphabet is Alphabet.BINARY and cfg.has_qmark:
         raise ValueError("? symbol passed to a binary model")
     a, b, c, out_origin, out_width = _neighbour_views(cfg, model.offset)
     largest = np.maximum(a, b)
     np.maximum(largest, c, out=largest)
-    # intp, not int8: numpy gathers with an int8 index much more slowly
-    return largest.astype(np.intp), out_origin, out_width
+    return largest, out_origin, out_width
 
 
-def _apply_rule(cls: np.ndarray, params: Params, k: np.ndarray) -> np.ndarray:
-    """The updated cells: site n of each row inverts the cut points of its
-    triple's class index at the variate k[n]."""
-    c0, c1 = _variate_cuts(params)
-    return (k >= c0[cls]).view(np.int8) + (k >= c1[cls]).view(np.int8)
+def _apply_rule(largest: np.ndarray, params: Params, k: np.ndarray) -> np.ndarray:
+    """The updated cells: site n of each row inverts its triple's class law,
+    selected by the largest code, at the variate k[n].
+
+    The low bit is k >= 1 - q for HAS_ONE and k >= p otherwise; the high bit
+    is k >= p + r for MIXED and the low bit otherwise.  Each is selected branch
+    free, as a ^ (mask & (a ^ b)), which is much faster than ``np.where`` on a
+    random mask.
+    """
+    cut_p, cut_pr, cut_1q = variate_cuts(params)
+    at_p = k >= cut_p
+    low = (largest == 2) & (at_p ^ (k >= cut_1q))
+    low ^= at_p
+    high = (largest == 1) & (at_p ^ (k >= cut_pr))
+    high ^= low
+    return low.view(np.int8) + high.view(np.int8)
 
 
 def step(cfg: Configuration, model: ModelSpec, stream: SeededStream, t: int) -> Configuration:
     """Advance a row, or each row of a stack under the same variates, by one step;
     deterministic given (seed, t) and the input."""
-    cls, out_origin, out_width = _triples(cfg, model)
+    largest, out_origin, out_width = _triples(cfg, model)
     k = stream.u01_range(t, out_origin, out_width)
-    return Configuration(_apply_rule(cls, model.params, k), cfg.boundary, out_origin)
+    return Configuration(_apply_rule(largest, model.params, k), cfg.boundary, out_origin)
 
 
 @dataclass(frozen=True)

@@ -508,17 +508,17 @@ def test_game_memory_is_bounded_in_samples():
 
 
 def test_game_seeds_are_made_per_chunk():
-    # four chunks of 2^20 samples: seeds made up front for all of them would
-    # hold 32 MB at once, and peak near 125 MB
+    # twelve chunks of 2^20 // 3 samples at horizon 1: seeds made up front for
+    # all 4 000 000 samples would hold 32 MB at once, and peak near 125 MB
     peak_kb = _peak_rss_kb("game", "--version", "v1", "--p", "1/4", "--q", "1/4",
-                           "--horizons", "0", "--samples", "4000000", "--seed", "7")
+                           "--horizons", "1", "--samples", "4000000", "--seed", "7")
     assert peak_kb < 80 * 1024
 
 
 def test_simulate_runs_on_a_settled_heap():
-    # each row allocates and frees numpy temporaries of about 80 KB; unless
-    # main settles glibc's heap before the first row, every row faults the
-    # heap top back in: about 29 000 to 48 000 minor faults instead of 5 200
+    # each row allocates and frees numpy temporaries of about 80 KB; were
+    # glibc's heap top handed back and faulted in again at every row, this
+    # would take about 29 000 to 48 000 minor faults instead of about 6 100
     faults = _fresh_run("print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt,"
                         " file=sys.stderr)",
                         "simulate", "--p", "1/4", "--q", "1/4", "--width", "10000",

@@ -17,7 +17,7 @@ from percolab.game import (
     kernel_correspondence,
     wilson_interval,
 )
-from percolab.pca import SeededStream
+from percolab.pca import SeededStream, variate_cuts
 
 from oracles import (
     CLASS_TABLE,
@@ -396,6 +396,18 @@ def test_draw_fraction_checks_every_horizon_before_hashing(monkeypatch):
                           SeededStream(1))
 
 
+def test_horizon_zero_alone_makes_no_seeds(monkeypatch):
+    # the base site is the frontier at horizon 0, always D: nothing to hash
+    def no_hashing(*args):
+        raise AssertionError("hashed for horizon 0")
+
+    monkeypatch.setattr(game, "u01_block", no_hashing)
+    monkeypatch.setattr(SeededStream, "child_seeds_u64", no_hashing)
+    ests = draw_fraction(GameVersion.V1, Params(Fraction(1, 4), Fraction(1, 4)), (0, 0),
+                         4_000_000, SeededStream(1))
+    assert [(e.horizon, e.draws) for e in ests] == [(0, 4_000_000), (0, 4_000_000)]
+
+
 def test_stacked_classes_stay_within_the_cell_budget(monkeypatch):
     # one code line per chunk for every horizon, widest on the largest
     # horizon's frontier line: 200 // 21 = 9 samples of 21 cells at line 9
@@ -456,7 +468,7 @@ def test_one_classify_line_call_inducts_every_nested_horizon(m, dtype):
 def test_packed_labels_are_the_site_labels_spread_by_m():
     params = Params(Fraction(1, 4), Fraction(1, 4))
     ks = SeededStream(3).u01_range(0, 0, 2000)
-    cuts = game._label_cuts(params)
+    cuts = variate_cuts(params)
     labels = game._labels(ks, cuts)
     assert labels.dtype == np.int8 and set(np.unique(labels)) == {TRAP, OPEN, TARGET}
     for m, dtype in ((1, np.int8), (126, np.int8), (127, np.int16), (4000, np.int16)):

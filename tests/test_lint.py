@@ -101,3 +101,28 @@ def test_exact_modules_do_not_import_numpy():
         found += [f"{name}:{line} {module}" for line, module in _imports_run_on_import(tree)
                   if module in numeric or module.startswith("numpy.")]
     assert not found, f"numeric imports in the exact modules: {found}"
+
+
+def _reads(tree, name, skip):
+    """Whether a node of ``tree`` outside the node ids ``skip`` reads ``name``,
+    as a bare name or as an attribute."""
+    return any((isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name)
+               and id(node) not in skip for node in ast.walk(tree))
+
+
+def test_every_private_helper_in_src_is_read():
+    # a module-level private function or class that nothing in the package
+    # reads, besides its own body, is dead code
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    found = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                continue
+            own = frozenset(id(inner) for inner in ast.walk(node))
+            if not any(_reads(other, node.name, own) for other in trees.values()):
+                found.append(f"{name}:{node.lineno} {node.name}")
+    assert not found, f"private helpers that nothing reads: {found}"

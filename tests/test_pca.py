@@ -1,31 +1,29 @@
 import itertools
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from percolab import game
-from percolab.core import EnvSymbol, Params
+from percolab.core import TRIPLE_CLASSES, EnvSymbol, Params, TripleClass, triple_class
 from percolab.measures import FORMULA_GRID
 from percolab.pca import (
-    TRIPLE_CLASSES,
     Alphabet,
     Boundary,
     Configuration,
     ModelSpec,
     SeededStream,
-    TripleClass,
     _TILE,
     _apply_rule,
-    _cut_points,
     _neighbour_views,
     local_rule,
     step,
     trajectory,
-    triple_class,
     u01_block,
-    variate_cut,
+    variate_cuts,
 )
 
 import oracles
@@ -165,12 +163,20 @@ def test_variates_are_53_bit_integers():
     assert u01_block(SeededStream(3).child_seeds_u64(4), 1, 0, 9).dtype == np.uint64
 
 
-def test_variate_cut_edges():
-    assert int(variate_cut(0.0)) == 0
-    assert int(variate_cut(1.0)) == 2**53
-    assert int(variate_cut(1.0 + 2.0**-52)) > 2**53  # no variate reaches a cut above 1
-    assert int(variate_cut(2.0**-53)) == 1 and int(variate_cut(2.0**-54)) == 1
-    assert int(variate_cut(0.5)) == 2**52 and int(variate_cut(0.1)) == math.ceil(0.1 * 2**53)
+def _cut53(t: float) -> int:
+    """ceil(t * 2**53) in Python ints, apart from ``variate_cuts``'s own path."""
+    return math.ceil(t * 2**53)
+
+
+def test_variate_cuts_edges():
+    # (cut_p, cut_pr, cut_1q): the cuts of p, p + r and 1 - q
+    assert variate_cuts(Params(0, 0)) == (0, 2**53, 2**53)
+    assert variate_cuts(Params(1, 0)) == (2**53, 2**53, 2**53)
+    assert variate_cuts(Params(0, 1)) == (0, 0, 0)
+    assert all(type(cut) is np.uint64 for cut in variate_cuts(PARAMS))
+    assert variate_cuts(Params(Fraction(1, 2**54), 0))[0] == 1
+    assert variate_cuts(Params(Fraction(1, 2), 0))[0] == 2**52
+    assert variate_cuts(Params(Fraction(1, 10), 0))[0] == math.ceil(0.1 * 2**53)
 
 
 # ---------------------------------------------------------------- configuration
@@ -244,25 +250,28 @@ def test_largest_code_is_the_triple_class():
 
 
 def _all_triples():
-    """The 27 triples as columns a, b, c, and each one's class index, its largest code."""
+    """The 27 triples as columns a, b, c, and each one's largest code, its class."""
     idx = np.arange(27)
     a, b, c = (idx // 9).astype(np.int8), (idx // 3 % 3).astype(np.int8), (idx % 3).astype(np.int8)
-    return a, b, c, np.maximum(np.maximum(a, b), c).astype(np.intp)
+    return a, b, c, np.maximum(np.maximum(a, b), c)
 
 
 @pytest.mark.parametrize("params", CUT_GRID, ids=str)
 def test_cut_table_matches_sitewise_thresholds_bit_for_bit(params):
-    # float cut points decide every Monte Carlo output, so the table must hold
-    # exactly the floats the sitewise formula gives, not merely close ones
+    # float cut points decide every Monte Carlo output, so each triple's largest
+    # code must select the integer cuts of exactly the floats the sitewise
+    # formula gives, not merely close ones
     a, b, c, largest = _all_triples()
-    t0, t1 = _cut_points(params)
-    assert t0.shape == t1.shape == (3,)
-    want0, want1 = oracles.thresholds(a, b, c, params, binary=False)
-    assert t0[largest].tobytes() == want0.tobytes() and t1[largest].tobytes() == want1.tobytes()
+    cut_p, cut_pr, cut_1q = variate_cuts(params)
+    selected = {0: (cut_p, cut_p), 1: (cut_p, cut_pr), 2: (cut_1q, cut_1q)}
     binary = np.array([cls is not TripleClass.MIXED for cls in TRIPLE_CLASSES])
-    bin0, bin1 = oracles.thresholds(a, b, c, params, binary=True)
-    assert t0[largest][binary].tobytes() == bin0[binary].tobytes()
-    assert t1[largest][binary].tobytes() == bin1[binary].tobytes()
+    for is_binary in (False, True):
+        want0, want1 = oracles.thresholds(a, b, c, params, binary=is_binary)
+        for triple in range(27):
+            if is_binary and not binary[triple]:
+                continue  # a binary row holds no ?
+            want = (_cut53(want0[triple]), _cut53(want1[triple]))
+            assert selected[largest[triple]] == want, (triple, is_binary)
 
 
 @pytest.mark.parametrize("params", [*CUT_GRID, Params(1, 0), Params(0, 1)], ids=str)
@@ -272,11 +281,11 @@ def test_integer_cuts_decide_like_the_float_cuts(params):
     a, b, c, largest = _all_triples()
     t0, t1 = oracles.thresholds(a, b, c, params, binary=False)
     p, one_minus_q = float(params.p), 1.0 - float(params.q)
-    cuts = {int(variate_cut(t)) for t in (*t0, *t1, p, one_minus_q)}
+    cuts = {_cut53(t) for t in (*t0, *t1, p, one_minus_q)}
     ks = np.array(sorted({k for c in cuts for k in (c - 1, c) if k >= 0}), dtype=np.uint64)
     u = ks * 2.0**-53
     want = (u >= p).astype(np.int8) + (u >= one_minus_q).astype(np.int8)
-    assert np.array_equal(game._labels(ks, game._label_cuts(params)), want)
+    assert np.array_equal(game._labels(ks, variate_cuts(params)), want)
     for triple in range(27):
         got = _apply_rule(np.full(ks.size, largest[triple]), params, ks)
         want = (u >= t0[triple]).astype(np.int8) + (u >= t1[triple]).astype(np.int8)
@@ -418,6 +427,32 @@ def test_trajectory_deterministic_and_seed_sensitive():
     assert np.array_equal(r1.final.cells, r2.final.cells) and r1.rows == r2.rows
     assert not np.array_equal(r1.final.cells, r3.final.cells)
 
+
+
+# Steps a 10^4-site envelope row 1000 times in a fresh interpreter, called from
+# Python rather than through the CLI, and prints the minor page faults taken
+# during the run.
+_TRAJECTORY_FAULTS = """
+import resource, sys
+from fractions import Fraction
+from percolab.core import EnvSymbol, Params
+from percolab.pca import Alphabet, Boundary, Configuration, ModelSpec, SeededStream, trajectory
+model = ModelSpec(Alphabet.ENVELOPE, 0, Params(Fraction(1, 4), Fraction(1, 4)))
+init = Configuration.constant(10_000, EnvSymbol.QMARK, Boundary.CYCLIC)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+trajectory(init, model, 1000, SeededStream(0))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_trajectory_does_not_refault_the_heap_every_row():
+    # a row's temporaries are about 80 KB each; were glibc's heap top handed
+    # back and faulted in again at every row, the run would take tens of
+    # thousands of minor faults instead of about 160
+    proc = subprocess.run([sys.executable, "-c", _TRAJECTORY_FAULTS],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 2_000
 
 # ---------------------------------------------------------------- couplings
 

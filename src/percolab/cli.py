@@ -9,19 +9,30 @@ numpy and the layers built on it (``pca``, ``game``) are imported only for the
 commands that step rows: ``simulate``, ``game``, ``sweep``, ``verify kernel``
 and ``verify stationary``.  The other ``verify`` checks are exact arithmetic
 and run without numpy.
+
+Two things keep the fixed cost that every command pays low.  ``main``
+registers ``gc.freeze`` to run at exit: the interpreter's shutdown would
+otherwise run the cyclic collector several times over the tens of thousands
+of objects the imports made, which the OS reclaims anyway.  And the
+``artifact_version`` that ``verify`` reports prints is read straight from the
+distribution's ``.dist-info`` or ``.egg-info`` entry on ``sys.path``, since
+importing ``importlib.metadata`` (and the ``email`` parser it loads) would
+cost every command about 20 ms of start-up.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
+import gc
 import importlib
 import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
-from importlib import metadata
 from typing import Optional, Sequence
 
 from .core import EnvSymbol, Params, as_fraction
@@ -112,10 +123,42 @@ def _grid_spec(text: str) -> tuple[Fraction, ...]:
 
 
 def _artifact_version() -> str:
-    try:
-        return metadata.version("artifact")
-    except metadata.PackageNotFoundError:
-        return "unknown"
+    """The installed ``artifact`` distribution's version, or "unknown".
+
+    Finds the distribution as ``importlib.metadata`` does: the first
+    ``.dist-info`` or ``.egg-info`` entry, in ``sys.path`` order, whose name up
+    to its first "-" is ``artifact`` in any case.
+    """
+    for entry in sys.path:
+        try:
+            names = os.listdir(entry or ".")
+        except OSError:
+            continue
+        for name in names:
+            low = name.lower()
+            if (low.endswith((".dist-info", ".egg-info"))
+                    and low.rpartition(".")[0].partition("-")[0] == "artifact"):
+                return _version_header(os.path.join(entry, name))
+    return "unknown"
+
+
+def _version_header(info: str) -> str:
+    """The Version header of the first nonempty one of the distribution's
+    METADATA, PKG-INFO and (an ``.egg-info`` file) ``info`` itself, or
+    "unknown"."""
+    for path in (os.path.join(info, "METADATA"), os.path.join(info, "PKG-INFO"), info):
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError:
+            continue
+        if text:
+            for line in text.partition("\n\n")[0].splitlines():  # the headers
+                key, sep, value = line.partition(":")
+                if sep and key.lower() == "version":
+                    return value.strip()
+            break
+    return "unknown"
 
 
 def _csv_text(fieldnames: Sequence[str], rows: Sequence[dict]) -> str:
@@ -419,6 +462,10 @@ def _steps_rows(argv: Sequence[str]) -> bool:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # once per process however often main runs; atexit handlers run after
+    # main's output is written, and no command collects generation 2 before
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     argv = sys.argv[1:] if argv is None else argv
     if _steps_rows(argv):
         # imported before the parser is built, so that the import counts as

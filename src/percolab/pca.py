@@ -31,7 +31,8 @@ for 000 (ALL_ZERO), cut at p; 2 for any triple holding a 1 (HAS_ONE), cut at
 1 - q; and 1 for the rest, which hold a ? and no 1 (MIXED), cut at p and p + r.
 A binary row holds no ?, so the same cuts give the binary rule. A row's hash
 XORs the (seed, t) prefix, hashed in Python ints, into the per-site keys of its
-window, which are cached, so a cyclic row builds them once. ``u01_block``
+window, which are cached, so a cyclic row builds them once; both sides carry
+the finalizer's first round already (``_site_keys``). ``u01_block``
 hashes many streams in row tiles of at most ``_TILE`` variates, so its
 temporaries stay cache-sized however many streams it serves.
 
@@ -78,13 +79,12 @@ _GOLD_INT, _MUL1_INT, _MUL2_INT, _TAG_T_INT = (int(c) for c in (_GOLD, _MUL1, _M
 _TILE = 1 << 16
 
 
-def _finalize(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """splitmix64 finalizer, in place on a uint64 array that the caller owns;
-    returns it. Its one temporary is ``scratch`` when given, an array of z's
-    shape that the caller lends, else a new one."""
+def _finalize_tail(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """The splitmix64 finalizer after its first round z ^= z >> 30, in place on
+    a uint64 array that the caller owns; returns it. Its one temporary is
+    ``scratch`` when given, an array of z's shape that the caller lends, else a
+    new one."""
     t = np.empty_like(z) if scratch is None else scratch
-    np.right_shift(z, _U64(30), out=t)
-    z ^= t
     z *= _MUL1
     np.right_shift(z, _U64(27), out=t)
     z ^= t
@@ -92,6 +92,14 @@ def _finalize(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     np.right_shift(z, _U64(31), out=t)
     z ^= t
     return z
+
+
+def _finalize(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, in place on a uint64 array that the caller owns;
+    returns it."""
+    t = z >> _U64(30)
+    z ^= t
+    return _finalize_tail(z, t)
 
 
 def _finalize_int(z: int) -> int:
@@ -113,12 +121,20 @@ def _step_key(t: int) -> int:
 
 @lru_cache(maxsize=1)
 def _site_keys(n0: int, count: int) -> np.ndarray:
-    """The site keys n*MUL1 + TAG_N of sites n0..n0+count-1, read-only; a
-    cyclic row asks for the same sites at every step.  One entry suffices:
-    each command hashes one window at a time."""
+    """The site keys n*MUL1 + TAG_N of sites n0..n0+count-1, each with the
+    finalizer's first round key ^ (key >> 30) applied, read-only; a cyclic row
+    asks for the same sites at every step.  One entry suffices: each command
+    hashes one window at a time.
+
+    A variate finalizes key ^ prefix, and xor distributes over the shift, so
+    its first round is (key ^ (key >> 30)) ^ (prefix ^ (prefix >> 30)): the
+    hash applies it to each prefix, xors in these keys and runs only
+    ``_finalize_tail``.
+    """
     keys = _as_u64(n0 + np.arange(count, dtype=np.int64))
     keys *= _MUL1
     keys += _TAG_N
+    keys ^= keys >> _U64(30)
     keys.setflags(write=False)
     return keys
 
@@ -133,6 +149,7 @@ def u01_block(seeds: np.ndarray, t: int, n0: int, count: int) -> np.ndarray:
     prefix = _finalize(seeds.reshape(-1) + _GOLD)
     prefix ^= _U64(_step_key(t))
     _finalize(prefix)
+    prefix ^= prefix >> _U64(30)
     keys = _site_keys(n0, count)
     out = np.empty((prefix.size, count), dtype=_U64)
     rows = max(1, _TILE // max(count, 1))
@@ -140,7 +157,7 @@ def u01_block(seeds: np.ndarray, t: int, n0: int, count: int) -> np.ndarray:
     for r0 in range(0, prefix.size, rows):
         tile = out[r0:r0 + rows]
         np.bitwise_xor(prefix[r0:r0 + rows, None], keys, out=tile)
-        _finalize(tile, scratch[:len(tile)])
+        _finalize_tail(tile, scratch[:len(tile)])
         np.right_shift(tile, _U64(11), out=tile)
     return out
 
@@ -163,7 +180,8 @@ class SeededStream:
         """
         prefix = _finalize_int((self.seed + _GOLD_INT) & _MASK64)
         prefix = _finalize_int(prefix ^ _step_key(t))
-        k = _finalize(np.bitwise_xor(_site_keys(n0, count), _U64(prefix)))
+        k = np.bitwise_xor(_site_keys(n0, count), _U64(prefix ^ (prefix >> 30)))
+        _finalize_tail(k)
         return np.right_shift(k, _U64(11), out=k)
 
     def child_seeds_u64(self, count: int, start: int = 0) -> np.ndarray:
@@ -304,21 +322,26 @@ def _triples(cfg: Configuration, model: ModelSpec):
     return largest, out_origin, out_width
 
 
-def _apply_rule(largest: np.ndarray, params: Params, k: np.ndarray) -> np.ndarray:
+def _apply_rule(largest: np.ndarray, params: Params, k: np.ndarray,
+                binary: bool) -> np.ndarray:
     """The updated cells: site n of each row inverts its triple's class law,
     selected by the largest code, at the variate k[n].
 
     The low bit is k >= 1 - q for HAS_ONE and k >= p otherwise; the high bit
     is k >= p + r for MIXED and the low bit otherwise.  Each is selected branch
     free, as a ^ (mask & (a ^ b)), which is much faster than ``np.where`` on a
-    random mask.
+    random mask.  A ``binary`` row holds no MIXED triple, so its high bit is
+    its low bit.
     """
     cut_p, cut_pr, cut_1q = variate_cuts(params)
     at_p = k >= cut_p
     low = (largest == 2) & (at_p ^ (k >= cut_1q))
     low ^= at_p
-    high = (largest == 1) & (at_p ^ (k >= cut_pr))
-    high ^= low
+    if binary:
+        high = low
+    else:
+        high = (largest == 1) & (at_p ^ (k >= cut_pr))
+        high ^= low
     return low.view(np.int8) + high.view(np.int8)
 
 
@@ -327,7 +350,8 @@ def step(cfg: Configuration, model: ModelSpec, stream: SeededStream, t: int) -> 
     deterministic given (seed, t) and the input."""
     largest, out_origin, out_width = _triples(cfg, model)
     k = stream.u01_range(t, out_origin, out_width)
-    return Configuration(_apply_rule(largest, model.params, k), cfg.boundary, out_origin)
+    cells = _apply_rule(largest, model.params, k, model.alphabet is Alphabet.BINARY)
+    return Configuration(cells, cfg.boundary, out_origin)
 
 
 @dataclass(frozen=True)

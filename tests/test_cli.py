@@ -11,7 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from percolab.cli import DEFAULT_SEED, _grid_spec, _int_list, _rational, main
+from percolab.cli import (
+    DEFAULT_SEED,
+    _artifact_version,
+    _grid_spec,
+    _int_list,
+    _rational,
+    main,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -530,10 +537,12 @@ def test_simulate_runs_on_a_settled_heap():
 
 # Runs each JSON-given argv through cli.main in one fresh interpreter and prints
 # which numeric modules were loaded whenever build_parser was called and at
-# the end, with main's exit codes.
+# the end, with main's exit codes and the modules that importing cli added.
 _MODULE_PROBE = """
 import contextlib, io, json, sys
+before = set(sys.modules)
 import percolab.cli as cli
+imported = sorted(set(sys.modules) - before)
 
 def loaded():
     return [name for name in ("numpy", "percolab.pca", "percolab.game") if name in sys.modules]
@@ -550,6 +559,7 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         report["codes"].append(cli.main(argv))
 report["at_exit"] = loaded()
+report["imported"] = imported
 print(json.dumps(report))
 """
 
@@ -569,6 +579,14 @@ def test_exact_verify_commands_never_import_numpy():
     assert report["at_exit"] == []
 
 
+def test_importing_the_cli_skips_the_metadata_machinery():
+    # importlib.metadata and the email parser it loads cost every command
+    # about 20 ms of start-up; the version is read from the dist-info directly
+    report = _probe_modules()
+    assert {"importlib.metadata", "email"}.isdisjoint(report["imported"])
+    assert "percolab.cli" in report["imported"]
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--p", "1/4", "--q", "1/4", "--width", "20", "--steps", "3"],
     ["game", "--p", "1/4", "--q", "1/4", "--horizons", "3", "--samples", "10"],
@@ -584,3 +602,73 @@ def test_row_commands_import_numpy_before_the_parser_is_built(argv):
     report = _probe_modules(argv)
     assert report["codes"] == [0]
     assert report["at_build_parser"] == [["numpy", "percolab.pca", "percolab.game"]]
+
+
+# ------------------------------------------------------------------ process ends
+
+_EXIT_PROBE = """
+import atexit, gc, json, sys
+import percolab.cli as cli
+
+codes, freezes = [], []
+real_freeze = gc.freeze
+gc.freeze = lambda: freezes.append(real_freeze())
+
+def report():
+    print(json.dumps({"codes": codes, "freezes": len(freezes),
+                      "frozen": gc.get_freeze_count()}), file=sys.stderr)
+
+# registered before main's handler, so it runs after it: handlers run last first
+atexit.register(report)
+argv, out = json.loads(sys.argv[1]), sys.argv[2]
+codes += [cli.main(argv), cli.main([*argv, "--out", out])]
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--p", "1/4", "--q", "1/4", "--width", "30", "--steps", "5"],
+    ["verify", "lemmas"],
+], ids=lambda argv: argv[0])
+def test_main_freezes_the_heap_at_exit_after_its_output(tmp_path, capsys, argv):
+    # gc.freeze at exit spares the interpreter's final collections the
+    # import-time objects; it must run once however often main runs, after the
+    # output is written, and change no output byte
+    code, want = run_cli(capsys, *argv)
+    assert code == 0
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-c", _EXIT_PROBE, json.dumps(argv), str(out)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stderr.splitlines()[-1])
+    assert report["codes"] == [0, 0]
+    assert report["freezes"] == 1 and report["frozen"] > 0
+    assert proc.stdout == want
+    assert out.read_text() == want
+
+
+def _fake_distribution(root, entry, filename, version):
+    info = root / entry
+    info.mkdir()
+    (info / filename).write_text(f"Metadata-Version: 2.1\nName: artifact\nVersion: {version}\n"
+                                 "\nVersion: not-a-header\n")
+
+
+@pytest.mark.parametrize("layout", ["dist-info", "egg-info", "none"])
+def test_artifact_version_agrees_with_importlib_metadata(tmp_path, monkeypatch, layout):
+    from importlib import metadata
+
+    if layout == "dist-info":
+        _fake_distribution(tmp_path, "artifact-9.9.dist-info", "METADATA", "9.9")
+    elif layout == "egg-info":
+        _fake_distribution(tmp_path, "artifact.egg-info", "PKG-INFO", "3.1.4")
+    (tmp_path / "artifactual-1.0.dist-info").mkdir()  # another distribution's name
+    # "none" searches tmp_path alone: an installed artifact further down
+    # sys.path would be found
+    path = [str(tmp_path)] + ([] if layout == "none" else sys.path)
+    monkeypatch.setattr(sys, "path", path)
+    try:
+        want = metadata.version("artifact")
+    except metadata.PackageNotFoundError:
+        want = "unknown"
+    assert _artifact_version() == want
+    assert want == {"dist-info": "9.9", "egg-info": "3.1.4", "none": "unknown"}[layout]

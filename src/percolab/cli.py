@@ -10,10 +10,10 @@ commands that step rows: ``simulate``, ``game``, ``sweep``, ``verify kernel``
 and ``verify stationary``.  The other ``verify`` checks are exact arithmetic
 and run without numpy.
 
-Two things keep the fixed cost that every command pays low.  ``main``
-registers ``gc.freeze`` to run at exit: the interpreter's shutdown would
-otherwise run the cyclic collector several times over the tens of thousands
-of objects the imports made, which the OS reclaims anyway.  And the
+Two things keep the fixed cost that every command pays low.  Importing this
+module registers ``gc.freeze`` to run at exit: the interpreter's shutdown
+would otherwise run the cyclic collector several times over the tens of
+thousands of objects the imports made, which the OS reclaims anyway.  And the
 ``artifact_version`` that ``verify`` reports prints is read straight from the
 distribution's ``.dist-info`` or ``.egg-info`` entry on ``sys.path``, since
 importing ``importlib.metadata`` (and the ``email`` parser it loads) would
@@ -49,6 +49,10 @@ from .measures import (
     verify_table_inequality,
 )
 from .orders import verify_lemma
+
+# atexit handlers run after every command's output is written, and no command
+# collects generation 2 before then
+atexit.register(gc.freeze)
 
 DEFAULT_SEED = 1729
 
@@ -125,39 +129,40 @@ def _grid_spec(text: str) -> tuple[Fraction, ...]:
 def _artifact_version() -> str:
     """The installed ``artifact`` distribution's version, or "unknown".
 
-    Finds the distribution as ``importlib.metadata`` does: the first
-    ``.dist-info`` or ``.egg-info`` entry, in ``sys.path`` order, whose name up
-    to its first "-" is ``artifact`` in any case.
+    Reads the layouts that an install leaves in a ``sys.path`` directory: the
+    first ``.dist-info`` or ``.egg-info`` entry, in ``sys.path`` order, whose
+    name up to its first "-" is ``artifact`` in any case (the rule and order of
+    ``importlib.metadata``'s path finder), and the Version header of the first
+    nonempty one of its METADATA, its PKG-INFO and, for an ``.egg-info`` file,
+    the entry itself.  Unlike ``importlib.metadata`` it looks inside no zip
+    file on ``sys.path`` and asks no ``sys.meta_path`` finder, and a
+    distribution without a Version header reads "unknown", not None.
     """
     for entry in sys.path:
         try:
             names = os.listdir(entry or ".")
         except OSError:
             continue
-        for name in names:
-            low = name.lower()
-            if (low.endswith((".dist-info", ".egg-info"))
-                    and low.rpartition(".")[0].partition("-")[0] == "artifact"):
-                return _version_header(os.path.join(entry, name))
-    return "unknown"
-
-
-def _version_header(info: str) -> str:
-    """The Version header of the first nonempty one of the distribution's
-    METADATA, PKG-INFO and (an ``.egg-info`` file) ``info`` itself, or
-    "unknown"."""
-    for path in (os.path.join(info, "METADATA"), os.path.join(info, "PKG-INFO"), info):
+        infos = [os.path.join(entry, name) for name in names
+                 if name.lower().endswith((".dist-info", ".egg-info"))
+                 and name.lower().rpartition(".")[0].partition("-")[0] == "artifact"]
+        if infos:
+            break
+    else:
+        return "unknown"
+    text = ""
+    for path in (os.path.join(infos[0], "METADATA"), os.path.join(infos[0], "PKG-INFO"), infos[0]):
         try:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError:
             continue
         if text:
-            for line in text.partition("\n\n")[0].splitlines():  # the headers
-                key, sep, value = line.partition(":")
-                if sep and key.lower() == "version":
-                    return value.strip()
             break
+    for line in text.partition("\n\n")[0].splitlines():  # the headers
+        key, sep, value = line.partition(":")
+        if sep and key.lower() == "version":
+            return value.strip()
     return "unknown"
 
 
@@ -462,10 +467,6 @@ def _steps_rows(argv: Sequence[str]) -> bool:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    # once per process however often main runs; atexit handlers run after
-    # main's output is written, and no command collects generation 2 before
-    atexit.unregister(gc.freeze)
-    atexit.register(gc.freeze)
     argv = sys.argv[1:] if argv is None else argv
     if _steps_rows(argv):
         # imported before the parser is built, so that the import counts as

@@ -322,26 +322,21 @@ def _triples(cfg: Configuration, model: ModelSpec):
     return largest, out_origin, out_width
 
 
-def _apply_rule(largest: np.ndarray, params: Params, k: np.ndarray,
-                binary: bool) -> np.ndarray:
+def _apply_rule(largest: np.ndarray, params: Params, k: np.ndarray) -> np.ndarray:
     """The updated cells: site n of each row inverts its triple's class law,
     selected by the largest code, at the variate k[n].
 
     The low bit is k >= 1 - q for HAS_ONE and k >= p otherwise; the high bit
     is k >= p + r for MIXED and the low bit otherwise.  Each is selected branch
     free, as a ^ (mask & (a ^ b)), which is much faster than ``np.where`` on a
-    random mask.  A ``binary`` row holds no MIXED triple, so its high bit is
-    its low bit.
+    random mask.
     """
     cut_p, cut_pr, cut_1q = variate_cuts(params)
     at_p = k >= cut_p
     low = (largest == 2) & (at_p ^ (k >= cut_1q))
     low ^= at_p
-    if binary:
-        high = low
-    else:
-        high = (largest == 1) & (at_p ^ (k >= cut_pr))
-        high ^= low
+    high = (largest == 1) & (at_p ^ (k >= cut_pr))
+    high ^= low
     return low.view(np.int8) + high.view(np.int8)
 
 
@@ -350,8 +345,7 @@ def step(cfg: Configuration, model: ModelSpec, stream: SeededStream, t: int) -> 
     deterministic given (seed, t) and the input."""
     largest, out_origin, out_width = _triples(cfg, model)
     k = stream.u01_range(t, out_origin, out_width)
-    cells = _apply_rule(largest, model.params, k, model.alphabet is Alphabet.BINARY)
-    return Configuration(cells, cfg.boundary, out_origin)
+    return Configuration(_apply_rule(largest, model.params, k), cfg.boundary, out_origin)
 
 
 @dataclass(frozen=True)

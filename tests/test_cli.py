@@ -6,6 +6,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -610,18 +611,12 @@ _EXIT_PROBE = """
 import atexit, gc, json, sys
 import percolab.cli as cli
 
-codes, freezes = [], []
-real_freeze = gc.freeze
-gc.freeze = lambda: freezes.append(real_freeze())
-
-def report():
-    print(json.dumps({"codes": codes, "freezes": len(freezes),
-                      "frozen": gc.get_freeze_count()}), file=sys.stderr)
-
-# registered before main's handler, so it runs after it: handlers run last first
-atexit.register(report)
 argv, out = json.loads(sys.argv[1]), sys.argv[2]
-codes += [cli.main(argv), cli.main([*argv, "--out", out])]
+codes = [cli.main(argv), cli.main([*argv, "--out", out])]
+frozen = [gc.get_freeze_count()]
+atexit._run_exitfuncs()  # every handler, as shutdown runs them; shutdown then runs none
+frozen.append(gc.get_freeze_count())
+print(json.dumps({"codes": codes, "frozen": frozen}), file=sys.stderr)
 """
 
 
@@ -631,8 +626,8 @@ codes += [cli.main(argv), cli.main([*argv, "--out", out])]
 ], ids=lambda argv: argv[0])
 def test_main_freezes_the_heap_at_exit_after_its_output(tmp_path, capsys, argv):
     # gc.freeze at exit spares the interpreter's final collections the
-    # import-time objects; it must run once however often main runs, after the
-    # output is written, and change no output byte
+    # import-time objects; it must run in the exit handlers, not before, and
+    # change no output byte
     code, want = run_cli(capsys, *argv)
     assert code == 0
     out = tmp_path / "out"
@@ -641,34 +636,44 @@ def test_main_freezes_the_heap_at_exit_after_its_output(tmp_path, capsys, argv):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stderr.splitlines()[-1])
     assert report["codes"] == [0, 0]
-    assert report["freezes"] == 1 and report["frozen"] > 0
+    assert report["frozen"][0] == 0 < report["frozen"][1]
     assert proc.stdout == want
     assert out.read_text() == want
 
 
-def _fake_distribution(root, entry, filename, version):
-    info = root / entry
-    info.mkdir()
-    (info / filename).write_text(f"Metadata-Version: 2.1\nName: artifact\nVersion: {version}\n"
-                                 "\nVersion: not-a-header\n")
+_LAYOUTS = {  # entry, metadata file in it (None: the entry is the file), version
+    "dist-info": ("artifact-9.9.dist-info", "METADATA", "9.9"),
+    "egg-info": ("artifact.egg-info", "PKG-INFO", "3.1.4"),
+    "egg-info-file": ("Artifact.EGG-INFO", None, "2.7"),
+    "no-version": ("artifact-1.0.dist-info", "METADATA", None),
+    "none": None,
+}
 
 
-@pytest.mark.parametrize("layout", ["dist-info", "egg-info", "none"])
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
 def test_artifact_version_agrees_with_importlib_metadata(tmp_path, monkeypatch, layout):
     from importlib import metadata
 
-    if layout == "dist-info":
-        _fake_distribution(tmp_path, "artifact-9.9.dist-info", "METADATA", "9.9")
-    elif layout == "egg-info":
-        _fake_distribution(tmp_path, "artifact.egg-info", "PKG-INFO", "3.1.4")
+    if _LAYOUTS[layout]:
+        entry, filename, version = _LAYOUTS[layout]
+        headers = "Metadata-Version: 2.1\nName: artifact\n"
+        if version:
+            headers += f"Version: {version}\n"
+        path = tmp_path / entry
+        if filename:
+            path.mkdir()
+            path /= filename
+        path.write_text(headers + "\nVersion: not-a-header\n")
     (tmp_path / "artifactual-1.0.dist-info").mkdir()  # another distribution's name
     # "none" searches tmp_path alone: an installed artifact further down
     # sys.path would be found
-    path = [str(tmp_path)] + ([] if layout == "none" else sys.path)
-    monkeypatch.setattr(sys, "path", path)
-    try:
-        want = metadata.version("artifact")
-    except metadata.PackageNotFoundError:
-        want = "unknown"
-    assert _artifact_version() == want
-    assert want == {"dist-info": "9.9", "egg-info": "3.1.4", "none": "unknown"}[layout]
+    monkeypatch.setattr(sys, "path", [str(tmp_path)] + ([] if layout == "none" else sys.path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # a missing header's None
+        try:
+            want = metadata.version("artifact")
+        except (metadata.PackageNotFoundError, KeyError):
+            want = None
+    # no distribution, or one without a Version header, reads "unknown"
+    assert _artifact_version() == (want or "unknown")
+    assert want == (_LAYOUTS[layout] or (None, None, None))[2]

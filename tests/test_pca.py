@@ -286,14 +286,10 @@ def test_integer_cuts_decide_like_the_float_cuts(params):
     u = ks * 2.0**-53
     want = (u >= p).astype(np.int8) + (u >= one_minus_q).astype(np.int8)
     assert np.array_equal(game._labels(ks, variate_cuts(params)), want)
-    for binary in (False, True):
-        t0, t1 = oracles.thresholds(a, b, c, params, binary=binary)
-        for triple in range(27):
-            if binary and largest[triple] == 1:
-                continue  # a binary row holds no ?
-            got = _apply_rule(np.full(ks.size, largest[triple]), params, ks, binary)
-            want = (u >= t0[triple]).astype(np.int8) + (u >= t1[triple]).astype(np.int8)
-            assert np.array_equal(got, want), (triple, binary)
+    for triple in range(27):
+        got = _apply_rule(np.full(ks.size, largest[triple]), params, ks)
+        want = (u >= t0[triple]).astype(np.int8) + (u >= t1[triple]).astype(np.int8)
+        assert np.array_equal(got, want), triple
     if params == Params(0, 0):
         assert {0, 2**53} <= cuts
 

@@ -54,8 +54,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import EnvSymbol, LocalDistribution, Params, iter_words
-from .pca import Alphabet, ModelSpec, SeededStream, local_rule, u01_block, variate_cuts
+from .core import EnvSymbol, LocalDistribution, Params, class_law, iter_words, triple_class
+from .pca import SeededStream, u01_block, variate_cuts
 
 
 class GameVersion(Enum):
@@ -185,7 +185,6 @@ def kernel_correspondence(version: GameVersion, params: Params) -> KernelReport:
     the induced law on {W, D, L} must equal the rule's law on {0, ?, 1}."""
     p, q, r = params.p, params.q, params.r
     label_probs = ((SiteLabel.TRAP, p), (SiteLabel.OPEN, r), (SiteLabel.TARGET, q))
-    model = ModelSpec(Alphabet.ENVELOPE, version.offset, params)
     comparisons = []
     for triple in iter_words(3):
         nxt = np.array([s.value for s in triple], dtype=np.int8)
@@ -194,7 +193,8 @@ def kernel_correspondence(version: GameVersion, params: Params) -> KernelReport:
             cls = int(classify_line(np.array([label], dtype=np.int8), nxt, version)[0])
             masses[cls] += prob
         induced = LocalDistribution(masses[0], masses[1], masses[2])
-        comparisons.append(KernelComparison(triple, induced, local_rule(model, triple)))
+        comparisons.append(KernelComparison(triple, induced,
+                                            class_law(triple_class(triple), params)))
     return KernelReport(version, params, tuple(comparisons))
 
 

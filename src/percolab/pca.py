@@ -1,14 +1,13 @@
-"""Row-by-row simulation of the binary and three-symbol lattice dynamics.
+"""Row-by-row simulation of the three-symbol lattice dynamics.
 
 The update rule reads the neighbourhood {i, i+1, i+2} of each site (offset i is
 configurable: i = 0 gives the right-looking chain, i = -1 the centered one) and
-draws the new symbol independently per site:
-
-* binary alphabet {0,1}: triple 000 -> 0 w.p. p, 1 w.p. 1-p; any other triple
-  -> 0 w.p. 1-q, 1 w.p. q;
-* three-symbol alphabet {0,?,1}: a triple containing 1 -> 0 w.p. 1-q, 1 w.p. q;
-  triple 000 -> 0 w.p. p, 1 w.p. 1-p; a triple over {0,?} with at least one ?
-  -> 0 w.p. p, 1 w.p. q, ? w.p. r.
+draws the new symbol over {0, ?, 1} independently per site: a triple containing
+1 -> 0 w.p. 1-q, 1 w.p. q; triple 000 -> 0 w.p. p, 1 w.p. 1-p; a triple over
+{0,?} with at least one ? -> 0 w.p. p, 1 w.p. q, ? w.p. r.  A row without ?
+holds only triples of the first two kinds, so it steps as the binary automaton
+F_{p,q} on {0, 1}, and its successor has no ? either: the three-symbol rule is
+the envelope of the binary one, and no setting tells them apart.
 
 Those three triple classes and their exact laws live in ``core``
 (``TripleClass``, ``TRIPLE_CLASSES``, ``class_law``), where the exact checks
@@ -29,12 +28,11 @@ above 1.0 becomes 2**53 or more, which no variate reaches.
 A triple's class is read from its largest code, which selects its cuts: 0 only
 for 000 (ALL_ZERO), cut at p; 2 for any triple holding a 1 (HAS_ONE), cut at
 1 - q; and 1 for the rest, which hold a ? and no 1 (MIXED), cut at p and p + r.
-A binary row holds no ?, so the same cuts give the binary rule. A row's hash
-XORs the (seed, t) prefix, hashed in Python ints, into the per-site keys of its
-window, which are cached, so a cyclic row builds them once; both sides carry
-the finalizer's first round already (``_site_keys``). ``u01_block``
-hashes many streams in row tiles of at most ``_TILE`` variates, so its
-temporaries stay cache-sized however many streams it serves.
+A row's hash XORs the (seed, t) prefix, hashed in Python ints, into the
+per-site keys of its window, which are cached, so a cyclic row builds them
+once; both sides carry the finalizer's first round already (``_site_keys``).
+``u01_block`` hashes many streams in row tiles of at most ``_TILE`` variates,
+so its temporaries stay cache-sized however many streams it serves.
 
 Two boundary policies: Cyclic keeps the width fixed and wraps indices, by
 copying the row's slices into a buffer two cells wider; LightCone shrinks the
@@ -53,11 +51,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
-from .core import EnvSymbol, LocalDistribution, Params, class_law, triple_class
+from .core import EnvSymbol, Params
 
 # ------------------------------------------------------------------ randomness
 
@@ -195,11 +192,6 @@ class SeededStream:
 
 # ------------------------------------------------------------------ model/state
 
-class Alphabet(Enum):
-    BINARY = "binary"
-    ENVELOPE = "envelope"
-
-
 class Boundary(Enum):
     CYCLIC = "cyclic"
     LIGHTCONE = "lightcone"
@@ -207,9 +199,8 @@ class Boundary(Enum):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Alphabet + neighbourhood offset i (window {i, i+1, i+2}) + parameters."""
+    """Neighbourhood offset i (window {i, i+1, i+2}) + parameters."""
 
-    alphabet: Alphabet
     offset: int
     params: Params
 
@@ -246,10 +237,6 @@ class Configuration:
     def width(self) -> int:
         return int(self.cells.shape[-1])
 
-    @property
-    def has_qmark(self) -> bool:
-        return bool((self.cells == 1).any())
-
     def counts(self) -> tuple[int, int, int]:
         """(count of 0, count of ?, count of 1) over every row -- exact integers."""
         nonzero = int(np.count_nonzero(self.cells))
@@ -261,21 +248,6 @@ class Configuration:
         cls, width: int, symbol: EnvSymbol, boundary: Boundary, origin: int = 0
     ) -> "Configuration":
         return cls(np.full(width, symbol.value, dtype=np.int8), boundary, origin)
-
-
-# ------------------------------------------------------------------ local rule
-
-def local_rule(model: ModelSpec, triple: Sequence[EnvSymbol]) -> LocalDistribution:
-    """Exact one-site output law for a neighbourhood triple.
-
-    A binary triple is never MIXED, so both alphabets share the class laws.
-    """
-    syms = tuple(triple)
-    if len(syms) != 3 or not all(isinstance(s, EnvSymbol) for s in syms):
-        raise ValueError(f"need a triple of symbols, got {triple!r}")
-    if model.alphabet is Alphabet.BINARY and any(s is EnvSymbol.QMARK for s in syms):
-        raise ValueError("? symbol passed to a binary model")
-    return class_law(triple_class(syms), model.params)
 
 
 # ------------------------------------------------------------------ stepping
@@ -310,18 +282,6 @@ def variate_cuts(params: Params) -> tuple[np.uint64, np.uint64, np.uint64]:
     return tuple(_U64(math.ceil(t * 2.0**53)) for t in (p, p + r, 1.0 - q))
 
 
-def _triples(cfg: Configuration, model: ModelSpec):
-    """The largest code of each output site's triple, its class (module
-    docstring), and the output row's absolute origin and width, once the row is
-    checked against the alphabet."""
-    if model.alphabet is Alphabet.BINARY and cfg.has_qmark:
-        raise ValueError("? symbol passed to a binary model")
-    a, b, c, out_origin, out_width = _neighbour_views(cfg, model.offset)
-    largest = np.maximum(a, b)
-    np.maximum(largest, c, out=largest)
-    return largest, out_origin, out_width
-
-
 def _apply_rule(largest: np.ndarray, params: Params, k: np.ndarray) -> np.ndarray:
     """The updated cells: site n of each row inverts its triple's class law,
     selected by the largest code, at the variate k[n].
@@ -342,8 +302,11 @@ def _apply_rule(largest: np.ndarray, params: Params, k: np.ndarray) -> np.ndarra
 
 def step(cfg: Configuration, model: ModelSpec, stream: SeededStream, t: int) -> Configuration:
     """Advance a row, or each row of a stack under the same variates, by one step;
-    deterministic given (seed, t) and the input."""
-    largest, out_origin, out_width = _triples(cfg, model)
+    deterministic given (seed, t) and the input.  Each output site's triple is
+    classed by its largest code (module docstring)."""
+    a, b, c, out_origin, out_width = _neighbour_views(cfg, model.offset)
+    largest = np.maximum(a, b)
+    np.maximum(largest, c, out=largest)
     k = stream.u01_range(t, out_origin, out_width)
     return Configuration(_apply_rule(largest, model.params, k), cfg.boundary, out_origin)
 

@@ -20,7 +20,9 @@ from percolab.core import (
     Params,
     StochOrder,
     Word,
+    class_law,
     iter_words,
+    triple_class,
     word_str,
 )
 from percolab.game import GameClass, GameVersion, SiteLabel
@@ -46,7 +48,6 @@ from percolab.measures import (
 )
 from percolab.orders import dominates, triple_leq
 from percolab.pca import (
-    Alphabet,
     Boundary,
     Configuration,
     ModelSpec,
@@ -57,7 +58,6 @@ from percolab.pca import (
     _TAG_T,
     SeededStream,
     _as_u64,
-    local_rule,
 )
 
 # ------------------------------------------------------------------ streams
@@ -112,7 +112,7 @@ def symbols(cfg: Configuration) -> tuple[EnvSymbol, ...]:
 
 def envelope_of_pair(cfg_a: Configuration, cfg_b: Configuration) -> Configuration:
     """Sitewise summary of two binary rows: common value where equal, ? where not."""
-    if cfg_a.has_qmark or cfg_b.has_qmark:
+    if (cfg_a.cells == 1).any() or (cfg_b.cells == 1).any():
         raise ValueError("envelope_of_pair takes binary rows")
     if cfg_a.width != cfg_b.width:
         raise ValueError(f"width mismatch: {cfg_a.width} != {cfg_b.width}")
@@ -153,10 +153,10 @@ def neighbours(cfg: Configuration, offset: int):
 
 
 def step(cfg: Configuration, model: ModelSpec, stream: SeededStream, t: int) -> Configuration:
-    """One update with the cut points computed site by site from the cells."""
-    binary = model.alphabet is Alphabet.BINARY
-    if binary and cfg.has_qmark:
-        raise ValueError("? symbol passed to a binary model")
+    """One update with the cut points computed site by site from the cells: the
+    binary automaton's when no row holds a ? (code 1), else the three-symbol
+    rule's."""
+    binary = not (cfg.cells == 1).any()
     a, b, c, out_origin, out_width = neighbours(cfg, model.offset)
     t0, t1 = thresholds(a, b, c, model.params, binary)
     u = u01_range(stream, t, out_origin, out_width)
@@ -289,8 +289,7 @@ def lemma_report(which: int, params: Params, law=None) -> dict:
     to the envelope rule at ``params``."""
     order = StochOrder.TOTAL if which == 1 else StochOrder.PARTIAL
     if law is None:
-        model = ModelSpec(Alphabet.ENVELOPE, 0, params)
-        law = lambda t: local_rule(model, t)  # noqa: E731
+        law = lambda t: class_law(triple_class(t), params)  # noqa: E731
     rule = {t: law(t) for t in iter_words(3)}
     comparable = []
     violations = []

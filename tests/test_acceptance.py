@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from percolab.core import EnvSymbol, Params
+from percolab.core import EnvSymbol, Params, class_law, triple_class
 from percolab.game import GameVersion, draw_fraction, kernel_correspondence
 from percolab.measures import (
     CLOSED_FORM_IDS,
@@ -27,12 +27,10 @@ from percolab.measures import (
 )
 from percolab.orders import verify_lemma
 from percolab.pca import (
-    Alphabet,
     Boundary,
     Configuration,
     ModelSpec,
     SeededStream,
-    local_rule,
     step,
     trajectory,
 )
@@ -158,7 +156,7 @@ def test_6_weight_chain_matches_display():
 
 
 def test_7_qmark_mass_dies_out():
-    model = ModelSpec(Alphabet.ENVELOPE, 0, QUARTER)
+    model = ModelSpec(0, QUARTER)
     init = Configuration.constant(10_000, EnvSymbol.QMARK, Boundary.CYCLIC)
     res = trajectory(init, model, 1000, SeededStream(1))
     q_start, q_end = res.rows[0].countQ, res.rows[-1].countQ
@@ -176,7 +174,7 @@ def test_7_qmark_mass_dies_out():
 
 
 def test_8_coupled_trajectories_coalesce():
-    model = ModelSpec(Alphabet.BINARY, 0, QUARTER)
+    model = ModelSpec(0, QUARTER)  # rows without ? step as the binary automaton
     width = 200
     total_disagree = 0
     # all-0 over all-1, stacked: one step feeds both rows the same variates
@@ -200,7 +198,7 @@ def test_8_coupled_trajectories_coalesce():
     for label, row, triple in (("zeros", a1, (EnvSymbol.ZERO,) * 3),
                                ("ones", b1, (EnvSymbol.ONE,) * 3)):
         ones = int((row == 2).sum())
-        pi1 = float(local_rule(model, triple).prob(EnvSymbol.ONE))
+        pi1 = float(class_law(triple_class(triple), QUARTER).prob(EnvSymbol.ONE))
         se = math.sqrt(pi1 * (1 - pi1) / n)
         margins_ok &= ones == pinned[label] and abs(ones / n - pi1) <= 3 * se
     _line("8 coupled binary trajectories",

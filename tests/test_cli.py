@@ -106,6 +106,19 @@ def test_simulate_binary_rejects_qmark_init(capsys):
     assert err == "error: simulate: --init qmarks needs --model envelope\n"
 
 
+@pytest.mark.parametrize("offset", ["0", "-1"])
+@pytest.mark.parametrize("init", ["zeros", "ones"])
+def test_simulate_binary_and_envelope_print_the_same_bytes(capsys, init, offset):
+    # a row without ? steps as the binary automaton whichever --model is named
+    args = ["--p", "1/4", "--q", "1/4", "--init", init, "--offset", offset,
+            "--width", "300", "--steps", "30", "--seed", "3"]
+    code_b, binary = run_cli(capsys, "simulate", "--model", "binary", *args)
+    code_e, envelope = run_cli(capsys, "simulate", "--model", "envelope", *args)
+    assert code_b == code_e == 0
+    assert binary == envelope
+    assert len(set(binary.splitlines()[1:])) > 1  # the row changed along the way
+
+
 def test_unwritable_out_is_a_clean_error(tmp_path):
     path = tmp_path / "missing" / "x.csv"
     proc = subprocess.run([sys.executable, "-m", "percolab.cli", "simulate", "--p", "1/4",
@@ -310,7 +323,8 @@ def test_verify_invalid_params_clean_error(capsys):
     ("formulas", "--measures", "-1"),
     ("tables", "--measures", "-1"),
     ("weights", "--measures", "-1"),
-], ids=lambda argv: " ".join(argv))
+    (),
+], ids=lambda argv: " ".join(argv) or "no check")
 def test_verify_rejects_bad_grid_and_measures(argv):
     # a subprocess with a timeout, so a grid step that never advances fails fast
     proc = subprocess.run([sys.executable, "-m", "percolab.cli", "verify", *argv],
@@ -318,7 +332,24 @@ def test_verify_rejects_bad_grid_and_measures(argv):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
-    assert "error: argument" in proc.stderr
+    want = "error: argument " if argv else "error: the following arguments are required: check"
+    assert proc.stderr.startswith(want) and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [(), ("simulate", "--p", "1/4", "--q", "1/4", "--bogus")],
+                         ids=["no command", "unknown flag"])
+def test_top_level_parse_errors_are_one_line(capsys, argv):
+    code, err = exit_status(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_help_still_prints_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "stationary", "-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: percolab verify stationary") and "--order" not in out
 
 
 def _perfbench_workloads():

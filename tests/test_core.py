@@ -11,8 +11,10 @@ from percolab.core import (
     StochOrder,
     SYMBOLS,
     as_fraction,
+    class_law,
     iter_words,
     symbol_leq,
+    triple_class,
     upper_sets,
     word_str,
 )
@@ -20,7 +22,7 @@ from percolab.core import (
 from percolab import measures
 from percolab.measures import product_measure, pushforward_cylinder
 
-from oracles import text_span, text_words, word_in_text, word_index
+from oracles import as_dict, text_span, text_words, word_in_text, word_index
 
 Z, Q, O = EnvSymbol.ZERO, EnvSymbol.QMARK, EnvSymbol.ONE
 
@@ -155,6 +157,37 @@ def test_local_distribution_rejects_floats():
             LocalDistribution(*entries)
     d = LocalDistribution(0, 1, 0)
     assert all(type(v) is Fraction for v in (d.prob0, d.probQ, d.prob1))
+
+
+# ---------------------------------------------------------------- local rule
+
+def law(triple, params=Params(Fraction(1, 5), Fraction(3, 10))):
+    """The exact one-site output law of ``triple``, through its class."""
+    return class_law(triple_class(triple), params)
+
+
+def test_class_law_binary():
+    # a triple without ? is never MIXED: the binary automaton's two laws
+    params = Params(Fraction(3, 10), Fraction(1, 2))
+    assert as_dict(law((Z, Z, Z), params)) == {"0": Fraction(3, 10), "?": Fraction(0),
+                                               "1": Fraction(7, 10)}
+    assert as_dict(law((Z, O, Z), params)) == {"0": Fraction(1, 2), "?": Fraction(0),
+                                               "1": Fraction(1, 2)}
+
+
+def test_class_law_envelope():
+    assert as_dict(law((Q, Z, Z))) == {"0": Fraction(1, 5), "?": Fraction(1, 2),
+                                       "1": Fraction(3, 10)}
+    assert as_dict(law((Z, Z, Z))) == {"0": Fraction(1, 5), "?": Fraction(0),
+                                       "1": Fraction(4, 5)}
+    # any 1 in the window wins over any ?
+    assert as_dict(law((Q, O, Q))) == {"0": Fraction(7, 10), "?": Fraction(0),
+                                       "1": Fraction(3, 10)}
+
+
+def test_class_law_r_zero_collapses():
+    for triple in [(Q, Q, Q), (Z, Q, Z), (Q, Z, Q)]:
+        assert law(triple, Params(Fraction(2, 5), Fraction(3, 5))).probQ == 0
 
 
 # ---------------------------------------------------------------- patterns

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from percolab.core import CylinderPattern, EnvSymbol, Params, iter_words
+from percolab.core import CylinderPattern, EnvSymbol, Params, class_law, iter_words, triple_class
 from percolab import measures
 from percolab.measures import (
     CLOSED_FORM_IDS,
@@ -34,12 +34,10 @@ from percolab.measures import (
     weight,
 )
 from percolab.pca import (
-    Alphabet,
     Boundary,
     Configuration,
     ModelSpec,
     SeededStream,
-    local_rule,
     trajectory,
 )
 
@@ -245,10 +243,9 @@ def test_pushforward_frozen_example():
 def _oracle_kernel(pat_text, params):
     """kernel[u] built word by word, u in base-3 index order: the sum over the output
     words w in the pattern of prod_j P(site j becomes w_j | u[j:j+3])."""
-    model = ModelSpec(Alphabet.ENVELOPE, 0, params)
     laws = {}
     for t in iter_words(3):
-        law = local_rule(model, t)
+        law = class_law(triple_class(t), params)
         laws[tuple(s.value for s in t)] = (law.prob0, law.probQ, law.prob1)
     outputs = [tuple(s.value for s in w) for w in text_words(pat_text)]
     span = text_span(pat_text)
@@ -675,7 +672,7 @@ def test_stationary_empirical_long_run():
     # ? density decays under the dynamics at (1/4,1/4); after 1000 steps the
     # empirical measure is near-stationary: tiny ? mass and tiny gauge
     params = Params(Fraction(1, 4), Fraction(1, 4))
-    model = ModelSpec(Alphabet.ENVELOPE, 0, params)
+    model = ModelSpec(0, params)
     init = Configuration.constant(10_000, Q, Boundary.CYCLIC)
     final = trajectory(init, model, 1000, SeededStream(20260816)).final
     rep = stationary_conclusion_check(params, empirical_measure(final, 6))

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from percolab import game
-from percolab.core import TRIPLE_CLASSES, EnvSymbol, Params, TripleClass, triple_class
+from percolab.core import TRIPLE_CLASSES, EnvSymbol, Params, TripleClass, class_law, triple_class
 from percolab.measures import FORMULA_GRID
 from percolab.pca import (
-    Alphabet,
     Boundary,
     Configuration,
     ModelSpec,
@@ -19,7 +18,6 @@ from percolab.pca import (
     _TILE,
     _apply_rule,
     _neighbour_views,
-    local_rule,
     step,
     trajectory,
     u01_block,
@@ -27,49 +25,19 @@ from percolab.pca import (
 )
 
 import oracles
-from oracles import as_dict, child_stream, config_from_symbols, envelope_of_pair, symbols, u01
+from oracles import child_stream, config_from_symbols, envelope_of_pair, symbols, u01
 
 Z, Q, O = EnvSymbol.ZERO, EnvSymbol.QMARK, EnvSymbol.ONE
 
 PARAMS = Params(Fraction(1, 5), Fraction(3, 10))
 
 
-def env_model(offset=0, params=PARAMS):
-    return ModelSpec(Alphabet.ENVELOPE, offset, params)
+def spec(offset=0, params=PARAMS):
+    return ModelSpec(offset, params)
 
 
-def bin_model(offset=0, params=PARAMS):
-    return ModelSpec(Alphabet.BINARY, offset, params)
-
-
-# ---------------------------------------------------------------- local rule
-
-def test_local_rule_binary():
-    d = local_rule(bin_model(params=Params(Fraction(3, 10), Fraction(1, 2))), (Z, Z, Z))
-    assert as_dict(d) == {"0": Fraction(3, 10), "?": Fraction(0), "1": Fraction(7, 10)}
-    d = local_rule(bin_model(params=Params(Fraction(3, 10), Fraction(1, 2))), (Z, O, Z))
-    assert as_dict(d) == {"0": Fraction(1, 2), "?": Fraction(0), "1": Fraction(1, 2)}
-
-
-def test_local_rule_envelope():
-    d = local_rule(env_model(), (Q, Z, Z))
-    assert as_dict(d) == {"0": Fraction(1, 5), "?": Fraction(1, 2), "1": Fraction(3, 10)}
-    d = local_rule(env_model(), (Z, Z, Z))
-    assert as_dict(d) == {"0": Fraction(1, 5), "?": Fraction(0), "1": Fraction(4, 5)}
-    # any 1 in the window wins over any ?
-    d = local_rule(env_model(), (Q, O, Q))
-    assert as_dict(d) == {"0": Fraction(7, 10), "?": Fraction(0), "1": Fraction(3, 10)}
-
-
-def test_local_rule_r_zero_collapses():
-    m = env_model(params=Params(Fraction(2, 5), Fraction(3, 5)))
-    for triple in [(Q, Q, Q), (Z, Q, Z), (Q, Z, Q)]:
-        assert local_rule(m, triple).probQ == 0
-
-
-def test_local_rule_rejects_qmark_in_binary():
-    with pytest.raises(ValueError):
-        local_rule(bin_model(), (Z, Q, Z))
+# The codes of a binary row, which holds no ?, and of a three-symbol row.
+ROW_CODES = [pytest.param([0, 2], id="binary"), pytest.param([0, 1, 2], id="envelope")]
 
 
 # ---------------------------------------------------------------- randomness
@@ -187,7 +155,7 @@ def test_configuration_validation():
     with pytest.raises(ValueError):
         Configuration(np.array([], dtype=np.int8), Boundary.CYCLIC)
     cfg = Configuration.constant(5, Q, Boundary.CYCLIC)
-    assert cfg.counts() == (0, 5, 0) and cfg.has_qmark
+    assert cfg.counts() == (0, 5, 0)
     assert all(type(n) is int for n in cfg.counts())  # they go into JSON rows
     with pytest.raises(ValueError):
         cfg.cells[0] = 0  # frozen buffer
@@ -242,7 +210,7 @@ CUT_GRID = [*FORMULA_GRID, Params(0, 0), Params(Fraction(2, 5), Fraction(3, 5)),
 
 
 def test_largest_code_is_the_triple_class():
-    # _triples classes a triple by its largest code: 0 only for 000, 2 for any
+    # step classes a triple by its largest code: 0 only for 000, 2 for any
     # triple holding a 1, and 1 for the rest, which hold a ? and no 1
     by_largest = {0: TripleClass.ALL_ZERO, 1: TripleClass.MIXED, 2: TripleClass.HAS_ONE}
     for triple in itertools.product((Z, Q, O), repeat=3):
@@ -296,18 +264,18 @@ def test_integer_cuts_decide_like_the_float_cuts(params):
 
 @pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
 @pytest.mark.parametrize("offset", OFFSETS)
-@pytest.mark.parametrize("alphabet", list(Alphabet), ids=lambda a: a.value)
+@pytest.mark.parametrize("codes", ROW_CODES)
 @pytest.mark.parametrize("params", [PARAMS, Params(0, 1), Params(Fraction(1, 3), Fraction(2, 3)),
                                     Params(Fraction(1, 100), Fraction(1, 100)), Params(0, 0)],
                          ids=str)
-def test_step_matches_sitewise_oracle(params, alphabet, offset, boundary):
-    # the oracle wraps a cyclic row by modular indexing, step by slicing
+def test_step_matches_sitewise_oracle(params, codes, offset, boundary):
+    # the oracle wraps a cyclic row by modular indexing, step by slicing, and
+    # steps a row without ? by the binary automaton's own cut points
     rng = np.random.RandomState(17)
-    codes = [0, 2] if alphabet is Alphabet.BINARY else [0, 1, 2]
     stream = SeededStream(2024)
     widths = (1, 2, 3, 4, 57) if boundary is Boundary.CYCLIC else (3, 4, 57)
     for width, shape in itertools.product(widths, [(), (3,)]):
-        model = ModelSpec(alphabet, _offset(offset, width), params)
+        model = ModelSpec(_offset(offset, width), params)
         cfg = Configuration(rng.choice(codes, size=(*shape, width)).astype(np.int8), boundary,
                             origin=-5)
         for t in range(3):
@@ -331,17 +299,17 @@ def _one_step_freqs(triple, model, n_samples, seed):
     return np.array([(picked == c).mean() for c in (0, 1, 2)])
 
 
-@pytest.mark.parametrize("alphabet", [Alphabet.ENVELOPE, Alphabet.BINARY])
-def test_one_step_frequencies_match_local_rule(alphabet):
+@pytest.mark.parametrize("codes", ROW_CODES)
+def test_one_step_frequencies_match_local_rule(codes):
     n = 100_000
-    model = ModelSpec(alphabet, 0, PARAMS)
-    symbols = (Z, Q, O) if alphabet is Alphabet.ENVELOPE else (Z, O)
+    model = spec()
+    symbols = [EnvSymbol(c) for c in codes]
     seed = 20260816
     for a in symbols:
         for b in symbols:
             for c in symbols:
                 seed += 1
-                want = local_rule(model, (a, b, c))
+                want = class_law(triple_class((a, b, c)), PARAMS)
                 got = _one_step_freqs((a, b, c), model, n, seed)
                 for idx, sym in enumerate((Z, Q, O)):
                     prob = float(want.prob(sym))
@@ -355,15 +323,15 @@ def test_one_step_frequencies_match_local_rule(alphabet):
 def test_degenerate_params_are_exact():
     # p=1, q=0: all-zero row is a fixed point of the binary dynamics
     cfg = Configuration.constant(64, Z, Boundary.CYCLIC)
-    out = step(cfg, bin_model(params=Params(1, 0)), SeededStream(3), t=0)
+    out = step(cfg, spec(params=Params(1, 0)), SeededStream(3), t=0)
     assert out.counts() == (64, 0, 0)
     # p=0, q=0 (r=1): all-? row is a fixed point of the three-symbol dynamics
     cfg = Configuration.constant(64, Q, Boundary.CYCLIC)
-    out = step(cfg, env_model(params=Params(0, 0)), SeededStream(3), t=0)
+    out = step(cfg, spec(params=Params(0, 0)), SeededStream(3), t=0)
     assert out.counts() == (0, 64, 0)
     # p+q=1 (r=0): no ? survives one step from anywhere
     cfg = Configuration.constant(64, Q, Boundary.CYCLIC)
-    out = step(cfg, env_model(params=Params(Fraction(2, 5), Fraction(3, 5))), SeededStream(3), t=0)
+    out = step(cfg, spec(params=Params(Fraction(2, 5), Fraction(3, 5))), SeededStream(3), t=0)
     assert out.counts()[1] == 0
 
 
@@ -377,7 +345,7 @@ def test_lightcone_restriction_is_exact(offset):
     wide_cells[4:22] = narrow_cells  # wide window [-4, 21] contains narrow [0, 17]
     narrow = Configuration(narrow_cells, Boundary.LIGHTCONE, origin=0)
     wide = Configuration(wide_cells, Boundary.LIGHTCONE, origin=-4)
-    model = env_model(offset, Params(Fraction(1, 4), Fraction(1, 4)))
+    model = spec(offset, Params(Fraction(1, 4), Fraction(1, 4)))
     stream = SeededStream(777)
     for t in range(5):
         narrow = step(narrow, model, stream, t)
@@ -389,19 +357,19 @@ def test_lightcone_restriction_is_exact(offset):
 
 def test_lightcone_geometry():
     cfg = Configuration.constant(10, Z, Boundary.LIGHTCONE, origin=3)
-    out0 = step(cfg, env_model(offset=0), SeededStream(1), t=0)
+    out0 = step(cfg, spec(offset=0), SeededStream(1), t=0)
     assert (out0.origin, out0.width) == (3, 8)
-    out1 = step(cfg, env_model(offset=-1), SeededStream(1), t=0)
+    out1 = step(cfg, spec(offset=-1), SeededStream(1), t=0)
     assert (out1.origin, out1.width) == (4, 8)
     tiny = Configuration.constant(2, Z, Boundary.LIGHTCONE)
     with pytest.raises(ValueError):
-        step(tiny, env_model(), SeededStream(1), t=0)
+        step(tiny, spec(), SeededStream(1), t=0)
 
 
 def test_cyclic_wraps():
     # width-3 cyclic row: every site sees all three cells, order depending on position
     cfg = config_from_symbols([Z, Z, O], Boundary.CYCLIC)
-    model = env_model(params=Params(1, 0))  # has-one triples go to 0 surely (q=0)
+    model = spec(params=Params(1, 0))  # has-one triples go to 0 surely (q=0)
     out = step(cfg, model, SeededStream(2), t=0)
     assert out.counts() == (3, 0, 0) and out.width == 3 and out.origin == 0
 
@@ -410,20 +378,20 @@ def test_cyclic_wraps():
 
 def test_trajectory_shape_and_counts():
     init = Configuration.constant(50, Q, Boundary.CYCLIC)
-    res = trajectory(init, env_model(), steps=3, stream=SeededStream(11))
+    res = trajectory(init, spec(), steps=3, stream=SeededStream(11))
     assert len(res.rows) == 4
     assert res.rows[0] == res.rows[0].__class__(0, 50, 0, 50, 0)
     assert all(row.count0 + row.countQ + row.count1 == row.width for row in res.rows)
     assert res.final.width == 50
     with pytest.raises(ValueError):
-        trajectory(init, env_model(), steps=0, stream=SeededStream(11))
+        trajectory(init, spec(), steps=0, stream=SeededStream(11))
 
 
 def test_trajectory_deterministic_and_seed_sensitive():
     init = Configuration.constant(40, Q, Boundary.CYCLIC)
-    r1 = trajectory(init, env_model(), steps=5, stream=SeededStream(8))
-    r2 = trajectory(init, env_model(), steps=5, stream=SeededStream(8))
-    r3 = trajectory(init, env_model(), steps=5, stream=SeededStream(9))
+    r1 = trajectory(init, spec(), steps=5, stream=SeededStream(8))
+    r2 = trajectory(init, spec(), steps=5, stream=SeededStream(8))
+    r3 = trajectory(init, spec(), steps=5, stream=SeededStream(9))
     assert np.array_equal(r1.final.cells, r2.final.cells) and r1.rows == r2.rows
     assert not np.array_equal(r1.final.cells, r3.final.cells)
 
@@ -436,8 +404,8 @@ _TRAJECTORY_FAULTS = """
 import resource, sys
 from fractions import Fraction
 from percolab.core import EnvSymbol, Params
-from percolab.pca import Alphabet, Boundary, Configuration, ModelSpec, SeededStream, trajectory
-model = ModelSpec(Alphabet.ENVELOPE, 0, Params(Fraction(1, 4), Fraction(1, 4)))
+from percolab.pca import Boundary, Configuration, ModelSpec, SeededStream, trajectory
+model = ModelSpec(0, Params(Fraction(1, 4), Fraction(1, 4)))
 init = Configuration.constant(10_000, EnvSymbol.QMARK, Boundary.CYCLIC)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 trajectory(init, model, 1000, SeededStream(0))
@@ -482,7 +450,7 @@ def test_stack_shape_width_and_counts():
     stack = _extremes(7)
     assert stack.cells.shape == (2, 7) and stack.width == 7
     assert stack.counts() == (7, 0, 7)  # over every row
-    res = trajectory(stack, bin_model(), steps=2, stream=SeededStream(4))
+    res = trajectory(stack, spec(), steps=2, stream=SeededStream(4))
     assert all(row.width == 7 and row.count0 + row.countQ + row.count1 == 14 for row in res.rows)
     with pytest.raises(ValueError):
         Configuration(np.zeros((2, 2, 2), dtype=np.int8), Boundary.CYCLIC)
@@ -494,13 +462,12 @@ def test_stack_shape_width_and_counts():
                                     Params(Fraction(1, 100), Fraction(1, 100))], ids=str)
 @pytest.mark.parametrize("offset", [0, -1, 5])
 @pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
-@pytest.mark.parametrize("alphabet", list(Alphabet), ids=lambda a: a.value)
-def test_stacked_step_equals_per_row_step(monkeypatch, alphabet, boundary, offset, params):
+@pytest.mark.parametrize("codes", ROW_CODES)
+def test_stacked_step_equals_per_row_step(monkeypatch, codes, boundary, offset, params):
     # one variate per (t, n) serves every row, so a stack steps each of its rows
     # exactly as step does alone, and hashes each output site once
     rng = np.random.RandomState(8)
-    codes = [0, 2] if alphabet is Alphabet.BINARY else [0, 1, 2]
-    model = ModelSpec(alphabet, offset, params)
+    model = ModelSpec(offset, params)
     stream = SeededStream(21)
     rows = [Configuration(rng.choice(codes, size=40).astype(np.int8), boundary, origin=3)
             for _ in range(3)]
@@ -526,17 +493,9 @@ def test_stacked_step_equals_per_row_step(monkeypatch, alphabet, boundary, offse
         rows = want
 
 
-def test_binary_step_rejects_a_stack_holding_a_qmark():
-    stack = _stack(Configuration.constant(10, Z, Boundary.CYCLIC),
-                   config_from_symbols([O] * 9 + [Q], Boundary.CYCLIC))
-    with pytest.raises(ValueError):
-        step(stack, bin_model(), SeededStream(1), t=0)
-    step(stack, env_model(), SeededStream(1), t=0)  # the envelope model takes it
-
-
 def test_coupled_step_alternating_domination():
     # all-0 vs all-1: common randomness flips the pointwise order each step
-    model = bin_model(params=Params(Fraction(1, 4), Fraction(1, 4)))
+    model = spec(params=Params(Fraction(1, 4), Fraction(1, 4)))
     stack = _extremes(500)
     stream = SeededStream(123)
     low_is_a = True
@@ -551,7 +510,7 @@ def test_coupled_step_alternating_domination():
 
 
 def test_coupled_step_disagreement_shrinks():
-    model = bin_model(params=Params(Fraction(1, 4), Fraction(1, 4)))
+    model = spec(params=Params(Fraction(1, 4), Fraction(1, 4)))
     stack = _extremes(2000)
     stream = SeededStream(7)
     for t in range(200):
@@ -564,7 +523,7 @@ def test_coupled_step_disagreement_shrinks():
 def test_envelope_step_covers_coupled_pair(offset):
     # under common randomness the three-symbol rule is the envelope of the binary
     # one: wherever the envelope row is decided, both coupled binary rows equal it
-    params = Params(Fraction(1, 4), Fraction(1, 4))  # float cut points are exact
+    model = spec(offset, Params(Fraction(1, 4), Fraction(1, 4)))  # float cuts are exact
     rng = np.random.RandomState(6)
     a = Configuration((rng.randint(0, 2, size=400) * 2).astype(np.int8), Boundary.CYCLIC)
     b = Configuration((rng.randint(0, 2, size=400) * 2).astype(np.int8), Boundary.CYCLIC)
@@ -573,8 +532,8 @@ def test_envelope_step_covers_coupled_pair(offset):
     stream = SeededStream(31)
     disagreements = 0
     for t in range(20):
-        pair = step(pair, bin_model(offset, params), stream, t)
-        env = step(env, env_model(offset, params), stream, t)
+        pair = step(pair, model, stream, t)
+        env = step(env, model, stream, t)
         decided = env.cells != Q.value
         for row in pair.cells:
             assert np.array_equal(row[decided], env.cells[decided])

@@ -246,7 +246,7 @@ def cmd_game(cfg: RunConfig) -> int:
 
 # ------------------------------------------------------------------ verify
 
-def _verify_lemmas(cfg: RunConfig) -> tuple[dict, bool]:
+def _verify_lemmas(cfg: RunConfig) -> dict:
     if cfg.grid == "coarse":
         points = [Params(p, q) for p, q in _COARSE_GRID]
     else:
@@ -254,22 +254,20 @@ def _verify_lemmas(cfg: RunConfig) -> tuple[dict, bool]:
         points = [Params(p, q) for p in axis for q in axis if p + q <= 1]
     reports = [verify_lemma(which, params).to_json_dict()
                for params in points for which in (1, 2)]
-    passed = all(r["violation_count"] == 0 for r in reports)
-    return {"check": "lemmas", "grid": cfg.grid, "points": len(points),
-            "reports": reports, "pass": passed}, passed
+    return {"check": "lemmas", "grid": cfg.grid, "points": len(points), "reports": reports,
+            "pass": all(r["violation_count"] == 0 for r in reports)}
 
 
-def _verify_kernel(cfg: RunConfig) -> tuple[dict, bool]:
+def _verify_kernel(cfg: RunConfig) -> dict:
     from .game import GameVersion, kernel_correspondence
 
     versions = list(GameVersion) if cfg.version == "all" else [GameVersion[cfg.version.upper()]]
     params = Params(cfg.p, cfg.q)
     reports = [kernel_correspondence(v, params).to_json_dict() for v in versions]
-    passed = all(r["passed"] for r in reports)
-    return {"check": "kernel", "reports": reports, "pass": passed}, passed
+    return {"check": "kernel", "reports": reports, "pass": all(r["passed"] for r in reports)}
 
 
-def _verify_formulas(cfg: RunConfig) -> tuple[dict, bool]:
+def _verify_formulas(cfg: RunConfig) -> dict:
     mus = sampled_measures(cfg.measures, cfg.seed)
     failures = []
     comparisons = 0
@@ -286,22 +284,20 @@ def _verify_formulas(cfg: RunConfig) -> tuple[dict, bool]:
                                      "p": frac_str(params.p), "q": frac_str(params.q),
                                      "value": frac_str(res.value),
                                      "pushforward": frac_str(push)})
-    passed = not failures
     return {"check": "formulas", "measures": len(mus), "points": len(FORMULA_GRID),
             "formulas": list(CLOSED_FORM_IDS), "comparisons": comparisons,
-            "failures": failures, "pass": passed}, passed
+            "failures": failures, "pass": not failures}
 
 
-def _verify_tables(cfg: RunConfig) -> tuple[dict, bool]:
+def _verify_tables(cfg: RunConfig) -> dict:
     mus = sampled_measures(cfg.measures, cfg.seed)
     reports = [verify_table_inequality(which, mu).to_json_dict()
                for mu in mus for which in ("ineq_1", "ineq_2")]
-    passed = all(r["pass"] for r in reports)
     return {"check": "tables", "measures": len(mus), "reports": reports,
-            "pass": passed}, passed
+            "pass": all(r["pass"] for r in reports)}
 
 
-def _verify_weights(cfg: RunConfig) -> tuple[dict, bool]:
+def _verify_weights(cfg: RunConfig) -> dict:
     mus = sampled_measures(cfg.measures, cfg.seed)
     axis = _axis(Fraction(0), Fraction(1), cfg.grid)
     points = [Params(p, q) for p in axis for q in axis if 0 < p + q <= 1]
@@ -316,13 +312,12 @@ def _verify_weights(cfg: RunConfig) -> tuple[dict, bool]:
                 min_slack = rep.overall_slack
             if not rep.passed:
                 failures.append(rep.to_json_dict())
-    passed = not failures
     return {"check": "weights", "measures": len(mus), "points": len(points),
             "runs": runs, "min_overall_slack": frac_str(min_slack),
-            "failures": failures, "pass": passed}, passed
+            "failures": failures, "pass": not failures}
 
 
-def _verify_stationary(cfg: RunConfig) -> tuple[dict, bool]:
+def _verify_stationary(cfg: RunConfig) -> dict:
     from .pca import Boundary, Configuration, ModelSpec, SeededStream, step
 
     params = Params(cfg.p, cfg.q)
@@ -333,13 +328,11 @@ def _verify_stationary(cfg: RunConfig) -> tuple[dict, bool]:
     stream = SeededStream(cfg.seed)
     for t in range(cfg.steps):  # only the last row is read, so no per-row counts
         row = step(row, model, stream, t)
-    # the report reads cylinders of span <= 5, and a cyclic row's word table of
-    # any order >= 5 marginalizes to the same span-5 counts
-    rep = stationary_conclusion_check(params, empirical_measure(row, 6))
+    rep = stationary_conclusion_check(params, empirical_measure(row))
     report = rep.to_json_dict()
     report.update({"check": "stationary", "width": cfg.width, "steps": cfg.steps,
                    "seed": cfg.seed, "pass": True})  # informational: no threshold
-    return report, True
+    return report
 
 
 _VERIFY_DISPATCH = {
@@ -353,11 +346,11 @@ _VERIFY_DISPATCH = {
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    report, passed = _VERIFY_DISPATCH[cfg.check](cfg)
+    report = _VERIFY_DISPATCH[cfg.check](cfg)
     report.setdefault("seed", getattr(cfg, "seed", None))
     report["artifact_version"] = _artifact_version()
     _emit(_json_text(report), cfg.out)
-    return 0 if passed else 1
+    return 0 if report["pass"] else 1
 
 
 # ------------------------------------------------------------------ parser

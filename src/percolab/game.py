@@ -201,7 +201,8 @@ def kernel_correspondence(version: GameVersion, params: Params) -> KernelReport:
 # ------------------------------------------------------------- draw estimates
 
 # Cells of one chunk's code line: bounds the per-line temporaries of the hash
-# and the classification (several 8-byte arrays of this many entries).
+# and the classification (several 8-byte arrays of this many entries).  A
+# horizon whose widest line alone exceeds it is rejected.
 _CELL_BUDGET = 1 << 20
 
 
@@ -237,7 +238,7 @@ def _count_draws(
     cuts = variate_cuts(params)
     # the narrowest signed type holding every code 1 +- m: int8 up to 126 horizons
     dtype = np.min_scalar_type(-2 - len(levels))
-    rows = max(1, _CELL_BUDGET // (1 + 2 * top))
+    rows = _CELL_BUDGET // (1 + 2 * top)
     for start in range(0, samples, rows):
         seeds = stream.child_seeds_u64(min(rows, samples - start), start)
         m, codes, live = 0, np.empty((0, 1), dtype=dtype), np.arange(0)
@@ -328,7 +329,8 @@ def draw_fraction(
 
     A label is keyed by (sample, line, site), so every horizon reads the same
     label field; that makes the estimate nonincreasing in the horizon sample by
-    sample, not just in law. Every horizon is checked before any is run.
+    sample, not just in law. Every horizon is checked before any is run: it
+    lies in 0..(_CELL_BUDGET - 1) // 2, so one sample's widest line fits a chunk.
     """
     horizons = tuple(horizons)
     if not horizons:
@@ -336,6 +338,8 @@ def draw_fraction(
     for horizon in horizons:
         if horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {horizon}")
+        if 1 + 2 * horizon > _CELL_BUDGET:
+            raise ValueError(f"horizon must be <= {(_CELL_BUDGET - 1) // 2}, got {horizon}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     draws = _count_draws(version, params, horizons, samples, stream)

@@ -1,11 +1,11 @@
 """Exact cylinder calculus for translation-invariant measures on the three-symbol line.
 
-A measure is stored as integer counts over one denominator: its distribution on
-words of length ``order`` and every shorter marginal, derived once at
-construction, where translation consistency is validated, so a cylinder
-probability is position-free by definition.  A cylinder event is the set of word
-indices its pattern text parses to, parsed once per text: its probability sums
-the counts of those words.  On top of that sit: the brute-force pushforward of
+A measure is its order-6 word table with its marginals: integer counts over one
+denominator for the words of length ``ORDER`` = 6 and of every shorter length,
+derived once at construction, where translation consistency is validated, so a
+cylinder probability is position-free by definition.  A cylinder event is the
+set of word indices its pattern text parses to, parsed once per text: its
+probability sums the counts of those words.  On top of that sit: the brute-force pushforward of
 a cylinder event under one synchronous update, summed over the event's words, a
 catalog of closed-form expressions for pushforward probabilities of small
 cylinders (with their non-negative remainder terms), a chain of weight
@@ -36,7 +36,9 @@ from .core import (TRIPLE_CLASSES, CylinderPattern, EnvSymbol, Params, SYMBOLS, 
 if TYPE_CHECKING:
     from .pca import Configuration
 
-MAX_ORDER = 10
+# The widest cylinder any check reads (?0000?, 00000?, 10000?) spans six sites,
+# and so does the input window of a span-4 pushforward.
+ORDER = 6
 
 def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
@@ -46,7 +48,7 @@ def frac_str(x: Fraction) -> str:
 
 @dataclass(frozen=True, eq=False)
 class TIMeasure:
-    """A translation-invariant probability measure, known through order ``order``.
+    """A translation-invariant probability measure, known through words of length ``ORDER``.
 
     ``counts[k]`` is the distribution on words of length k as integer numerators
     over the one denominator ``den`` that every length shares: the word whose
@@ -61,7 +63,6 @@ class TIMeasure:
     freed with the measure.
     """
 
-    order: int
     counts: tuple[tuple[int, ...], ...]
     den: int
     name: str
@@ -71,11 +72,8 @@ class TIMeasure:
     cylinder_counts: dict[str, int] = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
-    def from_table(cls, order: int, counts: Sequence[int], den: int,
-                   name: str) -> "TIMeasure":
-        """The measure whose length-``order`` word i has probability counts[i] / den."""
-        if not 1 <= order <= MAX_ORDER:
-            raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
+    def from_table(cls, counts: Sequence[int], den: int, name: str) -> "TIMeasure":
+        """The measure whose length-``ORDER`` word i has probability counts[i] / den."""
         top = tuple(counts)
         kinds = set(map(type, top)) | {type(den)}
         if kinds != {int}:
@@ -83,66 +81,66 @@ class TIMeasure:
             raise TypeError(f"measure tables are int counts over an int denominator, got {names}")
         if den <= 0:
             raise ValueError(f"denominator must be positive, got {den}")
-        if len(top) != 3**order:
-            raise ValueError(f"table has {len(top)} entries, expected {3 ** order}")
+        if len(top) != 3**ORDER:
+            raise ValueError(f"table has {len(top)} entries, expected {3 ** ORDER}")
         if min(top) < 0:
             raise ValueError("negative entry in measure table")
         if sum(top) != den:
             raise ValueError(f"table sums to {Fraction(sum(top), den)}, not 1")
         margs = [top]
-        for _ in range(order):  # drop the rightmost site
+        for _ in range(ORDER):  # drop the rightmost site
             upper = margs[0]
             margs.insert(0, tuple([a + b + c for a, b, c in
                                    zip(upper[0::3], upper[1::3], upper[2::3])]))
-        for length in range(order):  # dropping the leftmost site must agree
+        for length in range(ORDER):  # dropping the leftmost site must agree
             step = 3**length
             upper = margs[length + 1]
             left = tuple([a + b + c for a, b, c in
                           zip(upper[:step], upper[step:2 * step], upper[2 * step:])])
             if left != margs[length]:
                 raise ValueError("table is not translation consistent")
-        reflect = tuple(map(top.__getitem__, _reversal(order))) == top
-        return cls(order, tuple(margs), den, name, reflect)
+        reflect = tuple(map(top.__getitem__, _reversal())) == top
+        return cls(tuple(margs), den, name, reflect)
 
     def __str__(self) -> str:
         return self.name
 
 
 @lru_cache(maxsize=None)
-def _reversal(length: int) -> tuple[int, ...]:
-    """For each base-3 word index of the given length, the index of the reversed word."""
+def _reversal() -> tuple[int, ...]:
+    """For each base-3 word index of length ``ORDER``, the index of the reversed word."""
     out = [0]
-    for _ in range(length):
+    for _ in range(ORDER):
         # prepending digit d to w appends d to reversed(w)
         out = [3 * rev + d for d in range(3) for rev in out]
     return tuple(out)
 
 
-def product_measure(p0, pQ, p1, order: int = 6) -> TIMeasure:
+def product_measure(p0, pQ, p1) -> TIMeasure:
     """i.i.d. sites with P(0), P(?), P(1) = p0, pQ, p1."""
     marg = tuple(as_fraction(x) for x in (p0, pQ, p1))
     den = math.lcm(*(m.denominator for m in marg))
     site = [m.numerator * (den // m.denominator) for m in marg]
     table = [1]
-    for _ in range(order):
+    for _ in range(ORDER):
         table = [x * m for x in table for m in site]
     name = f"product({marg[0]},{marg[1]},{marg[2]})"
-    return TIMeasure.from_table(order, table, den**order, name)
+    return TIMeasure.from_table(table, den**ORDER, name)
 
 
-def point_mass(symbol: EnvSymbol, order: int = 6) -> TIMeasure:
+def point_mass(symbol: EnvSymbol) -> TIMeasure:
     """The measure concentrated on the constant configuration."""
     weights = [Fraction(1) if s is symbol else Fraction(0) for s in SYMBOLS]
-    return product_measure(*weights, order=order)
+    return product_measure(*weights)
 
 
-def reversible_markov_measure(weights: Sequence[Sequence[int]], order: int = 6) -> TIMeasure:
+def reversible_markov_measure(weights: Sequence[Sequence[int]]) -> TIMeasure:
     """Stationary reversible Markov chain from a symmetric non-negative weight matrix.
 
     pi(a) = W(a)/sum(W) with W(a) the row sum, K(a,b) = w(a,b)/W(a).  Symmetry of w
     is detailed balance, which makes the word distribution reflection invariant; a
     symbol with zero row sum gets pi = 0 and is unreachable.  The counts share the
-    denominator sum(W) * lcm(nonzero W(a))^(order-1).
+    denominator sum(W) * lcm(nonzero W(a))^(ORDER-1).
     """
     w = [[as_fraction(weights[a][b]) for b in range(3)] for a in range(3)]
     for a in range(3):
@@ -162,10 +160,10 @@ def reversible_markov_measure(weights: Sequence[Sequence[int]], order: int = 6) 
     kernel = [[w_int[a][b] * (lcm_row // row[a]) if row[a] else lcm_row * (a == b)
                for b in range(3)] for a in range(3)]
     table = list(row)
-    for _ in range(order - 1):
+    for _ in range(ORDER - 1):
         table = [x * kernel[i % 3][b] for i, x in enumerate(table) for b in range(3)]
     name = f"markov({[[int(weights[a][b]) for b in range(3)] for a in range(3)]})"
-    return TIMeasure.from_table(order, table, total * lcm_row ** (order - 1), name)
+    return TIMeasure.from_table(table, total * lcm_row ** (ORDER - 1), name)
 
 
 class MeasureFamily(Enum):
@@ -173,34 +171,33 @@ class MeasureFamily(Enum):
     REVERSIBLE_MARKOV = "reversible_markov"
 
 
-def random_measure(family: MeasureFamily, rng: random.Random, order: int = 6) -> TIMeasure:
+def random_measure(family: MeasureFamily, rng: random.Random) -> TIMeasure:
     """Draw a random member of the family; all probabilities have denominator <= 64*3."""
     if family is MeasureFamily.PRODUCT:
         den = rng.randint(1, 64)
         a, b = sorted((rng.randint(0, den), rng.randint(0, den)))
-        return product_measure(Fraction(a, den), Fraction(b - a, den), Fraction(den - b, den),
-                               order=order)
+        return product_measure(Fraction(a, den), Fraction(b - a, den), Fraction(den - b, den))
     while True:
         w = [[0] * 3 for _ in range(3)]
         for a in range(3):
             for b in range(a, 3):
                 w[a][b] = w[b][a] = rng.randint(0, 8)
         if any(any(r) for r in w):
-            return reversible_markov_measure(w, order=order)
+            return reversible_markov_measure(w)
 
 
-def sampled_measures(per_family: int, seed: int, order: int = 6) -> list[TIMeasure]:
+def sampled_measures(per_family: int, seed: int) -> list[TIMeasure]:
     """The point masses on 0, 1 and ?, then ``per_family`` draws from each family,
     product and reversible Markov alternating, from ``random.Random(seed)``."""
     rng = random.Random(seed)
-    mus = [point_mass(s, order) for s in (EnvSymbol.ZERO, EnvSymbol.ONE, EnvSymbol.QMARK)]
+    mus = [point_mass(s) for s in (EnvSymbol.ZERO, EnvSymbol.ONE, EnvSymbol.QMARK)]
     for _ in range(per_family):
-        mus.append(random_measure(MeasureFamily.PRODUCT, rng, order))
-        mus.append(random_measure(MeasureFamily.REVERSIBLE_MARKOV, rng, order))
+        mus.append(random_measure(MeasureFamily.PRODUCT, rng))
+        mus.append(random_measure(MeasureFamily.REVERSIBLE_MARKOV, rng))
     return mus
 
 
-def empirical_measure(row: Configuration, order: int) -> TIMeasure:
+def empirical_measure(row: Configuration) -> TIMeasure:
     """Sliding-window word counts of a cyclic row, over the denominator width.
 
     Translation consistent by construction (every window position counted once
@@ -217,14 +214,12 @@ def empirical_measure(row: Configuration, order: int) -> TIMeasure:
         raise ValueError("empirical measure needs a cyclic row")
     if row.cells.ndim != 1:
         raise ValueError("empirical measure needs one row, not a stack")
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
     codes = row.cells.astype(np.int64)
     idx = np.zeros(row.width, dtype=np.int64)
-    for j in range(order):
+    for j in range(ORDER):
         idx = idx * 3 + np.roll(codes, -j)
-    counts = np.bincount(idx, minlength=3**order).tolist()
-    return TIMeasure.from_table(order, counts, row.width, f"empirical(width={row.width})")
+    counts = np.bincount(idx, minlength=3**ORDER).tolist()
+    return TIMeasure.from_table(counts, row.width, f"empirical(width={row.width})")
 
 
 # ------------------------------------------------------------------ cylinders
@@ -241,8 +236,8 @@ def _event(text: str) -> CylinderPattern:
 def cylinder_prob(mu: TIMeasure, text: str) -> Fraction:
     """Probability under mu of the cylinder event named by the pattern text."""
     pat = _event(text)
-    if pat.span > mu.order:
-        raise ValueError(f"pattern span {pat.span} exceeds measure order {mu.order}")
+    if pat.span > ORDER:
+        raise ValueError(f"pattern span {pat.span} exceeds measure order {ORDER}")
     marg = mu.counts[pat.span]
     return Fraction(sum([marg[i] for i in pat.indices]), mu.den)
 
@@ -300,9 +295,8 @@ def pushforward_cylinder(mu: TIMeasure, text: str, params: Params) -> Fraction:
     k ``[0?1]`` cells.
     """
     span = _event(text).span
-    if span + 2 > mu.order:
-        raise ValueError(
-            f"pushforward of span {span} needs order >= {span + 2}, have {mu.order}")
+    if span + 2 > ORDER:
+        raise ValueError(f"pushforward of span {span} needs order >= {span + 2}, have {ORDER}")
     den, kernel = _pushforward_kernel(text, params)
     masses = mu.signature_masses.get(span)
     if masses is None:
@@ -548,16 +542,13 @@ def _closed_form_form(name: str, params: Params) -> tuple[bool, tuple[str, ...],
 def closed_form(name: str, mu: TIMeasure, params: Params) -> ClosedFormResult:
     """Evaluate one closed-form catalog entry exactly.
 
-    Requires a reflection-invariant measure of order >= 6 (two of the writings
-    use the reflected cylinder, and the widest right-hand side spans six sites).
-    The entry is compiled once per (name, p, q); each measure costs one dot
-    product per reported value, and a partially specified entry reads its
-    pushforward through ``pushforward_cylinder``.
+    Requires a reflection-invariant measure (two of the writings use the
+    reflected cylinder).  The entry is compiled once per (name, p, q); each
+    measure costs one dot product per reported value, and a partially specified
+    entry reads its pushforward through ``pushforward_cylinder``.
     """
     if name not in CLOSED_FORM_IDS:
         raise ValueError(f"unknown formula {name!r}; known: {CLOSED_FORM_IDS}")
-    if mu.order < 6:
-        raise ValueError(f"closed forms need order >= 6, have {mu.order}")
     if not mu.reflection_invariant:
         raise ValueError("closed forms assume a reflection-invariant measure")
     fully, names, form = _closed_form_form(name, params)
@@ -608,8 +599,6 @@ def weight(k: int, mu: TIMeasure, params: Params) -> Fraction:
     """The k-th weight functional of the measure, k in 0..4."""
     if not 0 <= k <= 4:
         raise ValueError(f"weight index must be 0..4, got {k}")
-    if mu.order < 4:
-        raise ValueError(f"weights need order >= 4, have {mu.order}")
     return _values(_weight_form(params), mu, params)[k]
 
 
@@ -779,8 +768,6 @@ def verify_table_inequality(which: str, mu: TIMeasure) -> TableReport:
     """
     if which not in ("ineq_1", "ineq_2"):
         raise ValueError(f"which must be 'ineq_1' or 'ineq_2', got {which!r}")
-    if mu.order < 5:
-        raise ValueError(f"table inequalities need order >= 5, have {mu.order}")
     if not mu.reflection_invariant:
         raise ValueError("table inequalities assume a reflection-invariant measure")
     tables, form_names, form = _table_form(which)
@@ -908,8 +895,6 @@ def verify_master_inequality(mu: TIMeasure, params: Params) -> WeightReport:
     """
     if not params.in_region:
         raise ValueError("master inequality requires p + q > 0")
-    if mu.order < 6:
-        raise ValueError(f"master inequality needs order >= 6, have {mu.order}")
     if not mu.reflection_invariant:
         raise ValueError("master inequality assumes a reflection-invariant measure")
     names, form = _master_form(params)
@@ -970,8 +955,6 @@ def _stationary_form(params: Params) -> tuple[str, tuple[str, ...], _Form]:
 
 
 def stationary_conclusion_check(params: Params, mu: TIMeasure) -> StationarityReport:
-    if mu.order < 5:
-        raise ValueError(f"stationarity check needs order >= 5, have {mu.order}")
     branch, names, form = _stationary_form(params)
     qmark, gauge, *forced = _values(form, mu, params)
     return StationarityReport(params, mu.name, branch, qmark, abs(gauge), tuple(zip(names, forced)))

@@ -36,6 +36,7 @@ from percolab.measures import (
     _INEQ2_ROWS_Q,
     _MASTER_TERMS,
     CLOSED_FORM_IDS,
+    ORDER,
     ClosedFormResult,
     StationarityReport,
     TableReport,
@@ -392,8 +393,8 @@ def written_alt_1q01(mu: TIMeasure, params: Params) -> Fraction:
 
 def word_prob(mu: TIMeasure, word: Sequence[EnvSymbol]) -> Fraction:
     """mu of the cylinder of one plain word, read straight from the counts."""
-    if len(word) > mu.order:
-        raise ValueError(f"word length {len(word)} exceeds order {mu.order}")
+    if len(word) > ORDER:
+        raise ValueError(f"word length {len(word)} exceeds order {ORDER}")
     return Fraction(mu.counts[len(word)][word_index(word)], mu.den)
 
 
@@ -463,8 +464,6 @@ def closed_form(name: str, mu: TIMeasure, params: Params) -> ClosedFormResult:
     """``measures.closed_form``, one Fraction at a time."""
     if name not in CLOSED_FORM_IDS:
         raise ValueError(f"unknown formula {name!r}; known: {CLOSED_FORM_IDS}")
-    if mu.order < 6:
-        raise ValueError(f"closed forms need order >= 6, have {mu.order}")
     if not mu.reflection_invariant:
         raise ValueError("closed forms assume a reflection-invariant measure")
     p, q, r = params.p, params.q, params.r
@@ -540,8 +539,6 @@ def weight(k: int, mu: TIMeasure, params: Params) -> Fraction:
     """``measures.weight``, one Fraction at a time."""
     if not 0 <= k <= 4:
         raise ValueError(f"weight index must be 0..4, got {k}")
-    if mu.order < 4:
-        raise ValueError(f"weights need order >= 4, have {mu.order}")
     return weight_chain(lambda t: cylinder_prob(mu, t), params)[k]
 
 
@@ -549,8 +546,6 @@ def table_report(which: str, mu: TIMeasure) -> TableReport:
     """``measures.verify_table_inequality``, one Fraction at a time."""
     if which not in ("ineq_1", "ineq_2"):
         raise ValueError(f"which must be 'ineq_1' or 'ineq_2', got {which!r}")
-    if mu.order < 5:
-        raise ValueError(f"table inequalities need order >= 5, have {mu.order}")
     if not mu.reflection_invariant:
         raise ValueError("table inequalities assume a reflection-invariant measure")
 
@@ -580,8 +575,6 @@ def master_report(mu: TIMeasure, params: Params) -> WeightReport:
     slack is w4(mu) - w4(image) minus the sum of the terms."""
     if not params.in_region:
         raise ValueError("master inequality requires p + q > 0")
-    if mu.order < 6:
-        raise ValueError(f"master inequality needs order >= 6, have {mu.order}")
     if not mu.reflection_invariant:
         raise ValueError("master inequality assumes a reflection-invariant measure")
     p, q, r = params.p, params.q, params.r
@@ -604,8 +597,6 @@ def master_report(mu: TIMeasure, params: Params) -> WeightReport:
 
 def stationary_report(params: Params, mu: TIMeasure) -> StationarityReport:
     """``measures.stationary_conclusion_check``, one Fraction at a time."""
-    if mu.order < 5:
-        raise ValueError(f"stationarity check needs order >= 5, have {mu.order}")
     c = lambda text: cylinder_prob(mu, text)  # noqa: E731
     p, q, r = params.p, params.q, params.r
     gauge = abs(c("?") - r * c("***"))

@@ -429,6 +429,17 @@ def test_game_rejects_a_negative_horizon_before_hashing(capsys, monkeypatch):
     assert hashed == []
 
 
+def test_game_rejects_a_horizon_wider_than_the_cell_budget():
+    # a subprocess with a timeout: the first line of one sample at this horizon
+    # alone would ask for two 2*10^8-entry uint64 arrays
+    proc = subprocess.run([sys.executable, "-m", "percolab.cli", "game", "--p", "1/4", "--q",
+                           "1/4", "--horizons", "100000000", "--samples", "1"],
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: horizon must be <= 524287, got 100000000\n"
+
+
 def test_game_keeps_repeated_horizons_in_the_requested_order(capsys):
     # four rows, in the order asked for, with the bytes recorded before one
     # pass served every horizon

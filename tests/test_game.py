@@ -390,10 +390,21 @@ def test_draw_fraction_checks_every_horizon_before_hashing(monkeypatch):
 
     monkeypatch.setattr(game, "u01_block", no_hashing)
     monkeypatch.setattr(SeededStream, "child_seeds_u64", no_hashing)
-    for horizons in ((5, -1), (-2,), ()):
+    for horizons in ((5, -1), (-2,), (), (5, 524288)):
         with pytest.raises(ValueError):
             draw_fraction(GameVersion.V1, Params(Fraction(1, 4), Fraction(1, 4)), horizons, 10,
                           SeededStream(1))
+
+
+def test_one_sample_at_the_largest_horizon_fits_the_cell_budget():
+    # the widest line of horizon H holds 1 + 2H cells, so 524287 is the largest
+    # horizon whose line of one sample fits _CELL_BUDGET
+    assert 1 + 2 * 524287 <= game._CELL_BUDGET < 1 + 2 * 524288
+    params = Params(Fraction(1, 4), Fraction(1, 4))
+    (est,) = draw_fraction(GameVersion.V1, params, (524287,), 1, SeededStream(7))
+    assert (est.horizon, est.samples) == (524287, 1)
+    with pytest.raises(ValueError, match="horizon must be <= 524287, got 524288"):
+        draw_fraction(GameVersion.V1, params, (524288,), 1, SeededStream(7))
 
 
 def test_horizon_zero_alone_makes_no_seeds(monkeypatch):

@@ -16,6 +16,7 @@ from percolab import measures
 from percolab.measures import (
     CLOSED_FORM_IDS,
     FORMULA_GRID,
+    ORDER,
     MeasureFamily,
     TIMeasure,
     closed_form,
@@ -72,20 +73,19 @@ PRODUCT = product_measure(Fraction(1, 2), Fraction(3, 10), Fraction(1, 5))
 MARKOV = reversible_markov_measure([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
 
 
-def _invariant_measures(n_random=3, order=6):
+def _invariant_measures(n_random=3):
     rng = random.Random(20260816)
-    mus = [PRODUCT, MARKOV, point_mass(Z, order), point_mass(O, order),
-           point_mass(Q, order)]
+    mus = [PRODUCT, MARKOV, point_mass(Z), point_mass(O), point_mass(Q)]
     for _ in range(n_random):
-        mus.append(random_measure(MeasureFamily.PRODUCT, rng, order))
-        mus.append(random_measure(MeasureFamily.REVERSIBLE_MARKOV, rng, order))
+        mus.append(random_measure(MeasureFamily.PRODUCT, rng))
+        mus.append(random_measure(MeasureFamily.REVERSIBLE_MARKOV, rng))
     return mus
 
 
-def _asymmetric_empirical(order=6, width=300):
+def _asymmetric_empirical(width=300):
     rng = np.random.default_rng(5)
     row = Configuration(rng.integers(0, 3, size=width).astype(np.int8), Boundary.CYCLIC)
-    mu = empirical_measure(row, order)
+    mu = empirical_measure(row)
     assert not mu.reflection_invariant  # the point of this fixture
     return mu
 
@@ -117,34 +117,43 @@ def test_point_mass():
     assert cylinder_prob(mu, "***") == 0
 
 
+def _table(*words):
+    """A 3^ORDER-entry table counting each given word once."""
+    table = [0] * 3**ORDER
+    for word in words:
+        table[word_index(word)] += 1
+    return table
+
+
 def test_measure_validation():
-    with pytest.raises(ValueError, match="order"):
-        TIMeasure.from_table(0, [], 1, "x")
-    with pytest.raises(ValueError, match="order"):
-        TIMeasure.from_table(11, [1] * 3**11, 3**11, "x")
-    with pytest.raises(ValueError, match="entries"):
-        TIMeasure.from_table(1, [1], 1, "x")
+    zeros = _table((Z,) * ORDER)
+    for size in (3**(ORDER - 1), 3**(ORDER + 1)):
+        with pytest.raises(ValueError, match="entries"):
+            TIMeasure.from_table([1] + [0] * (size - 1), 1, "x")
     with pytest.raises(ValueError, match="negative"):
-        TIMeasure.from_table(1, [2, -1, 0], 1, "x")
+        TIMeasure.from_table([2, -1] + zeros[2:], 1, "x")
     with pytest.raises(ValueError, match="sums"):
-        TIMeasure.from_table(1, [1, 1, 1], 2, "x")
+        TIMeasure.from_table([1] * 3**ORDER, 2 * 3**ORDER, "x")
     with pytest.raises(ValueError, match="denominator"):
-        TIMeasure.from_table(1, [0, 0, 0], 0, "x")
+        TIMeasure.from_table([0] * 3**ORDER, 0, "x")
     with pytest.raises(ValueError, match="denominator"):
-        TIMeasure.from_table(1, [-1, 0, 0], -1, "x")
+        TIMeasure.from_table([-1] + zeros[1:], -1, "x")
     # entries and denominator are exact ints: no float, Fraction, bool or numpy int
-    for counts, den in (([0.5, 0.5, 0.0], 1), ([1, 0, 0], 1.0),
-                        ([Fraction(1), 0, 0], 1), ([True, False, False], 1),
-                        (list(np.array([1, 0, 0])), 1)):
+    for counts, den in (([0.5, 0.5] + zeros[2:], 1), (zeros, 1.0),
+                        ([Fraction(1)] + zeros[1:], 1), ([bool(c) for c in zeros], 1),
+                        (list(np.array(zeros)), 1)):
         with pytest.raises(TypeError, match="int"):
-            TIMeasure.from_table(1, counts, den, "x")
-    # product of two different site marginals: left and right marginals disagree
-    a, b = (1, 0, 0), (0, 1, 0)
-    table = [a[i] * b[j] for i in range(3) for j in range(3)]
+            TIMeasure.from_table(counts, den, "x")
+    # all mass on 0?????: the leftmost site is 0 and the rightmost is ?
     with pytest.raises(ValueError, match="translation"):
-        TIMeasure.from_table(2, table, 1, "x")
-    mu = TIMeasure.from_table(1, [1, 2, 3], 6, "x")
-    assert (cylinder_prob(mu, "0"), cylinder_prob(mu, "?")) == (Fraction(1, 6), Fraction(1, 3))
+        TIMeasure.from_table(_table((Z,) + (Q,) * (ORDER - 1)), 1, "x")
+    # the three windows of the cyclic row 0?1 0?1, read left to right
+    cycle = (Z, Q, O) * 3
+    mu = TIMeasure.from_table(_table(*(cycle[i:i + ORDER] for i in range(3))), 3, "x")
+    assert (cylinder_prob(mu, "0"), cylinder_prob(mu, "0?"), cylinder_prob(mu, "?0")) == (
+        Fraction(1, 3), Fraction(1, 3), 0)
+    assert cylinder_prob(mu, "0?10?1") == Fraction(1, 3)
+    assert not mu.reflection_invariant
 
 
 def test_markov_validation():
@@ -172,7 +181,7 @@ def test_random_families():
 
 def test_empirical_measure_small_row():
     row = config_from_symbols([Z, Q, O, Z], Boundary.CYCLIC)
-    mu = empirical_measure(row, 2)
+    mu = empirical_measure(row)
     assert word_prob(mu, (Z, Q)) == Fraction(1, 4)
     assert word_prob(mu, (Q, O)) == Fraction(1, 4)
     assert word_prob(mu, (O, Z)) == Fraction(1, 4)
@@ -185,14 +194,11 @@ def test_empirical_measure_small_row():
 def test_empirical_measure_errors():
     row = config_from_symbols([Z, Q, O, Z], Boundary.LIGHTCONE)
     with pytest.raises(ValueError, match="cyclic"):
-        empirical_measure(row, 2)
-    cyc = config_from_symbols([Z, Q, O, Z], Boundary.CYCLIC)
-    with pytest.raises(ValueError, match="order"):
-        empirical_measure(cyc, 11)
+        empirical_measure(row)
     # word windows run along one row; a stack's rows would run into each other
     stack = Configuration(np.array([[0, 1, 2, 0], [2, 2, 0, 1]], dtype=np.int8), Boundary.CYCLIC)
     with pytest.raises(ValueError, match="stack"):
-        empirical_measure(stack, 2)
+        empirical_measure(stack)
 
 
 def test_cylinder_prob_errors_and_hats():
@@ -314,7 +320,7 @@ def _oracle_fixtures():
     out = [(product_measure(*marg), _product_word_prob(marg)),
            (reversible_markov_measure(zero_row), _markov_word_prob(zero_row))]
     for row in (cells, skew):
-        out.append((empirical_measure(Configuration(row, Boundary.CYCLIC), 6),
+        out.append((empirical_measure(Configuration(row, Boundary.CYCLIC)),
                     _empirical_word_prob(row.tolist())))
     for sym in (Z, Q, O):
         site = tuple(Fraction(int(s is sym)) for s in (Z, Q, O))
@@ -326,7 +332,7 @@ def test_counts_match_word_by_word_fractions():
     edges = [pt for pt in FORMULA_GRID if pt.p == 0 or pt.q == 0 or pt.p + pt.q == 1]
     patterns = sorted(set(CLOSED_FORM_IDS) | set(WEIGHT_SPANS)) + ["1 ***", "[0?] ***"]
     for mu, prob in _oracle_fixtures():
-        tables = [[prob(w) for w in iter_words(length)] for length in range(mu.order + 1)]
+        tables = [[prob(w) for w in iter_words(length)] for length in range(ORDER + 1)]
         for length, table in enumerate(tables):
             assert [word_prob(mu, w) for w in iter_words(length)] == table, (mu.name, length)
         for pat_text in patterns + ["0 0 0 ** 1", "1 *** 1", "?0000?"]:
@@ -459,8 +465,6 @@ def test_closed_form_components_split():
 def test_closed_form_errors():
     with pytest.raises(ValueError, match="unknown formula"):
         closed_form("11?", PRODUCT, PP)
-    with pytest.raises(ValueError, match="order"):
-        closed_form("?", product_measure(1, 0, 0, order=5), PP)
     with pytest.raises(ValueError, match="reflection"):
         closed_form("?", _asymmetric_empirical(), PP)
 
@@ -491,8 +495,6 @@ def test_weight_chain_nonincreasing():
 def test_weight_errors():
     with pytest.raises(ValueError, match="index"):
         weight(5, PRODUCT, PP)
-    with pytest.raises(ValueError, match="order"):
-        weight(0, product_measure(1, 0, 0, order=3), PP)
 
 
 # ------------------------------------------------------------------ window tables
@@ -565,8 +567,6 @@ def test_ineq2_rows_and_slack():
 def test_table_inequality_errors():
     with pytest.raises(ValueError, match="which"):
         verify_table_inequality("ineq_3", PRODUCT)
-    with pytest.raises(ValueError, match="order"):
-        verify_table_inequality("ineq_1", product_measure(1, 0, 0, order=4))
     with pytest.raises(ValueError, match="reflection"):
         verify_table_inequality("ineq_1", _asymmetric_empirical())
 
@@ -619,8 +619,6 @@ def test_master_remainder_terms_match_catalog():
 def test_master_errors():
     with pytest.raises(ValueError, match="p \\+ q > 0"):
         verify_master_inequality(PRODUCT, Params(0, 0))
-    with pytest.raises(ValueError, match="order"):
-        verify_master_inequality(product_measure(1, 0, 0, order=5), PP)
     with pytest.raises(ValueError, match="reflection"):
         verify_master_inequality(_asymmetric_empirical(), PP)
 
@@ -675,7 +673,7 @@ def test_stationary_empirical_long_run():
     model = ModelSpec(0, params)
     init = Configuration.constant(10_000, Q, Boundary.CYCLIC)
     final = trajectory(init, model, 1000, SeededStream(20260816)).final
-    rep = stationary_conclusion_check(params, empirical_measure(final, 6))
+    rep = stationary_conclusion_check(params, empirical_measure(final))
     assert rep.qmark < Fraction(1, 100)
     assert rep.gauge < Fraction(1, 100)
     json.dumps(rep.to_json_dict())
@@ -708,7 +706,7 @@ def test_compiled_checks_match_fraction_oracle():
     # are values and everything else must refuse it with the same message
     skew = np.array([2, 0, 0, 0, 1, 0] * 7, dtype=np.int8)
     mus = sampled_measures(3, 1729) + [
-        empirical_measure(Configuration(skew, Boundary.CYCLIC), 6)]
+        empirical_measure(Configuration(skew, Boundary.CYCLIC))]
     for mu in mus:
         for which in ("ineq_1", "ineq_2"):
             got = _outcome(verify_table_inequality, which, mu)
@@ -802,7 +800,7 @@ def test_random_markov_is_consistent_and_reflective(w):
     # construction re-validates translation consistency exactly, so surviving
     # from_table is the assertion; reflection comes from the symmetric weights
     mat = [[w[0], w[1], w[2]], [w[1], w[3], w[4]], [w[2], w[4], w[5]]]
-    mu = reversible_markov_measure(mat, order=4)
+    mu = reversible_markov_measure(mat)
     assert mu.reflection_invariant
 
 

@@ -269,10 +269,12 @@ def _verify_kernel(cfg: RunConfig) -> dict:
 
 def _verify_formulas(cfg: RunConfig) -> dict:
     mus = sampled_measures(cfg.measures, cfg.seed)
-    failures = []
+    # points outside measures, so the per-(p, q) caches hold one point at a
+    # time; failures are listed measure by measure
+    failures = [[] for _ in mus]
     comparisons = 0
-    for mu in mus:
-        for params in FORMULA_GRID:
+    for params in FORMULA_GRID:
+        for mu, found in zip(mus, failures):
             for fid in CLOSED_FORM_IDS:
                 res = closed_form(fid, mu, params)
                 # a partially specified entry's value is the pushforward itself
@@ -280,10 +282,11 @@ def _verify_formulas(cfg: RunConfig) -> dict:
                         else res.value)
                 comparisons += 1
                 if res.value != push or not res.remainders_nonnegative:
-                    failures.append({"formula": fid, "measure": mu.name,
-                                     "p": frac_str(params.p), "q": frac_str(params.q),
-                                     "value": frac_str(res.value),
-                                     "pushforward": frac_str(push)})
+                    found.append({"formula": fid, "measure": mu.name,
+                                  "p": frac_str(params.p), "q": frac_str(params.q),
+                                  "value": frac_str(res.value),
+                                  "pushforward": frac_str(push)})
+    failures = [f for found in failures for f in found]
     return {"check": "formulas", "measures": len(mus), "points": len(FORMULA_GRID),
             "formulas": list(CLOSED_FORM_IDS), "comparisons": comparisons,
             "failures": failures, "pass": not failures}
@@ -300,18 +303,22 @@ def _verify_tables(cfg: RunConfig) -> dict:
 def _verify_weights(cfg: RunConfig) -> dict:
     mus = sampled_measures(cfg.measures, cfg.seed)
     axis = _axis(Fraction(0), Fraction(1), cfg.grid)
-    points = [Params(p, q) for p in axis for q in axis if 0 < p + q <= 1]
+    points = [(p, q) for p in axis for q in axis if 0 < p + q <= 1]
     runs = 0
     min_slack = None
-    failures = []
-    for mu in mus:
-        for params in points:
+    # points outside measures, as in _verify_formulas; each point's Params,
+    # and the class laws it keeps, is freed when the point is done
+    failures = [[] for _ in mus]
+    for p, q in points:
+        params = Params(p, q)
+        for mu, found in zip(mus, failures):
             rep = verify_master_inequality(mu, params)
             runs += 1
             if min_slack is None or rep.overall_slack < min_slack:
                 min_slack = rep.overall_slack
             if not rep.passed:
-                failures.append(rep.to_json_dict())
+                found.append(rep.to_json_dict())
+    failures = [f for found in failures for f in found]
     return {"check": "weights", "measures": len(mus), "points": len(points),
             "runs": runs, "min_overall_slack": frac_str(min_slack),
             "failures": failures, "pass": not failures}

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -72,7 +73,9 @@ class Params:
     in_region = False; verification entry points that need p + q > 0 reject it.
 
     The hash is computed once, at construction: every per-(p, q) cache looks a
-    Params up, and hashing a Fraction costs a modular inverse.
+    Params up, and hashing a Fraction costs a modular inverse.  The three class
+    laws are built on first use and kept on the instance (``laws``), so they
+    are freed with the point.
     """
 
     p: Fraction
@@ -96,6 +99,14 @@ class Params:
     def in_region(self) -> bool:
         """True iff p + q > 0 (the parameter region where the dynamics are noisy)."""
         return self.p + self.q > 0
+
+    @cached_property
+    def laws(self) -> tuple[LocalDistribution, LocalDistribution, LocalDistribution]:
+        """The local rule's output law of each ``TripleClass``, by class code."""
+        p, q, r = self.p, self.q, self.r
+        return (LocalDistribution(1 - q, 0, q),  # HAS_ONE
+                LocalDistribution(p, 0, 1 - p),  # ALL_ZERO
+                LocalDistribution(p, r, q))      # MIXED
 
     def __str__(self) -> str:
         return f"(p={self.p}, q={self.q})"
@@ -146,13 +157,12 @@ TRIPLE_CLASSES = tuple(triple_class(t) for t in iter_words(3))
 
 
 def class_law(cls: TripleClass, params: Params) -> LocalDistribution:
-    """Exact output law shared by every triple of the class."""
-    p, q, r = params.p, params.q, params.r
-    if cls is TripleClass.HAS_ONE:
-        return LocalDistribution(1 - q, 0, q)
-    if cls is TripleClass.ALL_ZERO:
-        return LocalDistribution(p, 0, 1 - p)
-    return LocalDistribution(p, r, q)
+    """Exact output law shared by every triple of the class.
+
+    Read from ``params.laws``: the three laws are built and validated once per
+    ``Params`` instance, however many checks at that point read them.
+    """
+    return params.laws[cls]
 
 
 class StochOrder(Enum):

@@ -182,15 +182,21 @@ class KernelReport:
 def kernel_correspondence(version: GameVersion, params: Params) -> KernelReport:
     """Exact check that one induction step, label integrated out, is one step
     of the three-symbol local rule: for each of the 27 successor-class triples
-    the induced law on {W, D, L} must equal the rule's law on {0, ?, 1}."""
-    p, q, r = params.p, params.q, params.r
-    label_probs = ((SiteLabel.TRAP, p), (SiteLabel.OPEN, r), (SiteLabel.TARGET, q))
+    the induced law on {W, D, L} must equal the rule's law on {0, ?, 1}.
+
+    The 81 (successor triple, label) cases are classified by one
+    ``classify_line`` call, the rule the game loop runs, as a stack of 81
+    one-site lines.
+    """
+    triples = tuple(iter_words(3))
+    nxt = np.repeat(np.array(triples, dtype=np.int8), len(SiteLabel), axis=0)
+    labels = np.tile(np.array(list(SiteLabel), dtype=np.int8), len(triples))[:, None]
+    classes = classify_line(labels, nxt, version).reshape(len(triples), len(SiteLabel))
+    label_probs = (params.p, params.r, params.q)  # by SiteLabel code
     comparisons = []
-    for triple in iter_words(3):
-        nxt = np.array([s.value for s in triple], dtype=np.int8)
+    for triple, row in zip(triples, classes.tolist()):
         masses = [Fraction(0), Fraction(0), Fraction(0)]
-        for label, prob in label_probs:
-            cls = int(classify_line(np.array([label], dtype=np.int8), nxt, version)[0])
+        for cls, prob in zip(row, label_probs):
             masses[cls] += prob
         induced = LocalDistribution(masses[0], masses[1], masses[2])
         comparisons.append(KernelComparison(triple, induced,

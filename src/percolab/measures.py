@@ -15,8 +15,10 @@ Cylinder and pushforward probabilities are summed in Python ints and leave as
 Fractions.  Every quantity built on top is a linear functional of those values
 at fixed (p, q): its transcription runs once per (p, q) on unit functionals,
 is compiled to integer coefficients over one denominator, and is evaluated on
-a measure as one integer dot product that leaves as one Fraction.  Floats
-never enter a verification path.
+a measure as one integer dot product that leaves as one Fraction.  The kernels
+and compiled forms are cached for one point at a time, so a check visits the
+points one by one and runs every measure at each.  Floats never enter a
+verification path.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from .core import (TRIPLE_CLASSES, CylinderPattern, EnvSymbol, Params, SYMBOLS, TripleClass,
-                   as_fraction, class_law)
+                   as_fraction)
 
 if TYPE_CHECKING:
     from .pca import Configuration
@@ -39,6 +41,16 @@ if TYPE_CHECKING:
 # The widest cylinder any check reads (?0000?, 00000?, 10000?) spans six sites,
 # and so does the input window of a span-4 pushforward.
 ORDER = 6
+
+CLOSED_FORM_IDS = ("?", "0?", "?0?", "1?", "10?", "100?", "000?",
+                   "1??", "1?0?", "10??", "1?00", "10?0", "1?01")
+
+# The per-(p, q) caches hold one point's entries, so a check that finishes one
+# point before it starts the next keeps a bounded set of kernels and forms,
+# however fine its grid.  The most pushforward texts one check reads at one
+# point are the closed-form catalog's (the weight chain reads 12 of them).
+_POINT_TEXTS = len(CLOSED_FORM_IDS)
+
 
 def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
@@ -259,7 +271,7 @@ def _group_masses(marg: tuple[int, ...], span: int) -> tuple[int, ...]:
     return tuple(sum([marg[u] for u in words]) for _, words in _signature_groups(span))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_POINT_TEXTS)
 def _pushforward_kernel(text: str, params: Params) -> tuple[int, tuple[int, ...]]:
     """(den, k) with k[g] / den = P(the updated window lies in the pattern | the
     input word has signature g), g indexing _signature_groups(span).
@@ -274,9 +286,8 @@ def _pushforward_kernel(text: str, params: Params) -> tuple[int, tuple[int, ...]
     pat = _event(text)
     span = pat.span
     scale = math.lcm(params.p.denominator, params.q.denominator)
-    laws = [class_law(cls, params) for cls in TripleClass]
     # by_class[s][cls]: the mass the class law puts on symbol s, times scale
-    by_class = [tuple((law.prob(s) * scale).numerator for law in laws) for s in SYMBOLS]
+    by_class = [tuple((law.prob(s) * scale).numerator for law in params.laws) for s in SYMBOLS]
     words = [tuple(by_class[w // 3 ** (span - 1 - j) % 3] for j in range(span))
              for w in pat.indices]
     kernel = tuple(sum([math.prod(map(operator.getitem, sites, sig)) for sites in words])
@@ -436,9 +447,6 @@ def _values(form: _Form, mu: TIMeasure, params: Optional[Params]) -> list[Fracti
 
 # ------------------------------------------------------------------ closed forms
 
-CLOSED_FORM_IDS = ("?", "0?", "?0?", "1?", "10?", "100?", "000?",
-                   "1??", "1?0?", "10??", "1?00", "10?0", "1?01")
-
 # 20 rational points covering the interior plus the p=0, q=0 and p+q=1 edges.
 FORMULA_GRID = tuple(Params(Fraction(a), Fraction(b)) for a, b in (
     ("0", "1"), ("1", "0"), ("1/2", "1/2"), ("1/5", "4/5"),
@@ -531,7 +539,7 @@ def _closed_form_parts(name: str, params: Params) -> tuple[bool, Linear, tuple[t
                    + (1 - p) * r * (1 - q) * q * c("000?1"))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_POINT_TEXTS)
 def _closed_form_form(name: str, params: Params) -> tuple[bool, tuple[str, ...], _Form]:
     """Whether the entry is fully specified, its component names, and its value
     then its components compiled at (p, q)."""
@@ -583,14 +591,14 @@ def _weight_chain(ev: Callable[[str], Linear], params: Params) -> tuple[Linear, 
     return (w0, w1, w2, w3, w4)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _weights(params: Params) -> tuple[Linear, ...]:
     """w0..w4 as functionals of the cylinder values at (p, q); the chain's
     identity check runs here, once per (p, q)."""
     return _weight_chain(_cylinder, params)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _weight_form(params: Params) -> _Form:
     return _compile(params, _weights(params))
 
@@ -862,7 +870,7 @@ class WeightReport:
         }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _master_form(params: Params) -> tuple[tuple[str, ...], _Form]:
     """The slack term names, and w0..w4 of mu, w0..w4 of its image, the slack
     terms and the overall slack compiled at (p, q)."""
@@ -934,7 +942,7 @@ class StationarityReport:
         }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _stationary_form(params: Params) -> tuple[str, tuple[str, ...], _Form]:
     """The branch, the forced names, and mu(?), mu(?) - r*mu(***) and the forced
     cylinders compiled at (p, q)."""

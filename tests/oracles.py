@@ -22,6 +22,7 @@ from percolab.core import (
     Word,
     class_law,
     iter_words,
+    symbol_leq,
     triple_class,
     word_str,
 )
@@ -47,7 +48,7 @@ from percolab.measures import (
     pushforward_cylinder,
     table_structure,
 )
-from percolab.orders import dominates, triple_leq
+from percolab.orders import dominates
 from percolab.pca import (
     Boundary,
     Configuration,
@@ -282,6 +283,11 @@ def as_dict(dist: LocalDistribution) -> dict[str, Fraction]:
 
 
 # ------------------------------------------------------------------ lemmas
+
+
+def triple_leq(order: StochOrder, u, v) -> bool:
+    """Coordinatewise comparison of two length-3 symbol tuples."""
+    return all(symbol_leq(order, a, b) for a, b in zip(u, v))
 
 
 def lemma_report(which: int, params: Params, law=None) -> dict:

@@ -272,6 +272,121 @@ def test_verify_formulas_computes_each_pushforward_once(capsys, monkeypatch):
     assert len(called) == 3 * 20 * 6
 
 
+def test_verify_lemmas_builds_each_law_and_verdict_once_per_point(capsys, monkeypatch):
+    # the three class laws are built once per point, not once per class pair,
+    # and each class pair's verdict is read once, not once per triple pair
+    from percolab import cli, orders
+    from percolab.core import LocalDistribution
+
+    builds = []
+    post_init = LocalDistribution.__post_init__
+    monkeypatch.setattr(LocalDistribution, "__post_init__",
+                        lambda self: builds.append(self) or post_init(self))
+    reads = []
+    holds = orders.DominationCheck.holds
+    monkeypatch.setattr(orders.DominationCheck, "holds",
+                        property(lambda self: reads.append(self) or holds.fget(self)))
+    per_call = []
+    verify_lemma = cli.verify_lemma
+
+    def counting(which, params):
+        before = len(reads)
+        report = verify_lemma(which, params)
+        per_call.append(len(reads) - before)
+        return report
+
+    monkeypatch.setattr(cli, "verify_lemma", counting)
+    code, out = run_cli(capsys, "verify", "lemmas", "--grid", "fine")
+    report = json.loads(out)
+    assert code == 0 and report["points"] == 28
+    assert len(builds) == 3 * 28
+    assert len(per_call) == 2 * 28 and 0 < max(per_call) <= 9
+
+
+def test_verify_kernel_classifies_every_case_in_one_call_per_version(capsys, monkeypatch):
+    from percolab import game
+
+    calls = []
+    classify_line = game.classify_line
+
+    def counting(labels, next_classes, version):
+        calls.append(version)
+        return classify_line(labels, next_classes, version)
+
+    monkeypatch.setattr(game, "classify_line", counting)
+    code, out = run_cli(capsys, "verify", "kernel", "--version", "all", "--p", "1/3",
+                        "--q", "1/5")
+    assert code == 0 and json.loads(out)["pass"] is True
+    assert calls == list(game.GameVersion)
+
+
+def test_verify_failures_are_listed_measure_by_measure(capsys, monkeypatch):
+    # the checks loop over points outside measures; their failures keep the
+    # measure-major order of the reports
+    import dataclasses
+
+    from percolab import cli, measures
+
+    master = cli.verify_master_inequality
+    monkeypatch.setattr(cli, "verify_master_inequality", lambda mu, params: dataclasses.replace(
+        master(mu, params), overall_slack=Fraction(-1)))
+    closed = cli.closed_form
+    monkeypatch.setattr(cli, "closed_form", lambda fid, mu, params: dataclasses.replace(
+        closed(fid, mu, params), components=(("C", Fraction(-1)),)))
+    names = [mu.name for mu in measures.sampled_measures(0, DEFAULT_SEED)]
+
+    code, out = run_cli(capsys, "verify", "weights", "--measures", "0", "--grid", "1/2")
+    assert code == 1
+    halves = ("0/1", "1/2", "1/1")
+    points = [(p, q) for p in halves for q in halves if 0 < Fraction(p) + Fraction(q) <= 1]
+    assert [(f["measure"], f["p"], f["q"]) for f in json.loads(out)["failures"]] == \
+        [(name, p, q) for name in names for p, q in points]
+
+    code, out = run_cli(capsys, "verify", "formulas", "--measures", "0")
+    assert code == 1
+    assert [(f["measure"], f["p"], f["q"], f["formula"])
+            for f in json.loads(out)["failures"]] == \
+        [(name, measures.frac_str(params.p), measures.frac_str(params.q), fid)
+         for name in names for params in measures.FORMULA_GRID
+         for fid in measures.CLOSED_FORM_IDS]
+
+
+def test_verify_weights_caches_hold_one_point(capsys):
+    # the per-(p, q) caches end a run at the same size however fine the grid,
+    # and still build each point's 12 kernels and master form once
+    from percolab import measures
+
+    caches = (measures._pushforward_kernel, measures._master_form, measures._weights,
+              measures._weight_form, measures._closed_form_form, measures._stationary_form)
+    sizes = []
+    for grid in ("1/4", "1/8"):
+        for cache in caches:
+            cache.cache_clear()
+        code, out = run_cli(capsys, "verify", "weights", "--measures", "0", "--grid", grid)
+        assert code == 0
+        sizes.append([cache.cache_info().currsize for cache in caches])
+        points = json.loads(out)["points"]
+        assert [cache.cache_info().misses for cache in caches[:2]] == [12 * points, points]
+    assert sizes[0] == sizes[1]
+    assert sizes[0][:2] == [len(measures.CLOSED_FORM_IDS), 1]
+
+
+def test_verify_formulas_builds_each_point_once(capsys):
+    # one kernel and one compiled entry per (catalog entry, point), with the
+    # caches holding one point's worth
+    from percolab import measures
+
+    caches = (measures._pushforward_kernel, measures._closed_form_form)
+    for cache in caches:
+        cache.cache_clear()
+    code, _ = run_cli(capsys, "verify", "formulas", "--measures", "1")
+    assert code == 0
+    entries = len(measures.CLOSED_FORM_IDS)
+    for cache in caches:
+        info = cache.cache_info()
+        assert (info.misses, info.currsize) == (entries * len(measures.FORMULA_GRID), entries)
+
+
 def test_verify_tables_sampled(capsys):
     code, out = run_cli(capsys, "verify", "tables", "--measures", "1")
     report = json.loads(out)
@@ -489,11 +604,14 @@ def _traced_spans(*argv):
 def test_benchmark_tracer_finds_every_traced_name():
     # perfbench/spans.py rebinds the layer functions by name when a traced run
     # starts, so a rename or move in src/ breaks it; this catches that in tests
-    spans = _traced_spans("verify", "kernel", "--version", "v1", "--p", "1/2", "--q", "1/4")
+    kernel_run = _traced_summary("verify", "kernel", "--version", "v1", "--p", "1/2",
+                                 "--q", "1/4")
+    spans = kernel_run["spans"]
     assert "game.kernel_check" in spans
-    # verify kernel checks the classify_line that the game loop runs: once
-    # per label for each of the 27 successor triples
-    assert spans["game.classify"]["count"] == 3 * 27
+    # verify kernel checks the classify_line that the game loop runs: one call
+    # covers every label for each of the 27 successor triples
+    assert spans["game.classify"]["count"] == 1
+    assert kernel_run["counters"]["game.classify_sites"] == 3 * 27
     _, game_run = _traced_run("game", "--p", "0", "--q", "0", "--horizons", "2,4",
                               "--samples", "10")
     _, simulate_run = _traced_run("simulate", "--p", "1/4", "--q", "1/4", "--width", "20",

@@ -6,10 +6,10 @@ from hypothesis import given, strategies as st
 from percolab import orders
 from percolab.cli import _axis
 from percolab.core import (EnvSymbol, LocalDistribution, Params, StochOrder, TripleClass,
-                           class_law, triple_class)
-from percolab.orders import dominates, triple_leq, verify_lemma
+                           class_law, iter_words, triple_class)
+from percolab.orders import dominates, verify_lemma
 
-from oracles import lemma_report
+from oracles import lemma_report, triple_leq
 
 Z, Q, O = EnvSymbol.ZERO, EnvSymbol.QMARK, EnvSymbol.ONE
 
@@ -144,6 +144,20 @@ def test_lemma_checks_each_class_pair_once(monkeypatch):
         calls.clear()
         verify_lemma(which, Params(Fraction(1, 5), Fraction(3, 10)))
         assert 0 < len(calls) <= 9
+
+
+@pytest.mark.parametrize("order", list(StochOrder))
+def test_comparable_pairs_match_the_pairwise_enumeration(order):
+    # the pairs drawn from the order's symbol table are the pairs u <= v found
+    # by comparing all 729, in the same sweep order
+    want = []
+    for u in iter_words(3):
+        for v in iter_words(3):
+            if triple_leq(order, u, v):
+                low, high = (v, u) if order is StochOrder.TOTAL else (u, v)
+                want.append((u, v, triple_class(low), triple_class(high)))
+    assert orders._comparable_pairs(order) == tuple(want)
+    assert len(want) == (216 if order is StochOrder.TOTAL else 125)
 
 
 def test_verify_lemma_rejects_bad_which():

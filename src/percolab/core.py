@@ -2,11 +2,11 @@
 
 Everything here is an immutable value: the parameter pair (p, q) with its derived
 open probability r = 1 - p - q, the three-symbol alphabet {0, ?, 1}, single-site
-probability distributions, the local rule's three triple classes with one exact
-output law each, the two stochastic orders on the alphabet, and cylinder
-patterns, parsed once into the set of words they contain (contiguous runs of
-symbol subsets, with two shorthand tokens ``**`` and ``***`` for the hatted sets
-{0,?}^2 \\ {00} and {0,?}^3 \\ {000}).
+probability distributions, the local rule's three triple classes (numbered by a
+triple's largest code) with one exact output law each, the two stochastic orders
+on the alphabet, and cylinder patterns, parsed once into the set of words they
+contain (contiguous runs of symbol subsets, with two shorthand tokens ``**`` and
+``***`` for the hatted sets {0,?}^2 \\ {00} and {0,?}^3 \\ {000}).
 
 Every probability here is an exact ``fractions.Fraction``: ``as_fraction`` and
 ``LocalDistribution`` refuse a float with ``TypeError``.  The module needs only
@@ -102,11 +102,12 @@ class Params:
 
     @cached_property
     def laws(self) -> tuple[LocalDistribution, LocalDistribution, LocalDistribution]:
-        """The local rule's output law of each ``TripleClass``, by class code."""
+        """The local rule's output law of each ``TripleClass``, by class code:
+        ``laws[c]`` is the law of every triple whose largest code is c."""
         p, q, r = self.p, self.q, self.r
-        return (LocalDistribution(1 - q, 0, q),  # HAS_ONE
-                LocalDistribution(p, 0, 1 - p),  # ALL_ZERO
-                LocalDistribution(p, r, q))      # MIXED
+        return (LocalDistribution(p, 0, 1 - p),  # ALL_ZERO
+                LocalDistribution(p, r, q),      # MIXED
+                LocalDistribution(1 - q, 0, q))  # HAS_ONE
 
     def __str__(self) -> str:
         return f"(p={self.p}, q={self.q})"
@@ -137,32 +138,16 @@ class LocalDistribution:
 
 
 class TripleClass(IntEnum):
-    """The three cases of the local rule; the output law depends on nothing else."""
+    """The three cases of the local rule, numbered by a triple's largest code;
+    the output law depends on nothing else."""
 
-    HAS_ONE = 0
-    ALL_ZERO = 1
-    MIXED = 2  # over {0,?} with at least one ?
-
-
-def triple_class(triple: Sequence[EnvSymbol]) -> TripleClass:
-    if any(s is EnvSymbol.ONE for s in triple):
-        return TripleClass.HAS_ONE
-    if all(s is EnvSymbol.ZERO for s in triple):
-        return TripleClass.ALL_ZERO
-    return TripleClass.MIXED
+    ALL_ZERO = 0  # 000
+    MIXED = 1  # over {0,?} with at least one ?
+    HAS_ONE = 2  # holds a 1
 
 
 # The class of every triple, by its base-3 index 9a + 3b + c.
-TRIPLE_CLASSES = tuple(triple_class(t) for t in iter_words(3))
-
-
-def class_law(cls: TripleClass, params: Params) -> LocalDistribution:
-    """Exact output law shared by every triple of the class.
-
-    Read from ``params.laws``: the three laws are built and validated once per
-    ``Params`` instance, however many checks at that point read them.
-    """
-    return params.laws[cls]
+TRIPLE_CLASSES = tuple(TripleClass(max(t)) for t in iter_words(3))
 
 
 class StochOrder(Enum):

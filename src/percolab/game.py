@@ -54,7 +54,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import EnvSymbol, LocalDistribution, Params, class_law, iter_words, triple_class
+from .core import TRIPLE_CLASSES, EnvSymbol, LocalDistribution, Params, iter_words
 from .pca import SeededStream, u01_block, variate_cuts
 
 
@@ -194,13 +194,12 @@ def kernel_correspondence(version: GameVersion, params: Params) -> KernelReport:
     classes = classify_line(labels, nxt, version).reshape(len(triples), len(SiteLabel))
     label_probs = (params.p, params.r, params.q)  # by SiteLabel code
     comparisons = []
-    for triple, row in zip(triples, classes.tolist()):
+    for triple, rule_class, row in zip(triples, TRIPLE_CLASSES, classes.tolist()):
         masses = [Fraction(0), Fraction(0), Fraction(0)]
         for cls, prob in zip(row, label_probs):
             masses[cls] += prob
         induced = LocalDistribution(masses[0], masses[1], masses[2])
-        comparisons.append(KernelComparison(triple, induced,
-                                            class_law(triple_class(triple), params)))
+        comparisons.append(KernelComparison(triple, induced, params.laws[rule_class]))
     return KernelReport(version, params, tuple(comparisons))
 
 

@@ -174,7 +174,8 @@ def reversible_markov_measure(weights: Sequence[Sequence[int]]) -> TIMeasure:
     table = list(row)
     for _ in range(ORDER - 1):
         table = [x * kernel[i % 3][b] for i, x in enumerate(table) for b in range(3)]
-    name = f"markov({[[int(weights[a][b]) for b in range(3)] for a in range(3)]})"
+    rows = ", ".join(f"[{', '.join(map(str, row))}]" for row in w)  # exact: 1/2 stays 1/2
+    name = f"markov([{rows}])"
     return TIMeasure.from_table(table, total * lcm_row ** (ORDER - 1), name)
 
 
@@ -286,7 +287,7 @@ def _pushforward_kernel(text: str, params: Params) -> tuple[int, tuple[int, ...]
     pat = _event(text)
     span = pat.span
     scale = math.lcm(params.p.denominator, params.q.denominator)
-    # by_class[s][cls]: the mass the class law puts on symbol s, times scale
+    # by_class[s][cls]: the mass params.laws[cls] puts on symbol s, times scale
     by_class = [tuple((law.prob(s) * scale).numerator for law in params.laws) for s in SYMBOLS]
     words = [tuple(by_class[w // 3 ** (span - 1 - j) % 3] for j in range(span))
              for w in pat.indices]

@@ -17,9 +17,9 @@ are comparable:
 The comparable pairs are parameter-free, enumerated once per order from the
 order's 3 x 3 symbol table.  The rule's law depends on a triple only through
 its class (``core.TripleClass``), so every comparable pair reduces to one of at
-most 9 class pairs: each class pair that occurs is decided once per lemma and
-point, on the point's three class laws, and only the triple pairs of a failing
-class pair are listed as violations.
+most 9 class pairs, listed once per order: each is decided once per lemma and
+point on the point's ``Params.laws``, and the triple pairs are walked only to
+list those of a failing class pair as violations.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .core import (
     LocalDistribution,
     Params,
     StochOrder,
-    class_law,
     iter_words,
     symbol_leq,
     upper_sets,
@@ -112,9 +111,10 @@ class LemmaReport:
 
 
 @lru_cache(maxsize=None)
-def _comparable_pairs(order: StochOrder) -> tuple[tuple, ...]:
+def _comparable_pairs(order: StochOrder) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
     """(u, v, dominated class, dominating class) for each u <= v coordinatewise,
-    in sweep order (u, then v, lexicographic); parameter-free.  The total
+    in sweep order (u, then v, lexicographic), and the distinct class pairs
+    among them, in order of first occurrence; parameter-free.  The total
     order's lemma reverses the direction.
 
     Each v is drawn from the product of the symbols at or above each symbol of
@@ -128,7 +128,7 @@ def _comparable_pairs(order: StochOrder) -> tuple[tuple, ...]:
             low, high = (v, u) if order is StochOrder.TOTAL else (u, v)
             pairs.append((u, v, TRIPLE_CLASSES[9 * low[0] + 3 * low[1] + low[2]],
                           TRIPLE_CLASSES[9 * high[0] + 3 * high[1] + high[2]]))
-    return tuple(pairs)
+    return tuple(pairs), tuple(dict.fromkeys((low, high) for _, _, low, high in pairs))
 
 
 def verify_lemma(which: int, params: Params) -> LemmaReport:
@@ -136,18 +136,18 @@ def verify_lemma(which: int, params: Params) -> LemmaReport:
 
     which=1: total order, with the direction reversal (u <= v implies
     rule(v) <= rule(u)); which=2: partial order, direction preserved.  Each
-    class pair that some comparable triple pair reduces to is decided once,
-    and every triple pair of a failing class pair is reported as a violation,
-    in sweep order.
+    class pair of the order is decided once; only if some fails are the triple
+    pairs walked, and every triple pair of a failing class pair is reported as
+    a violation, in sweep order.
     """
     if which not in (1, 2):
         raise ValueError(f"which must be 1 or 2, got {which!r}")
     order = StochOrder.TOTAL if which == 1 else StochOrder.PARTIAL
-    pairs = _comparable_pairs(order)
-    checks = {(low, high): dominates(order, class_law(low, params), class_law(high, params))
-              for low, high in dict.fromkeys((low, high) for _, _, low, high in pairs)}
+    pairs, class_pairs = _comparable_pairs(order)
+    laws = params.laws
+    checks = {(low, high): dominates(order, laws[low], laws[high]) for low, high in class_pairs}
     failing = {key for key, check in checks.items() if not check.holds}
     violations = tuple(PairResult(u, v, checks[low, high])
-                       for u, v, low, high in pairs if (low, high) in failing)
+                       for u, v, low, high in pairs if (low, high) in failing) if failing else ()
     worst = min(check.worst_margin for check in checks.values())
     return LemmaReport(which, params, 27 * 27, len(pairs), worst, violations)

@@ -10,7 +10,7 @@ F_{p,q} on {0, 1}, and its successor has no ? either: the three-symbol rule is
 the envelope of the binary one, and no setting tells them apart.
 
 Those three triple classes and their exact laws live in ``core``
-(``TripleClass``, ``TRIPLE_CLASSES``, ``class_law``), where the exact checks
+(``TripleClass``, ``TRIPLE_CLASSES``, ``Params.laws``), where the exact checks
 read them without importing numpy; this module adds the numeric side: hashing,
 the integer cut points of (p, q) and stepping rows.
 
@@ -25,9 +25,9 @@ ceil(t * 2**53) (``variate_cuts``): k >= ceil(t * 2**53) iff k * 2**-53 >= t,
 exactly, because k is an integer and t * 2**53 is an exact float. A cut at or
 above 1.0 becomes 2**53 or more, which no variate reaches.
 
-A triple's class is read from its largest code, which selects its cuts: 0 only
-for 000 (ALL_ZERO), cut at p; 2 for any triple holding a 1 (HAS_ONE), cut at
-1 - q; and 1 for the rest, which hold a ? and no 1 (MIXED), cut at p and p + r.
+A triple's class is its largest code (``core.TripleClass``), which selects its
+cuts: ALL_ZERO (000) at p, MIXED (a ? and no 1) at p and p + r, and HAS_ONE
+(a 1) at 1 - q.
 A row's hash XORs the (seed, t) prefix, hashed in Python ints, into the
 per-site keys of its window, which are cached, so a cyclic row builds them
 once; both sides carry the finalizer's first round already (``_site_keys``).
@@ -59,6 +59,7 @@ from .core import EnvSymbol, Params
 # ------------------------------------------------------------------ randomness
 
 _U64 = np.uint64
+_INT8 = np.dtype(np.int8)
 _GOLD = _U64(0x9E3779B97F4A7C15)
 _MUL1 = _U64(0xBF58476D1CE4E5B9)
 _MUL2 = _U64(0x94D049BB133111EB)
@@ -225,11 +226,15 @@ class Configuration:
     origin: int = 0
 
     def __post_init__(self) -> None:
-        arr = np.array(self.cells, dtype=np.int8)
-        if arr.ndim not in (1, 2) or arr.size == 0:
+        cells = np.asarray(self.cells)
+        if cells.ndim not in (1, 2) or cells.size == 0:
             raise ValueError("cells must be a nonempty row or stack of rows")
-        if arr.view(np.uint8).max() > 2:  # a negative code reads as 128..255
-            raise ValueError("cell codes must be 0 (zero), 1 (?), or 2 (one)")
+        if (cells.dtype != _INT8 and cells.dtype.kind in "iu"
+                and 0 <= cells.min() <= cells.max() <= 2):
+            cells = cells.astype(np.int8)  # range-checked first: the cast would wrap
+        if cells.dtype != _INT8 or cells.view(np.uint8).max() > 2:  # -1 reads as 255
+            raise ValueError("cell codes must be the integers 0 (zero), 1 (?), or 2 (one)")
+        arr = cells.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "cells", arr)
 

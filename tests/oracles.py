@@ -19,11 +19,10 @@ from percolab.core import (
     LocalDistribution,
     Params,
     StochOrder,
+    TripleClass,
     Word,
-    class_law,
     iter_words,
     symbol_leq,
-    triple_class,
     word_str,
 )
 from percolab.game import GameClass, GameVersion, SiteLabel
@@ -282,6 +281,27 @@ def as_dict(dist: LocalDistribution) -> dict[str, Fraction]:
     return {"0": dist.prob0, "?": dist.probQ, "1": dist.prob1}
 
 
+def triple_class(triple: Sequence[EnvSymbol]) -> TripleClass:
+    """The local rule's case split, read off the symbols: any 1, then all 0,
+    else a ? and no 1."""
+    if any(s is EnvSymbol.ONE for s in triple):
+        return TripleClass.HAS_ONE
+    if all(s is EnvSymbol.ZERO for s in triple):
+        return TripleClass.ALL_ZERO
+    return TripleClass.MIXED
+
+
+def rule_law(triple: Sequence[EnvSymbol], params: Params) -> LocalDistribution:
+    """The local rule's output law of ``triple``, written out case by case."""
+    p, q, r = params.p, params.q, params.r
+    cls = triple_class(triple)
+    if cls is TripleClass.HAS_ONE:
+        return LocalDistribution(1 - q, 0, q)
+    if cls is TripleClass.ALL_ZERO:
+        return LocalDistribution(p, 0, 1 - p)
+    return LocalDistribution(p, r, q)
+
+
 # ------------------------------------------------------------------ lemmas
 
 
@@ -296,7 +316,7 @@ def lemma_report(which: int, params: Params, law=None) -> dict:
     to the envelope rule at ``params``."""
     order = StochOrder.TOTAL if which == 1 else StochOrder.PARTIAL
     if law is None:
-        law = lambda t: class_law(triple_class(t), params)  # noqa: E731
+        law = lambda t: rule_law(t, params)  # noqa: E731
     rule = {t: law(t) for t in iter_words(3)}
     comparable = []
     violations = []

@@ -10,11 +10,10 @@ from percolab.core import (
     Params,
     StochOrder,
     SYMBOLS,
+    TRIPLE_CLASSES,
     as_fraction,
-    class_law,
     iter_words,
     symbol_leq,
-    triple_class,
     upper_sets,
     word_str,
 )
@@ -22,7 +21,7 @@ from percolab.core import (
 from percolab import measures
 from percolab.measures import product_measure, pushforward_cylinder
 
-from oracles import as_dict, text_span, text_words, word_in_text, word_index
+from oracles import as_dict, rule_law, text_span, text_words, word_in_text, word_index
 
 Z, Q, O = EnvSymbol.ZERO, EnvSymbol.QMARK, EnvSymbol.ONE
 
@@ -163,7 +162,19 @@ def test_local_distribution_rejects_floats():
 
 def law(triple, params=Params(Fraction(1, 5), Fraction(3, 10))):
     """The exact one-site output law of ``triple``, through its class."""
-    return class_law(triple_class(triple), params)
+    return params.laws[TRIPLE_CLASSES[word_index(triple)]]
+
+
+LAW_GRID = [Params(Fraction(1, 5), Fraction(3, 10)), Params(0, 1), Params(1, 0), Params(0, 0),
+            Params(Fraction(2, 5), Fraction(3, 5))]
+
+
+@pytest.mark.parametrize("params", LAW_GRID, ids=str)
+def test_laws_are_indexed_by_the_triple_class(params):
+    # Params.laws[c] is the law of the triples of class c: read through
+    # TRIPLE_CLASSES, against the law written out case by case
+    for triple in iter_words(3):
+        assert law(triple, params) == rule_law(triple, params), triple
 
 
 def test_class_law_binary():

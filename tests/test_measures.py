@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from percolab.core import CylinderPattern, EnvSymbol, Params, class_law, iter_words, triple_class
+from percolab.core import CylinderPattern, EnvSymbol, Params, iter_words
 from percolab import measures
 from percolab.measures import (
     CLOSED_FORM_IDS,
@@ -169,6 +169,16 @@ def test_markov_validation():
     assert cylinder_prob(mu, "0") == Fraction(1, 2)
 
 
+def test_markov_name_holds_the_exact_weights():
+    # integer weights print as the list of lists they are, as reports show them
+    assert MARKOV.name == "markov([[2, 1, 0], [1, 2, 1], [0, 1, 2]])"
+    half = reversible_markov_measure([[Fraction(1, 2), 1, 0], [1, 0, 0], [0, 0, 1]])
+    assert half.name == "markov([[1/2, 1, 0], [1, 0, 0], [0, 0, 1]])"
+    # a weight given as a string is as exact as the Fraction it parses to
+    text = reversible_markov_measure([["1/2", 1, 0], [1, 0, 0], [0, 0, 1]])
+    assert text.name == half.name and text.counts == half.counts
+
+
 def test_random_families():
     rng = random.Random(1)
     for _ in range(20):
@@ -251,7 +261,7 @@ def _oracle_kernel(pat_text, params):
     words w in the pattern of prod_j P(site j becomes w_j | u[j:j+3])."""
     laws = {}
     for t in iter_words(3):
-        law = class_law(triple_class(t), params)
+        law = oracles.rule_law(t, params)
         laws[tuple(s.value for s in t)] = (law.prob0, law.probQ, law.prob1)
     outputs = [tuple(s.value for s in w) for w in text_words(pat_text)]
     span = text_span(pat_text)

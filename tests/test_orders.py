@@ -5,11 +5,10 @@ from hypothesis import given, strategies as st
 
 from percolab import orders
 from percolab.cli import _axis
-from percolab.core import (EnvSymbol, LocalDistribution, Params, StochOrder, TripleClass,
-                           class_law, iter_words, triple_class)
+from percolab.core import EnvSymbol, LocalDistribution, Params, StochOrder, TripleClass, iter_words
 from percolab.orders import dominates, verify_lemma
 
-from oracles import lemma_report, triple_leq
+from oracles import lemma_report, rule_law, triple_class, triple_leq
 
 Z, Q, O = EnvSymbol.ZERO, EnvSymbol.QMARK, EnvSymbol.ONE
 
@@ -95,8 +94,7 @@ def test_equal_triples_give_equal_laws():
     # pair to violate, every triple pair of that class would be reported
     params = Params(Fraction(1, 5), Fraction(3, 10))
     for order in StochOrder:
-        for cls in TripleClass:
-            law = class_law(cls, params)
+        for law in params.laws:
             assert all(m == 0 for m in dominates(order, law, law).margins)
     for which in (1, 2):
         report = verify_lemma(which, params)
@@ -115,19 +113,22 @@ def test_lemma_report_matches_per_pair_oracle(which):
         assert verify_lemma(which, params).to_json_dict() == lemma_report(which, params)
 
 
-def _rotated_law(cls, params):
-    """A non-monotone rule: each class takes the next class's law."""
-    return class_law(TripleClass((cls + 1) % 3), params)
+# A non-monotone rule: each class takes the law of a triple of the next class.
+_ROTATED = {TripleClass.ALL_ZERO: (Z, Z, Q), TripleClass.MIXED: (O, O, O),
+            TripleClass.HAS_ONE: (Z, Z, Z)}
 
 
 @pytest.mark.parametrize("which", [1, 2])
 def test_lemma_violations_match_per_pair_oracle(which, monkeypatch):
-    monkeypatch.setattr(orders, "class_law", _rotated_law)
+    # the rotated laws reach verify_lemma through Params.laws, its one source
+    monkeypatch.setattr(Params, "laws", property(
+        lambda params: tuple(rule_law(_ROTATED[cls], params) for cls in TripleClass)))
     for params in FINE_GRID:
         if params.r == 0:
             continue  # the three class laws coincide, so no law of them can violate
         got = verify_lemma(which, params).to_json_dict()
-        want = lemma_report(which, params, law=lambda t: _rotated_law(triple_class(t), params))
+        want = lemma_report(which, params,
+                            law=lambda t: rule_law(_ROTATED[triple_class(t)], params))
         assert got["violation_count"] > 0
         assert got == want  # u, v and margins of every violation, in order
 
@@ -156,8 +157,12 @@ def test_comparable_pairs_match_the_pairwise_enumeration(order):
             if triple_leq(order, u, v):
                 low, high = (v, u) if order is StochOrder.TOTAL else (u, v)
                 want.append((u, v, triple_class(low), triple_class(high)))
-    assert orders._comparable_pairs(order) == tuple(want)
+    pairs, class_pairs = orders._comparable_pairs(order)
+    assert pairs == tuple(want)
     assert len(want) == (216 if order is StochOrder.TOTAL else 125)
+    # each class pair once, in order of first occurrence
+    assert class_pairs == tuple(dict.fromkeys((low, high) for *_, low, high in want))
+    assert len(class_pairs) <= 9
 
 
 def test_verify_lemma_rejects_bad_which():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from percolab import game
-from percolab.core import TRIPLE_CLASSES, EnvSymbol, Params, TripleClass, class_law, triple_class
+from percolab.core import TRIPLE_CLASSES, EnvSymbol, Params, TripleClass
 from percolab.measures import FORMULA_GRID
 from percolab.pca import (
     Boundary,
@@ -152,6 +152,12 @@ def test_variate_cuts_edges():
 def test_configuration_validation():
     with pytest.raises(ValueError):
         Configuration(np.array([0, 3], dtype=np.int8), Boundary.CYCLIC)
+    # not integer codes: an int8 cast would truncate 1.9 to 1
+    for cells in (np.array([1.9, 0.2]), np.array([True, False]), [0, 1.0]):
+        with pytest.raises(ValueError):
+            Configuration(cells, Boundary.CYCLIC)
+    for cells in ([0, 1, 2], np.array([[2, 1, 0]], dtype=np.uint16)):
+        assert Configuration(cells, Boundary.CYCLIC).cells.dtype == np.int8
     with pytest.raises(ValueError):
         Configuration(np.array([], dtype=np.int8), Boundary.CYCLIC)
     cfg = Configuration.constant(5, Q, Boundary.CYCLIC)
@@ -161,10 +167,13 @@ def test_configuration_validation():
         cfg.cells[0] = 0  # frozen buffer
 
 
-@pytest.mark.parametrize("code", [-1, 3, 127])
+@pytest.mark.parametrize("code", [-1, 3, 127, 258, -254, 2**40 + 1])
 def test_configuration_rejects_codes_outside_the_alphabet(code):
-    with pytest.raises(ValueError):
-        Configuration(np.array([0, code, 2], dtype=np.int8), Boundary.CYCLIC)
+    # the last three are int64 codes that an int8 cast would wrap to 2, 2 and 1
+    dtypes = (np.int8, np.int64) if -128 <= code < 128 else (np.int64,)
+    for dtype in dtypes:
+        with pytest.raises(ValueError):
+            Configuration(np.array([0, code, 2], dtype=dtype), Boundary.CYCLIC)
 
 
 # neighbourhood offsets, some far outside the row; None stands for -(3w + 1),
@@ -202,7 +211,8 @@ def test_triple_class_table_is_base3_indexed():
     for a in (Z, Q, O):
         for b in (Z, Q, O):
             for c in (Z, Q, O):
-                assert TRIPLE_CLASSES[9 * a.value + 3 * b.value + c.value] is triple_class((a, b, c))
+                want = oracles.triple_class((a, b, c))
+                assert TRIPLE_CLASSES[9 * a.value + 3 * b.value + c.value] is want
 
 
 CUT_GRID = [*FORMULA_GRID, Params(0, 0), Params(Fraction(2, 5), Fraction(3, 5)),
@@ -211,10 +221,11 @@ CUT_GRID = [*FORMULA_GRID, Params(0, 0), Params(Fraction(2, 5), Fraction(3, 5)),
 
 def test_largest_code_is_the_triple_class():
     # step classes a triple by its largest code: 0 only for 000, 2 for any
-    # triple holding a 1, and 1 for the rest, which hold a ? and no 1
-    by_largest = {0: TripleClass.ALL_ZERO, 1: TripleClass.MIXED, 2: TripleClass.HAS_ONE}
+    # triple holding a 1, and 1 for the rest, which hold a ? and no 1; the
+    # oracle splits the cases by the symbols themselves
+    assert (TripleClass.ALL_ZERO, TripleClass.MIXED, TripleClass.HAS_ONE) == (0, 1, 2)
     for triple in itertools.product((Z, Q, O), repeat=3):
-        assert by_largest[max(s.value for s in triple)] is triple_class(triple), triple
+        assert oracles.triple_class(triple) == max(s.value for s in triple), triple
 
 
 def _all_triples():
@@ -309,7 +320,7 @@ def test_one_step_frequencies_match_local_rule(codes):
         for b in symbols:
             for c in symbols:
                 seed += 1
-                want = class_law(triple_class((a, b, c)), PARAMS)
+                want = oracles.rule_law((a, b, c), PARAMS)
                 got = _one_step_freqs((a, b, c), model, n, seed)
                 for idx, sym in enumerate((Z, Q, O)):
                     prob = float(want.prob(sym))

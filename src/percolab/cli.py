@@ -100,6 +100,19 @@ def _int_list(text: str) -> tuple[int, ...]:
     return values
 
 
+# The most (p, q) points one command may visit.  Every grid is counted before
+# any of it is built, so a finer one is refused at once instead of running
+# (and filling memory) for hours.
+_MAX_POINTS = 100_000
+
+
+def _check_points(count: int, what: str, noun: str = "points") -> None:
+    """Refuse, naming ``count``, a grid of more than ``_MAX_POINTS`` values."""
+    if count > _MAX_POINTS:
+        raise ValueError(f"{what} has {count} {noun}, more than the {_MAX_POINTS} "
+                         f"that one run may visit")
+
+
 def _axis(start: Fraction, stop: Fraction, step: Fraction) -> tuple[Fraction, ...]:
     """start, start+step, ... up to and including stop, exactly; needs step > 0."""
     values = []
@@ -123,7 +136,13 @@ def _grid_spec(text: str) -> tuple[Fraction, ...]:
     if step <= 0 or stop < start:
         raise argparse.ArgumentTypeError(f"bad grid spec {text!r}")
     first = start + max(0, math.ceil(-start / step)) * step  # the first value >= 0
-    return _axis(first, min(stop, Fraction(1)), step)
+    last = min(stop, Fraction(1))
+    count = (last - first) // step + 1 if first <= last else 0  # len of the axis
+    try:
+        _check_points(count, f"grid spec {text!r}", "values in [0, 1]")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return _axis(first, last, step)
 
 
 def _artifact_version() -> str:
@@ -227,6 +246,7 @@ def cmd_game(cfg: RunConfig) -> int:
     version = GameVersion[cfg.version.upper()]
     ps = _param_axis(cfg.p, cfg.p_grid, "p")
     qs = _param_axis(cfg.q, cfg.q_grid, "q")
+    _check_points(len(ps) * len(qs), "game: the (p, q) grid")
     # grid corners outside the simplex are just skipped
     points = [Params(p, q) for p in ps for q in qs if 0 <= p and 0 <= q and p + q <= 1]
     if not points:
@@ -301,6 +321,8 @@ def _verify_tables(cfg: RunConfig) -> dict:
 
 
 def _verify_weights(cfg: RunConfig) -> dict:
+    n = 1 // cfg.grid  # the axis is 0, step, ..., n * step; p + q <= 1 iff i + j <= n
+    _check_points((n + 1) * (n + 2) // 2 - 1, f"verify weights: grid step {cfg.grid}")
     mus = sampled_measures(cfg.measures, cfg.seed)
     axis = _axis(Fraction(0), Fraction(1), cfg.grid)
     points = [(p, q) for p in axis for q in axis if 0 < p + q <= 1]

@@ -8,13 +8,19 @@ on the alphabet, and cylinder patterns, parsed once into the set of words they
 contain (contiguous runs of symbol subsets, with two shorthand tokens ``**`` and
 ``***`` for the hatted sets {0,?}^2 \\ {00} and {0,?}^3 \\ {000}).
 
-Every probability here is an exact ``fractions.Fraction``: ``as_fraction`` and
-``LocalDistribution`` refuse a float with ``TypeError``.  The module needs only
-the standard library, so the exact checks built on it never import numpy.
+Every probability here is an exact ``fractions.Fraction`` over Python ints:
+``as_fraction`` and ``LocalDistribution`` refuse a float with ``TypeError`` and
+turn a numpy integer into an ``int``.  Each point also holds its class laws as
+integer masses over its scale s = lcm(den p, den q) (``Params.law_masses``),
+which the domination lemmas and the pushforward kernels compute with.  The
+module needs only the standard library, so the exact checks built on it never
+import numpy.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
@@ -26,10 +32,18 @@ Rationalish = Union[Fraction, int, str]
 
 
 def as_fraction(x: Rationalish) -> Fraction:
-    """Exact conversion to Fraction; accepts "a/b" and decimal strings, never floats."""
+    """Exact conversion to Fraction; accepts "a/b" and decimal strings, never floats.
+
+    The numerator and denominator come out as Python ints, also from a numpy
+    integer or a Fraction of them: fixed-width parts would wrap in the
+    products that exact arithmetic builds, and fail to hash.
+    """
     if isinstance(x, bool) or isinstance(x, float):
         raise TypeError(f"refusing inexact conversion from {type(x).__name__}: {x!r}")
-    return Fraction(x)
+    f = x if type(x) is Fraction else Fraction(x)  # a Fraction is immutable
+    if type(f.numerator) is int and type(f.denominator) is int:
+        return f
+    return Fraction(operator.index(f.numerator), operator.index(f.denominator))
 
 
 class EnvSymbol(IntEnum):
@@ -74,8 +88,8 @@ class Params:
 
     The hash is computed once, at construction: every per-(p, q) cache looks a
     Params up, and hashing a Fraction costs a modular inverse.  The three class
-    laws are built on first use and kept on the instance (``laws``), so they
-    are freed with the point.
+    laws are built on first use and kept on the instance (``laws``), and so are
+    their integer masses (``law_masses``), so both are freed with the point.
     """
 
     p: Fraction
@@ -108,6 +122,33 @@ class Params:
         return (LocalDistribution(p, 0, 1 - p),  # ALL_ZERO
                 LocalDistribution(p, r, q),      # MIXED
                 LocalDistribution(1 - q, 0, q))  # HAS_ONE
+
+    @property
+    def law_masses(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+        """(s, m) with s = lcm(den p, den q) the point's scale and m[c][k] / s
+        the mass ``laws[c]`` puts on the symbol of code k, exactly.
+
+        Derived from ``laws``, their one source, on first read and kept for as
+        long as ``laws`` returns the same tuple, so a replaced ``laws`` is
+        read afresh.  Raises ``ValueError`` if a mass is not an integer over s.
+        """
+        laws = self.laws
+        kept = self.__dict__.get("_law_masses")
+        if kept is not None and kept[0] is laws:
+            return kept[1]
+        scale = math.lcm(self.p.denominator, self.q.denominator)
+        masses = []
+        for law in laws:
+            row = []
+            for x in (law.prob0, law.probQ, law.prob1):
+                if scale % x.denominator:
+                    raise ValueError(f"law {law} of {self} has mass {x}, "
+                                     f"not an integer over the scale {scale}")
+                row.append(x.numerator * (scale // x.denominator))
+            masses.append(tuple(row))
+        found = (scale, tuple(masses))
+        object.__setattr__(self, "_law_masses", (laws, found))
+        return found
 
     def __str__(self) -> str:
         return f"(p={self.p}, q={self.q})"

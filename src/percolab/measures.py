@@ -12,10 +12,12 @@ cylinders (with their non-negative remainder terms), a chain of weight
 functionals w0..w4, two inequalities assembled by summing rows of window
 tables, and the master inequality comparing w4 before and after one update.
 Cylinder and pushforward probabilities are summed in Python ints and leave as
-Fractions.  Every quantity built on top is a linear functional of those values
-at fixed (p, q): its transcription runs once per (p, q) on unit functionals,
-is compiled to integer coefficients over one denominator, and is evaluated on
-a measure as one integer dot product that leaves as one Fraction.  The kernels
+Fractions; a pushforward kernel multiplies the point's integer class-law
+masses over its scale (``Params.law_masses``).  Every quantity built on top
+is a linear functional of those values at fixed (p, q): its transcription
+runs once per (p, q) on unit functionals, is compiled to integer coefficients
+over one denominator, and is evaluated on a measure as one integer dot
+product that leaves as one Fraction.  The kernels
 and compiled forms are cached for one point at a time, so a check visits the
 points one by one and runs every measure at each.  Floats never enter a
 verification path.
@@ -280,15 +282,15 @@ def _pushforward_kernel(text: str, params: Params) -> tuple[int, tuple[int, ...]
     The rule's law depends on a triple only through its class, so every input
     word of one signature has the same kernel value.  Output sites are
     independent given the input word, so each word of the event contributes a
-    product of single-site masses.  Every law entry is a multiple of 1/scale
-    with scale the lcm of the denominators of p and q, so a product of span
+    product of single-site masses.  The masses are the point's integer class
+    law masses over its scale (``Params.law_masses``), so a product of span
     masses is an integer over den = scale^span.
     """
     pat = _event(text)
     span = pat.span
-    scale = math.lcm(params.p.denominator, params.q.denominator)
-    # by_class[s][cls]: the mass params.laws[cls] puts on symbol s, times scale
-    by_class = [tuple((law.prob(s) * scale).numerator for law in params.laws) for s in SYMBOLS]
+    scale, masses = params.law_masses
+    # by_class[s][cls]: the mass params.laws[cls] puts on symbol code s, times scale
+    by_class = tuple(zip(*masses))
     words = [tuple(by_class[w // 3 ** (span - 1 - j) % 3] for j in range(span))
              for w in pat.indices]
     kernel = tuple(sum([math.prod(map(operator.getitem, sites, sig)) for sites in words])
@@ -410,9 +412,8 @@ def _compile(params: Optional[Params], linears: Sequence[Linear]) -> _Form:
     widest span read; L clears the denominators the coefficients have left.
     """
     keys = tuple(dict.fromkeys(key for form in linears for key in form.coefs))
-    scales = tuple(
-        math.lcm(params.p.denominator, params.q.denominator) ** _event(text).span
-        if kind == "f" else 1 for kind, text in keys)
+    scales = tuple(params.law_masses[0] ** _event(text).span if kind == "f" else 1
+                   for kind, text in keys)
     top = max(scales, default=1)
     index = {key: j for j, key in enumerate(keys)}
     lifted = [[(index[key], a * (top // scales[index[key]])) for key, a in form.coefs.items() if a]

@@ -17,13 +17,17 @@ are comparable:
 The comparable pairs are parameter-free, enumerated once per order from the
 order's 3 x 3 symbol table.  The rule's law depends on a triple only through
 its class (``core.TripleClass``), so every comparable pair reduces to one of at
-most 9 class pairs, listed once per order: each is decided once per lemma and
-point on the point's ``Params.laws``, and the triple pairs are walked only to
-list those of a failing class pair as violations.
+most 9 class pairs, listed once per order.  Each is decided once per lemma and
+point in integers: the point's class laws are read as integer masses over its
+scale s (``Params.law_masses``), and a class pair holds iff its upper-set
+margins, integers over s, are all >= 0.  Only a failing class pair is compared
+again with ``dominates``, whose ``Fraction`` margins its violations report, and
+only then are the triple pairs walked, to list that pair's triples.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -131,23 +135,45 @@ def _comparable_pairs(order: StochOrder) -> tuple[tuple[tuple, ...], tuple[tuple
     return tuple(pairs), tuple(dict.fromkeys((low, high) for _, _, low, high in pairs))
 
 
+# The symbol codes in each upper set of each order, in ``upper_sets`` order.
+_UPPER_SET_CODES = {o: tuple(tuple(sorted(s.value for s in u)) for u in upper_sets(o))
+                    for o in StochOrder}
+
+
+def _class_pair_margins(order: StochOrder, low: tuple[int, ...],
+                        high: tuple[int, ...]) -> tuple[int, ...]:
+    """One class pair's verdict, from the two class laws' integer masses per
+    symbol code (``Params.law_masses``): the dominating law's mass minus the
+    dominated law's on each upper set, smallest set first, integers over the
+    point's scale.  The pair holds iff none is negative; divided by the scale,
+    these are the margins ``dominates`` returns."""
+    diff = tuple(map(operator.sub, high, low))
+    return tuple(sum([diff[k] for k in codes]) for codes in _UPPER_SET_CODES[order])
+
+
 def verify_lemma(which: int, params: Params) -> LemmaReport:
     """Verify kernel monotonicity over all 729 ordered triple pairs.
 
     which=1: total order, with the direction reversal (u <= v implies
     rule(v) <= rule(u)); which=2: partial order, direction preserved.  Each
-    class pair of the order is decided once; only if some fails are the triple
-    pairs walked, and every triple pair of a failing class pair is reported as
-    a violation, in sweep order.
+    class pair of the order is decided once, on integer margins over the
+    point's scale; only if some fails are the triple pairs walked, and every
+    triple pair of a failing class pair is reported as a violation, in sweep
+    order, with that pair's ``dominates`` check.
     """
     if which not in (1, 2):
         raise ValueError(f"which must be 1 or 2, got {which!r}")
     order = StochOrder.TOTAL if which == 1 else StochOrder.PARTIAL
     pairs, class_pairs = _comparable_pairs(order)
-    laws = params.laws
-    checks = {(low, high): dominates(order, laws[low], laws[high]) for low, high in class_pairs}
-    failing = {key for key, check in checks.items() if not check.holds}
-    violations = tuple(PairResult(u, v, checks[low, high])
-                       for u, v, low, high in pairs if (low, high) in failing) if failing else ()
-    worst = min(check.worst_margin for check in checks.values())
-    return LemmaReport(which, params, 27 * 27, len(pairs), worst, violations)
+    scale, masses = params.law_masses
+    worsts = {(low, high): min(_class_pair_margins(order, masses[low], masses[high]))
+              for low, high in class_pairs}
+    worst = min(worsts.values())
+    violations = ()
+    if worst < 0:
+        laws = params.laws
+        checks = {(low, high): dominates(order, laws[low], laws[high])
+                  for (low, high), margin in worsts.items() if margin < 0}
+        violations = tuple(PairResult(u, v, checks[low, high])
+                           for u, v, low, high in pairs if (low, high) in checks)
+    return LemmaReport(which, params, 27 * 27, len(pairs), Fraction(worst, scale), violations)

@@ -77,6 +77,53 @@ def test_grid_spec_exact_inclusive():
     assert _grid_spec("-1000000000:1:1") == (Fraction(0), Fraction(1))
 
 
+
+def test_grid_spec_counts_its_values_before_building_them():
+    # 1/99999 gives exactly the most values a run may visit; one more is refused
+    assert len(_grid_spec("0:1:1/99999")) == 100_000
+    assert len(_grid_spec("-1:1:1/99999")) == 100_000  # only the values in [0, 1]
+    with pytest.raises(argparse.ArgumentTypeError, match=r"has 100001 values in \[0, 1\]"):
+        _grid_spec("0:1:1/100000")
+    with pytest.raises(argparse.ArgumentTypeError, match=" 1000000000001 values"):
+        _grid_spec("0:5:1/1000000000000")
+
+
+@pytest.mark.parametrize("argv, count", [
+    (("verify", "weights", "--measures", "0", "--grid", "1/100000"), "5000150000 points"),
+    (("verify", "weights", "--measures", "0", "--grid", "1/446"), "100127 points"),
+    (("game", "--p-grid", "0:1:1/1000000000000", "--q", "0", "--horizons", "1",
+      "--samples", "1"), "1000000000001 values"),
+    (("game", "--p", "0", "--q-grid=-5:1/2:1/100000000", "--horizons", "1"), "50000001 values"),
+    (("sweep", "--p-grid", "0:1:1/99", "--q-grid", "0:1:1/1000", "--horizons", "1"),
+     "100100 points"),
+], ids=["weights --grid", "weights --grid near the bound", "game --p-grid", "game --q-grid",
+        "sweep --p-grid --q-grid"])
+def test_grids_over_the_point_bound_fail_before_they_are_built(argv, count):
+    # a subprocess with a timeout, so a grid that is built value by value fails fast
+    proc = subprocess.run([sys.executable, "-m", "percolab.cli", *argv],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert f" has {count}" in proc.stderr and ", more than the 100000 " in proc.stderr
+
+
+@pytest.mark.parametrize("argv, points", [
+    (("verify", "weights", "--measures", "0", "--grid", "1/4"), 14),
+    (("verify", "weights", "--measures", "0", "--grid", "2/3"), 2),
+    (("sweep", "--p-grid", "0:1:1/2", "--q-grid", "0:1:1/2", "--horizons", "0",
+      "--samples", "1"), 9),  # counted before the 3 points with p + q > 1 are skipped
+    (("game", "--p-grid", "0:1:1/3", "--q", "0", "--horizons", "0", "--samples", "1"), 4),
+], ids=["weights 1/4", "weights 2/3", "sweep", "game"])
+def test_a_grid_of_exactly_the_bound_runs(capsys, monkeypatch, argv, points):
+    from percolab import cli
+
+    monkeypatch.setattr(cli, "_MAX_POINTS", points)
+    assert exit_status(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli, "_MAX_POINTS", points - 1)
+    code, err = exit_status(capsys, *argv)
+    assert code == 2 and f" has {points} " in err and err.count("\n") == 1
+
+
 # ------------------------------------------------------------------ simulate
 
 def test_simulate_binary_absorbing_zero(capsys):
@@ -274,7 +321,7 @@ def test_verify_formulas_computes_each_pushforward_once(capsys, monkeypatch):
 
 def test_verify_lemmas_builds_each_law_and_verdict_once_per_point(capsys, monkeypatch):
     # the three class laws are built once per point, not once per class pair,
-    # and each class pair's verdict is read once, not once per triple pair
+    # and each class pair's integer verdict is made once, not once per triple pair
     from percolab import cli, orders
     from percolab.core import LocalDistribution
 
@@ -282,17 +329,17 @@ def test_verify_lemmas_builds_each_law_and_verdict_once_per_point(capsys, monkey
     post_init = LocalDistribution.__post_init__
     monkeypatch.setattr(LocalDistribution, "__post_init__",
                         lambda self: builds.append(self) or post_init(self))
-    reads = []
-    holds = orders.DominationCheck.holds
-    monkeypatch.setattr(orders.DominationCheck, "holds",
-                        property(lambda self: reads.append(self) or holds.fget(self)))
+    verdicts = []
+    margins = orders._class_pair_margins
+    monkeypatch.setattr(orders, "_class_pair_margins",
+                        lambda *args: verdicts.append(args) or margins(*args))
     per_call = []
     verify_lemma = cli.verify_lemma
 
     def counting(which, params):
-        before = len(reads)
+        before = len(verdicts)
         report = verify_lemma(which, params)
-        per_call.append(len(reads) - before)
+        per_call.append(len(verdicts) - before)
         return report
 
     monkeypatch.setattr(cli, "verify_lemma", counting)
@@ -300,7 +347,7 @@ def test_verify_lemmas_builds_each_law_and_verdict_once_per_point(capsys, monkey
     report = json.loads(out)
     assert code == 0 and report["points"] == 28
     assert len(builds) == 3 * 28
-    assert len(per_call) == 2 * 28 and 0 < max(per_call) <= 9
+    assert len(per_call) == 2 * 28 and 0 < min(per_call) and max(per_call) <= 9
 
 
 def test_verify_kernel_classifies_every_case_in_one_call_per_version(capsys, monkeypatch):

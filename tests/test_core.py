@@ -136,6 +136,20 @@ def test_as_fraction_rejects_floats():
     assert as_fraction("2/7") == Fraction(2, 7)
 
 
+def test_as_fraction_turns_numpy_integers_into_ints():
+    # a numpy numerator wraps in exact products and fails Fraction.__hash__
+    np = pytest.importorskip("numpy")
+    for x in (np.int64(3), np.uint8(3), Fraction(np.int64(6), np.int64(2))):
+        f = as_fraction(x)
+        assert f == 3 and type(f.numerator) is int and type(f.denominator) is int
+    a, b = Params(Fraction(np.int64(1), np.int64(997)), 0), Params(Fraction(1, 997), 0)
+    assert a == b and hash(a) == hash(b)
+    assert type(a.p.numerator) is int and type(a.p.denominator) is int
+    law = LocalDistribution(np.int64(0), Fraction(np.int64(1), np.int64(2)), Fraction(1, 2))
+    assert all(type(v.numerator) is int and type(v.denominator) is int
+               for v in (law.prob0, law.probQ, law.prob1))
+
+
 # ---------------------------------------------------------------- distributions
 
 def test_local_distribution_exact_sum():

@@ -126,3 +126,18 @@ def test_every_private_helper_in_src_is_read():
             if not any(_reads(other, node.name, own) for other in trees.values()):
                 found.append(f"{name}:{node.lineno} {node.name}")
     assert not found, f"private helpers that nothing reads: {found}"
+
+
+def test_exact_modules_hold_no_float():
+    # the exact checks compute in ints and Fractions; a float literal or a
+    # float(...) call, like a stray "/" between ints, would make them inexact
+    found = []
+    for name in ("core.py", "measures.py", "orders.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                found.append(f"{name}:{node.lineno} literal {node.value!r}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "float"):
+                found.append(f"{name}:{node.lineno} float(...)")
+    assert not found, f"floats in the exact modules: {found}"

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import warnings
 import weakref
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from percolab.core import CylinderPattern, EnvSymbol, Params, iter_words
+from percolab.core import CylinderPattern, EnvSymbol, Params, as_fraction, iter_words
 from percolab import measures
 from percolab.measures import (
     CLOSED_FORM_IDS,
@@ -179,6 +180,14 @@ def test_markov_name_holds_the_exact_weights():
     assert text.name == half.name and text.counts == half.counts
 
 
+def test_markov_reads_numpy_integer_weights():
+    weights = [[3, 1, 0], [1, 0, 0], [0, 0, 1]]
+    want = reversible_markov_measure(weights)
+    for w in (np.array(weights, dtype=np.int64), [[np.int64(x) for x in row] for row in weights]):
+        got = reversible_markov_measure(w)
+        assert (got.counts, got.den, got.name) == (want.counts, want.den, want.name)
+
+
 def test_random_families():
     rng = random.Random(1)
     for _ in range(20):
@@ -291,6 +300,26 @@ def test_pushforward_against_direct_enumeration():
                 want = sum((m * k for m, k in zip(marg, kernel) if m and k), Fraction(0))
                 assert pushforward_cylinder(mu, pat_text, params) == want, \
                     (pat_text, mu.name, str(params))
+
+
+
+def test_a_point_built_from_numpy_integers_computes_like_the_int_built_point():
+    # numpy numerators used to wrap in the kernel's products (overflow warnings
+    # and a wrong value), and the equal int-built point then read that kernel
+    # from the cache
+    np_point = Params(as_fraction(np.int64(1)) / 997, as_fraction(np.int64(2)) / 991)
+    int_point = Params(Fraction(1, 997), Fraction(2, 991))
+    mu = sampled_measures(1, 1729)[3]
+    kernel = _oracle_kernel("1?01", int_point)
+    want = sum((Fraction(c, mu.den) * k for c, k in zip(mu.counts[6], kernel) if c and k),
+               Fraction(0))
+    measures._pushforward_kernel.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pushforward_cylinder(mu, "1?01", np_point) == want
+        assert pushforward_cylinder(mu, "1?01", int_point) == want
+        got = verify_master_inequality(mu, np_point).to_json_dict()
+    assert got == verify_master_inequality(mu, int_point).to_json_dict()
 
 
 # Word probabilities of each fixture straight from its definition, one word at a

@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -113,6 +115,54 @@ def test_lemma_report_matches_per_pair_oracle(which):
         assert verify_lemma(which, params).to_json_dict() == lemma_report(which, params)
 
 
+
+def _assert_integer_margins_are_the_fraction_margins(params):
+    scale, masses = params.law_masses
+    assert scale == math.lcm(params.p.denominator, params.q.denominator)
+    for law, row in zip(params.laws, masses):
+        assert tuple(Fraction(m, scale) for m in row) == (law.prob0, law.probQ, law.prob1)
+    for order in StochOrder:
+        for low, high in product(TripleClass, repeat=2):
+            margins = orders._class_pair_margins(order, masses[low], masses[high])
+            want = dominates(order, params.laws[low], params.laws[high]).margins
+            assert tuple(Fraction(m, scale) for m in margins) == want, (order, low, high)
+
+
+def test_integer_margins_match_dominates_on_the_fine_grid():
+    for params in FINE_GRID:
+        _assert_integer_margins_are_the_fraction_margins(params)
+
+
+_unit = st.builds(Fraction, st.integers(0, 97), st.integers(1, 97)).filter(lambda x: x <= 1)
+
+
+@given(_unit, _unit, st.sampled_from(["inside", "p = 0", "q = 0", "r = 0"]))
+def test_integer_margins_match_dominates_at_rational_points(a, b, edge):
+    p = Fraction(0) if edge == "p = 0" else a
+    q = {"q = 0": Fraction(0), "r = 0": 1 - p}.get(edge, b * (1 - p))
+    _assert_integer_margins_are_the_fraction_margins(Params(p, q))
+
+
+def test_law_masses_follow_a_replaced_laws(monkeypatch):
+    params = Params(Fraction(1, 5), Fraction(3, 10))
+    kept = params.law_masses
+    assert params.law_masses is kept  # made once per point
+    flipped = tuple(reversed(params.laws))
+    monkeypatch.setattr(Params, "laws", property(lambda self: flipped))
+    assert params.law_masses == (kept[0], tuple(reversed(kept[1])))
+
+
+def test_a_law_off_the_scale_is_refused(monkeypatch):
+    params = Params(Fraction(1, 4), Fraction(1, 2))  # scale 4
+    thirds = LocalDistribution(Fraction(1, 3), 0, Fraction(2, 3))
+    monkeypatch.setattr(Params, "laws", property(lambda self: (thirds,) * 3))
+    with pytest.raises(ValueError, match="not an integer over the scale 4"):
+        params.law_masses
+    for which in (1, 2):
+        with pytest.raises(ValueError, match="not an integer over the scale 4"):
+            verify_lemma(which, params)
+
+
 # A non-monotone rule: each class takes the law of a triple of the next class.
 _ROTATED = {TripleClass.ALL_ZERO: (Z, Z, Q), TripleClass.MIXED: (O, O, O),
             TripleClass.HAS_ONE: (Z, Z, Z)}
@@ -134,17 +184,21 @@ def test_lemma_violations_match_per_pair_oracle(which, monkeypatch):
 
 
 def test_lemma_checks_each_class_pair_once(monkeypatch):
-    calls = []
+    verdicts = []
+    margins = orders._class_pair_margins
 
-    def counting(order, d1, d2):
-        calls.append((d1, d2))
-        return dominates(order, d1, d2)
+    def counting(order, low, high):
+        verdicts.append((low, high))
+        return margins(order, low, high)
 
-    monkeypatch.setattr(orders, "dominates", counting)
+    monkeypatch.setattr(orders, "_class_pair_margins", counting)
+    compared = []
+    monkeypatch.setattr(orders, "dominates", lambda *args: compared.append(args))
     for which in (1, 2):
-        calls.clear()
+        verdicts.clear()
         verify_lemma(which, Params(Fraction(1, 5), Fraction(3, 10)))
-        assert 0 < len(calls) <= 9
+        assert 0 < len(verdicts) <= 9
+    assert compared == []  # no class pair fails, so no Fraction comparison is made
 
 
 @pytest.mark.parametrize("order", list(StochOrder))

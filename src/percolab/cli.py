@@ -33,6 +33,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Sequence
 
 from .core import EnvSymbol, Params, as_fraction
@@ -247,14 +248,14 @@ def cmd_game(cfg: RunConfig) -> int:
     ps = _param_axis(cfg.p, cfg.p_grid, "p")
     qs = _param_axis(cfg.q, cfg.q_grid, "q")
     _check_points(len(ps) * len(qs), "game: the (p, q) grid")
-    # grid corners outside the simplex are just skipped
-    points = [Params(p, q) for p in ps for q in qs if 0 <= p and 0 <= q and p + q <= 1]
+    # corners outside the simplex are skipped; each Params lives only while its point runs
+    points = [(p, q) for p in ps for q in qs if 0 <= p and 0 <= q and p + q <= 1]
     if not points:
         if len(ps) == 1 and len(qs) == 1:
             raise ValueError(f"game: (p={ps[0]}, q={qs[0]}) is outside the region")
         raise ValueError("game: no requested (p, q) point lies in the region")
-    rows = [est.to_json_dict() for params in points
-            for est in draw_fraction(version, params, cfg.horizons, cfg.samples,
+    rows = [est.to_json_dict() for p, q in points
+            for est in draw_fraction(version, Params(p, q), cfg.horizons, cfg.samples,
                                      SeededStream(cfg.seed))]
     if cfg.format == "json":
         _emit(_json_text(rows), cfg.out)
@@ -289,24 +290,17 @@ def _verify_kernel(cfg: RunConfig) -> dict:
 
 def _verify_formulas(cfg: RunConfig) -> dict:
     mus = sampled_measures(cfg.measures, cfg.seed)
-    # points outside measures, so the per-(p, q) caches hold one point at a
-    # time; failures are listed measure by measure
-    failures = [[] for _ in mus]
+    failures = []
     comparisons = 0
-    for params in FORMULA_GRID:
-        for mu, found in zip(mus, failures):
-            for fid in CLOSED_FORM_IDS:
-                res = closed_form(fid, mu, params)
-                # a partially specified entry's value is the pushforward itself
-                push = (pushforward_cylinder(mu, fid, params) if res.fully_specified
-                        else res.value)
-                comparisons += 1
-                if res.value != push or not res.remainders_nonnegative:
-                    found.append({"formula": fid, "measure": mu.name,
-                                  "p": frac_str(params.p), "q": frac_str(params.q),
-                                  "value": frac_str(res.value),
-                                  "pushforward": frac_str(push)})
-    failures = [f for found in failures for f in found]
+    for mu, params, fid in product(mus, FORMULA_GRID, CLOSED_FORM_IDS):
+        res = closed_form(fid, mu, params)
+        # a partially specified entry's value is the pushforward itself
+        push = pushforward_cylinder(mu, fid, params) if res.fully_specified else res.value
+        comparisons += 1
+        if res.value != push or not res.remainders_nonnegative:
+            failures.append({"formula": fid, "measure": mu.name,
+                             "p": frac_str(params.p), "q": frac_str(params.q),
+                             "value": frac_str(res.value), "pushforward": frac_str(push)})
     return {"check": "formulas", "measures": len(mus), "points": len(FORMULA_GRID),
             "formulas": list(CLOSED_FORM_IDS), "comparisons": comparisons,
             "failures": failures, "pass": not failures}
@@ -328,8 +322,7 @@ def _verify_weights(cfg: RunConfig) -> dict:
     points = [(p, q) for p in axis for q in axis if 0 < p + q <= 1]
     runs = 0
     min_slack = None
-    # points outside measures, as in _verify_formulas; each point's Params,
-    # and the class laws it keeps, is freed when the point is done
+    # points outside measures, so each point and all it keeps is freed when done
     failures = [[] for _ in mus]
     for p, q in points:
         params = Params(p, q)

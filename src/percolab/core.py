@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import product
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 Rationalish = Union[Fraction, int, str]
 
@@ -86,24 +86,20 @@ class Params:
     The degenerate all-open point p = q = 0 is constructible (r = 1) but carries
     in_region = False; verification entry points that need p + q > 0 reject it.
 
-    The hash is computed once, at construction: every per-(p, q) cache looks a
-    Params up, and hashing a Fraction costs a modular inverse.  The three class
-    laws are built on first use and kept on the instance (``laws``), and so are
-    their integer masses (``law_masses``), so both are freed with the point.
+    The class laws (``laws``), their integer masses (``law_masses``) and what
+    ``per_point`` functions build (``memo``) are made on first use and kept on
+    the instance, so all of it is freed with the point.
     """
 
     p: Fraction
     q: Fraction
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", as_fraction(self.p))
         object.__setattr__(self, "q", as_fraction(self.q))
         if not (0 <= self.p and 0 <= self.q and self.p + self.q <= 1):
             raise ValueError(f"need 0 <= p, 0 <= q, p+q <= 1; got p={self.p}, q={self.q}")
-        object.__setattr__(self, "_hash", hash((self.p, self.q)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def r(self) -> Fraction:
@@ -152,6 +148,17 @@ class Params:
 
     def __str__(self) -> str:
         return f"(p={self.p}, q={self.q})"
+
+
+def per_point(build: Callable) -> Callable:
+    """``build(*args, params)``, built once per (args, point) and kept in ``params.memo``."""
+    @wraps(build)
+    def kept(*args):
+        memo, key = args[-1].memo, (build, args[:-1])
+        if key not in memo:
+            memo[key] = build(*args)
+        return memo[key]
+    return kept
 
 
 @dataclass(frozen=True)

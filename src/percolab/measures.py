@@ -17,10 +17,9 @@ masses over its scale (``Params.law_masses``).  Every quantity built on top
 is a linear functional of those values at fixed (p, q): its transcription
 runs once per (p, q) on unit functionals, is compiled to integer coefficients
 over one denominator, and is evaluated on a measure as one integer dot
-product that leaves as one Fraction.  The kernels
-and compiled forms are cached for one point at a time, so a check visits the
-points one by one and runs every measure at each.  Floats never enter a
-verification path.
+product that leaves as one Fraction.  The kernels and compiled forms are kept
+on their point (``core.per_point``), so they are built once per point in any
+visiting order and freed with it.  Floats never enter a verification path.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from .core import (TRIPLE_CLASSES, CylinderPattern, EnvSymbol, Params, SYMBOLS, TripleClass,
-                   as_fraction)
+                   as_fraction, per_point)
 
 if TYPE_CHECKING:
     from .pca import Configuration
@@ -46,12 +45,6 @@ ORDER = 6
 
 CLOSED_FORM_IDS = ("?", "0?", "?0?", "1?", "10?", "100?", "000?",
                    "1??", "1?0?", "10??", "1?00", "10?0", "1?01")
-
-# The per-(p, q) caches hold one point's entries, so a check that finishes one
-# point before it starts the next keeps a bounded set of kernels and forms,
-# however fine its grid.  The most pushforward texts one check reads at one
-# point are the closed-form catalog's (the weight chain reads 12 of them).
-_POINT_TEXTS = len(CLOSED_FORM_IDS)
 
 
 def frac_str(x: Fraction) -> str:
@@ -274,7 +267,8 @@ def _group_masses(marg: tuple[int, ...], span: int) -> tuple[int, ...]:
     return tuple(sum([marg[u] for u in words]) for _, words in _signature_groups(span))
 
 
-@lru_cache(maxsize=_POINT_TEXTS)
+# Stores nothing: _point_kernel calls it only to build, so perfbench/spans.py counts its misses.
+@lru_cache(maxsize=0)
 def _pushforward_kernel(text: str, params: Params) -> tuple[int, tuple[int, ...]]:
     """(den, k) with k[g] / den = P(the updated window lies in the pattern | the
     input word has signature g), g indexing _signature_groups(span).
@@ -298,20 +292,23 @@ def _pushforward_kernel(text: str, params: Params) -> tuple[int, tuple[int, ...]
     return scale**span, kernel
 
 
+_point_kernel = per_point(_pushforward_kernel)
+
+
 def pushforward_cylinder(mu: TIMeasure, text: str, params: Params) -> Fraction:
     """Probability of the cylinder event after one synchronous update of mu.
 
     The dot product of the kernel with mu's word masses grouped by class
     signature over the span+2 input sites; the grouped masses do not depend on
-    (p, q) or on the pattern beyond its span, so each measure sums them once.
-    A kernel build costs one product per (event word, signature group) pair:
-    one word per group for a plain word, but 3^k times that for an event with
-    k ``[0?1]`` cells.
+    (p, q) or on the pattern beyond its span, so each measure sums them once;
+    the kernel is kept on the point.  A build costs one product per (event
+    word, signature group) pair: one word per group for a plain word, but 3^k
+    times that for an event with k ``[0?1]`` cells.
     """
     span = _event(text).span
     if span + 2 > ORDER:
         raise ValueError(f"pushforward of span {span} needs order >= {span + 2}, have {ORDER}")
-    den, kernel = _pushforward_kernel(text, params)
+    den, kernel = _point_kernel(text, params)
     masses = mu.signature_masses.get(span)
     if masses is None:
         masses = mu.signature_masses[span] = _group_masses(mu.counts[span + 2], span)
@@ -429,7 +426,7 @@ def _values(form: _Form, mu: TIMeasure, params: Optional[Params]) -> list[Fracti
 
     Cylinder values come through cylinder_prob once per (measure, text) and
     stay on the measure; pushforward values come through pushforward_cylinder,
-    which builds each kernel on its first call.
+    whose kernels stay on the point.
     """
     counts = mu.cylinder_counts
     nums = []
@@ -541,7 +538,7 @@ def _closed_form_parts(name: str, params: Params) -> tuple[bool, Linear, tuple[t
                    + (1 - p) * r * (1 - q) * q * c("000?1"))
 
 
-@lru_cache(maxsize=_POINT_TEXTS)
+@per_point
 def _closed_form_form(name: str, params: Params) -> tuple[bool, tuple[str, ...], _Form]:
     """Whether the entry is fully specified, its component names, and its value
     then its components compiled at (p, q)."""
@@ -593,14 +590,14 @@ def _weight_chain(ev: Callable[[str], Linear], params: Params) -> tuple[Linear, 
     return (w0, w1, w2, w3, w4)
 
 
-@lru_cache(maxsize=1)
+@per_point
 def _weights(params: Params) -> tuple[Linear, ...]:
     """w0..w4 as functionals of the cylinder values at (p, q); the chain's
     identity check runs here, once per (p, q)."""
     return _weight_chain(_cylinder, params)
 
 
-@lru_cache(maxsize=1)
+@per_point
 def _weight_form(params: Params) -> _Form:
     return _compile(params, _weights(params))
 
@@ -872,7 +869,7 @@ class WeightReport:
         }
 
 
-@lru_cache(maxsize=1)
+@per_point
 def _master_form(params: Params) -> tuple[tuple[str, ...], _Form]:
     """The slack term names, and w0..w4 of mu, w0..w4 of its image, the slack
     terms and the overall slack compiled at (p, q)."""
@@ -944,7 +941,7 @@ class StationarityReport:
         }
 
 
-@lru_cache(maxsize=1)
+@per_point
 def _stationary_form(params: Params) -> tuple[str, tuple[str, ...], _Form]:
     """The branch, the forced names, and mu(?), mu(?) - r*mu(***) and the forced
     cylinders compiled at (p, q)."""

@@ -54,7 +54,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import EnvSymbol, Params
+from .core import EnvSymbol, Params, per_point
 
 # ------------------------------------------------------------------ randomness
 
@@ -276,13 +276,13 @@ def _neighbour_views(cfg: Configuration, offset: int):
     return cells[..., :-2], cells[..., 1:-1], cells[..., 2:], cfg.origin - offset, width - 2
 
 
-@lru_cache(maxsize=None)
+@per_point
 def variate_cuts(params: Params) -> tuple[np.uint64, np.uint64, np.uint64]:
     """The integer cut points ceil(t * 2**53) of the floats p, p + r and 1 - q:
     a variate k is at or above one iff k * 2**-53 >= t.  The rule inverts a
     triple's class law at p (000), at p and p + r (MIXED) or at 1 - q (HAS_ONE),
     and a game label at p and 1 - q.  numpy scalars, which numpy compares with
-    an array faster than Python ints."""
+    an array faster than Python ints.  Kept on the point (``per_point``)."""
     p, q, r = float(params.p), float(params.q), float(params.r)
     return tuple(_U64(math.ceil(t * 2.0**53)) for t in (p, p + r, 1.0 - q))
 

@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 import warnings
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from percolab.cli import (
     _rational,
     main,
 )
+from percolab.core import Params
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -368,8 +370,8 @@ def test_verify_kernel_classifies_every_case_in_one_call_per_version(capsys, mon
 
 
 def test_verify_failures_are_listed_measure_by_measure(capsys, monkeypatch):
-    # the checks loop over points outside measures; their failures keep the
-    # measure-major order of the reports
+    # verify weights loops over points outside measures and verify formulas
+    # over measures outside points; both list failures measure by measure
     import dataclasses
 
     from percolab import cli, measures
@@ -398,40 +400,82 @@ def test_verify_failures_are_listed_measure_by_measure(capsys, monkeypatch):
          for fid in measures.CLOSED_FORM_IDS]
 
 
-def test_verify_weights_caches_hold_one_point(capsys):
-    # the per-(p, q) caches end a run at the same size however fine the grid,
-    # and still build each point's 12 kernels and master form once
+def _count_compiles(monkeypatch, measures):
+    """The (p, q) of each compiled form built, in build order; the points
+    themselves are not held."""
+    built = []
+    real = measures._compile
+
+    def counting(params, linears):
+        built.append((params.p, params.q))
+        return real(params, linears)
+
+    monkeypatch.setattr(measures, "_compile", counting)
+    return built
+
+
+def _track_points(monkeypatch):
+    """The (p, q) of each Params the CLI makes, and how many earlier ones were
+    still alive as each was made."""
+    from percolab import cli
+
+    made, refs, alive = [], [], []
+
+    def tracked(p, q):
+        alive.append(sum(ref() is not None for ref in refs))
+        params = Params(p, q)
+        made.append((params.p, params.q))
+        refs.append(weakref.ref(params))
+        return params
+
+    monkeypatch.setattr(cli, "Params", tracked)
+    return made, refs, alive
+
+
+def test_verify_weights_caches_hold_one_point(capsys, monkeypatch):
+    # each point keeps its 12 kernels and its master form, built once, and is
+    # freed when the next is done: however fine the grid, one point's worth is
+    # held besides the point being made
     from percolab import measures
 
-    caches = (measures._pushforward_kernel, measures._master_form, measures._weights,
-              measures._weight_form, measures._closed_form_form, measures._stationary_form)
-    sizes = []
+    made, refs, alive = _track_points(monkeypatch)
+    built = _count_compiles(monkeypatch, measures)
     for grid in ("1/4", "1/8"):
-        for cache in caches:
-            cache.cache_clear()
+        for kept in (made, refs, alive, built):
+            kept.clear()
+        measures._pushforward_kernel.cache_clear()
         code, out = run_cli(capsys, "verify", "weights", "--measures", "0", "--grid", grid)
         assert code == 0
-        sizes.append([cache.cache_info().currsize for cache in caches])
         points = json.loads(out)["points"]
-        assert [cache.cache_info().misses for cache in caches[:2]] == [12 * points, points]
-    assert sizes[0] == sizes[1]
-    assert sizes[0][:2] == [len(measures.CLOSED_FORM_IDS), 1]
+        assert alive == [0] + [1] * (points - 1)
+        assert measures._pushforward_kernel.cache_info().misses == 12 * points
+        assert built == made
 
 
-def test_verify_formulas_builds_each_point_once(capsys):
-    # one kernel and one compiled entry per (catalog entry, point), with the
-    # caches holding one point's worth
+def test_game_sweep_holds_one_point_at_a_time(capsys, monkeypatch):
+    # a point, with the variate cuts it keeps, is freed once its rows are made
+    made, _, alive = _track_points(monkeypatch)
+    code, _ = run_cli(capsys, "game", "--version", "v1", "--p-grid", "0:1:1/4",
+                      "--q-grid", "0:1:1/4", "--horizons", "3", "--samples", "20")
+    assert code == 0 and len(made) == 15
+    assert alive == [0] + [1] * 14
+
+
+def test_verify_formulas_builds_each_point_once(capsys, monkeypatch):
+    # one kernel and one compiled entry per (catalog entry, point), though
+    # the measures are walked outside the points
     from percolab import measures
 
-    caches = (measures._pushforward_kernel, measures._closed_form_form)
-    for cache in caches:
-        cache.cache_clear()
-    code, _ = run_cli(capsys, "verify", "formulas", "--measures", "1")
-    assert code == 0
+    for params in measures.FORMULA_GRID:  # module-level points keep their memos
+        params.memo.clear()
+    measures._pushforward_kernel.cache_clear()
+    built = _count_compiles(monkeypatch, measures)
+    code, out = run_cli(capsys, "verify", "formulas", "--measures", "1")
+    assert code == 0 and json.loads(out)["measures"] > 1
     entries = len(measures.CLOSED_FORM_IDS)
-    for cache in caches:
-        info = cache.cache_info()
-        assert (info.misses, info.currsize) == (entries * len(measures.FORMULA_GRID), entries)
+    assert measures._pushforward_kernel.cache_info().misses == entries * len(measures.FORMULA_GRID)
+    assert built == [(params.p, params.q) for params in measures.FORMULA_GRID
+                     for _ in range(entries)]
 
 
 def test_verify_tables_sampled(capsys):

@@ -141,3 +141,35 @@ def test_exact_modules_hold_no_float():
                   and node.func.id == "float"):
                 found.append(f"{name}:{node.lineno} float(...)")
     assert not found, f"floats in the exact modules: {found}"
+
+
+def _storing_cache(decorator):
+    """Whether a decorator is functools' ``cache`` or an ``lru_cache`` that
+    stores entries: any but ``lru_cache(maxsize=0)``, which only counts calls."""
+    call = decorator if isinstance(decorator, ast.Call) else None
+    func = call.func if call else decorator
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name != "lru_cache" or call is None:
+        return name in ("cache", "lru_cache")
+    sizes = [kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args[:1]
+    return not (sizes and isinstance(sizes[0], ast.Constant) and sizes[0].value == 0)
+
+
+def _takes_params(node):
+    args = node.args
+    return any(arg.arg == "params" or arg.annotation is not None and any(
+                   isinstance(n, ast.Name) and n.id == "Params" for n in ast.walk(arg.annotation))
+               for arg in args.posonlyargs + args.args + args.kwonlyargs)
+
+
+def test_no_module_cache_holds_a_point():
+    # what is built per (p, q) is kept on the point (core.per_point), so it
+    # is freed with the point; a module-level cache keyed on a Params would
+    # keep every point it has seen, or rebuild whenever callers change points
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno} {node.name}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and _takes_params(node) and any(map(_storing_cache, node.decorator_list))]
+    assert not found, f"caches keyed on a Params: {found}"

@@ -40,6 +40,7 @@ from percolab.pca import (
     Configuration,
     ModelSpec,
     SeededStream,
+    step,
     trajectory,
 )
 
@@ -305,15 +306,13 @@ def test_pushforward_against_direct_enumeration():
 
 def test_a_point_built_from_numpy_integers_computes_like_the_int_built_point():
     # numpy numerators used to wrap in the kernel's products (overflow warnings
-    # and a wrong value), and the equal int-built point then read that kernel
-    # from the cache
+    # and a wrong value)
     np_point = Params(as_fraction(np.int64(1)) / 997, as_fraction(np.int64(2)) / 991)
     int_point = Params(Fraction(1, 997), Fraction(2, 991))
     mu = sampled_measures(1, 1729)[3]
     kernel = _oracle_kernel("1?01", int_point)
     want = sum((Fraction(c, mu.den) * k for c, k in zip(mu.counts[6], kernel) if c and k),
                Fraction(0))
-    measures._pushforward_kernel.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert pushforward_cylinder(mu, "1?01", np_point) == want
@@ -798,17 +797,51 @@ def test_weight_chain_is_checked_once_per_point(monkeypatch):
         return real(ev, params)
 
     monkeypatch.setattr(measures, "_weight_chain", counting)
-    for cache in (measures._weights, measures._weight_form, measures._master_form):
-        cache.cache_clear()
     points = (Params(Fraction(2, 7), Fraction(3, 11)), Params(Fraction(1, 9), Fraction(5, 9)))
-    mus = sampled_measures(2, 7)
-    # the per-(p, q) caches hold one point, so the checks finish a point
-    # before they start the next, as verify weights does
-    for params in points:
-        for mu in mus:
+    # fresh points, walked in either order
+    for mu in sampled_measures(2, 7):
+        for params in points:
             verify_master_inequality(mu, params)
             weight(4, mu, params)
+    for params in reversed(points):
+        verify_master_inequality(MARKOV, params)
     assert calls == list(points)
+
+
+def test_measures_outside_points_build_each_point_once(monkeypatch):
+    # as test_2 and test_5 walk them: each (point, text) kernel and each
+    # point's master form is built on the point's first measure only
+    compiled = []
+    real = measures._compile
+
+    def counting(params, linears):
+        compiled.append(params)
+        return real(params, linears)
+
+    monkeypatch.setattr(measures, "_compile", counting)
+    measures._pushforward_kernel.cache_clear()
+    points = (Params(Fraction(1, 3), Fraction(1, 7)), Params(Fraction(2, 9), Fraction(4, 9)))
+    for mu in sampled_measures(1, 11):
+        for params in points:
+            verify_master_inequality(mu, params)
+    assert compiled == list(points)
+    assert measures._pushforward_kernel.cache_info().misses == 12 * len(points)
+
+
+def test_a_point_and_what_it_keeps_are_freed_with_it():
+    # a point's kernels, forms and variate cuts are kept on the point, in no
+    # module-level cache that would keep it alive
+    params = Params(Fraction(3, 13), Fraction(2, 11))
+    mu = sampled_measures(1, 13)[4]
+    verify_master_inequality(mu, params)
+    closed_form("1?0?", mu, params)
+    stationary_conclusion_check(params, mu)
+    pushforward_cylinder(mu, "1 ***", params)
+    step(Configuration.constant(9, Q, Boundary.CYCLIC), ModelSpec(0, params), SeededStream(3), 0)
+    ref = weakref.ref(params)
+    del params
+    gc.collect()
+    assert ref() is None
 
 
 def test_cylinder_counts_are_summed_once_per_measure(monkeypatch):

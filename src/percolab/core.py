@@ -86,9 +86,9 @@ class Params:
     The degenerate all-open point p = q = 0 is constructible (r = 1) but carries
     in_region = False; verification entry points that need p + q > 0 reject it.
 
-    The class laws (``laws``), their integer masses (``law_masses``) and what
-    ``per_point`` functions build (``memo``) are made on first use and kept on
-    the instance, so all of it is freed with the point.
+    The class laws (``laws``) are made on first use and kept on the instance;
+    their integer masses (``law_masses``) and what ``per_point`` functions
+    build are kept in ``memo``.  All of it is freed with the point.
     """
 
     p: Fraction
@@ -124,12 +124,12 @@ class Params:
         """(s, m) with s = lcm(den p, den q) the point's scale and m[c][k] / s
         the mass ``laws[c]`` puts on the symbol of code k, exactly.
 
-        Derived from ``laws``, their one source, on first read and kept for as
-        long as ``laws`` returns the same tuple, so a replaced ``laws`` is
-        read afresh.  Raises ``ValueError`` if a mass is not an integer over s.
+        Derived from ``laws``, their one source, on first read and kept in
+        ``memo`` for as long as ``laws`` returns the same tuple, so a replaced
+        ``laws`` is read afresh.  Raises ``ValueError`` if a mass is not an integer over s.
         """
         laws = self.laws
-        kept = self.__dict__.get("_law_masses")
+        kept = self.memo.get("law_masses")
         if kept is not None and kept[0] is laws:
             return kept[1]
         scale = math.lcm(self.p.denominator, self.q.denominator)
@@ -143,7 +143,7 @@ class Params:
                 row.append(x.numerator * (scale // x.denominator))
             masses.append(tuple(row))
         found = (scale, tuple(masses))
-        object.__setattr__(self, "_law_masses", (laws, found))
+        self.memo["law_masses"] = (laws, found)
         return found
 
     def __str__(self) -> str:

@@ -14,12 +14,15 @@ tables, and the master inequality comparing w4 before and after one update.
 Cylinder and pushforward probabilities are summed in Python ints and leave as
 Fractions; a pushforward kernel multiplies the point's integer class-law
 masses over its scale (``Params.law_masses``).  Every quantity built on top
-is a linear functional of those values at fixed (p, q): its transcription
-runs once per (p, q) on unit functionals, is compiled to integer coefficients
-over one denominator, and is evaluated on a measure as one integer dot
-product that leaves as one Fraction.  The kernels and compiled forms are kept
-on their point (``core.per_point``), so they are built once per point in any
-visiting order and freed with it.  Floats never enter a verification path.
+is a linear functional of those values whose coefficients are polynomials in
+(p, q): its transcription runs once per process, on first use, on unit
+functionals and on p, q and r as integer polynomials (``Poly``), giving a
+parameter-free plan.  A point compiles a plan by integer evaluation to
+coefficients over one denominator, the power s^E of its scale, and a measure
+evaluates it as one integer dot product that leaves as one Fraction.  The
+kernels and compiled forms are kept on their point (``core.per_point``), so
+they are built once per point in any visiting order and freed with it.
+Floats never enter a verification path.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from .core import (TRIPLE_CLASSES, CylinderPattern, EnvSymbol, Params, SYMBOLS, TripleClass,
@@ -322,20 +325,95 @@ def pushforward_cylinder(mu: TIMeasure, text: str, params: Params) -> Fraction:
 Key = tuple[str, str]
 
 
+def _as_poly(op: Callable) -> Callable:
+    """The binary method ``op`` with an int operand read as a constant Poly;
+    any other operand is left to its own type (a ``Linear`` scales itself)."""
+    @wraps(op)
+    def method(self: "Poly", other):
+        if isinstance(other, int):
+            other = _constant(other)
+        elif not isinstance(other, Poly):
+            return NotImplemented
+        return op(self, other)
+    return method
+
+
+class Poly:
+    """A polynomial in (p, q) with integer coefficients: ``terms[i, j]`` is the
+    coefficient of p^i q^j, and none is zero.
+
+    Just enough for the transcriptions: ``+``, ``-``, ``*`` and ``**`` with
+    each other and with ints.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict[tuple[int, int], int]) -> None:
+        self.terms = terms
+
+    @_as_poly
+    def __add__(self, other: "Poly") -> "Poly":
+        out = dict(self.terms)
+        for mono, c in other.terms.items():
+            out[mono] = out.get(mono, 0) + c
+        return Poly({mono: c for mono, c in out.items() if c})
+
+    __radd__ = __add__
+
+    @_as_poly
+    def __mul__(self, other: "Poly") -> "Poly":
+        out: dict[tuple[int, int], int] = {}
+        for (i, j), c in self.terms.items():
+            for (k, l), d in other.terms.items():
+                out[i + k, j + l] = out.get((i + k, j + l), 0) + c * d
+        return Poly({mono: c for mono, c in out.items() if c})
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> "Poly":
+        return self * -1
+
+    def __sub__(self, other) -> "Poly":
+        return self + -other
+
+    def __rsub__(self, other) -> "Poly":
+        return -self + other
+
+    def __pow__(self, n: int) -> "Poly":
+        return math.prod([self] * n, start=_constant(1))
+
+    @_as_poly
+    def __eq__(self, other: "Poly") -> bool:
+        return self.terms == other.terms
+
+    @property
+    def degree(self) -> int:
+        return max((i + j for i, j in self.terms), default=0)
+
+
+def _constant(c: int) -> Poly:
+    return Poly({(0, 0): c} if c else {})
+
+
+# The parameters as polynomials: p, q and r = 1 - p - q.
+_P, _Q = Poly({(1, 0): 1}), Poly({(0, 1): 1})
+_R = 1 - _P - _Q
+
+
 class Linear:
-    """A linear functional of a measure at fixed (p, q): exact coefficients on
-    basis values.
+    """A linear functional of a measure: coefficients on basis values, each an
+    int or a ``Poly`` in (p, q).
 
     The closed forms, the weight chain, the table forms and the master terms
     are transcribed once each; running a transcription on unit functionals
-    instead of numbers turns it into these, once per (p, q).  A key keeps its
-    place when its coefficient is zero, so the functional still reads every
-    value its transcription names.
+    and on (p, q, r) as polynomials turns it into these, once per process.  A
+    key keeps its place when its coefficient is zero, so the functional still
+    reads every value its transcription names.
     """
 
     __slots__ = ("coefs",)
 
-    def __init__(self, coefs: dict[Key, Fraction]) -> None:
+    def __init__(self, coefs: dict[Key, Poly | int]) -> None:
         self.coefs = coefs
 
     def __add__(self, other: "Linear") -> "Linear":
@@ -344,7 +422,7 @@ class Linear:
             out[key] = out.get(key, 0) + a
         return Linear(out)
 
-    def __mul__(self, scalar: Fraction) -> "Linear":
+    def __mul__(self, scalar: Poly | int) -> "Linear":
         return Linear({key: scalar * a for key, a in self.coefs.items()})
 
     __rmul__ = __mul__
@@ -386,6 +464,38 @@ def _image(form: Linear) -> Linear:
     return Linear({("f", text): a for (_, text), a in form.coefs.items()})
 
 
+class _Plan(NamedTuple):
+    """Functionals whose coefficients are polynomials in (p, q), parameter-free.
+
+    Basis value j is a cylinder (``spans[j]`` = 0) or a pushforward of span
+    ``spans[j]``.  ``degree`` is E, the largest coefficient degree plus span.
+    Each row (idx, coefs) is one functional.  With p = a/s and q = b/s, its
+    coefficient on basis value idx[t], lifted to the one denominator s^E, is
+    the sum of c * a^i * b^k * s^l over the terms (c, i, k, l) of coefs[t],
+    where i + k + l = E - spans[idx[t]].
+    """
+
+    keys: tuple[Key, ...]
+    spans: tuple[int, ...]
+    rows: tuple[tuple[tuple[int, ...], tuple[tuple[tuple[int, int, int, int], ...], ...]], ...]
+    degree: int
+
+
+def _plan(linears: Sequence[Linear]) -> _Plan:
+    """The functionals as a plan; a coefficient that is the zero polynomial
+    leaves its row, and its key stays."""
+    keys = tuple(dict.fromkeys(key for form in linears for key in form.coefs))
+    spans = tuple(_event(text).span if kind == "f" else 0 for kind, text in keys)
+    index = {key: j for j, key in enumerate(keys)}
+    polys = [[(index[key], a if isinstance(a, Poly) else _constant(a))
+              for key, a in form.coefs.items() if a != 0] for form in linears]
+    degree = max((a.degree + spans[j] for row in polys for j, a in row), default=0)
+    rows = tuple((tuple(j for j, _ in row),
+                  tuple(tuple((c, i, k, degree - spans[j] - i - k) for (i, k), c in a.terms.items())
+                        for j, a in row)) for row in polys)
+    return _Plan(keys, spans, rows, degree)
+
+
 class _Form(NamedTuple):
     """Functionals at one (p, q), compiled to integers.
 
@@ -400,25 +510,25 @@ class _Form(NamedTuple):
     den: int
 
 
-def _compile(params: Optional[Params], linears: Sequence[Linear]) -> _Form:
-    """Integer coefficients over the one denominator L * s^k.
+def _compile(plan: _Plan, params: Optional[Params]) -> _Form:
+    """The plan at (p, q) by integer evaluation, over the one denominator s^E.
 
-    A cylinder numerator is over mu.den; a pushforward of span j is over
-    s^j * mu.den, where s = lcm(den p, den q) and s^j is its kernel's
-    denominator, so its coefficient carries the s^(k - j) it lacks, k the
-    widest span read; L clears the denominators the coefficients have left.
+    s = lcm(den p, den q) is the point's scale, so p = a/s and q = b/s; a
+    pushforward of span j is over s^j * mu.den, its kernel's denominator.
+    Without a point (``None``) the plan must have constant coefficients.
     """
-    keys = tuple(dict.fromkeys(key for form in linears for key in form.coefs))
-    scales = tuple(params.law_masses[0] ** _event(text).span if kind == "f" else 1
-                   for kind, text in keys)
-    top = max(scales, default=1)
-    index = {key: j for j, key in enumerate(keys)}
-    lifted = [[(index[key], a * (top // scales[index[key]])) for key, a in form.coefs.items() if a]
-              for form in linears]
-    lcm = math.lcm(*(a.denominator for row in lifted for _, a in row))
-    rows = tuple((tuple(j for j, _ in row),
-                  tuple(a.numerator * (lcm // a.denominator) for _, a in row)) for row in lifted)
-    return _Form(keys, scales, rows, lcm * top)
+    if params is None:
+        if plan.degree:
+            raise ValueError(f"a plan of degree {plan.degree} needs a point")
+        a, b, s = 0, 0, 1
+    else:
+        s = params.law_masses[0]
+        a = params.p.numerator * (s // params.p.denominator)
+        b = params.q.numerator * (s // params.q.denominator)
+    pa, pb, ps = ([x**n for n in range(plan.degree + 1)] for x in (a, b, s))
+    rows = tuple((idx, tuple(sum([c * pa[i] * pb[k] * ps[l] for c, i, k, l in coef])
+                             for coef in coefs)) for idx, coefs in plan.rows)
+    return _Form(plan.keys, tuple(s**span for span in plan.spans), rows, s**plan.degree)
 
 
 def _values(form: _Form, mu: TIMeasure, params: Optional[Params]) -> list[Fraction]:
@@ -482,10 +592,10 @@ class ClosedFormResult:
         return all(v >= 0 for k, v in self.components if k.startswith(("C", "D")))
 
 
-def _closed_form_parts(name: str, params: Params) -> tuple[bool, Linear, tuple[tuple[str, Linear], ...]]:
+def _closed_form_parts(name: str) -> tuple[bool, Linear, tuple[tuple[str, Linear], ...]]:
     """(fully specified, value, named components) of one catalog entry, as
-    functionals at (p, q): the catalog's one transcription."""
-    p, q, r = params.p, params.q, params.r
+    functionals with coefficients in (p, q): the catalog's one transcription."""
+    p, q, r = _P, _Q, _R
     c = _cylinder
     push = _pushforward(name)
 
@@ -538,21 +648,29 @@ def _closed_form_parts(name: str, params: Params) -> tuple[bool, Linear, tuple[t
                    + (1 - p) * r * (1 - q) * q * c("000?1"))
 
 
+@lru_cache(maxsize=None)
+def _closed_form_plan(name: str) -> tuple[bool, tuple[str, ...], _Plan]:
+    """Whether the entry is fully specified, its component names, and its value
+    then its components as a plan."""
+    fully, value, comps = _closed_form_parts(name)
+    return fully, tuple(k for k, _ in comps), _plan((value, *(v for _, v in comps)))
+
+
 @per_point
 def _closed_form_form(name: str, params: Params) -> tuple[bool, tuple[str, ...], _Form]:
-    """Whether the entry is fully specified, its component names, and its value
-    then its components compiled at (p, q)."""
-    fully, value, comps = _closed_form_parts(name, params)
-    return fully, tuple(k for k, _ in comps), _compile(params, (value, *(v for _, v in comps)))
+    """The entry's plan compiled at (p, q)."""
+    fully, names, plan = _closed_form_plan(name)
+    return fully, names, _compile(plan, params)
 
 
 def closed_form(name: str, mu: TIMeasure, params: Params) -> ClosedFormResult:
     """Evaluate one closed-form catalog entry exactly.
 
     Requires a reflection-invariant measure (two of the writings use the
-    reflected cylinder).  The entry is compiled once per (name, p, q); each
-    measure costs one dot product per reported value, and a partially specified
-    entry reads its pushforward through ``pushforward_cylinder``.
+    reflected cylinder).  The entry's plan is made once per process and
+    compiled once per (name, p, q); each measure costs one dot product per
+    reported value, and a partially specified entry reads its pushforward
+    through ``pushforward_cylinder``.
     """
     if name not in CLOSED_FORM_IDS:
         raise ValueError(f"unknown formula {name!r}; known: {CLOSED_FORM_IDS}")
@@ -565,14 +683,14 @@ def closed_form(name: str, mu: TIMeasure, params: Params) -> ClosedFormResult:
 
 # ------------------------------------------------------------------ weights
 
-def _weight_chain(ev: Callable[[str], Linear], params: Params) -> tuple[Linear, ...]:
+def _weight_chain(ev: Callable[[str], Linear]) -> tuple[Linear, ...]:
     """w0..w4 as functionals, with the unit functional of each cylinder from ``ev``.
 
     The chained form and the expanded final display are the same functional;
-    comparing them keeps the two transcriptions honest, for every measure at
-    once.
+    comparing their polynomial coefficients keeps the two transcriptions
+    honest, for every measure and every (p, q) at once.
     """
-    p, q, r = params.p, params.q, params.r
+    p, q, r = _P, _Q, _R
     w0 = ev("?") + 2 * ev("0?") - ev("?0?") + 2 * ev("100?")
     w1 = w0 - p * (1 - r) * ev("?")
     w2 = w1 - (2 * p * r * (ev("1?") + ev("10?"))
@@ -590,16 +708,21 @@ def _weight_chain(ev: Callable[[str], Linear], params: Params) -> tuple[Linear, 
     return (w0, w1, w2, w3, w4)
 
 
-@per_point
-def _weights(params: Params) -> tuple[Linear, ...]:
-    """w0..w4 as functionals of the cylinder values at (p, q); the chain's
-    identity check runs here, once per (p, q)."""
-    return _weight_chain(_cylinder, params)
+@lru_cache(maxsize=None)
+def _weights() -> tuple[Linear, ...]:
+    """w0..w4 as functionals of the cylinder values; the chain's identity
+    check runs here, once per process."""
+    return _weight_chain(_cylinder)
+
+
+@lru_cache(maxsize=None)
+def _weight_plan() -> _Plan:
+    return _plan(_weights())
 
 
 @per_point
 def _weight_form(params: Params) -> _Form:
-    return _compile(params, _weights(params))
+    return _compile(_weight_plan(), params)
 
 
 def weight(k: int, mu: TIMeasure, params: Params) -> Fraction:
@@ -745,7 +868,7 @@ class TableReport:
 @lru_cache(maxsize=None)
 def _table_form(which: str) -> tuple[tuple[str, ...], tuple[str, ...], _Form]:
     """The row tables, the form names, and the row sums, forms, lhs and rhs of
-    one inequality compiled (they are parameter-free)."""
+    one inequality compiled (their coefficients are constants)."""
     def row_sum(rows: Sequence[tuple[int, str]]) -> Linear:
         return _cylinders([(1, syms) for _, syms in rows])
 
@@ -762,7 +885,7 @@ def _table_form(which: str) -> tuple[tuple[str, ...], tuple[str, ...], _Form]:
         lhs = _cylinders(_INEQ2_LHS)
         rhs = _cylinders(_INEQ2_RHS)
     linears = (*(v for _, v in sums), *(v for _, v in forms), lhs, rhs)
-    return tuple(k for k, _ in sums), tuple(k for k, _ in forms), _compile(None, linears)
+    return tuple(k for k, _ in sums), tuple(k for k, _ in forms), _compile(_plan(linears), None)
 
 
 def verify_table_inequality(which: str, mu: TIMeasure) -> TableReport:
@@ -869,14 +992,14 @@ class WeightReport:
         }
 
 
-@per_point
-def _master_form(params: Params) -> tuple[tuple[str, ...], _Form]:
+@lru_cache(maxsize=None)
+def _master_plan() -> tuple[tuple[str, ...], _Plan]:
     """The slack term names, and w0..w4 of mu, w0..w4 of its image, the slack
-    terms and the overall slack compiled at (p, q)."""
-    p, q, r = params.p, params.q, params.r
-    w_mu = _weights(params)
+    terms and the overall slack as a plan."""
+    p, q, r = _P, _Q, _R
+    w_mu = _weights()
     terms = [(name, coef(p, q, r) * _cylinders(pats)) for name, coef, pats in _MASTER_TERMS]
-    cf = {name: dict(_closed_form_parts(name, params)[2])
+    cf = {name: dict(_closed_form_parts(name)[2])
           for name in ("10?", "100?", "1??", "1?0?", "10??", "1?01", "1?00", "10?0")}
     d_term = (2 * p * r * cf["10?"]["D"]
               + 2 * p * p * r * (cf["1??"]["C"] + cf["1?0?"]["C"] + cf["10??"]["C"])
@@ -888,7 +1011,13 @@ def _master_form(params: Params) -> tuple[tuple[str, ...], _Form]:
     w_image = tuple(map(_image, w_mu))
     slack = w_mu[4] - w_image[4] - sum((v for _, v in terms), _ZERO)
     linears = (*w_mu, *w_image, *(v for _, v in terms), slack)
-    return tuple(name for name, _ in terms), _compile(params, linears)
+    return tuple(name for name, _ in terms), _plan(linears)
+
+
+@per_point
+def _master_form(params: Params) -> tuple[tuple[str, ...], _Form]:
+    names, plan = _master_plan()
+    return names, _compile(plan, params)
 
 
 def verify_master_inequality(mu: TIMeasure, params: Params) -> WeightReport:
@@ -897,8 +1026,9 @@ def verify_master_inequality(mu: TIMeasure, params: Params) -> WeightReport:
     w4 of the updated measure is evaluated entirely through brute-force
     pushforward probabilities -- none of the closed forms enter that side.  The
     remainder terms D and D' reuse the closed-form catalog's C/D components.
-    Every reported value, the overall slack included, is a functional compiled
-    once per (p, q), so each measure costs one integer dot product per value.
+    Every reported value, the overall slack included, is a functional whose
+    plan is made once per process and compiled once per (p, q), so each
+    measure costs one integer dot product per value.
     """
     if not params.in_region:
         raise ValueError("master inequality requires p + q > 0")
@@ -941,27 +1071,28 @@ class StationarityReport:
         }
 
 
-@per_point
-def _stationary_form(params: Params) -> tuple[str, tuple[str, ...], _Form]:
-    """The branch, the forced names, and mu(?), mu(?) - r*mu(***) and the forced
-    cylinders compiled at (p, q)."""
+# The cylinders that must vanish at stationarity, by parameter branch.
+_FORCED = {"r=0": ("?",), "q>0": ("***", "?"), "q=0,p>0": ("10?", "000?1", "000?", "***", "?"),
+           "p=q=0": ()}
+
+
+@lru_cache(maxsize=None)
+def _stationary_plan(branch: str) -> _Plan:
+    """mu(?), mu(?) - r*mu(***) and the branch's forced cylinders as a plan."""
     c = _cylinder
+    return _plan((c("?"), c("?") - _R * c("***"), *map(c, _FORCED[branch])))
+
+
+@per_point
+def _stationary_form(params: Params) -> tuple[str, _Form]:
+    """The point's branch, and its plan compiled at (p, q)."""
     p, q, r = params.p, params.q, params.r
-    if r == 0:
-        branch, forced = "r=0", (("mu(?)", c("?")),)
-    elif q > 0:
-        branch, forced = "q>0", (("mu(***)", c("***")), ("mu(?)", c("?")))
-    elif p > 0:
-        branch = "q=0,p>0"
-        forced = (("mu(10?)", c("10?")), ("mu(000?1)", c("000?1")),
-                  ("mu(000?)", c("000?")), ("mu(***)", c("***")), ("mu(?)", c("?")))
-    else:
-        branch, forced = "p=q=0", ()
-    linears = (c("?"), c("?") - r * c("***"), *(v for _, v in forced))
-    return branch, tuple(k for k, _ in forced), _compile(params, linears)
+    branch = "r=0" if r == 0 else "q>0" if q > 0 else "q=0,p>0" if p > 0 else "p=q=0"
+    return branch, _compile(_stationary_plan(branch), params)
 
 
 def stationary_conclusion_check(params: Params, mu: TIMeasure) -> StationarityReport:
-    branch, names, form = _stationary_form(params)
+    branch, form = _stationary_form(params)
     qmark, gauge, *forced = _values(form, mu, params)
+    names = tuple(f"mu({text})" for text in _FORCED[branch])
     return StationarityReport(params, mu.name, branch, qmark, abs(gauge), tuple(zip(names, forced)))

@@ -401,14 +401,14 @@ def test_verify_failures_are_listed_measure_by_measure(capsys, monkeypatch):
 
 
 def _count_compiles(monkeypatch, measures):
-    """The (p, q) of each compiled form built, in build order; the points
+    """The (p, q) at which each plan is compiled, in compile order; the points
     themselves are not held."""
     built = []
     real = measures._compile
 
-    def counting(params, linears):
+    def counting(plan, params):
         built.append((params.p, params.q))
-        return real(params, linears)
+        return real(plan, params)
 
     monkeypatch.setattr(measures, "_compile", counting)
     return built
@@ -837,6 +837,37 @@ def test_importing_the_cli_skips_the_metadata_machinery():
     report = _probe_modules()
     assert {"importlib.metadata", "email"}.isdisjoint(report["imported"])
     assert "percolab.cli" in report["imported"]
+
+
+_PLAN_PROBE = """
+import contextlib, io, json, sys
+import percolab.cli as cli
+from percolab import measures
+
+def built():
+    return sorted(name for name, fn in vars(measures).items()
+                  if hasattr(fn, "cache_info") and fn.cache_info().currsize)
+
+report = [built()]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+        cli.main(argv)
+    report.append(built())
+print(json.dumps(report))
+"""
+
+
+def test_start_up_builds_no_plan():
+    # the exact forms are transcribed on first use: importing the cli and
+    # printing its help, the benchmark's set-up, fill no cache in measures
+    commands = [["--help"], ["verify", "--help"],
+                ["verify", "weights", "--measures", "0", "--grid", "1"]]
+    proc = subprocess.run([sys.executable, "-c", _PLAN_PROBE, json.dumps(commands)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    after_import, after_help, after_verify_help, after_weights = json.loads(proc.stdout)
+    assert after_import == after_help == after_verify_help == []
+    assert {"_master_plan", "_weights"} <= set(after_weights)
 
 
 @pytest.mark.parametrize("argv", [

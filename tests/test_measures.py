@@ -737,20 +737,20 @@ def _json(report):
     return report if isinstance(report, str) else report.to_json_dict()
 
 
-def test_compiled_checks_match_fraction_oracle():
-    # every reported value of every check, compiled once per (p, q), against the
-    # same check evaluated one Fraction at a time; the skewed empirical measure
-    # is not reflection invariant, so only its weights and stationarity report
-    # are values and everything else must refuse it with the same message
+def _skewed_empirical():
     skew = np.array([2, 0, 0, 0, 1, 0] * 7, dtype=np.int8)
-    mus = sampled_measures(3, 1729) + [
-        empirical_measure(Configuration(skew, Boundary.CYCLIC))]
+    return empirical_measure(Configuration(skew, Boundary.CYCLIC))
+
+
+def _assert_checks_match_fraction_oracle(mus, points):
+    """Every reported value of every check, on each measure and at each point,
+    equals the same check evaluated one Fraction at a time, a refusal included."""
     for mu in mus:
         for which in ("ineq_1", "ineq_2"):
             got = _outcome(verify_table_inequality, which, mu)
             want = _outcome(oracles.table_report, which, mu)
             assert got == want and _json(got) == _json(want), (which, mu.name)
-        for params in _FUNCTIONAL_POINTS:
+        for params in points:
             where = (mu.name, str(params))
             for fid in CLOSED_FORM_IDS:
                 got = _outcome(closed_form, fid, mu, params)
@@ -768,6 +768,51 @@ def test_compiled_checks_match_fraction_oracle():
             assert got == want and got.to_json_dict() == want.to_json_dict(), where
 
 
+def test_compiled_checks_match_fraction_oracle():
+    # the skewed empirical measure is not reflection invariant, so only its
+    # weights and stationarity report are values and everything else must
+    # refuse it with the same message
+    _assert_checks_match_fraction_oracle(sampled_measures(3, 1729) + [_skewed_empirical()],
+                                         _FUNCTIONAL_POINTS)
+
+
+_EIGHTHS = [Fraction(i, 8) for i in range(9)]
+_ORACLE_POINTS = (
+    # the README grid, step 1/8, with the all-open point
+    *(Params(p, q) for p in _EIGHTHS for q in _EIGHTHS if p + q <= 1),
+    # the edges p = 0, q = 0 and r = 0
+    *(Params(Fraction(p), Fraction(q)) for p, q in (
+        ("0", "1/7"), ("0", "5/6"), ("3/7", "0"), ("4/5", "0"), ("2/9", "7/9"), ("11/13", "2/13"))),
+    # large coprime denominators
+    *(Params(Fraction(p), Fraction(q)) for p, q in (
+        ("997/1000", "1/1009"), ("1/1009", "997/1000"), ("500/1009", "499/1013"))),
+    # numpy integers
+    Params(Fraction(np.int64(997), np.int64(1000)), Fraction(np.int64(1), np.int64(1009))),
+    Params(np.int64(0), np.int64(1)),
+    Params(Fraction(np.int64(3), np.int64(7)), np.int64(0)),
+)
+
+
+def test_compiled_checks_match_fraction_oracle_at_edges_and_large_denominators():
+    # each plan is made once with polynomial coefficients and compiled per
+    # point by integer evaluation; these points stress that evaluation
+    _assert_checks_match_fraction_oracle(sampled_measures(1, 4242) + [_skewed_empirical()],
+                                         _ORACLE_POINTS)
+
+
+def test_plan_degrees_are_computed():
+    # E, the largest coefficient degree plus pushforward span, bounds the
+    # degree in (p, q) of every value a plan reports
+    assert measures._master_plan()[1].degree == 7
+    assert measures._weight_plan().degree == 3
+    degrees = [measures._closed_form_plan(name)[2].degree for name in CLOSED_FORM_IDS]
+    assert max(degrees) == 4
+    # the tables have constant coefficients, so they compile without a point
+    assert {measures._table_form(which)[2].den for which in ("ineq_1", "ineq_2")} == {1}
+    with pytest.raises(ValueError, match="a plan of degree 3 needs a point"):
+        measures._compile(measures._weight_plan(), None)
+
+
 def test_weight_chain_identity_rejects_a_disagreeing_display():
     # the expanded display reads 1?01 second; hand it another cylinder there
     reads = []
@@ -779,33 +824,39 @@ def test_weight_chain_identity_rejects_a_disagreeing_display():
         return measures._cylinder(text)
 
     with pytest.raises(RuntimeError, match="chained w4 disagrees"):
-        measures._weight_chain(ev, PP)
+        measures._weight_chain(ev)
     assert reads.count("1?01") == 2
-    measures._weight_chain(measures._cylinder, PP)  # the honest evaluator passes
+    measures._weight_chain(measures._cylinder)  # the honest evaluator passes
     # functionals are equal when every coefficient is, a missing key reading 0
     one, two = measures._cylinder("?"), measures._cylinder("?") + measures._cylinder("0?")
     assert one != two and two != one
     assert one == one + 0 * measures._cylinder("0?") == 2 * one - one
 
 
-def test_weight_chain_is_checked_once_per_point(monkeypatch):
+def test_weight_chain_is_checked_once_for_every_point(monkeypatch):
+    # the chain and its display are compared once, coefficient by polynomial
+    # coefficient, which proves the identity at every (p, q); no point or
+    # measure runs the transcription again
     calls = []
     real = measures._weight_chain
 
-    def counting(ev, params):
-        calls.append(params)
-        return real(ev, params)
+    def counting(ev):
+        calls.append(ev)
+        return real(ev)
 
     monkeypatch.setattr(measures, "_weight_chain", counting)
+    for plan in (measures._weights, measures._weight_plan, measures._master_plan):
+        plan.cache_clear()
     points = (Params(Fraction(2, 7), Fraction(3, 11)), Params(Fraction(1, 9), Fraction(5, 9)))
-    # fresh points, walked in either order
     for mu in sampled_measures(2, 7):
         for params in points:
             verify_master_inequality(mu, params)
             weight(4, mu, params)
     for params in reversed(points):
         verify_master_inequality(MARKOV, params)
-    assert calls == list(points)
+    assert calls == [measures._cylinder]
+    p, q = measures._P, measures._Q
+    assert measures._weights()[4].coefs[("c", "?")] == 1 - p * p - p * q - q
 
 
 def test_measures_outside_points_build_each_point_once(monkeypatch):
@@ -814,9 +865,9 @@ def test_measures_outside_points_build_each_point_once(monkeypatch):
     compiled = []
     real = measures._compile
 
-    def counting(params, linears):
+    def counting(plan, params):
         compiled.append(params)
-        return real(params, linears)
+        return real(plan, params)
 
     monkeypatch.setattr(measures, "_compile", counting)
     measures._pushforward_kernel.cache_clear()

@@ -26,7 +26,7 @@ from enum import Enum, IntEnum
 from fractions import Fraction
 from functools import cached_property, wraps
 from itertools import product
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 Rationalish = Union[Fraction, int, str]
 
@@ -180,9 +180,6 @@ class LocalDistribution:
 
     def prob(self, sym: EnvSymbol) -> Fraction:
         return (self.prob0, self.probQ, self.prob1)[sym.value]
-
-    def mass(self, symbols: Iterable[EnvSymbol]) -> Fraction:
-        return sum(self.prob(s) for s in symbols)
 
 
 class TripleClass(IntEnum):

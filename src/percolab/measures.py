@@ -16,8 +16,8 @@ Fractions; a pushforward kernel multiplies the point's integer class-law
 masses over its scale (``Params.law_masses``).  Every quantity built on top
 is a linear functional of those values whose coefficients are polynomials in
 (p, q): its transcription runs once per process, on first use, on unit
-functionals and on p, q and r as integer polynomials (``Poly``), giving a
-parameter-free plan.  A point compiles a plan by integer evaluation to
+functionals and on p, q and r, all of one sparse integer type (``Sparse``),
+giving a parameter-free plan.  A point compiles a plan by integer evaluation to
 coefficients over one denominator, the power s^E of its scale, and a measure
 evaluates it as one integer dot product that leaves as one Fraction.  The
 kernels and compiled forms are kept on their point (``core.per_point``), so
@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from .core import (TRIPLE_CLASSES, CylinderPattern, EnvSymbol, Params, SYMBOLS, TripleClass,
@@ -325,153 +325,111 @@ def pushforward_cylinder(mu: TIMeasure, text: str, params: Params) -> Fraction:
 Key = tuple[str, str]
 
 
-def _as_poly(op: Callable) -> Callable:
-    """The binary method ``op`` with an int operand read as a constant Poly;
-    any other operand is left to its own type (a ``Linear`` scales itself)."""
-    @wraps(op)
-    def method(self: "Poly", other):
-        if isinstance(other, int):
-            other = _constant(other)
-        elif not isinstance(other, Poly):
-            return NotImplemented
-        return op(self, other)
-    return method
+class Sparse:
+    """An integer combination of basis values times monomials in (p, q):
+    ``terms[key, i, j]`` is the coefficient of that basis value times p^i q^j,
+    and the key None stands for the constant 1.
 
-
-class Poly:
-    """A polynomial in (p, q) with integer coefficients: ``terms[i, j]`` is the
-    coefficient of p^i q^j, and none is zero.
-
-    Just enough for the transcriptions: ``+``, ``-``, ``*`` and ``**`` with
-    each other and with ints.
+    So one type holds p, q, r, ints and the linear functionals of a measure
+    whose coefficients are polynomials in (p, q).  The closed forms, the
+    weight chain, the table forms and the master terms are transcribed once
+    each; running a transcription on unit functionals and on p, q and r turns
+    it into these, once per process.  A term keeps its entry when its
+    coefficient is zero, so a functional still reads every value its
+    transcription names.  Just enough for the transcriptions: ``+``, ``-``,
+    ``*`` and ``**`` with each other and with ints.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[tuple[int, int], int]) -> None:
+    def __init__(self, terms: dict[tuple[Optional[Key], int, int], int]) -> None:
         self.terms = terms
 
-    @_as_poly
-    def __add__(self, other: "Poly") -> "Poly":
+    def __add__(self, other: "Sparse | int") -> "Sparse":
         out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = out.get(mono, 0) + c
-        return Poly({mono: c for mono, c in out.items() if c})
+        for term, c in _sparse(other).terms.items():
+            out[term] = out.get(term, 0) + c
+        return Sparse(out)
 
     __radd__ = __add__
 
-    @_as_poly
-    def __mul__(self, other: "Poly") -> "Poly":
-        out: dict[tuple[int, int], int] = {}
-        for (i, j), c in self.terms.items():
-            for (k, l), d in other.terms.items():
-                out[i + k, j + l] = out.get((i + k, j + l), 0) + c * d
-        return Poly({mono: c for mono, c in out.items() if c})
+    def __mul__(self, other: "Sparse | int") -> "Sparse":
+        out: dict[tuple[Optional[Key], int, int], int] = {}
+        for (key, i, j), c in self.terms.items():
+            for (other_key, k, l), d in _sparse(other).terms.items():
+                if key is not None and other_key is not None:
+                    raise TypeError("a product of two functionals is not linear")
+                term = (key if other_key is None else other_key), i + k, j + l
+                out[term] = out.get(term, 0) + c * d
+        return Sparse(out)
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Poly":
+    def __neg__(self) -> "Sparse":
         return self * -1
 
-    def __sub__(self, other) -> "Poly":
+    def __sub__(self, other: "Sparse | int") -> "Sparse":
         return self + -other
 
-    def __rsub__(self, other) -> "Poly":
+    def __rsub__(self, other: int) -> "Sparse":
         return -self + other
 
-    def __pow__(self, n: int) -> "Poly":
-        return math.prod([self] * n, start=_constant(1))
-
-    @_as_poly
-    def __eq__(self, other: "Poly") -> bool:
-        return self.terms == other.terms
-
-    @property
-    def degree(self) -> int:
-        return max((i + j for i, j in self.terms), default=0)
-
-
-def _constant(c: int) -> Poly:
-    return Poly({(0, 0): c} if c else {})
-
-
-# The parameters as polynomials: p, q and r = 1 - p - q.
-_P, _Q = Poly({(1, 0): 1}), Poly({(0, 1): 1})
-_R = 1 - _P - _Q
-
-
-class Linear:
-    """A linear functional of a measure: coefficients on basis values, each an
-    int or a ``Poly`` in (p, q).
-
-    The closed forms, the weight chain, the table forms and the master terms
-    are transcribed once each; running a transcription on unit functionals
-    and on (p, q, r) as polynomials turns it into these, once per process.  A
-    key keeps its place when its coefficient is zero, so the functional still
-    reads every value its transcription names.
-    """
-
-    __slots__ = ("coefs",)
-
-    def __init__(self, coefs: dict[Key, Poly | int]) -> None:
-        self.coefs = coefs
-
-    def __add__(self, other: "Linear") -> "Linear":
-        out = dict(self.coefs)
-        for key, a in other.coefs.items():
-            out[key] = out.get(key, 0) + a
-        return Linear(out)
-
-    def __mul__(self, scalar: Poly | int) -> "Linear":
-        return Linear({key: scalar * a for key, a in self.coefs.items()})
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Linear":
-        return self * -1
-
-    def __sub__(self, other: "Linear") -> "Linear":
-        return self + -other
+    def __pow__(self, n: int) -> "Sparse":
+        return math.prod([self] * n, start=_sparse(1))
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Linear):
+        """Equal when every coefficient is, a missing term reading 0."""
+        if not isinstance(other, (Sparse, int)):
             return NotImplemented
-        keys = self.coefs.keys() | other.coefs.keys()
-        return all(self.coefs.get(key, 0) == other.coefs.get(key, 0) for key in keys)
+        other = _sparse(other)
+        terms = self.terms.keys() | other.terms.keys()
+        return all(self.terms.get(t, 0) == other.terms.get(t, 0) for t in terms)
 
 
-_ZERO = Linear({})
+def _sparse(x: Sparse | int) -> Sparse:
+    """x, with an int read as a constant; a zero keeps its entry."""
+    if isinstance(x, int):
+        return Sparse({(None, 0, 0): x})
+    if not isinstance(x, Sparse):
+        raise TypeError(f"a Sparse combines with ints, not {type(x).__name__}")
+    return x
 
 
-def _cylinder(text: str) -> Linear:
+# The parameters: p, q and r = 1 - p - q.
+_P, _Q = Sparse({(None, 1, 0): 1}), Sparse({(None, 0, 1): 1})
+_R = 1 - _P - _Q
+_ZERO = Sparse({})
+
+
+def _cylinder(text: str) -> Sparse:
     """The unit functional mu -> mu(text)."""
-    return Linear({("c", text): 1})
+    return Sparse({(("c", text), 0, 0): 1})
 
 
-def _pushforward(text: str) -> Linear:
+def _pushforward(text: str) -> Sparse:
     """The unit functional mu -> (image of mu)(text)."""
-    return Linear({("f", text): 1})
+    return Sparse({(("f", text), 0, 0): 1})
 
 
-def _cylinders(terms: Sequence[tuple[int, str]]) -> Linear:
+def _cylinders(terms: Sequence[tuple[int, str]]) -> Sparse:
     """sum of coef * mu(text) over the (coef, text) terms."""
     return sum((coef * _cylinder(text) for coef, text in terms), _ZERO)
 
 
-def _image(form: Linear) -> Linear:
+def _image(form: Sparse) -> Sparse:
     """The same functional read on the updated measure: each cylinder value
     replaced by its pushforward."""
-    return Linear({("f", text): a for (_, text), a in form.coefs.items()})
+    return Sparse({(("f", key[1]), i, j): c for (key, i, j), c in form.terms.items()})
 
 
 class _Plan(NamedTuple):
     """Functionals whose coefficients are polynomials in (p, q), parameter-free.
 
     Basis value j is a cylinder (``spans[j]`` = 0) or a pushforward of span
-    ``spans[j]``.  ``degree`` is E, the largest coefficient degree plus span.
-    Each row (idx, coefs) is one functional.  With p = a/s and q = b/s, its
-    coefficient on basis value idx[t], lifted to the one denominator s^E, is
-    the sum of c * a^i * b^k * s^l over the terms (c, i, k, l) of coefs[t],
+    ``spans[j]``.  ``degree`` is E, the largest degree plus span of a nonzero
+    term.  Each row (idx, coefs) is one functional.  With p = a/s and q = b/s,
+    its coefficient on basis value idx[t], lifted to the one denominator s^E,
+    is the sum of c * a^i * b^k * s^l over the terms (c, i, k, l) of coefs[t],
     where i + k + l = E - spans[idx[t]].
     """
 
@@ -481,19 +439,26 @@ class _Plan(NamedTuple):
     degree: int
 
 
-def _plan(linears: Sequence[Linear]) -> _Plan:
-    """The functionals as a plan; a coefficient that is the zero polynomial
-    leaves its row, and its key stays."""
-    keys = tuple(dict.fromkeys(key for form in linears for key in form.coefs))
+def _plan(forms: Sequence[Sparse]) -> _Plan:
+    """The functionals as a plan: a zero term leaves its row, and its key stays."""
+    keys = tuple(dict.fromkeys(key for form in forms for key, _, _ in form.terms
+                               if key is not None))
     spans = tuple(_event(text).span if kind == "f" else 0 for kind, text in keys)
     index = {key: j for j, key in enumerate(keys)}
-    polys = [[(index[key], a if isinstance(a, Poly) else _constant(a))
-              for key, a in form.coefs.items() if a != 0] for form in linears]
-    degree = max((a.degree + spans[j] for row in polys for j, a in row), default=0)
-    rows = tuple((tuple(j for j, _ in row),
-                  tuple(tuple((c, i, k, degree - spans[j] - i - k) for (i, k), c in a.terms.items())
-                        for j, a in row)) for row in polys)
-    return _Plan(keys, spans, rows, degree)
+    rows = []
+    for form in forms:
+        row: dict[int, list[tuple[int, int, int]]] = {}
+        for (key, i, k), c in form.terms.items():
+            if c and key is None:
+                raise ValueError(f"a planned functional has the constant term {c} p^{i} q^{k}")
+            if c:
+                row.setdefault(index[key], []).append((c, i, k))
+        rows.append(row)
+    degree = max((i + k + spans[j] for row in rows for j, terms in row.items()
+                  for _, i, k in terms), default=0)
+    return _Plan(keys, spans, tuple(
+        (tuple(row), tuple(tuple((c, i, k, degree - spans[j] - i - k) for c, i, k in terms)
+                           for j, terms in row.items())) for row in rows), degree)
 
 
 class _Form(NamedTuple):
@@ -592,17 +557,17 @@ class ClosedFormResult:
         return all(v >= 0 for k, v in self.components if k.startswith(("C", "D")))
 
 
-def _closed_form_parts(name: str) -> tuple[bool, Linear, tuple[tuple[str, Linear], ...]]:
+def _closed_form_parts(name: str) -> tuple[bool, Sparse, tuple[tuple[str, Sparse], ...]]:
     """(fully specified, value, named components) of one catalog entry, as
     functionals with coefficients in (p, q): the catalog's one transcription."""
     p, q, r = _P, _Q, _R
     c = _cylinder
     push = _pushforward(name)
 
-    def full(value: Linear, *extra: tuple[str, Linear]):
+    def full(value: Sparse, *extra: tuple[str, Sparse]):
         return True, value, (("written", value),) + extra
 
-    def partial(written: Linear):
+    def partial(written: Sparse):
         return False, push, (("written", written), ("C", push - written))
 
     if name == "?":
@@ -683,7 +648,7 @@ def closed_form(name: str, mu: TIMeasure, params: Params) -> ClosedFormResult:
 
 # ------------------------------------------------------------------ weights
 
-def _weight_chain(ev: Callable[[str], Linear]) -> tuple[Linear, ...]:
+def _weight_chain(ev: Callable[[str], Sparse]) -> tuple[Sparse, ...]:
     """w0..w4 as functionals, with the unit functional of each cylinder from ``ev``.
 
     The chained form and the expanded final display are the same functional;
@@ -709,7 +674,7 @@ def _weight_chain(ev: Callable[[str], Linear]) -> tuple[Linear, ...]:
 
 
 @lru_cache(maxsize=None)
-def _weights() -> tuple[Linear, ...]:
+def _weights() -> tuple[Sparse, ...]:
     """w0..w4 as functionals of the cylinder values; the chain's identity
     check runs here, once per process."""
     return _weight_chain(_cylinder)
@@ -869,7 +834,7 @@ class TableReport:
 def _table_form(which: str) -> tuple[tuple[str, ...], tuple[str, ...], _Form]:
     """The row tables, the form names, and the row sums, forms, lhs and rhs of
     one inequality compiled (their coefficients are constants)."""
-    def row_sum(rows: Sequence[tuple[int, str]]) -> Linear:
+    def row_sum(rows: Sequence[tuple[int, str]]) -> Sparse:
         return _cylinders([(1, syms) for _, syms in rows])
 
     if which == "ineq_1":
@@ -914,7 +879,7 @@ def verify_table_inequality(which: str, mu: TIMeasure) -> TableReport:
 # times a signed combination of cylinder probabilities.  Every term must come out
 # non-negative on its own; D and D' (built from the closed-form remainders) are
 # appended by _master_form.
-_MASTER_TERMS: tuple[tuple[str, Callable[[Fraction, Fraction, Fraction], Fraction],
+_MASTER_TERMS: tuple[tuple[str, Callable[[Sparse, Sparse, Sparse], Sparse],
                            tuple[tuple[int, str], ...]], ...] = (
     ("q(1+p-pr) [mu(0?)+mu(00?)]",
      lambda p, q, r: q * (1 + p - p * r), ((1, "0?"), (1, "00?"))),

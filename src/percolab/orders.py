@@ -1,5 +1,5 @@
-"""Stochastic domination on single-site distributions, and exhaustive checks of
-the two monotonicity properties of the three-symbol local kernel.
+"""Exhaustive checks of the two monotonicity properties of the three-symbol
+local kernel, by stochastic domination on single-site distributions.
 
 Domination is decided on upper-set masses: d1 is dominated by d2 (in the given
 order) iff d2 puts at least as much mass as d1 on every upper set. On a 3-element
@@ -20,9 +20,9 @@ its class (``core.TripleClass``), so every comparable pair reduces to one of at
 most 9 class pairs, listed once per order.  Each is decided once per lemma and
 point in integers: the point's class laws are read as integer masses over its
 scale s (``Params.law_masses``), and a class pair holds iff its upper-set
-margins, integers over s, are all >= 0.  Only a failing class pair is compared
-again with ``dominates``, whose ``Fraction`` margins its violations report, and
-only then are the triple pairs walked, to list that pair's triples.
+margins, integers over s, are all >= 0.  A failing class pair reports those
+same margins divided by s, and only then are the triple pairs walked, to list
+that pair's triples.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .core import (
     SYMBOLS,
     TRIPLE_CLASSES,
     EnvSymbol,
-    LocalDistribution,
     Params,
     StochOrder,
     iter_words,
@@ -48,34 +47,10 @@ from .core import (
 
 
 @dataclass(frozen=True)
-class DominationCheck:
-    """Outcome of one domination comparison: d1 <= d2 iff all margins >= 0."""
-
-    order: StochOrder
-    d1: LocalDistribution
-    d2: LocalDistribution
-    margins: tuple[Fraction, ...]  # d2(U) - d1(U) per upper set, smallest set first
-
-    @property
-    def holds(self) -> bool:
-        return all(m >= 0 for m in self.margins)
-
-    @property
-    def worst_margin(self) -> Fraction:
-        return min(self.margins)
-
-
-def dominates(order: StochOrder, d1: LocalDistribution, d2: LocalDistribution) -> DominationCheck:
-    """Check d1 <= d2 in the given stochastic order (margins = d2 - d1 per upper set)."""
-    margins = tuple(d2.mass(u) - d1.mass(u) for u in upper_sets(order))
-    return DominationCheck(order, d1, d2, margins)
-
-
-@dataclass(frozen=True)
 class PairResult:
     u: tuple[EnvSymbol, EnvSymbol, EnvSymbol]
     v: tuple[EnvSymbol, EnvSymbol, EnvSymbol]
-    check: DominationCheck
+    margins: tuple[Fraction, ...]  # dominating minus dominated law per upper set, smallest first
 
 
 @dataclass(frozen=True)
@@ -107,7 +82,7 @@ class LemmaReport:
                 {
                     "u": word_str(r.u),
                     "v": word_str(r.v),
-                    "margins": [str(m) for m in r.check.margins],
+                    "margins": [str(m) for m in r.margins],
                 }
                 for r in self.violations
             ],
@@ -145,8 +120,7 @@ def _class_pair_margins(order: StochOrder, low: tuple[int, ...],
     """One class pair's verdict, from the two class laws' integer masses per
     symbol code (``Params.law_masses``): the dominating law's mass minus the
     dominated law's on each upper set, smallest set first, integers over the
-    point's scale.  The pair holds iff none is negative; divided by the scale,
-    these are the margins ``dominates`` returns."""
+    point's scale.  The pair holds iff none is negative."""
     diff = tuple(map(operator.sub, high, low))
     return tuple(sum([diff[k] for k in codes]) for codes in _UPPER_SET_CODES[order])
 
@@ -159,21 +133,20 @@ def verify_lemma(which: int, params: Params) -> LemmaReport:
     class pair of the order is decided once, on integer margins over the
     point's scale; only if some fails are the triple pairs walked, and every
     triple pair of a failing class pair is reported as a violation, in sweep
-    order, with that pair's ``dominates`` check.
+    order, with that pair's margins over the scale as ``Fraction``s.
     """
     if which not in (1, 2):
         raise ValueError(f"which must be 1 or 2, got {which!r}")
     order = StochOrder.TOTAL if which == 1 else StochOrder.PARTIAL
     pairs, class_pairs = _comparable_pairs(order)
     scale, masses = params.law_masses
-    worsts = {(low, high): min(_class_pair_margins(order, masses[low], masses[high]))
-              for low, high in class_pairs}
-    worst = min(worsts.values())
+    margins = {(low, high): _class_pair_margins(order, masses[low], masses[high])
+               for low, high in class_pairs}
+    worst = min(map(min, margins.values()))
     violations = ()
     if worst < 0:
-        laws = params.laws
-        checks = {(low, high): dominates(order, laws[low], laws[high])
-                  for (low, high), margin in worsts.items() if margin < 0}
-        violations = tuple(PairResult(u, v, checks[low, high])
-                           for u, v, low, high in pairs if (low, high) in checks)
+        failing = {pair: tuple(Fraction(m, scale) for m in ms)
+                   for pair, ms in margins.items() if min(ms) < 0}
+        violations = tuple(PairResult(u, v, failing[low, high])
+                           for u, v, low, high in pairs if (low, high) in failing)
     return LemmaReport(which, params, 27 * 27, len(pairs), Fraction(worst, scale), violations)

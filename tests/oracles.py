@@ -23,6 +23,7 @@ from percolab.core import (
     Word,
     iter_words,
     symbol_leq,
+    upper_sets,
     word_str,
 )
 from percolab.game import GameClass, GameVersion, SiteLabel
@@ -47,7 +48,6 @@ from percolab.measures import (
     pushforward_cylinder,
     table_structure,
 )
-from percolab.orders import dominates
 from percolab.pca import (
     Boundary,
     Configuration,
@@ -303,6 +303,36 @@ def rule_law(triple: Sequence[EnvSymbol], params: Params) -> LocalDistribution:
 
 
 # ------------------------------------------------------------------ lemmas
+
+
+def mass(dist: LocalDistribution, symbols: Iterable[EnvSymbol]) -> Fraction:
+    """The mass the law puts on a set of symbols."""
+    return sum(dist.prob(s) for s in symbols)
+
+
+@dataclass(frozen=True)
+class DominationCheck:
+    """Outcome of one domination comparison: d1 <= d2 iff all margins >= 0."""
+
+    order: StochOrder
+    d1: LocalDistribution
+    d2: LocalDistribution
+    margins: tuple[Fraction, ...]  # d2(U) - d1(U) per upper set, smallest set first
+
+    @property
+    def holds(self) -> bool:
+        return all(m >= 0 for m in self.margins)
+
+    @property
+    def worst_margin(self) -> Fraction:
+        return min(self.margins)
+
+
+def dominates(order: StochOrder, d1: LocalDistribution, d2: LocalDistribution) -> DominationCheck:
+    """Check d1 <= d2 in the given stochastic order (margins = d2 - d1 per upper set),
+    one ``Fraction`` mass per upper set."""
+    margins = tuple(mass(d2, u) - mass(d1, u) for u in upper_sets(order))
+    return DominationCheck(order, d1, d2, margins)
 
 
 def triple_leq(order: StochOrder, u, v) -> bool:

@@ -813,6 +813,57 @@ def test_plan_degrees_are_computed():
         measures._compile(measures._weight_plan(), None)
 
 
+# Each plan's basis values: (cylinders and pushforwards, of which pushforwards).
+# A plan reads every one of its keys on every measure, so a key lost from a
+# transcription would otherwise show only in the benchmark's traced cylinder
+# and kernel counts.
+_PLAN_KEYS = {
+    "master": (50, 12), "weights": (12, 0),
+    "stationary r=0": (2, 0), "stationary q>0": (2, 0), "stationary q=0,p>0": (5, 0),
+    "stationary p=q=0": (2, 0),
+    "?": (1, 0), "0?": (2, 0), "?0?": (2, 0), "1?": (2, 0), "10?": (4, 1), "100?": (6, 0),
+    "000?": (4, 0), "1??": (2, 1), "1?0?": (2, 1), "10??": (2, 1), "1?00": (4, 1),
+    "10?0": (3, 1), "1?01": (4, 1),
+}
+
+
+def test_plans_read_every_basis_value_their_transcriptions_name():
+    plans = {"master": measures._master_plan()[1], "weights": measures._weight_plan(),
+             **{f"stationary {b}": measures._stationary_plan(b) for b in measures._FORCED},
+             **{name: measures._closed_form_plan(name)[2] for name in CLOSED_FORM_IDS}}
+    got = {name: (len(plan.keys), sum(kind == "f" for kind, _ in plan.keys))
+           for name, plan in plans.items()}
+    assert got == _PLAN_KEYS
+    assert all(len(set(plan.keys)) == len(plan.keys) for plan in plans.values())
+    # the tables' constant forms, one key per cylinder read
+    assert [len(measures._table_form(which)[2].keys) for which in ("ineq_1", "ineq_2")] == [30, 37]
+
+
+def test_a_zero_coefficient_keeps_its_key_and_leaves_its_row():
+    c, p = measures._cylinder, measures._P
+    plan = measures._plan([c("?") + (p - p) * c("0?") + 0 * measures._pushforward("1?")])
+    assert plan.keys == (("c", "?"), ("c", "0?"), ("f", "1?"))
+    assert plan.spans == (0, 0, 2)
+    assert plan.rows == (((0,), (((1, 0, 0, 0),),)),)
+    assert plan.degree == 0  # E counts only nonzero terms
+
+
+def test_a_product_of_two_functionals_is_refused():
+    c, p = measures._cylinder, measures._P
+    with pytest.raises(TypeError, match="a product of two functionals is not linear"):
+        c("?") * c("0?")
+    with pytest.raises(TypeError, match="a product of two functionals is not linear"):
+        (p * c("?")) * (1 + c("0?"))
+    assert p * c("?") == c("?") * p  # a polynomial times a functional is one
+
+
+def test_a_constant_term_in_a_planned_functional_is_refused():
+    c, p = measures._cylinder, measures._P
+    with pytest.raises(ValueError, match="constant term 2 p\\^1 q\\^0"):
+        measures._plan([c("?") + 2 * p])
+    assert measures._plan([c("?") + p - p]).rows == measures._plan([c("?")]).rows
+
+
 def test_weight_chain_identity_rejects_a_disagreeing_display():
     # the expanded display reads 1?01 second; hand it another cylinder there
     reads = []
@@ -856,7 +907,9 @@ def test_weight_chain_is_checked_once_for_every_point(monkeypatch):
         verify_master_inequality(MARKOV, params)
     assert calls == [measures._cylinder]
     p, q = measures._P, measures._Q
-    assert measures._weights()[4].coefs[("c", "?")] == 1 - p * p - p * q - q
+    coef = measures.Sparse({(None, i, j): c for (key, i, j), c in measures._weights()[4].terms.items()
+                            if key == ("c", "?")})
+    assert coef == 1 - p * p - p * q - q
 
 
 def test_measures_outside_points_build_each_point_once(monkeypatch):

@@ -101,17 +101,31 @@ def _int_list(text: str) -> tuple[int, ...]:
     return values
 
 
-# The most (p, q) points one command may visit.  Every grid is counted before
-# any of it is built, so a finer one is refused at once instead of running
-# (and filling memory) for hours.
+# The most (p, q) points one command may visit, the most measures it may
+# build, and the most (measure, point) runs of the master inequality it may
+# make: three measures at every point of the finest grid.  Each count is taken
+# before anything is built, so a larger request is refused at once instead of
+# running (and filling memory) for hours.
 _MAX_POINTS = 100_000
+_MAX_MEASURES = 1_000
+_MAX_RUNS = 300_000
 
 
-def _check_points(count: int, what: str, noun: str = "points") -> None:
-    """Refuse, naming ``count``, a grid of more than ``_MAX_POINTS`` values."""
-    if count > _MAX_POINTS:
-        raise ValueError(f"{what} has {count} {noun}, more than the {_MAX_POINTS} "
-                         f"that one run may visit")
+def _check_points(count: int, what: str, noun: str = "points", cap: Optional[int] = None) -> None:
+    """Refuse, naming ``count``, more than ``cap`` (default ``_MAX_POINTS``) of
+    ``noun``."""
+    cap = _MAX_POINTS if cap is None else cap
+    if count > cap:
+        raise ValueError(f"{what} has {count} {noun}, more than the {cap} that one run may visit")
+
+
+def _measure_count(cfg: RunConfig) -> int:
+    """How many measures ``--measures`` samples: the three point masses and
+    two per family; refused above ``_MAX_MEASURES`` before any is built."""
+    count = 3 + 2 * cfg.measures
+    _check_points(count, f"verify {cfg.check}: --measures {cfg.measures}", "measures",
+                  _MAX_MEASURES)
+    return count
 
 
 def _axis(start: Fraction, stop: Fraction, step: Fraction) -> tuple[Fraction, ...]:
@@ -289,24 +303,30 @@ def _verify_kernel(cfg: RunConfig) -> dict:
 
 
 def _verify_formulas(cfg: RunConfig) -> dict:
+    _measure_count(cfg)
     mus = sampled_measures(cfg.measures, cfg.seed)
     failures = []
     comparisons = 0
     for mu, params, fid in product(mus, FORMULA_GRID, CLOSED_FORM_IDS):
         res = closed_form(fid, mu, params)
         # a partially specified entry's value is the pushforward itself
-        push = pushforward_cylinder(mu, fid, params) if res.fully_specified else res.value
+        push = pushforward_cylinder(mu, fid, params) if res.fully_specified else None
         comparisons += 1
-        if res.value != push or not res.remainders_nonnegative:
+        # value == push, compared on integers: res.den and push.denominator are positive
+        agrees = push is None or res.nums[0] * push.denominator == push.numerator * res.den
+        if not (agrees and res.remainders_nonnegative):
+            value = res.value
             failures.append({"formula": fid, "measure": mu.name,
                              "p": frac_str(params.p), "q": frac_str(params.q),
-                             "value": frac_str(res.value), "pushforward": frac_str(push)})
+                             "value": frac_str(value),
+                             "pushforward": frac_str(value if push is None else push)})
     return {"check": "formulas", "measures": len(mus), "points": len(FORMULA_GRID),
             "formulas": list(CLOSED_FORM_IDS), "comparisons": comparisons,
             "failures": failures, "pass": not failures}
 
 
 def _verify_tables(cfg: RunConfig) -> dict:
+    _measure_count(cfg)
     mus = sampled_measures(cfg.measures, cfg.seed)
     reports = [verify_table_inequality(which, mu).to_json_dict()
                for mu in mus for which in ("ineq_1", "ineq_2")]
@@ -316,26 +336,29 @@ def _verify_tables(cfg: RunConfig) -> dict:
 
 def _verify_weights(cfg: RunConfig) -> dict:
     n = 1 // cfg.grid  # the axis is 0, step, ..., n * step; p + q <= 1 iff i + j <= n
-    _check_points((n + 1) * (n + 2) // 2 - 1, f"verify weights: grid step {cfg.grid}")
+    count = (n + 1) * (n + 2) // 2 - 1
+    _check_points(count, f"verify weights: grid step {cfg.grid}")
+    runs = _measure_count(cfg) * count
+    _check_points(runs, f"verify weights: --measures {cfg.measures} at {count} points", "runs",
+                  _MAX_RUNS)
     mus = sampled_measures(cfg.measures, cfg.seed)
     axis = _axis(Fraction(0), Fraction(1), cfg.grid)
     points = [(p, q) for p in axis for q in axis if 0 < p + q <= 1]
-    runs = 0
-    min_slack = None
+    # the least overall slack so far, as its numerator over its positive denominator
+    min_num, min_den = None, 1
     # points outside measures, so each point and all it keeps is freed when done
     failures = [[] for _ in mus]
     for p, q in points:
         params = Params(p, q)
         for mu, found in zip(mus, failures):
             rep = verify_master_inequality(mu, params)
-            runs += 1
-            if min_slack is None or rep.overall_slack < min_slack:
-                min_slack = rep.overall_slack
+            if min_num is None or rep.nums[-1] * min_den < min_num * rep.den:
+                min_num, min_den = rep.nums[-1], rep.den
             if not rep.passed:
                 found.append(rep.to_json_dict())
     failures = [f for found in failures for f in found]
     return {"check": "weights", "measures": len(mus), "points": len(points),
-            "runs": runs, "min_overall_slack": frac_str(min_slack),
+            "runs": runs, "min_overall_slack": frac_str(Fraction(min_num, min_den)),
             "failures": failures, "pass": not failures}
 
 

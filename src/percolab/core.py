@@ -178,9 +178,6 @@ class LocalDistribution:
         if sum(vals) != 1:
             raise ValueError(f"probabilities sum to {sum(vals)}, not 1")
 
-    def prob(self, sym: EnvSymbol) -> Fraction:
-        return (self.prob0, self.probQ, self.prob1)[sym.value]
-
 
 class TripleClass(IntEnum):
     """The three cases of the local rule, numbered by a triple's largest code;

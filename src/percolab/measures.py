@@ -19,7 +19,9 @@ is a linear functional of those values whose coefficients are polynomials in
 functionals and on p, q and r, all of one sparse integer type (``Sparse``),
 giving a parameter-free plan.  A point compiles a plan by integer evaluation to
 coefficients over one denominator, the power s^E of its scale, and a measure
-evaluates it as one integer dot product that leaves as one Fraction.  The
+evaluates each functional as one integer dot product over one positive
+denominator.  The reports keep those numerators and decide their verdicts on
+integer signs; a value becomes a Fraction only when it is read.  The
 kernels and compiled forms are kept on their point (``core.per_point``), so
 they are built once per point in any visiting order and freed with it.
 Floats never enter a verification path.
@@ -496,8 +498,11 @@ def _compile(plan: _Plan, params: Optional[Params]) -> _Form:
     return _Form(plan.keys, tuple(s**span for span in plan.spans), rows, s**plan.degree)
 
 
-def _values(form: _Form, mu: TIMeasure, params: Optional[Params]) -> list[Fraction]:
-    """Each compiled functional on mu: one integer dot product, one Fraction.
+def _values(form: _Form, mu: TIMeasure, params: Optional[Params]) -> tuple[list[int], int]:
+    """Each compiled functional on mu, as an integer numerator over the one
+    positive denominator ``form.den * mu.den``: one integer dot product each,
+    and no Fraction, so a caller decides a sign or an order on integers and
+    makes a Fraction only for a value it reports.
 
     Cylinder values come through cylinder_prob once per (measure, text) and
     stay on the measure; pushforward values come through pushforward_cylinder,
@@ -515,8 +520,13 @@ def _values(form: _Form, mu: TIMeasure, params: Optional[Params]) -> list[Fracti
             value = pushforward_cylinder(mu, text, params)
             num = value.numerator * (scale * mu.den // value.denominator)
         nums.append(num)
-    den = form.den * mu.den
-    return [Fraction(sum([a * nums[j] for j, a in zip(idx, coefs)]), den) for idx, coefs in form.rows]
+    return ([sum([a * nums[j] for j, a in zip(idx, coefs)]) for idx, coefs in form.rows],
+            form.den * mu.den)
+
+
+def _fractions(nums: Sequence[int], den: int) -> tuple[Fraction, ...]:
+    """The values n / den, each reduced."""
+    return tuple(Fraction(n, den) for n in nums)
 
 
 # ------------------------------------------------------------------ closed forms
@@ -539,22 +549,36 @@ class ClosedFormResult:
     specified entry it is computed from the written formula alone, otherwise it
     is written + remainder with the remainder obtained by subtracting the written
     part from the brute-force pushforward.  ``components`` carries the named
-    sub-expressions (written part, C/D remainders).
+    sub-expressions (written part, C/D remainders), named by ``names``.
+
+    The values are kept as integer numerators ``nums`` (the value, then one per
+    component) over the one positive denominator ``den``.
+    ``remainders_nonnegative`` reads their signs; ``value`` and ``components``
+    are made as Fractions only when read.
     """
 
     formula: str
     params: Params
     measure: str
-    value: Fraction
-    components: tuple[tuple[str, Fraction], ...]
+    names: tuple[str, ...]
+    nums: tuple[int, ...]
+    den: int
     fully_specified: bool
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.nums[0], self.den)
+
+    @property
+    def components(self) -> tuple[tuple[str, Fraction], ...]:
+        return tuple(zip(self.names, _fractions(self.nums[1:], self.den)))
 
     def component(self, name: str) -> Fraction:
         return dict(self.components)[name]
 
     @property
     def remainders_nonnegative(self) -> bool:
-        return all(v >= 0 for k, v in self.components if k.startswith(("C", "D")))
+        return all(n >= 0 for k, n in zip(self.names, self.nums[1:]) if k.startswith(("C", "D")))
 
 
 def _closed_form_parts(name: str) -> tuple[bool, Sparse, tuple[tuple[str, Sparse], ...]]:
@@ -642,8 +666,8 @@ def closed_form(name: str, mu: TIMeasure, params: Params) -> ClosedFormResult:
     if not mu.reflection_invariant:
         raise ValueError("closed forms assume a reflection-invariant measure")
     fully, names, form = _closed_form_form(name, params)
-    value, *parts = _values(form, mu, params)
-    return ClosedFormResult(name, params, mu.name, value, tuple(zip(names, parts)), fully)
+    nums, den = _values(form, mu, params)
+    return ClosedFormResult(name, params, mu.name, names, tuple(nums), den, fully)
 
 
 # ------------------------------------------------------------------ weights
@@ -694,7 +718,8 @@ def weight(k: int, mu: TIMeasure, params: Params) -> Fraction:
     """The k-th weight functional of the measure, k in 0..4."""
     if not 0 <= k <= 4:
         raise ValueError(f"weight index must be 0..4, got {k}")
-    return _values(_weight_form(params), mu, params)[k]
+    nums, den = _values(_weight_form(params), mu, params)
+    return Fraction(nums[k], den)
 
 
 # ------------------------------------------------------------------ window tables
@@ -792,19 +817,43 @@ _INEQ2_RHS: tuple[tuple[int, str], ...] = (
 
 @dataclass(frozen=True)
 class TableReport:
-    """One table-derived inequality checked on one measure."""
+    """One table-derived inequality checked on one measure.
+
+    The values are kept as integer numerators ``nums`` over the one positive
+    denominator ``den``: the row sum of each table of ``structure``, then one
+    per displayed form (named by ``form_names``), then lhs and rhs.  ``passed``
+    compares lhs with rhs on integers; ``row_sums``, ``forms``, ``lhs``,
+    ``rhs`` and ``slack`` are made as Fractions only when read.
+    """
 
     which: str
     measure: str
     structure: tuple[TableStructure, ...]
-    row_sums: tuple[tuple[str, Fraction], ...]
-    forms: tuple[tuple[str, Fraction], ...]
-    lhs: Fraction
-    rhs: Fraction
+    form_names: tuple[str, ...]
+    nums: tuple[int, ...]
+    den: int
+
+    @property
+    def row_sums(self) -> tuple[tuple[str, Fraction], ...]:
+        sums = self.nums[:len(self.structure)]
+        return tuple(zip((s.table for s in self.structure), _fractions(sums, self.den)))
+
+    @property
+    def forms(self) -> tuple[tuple[str, Fraction], ...]:
+        return tuple(zip(self.form_names,
+                         _fractions(self.nums[len(self.structure):-2], self.den)))
+
+    @property
+    def lhs(self) -> Fraction:
+        return Fraction(self.nums[-2], self.den)
+
+    @property
+    def rhs(self) -> Fraction:
+        return Fraction(self.nums[-1], self.den)
 
     @property
     def slack(self) -> Fraction:
-        return self.lhs - self.rhs
+        return Fraction(self.nums[-2] - self.nums[-1], self.den)
 
     @property
     def structural_ok(self) -> bool:
@@ -812,7 +861,7 @@ class TableReport:
 
     @property
     def passed(self) -> bool:
-        return self.structural_ok and self.slack >= 0
+        return self.structural_ok and self.nums[-2] >= self.nums[-1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -866,11 +915,9 @@ def verify_table_inequality(which: str, mu: TIMeasure) -> TableReport:
     if not mu.reflection_invariant:
         raise ValueError("table inequalities assume a reflection-invariant measure")
     tables, form_names, form = _table_form(which)
-    values = _values(form, mu, None)
-    sums = tuple(zip(tables, values))
-    forms = tuple(zip(form_names, values[len(tables):]))
-    return TableReport(which, mu.name, tuple(map(table_structure, tables)), sums, forms,
-                       values[-2], values[-1])
+    nums, den = _values(form, mu, None)
+    return TableReport(which, mu.name, tuple(map(table_structure, tables)), form_names,
+                       tuple(nums), den)
 
 
 # ------------------------------------------------------------------ master inequality
@@ -927,22 +974,44 @@ _MASTER_TERMS: tuple[tuple[str, Callable[[Sparse, Sparse, Sparse], Sparse],
 @dataclass(frozen=True)
 class WeightReport:
     """Master inequality bookkeeping: weights before/after one update, slack terms,
-    and the overall slack w4(mu) - w4(image) - sum of the terms."""
+    and the overall slack w4(mu) - w4(image) - sum of the terms.
+
+    The values are kept as integer numerators ``nums`` over the one positive
+    denominator ``den``: w0..w4 of mu, w0..w4 of its image, one per slack term
+    (named by ``names``), then the overall slack.  ``negative_terms`` and
+    ``passed`` read their signs; ``w_mu``, ``w_image``, ``terms`` and
+    ``overall_slack`` are made as Fractions only when read.
+    """
 
     params: Params
     measure: str
-    w_mu: tuple[Fraction, ...]
-    w_image: tuple[Fraction, ...]
-    terms: tuple[tuple[str, Fraction], ...]
-    overall_slack: Fraction
+    names: tuple[str, ...]
+    nums: tuple[int, ...]
+    den: int
+
+    @property
+    def w_mu(self) -> tuple[Fraction, ...]:
+        return _fractions(self.nums[:5], self.den)
+
+    @property
+    def w_image(self) -> tuple[Fraction, ...]:
+        return _fractions(self.nums[5:10], self.den)
+
+    @property
+    def terms(self) -> tuple[tuple[str, Fraction], ...]:
+        return tuple(zip(self.names, _fractions(self.nums[10:-1], self.den)))
+
+    @property
+    def overall_slack(self) -> Fraction:
+        return Fraction(self.nums[-1], self.den)
 
     @property
     def negative_terms(self) -> tuple[str, ...]:
-        return tuple(name for name, v in self.terms if v < 0)
+        return tuple(name for name, n in zip(self.names, self.nums[10:-1]) if n < 0)
 
     @property
     def passed(self) -> bool:
-        return self.overall_slack >= 0 and not self.negative_terms
+        return self.nums[-1] >= 0 and not self.negative_terms
 
     def to_json_dict(self) -> dict:
         return {
@@ -993,16 +1062,16 @@ def verify_master_inequality(mu: TIMeasure, params: Params) -> WeightReport:
     remainder terms D and D' reuse the closed-form catalog's C/D components.
     Every reported value, the overall slack included, is a functional whose
     plan is made once per process and compiled once per (p, q), so each
-    measure costs one integer dot product per value.
+    measure costs one integer dot product per value, and the verdict is read
+    from the signs of those integers.
     """
     if not params.in_region:
         raise ValueError("master inequality requires p + q > 0")
     if not mu.reflection_invariant:
         raise ValueError("master inequality assumes a reflection-invariant measure")
     names, form = _master_form(params)
-    values = _values(form, mu, params)
-    return WeightReport(params, mu.name, tuple(values[:5]), tuple(values[5:10]),
-                        tuple(zip(names, values[10:-1])), values[-1])
+    nums, den = _values(form, mu, params)
+    return WeightReport(params, mu.name, names, tuple(nums), den)
 
 
 # ------------------------------------------------------------------ stationarity
@@ -1058,6 +1127,6 @@ def _stationary_form(params: Params) -> tuple[str, _Form]:
 
 def stationary_conclusion_check(params: Params, mu: TIMeasure) -> StationarityReport:
     branch, form = _stationary_form(params)
-    qmark, gauge, *forced = _values(form, mu, params)
+    qmark, gauge, *forced = _fractions(*_values(form, mu, params))
     names = tuple(f"mu({text})" for text in _FORCED[branch])
     return StationarityReport(params, mu.name, branch, qmark, abs(gauge), tuple(zip(names, forced)))

@@ -238,6 +238,19 @@ class Configuration:
         arr.setflags(write=False)
         object.__setattr__(self, "cells", arr)
 
+    @classmethod
+    def _of_rule(cls, cells: np.ndarray, boundary: Boundary, origin: int) -> "Configuration":
+        """A configuration that takes over ``cells``, the local rule's fresh
+        int8 output (codes 0..2 by construction, held by no one else), and
+        makes it read-only in place: without the copy and the code scan that
+        every row a caller builds goes through."""
+        cells.setflags(write=False)
+        cfg = object.__new__(cls)
+        object.__setattr__(cfg, "cells", cells)
+        object.__setattr__(cfg, "boundary", boundary)
+        object.__setattr__(cfg, "origin", origin)
+        return cfg
+
     @property
     def width(self) -> int:
         return int(self.cells.shape[-1])
@@ -288,19 +301,24 @@ def variate_cuts(params: Params) -> tuple[np.uint64, np.uint64, np.uint64]:
 
 
 def _apply_rule(largest: np.ndarray, params: Params, k: np.ndarray) -> np.ndarray:
-    """The updated cells: site n of each row inverts its triple's class law,
-    selected by the largest code, at the variate k[n].
+    """The updated cells, a fresh int8 array: site n of each row inverts its
+    triple's class law, selected by the largest code, at the variate k[n].
 
     The low bit is k >= 1 - q for HAS_ONE and k >= p otherwise; the high bit
     is k >= p + r for MIXED and the low bit otherwise.  Each is selected branch
     free, as a ^ (mask & (a ^ b)), which is much faster than ``np.where`` on a
-    random mask.
+    random mask.  When no triple is MIXED, as in every row without ?, the high
+    bit is the low bit throughout, so the MIXED select is skipped.
     """
     cut_p, cut_pr, cut_1q = variate_cuts(params)
     at_p = k >= cut_p
     low = (largest == 2) & (at_p ^ (k >= cut_1q))
     low ^= at_p
-    high = (largest == 1) & (at_p ^ (k >= cut_pr))
+    mixed = largest == 1
+    if not mixed.any():
+        low = low.view(np.int8)
+        return low + low
+    high = mixed & (at_p ^ (k >= cut_pr))
     high ^= low
     return low.view(np.int8) + high.view(np.int8)
 
@@ -313,7 +331,7 @@ def step(cfg: Configuration, model: ModelSpec, stream: SeededStream, t: int) -> 
     largest = np.maximum(a, b)
     np.maximum(largest, c, out=largest)
     k = stream.u01_range(t, out_origin, out_width)
-    return Configuration(_apply_rule(largest, model.params, k), cfg.boundary, out_origin)
+    return Configuration._of_rule(_apply_rule(largest, model.params, k), cfg.boundary, out_origin)
 
 
 @dataclass(frozen=True)

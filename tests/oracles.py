@@ -8,6 +8,7 @@ with the fast path is evidence that the fast path is right.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -277,6 +278,11 @@ def solve_sample(
 # ------------------------------------------------------------------ laws
 
 
+def prob(dist: LocalDistribution, sym: EnvSymbol) -> Fraction:
+    """The law's probability of one symbol."""
+    return (dist.prob0, dist.probQ, dist.prob1)[sym.value]
+
+
 def as_dict(dist: LocalDistribution) -> dict[str, Fraction]:
     return {"0": dist.prob0, "?": dist.probQ, "1": dist.prob1}
 
@@ -307,7 +313,7 @@ def rule_law(triple: Sequence[EnvSymbol], params: Params) -> LocalDistribution:
 
 def mass(dist: LocalDistribution, symbols: Iterable[EnvSymbol]) -> Fraction:
     """The mass the law puts on a set of symbols."""
-    return sum(dist.prob(s) for s in symbols)
+    return sum(prob(dist, s) for s in symbols)
 
 
 @dataclass(frozen=True)
@@ -511,6 +517,14 @@ def verify_identity(name: str, mu: TIMeasure) -> Fraction:
 # Fraction arithmetic, measure by measure.
 
 
+def over_one_den(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """(nums, den): the values as integer numerators over their least common
+    denominator, the form the reports keep them in."""
+    fracs = [Fraction(v) for v in values]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return tuple(f.numerator * (den // f.denominator) for f in fracs), den
+
+
 def linear(mu: TIMeasure, terms: Sequence[tuple[int, str]]) -> Fraction:
     """sum of coef * mu(text) over the (coef, text) terms."""
     return sum((coef * cylinder_prob(mu, pat) for coef, pat in terms), Fraction(0))
@@ -525,14 +539,18 @@ def closed_form(name: str, mu: TIMeasure, params: Params) -> ClosedFormResult:
     p, q, r = params.p, params.q, params.r
     c = lambda text: cylinder_prob(mu, text)  # noqa: E731
 
+    def result(value: Fraction, comps: tuple[tuple[str, Fraction], ...],
+               fully: bool) -> ClosedFormResult:
+        names = tuple(k for k, _ in comps)
+        return ClosedFormResult(name, params, mu.name, names,
+                                *over_one_den([value, *(v for _, v in comps)]), fully)
+
     def full(value: Fraction, *extra: tuple[str, Fraction]) -> ClosedFormResult:
-        comps = (("written", value),) + extra
-        return ClosedFormResult(name, params, mu.name, value, comps, True)
+        return result(value, (("written", value),) + extra, True)
 
     def partial(written: Fraction) -> ClosedFormResult:
         push = pushforward_cylinder(mu, name, params)
-        comps = (("written", written), ("C", push - written))
-        return ClosedFormResult(name, params, mu.name, push, comps, False)
+        return result(push, (("written", written), ("C", push - written)), False)
 
     if name == "?":
         return full(r * c("***"))
@@ -558,8 +576,7 @@ def closed_form(name: str, mu: TIMeasure, params: Params) -> ClosedFormResult:
         c_term = q * p * r * c("1 [0?] ***") + q * (1 - q) * r * c("1 ***")
         written = (1 - p) * p * r * c("0 0 0 **") + c_term
         push = pushforward_cylinder(mu, name, params)
-        comps = (("written", written), ("C", c_term), ("D", push - written))
-        return ClosedFormResult(name, params, mu.name, push, comps, False)
+        return result(push, (("written", written), ("C", c_term), ("D", push - written)), False)
     if name == "1??":
         return partial((1 - p) * r * r * c("0 0 0 ? [0?]"))
     if name == "1?0?":
@@ -623,7 +640,9 @@ def table_report(which: str, mu: TIMeasure) -> TableReport:
         forms = ()
         lhs = linear(mu, _INEQ2_LHS)
         rhs = linear(mu, _INEQ2_RHS)
-    return TableReport(which, mu.name, structure, sums, forms, lhs, rhs)
+    values = [*(v for _, v in sums), *(v for _, v in forms), lhs, rhs]
+    return TableReport(which, mu.name, structure, tuple(k for k, _ in forms),
+                       *over_one_den(values))
 
 
 def master_report(mu: TIMeasure, params: Params) -> WeightReport:
@@ -648,7 +667,8 @@ def master_report(mu: TIMeasure, params: Params) -> WeightReport:
     terms.append(("D (update remainders of 10?,1??,1?0?,10??,1?01)", d_term))
     terms.append(("D' (update remainders of 100?,1?00,10?0)", d_prime))
     slack = w_mu[4] - w_image[4] - sum(v for _, v in terms)
-    return WeightReport(params, mu.name, w_mu, w_image, tuple(terms), slack)
+    return WeightReport(params, mu.name, tuple(k for k, _ in terms),
+                        *over_one_den([*w_mu, *w_image, *(v for _, v in terms), slack]))
 
 
 def stationary_report(params: Params, mu: TIMeasure) -> StationarityReport:

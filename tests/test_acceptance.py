@@ -35,6 +35,8 @@ from percolab.pca import (
     trajectory,
 )
 
+from oracles import prob
+
 QUARTER = Params(Fraction(1, 4), Fraction(1, 4))
 
 KERNEL_POINTS = tuple(Params(Fraction(a), Fraction(b)) for a, b in
@@ -198,7 +200,7 @@ def test_8_coupled_trajectories_coalesce():
     for label, row, cls in (("zeros", a1, TripleClass.ALL_ZERO),
                             ("ones", b1, TripleClass.HAS_ONE)):
         ones = int((row == 2).sum())
-        pi1 = float(QUARTER.laws[cls].prob(EnvSymbol.ONE))
+        pi1 = float(prob(QUARTER.laws[cls], EnvSymbol.ONE))
         se = math.sqrt(pi1 * (1 - pi1) / n)
         margins_ok &= ones == pinned[label] and abs(ones / n - pi1) <= 3 * se
     _line("8 coupled binary trajectories",

@@ -126,6 +126,63 @@ def test_a_grid_of_exactly_the_bound_runs(capsys, monkeypatch, argv, points):
     assert code == 2 and f" has {points} " in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("check", ["weights", "tables", "formulas"])
+def test_too_many_measures_fail_before_any_is_built(check):
+    # a subprocess with a timeout: 200 000 003 measures would run for days
+    proc = subprocess.run([sys.executable, "-m", "percolab.cli", "verify", check,
+                           "--measures", "100000000"],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert " has 200000003 measures, more than the 1000 " in proc.stderr
+
+
+class _Admitted(Exception):
+    """Raised in place of sampling measures: every count was admitted."""
+
+
+@pytest.mark.parametrize("argv", [
+    # the README's commands
+    ("formulas", "--measures", "10"), ("weights", "--measures", "5", "--grid", "1/8"),
+    ("tables",),
+    # the benchmark's commands
+    ("formulas", "--measures", "1"), ("weights", "--measures", "1", "--grid", "1/3"),
+    ("weights", "--measures", "20", "--grid", "1/2"), ("tables", "--measures", "20"),
+    # 100 per family
+    ("formulas", "--measures", "100"), ("weights", "--measures", "100", "--grid", "1/8"),
+    ("tables", "--measures", "100"),
+    # three measures at every point of the finest grid
+    ("weights", "--measures", "0", "--grid", "1/445"),
+], ids=" ".join)
+def test_documented_measure_counts_are_admitted(monkeypatch, argv):
+    from percolab import cli
+
+    def admitted(per_family, seed):
+        raise _Admitted
+
+    monkeypatch.setattr(cli, "sampled_measures", admitted)
+    with pytest.raises(_Admitted):
+        main(["verify", *argv])
+
+
+@pytest.mark.parametrize("argv, cap, count", [
+    (("verify", "tables", "--measures", "1"), "_MAX_MEASURES", "5 measures"),
+    (("verify", "formulas", "--measures", "0"), "_MAX_MEASURES", "3 measures"),
+    (("verify", "weights", "--measures", "1", "--grid", "1"), "_MAX_MEASURES", "5 measures"),
+    (("verify", "weights", "--measures", "0", "--grid", "1/2"), "_MAX_RUNS", "15 runs"),
+], ids=["tables", "formulas", "weights measures", "weights runs"])
+def test_exactly_the_measure_and_run_bounds_run(capsys, monkeypatch, argv, cap, count):
+    from percolab import cli
+
+    bound = int(count.split()[0])
+    monkeypatch.setattr(cli, cap, bound)
+    assert exit_status(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli, cap, bound - 1)
+    code, err = exit_status(capsys, *argv)
+    assert code == 2 and f" has {count}, more than the {bound - 1} " in err
+    assert err.count("\n") == 1
+
+
 # ------------------------------------------------------------------ simulate
 
 def test_simulate_binary_absorbing_zero(capsys):
@@ -377,11 +434,18 @@ def test_verify_failures_are_listed_measure_by_measure(capsys, monkeypatch):
     from percolab import cli, measures
 
     master = cli.verify_master_inequality
-    monkeypatch.setattr(cli, "verify_master_inequality", lambda mu, params: dataclasses.replace(
-        master(mu, params), overall_slack=Fraction(-1)))
     closed = cli.closed_form
-    monkeypatch.setattr(cli, "closed_form", lambda fid, mu, params: dataclasses.replace(
-        closed(fid, mu, params), components=(("C", Fraction(-1)),)))
+
+    def negative_slack(mu, params):
+        rep = master(mu, params)
+        return dataclasses.replace(rep, nums=(*rep.nums[:-1], -1))  # overall slack -1/den
+
+    def negative_remainder(fid, mu, params):
+        res = closed(fid, mu, params)
+        return dataclasses.replace(res, names=("C",), nums=(res.nums[0], -1))  # C = -1/den
+
+    monkeypatch.setattr(cli, "verify_master_inequality", negative_slack)
+    monkeypatch.setattr(cli, "closed_form", negative_remainder)
     names = [mu.name for mu in measures.sampled_measures(0, DEFAULT_SEED)]
 
     code, out = run_cli(capsys, "verify", "weights", "--measures", "0", "--grid", "1/2")
@@ -491,6 +555,61 @@ def test_verify_weights_small_grid(capsys):
     assert code == 0 and report["pass"] is True
     assert report["runs"] == report["measures"] * report["points"]
     assert Fraction(report["min_overall_slack"]) >= 0
+
+
+def test_min_overall_slack_compares_across_denominators(capsys, monkeypatch):
+    # run i reports its overall slack as (i + 1) / (i + 1)^2 = 1/(i + 1): the
+    # last run has the largest numerator and the least slack, so comparing
+    # numerators without cross-multiplying would pick the first run's 1/1
+    import dataclasses
+
+    from percolab import cli
+
+    master = cli.verify_master_inequality
+    runs = []
+
+    def rescaled(mu, params):
+        rep = master(mu, params)
+        runs.append(len(runs) + 1)
+        return dataclasses.replace(rep, nums=(*rep.nums[:-1], runs[-1]), den=runs[-1] ** 2)
+
+    monkeypatch.setattr(cli, "verify_master_inequality", rescaled)
+    code, out = run_cli(capsys, "verify", "weights", "--measures", "0", "--grid", "1/2")
+    report = json.loads(out)
+    assert code == 0 and report["runs"] == len(runs) == 15
+    assert report["min_overall_slack"] == "1/15" == str(min(Fraction(n, n * n) for n in runs))
+
+
+# (count, sha256 prefix of their JSON list) of the failures that the default
+# verify weights prints with the coefficient of "(p(1-r)+q) mu(10?)" lowered
+# by r, pinned so that the bytes of a failure report cannot drift.
+_LOWERED_FAILURES = (20, "5cfffc8b32e5df42")
+
+
+def test_a_lowered_master_coefficient_fails_verify_weights(capsys, monkeypatch):
+    import oracles
+    from percolab import measures
+
+    lowered = tuple((name, (lambda p, q, r: p * (1 - r) + q - r) if "mu(10?)" in name else coef,
+                     pats) for name, coef, pats in measures._MASTER_TERMS)
+    monkeypatch.setattr(measures, "_MASTER_TERMS", lowered)
+    monkeypatch.setattr(oracles, "_MASTER_TERMS", lowered)
+    measures._master_plan.cache_clear()
+    try:
+        code, out = run_cli(capsys, "verify", "weights")
+    finally:
+        measures._master_plan.cache_clear()
+    failures = json.loads(out)["failures"]
+    assert code == 1 and all("(p(1-r)+q) mu(10?)" in
+                             [t["name"] for t in f["terms"] if t["value"].startswith("-")]
+                             for f in failures)
+    quarters = [Fraction(i, 4) for i in range(5)]
+    want = [rep.to_json_dict() for mu in measures.sampled_measures(3, DEFAULT_SEED)
+            for p in quarters for q in quarters if 0 < p + q <= 1
+            for rep in [oracles.master_report(mu, Params(p, q))] if not rep.passed]
+    assert failures == want
+    digest = hashlib.sha256(json.dumps(failures).encode()).hexdigest()[:16]
+    assert (len(failures), digest) == _LOWERED_FAILURES
 
 
 def test_verify_stationary_informational(capsys):

@@ -20,7 +20,7 @@ from percolab.core import (
 
 from percolab.measures import product_measure, pushforward_cylinder
 
-from oracles import as_dict, mass, rule_law, text_span, text_words, word_in_text, word_index
+from oracles import as_dict, mass, prob, rule_law, text_span, text_words, word_in_text, word_index
 
 Z, Q, O = EnvSymbol.ZERO, EnvSymbol.QMARK, EnvSymbol.ONE
 
@@ -142,7 +142,7 @@ def test_as_fraction_turns_numpy_integers_into_ints():
 
 def test_local_distribution_exact_sum():
     d = LocalDistribution(Fraction(1, 5), Fraction(1, 2), Fraction(3, 10))
-    assert d.prob(Q) == Fraction(1, 2)
+    assert prob(d, Q) == Fraction(1, 2)
     assert mass(d, {Z, O}) == Fraction(1, 2)
     with pytest.raises(ValueError):
         LocalDistribution(Fraction(1, 5), Fraction(1, 2), Fraction(1, 2))

@@ -18,8 +18,10 @@ from percolab.measures import (
     CLOSED_FORM_IDS,
     FORMULA_GRID,
     ORDER,
+    ClosedFormResult,
     MeasureFamily,
     TIMeasure,
+    WeightReport,
     closed_form,
     cylinder_prob,
     empirical_measure,
@@ -737,32 +739,61 @@ def _json(report):
     return report if isinstance(report, str) else report.to_json_dict()
 
 
+def _read(report):
+    """(values, verdict, Fraction verdict): a report's values read as
+    Fractions, its verdict as the report decides it on integer signs, and the
+    verdict that those Fraction values imply; a refusal reads as its message."""
+    if isinstance(report, str):
+        return report
+    if isinstance(report, WeightReport):
+        negative = tuple(k for k, v in report.terms if v < 0)
+        return ((report.params, report.measure, report.w_mu, report.w_image, report.terms,
+                 report.overall_slack),
+                (report.negative_terms, report.passed),
+                (negative, report.overall_slack >= 0 and not negative))
+    if isinstance(report, ClosedFormResult):
+        return ((report.formula, report.params, report.measure, report.value,
+                 report.components, report.fully_specified),
+                report.remainders_nonnegative,
+                all(v >= 0 for k, v in report.components if k.startswith(("C", "D"))))
+    return ((report.which, report.measure, report.structure, report.row_sums, report.forms,
+             report.lhs, report.rhs, report.slack),
+            report.passed, report.structural_ok and report.lhs - report.rhs >= 0)
+
+
+def _assert_same_report(got, want, where):
+    """got's values and verdicts equal the Fraction oracle's, and got decides
+    on integers what its own Fraction values imply."""
+    got_read, want_read = _read(got), _read(want)
+    assert got_read == want_read, where
+    if not isinstance(got, str):
+        assert got_read[1] == got_read[2], where
+        show = closed_form_json if isinstance(got, ClosedFormResult) else _json
+        assert show(got) == show(want), where
+
+
 def _skewed_empirical():
     skew = np.array([2, 0, 0, 0, 1, 0] * 7, dtype=np.int8)
     return empirical_measure(Configuration(skew, Boundary.CYCLIC))
 
 
 def _assert_checks_match_fraction_oracle(mus, points):
-    """Every reported value of every check, on each measure and at each point,
-    equals the same check evaluated one Fraction at a time, a refusal included."""
+    """Every reported value and verdict of every check, on each measure and at
+    each point, equals the same check evaluated one Fraction at a time, a
+    refusal included."""
     for mu in mus:
         for which in ("ineq_1", "ineq_2"):
-            got = _outcome(verify_table_inequality, which, mu)
-            want = _outcome(oracles.table_report, which, mu)
-            assert got == want and _json(got) == _json(want), (which, mu.name)
+            _assert_same_report(_outcome(verify_table_inequality, which, mu),
+                                _outcome(oracles.table_report, which, mu), (which, mu.name))
         for params in points:
             where = (mu.name, str(params))
             for fid in CLOSED_FORM_IDS:
-                got = _outcome(closed_form, fid, mu, params)
-                want = _outcome(oracles.closed_form, fid, mu, params)
-                assert got == want, (fid, *where)
-                if not isinstance(got, str):
-                    assert closed_form_json(got) == closed_form_json(want), (fid, *where)
+                _assert_same_report(_outcome(closed_form, fid, mu, params),
+                                    _outcome(oracles.closed_form, fid, mu, params), (fid, *where))
             assert [weight(k, mu, params) for k in range(5)] == \
                 [oracles.weight(k, mu, params) for k in range(5)], where
-            got = _outcome(verify_master_inequality, mu, params)
-            want = _outcome(oracles.master_report, mu, params)
-            assert got == want and _json(got) == _json(want), where
+            _assert_same_report(_outcome(verify_master_inequality, mu, params),
+                                _outcome(oracles.master_report, mu, params), where)
             got = stationary_conclusion_check(params, mu)
             want = oracles.stationary_report(params, mu)
             assert got == want and got.to_json_dict() == want.to_json_dict(), where
@@ -774,6 +805,33 @@ def test_compiled_checks_match_fraction_oracle():
     # refuse it with the same message
     _assert_checks_match_fraction_oracle(sampled_measures(3, 1729) + [_skewed_empirical()],
                                          _FUNCTIONAL_POINTS)
+
+
+# with the edges p = 0, q = 0 and p + q = 1, and the all-open point, which the
+# master inequality refuses
+_QUARTER_GRID = tuple(Params(Fraction(i, 4), Fraction(j, 4)) for i in range(5) for j in range(5 - i))
+
+
+def test_integer_verdicts_match_fraction_oracle_on_the_quarter_grid():
+    _assert_checks_match_fraction_oracle(sampled_measures(3, 25), _QUARTER_GRID)
+
+
+def test_verdicts_follow_the_sign_of_each_numerator():
+    # every value of a report set in turn to -1, 0 and back: the integer
+    # verdict must stay the one its Fraction values imply
+    import dataclasses
+
+    mu, params = sampled_measures(1, 25)[-1], Params(Fraction(1, 4), Fraction(1, 2))
+    reports = [verify_master_inequality(mu, params), verify_table_inequality("ineq_1", mu),
+               verify_table_inequality("ineq_2", mu),
+               *(closed_form(fid, mu, params) for fid in CLOSED_FORM_IDS)]
+    for rep in reports:
+        assert rep.den > 0
+        for j, kept in enumerate(rep.nums):
+            for num in (-1, 0, kept):
+                changed = dataclasses.replace(rep, nums=(*rep.nums[:j], num, *rep.nums[j + 1:]))
+                _, verdict, fraction_verdict = _read(changed)
+                assert verdict == fraction_verdict, (type(rep).__name__, j, num)
 
 
 _EIGHTHS = [Fraction(i, 8) for i in range(9)]

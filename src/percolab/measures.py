@@ -38,8 +38,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
-from .core import (TRIPLE_CLASSES, CylinderPattern, EnvSymbol, Params, SYMBOLS, TripleClass,
-                   as_fraction, per_point)
+from .core import (TRIPLE_CLASSES, CylinderPattern, EnvSymbol, Params, SYMBOLS, as_fraction,
+                   per_point)
 
 if TYPE_CHECKING:
     from .pca import Configuration
@@ -111,7 +111,7 @@ class TIMeasure:
                           zip(upper[:step], upper[step:2 * step], upper[2 * step:])])
             if left != margs[length]:
                 raise ValueError("table is not translation consistent")
-        reflect = tuple(map(top.__getitem__, _reversal())) == top
+        reflect = _reversal()(top) == top
         return cls(tuple(margs), den, name, reflect)
 
     def __str__(self) -> str:
@@ -119,13 +119,14 @@ class TIMeasure:
 
 
 @lru_cache(maxsize=None)
-def _reversal() -> tuple[int, ...]:
-    """For each base-3 word index of length ``ORDER``, the index of the reversed word."""
+def _reversal() -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """Reads a table over the words of length ``ORDER`` at each word's reversal,
+    in base-3 index order."""
     out = [0]
     for _ in range(ORDER):
         # prepending digit d to w appends d to reversed(w)
         out = [3 * rev + d for d in range(3) for rev in out]
-    return tuple(out)
+    return operator.itemgetter(*out)
 
 
 def product_measure(p0, pQ, p1) -> TIMeasure:
@@ -256,15 +257,26 @@ def cylinder_prob(mu: TIMeasure, text: str) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _signature_groups(span: int) -> tuple[tuple[tuple[TripleClass, ...], tuple[int, ...]], ...]:
+def _signature_groups(span: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """The input words over span+2 sites grouped by class signature (the classes
-    of their span consecutive triples): (signature, base-3 word indices) pairs,
-    in order of each signature's first word.  Parameter- and pattern-free."""
-    by_sig: dict[tuple[TripleClass, ...], list[int]] = {}
-    for u in range(3 ** (span + 2)):
-        sig = tuple(TRIPLE_CLASSES[u // 3 ** (span - 1 - j) % 27] for j in range(span))
-        by_sig.setdefault(sig, []).append(u)
-    return tuple((sig, tuple(us)) for sig, us in by_sig.items())
+    of their span consecutive triples): (code, base-3 word indices) pairs, in
+    order of each signature's first word, where the code reads the signature's
+    class codes in base 3, leftmost triple most significant.  A word's code
+    extends the code of its first span+1 sites by the class of its last triple.
+    Parameter- and pattern-free."""
+    codes = [0] * 9
+    for k in range(1, span + 1):
+        codes = [codes[u // 3] * 3 + TRIPLE_CLASSES[u % 27] for u in range(3 ** (k + 2))]
+    by_code: dict[int, list[int]] = {}
+    for u, code in enumerate(codes):
+        by_code.setdefault(code, []).append(u)
+    return tuple((code, tuple(us)) for code, us in by_code.items())
+
+
+@lru_cache(maxsize=None)
+def _signature_reader(span: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """Reads a table over class codes at each signature group's code, in group order."""
+    return operator.itemgetter(*[code for code, _ in _signature_groups(span)])
 
 
 def _group_masses(marg: tuple[int, ...], span: int) -> tuple[int, ...]:
@@ -278,23 +290,34 @@ def _pushforward_kernel(text: str, params: Params) -> tuple[int, tuple[int, ...]
     """(den, k) with k[g] / den = P(the updated window lies in the pattern | the
     input word has signature g), g indexing _signature_groups(span).
 
-    The rule's law depends on a triple only through its class, so every input
-    word of one signature has the same kernel value.  Output sites are
-    independent given the input word, so each word of the event contributes a
-    product of single-site masses.  The masses are the point's integer class
-    law masses over its scale (``Params.law_masses``), so a product of span
-    masses is an integer over den = scale^span.
+    The rule's law depends on a triple only through its class, and output
+    sites are independent given the input word, so one word of the event
+    contributes, at the class codes c_1..c_span, the product over its sites of
+    the mass class c_j puts on its symbol j: the outer product of its sites'
+    columns, 3^span integers, leftmost site most significant.  The event's
+    words are summed site by site from the right, so words that share a
+    prefix extend one sum; the kernel reads that table at each group's code.
+    The masses are the point's integer class law masses over its scale
+    (``Params.law_masses``), so a product of span masses is an integer over
+    den = scale^span.
     """
     pat = _event(text)
-    span = pat.span
     scale, masses = params.law_masses
-    # by_class[s][cls]: the mass params.laws[cls] puts on symbol code s, times scale
-    by_class = tuple(zip(*masses))
-    words = [tuple(by_class[w // 3 ** (span - 1 - j) % 3] for j in range(span))
-             for w in pat.indices]
-    kernel = tuple(sum([math.prod(map(operator.getitem, sites, sig)) for sites in words])
-                   for sig, _ in _signature_groups(span))
-    return scale**span, kernel
+    # columns[s][c]: the mass params.laws[c] puts on symbol code s, times scale
+    columns = tuple(zip(*masses))
+    # tables[w]: the summed outer products of the sites already read, over the
+    # event's words that start with the prefix w
+    tables: dict[int, list[int]] = dict.fromkeys(pat.indices, [1])
+    for _ in range(pat.span):
+        summed: dict[int, list[int]] = {}
+        for w, table in tables.items():
+            prefix, s = divmod(w, 3)
+            block = [m * t for m in columns[s] for t in table]
+            if prefix in summed:
+                block = list(map(operator.add, summed[prefix], block))
+            summed[prefix] = block
+        tables = summed
+    return scale**pat.span, _signature_reader(pat.span)(tables[0])
 
 
 _point_kernel = per_point(_pushforward_kernel)
@@ -306,9 +329,10 @@ def pushforward_cylinder(mu: TIMeasure, text: str, params: Params) -> Fraction:
     The dot product of the kernel with mu's word masses grouped by class
     signature over the span+2 input sites; the grouped masses do not depend on
     (p, q) or on the pattern beyond its span, so each measure sums them once;
-    the kernel is kept on the point.  A build costs one product per (event
-    word, signature group) pair: one word per group for a plain word, but 3^k
-    times that for an event with k ``[0?1]`` cells.
+    the kernel is kept on the point.  A build sums one outer product of span
+    columns per event word (3^k words for an event with k ``[0?1]`` cells),
+    sharing the sums of words with a common prefix, and reads the 3^span
+    result once per signature group.
     """
     span = _event(text).span
     if span + 2 > ORDER:

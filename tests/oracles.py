@@ -426,6 +426,17 @@ def word_index(word: Sequence[EnvSymbol]) -> int:
     return idx
 
 
+def signature_groups(span: int) -> tuple[tuple[tuple[TripleClass, ...], tuple[int, ...]], ...]:
+    """The input words over span+2 sites grouped by the classes of their span
+    triples, each read off its symbols: (signature, base-3 word indices) pairs,
+    in order of each signature's first word."""
+    by_sig: dict[tuple[TripleClass, ...], list[int]] = {}
+    for u, word in enumerate(iter_words(span + 2)):
+        sig = tuple(triple_class(word[j:j + 3]) for j in range(span))
+        by_sig.setdefault(sig, []).append(u)
+    return tuple((sig, tuple(us)) for sig, us in by_sig.items())
+
+
 # ------------------------------------------------------------------ measures
 
 

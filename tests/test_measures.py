@@ -305,6 +305,64 @@ def test_pushforward_against_direct_enumeration():
                     (pat_text, mu.name, str(params))
 
 
+def test_signature_groups_match_the_per_word_classes():
+    # same groups in the same first-word order, each under the base-3 reading
+    # of its signature, leftmost triple most significant
+    for span in range(1, 5):
+        want = oracles.signature_groups(span)
+        got = measures._signature_groups(span)
+        assert [words for _, words in got] == [words for _, words in want], span
+        codes = [code for code, _ in got]
+        assert codes == [sum(c * 3 ** (span - 1 - j) for j, c in enumerate(sig))
+                         for sig, _ in want], span
+        assert len(set(codes)) == len(codes)
+    assert [len(measures._signature_groups(span)) for span in range(1, 5)] == [3, 9, 22, 46]
+
+
+# A rational in [0, 1] whose denominator runs up to 10^6; a point's q is such a
+# fraction of 1 - p.
+_fine_unit = st.integers(1, 10**6).flatmap(lambda d: st.builds(Fraction, st.integers(0, d),
+                                                               st.just(d)))
+
+
+@st.composite
+def _kernel_points(draw):
+    a, b = draw(_fine_unit), draw(_fine_unit)
+    edge = draw(st.sampled_from(["inside", "p = 0", "q = 0", "r = 0"]))
+    p = Fraction(0) if edge == "p = 0" else a
+    q = {"q = 0": Fraction(0), "r = 0": 1 - p}.get(edge, b * (1 - p))
+    return Params(p, q)
+
+
+@st.composite
+def _kernel_patterns(draw):
+    """A pattern of span 1 to 4 built from every token kind."""
+    span = draw(st.integers(1, 4))
+    tokens, used = [], 0
+    while used < span:
+        room = span - used
+        tok = draw(st.one_of(
+            st.text("0?1", min_size=1, max_size=min(room, 3)),
+            st.sets(st.sampled_from("0?1"), min_size=1).map(lambda cs: "[" + "".join(cs) + "]"),
+            *[st.just(hat) for hat in ("**", "***") if len(hat) <= room]))
+        tokens.append(tok)
+        used += text_span(tok)
+    return " ".join(tokens)
+
+
+# reflection-invariant measures cannot tell a kernel from its mirror image, so
+# an asymmetric one rides along
+_KERNEL_MEASURES = sampled_measures(2, 4242) + [_asymmetric_empirical()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_kernel_points(), _kernel_patterns(), st.sampled_from(_KERNEL_MEASURES))
+def test_pushforward_matches_the_oracle_kernel_at_rational_points(params, pat_text, mu):
+    kernel = _oracle_kernel(pat_text, params)
+    marg = mu.counts[text_span(pat_text) + 2]
+    want = sum((Fraction(c, mu.den) * k for c, k in zip(marg, kernel) if c and k), Fraction(0))
+    assert pushforward_cylinder(mu, pat_text, params) == want
+
 
 def test_a_point_built_from_numpy_integers_computes_like_the_int_built_point():
     # numpy numerators used to wrap in the kernel's products (overflow warnings

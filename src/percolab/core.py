@@ -1,20 +1,21 @@
 """Shared vocabulary for the lattice dynamics and the exact cylinder calculus.
 
 Everything here is an immutable value: the parameter pair (p, q) with its derived
-open probability r = 1 - p - q, the three-symbol alphabet {0, ?, 1}, single-site
-probability distributions, the local rule's three triple classes (numbered by a
-triple's largest code) with one exact output law each, the two stochastic orders
-on the alphabet, and cylinder patterns, parsed once into the set of words they
-contain (contiguous runs of symbol subsets, with two shorthand tokens ``**`` and
-``***`` for the hatted sets {0,?}^2 \\ {00} and {0,?}^3 \\ {000}).
+open probability r = 1 - p - q, the three-symbol alphabet {0, ?, 1}, the local
+rule's three triple classes (numbered by a triple's largest code) with their
+output laws, written once as the integer table ``CLASS_LAWS``, the two
+stochastic orders on the alphabet, and cylinder patterns, parsed once into the
+set of words they contain (contiguous runs of symbol subsets, with two
+shorthand tokens ``**`` and ``***`` for the hatted sets {0,?}^2 \\ {00} and
+{0,?}^3 \\ {000}).
 
-Every probability here is an exact ``fractions.Fraction`` over Python ints:
-``as_fraction`` and ``LocalDistribution`` refuse a float with ``TypeError`` and
-turn a numpy integer into an ``int``.  Each point also holds its class laws as
-integer masses over its scale s = lcm(den p, den q) (``Params.law_masses``),
-which the domination lemmas and the pushforward kernels compute with.  The
-module needs only the standard library, so the exact checks built on it never
-import numpy.
+Every probability here is exact: ``as_fraction`` refuses a float with
+``TypeError`` and turns a numpy integer into an ``int``.  A point reads its
+class laws as integer masses over its scale s = lcm(den p, den q)
+(``Params.law_masses``, the table evaluated at ``Params.scaled``), which the
+domination lemmas, the kernel correspondence and the pushforward kernels
+compute with.  The module needs only the standard library, so the exact
+checks built on it never import numpy.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
-from functools import cached_property, wraps
+from functools import wraps
 from itertools import product
 from typing import Callable, Iterator, Sequence, Union
 
@@ -86,9 +87,8 @@ class Params:
     The degenerate all-open point p = q = 0 is constructible (r = 1) but carries
     in_region = False; verification entry points that need p + q > 0 reject it.
 
-    The class laws (``laws``) are made on first use and kept on the instance;
-    their integer masses (``law_masses``) and what ``per_point`` functions
-    build are kept in ``memo``.  All of it is freed with the point.
+    What ``per_point`` functions build for the point is kept in ``memo`` and
+    freed with the point.
     """
 
     p: Fraction
@@ -110,41 +110,20 @@ class Params:
         """True iff p + q > 0 (the parameter region where the dynamics are noisy)."""
         return self.p + self.q > 0
 
-    @cached_property
-    def laws(self) -> tuple[LocalDistribution, LocalDistribution, LocalDistribution]:
-        """The local rule's output law of each ``TripleClass``, by class code:
-        ``laws[c]`` is the law of every triple whose largest code is c."""
-        p, q, r = self.p, self.q, self.r
-        return (LocalDistribution(p, 0, 1 - p),  # ALL_ZERO
-                LocalDistribution(p, r, q),      # MIXED
-                LocalDistribution(1 - q, 0, q))  # HAS_ONE
+    @property
+    def scaled(self) -> tuple[int, int, int]:
+        """(s, a, b): the scale s = lcm(den p, den q), with p = a/s and q = b/s."""
+        p, q = self.p, self.q
+        s = math.lcm(p.denominator, q.denominator)
+        return s, p.numerator * (s // p.denominator), q.numerator * (s // q.denominator)
 
     @property
     def law_masses(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
-        """(s, m) with s = lcm(den p, den q) the point's scale and m[c][k] / s
-        the mass ``laws[c]`` puts on the symbol of code k, exactly.
-
-        Derived from ``laws``, their one source, on first read and kept in
-        ``memo`` for as long as ``laws`` returns the same tuple, so a replaced
-        ``laws`` is read afresh.  Raises ``ValueError`` if a mass is not an integer over s.
-        """
-        laws = self.laws
-        kept = self.memo.get("law_masses")
-        if kept is not None and kept[0] is laws:
-            return kept[1]
-        scale = math.lcm(self.p.denominator, self.q.denominator)
-        masses = []
-        for law in laws:
-            row = []
-            for x in (law.prob0, law.probQ, law.prob1):
-                if scale % x.denominator:
-                    raise ValueError(f"law {law} of {self} has mass {x}, "
-                                     f"not an integer over the scale {scale}")
-                row.append(x.numerator * (scale // x.denominator))
-            masses.append(tuple(row))
-        found = (scale, tuple(masses))
-        self.memo["law_masses"] = (laws, found)
-        return found
+        """(s, m) with s the point's scale and m[c][k] / s the mass that class c's
+        law puts on the symbol of code k, exactly: ``CLASS_LAWS`` at ``scaled``."""
+        s, a, b = self.scaled
+        return s, tuple(tuple(cs * s + ca * a + cb * b for cs, ca, cb in row)
+                        for row in CLASS_LAWS)
 
     def __str__(self) -> str:
         return f"(p={self.p}, q={self.q})"
@@ -161,24 +140,6 @@ def per_point(build: Callable) -> Callable:
     return kept
 
 
-@dataclass(frozen=True)
-class LocalDistribution:
-    """Exact distribution of one output symbol; the entries sum to 1 exactly."""
-
-    prob0: Fraction
-    probQ: Fraction
-    prob1: Fraction
-
-    def __post_init__(self) -> None:
-        for name in ("prob0", "probQ", "prob1"):
-            object.__setattr__(self, name, as_fraction(getattr(self, name)))
-        vals = (self.prob0, self.probQ, self.prob1)
-        if any(v < 0 for v in vals):
-            raise ValueError(f"negative probability in {vals}")
-        if sum(vals) != 1:
-            raise ValueError(f"probabilities sum to {sum(vals)}, not 1")
-
-
 class TripleClass(IntEnum):
     """The three cases of the local rule, numbered by a triple's largest code;
     the output law depends on nothing else."""
@@ -190,6 +151,15 @@ class TripleClass(IntEnum):
 
 # The class of every triple, by its base-3 index 9a + 3b + c.
 TRIPLE_CLASSES = tuple(TripleClass(max(t)) for t in iter_words(3))
+
+# The local rule, the one place it is written: CLASS_LAWS[c][k] holds the
+# coefficients (of s, a, b) of the mass the law of class c puts on the symbol
+# of code k, over the scale s, where p = a/s and q = b/s (``Params.scaled``).
+CLASS_LAWS = (
+    ((0, 1, 0), (0, 0, 0), (1, -1, 0)),   # ALL_ZERO: (p, 0, 1 - p)
+    ((0, 1, 0), (1, -1, -1), (0, 0, 1)),  # MIXED: (p, r, q)
+    ((1, 0, -1), (0, 0, 0), (0, 0, 1)),   # HAS_ONE: (1 - q, 0, q)
+)
 
 
 class StochOrder(Enum):

@@ -49,12 +49,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .core import TRIPLE_CLASSES, EnvSymbol, LocalDistribution, Params, iter_words
+from .core import TRIPLE_CLASSES, EnvSymbol, Params, iter_words
 from .pca import SeededStream, u01_block, variate_cuts
 
 
@@ -139,11 +138,12 @@ def classify_line(labels, next_classes, version: GameVersion) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelComparison:
-    """Induced one-site law of classify_line vs the three-symbol local rule."""
+    """Induced one-site law of classify_line vs the three-symbol local rule,
+    each as its masses on codes 0, 1, 2, integers over the point's scale."""
 
     triple: tuple[EnvSymbol, EnvSymbol, EnvSymbol]
-    induced: LocalDistribution
-    expected: LocalDistribution
+    induced: tuple[int, int, int]
+    expected: tuple[int, int, int]
 
     @property
     def equal(self) -> bool:
@@ -186,20 +186,20 @@ def kernel_correspondence(version: GameVersion, params: Params) -> KernelReport:
 
     The 81 (successor triple, label) cases are classified by one
     ``classify_line`` call, the rule the game loop runs, as a stack of 81
-    one-site lines.
+    one-site lines.  The label masses over the point's scale, summed per
+    class, are compared with ``Params.law_masses``.
     """
     triples = tuple(iter_words(3))
     nxt = np.repeat(np.array(triples, dtype=np.int8), len(SiteLabel), axis=0)
     labels = np.tile(np.array(list(SiteLabel), dtype=np.int8), len(triples))[:, None]
     classes = classify_line(labels, nxt, version).reshape(len(triples), len(SiteLabel))
-    label_probs = (params.p, params.r, params.q)  # by SiteLabel code
+    s, a, b = params.scaled
+    label_masses = (a, s - a - b, b)  # by SiteLabel code
+    expected = params.law_masses[1]
     comparisons = []
     for triple, rule_class, row in zip(triples, TRIPLE_CLASSES, classes.tolist()):
-        masses = [Fraction(0), Fraction(0), Fraction(0)]
-        for cls, prob in zip(row, label_probs):
-            masses[cls] += prob
-        induced = LocalDistribution(masses[0], masses[1], masses[2])
-        comparisons.append(KernelComparison(triple, induced, params.laws[rule_class]))
+        induced = tuple(sum([m for c, m in zip(row, label_masses) if c == k]) for k in range(3))
+        comparisons.append(KernelComparison(triple, induced, expected[rule_class]))
     return KernelReport(version, params, tuple(comparisons))
 
 

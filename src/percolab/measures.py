@@ -303,7 +303,7 @@ def _pushforward_kernel(text: str, params: Params) -> tuple[int, tuple[int, ...]
     """
     pat = _event(text)
     scale, masses = params.law_masses
-    # columns[s][c]: the mass params.laws[c] puts on symbol code s, times scale
+    # columns[s][c]: the mass class c's law puts on symbol code s, times scale
     columns = tuple(zip(*masses))
     # tables[w]: the summed outer products of the sites already read, over the
     # event's words that start with the prefix w
@@ -504,18 +504,13 @@ class _Form(NamedTuple):
 def _compile(plan: _Plan, params: Optional[Params]) -> _Form:
     """The plan at (p, q) by integer evaluation, over the one denominator s^E.
 
-    s = lcm(den p, den q) is the point's scale, so p = a/s and q = b/s; a
-    pushforward of span j is over s^j * mu.den, its kernel's denominator.
-    Without a point (``None``) the plan must have constant coefficients.
+    (s, a, b) = ``params.scaled``, so p = a/s and q = b/s; a pushforward of
+    span j is over s^j * mu.den, its kernel's denominator.  Without a point
+    (``None``) the plan must have constant coefficients.
     """
-    if params is None:
-        if plan.degree:
-            raise ValueError(f"a plan of degree {plan.degree} needs a point")
-        a, b, s = 0, 0, 1
-    else:
-        s = params.law_masses[0]
-        a = params.p.numerator * (s // params.p.denominator)
-        b = params.q.numerator * (s // params.q.denominator)
+    if params is None and plan.degree:
+        raise ValueError(f"a plan of degree {plan.degree} needs a point")
+    s, a, b = (1, 0, 0) if params is None else params.scaled
     pa, pb, ps = ([x**n for n in range(plan.degree + 1)] for x in (a, b, s))
     rows = tuple((idx, tuple(sum([c * pa[i] * pb[k] * ps[l] for c, i, k, l in coef])
                              for coef in coefs)) for idx, coefs in plan.rows)

@@ -10,7 +10,7 @@ F_{p,q} on {0, 1}, and its successor has no ? either: the three-symbol rule is
 the envelope of the binary one, and no setting tells them apart.
 
 Those three triple classes and their exact laws live in ``core``
-(``TripleClass``, ``TRIPLE_CLASSES``, ``Params.laws``), where the exact checks
+(``TripleClass``, ``TRIPLE_CLASSES``, ``CLASS_LAWS``), where the exact checks
 read them without importing numpy; this module adds the numeric side: hashing,
 the integer cut points of (p, q) and stepping rows.
 

@@ -17,11 +17,11 @@ import numpy as np
 
 from percolab.core import (
     EnvSymbol,
-    LocalDistribution,
     Params,
     StochOrder,
     TripleClass,
     Word,
+    as_fraction,
     iter_words,
     symbol_leq,
     upper_sets,
@@ -276,6 +276,24 @@ def solve_sample(
 
 
 # ------------------------------------------------------------------ laws
+
+
+@dataclass(frozen=True)
+class LocalDistribution:
+    """Exact distribution of one output symbol; the entries sum to 1 exactly."""
+
+    prob0: Fraction
+    probQ: Fraction
+    prob1: Fraction
+
+    def __post_init__(self) -> None:
+        for name in ("prob0", "probQ", "prob1"):
+            object.__setattr__(self, name, as_fraction(getattr(self, name)))
+        vals = (self.prob0, self.probQ, self.prob1)
+        if any(v < 0 for v in vals):
+            raise ValueError(f"negative probability in {vals}")
+        if sum(vals) != 1:
+            raise ValueError(f"probabilities sum to {sum(vals)}, not 1")
 
 
 def prob(dist: LocalDistribution, sym: EnvSymbol) -> Fraction:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from percolab.core import EnvSymbol, Params, TripleClass
+from percolab.core import EnvSymbol, Params
 from percolab.game import GameVersion, draw_fraction, kernel_correspondence
 from percolab.measures import (
     CLOSED_FORM_IDS,
@@ -35,7 +35,7 @@ from percolab.pca import (
     trajectory,
 )
 
-from oracles import prob
+from oracles import prob, rule_law
 
 QUARTER = Params(Fraction(1, 4), Fraction(1, 4))
 
@@ -197,10 +197,10 @@ def test_8_coupled_trajectories_coalesce():
     a1, b1 = step(pair, model, SeededStream(11), 0).cells
     margins_ok = True
     pinned = {"zeros": 7597, "ones": 2496}
-    for label, row, cls in (("zeros", a1, TripleClass.ALL_ZERO),
-                            ("ones", b1, TripleClass.HAS_ONE)):
+    for label, row, triple in (("zeros", a1, (EnvSymbol.ZERO,) * 3),
+                               ("ones", b1, (EnvSymbol.ONE,) * 3)):
         ones = int((row == 2).sum())
-        pi1 = float(prob(QUARTER.laws[cls], EnvSymbol.ONE))
+        pi1 = float(prob(rule_law(triple, QUARTER), EnvSymbol.ONE))
         se = math.sqrt(pi1 * (1 - pi1) / n)
         margins_ok &= ones == pinned[label] and abs(ones / n - pi1) <= 3 * se
     _line("8 coupled binary trajectories",

@@ -379,15 +379,16 @@ def test_verify_formulas_computes_each_pushforward_once(capsys, monkeypatch):
 
 
 def test_verify_lemmas_builds_each_law_and_verdict_once_per_point(capsys, monkeypatch):
-    # the three class laws are built once per point, not once per class pair,
-    # and each class pair's integer verdict is made once, not once per triple pair
+    # the class law masses are evaluated once per lemma and point, not once per
+    # class pair, and each class pair's integer verdict is made once, not once
+    # per triple pair
     from percolab import cli, orders
-    from percolab.core import LocalDistribution
+    from percolab.core import Params
 
     builds = []
-    post_init = LocalDistribution.__post_init__
-    monkeypatch.setattr(LocalDistribution, "__post_init__",
-                        lambda self: builds.append(self) or post_init(self))
+    law_masses = Params.law_masses
+    monkeypatch.setattr(Params, "law_masses",
+                        property(lambda self: builds.append(self) or law_masses.fget(self)))
     verdicts = []
     margins = orders._class_pair_margins
     monkeypatch.setattr(orders, "_class_pair_margins",
@@ -405,7 +406,7 @@ def test_verify_lemmas_builds_each_law_and_verdict_once_per_point(capsys, monkey
     code, out = run_cli(capsys, "verify", "lemmas", "--grid", "fine")
     report = json.loads(out)
     assert code == 0 and report["points"] == 28
-    assert len(builds) == 3 * 28
+    assert len(builds) == 2 * 28
     assert len(per_call) == 2 * 28 and 0 < min(per_call) and max(per_call) <= 9
 
 

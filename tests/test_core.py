@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from percolab.core import (
     CylinderPattern,
     EnvSymbol,
-    LocalDistribution,
     Params,
     StochOrder,
     SYMBOLS,
@@ -20,7 +19,8 @@ from percolab.core import (
 
 from percolab.measures import product_measure, pushforward_cylinder
 
-from oracles import as_dict, mass, prob, rule_law, text_span, text_words, word_in_text, word_index
+from oracles import (LocalDistribution, as_dict, mass, prob, rule_law, text_span, text_words,
+                     word_in_text, word_index)
 
 Z, Q, O = EnvSymbol.ZERO, EnvSymbol.QMARK, EnvSymbol.ONE
 
@@ -163,8 +163,11 @@ def test_local_distribution_rejects_floats():
 # ---------------------------------------------------------------- local rule
 
 def law(triple, params=Params(Fraction(1, 5), Fraction(3, 10))):
-    """The exact one-site output law of ``triple``, through its class."""
-    return params.laws[TRIPLE_CLASSES[word_index(triple)]]
+    """The exact one-site output law of ``triple``, through its class: its row
+    of ``law_masses`` over the scale, which must be a distribution."""
+    scale, masses = params.law_masses
+    row = masses[TRIPLE_CLASSES[word_index(triple)]]
+    return LocalDistribution(*(Fraction(m, scale) for m in row))
 
 
 LAW_GRID = [Params(Fraction(1, 5), Fraction(3, 10)), Params(0, 1), Params(1, 0), Params(0, 0),
@@ -173,10 +176,22 @@ LAW_GRID = [Params(Fraction(1, 5), Fraction(3, 10)), Params(0, 1), Params(1, 0),
 
 @pytest.mark.parametrize("params", LAW_GRID, ids=str)
 def test_laws_are_indexed_by_the_triple_class(params):
-    # Params.laws[c] is the law of the triples of class c: read through
+    # law_masses[c] is the law of the triples of class c: read through
     # TRIPLE_CLASSES, against the law written out case by case
     for triple in iter_words(3):
         assert law(triple, params) == rule_law(triple, params), triple
+
+
+@pytest.mark.parametrize("p, q, scaled", [
+    (Fraction(1, 4), Fraction(1, 6), (12, 3, 2)), (Fraction(1, 3), Fraction(1, 5), (15, 5, 3)),
+    (Fraction(0), Fraction(1), (1, 0, 1)), (Fraction(0), Fraction(0), (1, 0, 0)),
+    (Fraction(2, 5), Fraction(3, 5), (5, 2, 3))])
+def test_scaled_puts_p_and_q_over_the_least_common_denominator(p, q, scaled):
+    params = Params(p, q)
+    assert params.scaled == scaled
+    s, a, b = scaled
+    assert (Fraction(a, s), Fraction(b, s)) == (p, q)
+    assert params.law_masses[0] == s
 
 
 def test_class_law_binary():

@@ -21,12 +21,14 @@ from percolab.pca import SeededStream, variate_cuts
 
 from oracles import (
     CLASS_TABLE,
+    LocalDistribution,
     as_dict,
     child_stream,
     classify_by_table,
     line_of,
     line_step,
     out_set,
+    rule_law,
     sample_labels,
     solve_sample,
 )
@@ -148,8 +150,13 @@ def test_kernel_correspondence_exact(version, params):
 
 def test_kernel_correspondence_spot_values():
     p, q = Fraction(1, 3), Fraction(1, 5)
-    report = kernel_correspondence(GameVersion.V1, Params(p, q))
-    by_triple = {c.triple: c.induced for c in report.comparisons}
+    params = Params(p, q)
+    report = kernel_correspondence(GameVersion.V1, params)
+    # the induced masses are integers over the scale 15, where p = 5/15 and q = 3/15
+    by_triple = {c.triple: LocalDistribution(*(Fraction(m, 15) for m in c.induced))
+                 for c in report.comparisons}
+    for triple, induced in by_triple.items():
+        assert induced == rule_law(triple, params), triple
     Z, Q, O = EnvSymbol.ZERO, EnvSymbol.QMARK, EnvSymbol.ONE
     assert as_dict(by_triple[(Z, Z, Z)]) == {"0": p, "?": Fraction(0), "1": 1 - p}
     assert as_dict(by_triple[(Z, Q, Z)]) == {"0": p, "?": 1 - p - q, "1": q}

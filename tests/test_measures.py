@@ -294,7 +294,9 @@ def test_pushforward_against_direct_enumeration():
     edges = [pt for pt in FORMULA_GRID if pt.p == 0 or pt.q == 0 or pt.p + pt.q == 1]
     points = [PP, Params(0, 0)] + edges
     patterns = sorted(set(CLOSED_FORM_IDS) | set(WEIGHT_SPANS)) + ["1 ***", "[0?] ***"]
-    measures = [PRODUCT, MARKOV] + [point_mass(s) for s in (Z, Q, O)]
+    # the skewed empirical measure is not reflection invariant, so a kernel
+    # read in mirror image fails on it
+    measures = [PRODUCT, MARKOV, _skewed_empirical()] + [point_mass(s) for s in (Z, Q, O)]
     for params in points:
         for pat_text in patterns:
             kernel = _oracle_kernel(pat_text, params)

@@ -5,12 +5,12 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from percolab import orders
+from percolab import core, orders
 from percolab.cli import _axis
-from percolab.core import EnvSymbol, LocalDistribution, Params, StochOrder, TripleClass, iter_words
+from percolab.core import SYMBOLS, EnvSymbol, Params, StochOrder, TripleClass, iter_words
 from percolab.orders import verify_lemma
 
-from oracles import dominates, lemma_report, rule_law, triple_class, triple_leq
+from oracles import LocalDistribution, dominates, lemma_report, rule_law, triple_class, triple_leq
 
 Z, Q, O = EnvSymbol.ZERO, EnvSymbol.QMARK, EnvSymbol.ONE
 
@@ -91,12 +91,18 @@ def test_lemma_sweep_violation_free(which, params):
     assert d["violation_count"] == 0 and d["comparable_pairs"] == report.comparable_count
 
 
+def _class_law(cls, params):
+    """The rule's law of class ``cls``, read off the triple 0 0 c, whose
+    largest code is c."""
+    return rule_law((Z, Z, SYMBOLS[cls]), params)
+
+
 def test_equal_triples_give_equal_laws():
     # a pair of triples of one class compares a law with itself; were any such
     # pair to violate, every triple pair of that class would be reported
     params = Params(Fraction(1, 5), Fraction(3, 10))
     for order in StochOrder:
-        for law in params.laws:
+        for law in (_class_law(cls, params) for cls in TripleClass):
             assert all(m == 0 for m in dominates(order, law, law).margins)
     for which in (1, 2):
         report = verify_lemma(which, params)
@@ -119,12 +125,14 @@ def test_lemma_report_matches_per_pair_oracle(which):
 def _assert_integer_margins_are_the_fraction_margins(params):
     scale, masses = params.law_masses
     assert scale == math.lcm(params.p.denominator, params.q.denominator)
-    for law, row in zip(params.laws, masses):
+    for triple in iter_words(3):
+        law = rule_law(triple, params)
+        row = masses[triple_class(triple)]
         assert tuple(Fraction(m, scale) for m in row) == (law.prob0, law.probQ, law.prob1)
     for order in StochOrder:
         for low, high in product(TripleClass, repeat=2):
             margins = orders._class_pair_margins(order, masses[low], masses[high])
-            want = dominates(order, params.laws[low], params.laws[high]).margins
+            want = dominates(order, _class_law(low, params), _class_law(high, params)).margins
             assert tuple(Fraction(m, scale) for m in margins) == want, (order, low, high)
 
 
@@ -143,42 +151,17 @@ def test_integer_margins_match_dominates_at_rational_points(a, b, edge):
     _assert_integer_margins_are_the_fraction_margins(Params(p, q))
 
 
-def test_law_masses_follow_a_replaced_laws(monkeypatch):
-    params = Params(Fraction(1, 5), Fraction(3, 10))
-    kept = params.law_masses
-    assert params.law_masses is kept  # made once per point
-    flipped = tuple(reversed(params.laws))
-    monkeypatch.setattr(Params, "laws", property(lambda self: flipped))
-    assert params.law_masses == (kept[0], tuple(reversed(kept[1])))
-
-
-def test_a_law_off_the_scale_is_refused(monkeypatch):
-    params = Params(Fraction(1, 4), Fraction(1, 2))  # scale 4
-    thirds = LocalDistribution(Fraction(1, 3), 0, Fraction(2, 3))
-    monkeypatch.setattr(Params, "laws", property(lambda self: (thirds,) * 3))
-    with pytest.raises(ValueError, match="not an integer over the scale 4"):
-        params.law_masses
-    for which in (1, 2):
-        with pytest.raises(ValueError, match="not an integer over the scale 4"):
-            verify_lemma(which, params)
-
-
-# A non-monotone rule: each class takes the law of a triple of the next class.
-_ROTATED = {TripleClass.ALL_ZERO: (Z, Z, Q), TripleClass.MIXED: (O, O, O),
-            TripleClass.HAS_ONE: (Z, Z, Z)}
-
-
 @pytest.mark.parametrize("which", [1, 2])
 def test_lemma_violations_match_per_pair_oracle(which, monkeypatch):
-    # the rotated laws reach verify_lemma through Params.laws, its one source
-    monkeypatch.setattr(Params, "laws", property(
-        lambda params: tuple(rule_law(_ROTATED[cls], params) for cls in TripleClass)))
+    # a non-monotone rule, each class taking the next class's law, reaches
+    # verify_lemma through core.CLASS_LAWS, the rule's one source
+    monkeypatch.setattr(core, "CLASS_LAWS", core.CLASS_LAWS[1:] + core.CLASS_LAWS[:1])
     for params in FINE_GRID:
         if params.r == 0:
             continue  # the three class laws coincide, so no law of them can violate
         got = verify_lemma(which, params).to_json_dict()
         want = lemma_report(which, params,
-                            law=lambda t: rule_law(_ROTATED[triple_class(t)], params))
+                            law=lambda t: _class_law((triple_class(t) + 1) % 3, params))
         assert got["violation_count"] > 0
         assert got == want  # u, v and margins of every violation, in order
 

@@ -33,7 +33,6 @@ import math
 import os
 import sys
 from fractions import Fraction
-from itertools import product
 from typing import Optional, Sequence
 
 from .core import EnvSymbol, Params, as_fraction
@@ -43,7 +42,6 @@ from .measures import (
     closed_form,
     empirical_measure,
     frac_str,
-    pushforward_cylinder,
     sampled_measures,
     stationary_conclusion_check,
     verify_master_inequality,
@@ -223,14 +221,14 @@ def _emit(text: str, out: Optional[str]) -> None:
 # ------------------------------------------------------------------ simulate
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    from .pca import Boundary, Configuration, ModelSpec, SeededStream, trajectory
+    from .pca import Configuration, ModelSpec, SeededStream, trajectory
 
     # a row without ? steps as the binary automaton, so --model only checks --init
     init_symbol = _INIT_SYMBOL[cfg.init]
     if cfg.model == "binary" and init_symbol is EnvSymbol.QMARK:
         raise ValueError("simulate: --init qmarks needs --model envelope")
     model = ModelSpec(cfg.offset, Params(cfg.p, cfg.q))
-    init = Configuration.constant(cfg.width, init_symbol, Boundary.CYCLIC)
+    init = Configuration.constant(cfg.width, init_symbol)
     result = trajectory(init, model, cfg.steps, SeededStream(cfg.seed))
     rows = [{"t": s.t, "width": s.width, "count0": s.count0,
              "countQ": s.countQ, "count1": s.count1} for s in result.rows]
@@ -305,23 +303,22 @@ def _verify_kernel(cfg: RunConfig) -> dict:
 def _verify_formulas(cfg: RunConfig) -> dict:
     _measure_count(cfg)
     mus = sampled_measures(cfg.measures, cfg.seed)
-    failures = []
-    comparisons = 0
-    for mu, params, fid in product(mus, FORMULA_GRID, CLOSED_FORM_IDS):
-        res = closed_form(fid, mu, params)
-        # a partially specified entry's value is the pushforward itself
-        push = pushforward_cylinder(mu, fid, params) if res.fully_specified else None
-        comparisons += 1
-        # value == push, compared on integers: res.den and push.denominator are positive
-        agrees = push is None or res.nums[0] * push.denominator == push.numerator * res.den
-        if not (agrees and res.remainders_nonnegative):
-            value = res.value
-            failures.append({"formula": fid, "measure": mu.name,
-                             "p": frac_str(params.p), "q": frac_str(params.q),
-                             "value": frac_str(value),
-                             "pushforward": frac_str(value if push is None else push)})
+    # points outside measures, so each point and all it keeps is freed when done
+    failures = [[] for _ in mus]
+    for p, q in FORMULA_GRID:
+        params = Params(p, q)
+        for mu, found in zip(mus, failures):
+            for fid in CLOSED_FORM_IDS:
+                res = closed_form(fid, mu, params)
+                if not res.passed:
+                    found.append({"formula": fid, "measure": mu.name,
+                                  "p": frac_str(params.p), "q": frac_str(params.q),
+                                  "value": frac_str(res.value),
+                                  "pushforward": frac_str(res.pushforward)})
+    failures = [f for found in failures for f in found]
     return {"check": "formulas", "measures": len(mus), "points": len(FORMULA_GRID),
-            "formulas": list(CLOSED_FORM_IDS), "comparisons": comparisons,
+            "formulas": list(CLOSED_FORM_IDS),
+            "comparisons": len(mus) * len(FORMULA_GRID) * len(CLOSED_FORM_IDS),
             "failures": failures, "pass": not failures}
 
 
@@ -363,13 +360,13 @@ def _verify_weights(cfg: RunConfig) -> dict:
 
 
 def _verify_stationary(cfg: RunConfig) -> dict:
-    from .pca import Boundary, Configuration, ModelSpec, SeededStream, step
+    from .pca import Configuration, ModelSpec, SeededStream, step
 
     params = Params(cfg.p, cfg.q)
     model = ModelSpec(cfg.offset, params)
     if cfg.steps < 1:
         raise ValueError("steps must be >= 1")
-    row = Configuration.constant(cfg.width, EnvSymbol.QMARK, Boundary.CYCLIC)
+    row = Configuration.constant(cfg.width, EnvSymbol.QMARK)
     stream = SeededStream(cfg.seed)
     for t in range(cfg.steps):  # only the last row is read, so no per-row counts
         row = step(row, model, stream, t)

@@ -114,6 +114,10 @@ def classify_line(labels, next_classes, version: GameVersion) -> np.ndarray:
     once: an open site's 2 - (largest out-neighbour code 1 +- j) is W (L) at
     the j longest horizons where a neighbour is L (all three are W), D at the
     others. Deterministic.
+
+    ``version`` is not read: the offset lives in the caller's bookkeeping.  It
+    stays because ``perfbench/spans.py`` wraps this function with a
+    three-argument wrapper, which a traced run calls positionally.
     """
     labels = np.asarray(labels)
     nxt = np.asarray(next_classes)

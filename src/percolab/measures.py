@@ -216,16 +216,11 @@ def empirical_measure(row: Configuration) -> TIMeasure:
 
     Translation consistent by construction (every window position counted once
     around the cycle); reflection invariance is whatever it happens to be.
-    numpy and ``pca`` are imported here, not with the module: only a row,
-    which is already a numpy array, needs them, so the exact checks run
-    without numpy.
+    numpy is imported here, not with the module: only a row, which is already
+    a numpy array, needs it, so the exact checks run without numpy.
     """
     import numpy as np
 
-    from .pca import Boundary
-
-    if row.boundary is not Boundary.CYCLIC:
-        raise ValueError("empirical measure needs a cyclic row")
     if row.cells.ndim != 1:
         raise ValueError("empirical measure needs one row, not a stack")
     codes = row.cells.astype(np.int64)
@@ -550,8 +545,9 @@ def _fractions(nums: Sequence[int], den: int) -> tuple[Fraction, ...]:
 
 # ------------------------------------------------------------------ closed forms
 
-# 20 rational points covering the interior plus the p=0, q=0 and p+q=1 edges.
-FORMULA_GRID = tuple(Params(Fraction(a), Fraction(b)) for a, b in (
+# 20 rational (p, q) points covering the interior plus the p=0, q=0 and p+q=1
+# edges; a caller makes each point's Params, and with it the point's memos.
+FORMULA_GRID = tuple((Fraction(a), Fraction(b)) for a, b in (
     ("0", "1"), ("1", "0"), ("1/2", "1/2"), ("1/5", "4/5"),
     ("0", "1/3"), ("0", "2/3"), ("1/3", "0"), ("2/3", "0"),
     ("1/5", "3/10"), ("1/100", "1/100"), ("1/3", "1/5"), ("1/2", "1/4"),
@@ -568,12 +564,13 @@ class ClosedFormResult:
     specified entry it is computed from the written formula alone, otherwise it
     is written + remainder with the remainder obtained by subtracting the written
     part from the brute-force pushforward.  ``components`` carries the named
-    sub-expressions (written part, C/D remainders), named by ``names``.
+    sub-expressions (written part, C/D remainders), named by ``names``, and
+    ``pushforward`` the brute-force pushforward itself.
 
-    The values are kept as integer numerators ``nums`` (the value, then one per
-    component) over the one positive denominator ``den``.
-    ``remainders_nonnegative`` reads their signs; ``value`` and ``components``
-    are made as Fractions only when read.
+    The values are kept as integer numerators ``nums`` (the value, one per
+    component, then the pushforward) over the one positive denominator
+    ``den``.  ``passed`` decides on them; ``value``, ``components`` and
+    ``pushforward`` are made as Fractions only when read.
     """
 
     formula: str
@@ -590,14 +587,20 @@ class ClosedFormResult:
 
     @property
     def components(self) -> tuple[tuple[str, Fraction], ...]:
-        return tuple(zip(self.names, _fractions(self.nums[1:], self.den)))
+        return tuple(zip(self.names, _fractions(self.nums[1:-1], self.den)))
 
     def component(self, name: str) -> Fraction:
         return dict(self.components)[name]
 
     @property
-    def remainders_nonnegative(self) -> bool:
-        return all(n >= 0 for k, n in zip(self.names, self.nums[1:]) if k.startswith(("C", "D")))
+    def pushforward(self) -> Fraction:
+        return Fraction(self.nums[-1], self.den)
+
+    @property
+    def passed(self) -> bool:
+        """The value equals the pushforward and no C/D remainder is negative."""
+        remainders = [n for k, n in zip(self.names, self.nums[1:-1]) if k.startswith(("C", "D"))]
+        return self.nums[0] == self.nums[-1] and all(n >= 0 for n in remainders)
 
 
 def _closed_form_parts(name: str) -> tuple[bool, Sparse, tuple[tuple[str, Sparse], ...]]:
@@ -658,10 +661,11 @@ def _closed_form_parts(name: str) -> tuple[bool, Sparse, tuple[tuple[str, Sparse
 
 @lru_cache(maxsize=None)
 def _closed_form_plan(name: str) -> tuple[bool, tuple[str, ...], _Plan]:
-    """Whether the entry is fully specified, its component names, and its value
-    then its components as a plan."""
+    """Whether the entry is fully specified, its component names, and its value,
+    its components and then its brute-force pushforward as a plan."""
     fully, value, comps = _closed_form_parts(name)
-    return fully, tuple(k for k, _ in comps), _plan((value, *(v for _, v in comps)))
+    return fully, tuple(k for k, _ in comps), _plan((value, *(v for _, v in comps),
+                                                     _pushforward(name)))
 
 
 @per_point
@@ -677,8 +681,8 @@ def closed_form(name: str, mu: TIMeasure, params: Params) -> ClosedFormResult:
     Requires a reflection-invariant measure (two of the writings use the
     reflected cylinder).  The entry's plan is made once per process and
     compiled once per (name, p, q); each measure costs one dot product per
-    reported value, and a partially specified entry reads its pushforward
-    through ``pushforward_cylinder``.
+    reported value, and every entry reads its pushforward through
+    ``pushforward_cylinder`` once.
     """
     if name not in CLOSED_FORM_IDS:
         raise ValueError(f"unknown formula {name!r}; known: {CLOSED_FORM_IDS}")

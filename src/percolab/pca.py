@@ -29,18 +29,18 @@ A triple's class is its largest code (``core.TripleClass``), which selects its
 cuts: ALL_ZERO (000) at p, MIXED (a ? and no 1) at p and p + r, and HAS_ONE
 (a 1) at 1 - q.
 A row's hash XORs the (seed, t) prefix, hashed in Python ints, into the
-per-site keys of its window, which are cached, so a cyclic row builds them
+per-site keys of sites 0..width-1, which are cached, so a row builds them
 once; both sides carry the finalizer's first round already (``_site_keys``).
 ``u01_block`` hashes many streams in row tiles of at most ``_TILE`` variates,
 so its temporaries stay cache-sized however many streams it serves.
 
-Two boundary policies: Cyclic keeps the width fixed and wraps indices, by
-copying the row's slices into a buffer two cells wider; LightCone shrinks the
-row by 2 sites per step (both from the right for offset 0, one per side for
-offset -1) so that every surviving cell carries exactly the law of the
-infinite-lattice dynamics restricted to that window.
-
-A configuration is one row or a stack of rows over one window.  ``step`` draws
+A configuration is one cyclic row, or a stack of cyclic rows of one width,
+at sites 0..width-1: ``step`` keeps the width and wraps indices, by copying
+the row's slices into a buffer two cells wider.  Site n of step t reads the
+variate keyed (t, n) whatever the width, so a site whose light cone has not
+yet wrapped round the row holds exactly what it would on the infinite
+lattice.  (The game's backward induction is the finite light cone of the
+envelope automaton; rows here serve the long-run densities.)  ``step`` draws
 one variate per (t, n) for every row of a stack, which couples the rows by
 common randomness while each steps exactly as it would alone.
 """
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -120,7 +119,7 @@ def _step_key(t: int) -> int:
 @lru_cache(maxsize=1)
 def _site_keys(n0: int, count: int) -> np.ndarray:
     """The site keys n*MUL1 + TAG_N of sites n0..n0+count-1, each with the
-    finalizer's first round key ^ (key >> 30) applied, read-only; a cyclic row
+    finalizer's first round key ^ (key >> 30) applied, read-only; a row
     asks for the same sites at every step.  One entry suffices: each command
     hashes one window at a time.
 
@@ -193,11 +192,6 @@ class SeededStream:
 
 # ------------------------------------------------------------------ model/state
 
-class Boundary(Enum):
-    CYCLIC = "cyclic"
-    LIGHTCONE = "lightcone"
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Neighbourhood offset i (window {i, i+1, i+2}) + parameters."""
@@ -212,18 +206,14 @@ class ModelSpec:
 
 @dataclass(frozen=True, eq=False)
 class Configuration:
-    """A finite row of symbol codes, or a stack of rows, with a boundary policy.
+    """A cyclic row of symbol codes at sites 0..width-1, or a stack of them.
 
     ``cells`` has shape (width,) for one row, or (rows, width) for a stack of
-    rows over one window; ``step`` feeds every row of a stack the same (t, n)
-    variates.  ``origin`` is the absolute lattice index of the first column; it
-    shifts under the LightCone policy so that (t, n) randomness keys stay
-    attached to absolute sites, which is what makes window restriction exact.
+    rows of one width; ``step`` feeds every row of a stack the same (t, n)
+    variates.
     """
 
     cells: np.ndarray
-    boundary: Boundary
-    origin: int = 0
 
     def __post_init__(self) -> None:
         cells = np.asarray(self.cells)
@@ -239,7 +229,7 @@ class Configuration:
         object.__setattr__(self, "cells", arr)
 
     @classmethod
-    def _of_rule(cls, cells: np.ndarray, boundary: Boundary, origin: int) -> "Configuration":
+    def _of_rule(cls, cells: np.ndarray) -> "Configuration":
         """A configuration that takes over ``cells``, the local rule's fresh
         int8 output (codes 0..2 by construction, held by no one else), and
         makes it read-only in place: without the copy and the code scan that
@@ -247,8 +237,6 @@ class Configuration:
         cells.setflags(write=False)
         cfg = object.__new__(cls)
         object.__setattr__(cfg, "cells", cells)
-        object.__setattr__(cfg, "boundary", boundary)
-        object.__setattr__(cfg, "origin", origin)
         return cfg
 
     @property
@@ -262,31 +250,24 @@ class Configuration:
         return self.cells.size - nonzero, nonzero - ones, ones
 
     @classmethod
-    def constant(
-        cls, width: int, symbol: EnvSymbol, boundary: Boundary, origin: int = 0
-    ) -> "Configuration":
-        return cls(np.full(width, symbol.value, dtype=np.int8), boundary, origin)
+    def constant(cls, width: int, symbol: EnvSymbol) -> "Configuration":
+        return cls(np.full(width, symbol.value, dtype=np.int8))
 
 
 # ------------------------------------------------------------------ stepping
 
 def _neighbour_views(cfg: Configuration, offset: int):
-    """Return (a, b, c) triple views and the output row's absolute origin/width."""
+    """The (a, b, c) triple views of every site: cell (n + offset + k) % width
+    of site n, for k = 0, 1, 2."""
     cells, width = cfg.cells, cfg.width
-    if cfg.boundary is Boundary.CYCLIC:
-        start = offset % width
-        # cell (start + j) % width, for j < width + 2, copied slice by slice
-        ext = np.empty((*cells.shape[:-1], width + 2), dtype=np.int8)
-        ext[..., :width - start] = cells[..., start:]
-        ext[..., width - start:width] = cells[..., :start]
-        ext[..., width] = ext[..., 0]
-        ext[..., width + 1] = ext[..., 1 % width]
-        return ext[..., :-2], ext[..., 1:-1], ext[..., 2:], cfg.origin, width
-    if width < 3:
-        raise ValueError("window exhausted: LightCone row narrower than 3 cells")
-    # Output site n is computable iff its whole neighbourhood lies in the window:
-    # n ranges over [origin - offset, origin + width - 1 - offset - 2].
-    return cells[..., :-2], cells[..., 1:-1], cells[..., 2:], cfg.origin - offset, width - 2
+    start = offset % width
+    # cell (start + j) % width, for j < width + 2, copied slice by slice
+    ext = np.empty((*cells.shape[:-1], width + 2), dtype=np.int8)
+    ext[..., :width - start] = cells[..., start:]
+    ext[..., width - start:width] = cells[..., :start]
+    ext[..., width] = ext[..., 0]
+    ext[..., width + 1] = ext[..., 1 % width]
+    return ext[..., :-2], ext[..., 1:-1], ext[..., 2:]
 
 
 @per_point
@@ -327,11 +308,11 @@ def step(cfg: Configuration, model: ModelSpec, stream: SeededStream, t: int) -> 
     """Advance a row, or each row of a stack under the same variates, by one step;
     deterministic given (seed, t) and the input.  Each output site's triple is
     classed by its largest code (module docstring)."""
-    a, b, c, out_origin, out_width = _neighbour_views(cfg, model.offset)
+    a, b, c = _neighbour_views(cfg, model.offset)
     largest = np.maximum(a, b)
     np.maximum(largest, c, out=largest)
-    k = stream.u01_range(t, out_origin, out_width)
-    return Configuration._of_rule(_apply_rule(largest, model.params, k), cfg.boundary, out_origin)
+    k = stream.u01_range(t, 0, cfg.width)
+    return Configuration._of_rule(_apply_rule(largest, model.params, k))
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,6 @@ from percolab.measures import (
     table_structure,
 )
 from percolab.pca import (
-    Boundary,
     Configuration,
     ModelSpec,
     _GOLD,
@@ -100,11 +99,9 @@ def child_stream(stream: SeededStream, k: int) -> SeededStream:
 # ------------------------------------------------------------------ rows
 
 
-def config_from_symbols(
-    symbols: Iterable[EnvSymbol], boundary: Boundary, origin: int = 0
-) -> Configuration:
+def config_from_symbols(symbols: Iterable[EnvSymbol]) -> Configuration:
     """A row written out symbol by symbol."""
-    return Configuration(np.array([s.value for s in symbols], dtype=np.int8), boundary, origin)
+    return Configuration(np.array([s.value for s in symbols], dtype=np.int8))
 
 
 def symbols(cfg: Configuration) -> tuple[EnvSymbol, ...]:
@@ -118,10 +115,7 @@ def envelope_of_pair(cfg_a: Configuration, cfg_b: Configuration) -> Configuratio
         raise ValueError("envelope_of_pair takes binary rows")
     if cfg_a.width != cfg_b.width:
         raise ValueError(f"width mismatch: {cfg_a.width} != {cfg_b.width}")
-    if cfg_a.boundary is not cfg_b.boundary or cfg_a.origin != cfg_b.origin:
-        raise ValueError("rows must cover the same window")
-    cells = np.where(cfg_a.cells == cfg_b.cells, cfg_a.cells, np.int8(1))
-    return Configuration(cells, cfg_a.boundary, cfg_a.origin)
+    return Configuration(np.where(cfg_a.cells == cfg_b.cells, cfg_a.cells, np.int8(1)))
 
 
 # ------------------------------------------------------------------ stepping
@@ -141,29 +135,52 @@ def thresholds(a, b, c, params: Params, binary: bool):
 
 
 def neighbours(cfg: Configuration, offset: int):
-    """The (a, b, c) cells of each output site, by modular indexing for a cyclic
-    row, and the output row's absolute origin and width."""
-    cells, width = cfg.cells, cfg.width
-    if cfg.boundary is Boundary.CYCLIC:
-        a, b, c = (cells[..., [(n + offset + k) % width for n in range(width)]]
-                   for k in range(3))
-        return a, b, c, cfg.origin, width
-    if width < 3:
-        raise ValueError("window exhausted: LightCone row narrower than 3 cells")
-    a, b, c = (cells[..., k:k + width - 2] for k in range(3))
-    return a, b, c, cfg.origin - offset, width - 2
+    """The (a, b, c) cells of each site of a cyclic row, by modular indexing."""
+    width = cfg.width
+    return tuple(cfg.cells[..., [(n + offset + k) % width for n in range(width)]]
+                 for k in range(3))
 
 
 def step(cfg: Configuration, model: ModelSpec, stream: SeededStream, t: int) -> Configuration:
     """One update with the cut points computed site by site from the cells: the
     binary automaton's when no row holds a ? (code 1), else the three-symbol
-    rule's."""
+    rule's; site n reads the variate keyed (t, n)."""
     binary = not (cfg.cells == 1).any()
-    a, b, c, out_origin, out_width = neighbours(cfg, model.offset)
+    a, b, c = neighbours(cfg, model.offset)
     t0, t1 = thresholds(a, b, c, model.params, binary)
-    u = u01_range(stream, t, out_origin, out_width)
-    out = (u >= t0).astype(np.int8) + (u >= t1).astype(np.int8)
-    return Configuration(out, cfg.boundary, out_origin)
+    u = u01_range(stream, t, 0, cfg.width)
+    return Configuration((u >= t0).astype(np.int8) + (u >= t1).astype(np.int8))
+
+
+def read_window(cells: np.ndarray, origin: int, count: int) -> np.ndarray:
+    """Sites origin..origin+count-1 of the periodic line that the cyclic row
+    ``cells`` is one period of."""
+    width = cells.shape[-1]
+    return cells[..., [(origin + j) % width for j in range(count)]]
+
+
+def light_cone(cfg: Configuration, offset: int, steps: int) -> tuple[np.ndarray, int]:
+    """The cells and origin of the window of the periodic line whose light cone
+    after ``steps`` updates is one period starting at site 0."""
+    origin = offset * steps
+    return read_window(cfg.cells, origin, cfg.width + 2 * steps), origin
+
+
+def window_step(cells: np.ndarray, origin: int, period: int, model: ModelSpec,
+                stream: SeededStream, t: int) -> tuple[np.ndarray, int]:
+    """One update of a window of the periodic line, by slicing: output cell j
+    reads window cells j, j+1, j+2, so the window loses 2 cells and its origin
+    moves by -offset; site n reads the variate keyed (t, n mod period)."""
+    width = cells.shape[-1]
+    if width < 3:
+        raise ValueError("window exhausted: narrower than 3 cells")
+    binary = not (cells == 1).any()
+    a, b, c = (cells[..., k:k + width - 2] for k in range(3))
+    t0, t1 = thresholds(a, b, c, model.params, binary)
+    out_origin = origin - model.offset
+    sites = np.array([(out_origin + j) % period for j in range(width - 2)], dtype=np.int64)
+    u = (key_u64(stream._seed_u64(), t, sites) >> np.uint64(11)) * 2.0**-53
+    return (u >= t0).astype(np.int8) + (u >= t1).astype(np.int8), out_origin
 
 
 # ------------------------------------------------------------------ game
@@ -468,7 +485,7 @@ def closed_form_json(res: ClosedFormResult) -> dict:
         "value": frac_str(res.value),
         "components": {k: frac_str(v) for k, v in res.components},
         "fully_specified": res.fully_specified,
-        "pass": res.remainders_nonnegative,
+        "pass": res.passed,
     }
 
 
@@ -567,18 +584,18 @@ def closed_form(name: str, mu: TIMeasure, params: Params) -> ClosedFormResult:
         raise ValueError("closed forms assume a reflection-invariant measure")
     p, q, r = params.p, params.q, params.r
     c = lambda text: cylinder_prob(mu, text)  # noqa: E731
+    push = pushforward_cylinder(mu, name, params)
 
     def result(value: Fraction, comps: tuple[tuple[str, Fraction], ...],
                fully: bool) -> ClosedFormResult:
         names = tuple(k for k, _ in comps)
         return ClosedFormResult(name, params, mu.name, names,
-                                *over_one_den([value, *(v for _, v in comps)]), fully)
+                                *over_one_den([value, *(v for _, v in comps), push]), fully)
 
     def full(value: Fraction, *extra: tuple[str, Fraction]) -> ClosedFormResult:
         return result(value, (("written", value),) + extra, True)
 
     def partial(written: Fraction) -> ClosedFormResult:
-        push = pushforward_cylinder(mu, name, params)
         return result(push, (("written", written), ("C", push - written)), False)
 
     if name == "?":
@@ -604,7 +621,6 @@ def closed_form(name: str, mu: TIMeasure, params: Params) -> ClosedFormResult:
     if name == "10?":
         c_term = q * p * r * c("1 [0?] ***") + q * (1 - q) * r * c("1 ***")
         written = (1 - p) * p * r * c("0 0 0 **") + c_term
-        push = pushforward_cylinder(mu, name, params)
         return result(push, (("written", written), ("C", c_term), ("D", push - written)), False)
     if name == "1??":
         return partial((1 - p) * r * r * c("0 0 0 ? [0?]"))

@@ -362,20 +362,20 @@ def test_verify_lemmas_coarse(capsys):
 
 
 def test_verify_formulas_computes_each_pushforward_once(capsys, monkeypatch):
-    # a partially specified entry's value is its pushforward already, so only
-    # the fully specified entries call pushforward_cylinder for the comparison
-    from percolab import cli
+    # the pushforward is one row of each entry's plan, which a partially
+    # specified entry's value shares, so every comparison reads it once
+    from percolab import measures
 
     called = []
-    pushforward = cli.pushforward_cylinder
-    monkeypatch.setattr(cli, "pushforward_cylinder",
+    pushforward = measures.pushforward_cylinder
+    monkeypatch.setattr(measures, "pushforward_cylinder",
                         lambda mu, fid, params: called.append(fid) or pushforward(mu, fid, params))
     code, out = run_cli(capsys, "verify", "formulas", "--measures", "0")
     report = json.loads(out)
     assert code == 0 and report["pass"] is True
     assert report["comparisons"] == 3 * 20 * 13  # 3 point masses x 20 points x 13 entries
-    assert sorted(set(called)) == sorted(("?", "0?", "?0?", "1?", "100?", "000?"))
-    assert len(called) == 3 * 20 * 6
+    assert sorted(set(called)) == sorted(measures.CLOSED_FORM_IDS)
+    assert len(called) == 3 * 20 * 13
 
 
 def test_verify_lemmas_builds_each_law_and_verdict_once_per_point(capsys, monkeypatch):
@@ -443,7 +443,8 @@ def test_verify_failures_are_listed_measure_by_measure(capsys, monkeypatch):
 
     def negative_remainder(fid, mu, params):
         res = closed(fid, mu, params)
-        return dataclasses.replace(res, names=("C",), nums=(res.nums[0], -1))  # C = -1/den
+        # C = -1/den, between the value and the pushforward
+        return dataclasses.replace(res, names=("C",), nums=(res.nums[0], -1, res.nums[-1]))
 
     monkeypatch.setattr(cli, "verify_master_inequality", negative_slack)
     monkeypatch.setattr(cli, "closed_form", negative_remainder)
@@ -460,8 +461,8 @@ def test_verify_failures_are_listed_measure_by_measure(capsys, monkeypatch):
     assert code == 1
     assert [(f["measure"], f["p"], f["q"], f["formula"])
             for f in json.loads(out)["failures"]] == \
-        [(name, measures.frac_str(params.p), measures.frac_str(params.q), fid)
-         for name in names for params in measures.FORMULA_GRID
+        [(name, measures.frac_str(p), measures.frac_str(q), fid)
+         for name in names for p, q in measures.FORMULA_GRID
          for fid in measures.CLOSED_FORM_IDS]
 
 
@@ -527,20 +528,40 @@ def test_game_sweep_holds_one_point_at_a_time(capsys, monkeypatch):
 
 
 def test_verify_formulas_builds_each_point_once(capsys, monkeypatch):
-    # one kernel and one compiled entry per (catalog entry, point), though
-    # the measures are walked outside the points
+    # one kernel and one compiled entry per (catalog entry, point), with every
+    # measure walked at each point in turn
     from percolab import measures
 
-    for params in measures.FORMULA_GRID:  # module-level points keep their memos
-        params.memo.clear()
     measures._pushforward_kernel.cache_clear()
     built = _count_compiles(monkeypatch, measures)
     code, out = run_cli(capsys, "verify", "formulas", "--measures", "1")
     assert code == 0 and json.loads(out)["measures"] > 1
     entries = len(measures.CLOSED_FORM_IDS)
     assert measures._pushforward_kernel.cache_info().misses == entries * len(measures.FORMULA_GRID)
-    assert built == [(params.p, params.q) for params in measures.FORMULA_GRID
-                     for _ in range(entries)]
+    assert built == [point for point in measures.FORMULA_GRID for _ in range(entries)]
+
+
+def test_verify_formulas_holds_one_point(capsys, monkeypatch):
+    # a point, with the kernels and compiled entries it keeps, is freed once
+    # every measure has been read at it
+    from percolab import measures
+
+    made, _, alive = _track_points(monkeypatch)
+    code, _ = run_cli(capsys, "verify", "formulas", "--measures", "0")
+    assert code == 0
+    assert made == list(measures.FORMULA_GRID)
+    assert alive == [0] + [1] * (len(measures.FORMULA_GRID) - 1)
+
+
+def test_verify_formulas_reads_the_rule_table_of_each_run(capsys, monkeypatch):
+    # each run makes its points afresh, so nothing built under one table is
+    # read under the next: a table rotated between two runs in one
+    # interpreter fails the second
+    from percolab import core
+
+    assert run_cli(capsys, "verify", "formulas", "--measures", "1")[0] == 0
+    monkeypatch.setattr(core, "CLASS_LAWS", core.CLASS_LAWS[1:] + core.CLASS_LAWS[:1])
+    assert run_cli(capsys, "verify", "formulas", "--measures", "1")[0] == 1
 
 
 def test_verify_tables_sampled(capsys):

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from percolab import core, measures
+from percolab import core
 from percolab.cli import main
 
 
@@ -36,21 +36,9 @@ TABLE_CHECKS = (("lemmas", "--grid", "fine"), ("kernel", "--p", "1/4", "--q", "1
                 ("formulas", "--measures", "1"), ("weights", "--measures", "1", "--grid", "1/4"))
 
 
-@pytest.fixture
-def fresh_formula_grid():
-    """The module-level formula points hold their kernels in their memos; they
-    are emptied before and after, so no kernel built under one table is read
-    under another."""
-    for params in measures.FORMULA_GRID:
-        params.memo.clear()
-    yield
-    for params in measures.FORMULA_GRID:
-        params.memo.clear()
-
-
 @pytest.mark.parametrize("defect", TABLE_DEFECTS.values(), ids=TABLE_DEFECTS.keys())
 @pytest.mark.parametrize("check", TABLE_CHECKS, ids=lambda argv: argv[0])
-def test_a_defective_rule_table_fails_every_check(monkeypatch, fresh_formula_grid, defect, check):
+def test_a_defective_rule_table_fails_every_check(monkeypatch, defect, check):
     monkeypatch.setattr(core, "CLASS_LAWS", defect(core.CLASS_LAWS))
     assert main(["verify", *check]) == 1
 

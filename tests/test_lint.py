@@ -152,6 +152,47 @@ def test_exact_modules_hold_no_float():
     assert not found, f"floats in the exact modules: {found}"
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _unread_parameters(tree):
+    """(line, function, parameter) of each parameter of a ``def`` that its
+    body never reads.  A method's receiver, the first parameter of a ``def``
+    in a class body that is not a staticmethod, is not counted: the caller
+    does not pass it."""
+    receivers = set()
+    for cls in ast.walk(tree):
+        for node in cls.body if isinstance(cls, ast.ClassDef) else ():
+            if isinstance(node, _DEFS) and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list):
+                receivers.update(id(a) for a in (node.args.posonlyargs + node.args.args)[:1])
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, _DEFS):
+            args = node.args
+            params = [a for a in (*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs,
+                                  args.kwarg) if a is not None and id(a) not in receivers]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            found += [(node.lineno, node.name, a.arg) for a in params if a.arg not in read]
+    return found
+
+
+# perfbench/spans.py wraps classify_line with a three-argument wrapper that a
+# traced run calls positionally, so its unread ``version`` stays
+_UNREAD_PARAMETERS_KEPT = {("game.py", "classify_line", "version")}
+
+
+def test_every_parameter_in_src_is_read():
+    # a parameter that no line of its function reads is one that every
+    # caller must still pass for nothing
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line} {func}({arg})" for line, func, arg in _unread_parameters(tree)
+                  if (path.name, func, arg) not in _UNREAD_PARAMETERS_KEPT]
+    assert not found, f"parameters that their function never reads: {found}"
+
+
 def _storing_cache(decorator):
     """Whether a decorator is functools' ``cache`` or an ``lru_cache`` that
     stores entries: any but ``lru_cache(maxsize=0)``, which only counts calls."""

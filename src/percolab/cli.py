@@ -8,7 +8,9 @@ every check they ran passed.
 numpy and the layers built on it (``pca``, ``game``) are imported only for the
 commands that step rows: ``simulate``, ``game``, ``sweep``, ``verify kernel``
 and ``verify stationary``.  The other ``verify`` checks are exact arithmetic
-and run without numpy.
+and run without numpy.  Likewise ``measures`` is imported only for the checks
+that read it (``formulas``, ``tables``, ``weights``, ``stationary``) and
+``orders`` only for ``verify lemmas``.
 
 Two things keep the fixed cost that every command pays low.  Importing this
 module registers ``gc.freeze`` to run at exit: the interpreter's shutdown
@@ -36,18 +38,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import EnvSymbol, Params, as_fraction
-from .measures import (
-    CLOSED_FORM_IDS,
-    FORMULA_GRID,
-    closed_form,
-    empirical_measure,
-    frac_str,
-    sampled_measures,
-    stationary_conclusion_check,
-    verify_master_inequality,
-    verify_table_inequality,
-)
-from .orders import verify_lemma
 
 # atexit handlers run after every command's output is written, and no command
 # collects generation 2 before then
@@ -280,6 +270,8 @@ def cmd_game(cfg: RunConfig) -> int:
 # ------------------------------------------------------------------ verify
 
 def _verify_lemmas(cfg: RunConfig) -> dict:
+    from .orders import verify_lemma
+
     if cfg.grid == "coarse":
         points = [Params(p, q) for p, q in _COARSE_GRID]
     else:
@@ -301,6 +293,8 @@ def _verify_kernel(cfg: RunConfig) -> dict:
 
 
 def _verify_formulas(cfg: RunConfig) -> dict:
+    from .measures import CLOSED_FORM_IDS, FORMULA_GRID, closed_form, frac_str, sampled_measures
+
     _measure_count(cfg)
     mus = sampled_measures(cfg.measures, cfg.seed)
     # points outside measures, so each point and all it keeps is freed when done
@@ -323,6 +317,8 @@ def _verify_formulas(cfg: RunConfig) -> dict:
 
 
 def _verify_tables(cfg: RunConfig) -> dict:
+    from .measures import sampled_measures, verify_table_inequality
+
     _measure_count(cfg)
     mus = sampled_measures(cfg.measures, cfg.seed)
     reports = [verify_table_inequality(which, mu).to_json_dict()
@@ -332,6 +328,8 @@ def _verify_tables(cfg: RunConfig) -> dict:
 
 
 def _verify_weights(cfg: RunConfig) -> dict:
+    from .measures import frac_str, sampled_measures, verify_master_inequality
+
     n = 1 // cfg.grid  # the axis is 0, step, ..., n * step; p + q <= 1 iff i + j <= n
     count = (n + 1) * (n + 2) // 2 - 1
     _check_points(count, f"verify weights: grid step {cfg.grid}")
@@ -360,6 +358,7 @@ def _verify_weights(cfg: RunConfig) -> dict:
 
 
 def _verify_stationary(cfg: RunConfig) -> dict:
+    from .measures import empirical_measure, stationary_conclusion_check
     from .pca import Configuration, ModelSpec, SeededStream, step
 
     params = Params(cfg.p, cfg.q)
@@ -498,26 +497,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The commands that step rows, by their command words.
-_ROW_COMMANDS = {("simulate",), ("game",), ("sweep",), ("verify", "kernel"),
-                 ("verify", "stationary")}
+# The layers each command reads besides core, by its command words: ``game``
+# (which imports pca and numpy) for the commands that step rows, ``measures``
+# and ``orders`` for the checks that read them.
+_COMMAND_LAYERS = {
+    ("simulate",): (".game",), ("game",): (".game",), ("sweep",): (".game",),
+    ("verify", "kernel"): (".game",), ("verify", "stationary"): (".game", ".measures"),
+    ("verify", "lemmas"): (".orders",), ("verify", "formulas"): (".measures",),
+    ("verify", "tables"): (".measures",), ("verify", "weights"): (".measures",),
+}
 
 
-def _steps_rows(argv: Sequence[str]) -> bool:
-    """Whether ``argv`` names one of ``_ROW_COMMANDS``.  Neither ``percolab``
-    nor ``verify`` takes an option before its command word, so the command
-    words are the first words that are not options."""
+def _layers(argv: Sequence[str]) -> tuple[str, ...]:
+    """The ``_COMMAND_LAYERS`` of the command ``argv`` names, if any.  Neither
+    ``percolab`` nor ``verify`` takes an option before its command word, so
+    the command words are the first words that are not options."""
     words = tuple(arg for arg in argv if not arg.startswith("-"))
-    return words[:1] in _ROW_COMMANDS or words[:2] in _ROW_COMMANDS
+    return _COMMAND_LAYERS.get(words[:1]) or _COMMAND_LAYERS.get(words[:2], ())
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if _steps_rows(argv):
-        # imported before the parser is built, so that the import counts as
-        # start-up and not as the command's run; the commands' own imports
-        # from these layers then cost a dictionary lookup
-        importlib.import_module(".game", __package__)  # imports pca and numpy too
+    # imported before the parser is built, so that the import counts as
+    # start-up and not as the command's run; the commands' own imports from
+    # these layers then cost a dictionary lookup
+    for layer in _layers(argv):
+        importlib.import_module(layer, __package__)
     try:
         cfg = build_parser().parse_args(argv)
         return cfg.func(cfg)

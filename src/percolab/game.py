@@ -29,19 +29,22 @@ cone, so a sample's base site leaves D at its coupling-from-the-past
 coalescence time.
 
 One downward pass serves every requested horizon, hashing the labels once per
-(sample, line). Classes only refine as the horizon grows and a resolved site
-keeps its value, so of the m horizons entered so far (h enters, all-D, at its
-frontier line h - 1) a site is D at the d smallest and W, or L, at the other
-m - d: one code, 1 - (m - d) or 1 + (m - d), holds them all, and 1 (D) means D
-at every one. Labelled trap 1 - m, open 1 and target 1 + m, `classify_line`'s
-own rule inducts every horizon at once. A row is dropped once every code in it
-is 1 +- m: no horizon holds a D there, and a D-free line stays D-free (an open
-site is D only next to a D, and trap and target sites are never D). When a
-horizon enters no code changes, only m; dropped rows come back as 1 - m, W at
-the older horizons and D at the new one. Samples are also processed in chunks
-of bounded size. Dropping and chunking are exact because a label is a
-counter-based function of (sample seed, line, site): which other samples are
-present, and in which chunk, changes no sample's labels.
+(sample, line). ``pca.u01_block`` reads each label against the cuts p and
+1 - q while its variate's tile is still in cache and hands back int8 codes, so
+no line's uint64 variate block is ever held: a line costs one byte per site,
+or two past 126 horizons. Classes only refine as the horizon grows and a
+resolved site keeps its value, so of the m horizons entered so far (h enters,
+all-D, at its frontier line h - 1) a site is D at the d smallest and W, or L,
+at the other m - d: one code, 1 - (m - d) or 1 + (m - d), holds them all, and
+1 (D) means D at every one. Labelled trap 1 - m, open 1 and target 1 + m,
+`classify_line`'s own rule inducts every horizon at once. A row is dropped
+once every code in it is 1 +- m: no horizon holds a D there, and a D-free line
+stays D-free (an open site is D only next to a D, and trap and target sites
+are never D). When a horizon enters no code changes, only m; dropped rows come
+back as 1 - m, W at the older horizons and D at the new one. Samples are also
+processed in chunks of bounded size. Dropping and chunking are exact because a
+label is a counter-based function of (sample seed, line, site): which other
+samples are present, and in which chunk, changes no sample's labels.
 """
 
 from __future__ import annotations
@@ -87,20 +90,6 @@ class GameClass(IntEnum):
     L = 2
 
 
-def _labels(k: np.ndarray, cuts: tuple[np.uint64, np.uint64, np.uint64], m: int = 1,
-            dtype=np.int8) -> np.ndarray:
-    """Site labels of the variates ``k``, by inverse CDF at the cuts p and
-    1 - q of ``cuts``, the ``variate_cuts`` of the parameters, as the codes
-    1 - m (trap), 1 (open) and 1 + m (target): with m = 1 these are the
-    `SiteLabel` codes."""
-    cut_p, _, cut_1q = cuts
-    labels = (k >= cut_p).astype(dtype)
-    labels -= k < cut_1q  # -1, 0, 1
-    labels *= m
-    labels += 1
-    return labels
-
-
 def classify_line(labels, next_classes, version: GameVersion) -> np.ndarray:
     """One backward-induction step: classes on a line from its own labels and
     the successor line's classes.
@@ -129,11 +118,16 @@ def classify_line(labels, next_classes, version: GameVersion) -> np.ndarray:
     # With W=0, D=1, L=2 an open site is W next to an L, L when all three
     # out-neighbours are W and D otherwise: 2 - max(n0, n1, n2).  A trap is W
     # and a target L, the codes of their labels.  So the class is
-    # label + (label is open) * (1 - max).
+    # label + (label is open) * (1 - max).  The open mask compares with the
+    # int 1, in the labels' own type (an IntEnum member makes numpy compare
+    # in int64), and is made before the classes, so that the classes are the
+    # newest block: glibc then has no line-sized hole above them to trim and
+    # fault back in on the next line.
+    is_open = labels == 1
     cls = np.maximum(nxt[..., :-2], nxt[..., 1:-1], dtype=np.result_type(labels, nxt))
     np.maximum(cls, nxt[..., 2:], out=cls)
     np.subtract(1, cls, out=cls)
-    cls *= labels == SiteLabel.OPEN
+    cls *= is_open
     cls += labels
     return cls
 
@@ -209,9 +203,20 @@ def kernel_correspondence(version: GameVersion, params: Params) -> KernelReport:
 
 # ------------------------------------------------------------- draw estimates
 
-# Cells of one chunk's code line: bounds the per-line temporaries of the hash
-# and the classification (several 8-byte arrays of this many entries).  A
-# horizon whose widest line alone exceeds it is rejected.
+def _holds_d(codes: np.ndarray, m: int) -> np.ndarray:
+    """Whether each packed code c (module docstring) of m horizons is D at
+    one of them, 1 - m < c < 1 + m, as one unsigned compare: on the codes'
+    unsigned view, c - (2 - m) modulo 2**bits is below 2m - 1 exactly then.
+    Every code lies in [1 - m, 1 + m], so the shift wraps only 1 - m."""
+    unsigned = codes.view(f"u{codes.itemsize}")
+    shifted = unsigned + unsigned.dtype.type((m - 2) % (1 << 8 * codes.itemsize))
+    return shifted < 2 * m - 1
+
+
+# Cells of one chunk's code line: bounds the per-line arrays of the labels and
+# the classification (a few int8, or int16, arrays of this many entries; the
+# hash works in tiles of its own).  A horizon whose widest line alone exceeds
+# it is rejected.
 _CELL_BUDGET = 1 << 20
 
 
@@ -230,9 +235,11 @@ def _count_draws(
     The pass walks the lines from H - 1 down to 0, H the largest horizon, with
     ``codes`` the packed classes (module docstring) of the ``live`` rows on the
     line below, 1 + 2(s + 1) wide at line s, for the m positive horizons
-    entered so far. The horizon of rank i (0 = smallest positive) counts the
-    base codes c with m - |c - 1| > i. Horizon 0 has no line to walk: its base
-    site is the frontier, always D, so it counts every sample and makes no seeds.
+    entered so far; a row stays while one of its codes holds a D at some
+    horizon (``_holds_d``). The horizon of rank i (0 = smallest positive)
+    counts the base codes c with m - |c - 1| > i. Horizon 0 has no line to
+    walk: its base site is the frontier, always D, so it counts every sample
+    and makes no seeds.
     Samples run in chunks of at most _CELL_BUDGET cells of the widest line, and
     a chunk's seeds are made when it starts, so memory does not grow with
     ``samples``.
@@ -244,7 +251,7 @@ def _count_draws(
     if not levels:
         return draws
     top = levels[0]
-    cuts = variate_cuts(params)
+    cut_p, _, cut_1q = variate_cuts(params)
     # the narrowest signed type holding every code 1 +- m: int8 up to 126 horizons
     dtype = np.min_scalar_type(-2 - len(levels))
     rows = _CELL_BUDGET // (1 + 2 * top)
@@ -257,20 +264,24 @@ def _count_draws(
                 if live.size:
                     entered[live] = codes
                 codes, live = entered, np.arange(seeds.size)
+                del entered  # else it keeps this line's codes alive to the next entry
                 m += 1
-            kept = (np.abs(codes - 1) < m).any(axis=1)
+            kept = _holds_d(codes, m).any(axis=1)
             if not kept.all():
                 codes, live = codes[kept], live[kept]
             if not live.size:
                 if m == len(levels):
                     break
                 continue
-            # passed straight through: no local keeps a line's variates alive
-            # while the next line is hashed
-            codes = classify_line(
-                _labels(u01_block(seeds[live], s, s * version.offset, 1 + 2 * s),
-                        cuts, m, dtype),
-                codes, version)
+            # the line's SiteLabel codes 0, 1, 2, spread to 1 - m, 1, 1 + m
+            labels = u01_block(seeds[live], s, s * version.offset, 1 + 2 * s, (cut_p, cut_1q))
+            if m > 1:
+                labels = labels.astype(dtype, copy=False)
+                labels -= 1
+                labels *= m
+                labels += 1
+            codes = classify_line(labels, codes, version)
+            del labels  # else it keeps this line's labels alive through the next hash
         depth = m - np.abs(codes[:, 0] - 1)
         for rank, h in enumerate(reversed(levels)):
             draws[h] += int(np.count_nonzero(depth > rank))

@@ -448,25 +448,32 @@ class _Plan(NamedTuple):
 
     Basis value j is a cylinder (``spans[j]`` = 0) or a pushforward of span
     ``spans[j]``.  ``degree`` is E, the largest degree plus span of a nonzero
-    term.  Each row (idx, coefs) is one functional.  With p = a/s and q = b/s,
-    its coefficient on basis value idx[t], lifted to the one denominator s^E,
-    is the sum of c * a^i * b^k * s^l over the terms (c, i, k, l) of coefs[t],
-    where i + k + l = E - spans[idx[t]].
+    term.  Each row (idx, coefs) is one distinct functional.  With p = a/s and
+    q = b/s, its coefficient on basis value idx[t], lifted to the one
+    denominator s^E, is the sum of c * a^i * b^k * s^l over the terms
+    (c, i, k, l) of coefs[t], where i + k + l = E - spans[idx[t]].  ``order``
+    gives the row of each functional as the caller listed them: functionals
+    that are equal share one row.
     """
 
     keys: tuple[Key, ...]
     spans: tuple[int, ...]
     rows: tuple[tuple[tuple[int, ...], tuple[tuple[tuple[int, int, int, int], ...], ...]], ...]
     degree: int
+    order: tuple[int, ...]
 
 
 def _plan(forms: Sequence[Sparse]) -> _Plan:
-    """The functionals as a plan: a zero term leaves its row, and its key stays."""
+    """The functionals as a plan: a zero term leaves its row, and its key stays;
+    equal functionals (as a fully specified closed form's value and written
+    part are) make one row."""
     keys = tuple(dict.fromkeys(key for form in forms for key, _, _ in form.terms
                                if key is not None))
     spans = tuple(_event(text).span if kind == "f" else 0 for kind, text in keys)
     index = {key: j for j, key in enumerate(keys)}
-    rows = []
+    rows: list[dict[int, list[tuple[int, int, int]]]] = []
+    seen: dict[frozenset, int] = {}  # each distinct functional's row
+    order = []
     for form in forms:
         row: dict[int, list[tuple[int, int, int]]] = {}
         for (key, i, k), c in form.terms.items():
@@ -474,12 +481,16 @@ def _plan(forms: Sequence[Sparse]) -> _Plan:
                 raise ValueError(f"a planned functional has the constant term {c} p^{i} q^{k}")
             if c:
                 row.setdefault(index[key], []).append((c, i, k))
-        rows.append(row)
+        functional = frozenset((j, frozenset(terms)) for j, terms in row.items())
+        if functional not in seen:
+            seen[functional] = len(rows)
+            rows.append(row)
+        order.append(seen[functional])
     degree = max((i + k + spans[j] for row in rows for j, terms in row.items()
                   for _, i, k in terms), default=0)
     return _Plan(keys, spans, tuple(
         (tuple(row), tuple(tuple((c, i, k, degree - spans[j] - i - k) for c, i, k in terms)
-                           for j, terms in row.items())) for row in rows), degree)
+                           for j, terms in row.items())) for row in rows), degree, tuple(order))
 
 
 class _Form(NamedTuple):
@@ -487,13 +498,14 @@ class _Form(NamedTuple):
 
     Basis value j of a measure mu is read as an integer numerator n[j] over
     ``scales[j] * mu.den``; functional i is then ``sum(coefs * n[idx]) /
-    (den * mu.den)`` for its row (idx, coefs).
+    (den * mu.den)`` for its row (idx, coefs) = ``rows[order[i]]``.
     """
 
     keys: tuple[Key, ...]
     scales: tuple[int, ...]
     rows: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     den: int
+    order: tuple[int, ...]
 
 
 def _compile(plan: _Plan, params: Optional[Params]) -> _Form:
@@ -509,14 +521,15 @@ def _compile(plan: _Plan, params: Optional[Params]) -> _Form:
     pa, pb, ps = ([x**n for n in range(plan.degree + 1)] for x in (a, b, s))
     rows = tuple((idx, tuple(sum([c * pa[i] * pb[k] * ps[l] for c, i, k, l in coef])
                              for coef in coefs)) for idx, coefs in plan.rows)
-    return _Form(plan.keys, tuple(s**span for span in plan.spans), rows, s**plan.degree)
+    return _Form(plan.keys, tuple(s**span for span in plan.spans), rows, s**plan.degree,
+                 plan.order)
 
 
 def _values(form: _Form, mu: TIMeasure, params: Optional[Params]) -> tuple[list[int], int]:
     """Each compiled functional on mu, as an integer numerator over the one
-    positive denominator ``form.den * mu.den``: one integer dot product each,
-    and no Fraction, so a caller decides a sign or an order on integers and
-    makes a Fraction only for a value it reports.
+    positive denominator ``form.den * mu.den``: one integer dot product per
+    distinct functional, and no Fraction, so a caller decides a sign or an
+    order on integers and makes a Fraction only for a value it reports.
 
     Cylinder values come through cylinder_prob once per (measure, text) and
     stay on the measure; pushforward values come through pushforward_cylinder,
@@ -534,8 +547,8 @@ def _values(form: _Form, mu: TIMeasure, params: Optional[Params]) -> tuple[list[
             value = pushforward_cylinder(mu, text, params)
             num = value.numerator * (scale * mu.den // value.denominator)
         nums.append(num)
-    return ([sum([a * nums[j] for j, a in zip(idx, coefs)]) for idx, coefs in form.rows],
-            form.den * mu.den)
+    sums = [sum([a * nums[j] for j, a in zip(idx, coefs)]) for idx, coefs in form.rows]
+    return [sums[i] for i in form.order], form.den * mu.den
 
 
 def _fractions(nums: Sequence[int], den: int) -> tuple[Fraction, ...]:
@@ -569,8 +582,9 @@ class ClosedFormResult:
 
     The values are kept as integer numerators ``nums`` (the value, one per
     component, then the pushforward) over the one positive denominator
-    ``den``.  ``passed`` decides on them; ``value``, ``components`` and
-    ``pushforward`` are made as Fractions only when read.
+    ``den``; two names for one functional read one computed numerator.
+    ``passed`` decides on them; ``value``, ``components`` and ``pushforward``
+    are made as Fractions only when read.
     """
 
     formula: str
@@ -662,7 +676,9 @@ def _closed_form_parts(name: str) -> tuple[bool, Sparse, tuple[tuple[str, Sparse
 @lru_cache(maxsize=None)
 def _closed_form_plan(name: str) -> tuple[bool, tuple[str, ...], _Plan]:
     """Whether the entry is fully specified, its component names, and its value,
-    its components and then its brute-force pushforward as a plan."""
+    its components and then its brute-force pushforward as a plan.  A fully
+    specified entry's value and written part are one functional, and so are
+    a partial entry's value and pushforward: each such pair shares a row."""
     fully, value, comps = _closed_form_parts(name)
     return fully, tuple(k for k, _ in comps), _plan((value, *(v for _, v in comps),
                                                      _pushforward(name)))

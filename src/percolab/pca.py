@@ -32,7 +32,11 @@ A row's hash XORs the (seed, t) prefix, hashed in Python ints, into the
 per-site keys of sites 0..width-1, which are cached, so a row builds them
 once; both sides carry the finalizer's first round already (``_site_keys``).
 ``u01_block`` hashes many streams in row tiles of at most ``_TILE`` variates,
-so its temporaries stay cache-sized however many streams it serves.
+in a tile and scratch array that the process makes once and reuses, so its
+temporaries stay cache-sized however many streams it serves.  Given cuts, it
+reads each tile's variates against them while the tile is still in cache and
+returns only int8 label codes (how many cuts each variate reaches): the
+game's labels, without a line's uint64 variate block.
 
 A configuration is one cyclic row, or a stack of cyclic rows of one width,
 at sites 0..width-1: ``step`` keeps the width and wraps indices, by copying
@@ -136,26 +140,51 @@ def _site_keys(n0: int, count: int) -> np.ndarray:
     return keys
 
 
-def u01_block(seeds: np.ndarray, t: int, n0: int, count: int) -> np.ndarray:
+@lru_cache(maxsize=1)
+def _tile_buffers(cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """A uint64 tile and its scratch array of ``cells`` entries each, made once
+    and lent to every ``u01_block`` call (percolab runs single-threaded).  One
+    entry suffices: every row up to ``_TILE`` wide asks for the same size."""
+    return np.empty(cells, dtype=_U64), np.empty(cells, dtype=_U64)
+
+
+def u01_block(seeds: np.ndarray, t: int, n0: int, count: int,
+              cuts: tuple[np.uint64, ...] | None = None) -> np.ndarray:
     """Variates for many streams at once: shape (len(seeds), count), keyed
     (t, n0+j); each is the 53-bit integer k of the uniform k * 2**-53.
 
+    With ``cuts``, integer cut points as made by ``variate_cuts``, each variate
+    is read as the number of cuts it reaches, an int8, while its tile is still
+    in cache: the variates themselves are never kept, so a caller that wants
+    only labels holds one int8 per variate.
+
     The rows are hashed in tiles of at most ``_TILE`` variates (one row at
-    least), all finalized with one tile-sized scratch array.
+    least), all finalized with one tile-sized scratch array.  Labels are
+    hashed in the process's reused tile (``_tile_buffers``); variates in
+    place in their output.
     """
     prefix = _finalize(seeds.reshape(-1) + _GOLD)
     prefix ^= _U64(_step_key(t))
     _finalize(prefix)
     prefix ^= prefix >> _U64(30)
     keys = _site_keys(n0, count)
-    out = np.empty((prefix.size, count), dtype=_U64)
+    out = np.empty((prefix.size, count), dtype=_U64 if cuts is None else np.int8)
     rows = max(1, _TILE // max(count, 1))
-    scratch = np.empty((min(rows, prefix.size), count), dtype=_U64)
+    buf, spare = _tile_buffers(max(_TILE, count))
     for r0 in range(0, prefix.size, rows):
-        tile = out[r0:r0 + rows]
-        np.bitwise_xor(prefix[r0:r0 + rows, None], keys, out=tile)
-        _finalize_tail(tile, scratch[:len(tile)])
+        part = prefix[r0:r0 + rows, None]
+        cells = part.size * count
+        tile = out[r0:r0 + rows] if cuts is None else buf[:cells].reshape(-1, count)
+        np.bitwise_xor(part, keys, out=tile)
+        _finalize_tail(tile, spare[:cells].reshape(tile.shape))
         np.right_shift(tile, _U64(11), out=tile)
+        if cuts is not None:
+            reached = out[r0:r0 + rows]
+            np.greater_equal(tile, cuts[0], out=reached.view(np.bool_))
+            also = spare.view(np.bool_)[:cells].reshape(tile.shape)
+            for cut in cuts[1:]:
+                np.greater_equal(tile, cut, out=also)
+                reached += also.view(np.int8)
     return out
 
 

@@ -155,12 +155,12 @@ class _Admitted(Exception):
     ("weights", "--measures", "0", "--grid", "1/445"),
 ], ids=" ".join)
 def test_documented_measure_counts_are_admitted(monkeypatch, argv):
-    from percolab import cli
+    from percolab import measures
 
     def admitted(per_family, seed):
         raise _Admitted
 
-    monkeypatch.setattr(cli, "sampled_measures", admitted)
+    monkeypatch.setattr(measures, "sampled_measures", admitted)
     with pytest.raises(_Admitted):
         main(["verify", *argv])
 
@@ -382,7 +382,7 @@ def test_verify_lemmas_builds_each_law_and_verdict_once_per_point(capsys, monkey
     # the class law masses are evaluated once per lemma and point, not once per
     # class pair, and each class pair's integer verdict is made once, not once
     # per triple pair
-    from percolab import cli, orders
+    from percolab import orders
     from percolab.core import Params
 
     builds = []
@@ -394,7 +394,7 @@ def test_verify_lemmas_builds_each_law_and_verdict_once_per_point(capsys, monkey
     monkeypatch.setattr(orders, "_class_pair_margins",
                         lambda *args: verdicts.append(args) or margins(*args))
     per_call = []
-    verify_lemma = cli.verify_lemma
+    verify_lemma = orders.verify_lemma
 
     def counting(which, params):
         before = len(verdicts)
@@ -402,7 +402,7 @@ def test_verify_lemmas_builds_each_law_and_verdict_once_per_point(capsys, monkey
         per_call.append(len(verdicts) - before)
         return report
 
-    monkeypatch.setattr(cli, "verify_lemma", counting)
+    monkeypatch.setattr(orders, "verify_lemma", counting)
     code, out = run_cli(capsys, "verify", "lemmas", "--grid", "fine")
     report = json.loads(out)
     assert code == 0 and report["points"] == 28
@@ -432,10 +432,10 @@ def test_verify_failures_are_listed_measure_by_measure(capsys, monkeypatch):
     # over measures outside points; both list failures measure by measure
     import dataclasses
 
-    from percolab import cli, measures
+    from percolab import measures
 
-    master = cli.verify_master_inequality
-    closed = cli.closed_form
+    master = measures.verify_master_inequality
+    closed = measures.closed_form
 
     def negative_slack(mu, params):
         rep = master(mu, params)
@@ -446,8 +446,8 @@ def test_verify_failures_are_listed_measure_by_measure(capsys, monkeypatch):
         # C = -1/den, between the value and the pushforward
         return dataclasses.replace(res, names=("C",), nums=(res.nums[0], -1, res.nums[-1]))
 
-    monkeypatch.setattr(cli, "verify_master_inequality", negative_slack)
-    monkeypatch.setattr(cli, "closed_form", negative_remainder)
+    monkeypatch.setattr(measures, "verify_master_inequality", negative_slack)
+    monkeypatch.setattr(measures, "closed_form", negative_remainder)
     names = [mu.name for mu in measures.sampled_measures(0, DEFAULT_SEED)]
 
     code, out = run_cli(capsys, "verify", "weights", "--measures", "0", "--grid", "1/2")
@@ -585,9 +585,9 @@ def test_min_overall_slack_compares_across_denominators(capsys, monkeypatch):
     # numerators without cross-multiplying would pick the first run's 1/1
     import dataclasses
 
-    from percolab import cli
+    from percolab import measures
 
-    master = cli.verify_master_inequality
+    master = measures.verify_master_inequality
     runs = []
 
     def rescaled(mu, params):
@@ -595,7 +595,7 @@ def test_min_overall_slack_compares_across_denominators(capsys, monkeypatch):
         runs.append(len(runs) + 1)
         return dataclasses.replace(rep, nums=(*rep.nums[:-1], runs[-1]), den=runs[-1] ** 2)
 
-    monkeypatch.setattr(cli, "verify_master_inequality", rescaled)
+    monkeypatch.setattr(measures, "verify_master_inequality", rescaled)
     code, out = run_cli(capsys, "verify", "weights", "--measures", "0", "--grid", "1/2")
     report = json.loads(out)
     assert code == 0 and report["runs"] == len(runs) == 15
@@ -938,7 +938,8 @@ import percolab.cli as cli
 imported = sorted(set(sys.modules) - before)
 
 def loaded():
-    return [name for name in ("numpy", "percolab.pca", "percolab.game") if name in sys.modules]
+    return [name for name in ("numpy", "percolab.pca", "percolab.game", "percolab.measures",
+                              "percolab.orders") if name in sys.modules]
 
 report = {"codes": [], "at_build_parser": []}
 build_parser = cli.build_parser
@@ -969,7 +970,7 @@ def test_exact_verify_commands_never_import_numpy():
                             ["verify", "tables", "--measures", "1"],
                             ["verify", "weights", "--measures", "1", "--grid", "1/2"])
     assert report["codes"] == [0, 0, 0, 0]
-    assert report["at_exit"] == []
+    assert report["at_exit"] == ["percolab.measures", "percolab.orders"]
 
 
 def test_importing_the_cli_skips_the_metadata_machinery():
@@ -1025,7 +1026,27 @@ def test_row_commands_import_numpy_before_the_parser_is_built(argv):
     # slow its work rate by the whole import
     report = _probe_modules(argv)
     assert report["codes"] == [0]
-    assert report["at_build_parser"] == [["numpy", "percolab.pca", "percolab.game"]]
+    measures = ["percolab.measures"] if argv[:2] == ["verify", "stationary"] else []
+    assert report["at_build_parser"] == [["numpy", "percolab.pca", "percolab.game", *measures]]
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["simulate", "--p", "1/4", "--q", "1/4", "--width", "20", "--steps", "3"],
+     ["numpy", "percolab.pca", "percolab.game"]),
+    (["verify", "kernel", "--version", "v1", "--p", "1/2", "--q", "1/4"],
+     ["numpy", "percolab.pca", "percolab.game"]),
+    (["verify", "lemmas"], ["percolab.orders"]),
+    (["verify", "formulas", "--measures", "1"], ["percolab.measures"]),
+    (["verify", "tables", "--measures", "1"], ["percolab.measures"]),
+    (["verify", "weights", "--measures", "1", "--grid", "1/2"], ["percolab.measures"]),
+], ids=lambda argv: " ".join(argv[:2]) if argv[0] == "verify" else argv[0])
+def test_each_command_imports_only_the_layers_it_reads(argv, layers):
+    # measures and orders are imported for the checks that read them, and
+    # before the parser is built, so their import is set-up for those checks
+    # and costs the other commands nothing
+    report = _probe_modules(argv)
+    assert report["codes"] == [0]
+    assert report["at_build_parser"] == [layers] and report["at_exit"] == layers
 
 
 # ------------------------------------------------------------------ process ends

@@ -17,7 +17,7 @@ from percolab.game import (
     kernel_correspondence,
     wilson_interval,
 )
-from percolab.pca import SeededStream, variate_cuts
+from percolab.pca import SeededStream
 
 from oracles import (
     CLASS_TABLE,
@@ -228,9 +228,9 @@ def test_pruned_chunked_draws_match_oracle(version, params, horizon, monkeypatch
     hashed_rows = []
     real_u01_block = game.u01_block
 
-    def spy(seeds, t, n0, count):
+    def spy(seeds, t, n0, count, *args):
         hashed_rows.append(seeds.size)
-        return real_u01_block(seeds, t, n0, count)
+        return real_u01_block(seeds, t, n0, count, *args)
 
     monkeypatch.setattr(game, "u01_block", spy)
     stream = SeededStream(61)
@@ -254,9 +254,9 @@ def test_slow_decay_partial_deaths_match_oracle(monkeypatch):
     hashed_rows = []
     real_u01_block = game.u01_block
 
-    def spy(seeds, t, n0, count):
+    def spy(seeds, t, n0, count, *args):
         hashed_rows.append(seeds.size)
-        return real_u01_block(seeds, t, n0, count)
+        return real_u01_block(seeds, t, n0, count, *args)
 
     monkeypatch.setattr(game, "u01_block", spy)
     stream = SeededStream(61)
@@ -354,9 +354,9 @@ def test_one_pass_matches_oracle_at_every_horizon(version, params, monkeypatch):
     hashed = []
     real_u01_block = game.u01_block
 
-    def spy(seeds, t, n0, count):
+    def spy(seeds, t, n0, count, *args):
         hashed.extend((int(seed), t) for seed in seeds)
-        return real_u01_block(seeds, t, n0, count)
+        return real_u01_block(seeds, t, n0, count, *args)
 
     monkeypatch.setattr(game, "u01_block", spy)
     stream = SeededStream(61)
@@ -381,9 +381,9 @@ def test_one_pass_hashes_each_line_once_per_sample(monkeypatch):
     hashed = []
     real_u01_block = game.u01_block
 
-    def spy(seeds, t, n0, count):
+    def spy(seeds, t, n0, count, *args):
         hashed.append(seeds.size * count)
-        return real_u01_block(seeds, t, n0, count)
+        return real_u01_block(seeds, t, n0, count, *args)
 
     monkeypatch.setattr(game, "u01_block", spy)
     ests = draw_fraction(GameVersion.V2, Params(0, 0), (3, 7, 5), 30, SeededStream(4))
@@ -483,16 +483,55 @@ def test_one_classify_line_call_inducts_every_nested_horizon(m, dtype):
         assert np.array_equal(_decode(packed, m), want)
 
 
-def test_packed_labels_are_the_site_labels_spread_by_m():
-    params = Params(Fraction(1, 4), Fraction(1, 4))
-    ks = SeededStream(3).u01_range(0, 0, 2000)
-    cuts = variate_cuts(params)
-    labels = game._labels(ks, cuts)
-    assert labels.dtype == np.int8 and set(np.unique(labels)) == {TRAP, OPEN, TARGET}
-    for m, dtype in ((1, np.int8), (126, np.int8), (127, np.int16), (4000, np.int16)):
-        packed = game._labels(ks, cuts, m, dtype)
-        assert packed.dtype == dtype
-        assert np.array_equal(packed, 1 + (labels.astype(np.intp) - 1) * m)
+def _packed_lines(horizons, monkeypatch):
+    """Each hash's (seeds, line, first site, width) and each line's labels as
+    classify_line got them, in order, in a V3 pass at p = q = 1/100 over 6
+    samples."""
+    hashed, packed = [], []
+    real_u01_block, real_classify_line = game.u01_block, game.classify_line
+
+    def hash_spy(seeds, t, n0, count, *args):
+        hashed.append((seeds.copy(), t, n0, count))
+        return real_u01_block(seeds, t, n0, count, *args)
+
+    def classify_spy(labels, next_classes, version):
+        packed.append(labels.copy())
+        return real_classify_line(labels, next_classes, version)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(game, "u01_block", hash_spy)
+        patch.setattr(game, "classify_line", classify_spy)
+        draw_fraction(GameVersion.V3, Params(Fraction(1, 100), Fraction(1, 100)), horizons, 6,
+                      SeededStream(3))
+    return hashed, packed
+
+
+def test_packed_labels_are_the_site_labels_spread_by_m(monkeypatch):
+    # each line's labels reach classify_line in the codes' dtype (int8, or
+    # int16 past 126 horizons) as the oracle's SiteLabel codes spread to
+    # 1 - m, 1 and 1 + m, where m counts the horizons entered by then
+    params = Params(Fraction(1, 100), Fraction(1, 100))
+    for horizons, dtype in (((9, 3, 6), np.int8), (tuple(range(1, 141)), np.int16)):
+        hashed, packed = _packed_lines(horizons, monkeypatch)
+        assert len(hashed) == len(packed) == max(horizons)
+        for (seeds, t, n0, count), labels in zip(hashed, packed):
+            m = sum(1 for h in horizons if h > t)
+            want = np.stack([sample_labels(params, SeededStream(int(seed)), t, n0, count)
+                             for seed in seeds])
+            assert labels.dtype == (dtype if m > 1 else np.int8)  # m = 1: the codes themselves
+            assert np.array_equal(labels, 1 + (want.astype(np.intp) - 1) * m), (horizons, t)
+    assert max(int(labels.max()) for labels in packed) > 127
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16])
+def test_the_unsigned_d_scan_is_the_abs_form(dtype):
+    # a packed code c of m horizons holds a D at one of them iff |c - 1| < m;
+    # _holds_d decides it with one unsigned compare, for every code 1 - m..1 + m
+    for m in range(1, 141 if dtype == np.int16 else 127):
+        codes = np.arange(1 - m, 2 + m).astype(dtype).reshape(-1, 1)
+        want = np.abs(codes.astype(np.intp) - 1) < m
+        got = game._holds_d(codes, m)
+        assert got.dtype == np.bool_ and np.array_equal(got, want), m
 
 
 def test_more_horizons_than_int8_codes_hold_match_single_runs():
@@ -508,9 +547,11 @@ def test_more_horizons_than_int8_codes_hold_match_single_runs():
 
 
 def test_no_line_outlives_its_classification():
-    # the largest line's variates, 1000 x 399 x 8 B, are the pass's largest
-    # array; holding the previous line's block while the next one is hashed
-    # takes the peak to about 2.5 of it
+    # the hash reads each tile's labels in cache, so no line's uint64 variate
+    # block, 1000 x 399 x 8 B, is ever made: the whole pass, its int8 lines and
+    # the hash's reused tile included, peaks below that one block (holding a
+    # block of the previous line while the next one was hashed took the peak
+    # to about 2.5 of it)
     block = 1000 * 399 * 8
     params = Params(Fraction(1, 100), Fraction(1, 100))
     tracemalloc.start()
@@ -519,4 +560,4 @@ def test_no_line_outlives_its_classification():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.75 * block
+    assert peak < block

@@ -1,6 +1,7 @@
 """Source rules that no runtime test can see."""
 
 import ast
+import enum
 import re
 from pathlib import Path
 
@@ -223,3 +224,49 @@ def test_no_module_cache_holds_a_point():
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                   and _takes_params(node) and any(map(_storing_cache, node.decorator_list))]
     assert not found, f"caches keyed on a Params: {found}"
+
+
+_ORDERING = (ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+_COMPARE_UFUNCS = {"equal", "not_equal", "less", "less_equal", "greater", "greater_equal"}
+
+
+def _enum_member_compares(tree, namespace):
+    """(line, member) of each ==, !=, <, <=, >, >= or numpy comparison ufunc
+    call with an operand ``E.X``, where ``E`` is an Enum class of
+    ``namespace``."""
+
+    def member(node):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and isinstance(namespace.get(node.value.id), type)
+                and issubclass(namespace[node.value.id], enum.Enum)):
+            return f"{node.value.id}.{node.attr}"
+        return None
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and any(isinstance(op, _ORDERING) for op in node.ops):
+            operands = [node.left, *node.comparators]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in _COMPARE_UFUNCS):
+            operands = node.args
+        else:
+            continue
+        found += [(node.lineno, name) for name in map(member, operands) if name]
+    return found
+
+
+def test_no_numpy_compare_with_an_enum_member_in_the_row_layers():
+    # numpy compares an int8 array with an IntEnum member in int64, which made
+    # classify_line's open mask over ten times slower than a compare with the
+    # int 1; the row layers compare arrays with plain ints, and a Python-level
+    # test of an enum uses ``is`` or ``in``
+    import percolab.game
+    import percolab.pca
+
+    found = []
+    for module in (percolab.pca, percolab.game):
+        path = Path(module.__file__)
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line} {name}"
+                  for line, name in _enum_member_compares(tree, vars(module))]
+    assert not found, f"comparisons with an enum member: {found}"

@@ -955,6 +955,27 @@ def test_plans_read_every_basis_value_their_transcriptions_name():
     assert [len(measures._table_form(which)[2].keys) for which in ("ineq_1", "ineq_2")] == [30, 37]
 
 
+def test_no_plan_has_two_equal_rows():
+    # an entry that names one functional twice (a fully specified value is its
+    # written part, a partial one's value is its pushforward; the stationarity
+    # check's mu(?) is also a forced cylinder) computes it once
+    plans = {"master": measures._master_plan()[1], "weights": measures._weight_plan(),
+             **{f"stationary {b}": measures._stationary_plan(b) for b in measures._FORCED},
+             **{name: measures._closed_form_plan(name)[2] for name in CLOSED_FORM_IDS}}
+    for name, plan in plans.items():
+        rows = [{j: frozenset(coef) for j, coef in zip(*row)} for row in plan.rows]
+        assert all(a != b for a, b in itertools.combinations(rows, 2)), name
+        assert sorted(set(plan.order)) == list(range(len(plan.rows))), name
+    for name in CLOSED_FORM_IDS:
+        fully, names, plan = measures._closed_form_plan(name)
+        assert len(plan.order) == len(names) + 2
+        value, written, pushforward = plan.order[0], plan.order[1], plan.order[-1]
+        assert (value == written, value == pushforward) == (fully, not fully), name
+    c = measures._cylinder
+    plan = measures._plan([c("?"), c("0?") + c("?"), c("?") + c("0?"), c("?")])
+    assert plan.order == (0, 1, 1, 0) and len(plan.rows) == 2
+
+
 def test_a_zero_coefficient_keeps_its_key_and_leaves_its_row():
     c, p = measures._cylinder, measures._P
     plan = measures._plan([c("?") + (p - p) * c("0?") + 0 * measures._pushforward("1?")])

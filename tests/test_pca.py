@@ -7,7 +7,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from percolab import game
 from percolab.core import TRIPLE_CLASSES, EnvSymbol, Params, TripleClass
 from percolab.measures import FORMULA_GRID
 from percolab.pca import (
@@ -122,6 +121,30 @@ def test_u01_block_tiles_match_the_oracle(count, n0):
         want = oracles.key_u64(seeds[:rows].reshape(-1, 1), 9, sites) >> np.uint64(11)
         got = u01_block(seeds[:rows], 9, n0, count)
         assert got.shape == (rows, count) and got.tobytes() == want.tobytes()
+        # cuts at two hashed variates: a variate at a cut reaches it
+        cuts = tuple(np.sort(want, axis=None)[[count // 3, count - 2]])
+        reached = (want >= cuts[0]).astype(np.int8) + (want >= cuts[1])
+        assert np.array_equal(u01_block(seeds[:rows], 9, n0, count, cuts), reached)
+
+
+@pytest.mark.parametrize("count", [401, _TILE + 3], ids=["line", "line-wider-than-a-tile"])
+@pytest.mark.parametrize("params", [
+    Params(0, 0), Params(0, 1), Params(1, 0), Params(0, Fraction(1, 3)), Params(Fraction(2, 5), 0),
+    Params(Fraction(1, 4), Fraction(1, 4)), Params(Fraction(1, 3), Fraction(2, 3)),
+    Params(Fraction(1, 100), Fraction(1, 100)),
+], ids=str)
+def test_u01_block_label_codes_match_the_oracle_labels(params, count):
+    # with the game's cuts p and 1 - q, each tile is read as the number of cuts
+    # each variate reaches: the float oracle's SiteLabel codes, site by site,
+    # across every tile boundary
+    cut_p, _, cut_1q = variate_cuts(params)
+    stream = SeededStream(41)
+    rows = max(1, _TILE // count) + 1
+    got = u01_block(stream.child_seeds_u64(rows), 9, -7, count, (cut_p, cut_1q))
+    assert got.dtype == np.int8 and got.shape == (rows, count)
+    for i, row in enumerate(got):
+        assert np.array_equal(row, oracles.sample_labels(params, child_stream(stream, i), 9, -7,
+                                                         count)), i
 
 
 def test_variates_are_53_bit_integers():
@@ -262,7 +285,8 @@ def test_integer_cuts_decide_like_the_float_cuts(params):
     ks = np.array(sorted({k for c in cuts for k in (c - 1, c) if k >= 0}), dtype=np.uint64)
     u = ks * 2.0**-53
     want = (u >= p).astype(np.int8) + (u >= one_minus_q).astype(np.int8)
-    assert np.array_equal(game._labels(ks, variate_cuts(params)), want)
+    cut_p, _, cut_1q = variate_cuts(params)
+    assert np.array_equal((ks >= cut_p).astype(np.int8) + (ks >= cut_1q), want)
     for triple in range(27):
         got = _apply_rule(np.full(ks.size, largest[triple]), params, ks)
         want = (u >= t0[triple]).astype(np.int8) + (u >= t1[triple]).astype(np.int8)

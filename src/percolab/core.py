@@ -1,13 +1,15 @@
 """Shared vocabulary for the lattice dynamics and the exact cylinder calculus.
 
-Everything here is an immutable value: the parameter pair (p, q) with its derived
-open probability r = 1 - p - q, the three-symbol alphabet {0, ?, 1}, the local
-rule's three triple classes (numbered by a triple's largest code) with their
-output laws, written once as the integer table ``CLASS_LAWS``, the two
-stochastic orders on the alphabet, and cylinder patterns, parsed once into the
-set of words they contain (contiguous runs of symbol subsets, with two
-shorthand tokens ``**`` and ``***`` for the hatted sets {0,?}^2 \\ {00} and
-{0,?}^3 \\ {000}).
+Everything here is an immutable value: the parameter pair (p, q) with its
+derived open probability r = 1 - p - q, the three-symbol alphabet {0, ?, 1},
+the local rule's three triple classes (numbered by a triple's largest code)
+with their output laws, written once as the integer table ``CLASS_LAWS``, the
+game's vocabulary (versions, site labels, outcome classes) with its one-site
+rule ``site_class`` and the exact correspondence of the two rules
+(``kernel_correspondence``), the two stochastic orders on the alphabet, and
+cylinder patterns, parsed once into the set of words they contain (contiguous
+runs of symbol subsets, with two shorthand tokens ``**`` and ``***`` for the
+hatted sets {0,?}^2 \\ {00} and {0,?}^3 \\ {000}).
 
 Every probability here is exact: ``as_fraction`` refuses a float with
 ``TypeError`` and turns a numpy integer into an ``int``.  A point reads its
@@ -15,7 +17,7 @@ class laws as integer masses over its scale s = lcm(den p, den q)
 (``Params.law_masses``, the table evaluated at ``Params.scaled``), which the
 domination lemmas, the kernel correspondence and the pushforward kernels
 compute with.  The module needs only the standard library, so the exact
-checks built on it never import numpy.
+checks built on it, ``verify kernel`` among them, never import numpy.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from enum import Enum, IntEnum
 from fractions import Fraction
 from functools import wraps
 from itertools import product
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 Rationalish = Union[Fraction, int, str]
 
@@ -160,6 +162,115 @@ CLASS_LAWS = (
     ((0, 1, 0), (1, -1, -1), (0, 0, 1)),  # MIXED: (p, r, q)
     ((1, 0, -1), (0, 0, 0), (0, 0, 1)),   # HAS_ONE: (1 - q, 0, q)
 )
+
+
+# ------------------------------------------------------------------ the game
+
+class GameVersion(Enum):
+    V1 = "V1"
+    V2 = "V2"
+    V3 = "V3"
+    V4 = "V4"
+
+    @property
+    def offset(self) -> int:
+        """Neighbourhood offset i under the i = x line identification."""
+        return 0 if self in (GameVersion.V1, GameVersion.V2) else -1
+
+
+class SiteLabel(IntEnum):
+    """Site labels; codes ordered so that inverse-CDF sampling at the cut
+    points (p, 1-q) reproduces (trap, open, target) ~ (p, r, q)."""
+
+    TRAP = 0
+    OPEN = 1
+    TARGET = 2
+
+
+class GameClass(IntEnum):
+    """Outcome classes; codes deliberately coincide with the symbol codes
+    under W=0, D=?, L=1."""
+
+    W = 0
+    D = 1
+    L = 2
+
+
+def site_class(label: int, successors: Sequence[int]) -> int:
+    """The game's one-site rule: the class code of a site from its label and
+    its three out-neighbours' class codes.  A trap is W and a target L.  From
+    an open site the mover wins by moving to an L, loses when all three
+    out-neighbours are W and otherwise cannot force a win: with W=0, D=1, L=2
+    that is 2 - the largest successor code.  ``game.classify_line`` is this
+    rule on whole lines, vectorised; the tests pin the two equal."""
+    if label == SiteLabel.TRAP:
+        return GameClass.W
+    if label == SiteLabel.TARGET:
+        return GameClass.L
+    return 2 - max(successors)
+
+
+# The two report types are named tuples, not frozen dataclasses: every
+# command imports core, and as dataclasses they made its import about 1 ms
+# slower (cold interpreter, 2-CPU Xeon VM).
+class KernelComparison(NamedTuple):
+    """Induced one-site law of the game's rule vs the three-symbol local rule,
+    each as its masses on codes 0, 1, 2, integers over the point's scale."""
+
+    triple: tuple[EnvSymbol, EnvSymbol, EnvSymbol]
+    induced: tuple[int, int, int]
+    expected: tuple[int, int, int]
+
+    @property
+    def equal(self) -> bool:
+        return self.induced == self.expected
+
+
+class KernelReport(NamedTuple):
+    version: GameVersion
+    params: Params
+    comparisons: tuple[KernelComparison, ...]
+
+    @property
+    def mismatch_count(self) -> int:
+        return sum(1 for c in self.comparisons if not c.equal)
+
+    @property
+    def passed(self) -> bool:
+        return self.mismatch_count == 0
+
+    def to_json_dict(self) -> dict:
+        return {
+            "version": self.version.value,
+            "p": str(self.params.p),
+            "q": str(self.params.q),
+            "comparisons": len(self.comparisons),
+            "mismatches": [word_str(c.triple) for c in self.comparisons if not c.equal],
+            "passed": self.passed,
+        }
+
+
+def kernel_correspondence(version: GameVersion, params: Params) -> KernelReport:
+    """Exact check that one induction step, label integrated out, is one step
+    of the three-symbol local rule: for each of the 27 successor-class triples
+    the induced law on {W, D, L} must equal the rule's law on {0, ?, 1}.
+
+    Each of the 81 (successor triple, label) cases is classified by
+    ``site_class``; the label masses over the point's scale, summed per
+    class, are compared with ``Params.law_masses``.  The version only names
+    the report: every version's out-neighbourhood is three sites of the next
+    line, which the rule reads alike.
+    """
+    s, a, b = params.scaled
+    label_masses = (a, s - a - b, b)  # by SiteLabel code
+    expected = params.law_masses[1]
+    comparisons = []
+    for triple, rule_class in zip(iter_words(3), TRIPLE_CLASSES):
+        induced = [0, 0, 0]
+        for label, mass in zip(SiteLabel, label_masses):
+            induced[site_class(label, triple)] += mass
+        comparisons.append(KernelComparison(triple, tuple(induced), expected[rule_class]))
+    return KernelReport(version, params, tuple(comparisons))
 
 
 class StochOrder(Enum):

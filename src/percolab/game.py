@@ -15,10 +15,13 @@ of its own label and the classes of its three out-neighbours, which all lie on
 the next line (diagonals x+y=k for V1/V3, horizontals y=k for V2/V4).
 Identifying each line with Z via the x-coordinate, the out-neighbours of site
 n sit at n+i, n+i+1, n+i+2 on the successor line, with i = 0 for V1/V2 and
-i = -1 for V3/V4 -- the same window shape as `pca`. Integrating the label out,
-one induction step *is* one step of the three-symbol dynamics under the
-correspondence W=0, D=?, L=1 (codes coincide); kernel_correspondence checks
-this exactly.
+i = -1 for V3/V4 -- the same window shape as `pca`. The game's vocabulary
+(``GameVersion``, ``SiteLabel``, ``GameClass``) and its one-site rule
+(``core.site_class``) live in ``core``; ``classify_line`` runs that rule on
+whole lines of int8 codes. Integrating the label out, one induction step *is*
+one step of the three-symbol dynamics under the correspondence W=0, D=?, L=1
+(codes coincide); ``core.kernel_correspondence`` checks this exactly, in
+integers and without numpy, and the tests pin ``classify_line`` to the rule.
 
 Draw probabilities are estimated by starting the frontier line, at distance T
 above the base site, in the all-D (unresolved) state and inducting down.
@@ -51,48 +54,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum, IntEnum
 from typing import Sequence
 
 import numpy as np
 
-from .core import TRIPLE_CLASSES, EnvSymbol, Params, iter_words
+from . import core
+from .core import GameVersion, Params
 from .pca import SeededStream, u01_block, variate_cuts
 
-
-class GameVersion(Enum):
-    V1 = "V1"
-    V2 = "V2"
-    V3 = "V3"
-    V4 = "V4"
-
-    @property
-    def offset(self) -> int:
-        """Neighbourhood offset i under the i = x line identification."""
-        return 0 if self in (GameVersion.V1, GameVersion.V2) else -1
-
-
-class SiteLabel(IntEnum):
-    """Site labels; codes ordered so that inverse-CDF sampling at the cut
-    points (p, 1-q) reproduces (trap, open, target) ~ (p, r, q)."""
-
-    TRAP = 0
-    OPEN = 1
-    TARGET = 2
-
-
-class GameClass(IntEnum):
-    """Outcome classes; codes deliberately coincide with the symbol codes of
-    `core` under W=0, D=?, L=1."""
-
-    W = 0
-    D = 1
-    L = 2
+# The kernel check is core's, where ``verify kernel`` runs it without numpy;
+# perfbench/spans.py rebinds it by this name to time it as game.kernel_check.
+kernel_correspondence = core.kernel_correspondence
 
 
 def classify_line(labels, next_classes, version: GameVersion) -> np.ndarray:
     """One backward-induction step: classes on a line from its own labels and
-    the successor line's classes.
+    the successor line's classes, by the game's one-site rule
+    ``core.site_class`` (which ``kernel_correspondence`` checks), vectorised.
 
     Alignment convention (all versions): the out-neighbours of labels[j] are
     next_classes[j], next_classes[j+1], next_classes[j+2] -- the line
@@ -115,9 +93,8 @@ def classify_line(labels, next_classes, version: GameVersion) -> np.ndarray:
             f"successor line must cover every out-neighbourhood: "
             f"need width {labels.shape[-1] + 2}, got {nxt.shape[-1]}"
         )
-    # With W=0, D=1, L=2 an open site is W next to an L, L when all three
-    # out-neighbours are W and D otherwise: 2 - max(n0, n1, n2).  A trap is W
-    # and a target L, the codes of their labels.  So the class is
+    # core.site_class: an open site is 2 - max(n0, n1, n2), a trap W and a
+    # target L, the codes of their labels.  So the class is
     # label + (label is open) * (1 - max).  The open mask compares with the
     # int 1, in the labels' own type (an IntEnum member makes numpy compare
     # in int64), and is made before the classes, so that the classes are the
@@ -130,75 +107,6 @@ def classify_line(labels, next_classes, version: GameVersion) -> np.ndarray:
     cls *= is_open
     cls += labels
     return cls
-
-
-# ------------------------------------------------------------- correspondence
-
-@dataclass(frozen=True)
-class KernelComparison:
-    """Induced one-site law of classify_line vs the three-symbol local rule,
-    each as its masses on codes 0, 1, 2, integers over the point's scale."""
-
-    triple: tuple[EnvSymbol, EnvSymbol, EnvSymbol]
-    induced: tuple[int, int, int]
-    expected: tuple[int, int, int]
-
-    @property
-    def equal(self) -> bool:
-        return self.induced == self.expected
-
-
-@dataclass(frozen=True)
-class KernelReport:
-    version: GameVersion
-    params: Params
-    comparisons: tuple[KernelComparison, ...]
-
-    @property
-    def mismatch_count(self) -> int:
-        return sum(1 for c in self.comparisons if not c.equal)
-
-    @property
-    def passed(self) -> bool:
-        return self.mismatch_count == 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "version": self.version.value,
-            "p": str(self.params.p),
-            "q": str(self.params.q),
-            "comparisons": len(self.comparisons),
-            "mismatches": [
-                "".join(str(s) for s in c.triple)
-                for c in self.comparisons
-                if not c.equal
-            ],
-            "passed": self.passed,
-        }
-
-
-def kernel_correspondence(version: GameVersion, params: Params) -> KernelReport:
-    """Exact check that one induction step, label integrated out, is one step
-    of the three-symbol local rule: for each of the 27 successor-class triples
-    the induced law on {W, D, L} must equal the rule's law on {0, ?, 1}.
-
-    The 81 (successor triple, label) cases are classified by one
-    ``classify_line`` call, the rule the game loop runs, as a stack of 81
-    one-site lines.  The label masses over the point's scale, summed per
-    class, are compared with ``Params.law_masses``.
-    """
-    triples = tuple(iter_words(3))
-    nxt = np.repeat(np.array(triples, dtype=np.int8), len(SiteLabel), axis=0)
-    labels = np.tile(np.array(list(SiteLabel), dtype=np.int8), len(triples))[:, None]
-    classes = classify_line(labels, nxt, version).reshape(len(triples), len(SiteLabel))
-    s, a, b = params.scaled
-    label_masses = (a, s - a - b, b)  # by SiteLabel code
-    expected = params.law_masses[1]
-    comparisons = []
-    for triple, rule_class, row in zip(triples, TRIPLE_CLASSES, classes.tolist()):
-        induced = tuple(sum([m for c, m in zip(row, label_masses) if c == k]) for k in range(3))
-        comparisons.append(KernelComparison(triple, induced, expected[rule_class]))
-    return KernelReport(version, params, tuple(comparisons))
 
 
 # ------------------------------------------------------------- draw estimates

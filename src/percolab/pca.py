@@ -34,9 +34,11 @@ once; both sides carry the finalizer's first round already (``_site_keys``).
 ``u01_block`` hashes many streams in row tiles of at most ``_TILE`` variates,
 in a tile and scratch array that the process makes once and reuses, so its
 temporaries stay cache-sized however many streams it serves.  Given cuts, it
-reads each tile's variates against them while the tile is still in cache and
-returns only int8 label codes (how many cuts each variate reaches): the
-game's labels, without a line's uint64 variate block.
+reads each tile against them while the tile is still in cache and returns only
+int8 label codes (how many cuts each variate reaches): the game's labels,
+without a line's uint64 variate block.  It compares the raw hashes with the
+cuts shifted left by 11, which decides as the variates would, so the label
+path never shifts a hash.
 
 A configuration is one cyclic row, or a stack of cyclic rows of one width,
 at sites 0..width-1: ``step`` keeps the width and wraps indices, by copying
@@ -153,10 +155,10 @@ def u01_block(seeds: np.ndarray, t: int, n0: int, count: int,
     """Variates for many streams at once: shape (len(seeds), count), keyed
     (t, n0+j); each is the 53-bit integer k of the uniform k * 2**-53.
 
-    With ``cuts``, integer cut points as made by ``variate_cuts``, each variate
-    is read as the number of cuts it reaches, an int8, while its tile is still
-    in cache: the variates themselves are never kept, so a caller that wants
-    only labels holds one int8 per variate.
+    With ``cuts``, ascending integer cut points as made by ``variate_cuts``,
+    each variate is read as the number of cuts it reaches, an int8, while its
+    tile is still in cache: the variates themselves are never kept, so a
+    caller that wants only labels holds one int8 per variate.
 
     The rows are hashed in tiles of at most ``_TILE`` variates (one row at
     least), all finalized with one tile-sized scratch array.  Labels are
@@ -169,6 +171,14 @@ def u01_block(seeds: np.ndarray, t: int, n0: int, count: int,
     prefix ^= prefix >> _U64(30)
     keys = _site_keys(n0, count)
     out = np.empty((prefix.size, count), dtype=_U64 if cuts is None else np.int8)
+    if cuts is not None:
+        # k = h >> 11 reaches a cut c < 2**53 iff its hash h reaches c << 11.
+        # No variate reaches a cut of 2**53 or more, and the cuts ascend, so
+        # the cuts that some hash reaches are the first few.
+        cuts = [_U64(int(c) << 11) for c in cuts if c < 1 << 53]
+        if not cuts:
+            out.fill(0)
+            return out
     rows = max(1, _TILE // max(count, 1))
     buf, spare = _tile_buffers(max(_TILE, count))
     for r0 in range(0, prefix.size, rows):
@@ -177,14 +187,15 @@ def u01_block(seeds: np.ndarray, t: int, n0: int, count: int,
         tile = out[r0:r0 + rows] if cuts is None else buf[:cells].reshape(-1, count)
         np.bitwise_xor(part, keys, out=tile)
         _finalize_tail(tile, spare[:cells].reshape(tile.shape))
-        np.right_shift(tile, _U64(11), out=tile)
-        if cuts is not None:
-            reached = out[r0:r0 + rows]
-            np.greater_equal(tile, cuts[0], out=reached.view(np.bool_))
-            also = spare.view(np.bool_)[:cells].reshape(tile.shape)
-            for cut in cuts[1:]:
-                np.greater_equal(tile, cut, out=also)
-                reached += also.view(np.int8)
+        if cuts is None:
+            np.right_shift(tile, _U64(11), out=tile)
+            continue
+        reached = out[r0:r0 + rows]
+        np.greater_equal(tile, cuts[0], out=reached.view(np.bool_))
+        also = spare.view(np.bool_)[:cells].reshape(tile.shape)
+        for cut in cuts[1:]:
+            np.greater_equal(tile, cut, out=also)
+            reached += also.view(np.int8)
     return out
 
 

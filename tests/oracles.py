@@ -17,7 +17,10 @@ import numpy as np
 
 from percolab.core import (
     EnvSymbol,
+    GameClass,
+    GameVersion,
     Params,
+    SiteLabel,
     StochOrder,
     TripleClass,
     Word,
@@ -27,7 +30,6 @@ from percolab.core import (
     upper_sets,
     word_str,
 )
-from percolab.game import GameClass, GameVersion, SiteLabel
 from percolab.measures import (
     _INEQ1_FORMS,
     _INEQ1_ROWS,

@@ -410,23 +410,6 @@ def test_verify_lemmas_builds_each_law_and_verdict_once_per_point(capsys, monkey
     assert len(per_call) == 2 * 28 and 0 < min(per_call) and max(per_call) <= 9
 
 
-def test_verify_kernel_classifies_every_case_in_one_call_per_version(capsys, monkeypatch):
-    from percolab import game
-
-    calls = []
-    classify_line = game.classify_line
-
-    def counting(labels, next_classes, version):
-        calls.append(version)
-        return classify_line(labels, next_classes, version)
-
-    monkeypatch.setattr(game, "classify_line", counting)
-    code, out = run_cli(capsys, "verify", "kernel", "--version", "all", "--p", "1/3",
-                        "--q", "1/5")
-    assert code == 0 and json.loads(out)["pass"] is True
-    assert calls == list(game.GameVersion)
-
-
 def test_verify_failures_are_listed_measure_by_measure(capsys, monkeypatch):
     # verify weights loops over points outside measures and verify formulas
     # over measures outside points; both list failures measure by measure
@@ -839,11 +822,11 @@ def test_benchmark_tracer_finds_every_traced_name():
     kernel_run = _traced_summary("verify", "kernel", "--version", "v1", "--p", "1/2",
                                  "--q", "1/4")
     spans = kernel_run["spans"]
-    assert "game.kernel_check" in spans
-    # verify kernel checks the classify_line that the game loop runs: one call
-    # covers every label for each of the 27 successor triples
-    assert spans["game.classify"]["count"] == 1
-    assert kernel_run["counters"]["game.classify_sites"] == 3 * 27
+    # the tracer rebinds game's name for core's check, which reads core's
+    # one-site rule: it classifies no line and hashes nothing
+    assert spans["game.kernel_check"]["count"] == 1
+    assert {"game.classify", "pca.hash"}.isdisjoint(spans)
+    assert "game.classify_sites" not in kernel_run["counters"]
     _, game_run = _traced_run("game", "--p", "0", "--q", "0", "--horizons", "2,4",
                               "--samples", "10")
     _, simulate_run = _traced_run("simulate", "--p", "1/4", "--q", "1/4", "--width", "20",
@@ -968,8 +951,9 @@ def _probe_modules(*commands):
 def test_exact_verify_commands_never_import_numpy():
     report = _probe_modules(["verify", "lemmas"], ["verify", "formulas", "--measures", "1"],
                             ["verify", "tables", "--measures", "1"],
-                            ["verify", "weights", "--measures", "1", "--grid", "1/2"])
-    assert report["codes"] == [0, 0, 0, 0]
+                            ["verify", "weights", "--measures", "1", "--grid", "1/2"],
+                            ["verify", "kernel", "--p", "1/3", "--q", "1/5"])
+    assert report["codes"] == [0, 0, 0, 0, 0]
     assert report["at_exit"] == ["percolab.measures", "percolab.orders"]
 
 
@@ -1017,7 +1001,6 @@ def test_start_up_builds_no_plan():
     ["game", "--p", "1/4", "--q", "1/4", "--horizons", "3", "--samples", "10"],
     ["sweep", "--p-grid", "0:1/2:1/2", "--q-grid", "1/4:1/4:1", "--horizons", "3",
      "--samples", "10"],
-    ["verify", "kernel", "--version", "v1", "--p", "1/2", "--q", "1/4"],
     ["verify", "stationary", "--p", "1/4", "--q", "1/4", "--width", "50", "--steps", "3"],
 ], ids=lambda argv: " ".join(argv[:2]) if argv[0] == "verify" else argv[0])
 def test_row_commands_import_numpy_before_the_parser_is_built(argv):
@@ -1033,13 +1016,13 @@ def test_row_commands_import_numpy_before_the_parser_is_built(argv):
 @pytest.mark.parametrize("argv, layers", [
     (["simulate", "--p", "1/4", "--q", "1/4", "--width", "20", "--steps", "3"],
      ["numpy", "percolab.pca", "percolab.game"]),
-    (["verify", "kernel", "--version", "v1", "--p", "1/2", "--q", "1/4"],
-     ["numpy", "percolab.pca", "percolab.game"]),
+    (["verify", "kernel", "--version", "v1", "--p", "1/2", "--q", "1/4"], []),
     (["verify", "lemmas"], ["percolab.orders"]),
     (["verify", "formulas", "--measures", "1"], ["percolab.measures"]),
     (["verify", "tables", "--measures", "1"], ["percolab.measures"]),
     (["verify", "weights", "--measures", "1", "--grid", "1/2"], ["percolab.measures"]),
-], ids=lambda argv: " ".join(argv[:2]) if argv[0] == "verify" else argv[0])
+], ids=lambda argv: "core only" if not argv else " ".join(argv[:2]) if argv[0] == "verify"
+    else argv[0])
 def test_each_command_imports_only_the_layers_it_reads(argv, layers):
     # measures and orders are imported for the checks that read them, and
     # before the parser is built, so their import is set-up for those checks

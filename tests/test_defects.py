@@ -43,6 +43,35 @@ def test_a_defective_rule_table_fails_every_check(monkeypatch, defect, check):
     assert main(["verify", *check]) == 1
 
 
+def _trap_target_swapped(rule):
+    """The game's one-site rule with a trap read as a target and back."""
+    return lambda label, successors: rule(2 - label, successors)
+
+
+# The game's rule against the kernel check.  The point needs p != q: at
+# p = q a trap and a target carry equal masses, so swapping them cannot show.
+GAME_RULE_CHECK = ("verify", "kernel", "--p", "1/3", "--q", "1/5")
+
+
+def test_a_defective_game_rule_fails_the_kernel_check(monkeypatch):
+    assert main(list(GAME_RULE_CHECK)) == 0
+    monkeypatch.setattr(core, "site_class", _trap_target_swapped(core.site_class))
+    assert main(list(GAME_RULE_CHECK)) == 1
+
+
+def test_a_defective_game_rule_fails_under_python_O():
+    code = ("import sys\n"
+            "from percolab import cli, core\n"
+            "rule = core.site_class\n"
+            "core.site_class = lambda label, successors: rule(2 - label, successors)\n"
+            "sys.stderr.write(f'debug={__debug__}')\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code, *GAME_RULE_CHECK],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stderr == "debug=False"
+    assert proc.returncode == 1
+
+
 def test_a_defective_rule_table_fails_under_python_O():
     # python -O strips every assert, so a check that leaned on one would pass
     code = ("import sys\n"

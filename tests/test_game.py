@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from percolab import game
-from percolab.core import EnvSymbol, Params, StochOrder, symbol_leq
-from percolab.game import (
+from percolab.core import (
+    EnvSymbol,
     GameClass,
     GameVersion,
+    Params,
     SiteLabel,
-    classify_line,
-    draw_fraction,
-    kernel_correspondence,
-    wilson_interval,
+    StochOrder,
+    site_class,
+    symbol_leq,
 )
+from percolab.game import classify_line, draw_fraction, kernel_correspondence, wilson_interval
 from percolab.pca import SeededStream
 
 from oracles import (
@@ -88,6 +89,32 @@ def test_classify_line_exhaustive_single_site():
                 got = classify_line([label], list(nxt), v)[0]
                 assert got == CLASS_TABLE[27 * label + 9 * nxt[0] + 3 * nxt[1] + nxt[2]], \
                     (label, nxt)
+
+
+def test_classify_line_runs_cores_site_class():
+    # verify kernel checks core.site_class, so the game loop's classify_line
+    # must be that rule: on all 81 (label, triple) cases in one stacked call,
+    # and on packed codes of m nested horizons, layer by layer, in int8 and
+    # int16 (1 - m and 1 + m are a trap's and a target's label codes)
+    cases = list(itertools.product(SiteLabel, itertools.product(GameClass, repeat=3)))
+    want = [site_class(label, triple) for label, triple in cases]
+    for dtype in (np.int8, np.int16):
+        labels = np.array([[label] for label, _ in cases], dtype=dtype)
+        nxt = np.array([triple for _, triple in cases], dtype=dtype)
+        got = classify_line(labels, nxt, GameVersion.V1)
+        assert got.dtype == dtype and got[:, 0].tolist() == want
+    for m, dtype in ((5, np.int8), (126, np.int8), (140, np.int16)):
+        codes = sorted({1 - m, 2 - m, 0, 1, 2, m, 1 + m})
+        packed = list(itertools.product((1 - m, 1, 1 + m), itertools.product(codes, repeat=3)))
+        labels = np.array([[label] for label, _ in packed], dtype=dtype)
+        nxt = np.array([triple for _, triple in packed], dtype=dtype)
+        got = classify_line(labels, nxt, GameVersion.V3)
+        assert got.dtype == dtype
+        # a label code decodes to its SiteLabel code at every layer
+        layers = zip(_decode(labels, m)[..., 0].tolist(), _decode(nxt, m).tolist(),
+                     _decode(got, m)[..., 0].tolist())
+        for i, (label_layer, nxt_layer, got_layer) in enumerate(layers):
+            assert got_layer == list(map(site_class, label_layer, nxt_layer)), (m, i)
 
 
 @pytest.mark.parametrize("layers", [None, 1, 3])

@@ -147,6 +147,24 @@ def test_u01_block_label_codes_match_the_oracle_labels(params, count):
                                                          count)), i
 
 
+def test_u01_block_label_codes_at_the_edge_cuts_and_beside_a_variate():
+    # the label path compares raw hashes with each cut shifted left by 11: a
+    # cut of 2**53 (p = 1 or q = 0) is skipped, as no variate reaches it, a
+    # cut of 0 (p = 0 or q = 1) is reached by every one, and cuts one below,
+    # at and one above a hashed variate k read as the no-cuts variates do
+    seeds = SeededStream(5).child_seeds_u64(3)
+    variates = u01_block(seeds, 4, -3, 200)
+    k = int(np.sort(variates, axis=None)[300])
+    edges = [variate_cuts(Params(p, q))[::2] for p, q in
+             ((0, Fraction(1, 2)), (1, 0), (Fraction(1, 2), 0), (0, 1))]
+    for cuts in [*edges, (k - 1, k), (k, k + 1), (k - 1, k + 1), (k + 1, 2**53),
+                 (2**53 - 1, 2**53), (k,), (2**53,)]:
+        cuts = tuple(np.uint64(c) for c in cuts)
+        want = sum((variates >= c).astype(np.int8) for c in cuts)
+        got = u01_block(seeds, 4, -3, 200, cuts)
+        assert got.dtype == np.int8 and np.array_equal(got, want), cuts
+
+
 def test_variates_are_53_bit_integers():
     k = SeededStream(3).u01_range(0, 0, 1000)
     assert k.dtype == np.uint64 and int(k.max()) < 2**53

@@ -56,7 +56,25 @@ _COARSE_GRID = ((Fraction(1, 5), Fraction(3, 10)), (Fraction(1, 2), Fraction(1, 
                 (Fraction(1, 100), Fraction(1, 100)))
 
 
+# The most digits a rational flag may hold, and the largest exponent it may
+# write: Fraction("1e10000000") alone took 8 s (2-CPU Xeon VM), longer
+# exponents take longer still, and a value past the interpreter's 4300-digit
+# limit fails when a report prints it.
+_MAX_DIGITS = 1000
+
+
 def _rational(text: str) -> Fraction:
+    """An exact rational from "a/b" or a decimal, refused before ``Fraction``
+    reads it if it holds more than ``_MAX_DIGITS`` digits or an exponent
+    beyond that many places."""
+    exponent = text.lower().partition("e")[2]
+    try:
+        places = abs(int(exponent)) if exponent else 0
+    except ValueError:  # no exponent after all: Fraction refuses the token
+        places = 0
+    if sum(map(str.isdigit, text)) > _MAX_DIGITS or places > _MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"a rational may hold at most {_MAX_DIGITS} digits "
+                                         f"and an exponent of at most {_MAX_DIGITS}")
     try:
         return as_fraction(text)
     except (ValueError, ZeroDivisionError, TypeError):

@@ -18,13 +18,18 @@ class laws as integer masses over its scale s = lcm(den p, den q)
 domination lemmas, the kernel correspondence and the pushforward kernels
 compute with.  The module needs only the standard library, so the exact
 checks built on it, ``verify kernel`` among them, never import numpy.
+
+Records are named tuples, and the types that validate or keep state are
+small slotted classes (``Frozen``), in every layer: ``dataclasses`` would
+load ``inspect`` and ``ast`` into every command, about 7 ms of start-up, and
+each dataclass took about 0.9 ms to make against 0.16 ms for a named tuple
+(cold interpreter, 2-CPU Xeon VM).
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
 from functools import wraps
@@ -82,26 +87,62 @@ def word_str(word: Sequence[EnvSymbol]) -> str:
     return "".join(str(s) for s in word)
 
 
-@dataclass(frozen=True)
-class Params:
+class Frozen:
+    """Base of the slotted types that validate their fields or keep state.
+
+    A subclass sets its ``__slots__`` once, in order, with ``_set`` from its
+    ``__init__``; afterwards assigning or deleting an attribute raises
+    ``AttributeError``.  Instances compare and hash by the fields named in
+    ``_fields``, and a type with identity equality restores ``object``'s.
+    Instances can be weakly referenced.
+    """
+
+    __slots__ = ("__weakref__",)
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign {type(value).__name__} to field {name!r}: "
+                             f"{type(self).__name__} is frozen")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: {type(self).__name__} is frozen")
+
+
+class Params(Frozen):
     """Trap/target probability pair; r = 1 - p - q is the open probability.
 
     The degenerate all-open point p = q = 0 is constructible (r = 1) but carries
     in_region = False; verification entry points that need p + q > 0 reject it.
 
     What ``per_point`` functions build for the point is kept in ``memo`` and
-    freed with the point.
+    freed with the point; it takes no part in equality or hashing.
     """
 
-    p: Fraction
-    q: Fraction
-    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("p", "q", "memo")
+    _fields = ("p", "q")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", as_fraction(self.p))
-        object.__setattr__(self, "q", as_fraction(self.q))
-        if not (0 <= self.p and 0 <= self.q and self.p + self.q <= 1):
-            raise ValueError(f"need 0 <= p, 0 <= q, p+q <= 1; got p={self.p}, q={self.q}")
+    def __init__(self, p: Rationalish, q: Rationalish) -> None:
+        p, q = as_fraction(p), as_fraction(q)
+        if not (0 <= p and 0 <= q and p + q <= 1):
+            raise ValueError(f"need 0 <= p, 0 <= q, p+q <= 1; got p={p}, q={q}")
+        self._set(p, q, {})
 
     @property
     def r(self) -> Fraction:
@@ -210,9 +251,6 @@ def site_class(label: int, successors: Sequence[int]) -> int:
     return 2 - max(successors)
 
 
-# The two report types are named tuples, not frozen dataclasses: every
-# command imports core, and as dataclasses they made its import about 1 ms
-# slower (cold interpreter, 2-CPU Xeon VM).
 class KernelComparison(NamedTuple):
     """Induced one-site law of the game's rule vs the three-symbol local rule,
     each as its masses on codes 0, 1, 2, integers over the point's scale."""
@@ -314,8 +352,7 @@ _HAT_WORDS = {tok: tuple(int("".join(d), 3) for d in product("01", repeat=len(to
               for tok in ("**", "***")}
 
 
-@dataclass(frozen=True)
-class CylinderPattern:
+class CylinderPattern(NamedTuple):
     """A cylinder event on ``span`` consecutive sites, as the set of words in it.
 
     ``indices`` are the base-3 indices of those words, leftmost symbol most

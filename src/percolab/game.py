@@ -53,8 +53,7 @@ samples are present, and in which chunk, changes no sample's labels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -210,8 +209,7 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return lo, hi
 
 
-@dataclass(frozen=True)
-class DrawEstimate:
+class DrawEstimate(NamedTuple):
     """Fraction of sampled label fields whose base site is still unresolved (D)
     after induction from an all-D frontier at distance ``horizon``."""
 

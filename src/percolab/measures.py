@@ -32,14 +32,13 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
-from .core import (TRIPLE_CLASSES, CylinderPattern, EnvSymbol, Params, SYMBOLS, as_fraction,
-                   per_point)
+from .core import (TRIPLE_CLASSES, CylinderPattern, EnvSymbol, Frozen, Params, SYMBOLS,
+                   as_fraction, per_point)
 
 if TYPE_CHECKING:
     from .pca import Configuration
@@ -58,8 +57,7 @@ def frac_str(x: Fraction) -> str:
 
 # ------------------------------------------------------------------ measures
 
-@dataclass(frozen=True, eq=False)
-class TIMeasure:
+class TIMeasure(Frozen):
     """A translation-invariant probability measure, known through words of length ``ORDER``.
 
     ``counts[k]`` is the distribution on words of length k as integer numerators
@@ -72,16 +70,17 @@ class TIMeasure:
     the pushforward's grouped word masses, summed once per span, and
     ``cylinder_counts`` the numerator over ``den`` of each cylinder a compiled
     functional has read, summed once per text; both are kept here, so they are
-    freed with the measure.
+    freed with the measure.  Two measures are equal only if they are one object.
     """
 
-    counts: tuple[tuple[int, ...], ...]
-    den: int
-    name: str
-    reflection_invariant: bool
-    signature_masses: dict[int, tuple[int, ...]] = field(
-        default_factory=dict, init=False, repr=False)
-    cylinder_counts: dict[str, int] = field(default_factory=dict, init=False, repr=False)
+    __slots__ = ("counts", "den", "name", "reflection_invariant", "signature_masses",
+                 "cylinder_counts")
+    _fields = __slots__[:4]
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, counts: tuple[tuple[int, ...], ...], den: int, name: str,
+                 reflection_invariant: bool) -> None:
+        self._set(counts, den, name, reflection_invariant, {}, {})
 
     @classmethod
     def from_table(cls, counts: Sequence[int], den: int, name: str) -> "TIMeasure":
@@ -569,8 +568,7 @@ FORMULA_GRID = tuple((Fraction(a), Fraction(b)) for a, b in (
 ))
 
 
-@dataclass(frozen=True)
-class ClosedFormResult:
+class ClosedFormResult(NamedTuple):
     """One catalog entry evaluated on a measure.
 
     ``value`` is the pushforward probability of the cylinder: for a fully
@@ -812,8 +810,7 @@ def _window_words(row: tuple[int, str]) -> frozenset[int]:
     return frozenset(_event(text).indices)
 
 
-@dataclass(frozen=True)
-class TableStructure:
+class TableStructure(NamedTuple):
     """Measure-free facts about one row table, from the word sets of its rows."""
 
     table: str
@@ -854,8 +851,7 @@ _INEQ2_RHS: tuple[tuple[int, str], ...] = (
     (1, "[0?] ***"), (2, "1 ***"), (-1, "100?"), (1, "1?"), (2, "1?01"), (1, "1??1"))
 
 
-@dataclass(frozen=True)
-class TableReport:
+class TableReport(NamedTuple):
     """One table-derived inequality checked on one measure.
 
     The values are kept as integer numerators ``nums`` over the one positive
@@ -1010,8 +1006,7 @@ _MASTER_TERMS: tuple[tuple[str, Callable[[Sparse, Sparse, Sparse], Sparse],
 )
 
 
-@dataclass(frozen=True)
-class WeightReport:
+class WeightReport(NamedTuple):
     """Master inequality bookkeeping: weights before/after one update, slack terms,
     and the overall slack w4(mu) - w4(image) - sum of the terms.
 
@@ -1115,8 +1110,7 @@ def verify_master_inequality(mu: TIMeasure, params: Params) -> WeightReport:
 
 # ------------------------------------------------------------------ stationarity
 
-@dataclass(frozen=True)
-class StationarityReport:
+class StationarityReport(NamedTuple):
     """What the master inequality forces a stationary measure to satisfy.
 
     ``gauge`` is |mu(?) - r*mu(***)|, zero for an exactly stationary measure; the

@@ -28,10 +28,10 @@ that pair's triples.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from .core import (
     SYMBOLS,
@@ -46,15 +46,13 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class PairResult:
+class PairResult(NamedTuple):
     u: tuple[EnvSymbol, EnvSymbol, EnvSymbol]
     v: tuple[EnvSymbol, EnvSymbol, EnvSymbol]
     margins: tuple[Fraction, ...]  # dominating minus dominated law per upper set, smallest first
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     """Exhaustive sweep over all ordered triple pairs for one monotonicity law."""
 
     which: int

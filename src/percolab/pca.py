@@ -54,12 +54,12 @@ common randomness while each steps exactly as it would alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import EnvSymbol, Params, per_point
+from .core import EnvSymbol, Frozen, Params, per_point
 
 # ------------------------------------------------------------------ randomness
 
@@ -199,8 +199,7 @@ def u01_block(seeds: np.ndarray, t: int, n0: int, count: int,
     return out
 
 
-@dataclass(frozen=True)
-class SeededStream:
+class SeededStream(NamedTuple):
     """Counter-based uniform source; the variate at (t, n) depends only on (seed, t, n)."""
 
     seed: int
@@ -232,31 +231,30 @@ class SeededStream:
 
 # ------------------------------------------------------------------ model/state
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Frozen):
     """Neighbourhood offset i (window {i, i+1, i+2}) + parameters."""
 
-    offset: int
-    params: Params
+    __slots__ = _fields = ("offset", "params")
 
-    def __post_init__(self) -> None:
-        if abs(self.offset) > 2**62:  # so an offset plus a width stays in int64
-            raise ValueError(f"offset must satisfy |offset| <= 2**62, got {self.offset}")
+    def __init__(self, offset: int, params: Params) -> None:
+        if abs(offset) > 2**62:  # so an offset plus a width stays in int64
+            raise ValueError(f"offset must satisfy |offset| <= 2**62, got {offset}")
+        self._set(offset, params)
 
 
-@dataclass(frozen=True, eq=False)
-class Configuration:
+class Configuration(Frozen):
     """A cyclic row of symbol codes at sites 0..width-1, or a stack of them.
 
     ``cells`` has shape (width,) for one row, or (rows, width) for a stack of
     rows of one width; ``step`` feeds every row of a stack the same (t, n)
-    variates.
+    variates.  Two configurations are equal only if they are one object.
     """
 
-    cells: np.ndarray
+    __slots__ = _fields = ("cells",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self) -> None:
-        cells = np.asarray(self.cells)
+    def __init__(self, cells: np.ndarray) -> None:
+        cells = np.asarray(cells)
         if cells.ndim not in (1, 2) or cells.size == 0:
             raise ValueError("cells must be a nonempty row or stack of rows")
         if (cells.dtype != _INT8 and cells.dtype.kind in "iu"
@@ -266,7 +264,7 @@ class Configuration:
             raise ValueError("cell codes must be the integers 0 (zero), 1 (?), or 2 (one)")
         arr = cells.copy()
         arr.setflags(write=False)
-        object.__setattr__(self, "cells", arr)
+        self._set(arr)
 
     @classmethod
     def _of_rule(cls, cells: np.ndarray) -> "Configuration":
@@ -276,7 +274,7 @@ class Configuration:
         every row a caller builds goes through."""
         cells.setflags(write=False)
         cfg = object.__new__(cls)
-        object.__setattr__(cfg, "cells", cells)
+        cfg._set(cells)
         return cfg
 
     @property
@@ -355,8 +353,7 @@ def step(cfg: Configuration, model: ModelSpec, stream: SeededStream, t: int) -> 
     return Configuration._of_rule(_apply_rule(largest, model.params, k))
 
 
-@dataclass(frozen=True)
-class StepStats:
+class StepStats(NamedTuple):
     t: int
     width: int
     count0: int
@@ -364,8 +361,7 @@ class StepStats:
     count1: int
 
 
-@dataclass(frozen=True)
-class TrajectoryResult:
+class TrajectoryResult(NamedTuple):
     rows: tuple[StepStats, ...]
     final: Configuration
 

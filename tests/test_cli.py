@@ -51,6 +51,34 @@ def test_rational_accepts_fractions_and_decimals():
         _rational("one third")
 
 
+def test_rational_refuses_a_huge_token_before_reading_it():
+    # Fraction("1e10000000") alone took 8 s and a value past 4300 digits
+    # fails when printed, so a token's digits and exponent are bounded first
+    assert _rational("1e-1000") == Fraction(1, 10**1000)
+    assert _rational("1/" + "7" * 999) == Fraction(1, int("7" * 999))
+    for text in ("1e-1001", "2E+1001", "1/" + "7" * 1000, "0." + "0" * 1000 + "1", "1e-100000"):
+        with pytest.raises(argparse.ArgumentTypeError, match="at most 1000 digits"):
+            _rational(text)
+    with pytest.raises(argparse.ArgumentTypeError, match="not a rational"):
+        _rational("1e1/2")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("verify", "kernel", "--p", "1e-9999999", "--q", "1/4"), "--p"),
+    (("verify", "kernel", "--p", "1e-100000", "--q", "1/4"), "--p"),
+    (("verify", "weights", "--grid", "1e-9999999"), "--grid"),
+    (("sweep", "--p-grid", "0:1:1e-9999999", "--q", "0"), "--p-grid"),
+], ids=["kernel --p hang", "kernel --p digit limit", "weights --grid", "sweep --p-grid"])
+def test_a_huge_rational_exits_2_at_once_naming_its_flag(argv, flag):
+    # a subprocess with a timeout: before the bound, the first case ran past
+    # 10 s and the second exited 2 naming an interpreter setting, not the flag
+    proc = subprocess.run([sys.executable, "-m", "percolab.cli", *argv],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(f"error: argument {flag}: ") and proc.stderr.count("\n") == 1
+    assert "set_int_max_str_digits" not in proc.stderr
+
+
 def test_int_list():
     assert _int_list("10,50,100") == (10, 50, 100)
     with pytest.raises(argparse.ArgumentTypeError):
@@ -413,8 +441,6 @@ def test_verify_lemmas_builds_each_law_and_verdict_once_per_point(capsys, monkey
 def test_verify_failures_are_listed_measure_by_measure(capsys, monkeypatch):
     # verify weights loops over points outside measures and verify formulas
     # over measures outside points; both list failures measure by measure
-    import dataclasses
-
     from percolab import measures
 
     master = measures.verify_master_inequality
@@ -422,12 +448,12 @@ def test_verify_failures_are_listed_measure_by_measure(capsys, monkeypatch):
 
     def negative_slack(mu, params):
         rep = master(mu, params)
-        return dataclasses.replace(rep, nums=(*rep.nums[:-1], -1))  # overall slack -1/den
+        return rep._replace(nums=(*rep.nums[:-1], -1))  # overall slack -1/den
 
     def negative_remainder(fid, mu, params):
         res = closed(fid, mu, params)
         # C = -1/den, between the value and the pushforward
-        return dataclasses.replace(res, names=("C",), nums=(res.nums[0], -1, res.nums[-1]))
+        return res._replace(names=("C",), nums=(res.nums[0], -1, res.nums[-1]))
 
     monkeypatch.setattr(measures, "verify_master_inequality", negative_slack)
     monkeypatch.setattr(measures, "closed_form", negative_remainder)
@@ -566,8 +592,6 @@ def test_min_overall_slack_compares_across_denominators(capsys, monkeypatch):
     # run i reports its overall slack as (i + 1) / (i + 1)^2 = 1/(i + 1): the
     # last run has the largest numerator and the least slack, so comparing
     # numerators without cross-multiplying would pick the first run's 1/1
-    import dataclasses
-
     from percolab import measures
 
     master = measures.verify_master_inequality
@@ -576,7 +600,7 @@ def test_min_overall_slack_compares_across_denominators(capsys, monkeypatch):
     def rescaled(mu, params):
         rep = master(mu, params)
         runs.append(len(runs) + 1)
-        return dataclasses.replace(rep, nums=(*rep.nums[:-1], runs[-1]), den=runs[-1] ** 2)
+        return rep._replace(nums=(*rep.nums[:-1], runs[-1]), den=runs[-1] ** 2)
 
     monkeypatch.setattr(measures, "verify_master_inequality", rescaled)
     code, out = run_cli(capsys, "verify", "weights", "--measures", "0", "--grid", "1/2")
@@ -936,6 +960,8 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         report["codes"].append(cli.main(argv))
 report["at_exit"] = loaded()
+report["stdlib_at_exit"] = [name for name in ("dataclasses", "inspect", "ast")
+                            if name in sys.modules]
 report["imported"] = imported
 print(json.dumps(report))
 """
@@ -955,6 +981,9 @@ def test_exact_verify_commands_never_import_numpy():
                             ["verify", "kernel", "--p", "1/3", "--q", "1/5"])
     assert report["codes"] == [0, 0, 0, 0, 0]
     assert report["at_exit"] == ["percolab.measures", "percolab.orders"]
+    # no record is a dataclass, so no exact command pays for dataclasses and
+    # the inspect and ast modules it loads: about 7 ms of start-up
+    assert report["stdlib_at_exit"] == []
 
 
 def test_importing_the_cli_skips_the_metadata_machinery():
@@ -1011,6 +1040,7 @@ def test_row_commands_import_numpy_before_the_parser_is_built(argv):
     assert report["codes"] == [0]
     measures = ["percolab.measures"] if argv[:2] == ["verify", "stationary"] else []
     assert report["at_build_parser"] == [["numpy", "percolab.pca", "percolab.game", *measures]]
+    assert "dataclasses" not in report["stdlib_at_exit"]  # numpy itself loads inspect
 
 
 @pytest.mark.parametrize("argv, layers", [

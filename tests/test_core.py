@@ -100,6 +100,22 @@ def test_equal_params_are_equal_and_hash_alike():
     assert a.memo and not b.memo
     assert a == b and hash(a) == hash(b) == hash((a.p, a.q))
     assert a != Params(Fraction(1, 5), Fraction(1, 3))
+    # a point is frozen: its fields, and the memo itself, cannot be rebound
+    for name in ("p", "q", "memo"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a.p == Fraction(1, 3) and repr(a) == "Params(p=Fraction(1, 3), q=Fraction(1, 5))"
+
+
+def test_cylinder_patterns_are_values():
+    # one event parsed twice is one key: equal, hashing alike, and frozen
+    a, b = CylinderPattern.parse("1 [0?] ***"), CylinderPattern.parse("1 [0?] ***")
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != CylinderPattern.parse("1 [0?] **")
+    with pytest.raises(AttributeError):
+        a.span = 7
 
 
 rationals_01 = st.builds(

@@ -342,6 +342,17 @@ def test_draw_fraction_deterministic_and_monotone():
     assert d["horizon"] == 20 and d["samples"] == 400 and d["seed"] == 314
 
 
+def test_versions_of_one_offset_draw_alike():
+    # after line identification V1 and V2 read the window offset 0 and V3 and
+    # V4 offset -1, so each pair solves one label field: the README's
+    # `game --p 1/4 --q 1/4 --samples 3000 --horizons 4,9 --seed 7` columns
+    params, stream = Params(Fraction(1, 4), Fraction(1, 4)), SeededStream(7)
+    draws = {v: [est.draws for est in draw_fraction(v, params, (4, 9), 3000, stream)]
+             for v in GameVersion}
+    assert draws[GameVersion.V1] == draws[GameVersion.V2] == [136, 6]
+    assert draws[GameVersion.V3] == draws[GameVersion.V4] == [151, 8]
+
+
 def test_draw_fraction_input_checks():
     stream = SeededStream(1)
     with pytest.raises(ValueError):

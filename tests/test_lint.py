@@ -106,6 +106,17 @@ def test_exact_modules_do_not_import_numpy():
     assert not found, f"numeric imports in the exact modules: {found}"
 
 
+def test_no_module_imports_dataclasses():
+    # dataclasses loads inspect and ast, about 7 ms of every command's
+    # start-up; records are named tuples and stateful types slotted classes
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line} {module}" for line, module in _imports_run_on_import(tree)
+                  if module.partition(".")[0] == "dataclasses"]
+    assert not found, f"dataclasses imported at run time: {found}"
+
+
 def _reads(tree, name, skip):
     """Whether a node of ``tree`` outside the node ids ``skip`` reads ``name``,
     as a bare name or as an attribute."""

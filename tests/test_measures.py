@@ -444,6 +444,17 @@ def test_counts_match_word_by_word_fractions():
                     (pat_text, mu.name, str(params))
 
 
+def test_measures_are_equal_only_to_themselves():
+    # two tables of one law are two measures, each with its own kept sums
+    table = product_measure(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
+    again = TIMeasure.from_table(table.counts[ORDER], table.den, table.name)
+    assert table == table and table != again and len({table, again}) == 2
+    assert again.counts == table.counts and again.signature_masses is not table.signature_masses
+    for name in ("den", "name", "cylinder_counts"):
+        with pytest.raises(AttributeError):
+            setattr(again, name, getattr(table, name))
+
+
 def test_grouped_masses_are_summed_once_per_measure(monkeypatch):
     # the signature masses do not depend on (p, q), so a second point reuses them
     calls = []
@@ -877,8 +888,6 @@ def test_integer_verdicts_match_fraction_oracle_on_the_quarter_grid():
 def test_verdicts_follow_the_sign_of_each_numerator():
     # every value of a report set in turn to -1, 0 and back: the integer
     # verdict must stay the one its Fraction values imply
-    import dataclasses
-
     mu, params = sampled_measures(1, 25)[-1], Params(Fraction(1, 4), Fraction(1, 2))
     reports = [verify_master_inequality(mu, params), verify_table_inequality("ineq_1", mu),
                verify_table_inequality("ineq_2", mu),
@@ -887,7 +896,7 @@ def test_verdicts_follow_the_sign_of_each_numerator():
         assert rep.den > 0
         for j, kept in enumerate(rep.nums):
             for num in (-1, 0, kept):
-                changed = dataclasses.replace(rep, nums=(*rep.nums[:j], num, *rep.nums[j + 1:]))
+                changed = rep._replace(nums=(*rep.nums[:j], num, *rep.nums[j + 1:]))
                 _, verdict, fraction_verdict = _read(changed)
                 assert verdict == fraction_verdict, (type(rep).__name__, j, num)
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from percolab import pca
 from percolab.core import TRIPLE_CLASSES, EnvSymbol, Params, TripleClass
 from percolab.measures import FORMULA_GRID
 from percolab.pca import (
@@ -187,7 +188,116 @@ def test_variate_cuts_edges():
     assert variate_cuts(Params(Fraction(1, 10), 0))[0] == math.ceil(0.1 * 2**53)
 
 
+# ---------------------------------------------------------------- cut laws
+
+# The points of the exact checks and the triangle's three vertices.
+CUT_LAW_POINTS = [*FORMULA_GRID, (Fraction(0), Fraction(0))]
+_ONE53 = 2**53  # no variate reaches it
+_M64 = 2**64 - 1
+
+
+def _interval_law(read, cuts):
+    """The law that ``read`` induces on the variates 0..2**53-1, as integer
+    counts per output code, one row per output row.
+
+    ``read`` maps an array of variates to an array of codes of shape (rows,
+    variates).  The variates split into intervals at the cuts; ``read`` is
+    asked at both ends and the midpoint of each, and must be constant there.
+    """
+    bounds = sorted({0, _ONE53, *(min(int(c), _ONE53) for c in cuts)})
+    spans = list(zip(bounds, bounds[1:]))
+    ks = np.array([k for lo, hi in spans for k in (lo, (lo + hi - 1) // 2, hi - 1)],
+                  dtype=np.uint64)
+    out = np.asarray(read(ks)).reshape(-1, len(spans), 3)
+    assert (out == out[..., :1]).all(), "the output changes inside an interval"
+    laws = np.zeros((out.shape[0], 3), dtype=object)
+    for row, codes in enumerate(out[..., 0]):
+        for code, (lo, hi) in zip(codes, spans):
+            laws[row, code] += hi - lo
+    return laws
+
+
+def _assert_law_within_two_ulps(induced, masses, scale):
+    """|induced / 2**53 - masses / scale| <= 2 * 2**-53 per code, and equal
+    when the scale is a power of two (every cut is then exact)."""
+    for got, want in zip(induced, masses):
+        assert abs(got * scale - want * _ONE53) <= 2 * scale, (induced, masses, scale)
+        if scale & (scale - 1) == 0:
+            assert got * scale == want * _ONE53, (induced, masses, scale)
+
+
+@pytest.mark.parametrize("pq", CUT_LAW_POINTS, ids=lambda pq: f"{pq[0]},{pq[1]}")
+def test_the_rule_draws_each_class_law_at_its_cuts(pq):
+    # the law the Monte Carlo rule draws, from the lengths of the intervals
+    # between its cuts, is core's CLASS_LAWS to within the rounding of p,
+    # p + r and 1 - q; without a MIXED triple the rule skips that select
+    params = Params(*pq)
+
+    def read(ks):
+        classes = np.repeat(np.arange(3, dtype=np.int8)[:, None], ks.size, axis=1)
+        out = _apply_rule(classes, params, ks)
+        no_mixed = _apply_rule(classes[::2], params, ks)
+        assert np.array_equal(no_mixed, out[::2])
+        return out
+
+    scale, masses = params.law_masses
+    for cls, induced in zip(TripleClass, _interval_law(read, variate_cuts(params))):
+        _assert_law_within_two_ulps(induced, masses[cls], scale)
+
+
+def _unfinalize_tail(h: int) -> int:
+    """The inverse of ``pca._finalize_tail`` on a Python int."""
+    h ^= h >> 31 ^ h >> 62
+    h = h * pow(pca._MUL2_INT, -1, 2**64) & _M64
+    h ^= h >> 27 ^ h >> 54
+    return h * pow(pca._MUL1_INT, -1, 2**64) & _M64
+
+
+def _labels_at(monkeypatch, ks, cuts):
+    """u01_block's label codes under ``cuts`` at the variates ``ks``, read from
+    hashes k << 11 and again from hashes with all 11 low bits set: the site
+    keys are replaced by ones that hash to exactly those values."""
+    seed, t = 5, 3
+    prefix = pca._finalize_int((seed + pca._GOLD_INT) & _M64)
+    prefix = pca._finalize_int(prefix ^ pca._step_key(t))
+    prefix ^= prefix >> 30
+    hashes = [int(k) << 11 | low for low in (0, 0x7FF) for k in ks]
+    keys = np.array([_unfinalize_tail(h) ^ prefix for h in hashes], dtype=np.uint64)
+    monkeypatch.setattr(pca, "_site_keys", lambda n0, count: keys)
+    seeds = np.array([seed], dtype=np.uint64)
+    assert np.array_equal(u01_block(seeds, t, 0, keys.size)[0], np.tile(ks, 2))
+    return u01_block(seeds, t, 0, keys.size, cuts).reshape(2, -1)
+
+
+@pytest.mark.parametrize("pq", CUT_LAW_POINTS, ids=lambda pq: f"{pq[0]},{pq[1]}")
+def test_the_game_labels_sites_by_p_r_q_at_its_cuts(monkeypatch, pq):
+    # u01_block reads a label as the number of the game's cuts p and 1 - q
+    # that its variate reaches, from the raw hash; the interval law is
+    # (trap, open, target) ~ (p, r, q) to within the rounding of the cuts
+    params = Params(*pq)
+    cut_p, _, cut_1q = variate_cuts(params)
+    scale, a, b = params.scaled
+    for induced in _interval_law(lambda ks: _labels_at(monkeypatch, ks, (cut_p, cut_1q)),
+                                 (cut_p, cut_1q)):
+        _assert_law_within_two_ulps(induced, (a, scale - a - b, b), scale)
+
+
 # ---------------------------------------------------------------- configuration
+
+def test_streams_and_models_are_values_and_configurations_are_objects():
+    # a stream and a model compare and hash by their fields; a configuration
+    # holds an array and is equal only to itself; none can be rebound
+    assert SeededStream(7) == SeededStream(7) and hash(SeededStream(7)) == hash(SeededStream(7))
+    assert SeededStream(7) != SeededStream(8)
+    assert spec(-1) == spec(-1) and hash(spec(-1)) == hash(spec(-1)) and spec(-1) != spec(0)
+    row = Configuration([0, 1, 2])
+    assert row == row and row != Configuration([0, 1, 2]) and len({row, row}) == 1
+    for obj, name in ((SeededStream(7), "seed"), (spec(), "offset"), (spec(), "params"),
+                      (row, "cells")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, getattr(obj, name))
+    assert not row.cells.flags.writeable
+
 
 def test_configuration_validation():
     with pytest.raises(ValueError):

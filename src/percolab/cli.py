@@ -90,12 +90,21 @@ def _grid_step(text: str) -> Fraction:
 
 def _count(text: str) -> int:
     try:
-        value = int(text)
+        if (value := int(text)) >= 0:
+            return value
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"count must be >= 0, got {text!r}")
-    return value
+    raise argparse.ArgumentTypeError(f"count must be >= 0, got {text!r}")
+
+
+def _seed(text: str) -> int:
+    """A seed in [0, 2**64): the hash reads it mod 2**64, so no two in range share a stream."""
+    try:
+        if 0 <= (value := int(text)) < 2**64:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"a seed is an integer in [0, 2**64), got {text!r}")
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -112,10 +121,12 @@ def _int_list(text: str) -> tuple[int, ...]:
 # build, and the most (measure, point) runs of the master inequality it may
 # make: three measures at every point of the finest grid.  Each count is taken
 # before anything is built, so a larger request is refused at once instead of
-# running (and filling memory) for hours.
+# running (and filling memory) for hours.  So is the most label sites a game
+# or sweep may hash, points x samples x (largest horizon)^2 (README sweep: 4.2e8).
 _MAX_POINTS = 100_000
 _MAX_MEASURES = 1_000
 _MAX_RUNS = 300_000
+_MAX_SITES = 10**10
 
 
 def _check_points(count: int, what: str, noun: str = "points", cap: Optional[int] = None) -> None:
@@ -263,7 +274,7 @@ def _param_axis(single: Optional[Fraction], grid: Optional[tuple[Fraction, ...]]
 
 def cmd_game(cfg: RunConfig) -> int:
     from .core import GameVersion
-    from .game import draw_fraction
+    from .game import check_request, draw_fraction
     from .pca import SeededStream
 
     version = GameVersion[cfg.version.upper()]
@@ -276,6 +287,10 @@ def cmd_game(cfg: RunConfig) -> int:
         if len(ps) == 1 and len(qs) == 1:
             raise ValueError(f"game: (p={ps[0]}, q={qs[0]}) is outside the region")
         raise ValueError("game: no requested (p, q) point lies in the region")
+    check_request(cfg.horizons, cfg.samples)
+    top = max(cfg.horizons)
+    _check_points(len(points) * cfg.samples * top**2, f"game: --samples {cfg.samples} to horizon "
+                  f"{top} at {len(points)} (p, q) point(s)", "label sites", _MAX_SITES)
     rows = [est.to_json_dict() for p, q in points
             for est in draw_fraction(version, Params(p, q), cfg.horizons, cfg.samples,
                                      SeededStream(cfg.seed))]
@@ -432,7 +447,7 @@ def _add_game_flags(sp: argparse.ArgumentParser, grids_required: bool) -> None:
                     metavar="START:STOP:STEP")
     sp.add_argument("--horizons", type=_int_list, default=(10, 50, 100))
     sp.add_argument("--samples", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     _add_output_flags(sp, ("csv", "json"))
 
 
@@ -461,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--steps", type=int, default=100)
     sim.add_argument("--offset", type=int, default=0,
                      help="neighbourhood offset i, window {i, i+1, i+2}")
-    sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sim.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     _add_output_flags(sim, ("csv", "json"))
     sim.set_defaults(func=cmd_simulate)
 
@@ -489,19 +504,19 @@ def build_parser() -> argparse.ArgumentParser:
     form = checks.add_parser("formulas", help="closed forms vs brute-force pushforward")
     form.add_argument("--measures", type=_count, default=5,
                       help="random measures per family (plus 3 point masses)")
-    form.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    form.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     _add_output_flags(form, ("json",))
 
     tab = checks.add_parser("tables", help="window-table structure and inequalities")
     tab.add_argument("--measures", type=_count, default=5)
-    tab.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    tab.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     _add_output_flags(tab, ("json",))
 
     wts = checks.add_parser("weights", help="master inequality across measures x (p,q)")
     wts.add_argument("--measures", type=_count, default=3)
     wts.add_argument("--grid", type=_grid_step, default=Fraction(1, 4),
                      help="(p, q) grid step, exact rational in (0, 1]")
-    wts.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    wts.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     _add_output_flags(wts, ("json",))
 
     sta = checks.add_parser("stationary", help="long-run empirical stationarity gauge")
@@ -510,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     sta.add_argument("--width", type=int, default=10_000)
     sta.add_argument("--steps", type=int, default=1000)
     sta.add_argument("--offset", type=int, default=0)
-    sta.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sta.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     _add_output_flags(sta, ("json",))
 
     verify.set_defaults(func=cmd_verify)

@@ -125,6 +125,7 @@ def _holds_d(codes: np.ndarray, m: int) -> np.ndarray:
 # hash works in tiles of its own).  A horizon whose widest line alone exceeds
 # it is rejected.
 _CELL_BUDGET = 1 << 20
+_Z = 1.96  # wilson_interval's two-sided 95% quantile of the standard normal law
 
 
 def _count_draws(
@@ -195,15 +196,15 @@ def _count_draws(
     return draws
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """95% (by default) Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     phat = successes / trials
-    z2 = z * z
+    z2 = _Z * _Z
     denom = 1.0 + z2 / trials
     centre = (phat + z2 / (2 * trials)) / denom
-    half = z * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4 * trials * trials)) / denom
+    half = _Z * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4 * trials * trials)) / denom
     lo = 0.0 if successes == 0 else max(0.0, centre - half)  # endpoints are exact
     hi = 1.0 if successes == trials else min(1.0, centre + half)
     return lo, hi
@@ -243,6 +244,20 @@ class DrawEstimate(NamedTuple):
         }
 
 
+def check_request(horizons: Sequence[int], samples: int) -> None:
+    """Refuse no horizon, fewer than one sample, or a horizon outside
+    0..(_CELL_BUDGET - 1) // 2, so that one sample's widest line fits a chunk."""
+    if not horizons:
+        raise ValueError("no horizon given")
+    for horizon in horizons:
+        if horizon < 0:
+            raise ValueError(f"horizon must be >= 0, got {horizon}")
+        if 1 + 2 * horizon > _CELL_BUDGET:
+            raise ValueError(f"horizon must be <= {(_CELL_BUDGET - 1) // 2}, got {horizon}")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+
+
 def draw_fraction(
     version: GameVersion,
     params: Params,
@@ -255,19 +270,10 @@ def draw_fraction(
 
     A label is keyed by (sample, line, site), so every horizon reads the same
     label field; that makes the estimate nonincreasing in the horizon sample by
-    sample, not just in law. Every horizon is checked before any is run: it
-    lies in 0..(_CELL_BUDGET - 1) // 2, so one sample's widest line fits a chunk.
+    sample, not just in law.
     """
     horizons = tuple(horizons)
-    if not horizons:
-        raise ValueError("no horizon given")
-    for horizon in horizons:
-        if horizon < 0:
-            raise ValueError(f"horizon must be >= 0, got {horizon}")
-        if 1 + 2 * horizon > _CELL_BUDGET:
-            raise ValueError(f"horizon must be <= {(_CELL_BUDGET - 1) // 2}, got {horizon}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    check_request(horizons, samples)
     draws = _count_draws(version, params, horizons, samples, stream)
     return tuple(DrawEstimate(version, params, h, samples, draws[h], stream.seed)
                  for h in horizons)

@@ -21,9 +21,11 @@ giving a parameter-free plan.  A point compiles a plan by integer evaluation to
 coefficients over one denominator, the power s^E of its scale, and a measure
 evaluates each functional as one integer dot product over one positive
 denominator.  The reports keep those numerators and decide their verdicts on
-integer signs; a value becomes a Fraction only when it is read.  The
-kernels and compiled forms are kept on their point (``core.per_point``), so
-they are built once per point in any visiting order and freed with it.
+integer signs; a value becomes a Fraction only when it is read.  Every plan
+builder returns (labels, plan), and every point-dependent check is compiled by
+the one per-point ``_compiled``: its forms, like the kernels, are kept on their
+point (``core.per_point``), built once per point in any visiting order and
+freed with it.  The window tables are compiled once per process.
 Floats never enter a verification path.
 """
 
@@ -142,8 +144,7 @@ def product_measure(p0, pQ, p1) -> TIMeasure:
 
 def point_mass(symbol: EnvSymbol) -> TIMeasure:
     """The measure concentrated on the constant configuration."""
-    weights = [Fraction(1) if s is symbol else Fraction(0) for s in SYMBOLS]
-    return product_measure(*weights)
+    return product_measure(*(int(s is symbol) for s in SYMBOLS))
 
 
 def reversible_markov_measure(weights: Sequence[Sequence[int]]) -> TIMeasure:
@@ -550,6 +551,14 @@ def _values(form: _Form, mu: TIMeasure, params: Optional[Params]) -> tuple[list[
     return [sums[i] for i in form.order], form.den * mu.den
 
 
+@per_point
+def _compiled(plan: Callable[..., tuple[object, _Plan]], *args) -> tuple[object, _Form]:
+    """``plan(*args[:-1])``, a builder's (labels, plan) made once per process,
+    with its plan compiled at the point ``args[-1]``, once per point."""
+    labels, built = plan(*args[:-1])
+    return labels, _compile(built, args[-1])
+
+
 def _fractions(nums: Sequence[int], den: int) -> tuple[Fraction, ...]:
     """The values n / den, each reduced."""
     return tuple(Fraction(n, den) for n in nums)
@@ -672,37 +681,29 @@ def _closed_form_parts(name: str) -> tuple[bool, Sparse, tuple[tuple[str, Sparse
 
 
 @lru_cache(maxsize=None)
-def _closed_form_plan(name: str) -> tuple[bool, tuple[str, ...], _Plan]:
-    """Whether the entry is fully specified, its component names, and its value,
-    its components and then its brute-force pushforward as a plan.  A fully
-    specified entry's value and written part are one functional, and so are
-    a partial entry's value and pushforward: each such pair shares a row."""
+def _closed_form_plan(name: str) -> tuple[tuple[bool, tuple[str, ...]], _Plan]:
+    """Whether the entry is fully specified and its component names, and its
+    value, its components and then its brute-force pushforward as a plan.  A
+    fully specified entry's value and written part are one functional, and so
+    are a partial entry's value and pushforward: each such pair shares a row."""
     fully, value, comps = _closed_form_parts(name)
-    return fully, tuple(k for k, _ in comps), _plan((value, *(v for _, v in comps),
-                                                     _pushforward(name)))
-
-
-@per_point
-def _closed_form_form(name: str, params: Params) -> tuple[bool, tuple[str, ...], _Form]:
-    """The entry's plan compiled at (p, q)."""
-    fully, names, plan = _closed_form_plan(name)
-    return fully, names, _compile(plan, params)
+    return (fully, tuple(k for k, _ in comps)), _plan((value, *(v for _, v in comps),
+                                                       _pushforward(name)))
 
 
 def closed_form(name: str, mu: TIMeasure, params: Params) -> ClosedFormResult:
     """Evaluate one closed-form catalog entry exactly.
 
     Requires a reflection-invariant measure (two of the writings use the
-    reflected cylinder).  The entry's plan is made once per process and
-    compiled once per (name, p, q); each measure costs one dot product per
-    reported value, and every entry reads its pushforward through
+    reflected cylinder).  Each measure costs one dot product per reported
+    value, and every entry reads its pushforward through
     ``pushforward_cylinder`` once.
     """
     if name not in CLOSED_FORM_IDS:
         raise ValueError(f"unknown formula {name!r}; known: {CLOSED_FORM_IDS}")
     if not mu.reflection_invariant:
         raise ValueError("closed forms assume a reflection-invariant measure")
-    fully, names, form = _closed_form_form(name, params)
+    (fully, names), form = _compiled(_closed_form_plan, name, params)
     nums, den = _values(form, mu, params)
     return ClosedFormResult(name, params, mu.name, names, tuple(nums), den, fully)
 
@@ -742,20 +743,15 @@ def _weights() -> tuple[Sparse, ...]:
 
 
 @lru_cache(maxsize=None)
-def _weight_plan() -> _Plan:
-    return _plan(_weights())
-
-
-@per_point
-def _weight_form(params: Params) -> _Form:
-    return _compile(_weight_plan(), params)
+def _weight_plan() -> tuple[tuple[()], _Plan]:
+    return (), _plan(_weights())
 
 
 def weight(k: int, mu: TIMeasure, params: Params) -> Fraction:
     """The k-th weight functional of the measure, k in 0..4."""
     if not 0 <= k <= 4:
         raise ValueError(f"weight index must be 0..4, got {k}")
-    nums, den = _values(_weight_form(params), mu, params)
+    nums, den = _values(_compiled(_weight_plan, params)[1], mu, params)
     return Fraction(nums[k], den)
 
 
@@ -914,27 +910,24 @@ class TableReport(NamedTuple):
         }
 
 
-@lru_cache(maxsize=None)
-def _table_form(which: str) -> tuple[tuple[str, ...], tuple[str, ...], _Form]:
-    """The row tables, the form names, and the row sums, forms, lhs and rhs of
-    one inequality compiled (their coefficients are constants)."""
-    def row_sum(rows: Sequence[tuple[int, str]]) -> Sparse:
-        return _cylinders([(1, syms) for _, syms in rows])
-
+def _table_plan(which: str) -> tuple[tuple[tuple[str, ...], tuple[str, ...]], _Plan]:
+    """The row tables and the form names of one inequality, and its row sums,
+    forms, lhs and rhs as a plan (their coefficients are constants)."""
     if which == "ineq_1":
-        sums = (("ineq1_rows", row_sum(_INEQ1_ROWS)),)
-        forms = tuple((name, _cylinders(terms)) for name, terms in _INEQ1_FORMS)
-        lhs = _cylinder("?")
-        rhs = forms[-1][1]
+        tables, forms, lhs, rhs = ("ineq1_rows",), _INEQ1_FORMS, ((1, "?"),), _INEQ1_FORMS[-1][1]
     else:
-        sums = (("ineq2_rows_q", row_sum(_INEQ2_ROWS_Q)),
-                ("ineq2_rows_0q", row_sum(_INEQ2_ROWS_0Q)),
-                ("ineq2_rows_00q", row_sum(_INEQ2_ROWS_00Q)))
-        forms = ()
-        lhs = _cylinders(_INEQ2_LHS)
-        rhs = _cylinders(_INEQ2_RHS)
-    linears = (*(v for _, v in sums), *(v for _, v in forms), lhs, rhs)
-    return tuple(k for k, _ in sums), tuple(k for k, _ in forms), _compile(_plan(linears), None)
+        tables, forms, lhs, rhs = (("ineq2_rows_q", "ineq2_rows_0q", "ineq2_rows_00q"), (),
+                                   _INEQ2_LHS, _INEQ2_RHS)
+    sums = [[(1, syms) for _, syms in _TABLES[table][0]] for table in tables]
+    linears = [_cylinders(terms) for terms in (*sums, *(t for _, t in forms), lhs, rhs)]
+    return (tables, tuple(name for name, _ in forms)), _plan(linears)
+
+
+@lru_cache(maxsize=None)
+def _table_form(which: str) -> tuple[tuple[tuple[str, ...], tuple[str, ...]], _Form]:
+    """The inequality's plan, made and compiled once per process: it needs no point."""
+    labels, plan = _table_plan(which)
+    return labels, _compile(plan, None)
 
 
 def verify_table_inequality(which: str, mu: TIMeasure) -> TableReport:
@@ -949,7 +942,7 @@ def verify_table_inequality(which: str, mu: TIMeasure) -> TableReport:
         raise ValueError(f"which must be 'ineq_1' or 'ineq_2', got {which!r}")
     if not mu.reflection_invariant:
         raise ValueError("table inequalities assume a reflection-invariant measure")
-    tables, form_names, form = _table_form(which)
+    (tables, form_names), form = _table_form(which)
     nums, den = _values(form, mu, None)
     return TableReport(which, mu.name, tuple(map(table_structure, tables)), form_names,
                        tuple(nums), den)
@@ -960,7 +953,7 @@ def verify_table_inequality(which: str, mu: TIMeasure) -> TableReport:
 # Slack terms subtracted on the right of the master inequality: coefficient(p,q,r)
 # times a signed combination of cylinder probabilities.  Every term must come out
 # non-negative on its own; D and D' (built from the closed-form remainders) are
-# appended by _master_form.
+# appended by _master_plan.
 _MASTER_TERMS: tuple[tuple[str, Callable[[Sparse, Sparse, Sparse], Sparse],
                            tuple[tuple[int, str], ...]], ...] = (
     ("q(1+p-pr) [mu(0?)+mu(00?)]",
@@ -1082,28 +1075,21 @@ def _master_plan() -> tuple[tuple[str, ...], _Plan]:
     return tuple(name for name, _ in terms), _plan(linears)
 
 
-@per_point
-def _master_form(params: Params) -> tuple[tuple[str, ...], _Form]:
-    names, plan = _master_plan()
-    return names, _compile(plan, params)
-
-
 def verify_master_inequality(mu: TIMeasure, params: Params) -> WeightReport:
     """Exact check that one update decreases w4 by at least the named slack terms.
 
     w4 of the updated measure is evaluated entirely through brute-force
     pushforward probabilities -- none of the closed forms enter that side.  The
     remainder terms D and D' reuse the closed-form catalog's C/D components.
-    Every reported value, the overall slack included, is a functional whose
-    plan is made once per process and compiled once per (p, q), so each
-    measure costs one integer dot product per value, and the verdict is read
-    from the signs of those integers.
+    Every reported value, the overall slack included, is one compiled
+    functional, so each measure costs one integer dot product per value, and
+    the verdict is read from the signs of those integers.
     """
     if not params.in_region:
         raise ValueError("master inequality requires p + q > 0")
     if not mu.reflection_invariant:
         raise ValueError("master inequality assumes a reflection-invariant measure")
-    names, form = _master_form(params)
+    names, form = _compiled(_master_plan, params)
     nums, den = _values(form, mu, params)
     return WeightReport(params, mu.name, names, tuple(nums), den)
 
@@ -1144,22 +1130,15 @@ _FORCED = {"r=0": ("?",), "q>0": ("***", "?"), "q=0,p>0": ("10?", "000?1", "000?
 
 
 @lru_cache(maxsize=None)
-def _stationary_plan(branch: str) -> _Plan:
-    """mu(?), mu(?) - r*mu(***) and the branch's forced cylinders as a plan."""
+def _stationary_plan(branch: str) -> tuple[str, _Plan]:
+    """The branch, and mu(?), mu(?) - r*mu(***) and its forced cylinders as a plan."""
     c = _cylinder
-    return _plan((c("?"), c("?") - _R * c("***"), *map(c, _FORCED[branch])))
-
-
-@per_point
-def _stationary_form(params: Params) -> tuple[str, _Form]:
-    """The point's branch, and its plan compiled at (p, q)."""
-    p, q, r = params.p, params.q, params.r
-    branch = "r=0" if r == 0 else "q>0" if q > 0 else "q=0,p>0" if p > 0 else "p=q=0"
-    return branch, _compile(_stationary_plan(branch), params)
+    return branch, _plan((c("?"), c("?") - _R * c("***"), *map(c, _FORCED[branch])))
 
 
 def stationary_conclusion_check(params: Params, mu: TIMeasure) -> StationarityReport:
-    branch, form = _stationary_form(params)
+    branch = "r=0" if not params.r else "q>0" if params.q else "q=0,p>0" if params.p else "p=q=0"
+    _, form = _compiled(_stationary_plan, branch, params)
     qmark, gauge, *forced = _fractions(*_values(form, mu, params))
     names = tuple(f"mu({text})" for text in _FORCED[branch])
     return StationarityReport(params, mu.name, branch, qmark, abs(gauge), tuple(zip(names, forced)))

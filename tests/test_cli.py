@@ -769,6 +769,62 @@ def test_readme_monte_carlo_commands_print_the_recorded_bytes(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == README_MONTE_CARLO_DIGESTS[argv]
 
 
+def test_readme_and_benchmark_games_fit_ten_times_inside_the_site_budget(capsys, monkeypatch):
+    from percolab import cli, game
+
+    monkeypatch.setattr(cli, "_MAX_SITES", cli._MAX_SITES // 10)
+    monkeypatch.setattr(game, "draw_fraction", lambda *args: ())  # counted, not run
+    workloads = _perfbench_workloads()
+    commands = [*README_MONTE_CARLO_DIGESTS,
+                ("game", "--p", "1/4", "--q", "1/4", "--samples", "3000", "--horizons", "4,9"),
+                *(argv for name in ("mc_fast_decay", "mc_slow_decay")
+                  for argv in workloads.commands(name, 0) if argv[0] == "game")]
+    assert len(commands) == 5
+    for argv in commands:
+        assert exit_status(capsys, *argv)[0] == 0, argv
+
+
+def _seed_flags(parser, words=()):
+    """(command words, action) of every --seed flag of the parser's commands."""
+    for action in parser._actions:
+        if "--seed" in action.option_strings:
+            yield words, action
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _seed_flags(sub, (*words, name))
+
+
+def test_every_seed_flag_reads_one_seed_type():
+    from percolab.cli import _seed, build_parser
+
+    flags = dict(_seed_flags(build_parser()))
+    assert sorted(map(" ".join, flags)) == [
+        "game", "simulate", "sweep", "verify formulas", "verify stationary", "verify tables",
+        "verify weights"]
+    assert all(action.type is _seed for action in flags.values())
+
+
+@pytest.mark.parametrize("seed", [str(2**64), "-1", "2**64", "7.0"])
+@pytest.mark.parametrize("argv", [
+    ("game", "--p", "1/4", "--q", "1/4", "--samples", "10", "--horizons", "3"),
+    ("simulate", "--p", "1/4", "--q", "1/4", "--width", "20", "--steps", "3"),
+    ("verify", "formulas", "--measures", "0"),
+], ids=lambda argv: argv[0])
+def test_a_seed_outside_0_to_2_64_exits_2(capsys, argv, seed):
+    # the hash reads a seed mod 2**64: --seed 2**64 drew the draws of --seed 0
+    # while each echoed its own seed
+    code, err = exit_status(capsys, *argv, "--seed", seed)
+    assert code == 2
+    assert err == f"error: argument --seed: a seed is an integer in [0, 2**64), got {seed!r}\n"
+
+
+@pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
+def test_seeds_at_the_ends_of_the_range_run_and_are_echoed(capsys, seed):
+    code, out = run_cli(capsys, "game", "--p", "1/4", "--q", "1/4", "--samples", "10",
+                        "--horizons", "3", "--seed", seed, "--format", "json")
+    assert code == 0 and [row["seed"] for row in json.loads(out)] == [int(seed)]
+
+
 def test_game_rejects_a_negative_horizon_before_hashing(capsys, monkeypatch):
     from percolab import game
 
@@ -781,6 +837,44 @@ def test_game_rejects_a_negative_horizon_before_hashing(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert hashed == []
+
+
+@pytest.mark.parametrize("argv, sites", [
+    (("game", "--p", "1/4", "--q", "1/4", "--samples", "100000000000000000000", "--horizons",
+      "1"), "100000000000000000000"),
+    # the README sweep's 21 points in the region, to horizon 1000
+    (("sweep", "--p-grid", "0:1:1/5", "--q-grid", "0:1:1/5", "--horizons", "10,1000",
+      "--samples", "2000"), "42000000000"),
+], ids=["game", "sweep"])
+def test_game_refuses_more_label_sites_than_its_budget_before_hashing(capsys, monkeypatch, argv,
+                                                                      sites):
+    # points x samples x (largest horizon)^2 is counted before any seed is
+    # made: 10^20 samples at horizon 1 hashed chunk after chunk for minutes
+    from percolab import game
+
+    hashed = []
+    monkeypatch.setattr(game, "u01_block", lambda *args: hashed.append(args))
+    monkeypatch.setattr(game.SeededStream, "child_seeds_u64", lambda *args: hashed.append(args))
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f" has {sites} label sites, more than the 10000000000 " in captured.err
+    assert hashed == []
+
+
+def test_a_game_of_exactly_the_site_budget_runs(capsys, monkeypatch):
+    from percolab import cli
+
+    # 6 points of the grid lie in the region: 6 x 5 samples x 3^2 sites
+    argv = ("sweep", "--p-grid", "0:1:1/2", "--q-grid", "0:1:1/2", "--horizons", "2,3",
+            "--samples", "5")
+    monkeypatch.setattr(cli, "_MAX_SITES", 270)
+    assert exit_status(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli, "_MAX_SITES", 269)
+    code, err = exit_status(capsys, *argv)
+    assert code == 2 and " has 270 label sites, more than the 269 " in err
+    assert err.count("\n") == 1
 
 
 def test_game_rejects_a_horizon_wider_than_the_cell_budget():

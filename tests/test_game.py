@@ -64,6 +64,19 @@ def test_out_set_respects_line_structure(x, y, v):
     assert sorted(s[0] for s in outs) == [x + v.offset + j for j in range(3)]
 
 
+@pytest.mark.parametrize("version", list(GameVersion), ids=lambda v: v.value)
+def test_each_version_offset_is_derived_from_its_moves(version):
+    # the offset i is read off the version's three moves: from any site, the
+    # out-neighbours' x-coordinates minus x are {i, i+1, i+2}
+    derived = set()
+    for x, y in ((0, 0), (3, -1), (-7, 4)):
+        shifts = {nx - x for nx, _ in out_set(version, x, y)}
+        i = min(shifts)
+        assert shifts == {i, i + 1, i + 2}
+        derived.add(i)
+    assert derived == {version.offset}
+
+
 def test_v1_parity():
     for x, y in [(0, 0), (3, -1), (-2, 5)]:
         for s in out_set(GameVersion.V1, x, y):

@@ -167,17 +167,22 @@ def test_exact_modules_hold_no_float():
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _unread_parameters(tree):
-    """(line, function, parameter) of each parameter of a ``def`` that its
-    body never reads.  A method's receiver, the first parameter of a ``def``
-    in a class body that is not a staticmethod, is not counted: the caller
-    does not pass it."""
+def _receivers(tree):
+    """The ids of the methods' receivers: the first parameter of each ``def``
+    in a class body that is not a staticmethod, which the caller does not pass."""
     receivers = set()
     for cls in ast.walk(tree):
         for node in cls.body if isinstance(cls, ast.ClassDef) else ():
             if isinstance(node, _DEFS) and not any(
                     isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list):
                 receivers.update(id(a) for a in (node.args.posonlyargs + node.args.args)[:1])
+    return receivers
+
+
+def _unread_parameters(tree):
+    """(line, function, parameter) of each parameter of a ``def`` that its
+    body never reads, a method's receiver not counted."""
+    receivers = _receivers(tree)
     found = []
     for node in ast.walk(tree):
         if isinstance(node, _DEFS):
@@ -203,6 +208,56 @@ def test_every_parameter_in_src_is_read():
         found += [f"{path.name}:{line} {func}({arg})" for line, func, arg in _unread_parameters(tree)
                   if (path.name, func, arg) not in _UNREAD_PARAMETERS_KEPT]
     assert not found, f"parameters that their function never reads: {found}"
+
+
+def _defaulted_parameters(tree):
+    """(line, function, parameter, position) of each parameter with a default
+    of a ``def``; position is its index among the arguments a caller passes
+    by position, a method's receiver not counted, or None if keyword-only."""
+    receivers = _receivers(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, _DEFS):
+            args = node.args
+            positional = [a for a in args.posonlyargs + args.args if id(a) not in receivers]
+            defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
+            found += [(node.lineno, node.name, a.arg, positional.index(a)) for a in defaulted]
+            found += [(node.lineno, node.name, a.arg, None)
+                      for a, default in zip(args.kwonlyargs, args.kw_defaults) if default]
+    return found
+
+
+def _sets(call, parameter, position):
+    """Whether a call passes the parameter: by keyword, at its position, or
+    through a ``*`` or ``**`` splat that may hold it."""
+    if any(kw.arg in (parameter, None) for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+# cli.main's argv is passed by the tests; the console script calls main()
+_DEFAULTS_NO_CALLER_SETS = {("cli.py", "main", "argv")}
+
+
+def test_every_defaulted_parameter_is_set_by_some_caller():
+    # a default that no call in src overrides is a constant in disguise, a
+    # knob that nothing turns: make it a module constant instead
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                calls.setdefault(name, []).append(node)
+    found = [f"{name}:{line} {func}({param})" for name, tree in trees.items()
+             for line, func, param, position in _defaulted_parameters(tree)
+             if (name, func, param) not in _DEFAULTS_NO_CALLER_SETS
+             and not any(_sets(call, param, position) for call in calls.get(func, ()))]
+    assert not found, f"defaults that no caller in src sets: {found}"
 
 
 def _storing_cache(decorator):

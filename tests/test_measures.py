@@ -929,13 +929,23 @@ def test_plan_degrees_are_computed():
     # E, the largest coefficient degree plus pushforward span, bounds the
     # degree in (p, q) of every value a plan reports
     assert measures._master_plan()[1].degree == 7
-    assert measures._weight_plan().degree == 3
-    degrees = [measures._closed_form_plan(name)[2].degree for name in CLOSED_FORM_IDS]
+    assert measures._weight_plan()[1].degree == 3
+    degrees = [measures._closed_form_plan(name)[1].degree for name in CLOSED_FORM_IDS]
     assert max(degrees) == 4
     # the tables have constant coefficients, so they compile without a point
-    assert {measures._table_form(which)[2].den for which in ("ineq_1", "ineq_2")} == {1}
+    assert {measures._table_form(which)[1].den for which in ("ineq_1", "ineq_2")} == {1}
     with pytest.raises(ValueError, match="a plan of degree 3 needs a point"):
-        measures._compile(measures._weight_plan(), None)
+        measures._compile(measures._weight_plan()[1], None)
+
+
+def _every_plan():
+    """Every plan builder's plan, by a name for it: each builder returns
+    (labels, plan), so the plan is ``builder(*args)[1]``."""
+    builders = {"master": (measures._master_plan,), "weights": (measures._weight_plan,),
+                **{f"stationary {b}": (measures._stationary_plan, b) for b in measures._FORCED},
+                **{name: (measures._closed_form_plan, name) for name in CLOSED_FORM_IDS},
+                **{which: (measures._table_plan, which) for which in ("ineq_1", "ineq_2")}}
+    return {name: builder(*args)[1] for name, (builder, *args) in builders.items()}
 
 
 # Each plan's basis values: (cylinders and pushforwards, of which pushforwards).
@@ -949,34 +959,30 @@ _PLAN_KEYS = {
     "?": (2, 1), "0?": (3, 1), "?0?": (3, 1), "1?": (3, 1), "10?": (4, 1), "100?": (7, 1),
     "000?": (5, 1), "1??": (2, 1), "1?0?": (2, 1), "10??": (2, 1), "1?00": (4, 1),
     "10?0": (3, 1), "1?01": (4, 1),
+    "ineq_1": (30, 0), "ineq_2": (37, 0),
 }
 
 
 def test_plans_read_every_basis_value_their_transcriptions_name():
-    plans = {"master": measures._master_plan()[1], "weights": measures._weight_plan(),
-             **{f"stationary {b}": measures._stationary_plan(b) for b in measures._FORCED},
-             **{name: measures._closed_form_plan(name)[2] for name in CLOSED_FORM_IDS}}
+    plans = _every_plan()
     got = {name: (len(plan.keys), sum(kind == "f" for kind, _ in plan.keys))
            for name, plan in plans.items()}
     assert got == _PLAN_KEYS
     assert all(len(set(plan.keys)) == len(plan.keys) for plan in plans.values())
     # the tables' constant forms, one key per cylinder read
-    assert [len(measures._table_form(which)[2].keys) for which in ("ineq_1", "ineq_2")] == [30, 37]
+    assert [len(measures._table_form(which)[1].keys) for which in ("ineq_1", "ineq_2")] == [30, 37]
 
 
 def test_no_plan_has_two_equal_rows():
     # an entry that names one functional twice (a fully specified value is its
     # written part, a partial one's value is its pushforward; the stationarity
     # check's mu(?) is also a forced cylinder) computes it once
-    plans = {"master": measures._master_plan()[1], "weights": measures._weight_plan(),
-             **{f"stationary {b}": measures._stationary_plan(b) for b in measures._FORCED},
-             **{name: measures._closed_form_plan(name)[2] for name in CLOSED_FORM_IDS}}
-    for name, plan in plans.items():
+    for name, plan in _every_plan().items():
         rows = [{j: frozenset(coef) for j, coef in zip(*row)} for row in plan.rows]
         assert all(a != b for a, b in itertools.combinations(rows, 2)), name
         assert sorted(set(plan.order)) == list(range(len(plan.rows))), name
     for name in CLOSED_FORM_IDS:
-        fully, names, plan = measures._closed_form_plan(name)
+        (fully, names), plan = measures._closed_form_plan(name)
         assert len(plan.order) == len(names) + 2
         value, written, pushforward = plan.order[0], plan.order[1], plan.order[-1]
         assert (value == written, value == pushforward) == (fully, not fully), name

@@ -122,11 +122,27 @@ def _int_list(text: str) -> tuple[int, ...]:
 # make: three measures at every point of the finest grid.  Each count is taken
 # before anything is built, so a larger request is refused at once instead of
 # running (and filling memory) for hours.  So is the most label sites a game
-# or sweep may hash, points x samples x (largest horizon)^2 (README sweep: 4.2e8).
+# or sweep may hash, points x samples x (largest horizon)^2 (README sweep: 4.2e8),
+# and the most site updates a row command may ask, --width x --steps (README:
+# 2e7).  A step costs about 22 us whatever its width and then some 4 ns a site
+# (2-CPU Xeon VM: 29 us at width 1, 58 us at 10**4, 415 us at 10**5), so a
+# narrower row counts as ``_STEP_SITES`` sites a step: 10**10 site updates are
+# then at most about a minute of steps at any width.
 _MAX_POINTS = 100_000
 _MAX_MEASURES = 1_000
 _MAX_RUNS = 300_000
 _MAX_SITES = 10**10
+_STEP_SITES = 5_000
+
+# A row command's memory, counted before any row is built: its row arrays peak
+# at about 50 traced bytes a site (tracemalloc, width 10**6: simulate 35,
+# verify stationary 49), and simulate keeps about 1 400 bytes of records a step
+# (JSON; 480 as CSV).  The cap of 10**9 bytes, an eighth of an 8 GB VM, leaves
+# the rest to the interpreter, numpy and whatever else shares the machine, and
+# admits rows of 2e7 sites (README: 2e4).
+_SITE_BYTES = 50
+_STEP_BYTES = 1_400
+_MAX_ROW_BYTES = 10**9
 
 
 def _check_points(count: int, what: str, noun: str = "points", cap: Optional[int] = None) -> None:
@@ -135,6 +151,19 @@ def _check_points(count: int, what: str, noun: str = "points", cap: Optional[int
     cap = _MAX_POINTS if cap is None else cap
     if count > cap:
         raise ValueError(f"{what} has {count} {noun}, more than the {cap} that one run may visit")
+
+
+def _check_rows(cfg: RunConfig, what: str, step_bytes: int = 0) -> None:
+    """Refuse more than ``_MAX_SITES`` site updates, --width (at least
+    ``_STEP_SITES``) x --steps, and more than ``_MAX_ROW_BYTES`` of rows and of
+    ``step_bytes`` a step."""
+    narrow = f" (at least {_STEP_SITES} sites a step)" if cfg.width < _STEP_SITES else ""
+    _check_points(max(cfg.width, _STEP_SITES) * cfg.steps,
+                  f"{what}: --width {cfg.width} x --steps {cfg.steps}{narrow}",
+                  "site updates", _MAX_SITES)
+    _check_points(_SITE_BYTES * cfg.width + step_bytes * cfg.steps,
+                  f"{what}: --width {cfg.width}" + (f" and --steps {cfg.steps}" if step_bytes else ""),
+                  "bytes of rows", _MAX_ROW_BYTES)
 
 
 def _measure_count(cfg: RunConfig) -> int:
@@ -247,6 +276,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     init_symbol = _INIT_SYMBOL[cfg.init]
     if cfg.model == "binary" and init_symbol is EnvSymbol.QMARK:
         raise ValueError("simulate: --init qmarks needs --model envelope")
+    _check_rows(cfg, "simulate", _STEP_BYTES)
     model = ModelSpec(cfg.offset, Params(cfg.p, cfg.q))
     init = Configuration.constant(cfg.width, init_symbol)
     result = trajectory(init, model, cfg.steps, SeededStream(cfg.seed))
@@ -394,16 +424,16 @@ def _verify_weights(cfg: RunConfig) -> dict:
 
 def _verify_stationary(cfg: RunConfig) -> dict:
     from .measures import empirical_measure, stationary_conclusion_check
-    from .pca import Configuration, ModelSpec, SeededStream, step
+    from .pca import ModelSpec, SeededStream, last_row
 
     params = Params(cfg.p, cfg.q)
     model = ModelSpec(cfg.offset, params)
     if cfg.steps < 1:
         raise ValueError("steps must be >= 1")
-    row = Configuration.constant(cfg.width, EnvSymbol.QMARK)
-    stream = SeededStream(cfg.seed)
-    for t in range(cfg.steps):  # only the last row is read, so no per-row counts
-        row = step(row, model, stream, t)
+    _check_rows(cfg, "verify stationary")
+    # only the last row is read, so no per-row counts, and ``last_row`` gets it
+    # exactly from a short window of the last steps when that window settles
+    row = last_row(model, cfg.width, cfg.steps, SeededStream(cfg.seed))
     rep = stationary_conclusion_check(params, empirical_measure(row))
     report = rep.to_json_dict()
     report.update({"check": "stationary", "width": cfg.width, "steps": cfg.steps,
@@ -472,8 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--p", type=_rational, required=True)
     sim.add_argument("--q", type=_rational, required=True)
     sim.add_argument("--init", choices=sorted(_INIT_SYMBOL), default="qmarks")
-    sim.add_argument("--width", type=int, default=1000)
-    sim.add_argument("--steps", type=int, default=100)
+    sim.add_argument("--width", type=_count, default=1000)
+    sim.add_argument("--steps", type=_count, default=100)
     sim.add_argument("--offset", type=int, default=0,
                      help="neighbourhood offset i, window {i, i+1, i+2}")
     sim.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
@@ -522,8 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
     sta = checks.add_parser("stationary", help="long-run empirical stationarity gauge")
     sta.add_argument("--p", type=_rational, required=True)
     sta.add_argument("--q", type=_rational, required=True)
-    sta.add_argument("--width", type=int, default=10_000)
-    sta.add_argument("--steps", type=int, default=1000)
+    sta.add_argument("--width", type=_count, default=10_000)
+    sta.add_argument("--steps", type=_count, default=1000)
     sta.add_argument("--offset", type=int, default=0)
     sta.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     _add_output_flags(sta, ("json",))

@@ -49,6 +49,12 @@ lattice.  (The game's backward induction is the finite light cone of the
 envelope automaton; rows here serve the long-run densities.)  ``step`` draws
 one variate per (t, n) for every row of a stack, which couples the rows by
 common randomness while each steps exactly as it would alone.
+
+``last_row`` reads the row after many steps from all-? by coupling from the
+past (Propp and Wilson): under common randomness a row with fewer ? steps to a
+row with fewer ?, so a short window of the last steps, run from all-?, gives
+the true row whenever it ends without ? (at the points where the float cuts
+keep that order of rows).
 """
 
 from __future__ import annotations
@@ -379,3 +385,54 @@ def trajectory(
         cfg = step(cfg, model, stream, t)
         rows.append(StepStats(t + 1, cfg.width, *cfg.counts()))
     return TrajectoryResult(tuple(rows), cfg)
+
+
+# Steps in ``last_row``'s window: at p = q = 1/4 a 10**4-site row from all-?
+# holds no ? after 11 to 16 steps (seeds 0 to 4).
+_WINDOW = 64
+
+
+def _coupling_gap(params: Params) -> tuple[tuple[int, int], ...]:
+    """The variates k at which a MIXED triple's output need not refine the
+    output of an ALL_ZERO or HAS_ONE triple: MIXED -> 0 with HAS_ONE -> 1 for
+    k in [cut 1 - q, cut p), MIXED -> 1 with HAS_ONE -> 0 for k in [cut p + r,
+    cut 1 - q).  Only the nonempty of the two half-open intervals are kept;
+    both are empty when the floats keep cut p <= cut 1 - q <= cut p + r."""
+    cut_p, cut_pr, cut_1q = (int(c) for c in variate_cuts(params))
+    return tuple((lo, hi) for lo, hi in ((cut_1q, cut_p), (cut_pr, cut_1q)) if lo < hi)
+
+
+def _from_qmarks(model: ModelSpec, width: int, stream: SeededStream, times: range) -> Configuration:
+    """The all-? row of ``width`` sites, stepped at each t of ``times`` in turn."""
+    row = Configuration.constant(width, EnvSymbol.QMARK)
+    for t in times:
+        row = step(row, model, stream, t)
+    return row
+
+
+def last_row(model: ModelSpec, width: int, steps: int, stream: SeededStream) -> Configuration:
+    """The row after ``steps`` steps t = 0..steps-1 from the all-? row of
+    ``width`` sites, exactly, by coupling from the past.
+
+    A window steps an all-? row at the last ``_WINDOW`` keys t = steps -
+    _WINDOW .. steps - 1 only.  Say row x refines row y when x equals y
+    wherever y holds no ?.  The true row at t = steps - _WINDOW refines all-?,
+    and at one variate k the rule maps a refining row to a refining row: an
+    ALL_ZERO or HAS_ONE triple of y is one of x too, and a MIXED triple's
+    output refines the ALL_ZERO and HAS_ONE outputs unless k lies in the
+    coupling gap B (``_coupling_gap``).  B is empty where the cuts keep cut p
+    <= cut 1 - q <= cut p + r, as at (1/4, 1/4), so there a window that ends
+    without ? ends at the true row.  Where the floats p + r and 1 - q round
+    apart, as at (1/3, 1/3), B is one integer wide and no window is run.
+
+    Otherwise, or when steps <= _WINDOW, the row is stepped from t = 0 as
+    usual: at worst ``_WINDOW`` steps more than the plain loop.  ``step`` is
+    read from this module's globals at each call, so a wrapper put on it there
+    sees these steps too.
+    """
+    window = range(steps - _WINDOW, steps)
+    if window.start > 0 and not _coupling_gap(model.params):
+        row = _from_qmarks(model, width, stream, window)
+        if not (row.cells == EnvSymbol.QMARK.value).any():
+            return row
+    return _from_qmarks(model, width, stream, range(steps))

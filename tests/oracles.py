@@ -62,6 +62,7 @@ from percolab.pca import (
     SeededStream,
     _as_u64,
 )
+from percolab.pca import step as pca_step
 
 # ------------------------------------------------------------------ streams
 
@@ -152,6 +153,15 @@ def step(cfg: Configuration, model: ModelSpec, stream: SeededStream, t: int) -> 
     t0, t1 = thresholds(a, b, c, model.params, binary)
     u = u01_range(stream, t, 0, cfg.width)
     return Configuration((u >= t0).astype(np.int8) + (u >= t1).astype(np.int8))
+
+
+def last_row(model: ModelSpec, width: int, steps: int, stream: SeededStream) -> Configuration:
+    """The row after ``steps`` package steps from the all-? row of ``width``
+    sites, each of them run, from t = 0."""
+    row = Configuration.constant(width, EnvSymbol.QMARK)
+    for t in range(steps):
+        row = pca_step(row, model, stream, t)
+    return row
 
 
 def read_window(cells: np.ndarray, origin: int, count: int) -> np.ndarray:

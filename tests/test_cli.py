@@ -304,6 +304,115 @@ def test_simulate_width_beyond_memory_is_a_clean_error(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+README_ROW_COMMANDS = [
+    ("simulate", "--model", "envelope", "--p", "1/4", "--q", "1/4", "--init", "qmarks",
+     "--width", "10000", "--steps", "1000", "--seed", "1"),
+    ("simulate", "--p", "1/10", "--q", "1/10", "--width", "5000", "--steps", "400",
+     "--seed", "3"),
+    ("verify", "stationary", "--p", "1/4", "--q", "1/4", "--width", "20000", "--steps", "1000"),
+]
+
+
+def _rows_built(monkeypatch):
+    """A list that gets an entry whenever a row is made from a constant."""
+    from percolab.pca import Configuration
+
+    built = []
+    monkeypatch.setattr(Configuration, "constant",
+                        classmethod(lambda cls, *args: built.append(args)))
+    return built
+
+
+@pytest.mark.parametrize("command", [("simulate",), ("verify", "stationary")], ids=" ".join)
+@pytest.mark.parametrize("width, steps, message", [
+    (10**5, 10**6, " x --steps 1000000 has 100000000000 site updates, more than the "
+                   "10000000000 "),
+    (10**8, 1, " bytes of rows, more than the 1000000000 "),
+    (10**16, 1, " has 10000000000000000 site updates, more than the 10000000000 "),
+], ids=["sites", "bytes", "beyond-memory"])
+def test_row_commands_refuse_more_than_their_budgets_before_building_a_row(
+        capsys, monkeypatch, command, width, steps, message):
+    # --width x --steps and the row bytes are counted before any row is built
+    built = _rows_built(monkeypatch)
+    code = main([*command, "--p", "1/4", "--q", "1/4", "--width", str(width),
+                 "--steps", str(steps)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {' '.join(command)}: --width {width}")
+    assert captured.err.count("\n") == 1 and message in captured.err
+    assert built == []
+
+
+def test_simulate_counts_the_bytes_of_its_per_step_records(capsys, monkeypatch):
+    # a one-site row of 10**6 steps keeps 10**6 records: 1.4e9 bytes
+    built = _rows_built(monkeypatch)
+    code, err = exit_status(capsys, "simulate", "--p", "1/4", "--q", "1/4", "--width", "1",
+                            "--steps", "1000000")
+    assert code == 2 and built == []
+    assert err == ("error: simulate: --width 1 and --steps 1000000 has 1400000050 bytes of "
+                   "rows, more than the 1000000000 that one run may visit\n")
+
+
+@pytest.mark.parametrize("command", [("simulate",), ("verify", "stationary")], ids=" ".join)
+def test_a_narrow_row_counts_each_step_as_a_floor_of_sites(capsys, monkeypatch, command):
+    # a step costs about as much at width 1 as at width 5 000, so 10**10
+    # one-site steps (at p = q = 0 no window settles) are refused at once
+    built = _rows_built(monkeypatch)
+    code, err = exit_status(capsys, *command, "--p", "0", "--q", "0", "--width", "1",
+                            "--steps", "10000000000")
+    assert code == 2 and built == []
+    assert err == (f"error: {' '.join(command)}: --width 1 x --steps 10000000000 (at least "
+                   "5000 sites a step) has 50000000000000 site updates, more than the "
+                   "10000000000 that one run may visit\n")
+
+
+def test_a_row_command_of_exactly_its_budgets_runs(capsys, monkeypatch):
+    from percolab import cli
+
+    argv = ("verify", "stationary", "--p", "1/4", "--q", "1/4", "--width", "20", "--steps", "3")
+    monkeypatch.setattr(cli, "_MAX_SITES", 60)
+    monkeypatch.setattr(cli, "_STEP_SITES", 20)
+    monkeypatch.setattr(cli, "_MAX_ROW_BYTES", 20 * cli._SITE_BYTES)
+    assert exit_status(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli, "_MAX_SITES", 59)
+    code, err = exit_status(capsys, *argv)
+    assert code == 2 and " --steps 3 has 60 site updates, more than the 59 " in err
+    monkeypatch.setattr(cli, "_STEP_SITES", 21)
+    code, err = exit_status(capsys, *argv)
+    assert code == 2 and " (at least 21 sites a step) has 63 site updates, " in err
+    monkeypatch.setattr(cli, "_STEP_SITES", 20)
+    monkeypatch.setattr(cli, "_MAX_SITES", 60)
+    monkeypatch.setattr(cli, "_MAX_ROW_BYTES", 20 * cli._SITE_BYTES - 1)
+    code, err = exit_status(capsys, *argv)
+    assert code == 2 and f" has {20 * cli._SITE_BYTES} bytes of rows, more than " in err
+
+
+@pytest.mark.parametrize("flag", ["--width", "--steps"])
+@pytest.mark.parametrize("command", [("simulate",), ("verify", "stationary")], ids=" ".join)
+def test_row_commands_read_width_and_steps_as_counts(capsys, monkeypatch, command, flag):
+    built = _rows_built(monkeypatch)
+    code, err = exit_status(capsys, *command, "--p", "1/4", "--q", "1/4", flag, "-1")
+    assert code == 2 and built == []
+    assert err == f"error: argument {flag}: count must be >= 0, got '-1'\n"
+
+
+def test_readme_and_benchmark_rows_fit_ten_times_inside_the_budgets(capsys, monkeypatch):
+    from percolab import cli, pca
+
+    monkeypatch.setattr(cli, "_MAX_SITES", cli._MAX_SITES // 10)
+    monkeypatch.setattr(cli, "_MAX_ROW_BYTES", cli._MAX_ROW_BYTES // 10)
+    # counted, not run
+    monkeypatch.setattr(pca, "trajectory", lambda *args: pca.TrajectoryResult((), None))
+    monkeypatch.setattr(pca, "last_row", lambda *args: pca.Configuration([0] * 6))
+    workloads = _perfbench_workloads()
+    commands = [*README_ROW_COMMANDS,
+                *(argv for name in ("mc_fast_decay", "mc_slow_decay")
+                  for argv in workloads.commands(name, 0) if argv[0] != "game")]
+    assert len(commands) == 6
+    for argv in commands:
+        assert exit_status(capsys, *argv)[0] == 0, argv
+
+
 def test_simulate_json_format(capsys):
     code, out = run_cli(capsys, "simulate", "--p", "0", "--q", "1", "--init", "ones",
                         "--width", "6", "--steps", "2", "--format", "json")

@@ -41,8 +41,8 @@ from percolab.pca import (
     Configuration,
     ModelSpec,
     SeededStream,
+    last_row,
     step,
-    trajectory,
 )
 
 import oracles
@@ -779,8 +779,7 @@ def test_stationary_empirical_long_run():
     # empirical measure is near-stationary: tiny ? mass and tiny gauge
     params = Params(Fraction(1, 4), Fraction(1, 4))
     model = ModelSpec(0, params)
-    init = Configuration.constant(10_000, Q)
-    final = trajectory(init, model, 1000, SeededStream(20260816)).final
+    final = last_row(model, 10_000, 1000, SeededStream(20260816))
     rep = stationary_conclusion_check(params, empirical_measure(final))
     assert rep.qmark < Fraction(1, 100)
     assert rep.gauge < Fraction(1, 100)

@@ -15,8 +15,11 @@ from percolab.pca import (
     ModelSpec,
     SeededStream,
     _TILE,
+    _WINDOW,
     _apply_rule,
+    _coupling_gap,
     _neighbour_views,
+    last_row,
     step,
     trajectory,
     u01_block,
@@ -730,3 +733,85 @@ def test_envelope_step_covers_coupled_pair(offset):
             assert np.array_equal(row[decided], env.cells[decided])
         disagreements += int((pair.cells[0] != pair.cells[1]).sum())
     assert disagreements > 0  # the pair did not coalesce at once
+
+
+# ---------------------------------------------------------------- coupling from the past
+
+QUARTER = (Fraction(1, 4), Fraction(1, 4))
+THIRD = (Fraction(1, 3), Fraction(1, 3))  # p + r and 1 - q round one integer apart
+
+
+def _steps_counted(monkeypatch):
+    """A list that gets one entry per call of ``pca.step`` from now on."""
+    calls = []
+    real = pca.step
+
+    def counting(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(pca, "step", counting)
+    return calls
+
+
+@pytest.mark.parametrize("pq, offset, width, steps, runs", [
+    (QUARTER, 0, 400, 300, "window"),
+    (QUARTER, -1, 400, 300, "window"),
+    ((Fraction(1, 100), Fraction(1, 100)), 0, 400, 300, "both"),  # ? outlives the window
+    (THIRD, 0, 400, 300, "loop"),  # the coupling gap is not empty
+    ((Fraction(0), Fraction(0)), 0, 40, 100, "both"),  # all-? is a fixed point
+    ((Fraction(1), Fraction(0)), 0, 40, 100, "window"),
+    ((Fraction(0), Fraction(1)), -1, 40, 100, "window"),
+    (QUARTER, 0, 400, _WINDOW, "loop"),  # no shorter window to run
+    (QUARTER, -1, 400, 1, "loop"),
+    (QUARTER, 0, 1, 100, "window"),
+    (QUARTER, -1, 2, 100, "window"),
+    (QUARTER, 0, 3, 100, "window"),
+])
+def test_last_row_equals_the_forward_loop(monkeypatch, pq, offset, width, steps, runs):
+    # the window's row is the true row when it ends without ? where the
+    # coupling gap is empty; otherwise every step is run from t = 0
+    model = ModelSpec(offset, Params(*pq))
+    stream = SeededStream(41)
+    want = oracles.last_row(model, width, steps, stream)
+    calls = _steps_counted(monkeypatch)
+    got = last_row(model, width, steps, stream)
+    assert got.cells.dtype == want.cells.dtype
+    assert got.cells.tobytes() == want.cells.tobytes()
+    window, loop = list(range(steps - _WINDOW, steps)), list(range(steps))
+    assert calls == {"window": window, "both": window + loop, "loop": loop}[runs]
+
+
+def test_last_row_steps_only_its_window_at_a_quarter(monkeypatch):
+    # a 10**4-site row at p = q = 1/4 settles well inside the window
+    calls = _steps_counted(monkeypatch)
+    row = last_row(ModelSpec(0, Params(*QUARTER)), 10_000, 1000, SeededStream(1729))
+    assert len(calls) <= _WINDOW and row.counts()[1] == 0
+
+
+GAP_POINTS = [*FORMULA_GRID, (Fraction(0), Fraction(0)), THIRD]
+
+
+@pytest.mark.parametrize("pq", GAP_POINTS, ids=lambda pq: f"{pq[0]},{pq[1]}")
+def test_the_mixed_output_refines_the_others_off_the_coupling_gap(pq):
+    # the exact basis of last_row: at each variate beside a cut, a MIXED
+    # triple's output is ? or equals both the ALL_ZERO and the HAS_ONE output,
+    # except in the gap
+    params = Params(*pq)
+    gaps = _coupling_gap(params)
+    ks = sorted({k for c in map(int, variate_cuts(params)) for k in (c - 1, c, c + 1)
+                 if 0 <= k < _ONE53})
+    out = _apply_rule(np.repeat(np.arange(3, dtype=np.int8)[:, None], len(ks), axis=1),
+                      params, np.array(ks, dtype=np.uint64))
+    for k, (zero, mixed, one) in zip(ks, out.T.tolist()):
+        refines = mixed == Q.value or zero == mixed == one
+        assert refines == (not any(lo <= k < hi for lo, hi in gaps)), k
+
+
+def test_the_coupling_gap_is_one_integer_where_the_cuts_round_apart():
+    assert _coupling_gap(Params(*QUARTER)) == ()
+    assert all(_coupling_gap(Params(*pq)) == () for pq in [(0, 0), (1, 0), (0, 1)])
+    cut_p, cut_pr, cut_1q = map(int, variate_cuts(Params(*THIRD)))
+    assert _coupling_gap(Params(*THIRD)) == ((cut_pr, cut_1q),) and cut_1q == cut_pr + 1
+    cut_p, cut_pr, cut_1q = map(int, variate_cuts(Params(Fraction(1, 5), Fraction(4, 5))))
+    assert _coupling_gap(Params(Fraction(1, 5), Fraction(4, 5))) == ((cut_1q, cut_p),)

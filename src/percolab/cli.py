@@ -135,8 +135,8 @@ _MAX_SITES = 10**10
 _STEP_SITES = 5_000
 
 # A row command's memory, counted before any row is built: its row arrays peak
-# at about 50 traced bytes a site (tracemalloc, width 10**6: simulate 35,
-# verify stationary 49), and simulate keeps about 1 400 bytes of records a step
+# below 50 traced bytes a site (tracemalloc, width 10**6: simulate 35,
+# verify stationary 19), and simulate keeps about 1 400 bytes of records a step
 # (JSON; 480 as CSV).  The cap of 10**9 bytes, an eighth of an 8 GB VM, leaves
 # the rest to the interpreter, numpy and whatever else shares the machine, and
 # admits rows of 2e7 sites (README: 2e4).

@@ -159,7 +159,7 @@ def _count_draws(
     if not levels:
         return draws
     top = levels[0]
-    cut_p, _, cut_1q = variate_cuts(params)
+    cuts = variate_cuts(params)  # p and 1 - q
     # the narrowest signed type holding every code 1 +- m: int8 up to 126 horizons
     dtype = np.min_scalar_type(-2 - len(levels))
     rows = _CELL_BUDGET // (1 + 2 * top)
@@ -182,7 +182,7 @@ def _count_draws(
                     break
                 continue
             # the line's SiteLabel codes 0, 1, 2, spread to 1 - m, 1, 1 + m
-            labels = u01_block(seeds[live], s, s * version.offset, 1 + 2 * s, (cut_p, cut_1q))
+            labels = u01_block(seeds[live], s, s * version.offset, 1 + 2 * s, cuts)
             if m > 1:
                 labels = labels.astype(dtype, copy=False)
                 labels -= 1

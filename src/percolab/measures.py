@@ -223,12 +223,14 @@ def empirical_measure(row: Configuration) -> TIMeasure:
 
     if row.cells.ndim != 1:
         raise ValueError("empirical measure needs one row, not a stack")
-    codes = row.cells.astype(np.int64)
-    idx = np.zeros(row.width, dtype=np.int64)
-    for j in range(ORDER):
-        idx = idx * 3 + np.roll(codes, -j)
+    width = row.width
+    ext = np.resize(row.cells, width + ORDER - 1)  # cell (n + j) % width at n + j
+    idx = ext[:width].astype(np.int16)  # 3**ORDER words fit int16
+    for j in range(1, ORDER):
+        idx *= 3
+        idx += ext[j:j + width]
     counts = np.bincount(idx, minlength=3**ORDER).tolist()
-    return TIMeasure.from_table(counts, row.width, f"empirical(width={row.width})")
+    return TIMeasure.from_table(counts, width, f"empirical(width={width})")
 
 
 # ------------------------------------------------------------------ cylinders

@@ -20,23 +20,23 @@ count. A variate is the top 53 bits of its 64-bit hash, the integer k = h >> 11,
 and stands for u = k * 2**-53 in [0, 1); it is never made a float. Sampling
 inverts the CDF in the fixed symbol-code order 0 < ? < 1, which makes the
 common-randomness coupling of two rows monotone in that order. Every law is
-inverted at the floats p, p + r and 1 - q, and each is compared as the integer
-ceil(t * 2**53) (``variate_cuts``): k >= ceil(t * 2**53) iff k * 2**-53 >= t,
-exactly, because k is an integer and t * 2**53 is an exact float. A cut at or
-above 1.0 becomes 2**53 or more, which no variate reaches.
+inverted at two points, p and 1 - q (p + r is 1 - q), and each is compared as
+the integer cut ceil(t * 2**53), computed exactly from ``Params.scaled``
+(``variate_cuts``): k >= ceil(t * 2**53) iff k * 2**-53 >= t. The cut of 1 is
+2**53, which no variate reaches.
 
 A triple's class is its largest code (``core.TripleClass``), which selects its
-cuts: ALL_ZERO (000) at p, MIXED (a ? and no 1) at p and p + r, and HAS_ONE
+cuts: ALL_ZERO (000) at p, MIXED (a ? and no 1) at p and 1 - q, and HAS_ONE
 (a 1) at 1 - q.
 A row's hash XORs the (seed, t) prefix, hashed in Python ints, into the
 per-site keys of sites 0..width-1, which are cached, so a row builds them
 once; both sides carry the finalizer's first round already (``_site_keys``).
 ``u01_block`` hashes many streams in row tiles of at most ``_TILE`` variates,
 in a tile and scratch array that the process makes once and reuses, so its
-temporaries stay cache-sized however many streams it serves.  Given cuts, it
-reads each tile against them while the tile is still in cache and returns only
-int8 label codes (how many cuts each variate reaches): the game's labels,
-without a line's uint64 variate block.  It compares the raw hashes with the
+temporaries stay cache-sized however many streams it serves.  It reads each
+tile against the cuts while the tile is still in cache and returns only int8
+label codes (how many cuts each variate reaches): the game's labels, without a
+line's uint64 variate block.  It compares the raw hashes with the
 cuts shifted left by 11, which decides as the variates would, so the label
 path never shifts a hash.
 
@@ -53,13 +53,11 @@ common randomness while each steps exactly as it would alone.
 ``last_row`` reads the row after many steps from all-? by coupling from the
 past (Propp and Wilson): under common randomness a row with fewer ? steps to a
 row with fewer ?, so a short window of the last steps, run from all-?, gives
-the true row whenever it ends without ? (at the points where the float cuts
-keep that order of rows).
+the true row whenever it ends without ?.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -157,45 +155,39 @@ def _tile_buffers(cells: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def u01_block(seeds: np.ndarray, t: int, n0: int, count: int,
-              cuts: tuple[np.uint64, ...] | None = None) -> np.ndarray:
-    """Variates for many streams at once: shape (len(seeds), count), keyed
-    (t, n0+j); each is the 53-bit integer k of the uniform k * 2**-53.
-
-    With ``cuts``, ascending integer cut points as made by ``variate_cuts``,
-    each variate is read as the number of cuts it reaches, an int8, while its
-    tile is still in cache: the variates themselves are never kept, so a
-    caller that wants only labels holds one int8 per variate.
+              cuts: tuple[np.uint64, ...]) -> np.ndarray:
+    """Label codes for many streams at once: shape (len(seeds), count), keyed
+    (t, n0+j).  Each variate, the 53-bit integer k of the uniform k * 2**-53,
+    is read as the number of ``cuts`` it reaches, an int8, while its tile is
+    still in cache; the cuts are ascending integer cut points as made by
+    ``variate_cuts``.  The variates themselves are never kept, so a caller
+    holds one int8 per variate.
 
     The rows are hashed in tiles of at most ``_TILE`` variates (one row at
-    least), all finalized with one tile-sized scratch array.  Labels are
-    hashed in the process's reused tile (``_tile_buffers``); variates in
-    place in their output.
+    least), in the process's reused tile and scratch array
+    (``_tile_buffers``).
     """
+    # k = h >> 11 reaches a cut c < 2**53 iff its hash h reaches c << 11.
+    # No variate reaches a cut of 2**53 or more, and the cuts ascend, so
+    # the cuts that some hash reaches are the first few.
+    cuts = [_U64(int(c) << 11) for c in cuts if c < 1 << 53]
+    out = np.empty((seeds.size, count), dtype=np.int8)
+    if not cuts:
+        out.fill(0)
+        return out
     prefix = _finalize(seeds.reshape(-1) + _GOLD)
     prefix ^= _U64(_step_key(t))
     _finalize(prefix)
     prefix ^= prefix >> _U64(30)
     keys = _site_keys(n0, count)
-    out = np.empty((prefix.size, count), dtype=_U64 if cuts is None else np.int8)
-    if cuts is not None:
-        # k = h >> 11 reaches a cut c < 2**53 iff its hash h reaches c << 11.
-        # No variate reaches a cut of 2**53 or more, and the cuts ascend, so
-        # the cuts that some hash reaches are the first few.
-        cuts = [_U64(int(c) << 11) for c in cuts if c < 1 << 53]
-        if not cuts:
-            out.fill(0)
-            return out
     rows = max(1, _TILE // max(count, 1))
     buf, spare = _tile_buffers(max(_TILE, count))
     for r0 in range(0, prefix.size, rows):
         part = prefix[r0:r0 + rows, None]
         cells = part.size * count
-        tile = out[r0:r0 + rows] if cuts is None else buf[:cells].reshape(-1, count)
+        tile = buf[:cells].reshape(-1, count)
         np.bitwise_xor(part, keys, out=tile)
         _finalize_tail(tile, spare[:cells].reshape(tile.shape))
-        if cuts is None:
-            np.right_shift(tile, _U64(11), out=tile)
-            continue
         reached = out[r0:r0 + rows]
         np.greater_equal(tile, cuts[0], out=reached.view(np.bool_))
         also = spare.view(np.bool_)[:cells].reshape(tile.shape)
@@ -315,37 +307,44 @@ def _neighbour_views(cfg: Configuration, offset: int):
 
 
 @per_point
-def variate_cuts(params: Params) -> tuple[np.uint64, np.uint64, np.uint64]:
-    """The integer cut points ceil(t * 2**53) of the floats p, p + r and 1 - q:
-    a variate k is at or above one iff k * 2**-53 >= t.  The rule inverts a
-    triple's class law at p (000), at p and p + r (MIXED) or at 1 - q (HAS_ONE),
-    and a game label at p and 1 - q.  numpy scalars, which numpy compares with
-    an array faster than Python ints.  Kept on the point (``per_point``)."""
-    p, q, r = float(params.p), float(params.q), float(params.r)
-    return tuple(_U64(math.ceil(t * 2.0**53)) for t in (p, p + r, 1.0 - q))
+def variate_cuts(params: Params) -> tuple[np.uint64, np.uint64]:
+    """The integer cut points ceil(t * 2**53) of p and of 1 - q, exactly: a
+    variate k is at or above one iff k * 2**-53 >= t.  With (s, a, b) =
+    ``params.scaled``, t is a/s or (s - b)/s, whose ceiling -((-x << 53) // s)
+    is taken in Python ints; a <= s - b, so cut p <= cut 1 - q.  The rule
+    inverts a triple's class law at p (000), at p and 1 - q (MIXED, whose p + r
+    is 1 - q) or at 1 - q (HAS_ONE), and a game label at the same two.  numpy
+    scalars, which numpy compares with an array faster than Python ints.  Kept
+    on the point (``per_point``)."""
+    s, a, b = params.scaled
+    return tuple(_U64(-((-x << 53) // s)) for x in (a, s - b))
 
 
 def _apply_rule(largest: np.ndarray, params: Params, k: np.ndarray) -> np.ndarray:
     """The updated cells, a fresh int8 array: site n of each row inverts its
     triple's class law, selected by the largest code, at the variate k[n].
 
-    The low bit is k >= 1 - q for HAS_ONE and k >= p otherwise; the high bit
-    is k >= p + r for MIXED and the low bit otherwise.  Each is selected branch
-    free, as a ^ (mask & (a ^ b)), which is much faster than ``np.where`` on a
-    random mask.  When no triple is MIXED, as in every row without ?, the high
-    bit is the low bit throughout, so the MIXED select is skipped.
+    A variate lies between the cuts when k >= p but not k >= 1 - q.  The low
+    bit is k >= p, flipped between the cuts for HAS_ONE (so k >= 1 - q there);
+    the high bit is the low bit, flipped between the cuts for MIXED.  Each flip
+    is a branch-free xor, which is much faster than ``np.where`` on a random
+    mask.  When no triple is MIXED, as in every row without ?, the high bit is
+    the low bit throughout, so the MIXED flip is skipped.
     """
-    cut_p, cut_pr, cut_1q = variate_cuts(params)
+    cut_p, cut_1q = variate_cuts(params)
     at_p = k >= cut_p
-    low = (largest == 2) & (at_p ^ (k >= cut_1q))
+    between = k >= cut_1q
+    between ^= at_p
+    low = largest == 2
+    low &= between
     low ^= at_p
     mixed = largest == 1
     if not mixed.any():
         low = low.view(np.int8)
         return low + low
-    high = mixed & (at_p ^ (k >= cut_pr))
-    high ^= low
-    return low.view(np.int8) + high.view(np.int8)
+    mixed &= between
+    mixed ^= low
+    return low.view(np.int8) + mixed.view(np.int8)
 
 
 def step(cfg: Configuration, model: ModelSpec, stream: SeededStream, t: int) -> Configuration:
@@ -392,16 +391,6 @@ def trajectory(
 _WINDOW = 64
 
 
-def _coupling_gap(params: Params) -> tuple[tuple[int, int], ...]:
-    """The variates k at which a MIXED triple's output need not refine the
-    output of an ALL_ZERO or HAS_ONE triple: MIXED -> 0 with HAS_ONE -> 1 for
-    k in [cut 1 - q, cut p), MIXED -> 1 with HAS_ONE -> 0 for k in [cut p + r,
-    cut 1 - q).  Only the nonempty of the two half-open intervals are kept;
-    both are empty when the floats keep cut p <= cut 1 - q <= cut p + r."""
-    cut_p, cut_pr, cut_1q = (int(c) for c in variate_cuts(params))
-    return tuple((lo, hi) for lo, hi in ((cut_1q, cut_p), (cut_pr, cut_1q)) if lo < hi)
-
-
 def _from_qmarks(model: ModelSpec, width: int, stream: SeededStream, times: range) -> Configuration:
     """The all-? row of ``width`` sites, stepped at each t of ``times`` in turn."""
     row = Configuration.constant(width, EnvSymbol.QMARK)
@@ -419,11 +408,9 @@ def last_row(model: ModelSpec, width: int, steps: int, stream: SeededStream) -> 
     wherever y holds no ?.  The true row at t = steps - _WINDOW refines all-?,
     and at one variate k the rule maps a refining row to a refining row: an
     ALL_ZERO or HAS_ONE triple of y is one of x too, and a MIXED triple's
-    output refines the ALL_ZERO and HAS_ONE outputs unless k lies in the
-    coupling gap B (``_coupling_gap``).  B is empty where the cuts keep cut p
-    <= cut 1 - q <= cut p + r, as at (1/4, 1/4), so there a window that ends
-    without ? ends at the true row.  Where the floats p + r and 1 - q round
-    apart, as at (1/3, 1/3), B is one integer wide and no window is run.
+    output is ? between the cuts and elsewhere equals both the ALL_ZERO and
+    the HAS_ONE output, as cut p <= cut 1 - q (``variate_cuts``).  So a window
+    that ends without ? ends at the true row.
 
     Otherwise, or when steps <= _WINDOW, the row is stepped from t = 0 as
     usual: at worst ``_WINDOW`` steps more than the plain loop.  ``step`` is
@@ -431,7 +418,7 @@ def last_row(model: ModelSpec, width: int, steps: int, stream: SeededStream) -> 
     sees these steps too.
     """
     window = range(steps - _WINDOW, steps)
-    if window.start > 0 and not _coupling_gap(model.params):
+    if window.start > 0:
         row = _from_qmarks(model, width, stream, window)
         if not (row.cells == EnvSymbol.QMARK.value).any():
             return row

@@ -83,10 +83,10 @@ def key_u64(seed_u64, t, n):
         return _finalize(h ^ (_as_u64(n) * _MUL1 + _TAG_N))
 
 
-def u01_range(stream: SeededStream, t: int, n0: int, count: int) -> np.ndarray:
-    """The uniforms (h >> 11) * 2**-53 at sites n0..n0+count-1 of step t, as floats."""
+def variates(stream: SeededStream, t: int, n0: int, count: int) -> np.ndarray:
+    """The 53-bit variates h >> 11 at sites n0..n0+count-1 of step t."""
     sites = n0 + np.arange(count, dtype=np.int64)
-    return (key_u64(stream._seed_u64(), t, sites) >> np.uint64(11)) * 2.0**-53
+    return key_u64(stream._seed_u64(), t, sites) >> np.uint64(11)
 
 
 def u01(stream: SeededStream, t: int, n: int) -> float:
@@ -125,16 +125,29 @@ def envelope_of_pair(cfg_a: Configuration, cfg_b: Configuration) -> Configuratio
 
 
 def thresholds(a, b, c, params: Params, binary: bool):
-    """Per-site inverse-CDF cut points (t0, t1) in the code order 0 < ? < 1,
-    read from the site's own three cells."""
-    p, q, r = float(params.p), float(params.q), float(params.r)
+    """Per-site inverse-CDF cut points (x0, x1) in the code order 0 < ? < 1,
+    read from the site's own three cells, as numerators over the scale s of
+    ``params.scaled``: a site draws 0 below x0 / s and ? below x1 / s."""
+    s, pa, qb = params.scaled
     has_one = (a == 2) | (b == 2) | (c == 2)
-    t0 = np.where(has_one, 1.0 - q, p)
+    x0 = np.where(has_one, s - qb, pa)
     if binary:
-        return t0, t0
+        return x0, x0
     all_zero = (a == 0) & (b == 0) & (c == 0)
-    t1 = t0 + np.where(has_one | all_zero, 0.0, r)
-    return t0, t1
+    x1 = x0 + np.where(has_one | all_zero, 0, s - pa - qb)
+    return x0, x1
+
+
+def reaches(k, x, s: int) -> np.ndarray:
+    """Whether each variate k, the uniform k * 2**-53, is at or above x / s,
+    exactly: k * s >= x * 2**53, compared in Python ints."""
+    k, x = np.asarray(k).astype(object), np.asarray(x).astype(object)
+    return np.asarray(k * s >= x << 53, dtype=bool)
+
+
+def draw(k, x0, x1, s: int) -> np.ndarray:
+    """The codes that the variates k draw at the cut points x0 / s and x1 / s."""
+    return reaches(k, x0, s).astype(np.int8) + reaches(k, x1, s).astype(np.int8)
 
 
 def neighbours(cfg: Configuration, offset: int):
@@ -150,9 +163,9 @@ def step(cfg: Configuration, model: ModelSpec, stream: SeededStream, t: int) -> 
     rule's; site n reads the variate keyed (t, n)."""
     binary = not (cfg.cells == 1).any()
     a, b, c = neighbours(cfg, model.offset)
-    t0, t1 = thresholds(a, b, c, model.params, binary)
-    u = u01_range(stream, t, 0, cfg.width)
-    return Configuration((u >= t0).astype(np.int8) + (u >= t1).astype(np.int8))
+    x0, x1 = thresholds(a, b, c, model.params, binary)
+    k = variates(stream, t, 0, cfg.width)
+    return Configuration(draw(k, x0, x1, model.params.scaled[0]))
 
 
 def last_row(model: ModelSpec, width: int, steps: int, stream: SeededStream) -> Configuration:
@@ -188,11 +201,21 @@ def window_step(cells: np.ndarray, origin: int, period: int, model: ModelSpec,
         raise ValueError("window exhausted: narrower than 3 cells")
     binary = not (cells == 1).any()
     a, b, c = (cells[..., k:k + width - 2] for k in range(3))
-    t0, t1 = thresholds(a, b, c, model.params, binary)
+    x0, x1 = thresholds(a, b, c, model.params, binary)
     out_origin = origin - model.offset
     sites = np.array([(out_origin + j) % period for j in range(width - 2)], dtype=np.int64)
-    u = (key_u64(stream._seed_u64(), t, sites) >> np.uint64(11)) * 2.0**-53
-    return (u >= t0).astype(np.int8) + (u >= t1).astype(np.int8), out_origin
+    k = key_u64(stream._seed_u64(), t, sites) >> np.uint64(11)
+    return draw(k, x0, x1, model.params.scaled[0]), out_origin
+
+
+def empirical_counts(cells: np.ndarray) -> list[int]:
+    """The length-``ORDER`` word counts of a cyclic row, each window's base-3
+    index built in int64 from one ``np.roll`` of the row per order."""
+    codes = np.asarray(cells).astype(np.int64)
+    idx = np.zeros(codes.size, dtype=np.int64)
+    for j in range(ORDER):
+        idx = idx * 3 + np.roll(codes, -j)
+    return np.bincount(idx, minlength=3**ORDER).tolist()
 
 
 # ------------------------------------------------------------------ game
@@ -273,10 +296,10 @@ def sample_labels(
     params: Params, stream: SeededStream, line_index: int, origin: int, width: int
 ) -> np.ndarray:
     """Labels of sites origin..origin+width-1 on the line ``line_index`` steps
-    above the base; keyed by (line_index, site) so the field is reusable. The
-    float uniforms are compared with the float cut points p and 1 - q."""
-    u = u01_range(stream, line_index, origin, width)
-    return (u >= float(params.p)).astype(np.int8) + (u >= 1.0 - float(params.q)).astype(np.int8)
+    above the base; keyed by (line_index, site) so the field is reusable. Each
+    variate is compared exactly with p and with 1 - q."""
+    s, pa, qb = params.scaled
+    return draw(variates(stream, line_index, origin, width), pa, s - qb, s)
 
 
 def solve_sample(

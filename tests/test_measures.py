@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 import warnings
 import weakref
 from fractions import Fraction
@@ -211,6 +212,30 @@ def test_empirical_measure_small_row():
     assert word_prob(mu, (Q, Z)) == 0
     assert not mu.reflection_invariant
     assert cylinder_prob(mu, "0") == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 6, 7, 10**6])
+def test_empirical_measure_counts_match_the_roll_oracle(width):
+    # the window index is read from one cyclic extension of the row; a row
+    # narrower than a word wraps round more than once
+    cells = np.random.default_rng(width).integers(0, 3, size=width).astype(np.int8)
+    mu = empirical_measure(Configuration(cells))
+    assert list(mu.counts[ORDER]) == oracles.empirical_counts(cells) and mu.den == width
+
+
+def test_empirical_measure_peaks_below_16_bytes_a_site():
+    # the int16 index, the int8 extension and bincount's int64 copy of the
+    # index: 12 traced bytes a site at width 10**6 (the int64 index with one
+    # np.roll copy per order took 32)
+    width = 10**6
+    row = Configuration(np.random.default_rng(3).integers(0, 3, size=width).astype(np.int8))
+    tracemalloc.start()
+    try:
+        empirical_measure(row)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * width
 
 
 def test_empirical_measure_errors():

@@ -17,7 +17,6 @@ from percolab.pca import (
     _TILE,
     _WINDOW,
     _apply_rule,
-    _coupling_gap,
     _neighbour_views,
     last_row,
     step,
@@ -64,10 +63,7 @@ def test_child_streams_are_distinct_and_match_block_path():
     assert len(seeds) == 6 and s.seed not in seeds
     arr = s.child_seeds_u64(6)
     assert [int(x) for x in arr] == [kid.seed for kid in kids]
-    grid = u01_block(arr, t=2, n0=-3, count=5)
-    assert grid.shape == (6, 5)
-    for k in range(6):
-        assert np.array_equal(grid[k], kids[k].u01_range(2, -3, 5))
+    _assert_block_holds(arr, 2, -3, np.array([kid.u01_range(2, -3, 5) for kid in kids]))
 
 
 def test_child_seeds_of_a_chunk_match_the_full_array():
@@ -89,6 +85,21 @@ def _oracle_variates(seed, t, sites):
     return oracles.key_u64(np.uint64(seed % 2**64), t, sites) >> np.uint64(11)
 
 
+def _assert_block_holds(seeds, t, n0, want, values=None):
+    """u01_block over ``seeds`` hashes the variates ``want`` (a row per seed):
+    bit for bit wherever one of ``values`` (by default every variate of
+    ``want``) is wanted, and between the same two of them elsewhere.  The
+    block is read against a cut at each value and one above it, 63 values a
+    call, and each label code must count the cuts that its wanted variate
+    reaches."""
+    values = np.unique(want if values is None else values)
+    for i in range(0, values.size, 63):
+        cuts = np.sort(np.concatenate([values[i:i + 63], values[i:i + 63] + np.uint64(1)]))
+        got = u01_block(seeds, t, n0, want.shape[-1], tuple(cuts))
+        assert got.dtype == np.int8 and got.shape == want.shape
+        assert np.array_equal(got, np.searchsorted(cuts, want, side="right")), i
+
+
 def test_key_prefix_in_python_ints_matches_numpy_bit_for_bit():
     # u01_range hashes the (seed, t) prefix in Python ints, u01_block one prefix
     # per seed in numpy: both must give the oracle's bits
@@ -108,27 +119,25 @@ def test_key_prefix_in_python_ints_matches_numpy_bit_for_bit():
             assert int(stream.u01_range(t, -3, 1)[0]) == int(_oracle_variates(seed, t, -3))
     sites = -2 + np.arange(5, dtype=np.int64)
     for t in ts:
-        block = u01_block(np.array(seeds, dtype=np.uint64), t, -2, 5)
-        for row, seed in zip(block, seeds):
-            assert row.tobytes() == _oracle_variates(seed, t, sites).tobytes()
+        want = np.array([_oracle_variates(seed, t, sites) for seed in seeds])
+        _assert_block_holds(np.array(seeds, dtype=np.uint64), t, -2, want)
 
 
 @pytest.mark.parametrize("n0", [0, -7])
 @pytest.mark.parametrize("count", [401, _TILE + 3], ids=["line", "line-wider-than-a-tile"])
 def test_u01_block_tiles_match_the_oracle(count, n0):
     # u01_block hashes whole rows in tiles of at most _TILE variates; every
-    # tile boundary must leave the bytes of the one-shot oracle hash
+    # tile boundary must leave the one-shot oracle hash: bit for bit at each
+    # row's first and last site and at 60 quantiles, and between the right two
+    # of those everywhere
     rows_per_tile = max(1, _TILE // count)
     seeds = SeededStream(41).child_seeds_u64(rows_per_tile + 1)
     sites = (n0 + np.arange(count, dtype=np.int64)).reshape(1, -1)
     for rows in {max(1, rows_per_tile - 1), rows_per_tile, rows_per_tile + 1}:
         want = oracles.key_u64(seeds[:rows].reshape(-1, 1), 9, sites) >> np.uint64(11)
-        got = u01_block(seeds[:rows], 9, n0, count)
-        assert got.shape == (rows, count) and got.tobytes() == want.tobytes()
-        # cuts at two hashed variates: a variate at a cut reaches it
-        cuts = tuple(np.sort(want, axis=None)[[count // 3, count - 2]])
-        reached = (want >= cuts[0]).astype(np.int8) + (want >= cuts[1])
-        assert np.array_equal(u01_block(seeds[:rows], 9, n0, count, cuts), reached)
+        quantiles = np.sort(want, axis=None)[::-(-want.size // 60)]
+        _assert_block_holds(seeds[:rows], 9, n0, want,
+                            np.concatenate([want[:, [0, -1]].ravel(), quantiles]))
 
 
 @pytest.mark.parametrize("count", [401, _TILE + 3], ids=["line", "line-wider-than-a-tile"])
@@ -139,12 +148,11 @@ def test_u01_block_tiles_match_the_oracle(count, n0):
 ], ids=str)
 def test_u01_block_label_codes_match_the_oracle_labels(params, count):
     # with the game's cuts p and 1 - q, each tile is read as the number of cuts
-    # each variate reaches: the float oracle's SiteLabel codes, site by site,
+    # each variate reaches: the exact oracle's SiteLabel codes, site by site,
     # across every tile boundary
-    cut_p, _, cut_1q = variate_cuts(params)
     stream = SeededStream(41)
     rows = max(1, _TILE // count) + 1
-    got = u01_block(stream.child_seeds_u64(rows), 9, -7, count, (cut_p, cut_1q))
+    got = u01_block(stream.child_seeds_u64(rows), 9, -7, count, variate_cuts(params))
     assert got.dtype == np.int8 and got.shape == (rows, count)
     for i, row in enumerate(got):
         assert np.array_equal(row, oracles.sample_labels(params, child_stream(stream, i), 9, -7,
@@ -157,9 +165,9 @@ def test_u01_block_label_codes_at_the_edge_cuts_and_beside_a_variate():
     # cut of 0 (p = 0 or q = 1) is reached by every one, and cuts one below,
     # at and one above a hashed variate k read as the no-cuts variates do
     seeds = SeededStream(5).child_seeds_u64(3)
-    variates = u01_block(seeds, 4, -3, 200)
+    variates = np.array([oracles.variates(SeededStream(int(seed)), 4, -3, 200) for seed in seeds])
     k = int(np.sort(variates, axis=None)[300])
-    edges = [variate_cuts(Params(p, q))[::2] for p, q in
+    edges = [variate_cuts(Params(p, q)) for p, q in
              ((0, Fraction(1, 2)), (1, 0), (Fraction(1, 2), 0), (0, 1))]
     for cuts in [*edges, (k - 1, k), (k, k + 1), (k - 1, k + 1), (k + 1, 2**53),
                  (2**53 - 1, 2**53), (k,), (2**53,)]:
@@ -172,23 +180,17 @@ def test_u01_block_label_codes_at_the_edge_cuts_and_beside_a_variate():
 def test_variates_are_53_bit_integers():
     k = SeededStream(3).u01_range(0, 0, 1000)
     assert k.dtype == np.uint64 and int(k.max()) < 2**53
-    assert u01_block(SeededStream(3).child_seeds_u64(4), 1, 0, 9).dtype == np.uint64
-
-
-def _cut53(t: float) -> int:
-    """ceil(t * 2**53) in Python ints, apart from ``variate_cuts``'s own path."""
-    return math.ceil(t * 2**53)
 
 
 def test_variate_cuts_edges():
-    # (cut_p, cut_pr, cut_1q): the cuts of p, p + r and 1 - q
-    assert variate_cuts(Params(0, 0)) == (0, 2**53, 2**53)
-    assert variate_cuts(Params(1, 0)) == (2**53, 2**53, 2**53)
-    assert variate_cuts(Params(0, 1)) == (0, 0, 0)
+    # (cut_p, cut_1q): the cuts of p and 1 - q
+    assert variate_cuts(Params(0, 0)) == (0, 2**53)
+    assert variate_cuts(Params(1, 0)) == (2**53, 2**53)
+    assert variate_cuts(Params(0, 1)) == (0, 0)
     assert all(type(cut) is np.uint64 for cut in variate_cuts(PARAMS))
     assert variate_cuts(Params(Fraction(1, 2**54), 0))[0] == 1
     assert variate_cuts(Params(Fraction(1, 2), 0))[0] == 2**52
-    assert variate_cuts(Params(Fraction(1, 10), 0))[0] == math.ceil(0.1 * 2**53)
+    assert variate_cuts(Params(Fraction(1, 10), 0))[0] == 2**53 // 10 + 1
 
 
 # ---------------------------------------------------------------- cut laws
@@ -220,20 +222,20 @@ def _interval_law(read, cuts):
     return laws
 
 
-def _assert_law_within_two_ulps(induced, masses, scale):
-    """|induced / 2**53 - masses / scale| <= 2 * 2**-53 per code, and equal
-    when the scale is a power of two (every cut is then exact)."""
-    for got, want in zip(induced, masses):
-        assert abs(got * scale - want * _ONE53) <= 2 * scale, (induced, masses, scale)
-        if scale & (scale - 1) == 0:
-            assert got * scale == want * _ONE53, (induced, masses, scale)
+def _assert_ceiling_law(induced, masses, scale):
+    """``induced`` is the law masses / scale inverted exactly on the variates:
+    each code holds the variates from ceil(F * 2**53) of the cumulative mass F
+    before it up to that of the cumulative mass through it."""
+    bounds = [0, *(math.ceil(Fraction(f, scale) * _ONE53)
+                   for f in itertools.accumulate(masses))]
+    assert list(induced) == [hi - lo for lo, hi in zip(bounds, bounds[1:])], (masses, scale)
 
 
 @pytest.mark.parametrize("pq", CUT_LAW_POINTS, ids=lambda pq: f"{pq[0]},{pq[1]}")
 def test_the_rule_draws_each_class_law_at_its_cuts(pq):
     # the law the Monte Carlo rule draws, from the lengths of the intervals
-    # between its cuts, is core's CLASS_LAWS to within the rounding of p,
-    # p + r and 1 - q; without a MIXED triple the rule skips that select
+    # between its cuts, is core's CLASS_LAWS inverted exactly; without a MIXED
+    # triple the rule skips that select
     params = Params(*pq)
 
     def read(ks):
@@ -245,7 +247,7 @@ def test_the_rule_draws_each_class_law_at_its_cuts(pq):
 
     scale, masses = params.law_masses
     for cls, induced in zip(TripleClass, _interval_law(read, variate_cuts(params))):
-        _assert_law_within_two_ulps(induced, masses[cls], scale)
+        _assert_ceiling_law(induced, masses[cls], scale)
 
 
 def _unfinalize_tail(h: int) -> int:
@@ -267,8 +269,8 @@ def _labels_at(monkeypatch, ks, cuts):
     hashes = [int(k) << 11 | low for low in (0, 0x7FF) for k in ks]
     keys = np.array([_unfinalize_tail(h) ^ prefix for h in hashes], dtype=np.uint64)
     monkeypatch.setattr(pca, "_site_keys", lambda n0, count: keys)
+    assert np.array_equal(SeededStream(seed).u01_range(t, 0, keys.size), np.tile(ks, 2))
     seeds = np.array([seed], dtype=np.uint64)
-    assert np.array_equal(u01_block(seeds, t, 0, keys.size)[0], np.tile(ks, 2))
     return u01_block(seeds, t, 0, keys.size, cuts).reshape(2, -1)
 
 
@@ -276,13 +278,12 @@ def _labels_at(monkeypatch, ks, cuts):
 def test_the_game_labels_sites_by_p_r_q_at_its_cuts(monkeypatch, pq):
     # u01_block reads a label as the number of the game's cuts p and 1 - q
     # that its variate reaches, from the raw hash; the interval law is
-    # (trap, open, target) ~ (p, r, q) to within the rounding of the cuts
+    # (trap, open, target) ~ (p, r, q) inverted exactly
     params = Params(*pq)
-    cut_p, _, cut_1q = variate_cuts(params)
+    cuts = variate_cuts(params)
     scale, a, b = params.scaled
-    for induced in _interval_law(lambda ks: _labels_at(monkeypatch, ks, (cut_p, cut_1q)),
-                                 (cut_p, cut_1q)):
-        _assert_law_within_two_ulps(induced, (a, scale - a - b, b), scale)
+    for induced in _interval_law(lambda ks: _labels_at(monkeypatch, ks, cuts), cuts):
+        _assert_ceiling_law(induced, (a, scale - a - b, b), scale)
 
 
 # ---------------------------------------------------------------- configuration
@@ -389,39 +390,41 @@ def _all_triples():
 
 @pytest.mark.parametrize("params", CUT_GRID, ids=str)
 def test_cut_table_matches_sitewise_thresholds_bit_for_bit(params):
-    # float cut points decide every Monte Carlo output, so each triple's largest
-    # code must select the integer cuts of exactly the floats the sitewise
-    # formula gives, not merely close ones
+    # the cuts decide every Monte Carlo output, so each triple's largest code
+    # must select as its cuts the least variates that reach exactly the cut
+    # points the sitewise formula gives
     a, b, c, largest = _all_triples()
-    cut_p, cut_pr, cut_1q = variate_cuts(params)
-    selected = {0: (cut_p, cut_p), 1: (cut_p, cut_pr), 2: (cut_1q, cut_1q)}
+    cut_p, cut_1q = variate_cuts(params)
+    selected = {0: (cut_p, cut_p), 1: (cut_p, cut_1q), 2: (cut_1q, cut_1q)}
     binary = np.array([cls is not TripleClass.MIXED for cls in TRIPLE_CLASSES])
+    scale = params.scaled[0]
     for is_binary in (False, True):
-        want0, want1 = oracles.thresholds(a, b, c, params, binary=is_binary)
+        x0, x1 = oracles.thresholds(a, b, c, params, binary=is_binary)
         for triple in range(27):
             if is_binary and not binary[triple]:
                 continue  # a binary row holds no ?
-            want = (_cut53(want0[triple]), _cut53(want1[triple]))
-            assert selected[largest[triple]] == want, (triple, is_binary)
+            for cut, x in zip(map(int, selected[largest[triple]]), (x0[triple], x1[triple])):
+                least = oracles.reaches(cut, x, scale) and not (
+                    cut and oracles.reaches(cut - 1, x, scale))
+                assert least, (triple, is_binary, cut)
 
 
 @pytest.mark.parametrize("params", [*CUT_GRID, Params(1, 0), Params(0, 1)], ids=str)
 def test_integer_cuts_decide_like_the_float_cuts(params):
-    # each comparison k >= ceil(t * 2**53) must agree with k * 2**-53 >= t on
-    # both sides of every cut the game labels and the step rule use
+    # each comparison k >= cut must agree with the exact k * 2**-53 >= t of
+    # the oracle beside every cut point t the game labels and the step rule use
     a, b, c, largest = _all_triples()
-    t0, t1 = oracles.thresholds(a, b, c, params, binary=False)
-    p, one_minus_q = float(params.p), 1.0 - float(params.q)
-    cuts = {_cut53(t) for t in (*t0, *t1, p, one_minus_q)}
-    ks = np.array(sorted({k for c in cuts for k in (c - 1, c) if k >= 0}), dtype=np.uint64)
-    u = ks * 2.0**-53
-    want = (u >= p).astype(np.int8) + (u >= one_minus_q).astype(np.int8)
-    cut_p, _, cut_1q = variate_cuts(params)
-    assert np.array_equal((ks >= cut_p).astype(np.int8) + (ks >= cut_1q), want)
+    x0, x1 = oracles.thresholds(a, b, c, params, binary=False)
+    scale, pa, qb = params.scaled
+    cuts = {math.ceil(Fraction(int(x), scale) * _ONE53) for x in (*x0, *x1)}
+    ks = np.array(sorted({k for c in cuts for k in (c - 1, c, c + 1) if 0 <= k <= _ONE53}),
+                  dtype=np.uint64)
+    cut_p, cut_1q = variate_cuts(params)
+    assert np.array_equal((ks >= cut_p).astype(np.int8) + (ks >= cut_1q),
+                          oracles.draw(ks, pa, scale - qb, scale))
     for triple in range(27):
         got = _apply_rule(np.full(ks.size, largest[triple]), params, ks)
-        want = (u >= t0[triple]).astype(np.int8) + (u >= t1[triple]).astype(np.int8)
-        assert np.array_equal(got, want), triple
+        assert np.array_equal(got, oracles.draw(ks, x0[triple], x1[triple], scale)), triple
     if params == Params(0, 0):
         assert {0, 2**53} <= cuts
 
@@ -717,7 +720,7 @@ def test_coupled_step_disagreement_shrinks():
 def test_envelope_step_covers_coupled_pair(offset):
     # under common randomness the three-symbol rule is the envelope of the binary
     # one: wherever the envelope row is decided, both coupled binary rows equal it
-    model = spec(offset, Params(Fraction(1, 4), Fraction(1, 4)))  # float cuts are exact
+    model = spec(offset, Params(Fraction(1, 4), Fraction(1, 4)))
     rng = np.random.RandomState(6)
     a = Configuration((rng.randint(0, 2, size=400) * 2).astype(np.int8))
     b = Configuration((rng.randint(0, 2, size=400) * 2).astype(np.int8))
@@ -738,7 +741,7 @@ def test_envelope_step_covers_coupled_pair(offset):
 # ---------------------------------------------------------------- coupling from the past
 
 QUARTER = (Fraction(1, 4), Fraction(1, 4))
-THIRD = (Fraction(1, 3), Fraction(1, 3))  # p + r and 1 - q round one integer apart
+THIRD = (Fraction(1, 3), Fraction(1, 3))  # no cut is a multiple of 2**-53
 
 
 def _steps_counted(monkeypatch):
@@ -758,7 +761,7 @@ def _steps_counted(monkeypatch):
     (QUARTER, 0, 400, 300, "window"),
     (QUARTER, -1, 400, 300, "window"),
     ((Fraction(1, 100), Fraction(1, 100)), 0, 400, 300, "both"),  # ? outlives the window
-    (THIRD, 0, 400, 300, "loop"),  # the coupling gap is not empty
+    (THIRD, 0, 400, 300, "window"),
     ((Fraction(0), Fraction(0)), 0, 40, 100, "both"),  # all-? is a fixed point
     ((Fraction(1), Fraction(0)), 0, 40, 100, "window"),
     ((Fraction(0), Fraction(1)), -1, 40, 100, "window"),
@@ -769,8 +772,8 @@ def _steps_counted(monkeypatch):
     (QUARTER, 0, 3, 100, "window"),
 ])
 def test_last_row_equals_the_forward_loop(monkeypatch, pq, offset, width, steps, runs):
-    # the window's row is the true row when it ends without ? where the
-    # coupling gap is empty; otherwise every step is run from t = 0
+    # the window's row is the true row when it ends without ?; otherwise
+    # every step is run from t = 0
     model = ModelSpec(offset, Params(*pq))
     stream = SeededStream(41)
     want = oracles.last_row(model, width, steps, stream)
@@ -789,29 +792,28 @@ def test_last_row_steps_only_its_window_at_a_quarter(monkeypatch):
     assert len(calls) <= _WINDOW and row.counts()[1] == 0
 
 
-GAP_POINTS = [*FORMULA_GRID, (Fraction(0), Fraction(0)), THIRD]
+REFINE_POINTS = [*FORMULA_GRID, (Fraction(0), Fraction(0)), THIRD]
 
 
-@pytest.mark.parametrize("pq", GAP_POINTS, ids=lambda pq: f"{pq[0]},{pq[1]}")
+@pytest.mark.parametrize("pq", REFINE_POINTS, ids=lambda pq: f"{pq[0]},{pq[1]}")
 def test_the_mixed_output_refines_the_others_off_the_coupling_gap(pq):
     # the exact basis of last_row: at each variate beside a cut, a MIXED
-    # triple's output is ? or equals both the ALL_ZERO and the HAS_ONE output,
-    # except in the gap
+    # triple's output is ? or equals both the ALL_ZERO and the HAS_ONE output;
+    # no variate lies in a gap where it does not
     params = Params(*pq)
-    gaps = _coupling_gap(params)
     ks = sorted({k for c in map(int, variate_cuts(params)) for k in (c - 1, c, c + 1)
                  if 0 <= k < _ONE53})
     out = _apply_rule(np.repeat(np.arange(3, dtype=np.int8)[:, None], len(ks), axis=1),
                       params, np.array(ks, dtype=np.uint64))
     for k, (zero, mixed, one) in zip(ks, out.T.tolist()):
-        refines = mixed == Q.value or zero == mixed == one
-        assert refines == (not any(lo <= k < hi for lo, hi in gaps)), k
+        assert mixed == Q.value or zero == mixed == one, k
 
 
-def test_the_coupling_gap_is_one_integer_where_the_cuts_round_apart():
-    assert _coupling_gap(Params(*QUARTER)) == ()
-    assert all(_coupling_gap(Params(*pq)) == () for pq in [(0, 0), (1, 0), (0, 1)])
-    cut_p, cut_pr, cut_1q = map(int, variate_cuts(Params(*THIRD)))
-    assert _coupling_gap(Params(*THIRD)) == ((cut_pr, cut_1q),) and cut_1q == cut_pr + 1
-    cut_p, cut_pr, cut_1q = map(int, variate_cuts(Params(Fraction(1, 5), Fraction(4, 5))))
-    assert _coupling_gap(Params(Fraction(1, 5), Fraction(4, 5))) == ((cut_1q, cut_p),)
+@pytest.mark.parametrize("pq", [QUARTER, THIRD, (Fraction(1, 5), Fraction(4, 5)),
+                                (Fraction(1, 3**40), Fraction(2, 7**25)),
+                                (0, 0), (1, 0), (0, 1)], ids=lambda pq: f"{pq[0]},{pq[1]}")
+def test_variate_cuts_are_the_ceilings_of_p_and_1_minus_q(pq):
+    # ceil(t * 2**53) of t = p and t = 1 - q, taken through Fraction, also
+    # where the scale lcm(den p, den q) exceeds 2**53
+    p, q = map(Fraction, pq)
+    assert variate_cuts(Params(p, q)) == (math.ceil(p * 2**53), math.ceil((1 - q) * 2**53))

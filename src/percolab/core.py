@@ -242,8 +242,9 @@ def site_class(label: int, successors: Sequence[int]) -> int:
     its three out-neighbours' class codes.  A trap is W and a target L.  From
     an open site the mover wins by moving to an L, loses when all three
     out-neighbours are W and otherwise cannot force a win: with W=0, D=1, L=2
-    that is 2 - the largest successor code.  ``game.classify_line`` is this
-    rule on whole lines, vectorised; the tests pin the two equal."""
+    that is 2 - the largest successor code.  ``pca.site_classes`` is this
+    rule on whole lines, vectorised, which ``pca.step`` and
+    ``game.classify_line`` run; the tests pin the two equal."""
     if label == SiteLabel.TRAP:
         return GameClass.W
     if label == SiteLabel.TARGET:

@@ -18,10 +18,12 @@ n sit at n+i, n+i+1, n+i+2 on the successor line, with i = 0 for V1/V2 and
 i = -1 for V3/V4 -- the same window shape as `pca`. The game's vocabulary
 (``GameVersion``, ``SiteLabel``, ``GameClass``) and its one-site rule
 (``core.site_class``) live in ``core``; ``classify_line`` runs that rule on
-whole lines of int8 codes. Integrating the label out, one induction step *is*
-one step of the three-symbol dynamics under the correspondence W=0, D=?, L=1
-(codes coincide); ``core.kernel_correspondence`` checks this exactly, in
-integers and without numpy, and the tests pin ``classify_line`` to the rule.
+whole lines of int8 codes through ``pca.site_classes``, its one vectorised
+copy. Integrating the label out, one induction step *is* one step of the
+three-symbol dynamics under the correspondence W=0, D=?, L=1 (codes
+coincide); ``core.kernel_correspondence`` checks this exactly, in integers and
+without numpy, the tests pin ``classify_line`` to the rule, and ``pca.step``
+is that step, each site labelled at the cuts p and 1 - q.
 
 Draw probabilities are estimated by starting the frontier line, at distance T
 above the base site, in the all-D (unresolved) state and inducting down.
@@ -59,7 +61,7 @@ import numpy as np
 
 from . import core
 from .core import GameVersion, Params
-from .pca import SeededStream, u01_block, variate_cuts
+from .pca import SeededStream, site_classes, u01_block, variate_cuts
 
 # The kernel check is core's, where ``verify kernel`` runs it without numpy;
 # perfbench/spans.py rebinds it by this name to time it as game.kernel_check.
@@ -68,8 +70,9 @@ kernel_correspondence = core.kernel_correspondence
 
 def classify_line(labels, next_classes, version: GameVersion) -> np.ndarray:
     """One backward-induction step: classes on a line from its own labels and
-    the successor line's classes, by the game's one-site rule
-    ``core.site_class`` (which ``kernel_correspondence`` checks), vectorised.
+    the successor line's classes, by ``pca.site_classes``: the game's
+    one-site rule ``core.site_class`` (which ``kernel_correspondence``
+    checks), vectorised, which ``pca.step`` runs too.
 
     Alignment convention (all versions): the out-neighbours of labels[j] are
     next_classes[j], next_classes[j+1], next_classes[j+2] -- the line
@@ -83,29 +86,12 @@ def classify_line(labels, next_classes, version: GameVersion) -> np.ndarray:
 
     ``version`` is not read: the offset lives in the caller's bookkeeping.  It
     stays because ``perfbench/spans.py`` wraps this function with a
-    three-argument wrapper, which a traced run calls positionally.
+    three-argument wrapper, which a traced run calls positionally; and this
+    is a function of its own, not a name for ``site_classes``, because that
+    wrapper replaces it in every namespace holding it, where it would count
+    ``pca.step``'s sites too.
     """
-    labels = np.asarray(labels)
-    nxt = np.asarray(next_classes)
-    if nxt.shape[-1] != labels.shape[-1] + 2:
-        raise ValueError(
-            f"successor line must cover every out-neighbourhood: "
-            f"need width {labels.shape[-1] + 2}, got {nxt.shape[-1]}"
-        )
-    # core.site_class: an open site is 2 - max(n0, n1, n2), a trap W and a
-    # target L, the codes of their labels.  So the class is
-    # label + (label is open) * (1 - max).  The open mask compares with the
-    # int 1, in the labels' own type (an IntEnum member makes numpy compare
-    # in int64), and is made before the classes, so that the classes are the
-    # newest block: glibc then has no line-sized hole above them to trim and
-    # fault back in on the next line.
-    is_open = labels == 1
-    cls = np.maximum(nxt[..., :-2], nxt[..., 1:-1], dtype=np.result_type(labels, nxt))
-    np.maximum(cls, nxt[..., 2:], out=cls)
-    np.subtract(1, cls, out=cls)
-    cls *= is_open
-    cls += labels
-    return cls
+    return site_classes(labels, next_classes)
 
 
 # ------------------------------------------------------------- draw estimates

@@ -12,7 +12,7 @@ the envelope of the binary one, and no setting tells them apart.
 Those three triple classes and their exact laws live in ``core``
 (``TripleClass``, ``TRIPLE_CLASSES``, ``CLASS_LAWS``), where the exact checks
 read them without importing numpy; this module adds the numeric side: hashing,
-the integer cut points of (p, q) and stepping rows.
+the integer cut points of (p, q), the vectorised site rule and stepping rows.
 
 Randomness is counter-based: every (time, site) pair is hashed to one uniform
 variate, so results are independent of array width, evaluation order, and worker
@@ -25,9 +25,15 @@ the integer cut ceil(t * 2**53), computed exactly from ``Params.scaled``
 (``variate_cuts``): k >= ceil(t * 2**53) iff k * 2**-53 >= t. The cut of 1 is
 2**53, which no variate reaches.
 
-A triple's class is its largest code (``core.TripleClass``), which selects its
-cuts: ALL_ZERO (000) at p, MIXED (a ? and no 1) at p and 1 - q, and HAS_ONE
-(a 1) at 1 - q.
+``step`` labels each site as the game does, by the number of cuts its variate
+reaches (trap below p, target at or above 1 - q, open between), and runs the
+game's induction step on its triple under W=0, D=?, L=1: a trap steps to 0, a
+target to 1 and an open site to 2 - the triple's largest code, its class
+(``core.TripleClass``).  As cut p <= cut 1 - q, that draws each class's law:
+ALL_ZERO (000) 0 below p, else 1; MIXED (a ? and no 1) 0, ?, 1; HAS_ONE (a 1)
+1 only at or above 1 - q.  The rule is written once in the standard library
+(``core.site_class``, which ``verify kernel`` checks exactly) and once
+vectorised (``site_classes``), which ``step`` and ``game.classify_line`` read.
 A row's hash XORs the (seed, t) prefix, hashed in Python ints, into the
 per-site keys of sites 0..width-1, which are cached, so a row builds them
 once; both sides carry the finalizer's first round already (``_site_keys``).
@@ -292,18 +298,18 @@ class Configuration(Frozen):
 
 # ------------------------------------------------------------------ stepping
 
-def _neighbour_views(cfg: Configuration, offset: int):
-    """The (a, b, c) triple views of every site: cell (n + offset + k) % width
-    of site n, for k = 0, 1, 2."""
+def _extended_row(cfg: Configuration, offset: int) -> np.ndarray:
+    """The cyclic row two cells wider that every site reads its triple from:
+    cell j is cell (offset + j) % width, so site n's triple is cells n, n + 1
+    and n + 2 of it."""
     cells, width = cfg.cells, cfg.width
     start = offset % width
-    # cell (start + j) % width, for j < width + 2, copied slice by slice
     ext = np.empty((*cells.shape[:-1], width + 2), dtype=np.int8)
     ext[..., :width - start] = cells[..., start:]
     ext[..., width - start:width] = cells[..., :start]
     ext[..., width] = ext[..., 0]
     ext[..., width + 1] = ext[..., 1 % width]
-    return ext[..., :-2], ext[..., 1:-1], ext[..., 2:]
+    return ext
 
 
 @per_point
@@ -311,51 +317,55 @@ def variate_cuts(params: Params) -> tuple[np.uint64, np.uint64]:
     """The integer cut points ceil(t * 2**53) of p and of 1 - q, exactly: a
     variate k is at or above one iff k * 2**-53 >= t.  With (s, a, b) =
     ``params.scaled``, t is a/s or (s - b)/s, whose ceiling -((-x << 53) // s)
-    is taken in Python ints; a <= s - b, so cut p <= cut 1 - q.  The rule
-    inverts a triple's class law at p (000), at p and 1 - q (MIXED, whose p + r
-    is 1 - q) or at 1 - q (HAS_ONE), and a game label at the same two.  numpy
-    scalars, which numpy compares with an array faster than Python ints.  Kept
-    on the point (``per_point``)."""
+    is taken in Python ints; a <= s - b, so cut p <= cut 1 - q.  A site's
+    label is the number of them its variate reaches, in ``step`` and in the
+    game alike.  numpy scalars, which numpy compares with an array faster
+    than Python ints.  Kept on the point (``per_point``)."""
     s, a, b = params.scaled
     return tuple(_U64(-((-x << 53) // s)) for x in (a, s - b))
 
 
-def _apply_rule(largest: np.ndarray, params: Params, k: np.ndarray) -> np.ndarray:
-    """The updated cells, a fresh int8 array: site n of each row inverts its
-    triple's class law, selected by the largest code, at the variate k[n].
+def site_classes(labels, successors) -> np.ndarray:
+    """``core.site_class`` on whole lines: the class code of each site j from
+    its label code and the codes successors[..., j], [..., j + 1] and
+    [..., j + 2], so the successor line is two cells wider.  Works on stacks
+    of lines (the last axis is the line, and labels broadcast against the
+    stack); the classes keep the inputs' integer type, a fresh array.
 
-    A variate lies between the cuts when k >= p but not k >= 1 - q.  The low
-    bit is k >= p, flipped between the cuts for HAS_ONE (so k >= 1 - q there);
-    the high bit is the low bit, flipped between the cuts for MIXED.  Each flip
-    is a branch-free xor, which is much faster than ``np.where`` on a random
-    mask.  When no triple is MIXED, as in every row without ?, the high bit is
-    the low bit throughout, so the MIXED flip is skipped.
+    An open site is 2 - the largest successor, a trap W and a target L, the
+    codes of their labels: so the class is label + (label is open) * (1 -
+    largest).  The open mask compares with the int 1, in the labels' own type
+    (an IntEnum member makes numpy compare in int64), is read as int8, which
+    int8 classes multiply without a cast, and is made before the classes, so
+    that the classes are the newest block: glibc then has no line-sized hole
+    above them to trim and fault back in on the next line.
     """
-    cut_p, cut_1q = variate_cuts(params)
-    at_p = k >= cut_p
-    between = k >= cut_1q
-    between ^= at_p
-    low = largest == 2
-    low &= between
-    low ^= at_p
-    mixed = largest == 1
-    if not mixed.any():
-        low = low.view(np.int8)
-        return low + low
-    mixed &= between
-    mixed ^= low
-    return low.view(np.int8) + mixed.view(np.int8)
+    labels = np.asarray(labels)
+    nxt = np.asarray(successors)
+    if nxt.shape[-1] != labels.shape[-1] + 2:
+        raise ValueError(
+            f"successor line must cover every out-neighbourhood: "
+            f"need width {labels.shape[-1] + 2}, got {nxt.shape[-1]}"
+        )
+    is_open = (labels == 1).view(np.int8)
+    cls = np.maximum(nxt[..., :-2], nxt[..., 1:-1], dtype=np.result_type(labels, nxt))
+    np.maximum(cls, nxt[..., 2:], out=cls)
+    np.subtract(1, cls, out=cls)
+    cls *= is_open
+    cls += labels
+    return cls
 
 
 def step(cfg: Configuration, model: ModelSpec, stream: SeededStream, t: int) -> Configuration:
     """Advance a row, or each row of a stack under the same variates, by one step;
-    deterministic given (seed, t) and the input.  Each output site's triple is
-    classed by its largest code (module docstring)."""
-    a, b, c = _neighbour_views(cfg, model.offset)
-    largest = np.maximum(a, b)
-    np.maximum(largest, c, out=largest)
+    deterministic given (seed, t) and the input.  Each site is labelled as
+    the game labels it, by the number of cuts its variate reaches, and runs
+    the game's induction step on its triple (module docstring)."""
     k = stream.u01_range(t, 0, cfg.width)
-    return Configuration._of_rule(_apply_rule(largest, model.params, k))
+    cut_p, cut_1q = variate_cuts(model.params)
+    labels = (k >= cut_p).view(np.int8)
+    labels += (k >= cut_1q).view(np.int8)
+    return Configuration._of_rule(site_classes(labels, _extended_row(cfg, model.offset)))
 
 
 class StepStats(NamedTuple):
@@ -406,11 +416,10 @@ def last_row(model: ModelSpec, width: int, steps: int, stream: SeededStream) -> 
     A window steps an all-? row at the last ``_WINDOW`` keys t = steps -
     _WINDOW .. steps - 1 only.  Say row x refines row y when x equals y
     wherever y holds no ?.  The true row at t = steps - _WINDOW refines all-?,
-    and at one variate k the rule maps a refining row to a refining row: an
-    ALL_ZERO or HAS_ONE triple of y is one of x too, and a MIXED triple's
-    output is ? between the cuts and elsewhere equals both the ALL_ZERO and
-    the HAS_ONE output, as cut p <= cut 1 - q (``variate_cuts``).  So a window
-    that ends without ? ends at the true row.
+    and under one label ``site_classes`` maps a refining triple to a refining
+    class: a trap or a target reads no triple, and an open site's 2 - largest
+    code is ? unless y's triple holds a 1, which x's holds too, or is 000,
+    which x's is too.  So a window that ends without ? ends at the true row.
 
     Otherwise, or when steps <= _WINDOW, the row is stepped from t = 0 as
     usual: at worst ``_WINDOW`` steps more than the plain loop.  ``step`` is

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from percolab import core, game, pca
 from percolab.core import (
     EnvSymbol,
     GameClass,
@@ -97,6 +99,116 @@ def u01(stream: SeededStream, t: int, n: int) -> float:
 def child_stream(stream: SeededStream, k: int) -> SeededStream:
     """The stream of sample k, as the batched game solver keys it."""
     return SeededStream(int(stream.child_seeds_u64(k + 1)[k]))
+
+
+# ------------------------------------------------------------------ exact variates
+
+ONE53 = 2**53  # no variate reaches it
+_M64 = 2**64 - 1
+# The stream and step at which ``hashing_to`` sets the hashes.
+EXACT_SEED, EXACT_T = 5, 3
+
+
+def _unfinalize_tail(h: int) -> int:
+    """The inverse of ``pca._finalize_tail`` on a Python int."""
+    h ^= h >> 31 ^ h >> 62
+    h = h * pow(pca._MUL2_INT, -1, 2**64) & _M64
+    h ^= h >> 27 ^ h >> 54
+    return h * pow(pca._MUL1_INT, -1, 2**64) & _M64
+
+
+@contextmanager
+def hashing_to(hashes: Sequence[int]):
+    """Within the block, site n of step ``EXACT_T`` of the stream
+    ``EXACT_SEED`` hashes to hashes[n] exactly, in ``u01_range`` and
+    ``u01_block`` alike: ``pca._site_keys`` is swapped for the keys that
+    finalize to them under that (seed, t) prefix, and put back after.  Yields
+    the stream and the step."""
+    prefix = pca._finalize_int((EXACT_SEED + pca._GOLD_INT) & _M64)
+    prefix = pca._finalize_int(prefix ^ pca._step_key(EXACT_T))
+    prefix ^= prefix >> 30
+    keys = np.array([_unfinalize_tail(h) ^ prefix for h in hashes], dtype=np.uint64)
+    real = pca._site_keys
+    pca._site_keys = lambda n0, count: keys
+    try:
+        yield SeededStream(EXACT_SEED), EXACT_T
+    finally:
+        pca._site_keys = real
+
+
+def step_at(ks, params: Params, cells) -> np.ndarray:
+    """``pca.step``'s cells from the row or stack ``cells`` at the variates
+    ``ks``: site n reads ks[n].  The step runs from the hashes k << 11 and
+    again from the hashes with all 11 low bits set; None if the two differ."""
+    outs = []
+    for low in (0, 0x7FF):
+        with hashing_to([int(k) << 11 | low for k in ks]) as (stream, t):
+            outs.append(pca.step(Configuration(cells), ModelSpec(0, params), stream, t).cells)
+    return outs[0] if np.array_equal(*outs) else None
+
+
+def interval_law(read, cuts):
+    """The law that ``read`` induces on the variates 0..2**53-1, as integer
+    counts per output code, one row per output row; None if the output
+    changes inside an interval.
+
+    ``read`` maps an array of variates to an array of codes of shape (rows,
+    variates), or to None.  The variates split into intervals at the cuts;
+    ``read`` is asked at both ends and the midpoint of each.
+    """
+    bounds = sorted({0, ONE53, *(min(int(c), ONE53) for c in cuts)})
+    spans = list(zip(bounds, bounds[1:]))
+    ks = np.array([k for lo, hi in spans for k in (lo, (lo + hi - 1) // 2, hi - 1)],
+                  dtype=np.uint64)
+    out = read(ks)
+    if out is None:
+        return None
+    out = np.asarray(out).reshape(-1, len(spans), 3)
+    if not (out == out[..., :1]).all():
+        return None
+    laws = np.zeros((out.shape[0], 3), dtype=object)
+    for row, codes in enumerate(out[..., 0]):
+        for code, (lo, hi) in zip(codes, spans):
+            laws[row, code] += hi - lo
+    return laws
+
+
+def ceiling_law(masses: Sequence[int], scale: int) -> list[int]:
+    """The law masses / scale inverted exactly on the variates: each code holds
+    the variates from ceil(F * 2**53) of the cumulative mass F before it up to
+    that of the cumulative mass through it."""
+    bounds = [0, *(math.ceil(Fraction(f, scale) * ONE53)
+                   for f in itertools.accumulate(masses))]
+    return [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+
+
+def class_rows(count: int) -> np.ndarray:
+    """Constant rows of 0, ? and 1, ``count`` sites each: every triple of row c
+    is of class c (ALL_ZERO, MIXED, HAS_ONE)."""
+    return np.repeat(np.arange(3, dtype=np.int8)[:, None], count, axis=1)
+
+
+def step_law_mismatches(params: Params) -> list[TripleClass]:
+    """The triple classes whose law ``pca.step`` draws at ``params``, read at
+    exact variates on ``class_rows``, is not ``core.CLASS_LAWS`` inverted
+    exactly (``ceiling_law``)."""
+    laws = interval_law(lambda ks: step_at(ks, params, class_rows(ks.size)),
+                        pca.variate_cuts(params))
+    scale, masses = params.law_masses
+    return [cls for cls in TripleClass
+            if laws is None or list(laws[cls]) != ceiling_law(masses[cls], scale)]
+
+
+def line_rule_mismatches() -> list[tuple[int, tuple[int, ...]]]:
+    """The (label, successor triple) cases, of all 81, where
+    ``game.classify_line`` differs from ``core.site_class``."""
+    cases = [(label, triple) for label in range(3)
+             for triple in itertools.product(range(3), repeat=3)]
+    labels = np.array([[label] for label, _ in cases], dtype=np.int8)
+    triples = np.array([triple for _, triple in cases], dtype=np.int8)
+    got = game.classify_line(labels, triples, GameVersion.V1)[:, 0]
+    return [case for case, cls in zip(cases, got.tolist())
+            if cls != core.site_class(*case)]
 
 
 # ------------------------------------------------------------------ rows

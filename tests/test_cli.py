@@ -1337,3 +1337,105 @@ def test_artifact_version_agrees_with_importlib_metadata(tmp_path, monkeypatch, 
     # no distribution, or one without a Version header, reads "unknown"
     assert _artifact_version() == (want or "unknown")
     assert want == (_LAYOUTS[layout] or (None, None, None))[2]
+
+
+# ------------------------------------------------------------------ fuzz
+
+# Small values for each flag type of build_parser(), found by the type object
+# itself so a new flag of a known type is covered without editing the test,
+# and junk tokens that any flag may get.
+_SMALL_VALUES = {
+    "_rational": ["0", "1", "1/4", "1/3", "0.2", "2/5", "-1/4", "5/4", "1e-3"],
+    "_grid_spec": ["0:1:1/2", "0:1/2:1/4", "1/4:1/4:1", "-1:1:1", "1:0:1/2", "0:1:0"],
+    "_grid_step": ["1", "1/2", "1/3", "1/4", "0", "2", "-1/2"],
+    "_count": ["0", "1", "2", "3", "-1"],
+    "_seed": ["0", "7", "1729", "-1", str(2**64)],
+    "_int_list": ["0", "3", "1,4", "4,1,4", "-1", ",", "2,"],
+    "int": ["-2", "-1", "0", "1", "3"],
+}
+_JUNK = ["", "x", "-", "--", "nan", "inf", "1/0", "1e1001", "0x10", "1_0", " 2 ", "٣",
+         "--bogus", "-x", "é"]
+
+
+def _commands(parser, words=()):
+    """(command words, parser) of every command of ``parser``, leaves only."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield words, parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _commands(sub, (*words, name))
+
+
+def _flag_values(action, tmp_path):
+    """A strategy for the token that follows one optional flag: a small value
+    four times in five, else junk; for --out a path in ``tmp_path`` (the
+    directory itself among them) or "", which writes to stdout."""
+    from hypothesis import strategies as st
+
+    if "--out" in action.option_strings:  # every path it names lies in tmp_path
+        return st.sampled_from([*(str(tmp_path / name) for name in ("out.txt", "", *_JUNK)),
+                                str(tmp_path / "no" / "out.txt"), ""])
+    if action.choices is not None:
+        small = list(action.choices)
+    else:
+        small = _SMALL_VALUES[getattr(action.type, "__name__", None)]
+    return st.one_of(st.sampled_from(small), st.sampled_from(small), st.sampled_from(small),
+                     st.sampled_from(small), st.sampled_from(_JUNK))
+
+
+def _argv(tmp_path):
+    """A strategy for argv lines: a command of build_parser() with its
+    required flags and some others in any order (help aside), each with a
+    small or junk value; one time in ten each, the command words are
+    dropped, the first flag is left out or a junk token is added."""
+    from hypothesis import strategies as st
+
+    from percolab.cli import build_parser
+
+    commands = list(_commands(build_parser()))
+
+    @st.composite
+    def argv(draw):
+        words, parser = draw(st.sampled_from(commands))
+        flags = [a for a in parser._actions
+                 if a.option_strings and not isinstance(a, argparse._HelpAction)]
+        chosen = [a for a in flags if a.required] + draw(st.lists(st.sampled_from(flags),
+                                                                  max_size=4))
+
+        def rarely():
+            return draw(st.sampled_from([False] * 9 + [True]))
+
+        tokens = [] if rarely() else list(words)
+        for i, action in enumerate(draw(st.permutations(chosen))):
+            if i == 0 and rarely():
+                continue
+            tokens += [draw(st.sampled_from(action.option_strings)),
+                       draw(_flag_values(action, tmp_path))]
+        if rarely():
+            tokens.append(draw(st.sampled_from(_JUNK)))
+        return tokens
+
+    return argv()
+
+
+def test_the_parser_ends_every_small_argv_in_exit_0_1_or_2(tmp_path, capsys):
+    # every command line built from the parser's own commands, flags and
+    # choices, at small magnitudes and with junk tokens, ends in exit 0, 1 or
+    # 2, and an exit 2 prints exactly one line, an error: line
+    from hypothesis import HealthCheck, given, settings
+
+    @settings(max_examples=50, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    @given(_argv(tmp_path))
+    def check(argv):
+        code, err = exit_status(capsys, *argv)
+        assert code in (0, 1, 2), (argv, code)
+        lines = err.splitlines()
+        if code == 2:
+            assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
+        else:
+            assert "error:" not in err, (argv, err)
+
+    check()

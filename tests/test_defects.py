@@ -4,11 +4,16 @@ every check that reads it exit 1 ("a check failed")."""
 import operator
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from percolab import core
+from percolab import core, game, pca
 from percolab.cli import main
+from percolab.core import Params
+
+import oracles
 
 
 def _rows_rotated(laws):
@@ -70,6 +75,47 @@ def test_a_defective_game_rule_fails_under_python_O():
                           capture_output=True, text=True, timeout=60)
     assert proc.stderr == "debug=False"
     assert proc.returncode == 1
+
+
+# The vectorised site rule, read by pca.step and game.classify_line, against
+# the two exact comparisons that read it: the law of step at a point with
+# p != q (else a trap and a target carry equal masses) against CLASS_LAWS,
+# and classify_line against core.site_class on the 81 (label, triple) cases.
+# Each returns its mismatches, so none leans on an assert.
+SITE_RULE_POINT = Params(Fraction(1, 3), Fraction(1, 5))
+
+
+def _site_rule_mismatches():
+    return (oracles.step_law_mismatches(SITE_RULE_POINT), oracles.line_rule_mismatches())
+
+
+def test_a_defective_site_rule_fails_both_line_comparisons(monkeypatch):
+    assert _site_rule_mismatches() == ([], [])
+    swapped = _trap_target_swapped(pca.site_classes)
+    monkeypatch.setattr(pca, "site_classes", swapped)
+    monkeypatch.setattr(game, "site_classes", swapped)
+    step_law, line_rule = _site_rule_mismatches()
+    assert step_law and line_rule
+
+
+def test_a_defective_site_rule_fails_under_python_O():
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from fractions import Fraction\n"
+            "import oracles\n"
+            "from percolab import game, pca\n"
+            "from percolab.core import Params\n"
+            "rule = pca.site_classes\n"
+            "pca.site_classes = game.site_classes = lambda labels, successors: (\n"
+            "    rule(2 - labels, successors))\n"
+            "point = Params(Fraction(1, 3), Fraction(1, 5))\n"
+            "print(__debug__, len(oracles.step_law_mismatches(point)),\n"
+            "      len(oracles.line_rule_mismatches()))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    debug, step_law, line_rule = proc.stdout.split()
+    assert debug == "False" and int(step_law) > 0 and int(line_rule) > 0
 
 
 def test_a_defective_rule_table_fails_under_python_O():

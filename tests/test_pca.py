@@ -16,9 +16,9 @@ from percolab.pca import (
     SeededStream,
     _TILE,
     _WINDOW,
-    _apply_rule,
-    _neighbour_views,
+    _extended_row,
     last_row,
+    site_classes,
     step,
     trajectory,
     u01_block,
@@ -26,7 +26,19 @@ from percolab.pca import (
 )
 
 import oracles
-from oracles import child_stream, config_from_symbols, envelope_of_pair, symbols, u01
+from oracles import (
+    ONE53,
+    ceiling_law,
+    child_stream,
+    class_rows,
+    config_from_symbols,
+    envelope_of_pair,
+    hashing_to,
+    interval_law,
+    step_at,
+    symbols,
+    u01,
+)
 
 Z, Q, O = EnvSymbol.ZERO, EnvSymbol.QMARK, EnvSymbol.ONE
 
@@ -194,93 +206,39 @@ def test_variate_cuts_edges():
 
 # The points of the exact checks and the triangle's three vertices.
 CUT_LAW_POINTS = [*FORMULA_GRID, (Fraction(0), Fraction(0))]
-_ONE53 = 2**53  # no variate reaches it
-_M64 = 2**64 - 1
-
-
-def _interval_law(read, cuts):
-    """The law that ``read`` induces on the variates 0..2**53-1, as integer
-    counts per output code, one row per output row.
-
-    ``read`` maps an array of variates to an array of codes of shape (rows,
-    variates).  The variates split into intervals at the cuts; ``read`` is
-    asked at both ends and the midpoint of each, and must be constant there.
-    """
-    bounds = sorted({0, _ONE53, *(min(int(c), _ONE53) for c in cuts)})
-    spans = list(zip(bounds, bounds[1:]))
-    ks = np.array([k for lo, hi in spans for k in (lo, (lo + hi - 1) // 2, hi - 1)],
-                  dtype=np.uint64)
-    out = np.asarray(read(ks)).reshape(-1, len(spans), 3)
-    assert (out == out[..., :1]).all(), "the output changes inside an interval"
-    laws = np.zeros((out.shape[0], 3), dtype=object)
-    for row, codes in enumerate(out[..., 0]):
-        for code, (lo, hi) in zip(codes, spans):
-            laws[row, code] += hi - lo
-    return laws
-
-
-def _assert_ceiling_law(induced, masses, scale):
-    """``induced`` is the law masses / scale inverted exactly on the variates:
-    each code holds the variates from ceil(F * 2**53) of the cumulative mass F
-    before it up to that of the cumulative mass through it."""
-    bounds = [0, *(math.ceil(Fraction(f, scale) * _ONE53)
-                   for f in itertools.accumulate(masses))]
-    assert list(induced) == [hi - lo for lo, hi in zip(bounds, bounds[1:])], (masses, scale)
 
 
 @pytest.mark.parametrize("pq", CUT_LAW_POINTS, ids=lambda pq: f"{pq[0]},{pq[1]}")
 def test_the_rule_draws_each_class_law_at_its_cuts(pq):
     # the law the Monte Carlo rule draws, from the lengths of the intervals
-    # between its cuts, is core's CLASS_LAWS inverted exactly; without a MIXED
-    # triple the rule skips that select
-    params = Params(*pq)
-
-    def read(ks):
-        classes = np.repeat(np.arange(3, dtype=np.int8)[:, None], ks.size, axis=1)
-        out = _apply_rule(classes, params, ks)
-        no_mixed = _apply_rule(classes[::2], params, ks)
-        assert np.array_equal(no_mixed, out[::2])
-        return out
-
-    scale, masses = params.law_masses
-    for cls, induced in zip(TripleClass, _interval_law(read, variate_cuts(params))):
-        _assert_ceiling_law(induced, masses[cls], scale)
+    # between its cuts, is core's CLASS_LAWS inverted exactly: step reads
+    # exact variates on constant rows of 0, ? and 1, whose every triple is
+    # ALL_ZERO, MIXED and HAS_ONE, and is constant on each interval
+    assert oracles.step_law_mismatches(Params(*pq)) == []
 
 
-def _unfinalize_tail(h: int) -> int:
-    """The inverse of ``pca._finalize_tail`` on a Python int."""
-    h ^= h >> 31 ^ h >> 62
-    h = h * pow(pca._MUL2_INT, -1, 2**64) & _M64
-    h ^= h >> 27 ^ h >> 54
-    return h * pow(pca._MUL1_INT, -1, 2**64) & _M64
-
-
-def _labels_at(monkeypatch, ks, cuts):
+def _labels_at(ks, cuts):
     """u01_block's label codes under ``cuts`` at the variates ``ks``, read from
-    hashes k << 11 and again from hashes with all 11 low bits set: the site
-    keys are replaced by ones that hash to exactly those values."""
-    seed, t = 5, 3
-    prefix = pca._finalize_int((seed + pca._GOLD_INT) & _M64)
-    prefix = pca._finalize_int(prefix ^ pca._step_key(t))
-    prefix ^= prefix >> 30
+    hashes k << 11 and again from hashes with all 11 low bits set."""
     hashes = [int(k) << 11 | low for low in (0, 0x7FF) for k in ks]
-    keys = np.array([_unfinalize_tail(h) ^ prefix for h in hashes], dtype=np.uint64)
-    monkeypatch.setattr(pca, "_site_keys", lambda n0, count: keys)
-    assert np.array_equal(SeededStream(seed).u01_range(t, 0, keys.size), np.tile(ks, 2))
-    seeds = np.array([seed], dtype=np.uint64)
-    return u01_block(seeds, t, 0, keys.size, cuts).reshape(2, -1)
+    with hashing_to(hashes) as (stream, t):
+        assert np.array_equal(stream.u01_range(t, 0, len(hashes)), np.tile(ks, 2))
+        seeds = np.array([stream.seed], dtype=np.uint64)
+        return u01_block(seeds, t, 0, len(hashes), cuts).reshape(2, -1)
 
 
 @pytest.mark.parametrize("pq", CUT_LAW_POINTS, ids=lambda pq: f"{pq[0]},{pq[1]}")
-def test_the_game_labels_sites_by_p_r_q_at_its_cuts(monkeypatch, pq):
+def test_the_game_labels_sites_by_p_r_q_at_its_cuts(pq):
     # u01_block reads a label as the number of the game's cuts p and 1 - q
     # that its variate reaches, from the raw hash; the interval law is
     # (trap, open, target) ~ (p, r, q) inverted exactly
     params = Params(*pq)
     cuts = variate_cuts(params)
     scale, a, b = params.scaled
-    for induced in _interval_law(lambda ks: _labels_at(monkeypatch, ks, cuts), cuts):
-        _assert_ceiling_law(induced, (a, scale - a - b, b), scale)
+    laws = interval_law(lambda ks: _labels_at(ks, cuts), cuts)
+    assert laws is not None, "the label changes inside an interval"
+    for induced in laws:
+        assert list(induced) == ceiling_law((a, scale - a - b, b), scale)
 
 
 # ---------------------------------------------------------------- configuration
@@ -342,11 +300,11 @@ def test_cyclic_neighbour_views_wrap(width, offset):
     offset = _offset(offset, width)
     stack = np.array([[0, 2, 1, 1], [1, 1, 2, 0], [2, 0, 0, 1]], dtype=np.int8)[:, :width]
     for cells in (stack[0], stack):
-        views = _neighbour_views(Configuration(cells), offset)
-        assert len(views) == 3
-        for k, view in enumerate(views):
+        ext = _extended_row(Configuration(cells), offset)
+        assert ext.dtype == np.int8 and ext.shape == (*cells.shape[:-1], width + 2)
+        for k in range(3):
             want = cells[..., [(n + offset + k) % width for n in range(width)]]
-            assert view.shape == want.shape and np.array_equal(view, want)
+            assert np.array_equal(ext[..., k:k + width], want)
 
 
 def test_from_symbols_roundtrip():
@@ -409,18 +367,22 @@ def test_cut_table_matches_sitewise_thresholds_bit_for_bit(params):
 @pytest.mark.parametrize("params", [*CUT_GRID, Params(1, 0), Params(0, 1)], ids=str)
 def test_integer_cuts_decide_like_the_float_cuts(params):
     # each comparison k >= cut must agree with the exact k * 2**-53 >= t of
-    # the oracle beside every cut point t the game labels and the step rule use
+    # the oracle beside every cut point t the game labels and the step rule
+    # use; step reads the variates below 2**53, the only ones a hash gives
     a, b, c, largest = _all_triples()
     x0, x1 = oracles.thresholds(a, b, c, params, binary=False)
     scale, pa, qb = params.scaled
-    cuts = {math.ceil(Fraction(int(x), scale) * _ONE53) for x in (*x0, *x1)}
-    ks = np.array(sorted({k for c in cuts for k in (c - 1, c, c + 1) if 0 <= k <= _ONE53}),
+    cuts = {math.ceil(Fraction(int(x), scale) * ONE53) for x in (*x0, *x1)}
+    ks = np.array(sorted({k for c in cuts for k in (c - 1, c, c + 1) if 0 <= k <= ONE53}),
                   dtype=np.uint64)
     cut_p, cut_1q = variate_cuts(params)
     assert np.array_equal((ks >= cut_p).astype(np.int8) + (ks >= cut_1q),
                           oracles.draw(ks, pa, scale - qb, scale))
+    ks = ks[ks < ONE53]
+    out = step_at(ks, params, class_rows(ks.size))
+    assert out is not None
     for triple in range(27):
-        got = _apply_rule(np.full(ks.size, largest[triple]), params, ks)
+        got = out[largest[triple]]
         assert np.array_equal(got, oracles.draw(ks, x0[triple], x1[triple], scale)), triple
     if params == Params(0, 0):
         assert {0, 2**53} <= cuts
@@ -560,6 +522,20 @@ def test_cyclic_wraps():
     model = spec(params=Params(1, 0))  # has-one triples go to 0 surely (q=0)
     out = step(cfg, model, SeededStream(2), t=0)
     assert out.counts() == (3, 0, 0) and out.width == 3
+
+
+@pytest.mark.parametrize("offset", [0, -1])
+@pytest.mark.parametrize("width, m", [(3, 0), (3, 1), (3, 2), (9, 0), (9, 4), (9, 8)])
+def test_a_single_one_steps_to_zero_on_the_sites_whose_window_holds_it(width, m, offset):
+    # at p = q = 0 every site is open: site n steps to 0 exactly when its
+    # window {n + i, n + i + 1, n + i + 2} holds the row's one 1, that is at
+    # n = m - i - 2, m - i - 1 and m - i, and to 1 elsewhere
+    cells = np.zeros(width, dtype=np.int8)
+    cells[m] = O.value
+    out = step(Configuration(cells), spec(offset, Params(0, 0)), SeededStream(1), 0).cells
+    zeros = {(m - offset - d) % width for d in (0, 1, 2)}
+    assert set(np.flatnonzero(out == Z.value).tolist()) == zeros
+    assert set(np.flatnonzero(out == O.value).tolist()) == set(range(width)) - zeros
 
 
 # ---------------------------------------------------------------- trajectories
@@ -792,18 +768,43 @@ def test_last_row_steps_only_its_window_at_a_quarter(monkeypatch):
 REFINE_POINTS = [*FORMULA_GRID, (Fraction(0), Fraction(0)), THIRD]
 
 
+def _refining_pairs():
+    """Every successor triple y beside every triple x that refines it (x
+    equals y wherever y holds no ?): 125 pairs, as two int8 arrays of shape
+    (125, 3)."""
+    ys, xs = [], []
+    for y in itertools.product(range(3), repeat=3):
+        for x in itertools.product(*((0, 1, 2) if c == Q.value else (c,) for c in y)):
+            ys.append(y)
+            xs.append(x)
+    return np.array(ys, dtype=np.int8), np.array(xs, dtype=np.int8)
+
+
+def _refines(x, y):
+    """Whether x equals y wherever y holds no ?, entry by entry."""
+    return (y == Q.value) | (x == y)
+
+
 @pytest.mark.parametrize("pq", REFINE_POINTS, ids=lambda pq: f"{pq[0]},{pq[1]}")
 def test_the_mixed_output_refines_the_others_off_the_coupling_gap(pq):
-    # the exact basis of last_row: at each variate beside a cut, a MIXED
-    # triple's output is ? or equals both the ALL_ZERO and the HAS_ONE output;
-    # no variate lies in a gap where it does not
+    # the exact basis of last_row: for every label, site_classes maps a
+    # successor triple x that refines y to a class that refines y's class;
+    # so step, at every variate beside the point's cuts, maps rows that
+    # refine others to rows that refine their successors
+    ys, xs = _refining_pairs()
+    assert len(ys) == 125
+    for label in range(3):
+        labels = np.full((len(ys), 1), label, dtype=np.int8)
+        assert _refines(site_classes(labels, xs), site_classes(labels, ys)).all(), label
     params = Params(*pq)
     ks = sorted({k for c in map(int, variate_cuts(params)) for k in (c - 1, c, c + 1)
-                 if 0 <= k < _ONE53})
-    out = _apply_rule(np.repeat(np.arange(3, dtype=np.int8)[:, None], len(ks), axis=1),
-                      params, np.array(ks, dtype=np.uint64))
-    for k, (zero, mixed, one) in zip(ks, out.T.tolist()):
-        assert mixed == Q.value or zero == mixed == one, k
+                 if 0 <= k < ONE53})
+    ks = np.tile(np.array(ks, dtype=np.uint64), 8)
+    rng = np.random.RandomState(3)
+    y = rng.randint(0, 3, size=(50, ks.size)).astype(np.int8)
+    x = np.where(y == Q.value, rng.randint(0, 3, size=y.shape), y).astype(np.int8)
+    out = step_at(ks, params, np.concatenate([y, x]))
+    assert out is not None and _refines(out[50:], out[:50]).all()
 
 
 @pytest.mark.parametrize("pq", [QUARTER, THIRD, (Fraction(1, 5), Fraction(4, 5)),

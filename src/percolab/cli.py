@@ -122,11 +122,13 @@ def _int_list(text: str) -> tuple[int, ...]:
 # make: three measures at every point of the finest grid.  Each count is taken
 # before anything is built, so a larger request is refused at once instead of
 # running (and filling memory) for hours.  So is the most label sites a game
-# or sweep may hash, points x samples x (largest horizon)^2 (README sweep: 4.2e8),
-# and the most site updates a row command may ask, --width x --steps (README:
-# 2e7).  A step costs about 22 us whatever its width and then some 4 ns a site
-# (2-CPU Xeon VM: 29 us at width 1, 58 us at 10**4, 415 us at 10**5), so a
-# narrower row counts as ``_STEP_SITES`` sites a step: 10**10 site updates are
+# or sweep may hash, counted as one pass from the largest horizon would hash
+# them, points x samples x (largest horizon)^2 (README sweep: 4.2e8); the
+# game's ascending batches hash at most 8/3 of that.  And so is the most site
+# updates a row command may ask, --width x --steps (README: 2e7).  A step
+# costs about 22 us whatever its width and then some 4 ns a site (2-CPU Xeon
+# VM: 29 us at width 1, 58 us at 10**4, 415 us at 10**5), so a narrower row
+# counts as ``_STEP_SITES`` sites a step: 10**10 site updates are
 # then at most about a minute of steps at any width.
 _MAX_POINTS = 100_000
 _MAX_MEASURES = 1_000

@@ -33,23 +33,29 @@ The all-D frontier is the envelope automaton started from all-? in the light
 cone, so a sample's base site leaves D at its coupling-from-the-past
 coalescence time.
 
-One downward pass serves every requested horizon, hashing the labels once per
-(sample, line). ``pca.u01_block`` reads each label against the cuts p and
-1 - q while its variate's tile is still in cache and hands back int8 codes, so
-no line's uint64 variate block is ever held: a line costs one byte per site,
-or two past 126 horizons. Classes only refine as the horizon grows and a
-resolved site keeps its value, so of the m horizons entered so far (h enters,
-all-D, at its frontier line h - 1) a site is D at the d smallest and W, or L,
-at the other m - d: one code, 1 - (m - d) or 1 + (m - d), holds them all, and
-1 (D) means D at every one. Labelled trap 1 - m, open 1 and target 1 + m,
-`classify_line`'s own rule inducts every horizon at once. A row is dropped
-once every code in it is 1 +- m: no horizon holds a D there, and a D-free line
-stays D-free (an open site is D only next to a D, and trap and target sites
-are never D). When a horizon enters no code changes, only m; dropped rows come
-back as 1 - m, W at the older horizons and D at the new one. Samples are also
-processed in chunks of bounded size. Dropping and chunking are exact because a
-label is a counter-based function of (sample seed, line, site): which other
-samples are present, and in which chunk, changes no sample's labels.
+The requested horizons are asked in ascending batches, each holding the
+horizons up to twice its smallest: the doubling schedule of coupling from the
+past. One downward pass serves a whole batch, hashing the labels once per
+(sample, line) below its largest horizon, and only the samples whose base is
+still D at that horizon go on to the next batch: a base resolved at a short
+horizon is never hashed again. The batches hash at most 8/3 of what one pass
+from the largest horizon would (``_count_draws``). ``pca.u01_block`` reads
+each label against the cuts p and 1 - q while its variate's tile is still in
+cache and hands back int8 codes, so no line's uint64 variate block is ever
+held: a line costs one byte per site, or two past 126 horizons in a batch.
+Classes only refine as the horizon grows and a resolved site keeps its value,
+so of the m horizons of a batch entered so far (h enters, all-D, at its
+frontier line h - 1) a site is D at the d smallest and W, or L, at the other
+m - d: one code, 1 - (m - d) or 1 + (m - d), holds them all, and 1 (D) means D
+at every one. Labelled trap 1 - m, open 1 and target 1 + m, `classify_line`'s
+own rule inducts every horizon at once. A row is dropped once every code in it
+is 1 +- m: no horizon holds a D there, and a D-free line stays D-free (an open
+site is D only next to a D, and trap and target sites are never D). When a
+horizon enters no code changes, only m; dropped rows come back as 1 - m, W at
+the older horizons and D at the new one. Samples are also processed in chunks
+of bounded size. Batching, dropping and chunking are exact because a label is
+a counter-based function of (sample seed, line, site): which other samples are
+present, in which chunk and in which batch, changes no sample's labels.
 """
 
 from __future__ import annotations
@@ -114,6 +120,57 @@ _CELL_BUDGET = 1 << 20
 _Z = 1.96  # wilson_interval's two-sided 95% quantile of the standard normal law
 
 
+def _batch_depths(
+    version: GameVersion,
+    batch: Sequence[int],
+    seeds: np.ndarray,
+    cuts: tuple[np.uint64, np.uint64],
+) -> np.ndarray:
+    """For each sample of ``seeds``, at how many of the ascending horizons of
+    ``batch`` its base site is D: one downward pass from the largest.
+
+    The line s steps above the base covers absolute indices [s*offset,
+    s*offset + 2s]. The pass walks the lines from B - 1 down to 0, B the
+    batch's largest horizon, with ``codes`` the packed classes (module
+    docstring) of the ``live`` rows on the line below, 1 + 2(s + 1) wide at
+    line s, for the m horizons entered so far; a row stays while one of its
+    codes holds a D at some horizon (``_holds_d``). A base code c is D at the
+    m - |c - 1| smallest horizons, and a dropped row at none.
+    """
+    levels = batch[::-1]
+    top = levels[0]
+    # the narrowest signed type holding every code 1 +- m: int8 up to 126 horizons
+    dtype = np.min_scalar_type(-2 - len(levels))
+    m, codes, live = 0, np.empty((0, 1), dtype=dtype), np.arange(0)
+    for s in range(top - 1, -1, -1):
+        if m < len(levels) and levels[m] == s + 1:
+            entered = np.full((seeds.size, 2 * s + 3), 1 - m, dtype=dtype)
+            if live.size:
+                entered[live] = codes
+            codes, live = entered, np.arange(seeds.size)
+            del entered  # else it keeps this line's codes alive to the next entry
+            m += 1
+        kept = _holds_d(codes, m).any(axis=1)
+        if not kept.all():
+            codes, live = codes[kept], live[kept]
+        if not live.size:
+            if m == len(levels):
+                break
+            continue
+        # the line's SiteLabel codes 0, 1, 2, spread to 1 - m, 1, 1 + m
+        labels = u01_block(seeds[live], s, s * version.offset, 1 + 2 * s, cuts)
+        if m > 1:
+            labels = labels.astype(dtype, copy=False)
+            labels -= 1
+            labels *= m
+            labels += 1
+        codes = classify_line(labels, codes, version)
+        del labels  # else it keeps this line's labels alive through the next hash
+    depth = np.zeros(seeds.size, dtype=np.intp)
+    depth[live] = m - np.abs(codes[:, 0] - 1)
+    return depth
+
+
 def _count_draws(
     version: GameVersion,
     params: Params,
@@ -122,18 +179,27 @@ def _count_draws(
     stream: SeededStream,
 ) -> dict[int, int]:
     """For each distinct horizon, the number of the ``samples`` independent
-    label fields whose base site is D, in one downward pass per chunk.
+    label fields whose base site is D, in ascending batches of horizons.
 
-    Sample i is keyed by the i-th of ``stream.child_seeds_u64(samples)``; the
-    line s steps above the base covers absolute indices [s*offset, s*offset + 2s].
-    The pass walks the lines from H - 1 down to 0, H the largest horizon, with
-    ``codes`` the packed classes (module docstring) of the ``live`` rows on the
-    line below, 1 + 2(s + 1) wide at line s, for the m positive horizons
-    entered so far; a row stays while one of its codes holds a D at some
-    horizon (``_holds_d``). The horizon of rank i (0 = smallest positive)
-    counts the base codes c with m - |c - 1| > i. Horizon 0 has no line to
-    walk: its base site is the frontier, always D, so it counts every sample
-    and makes no seeds.
+    Sample i is keyed by the i-th of ``stream.child_seeds_u64(samples)``. The
+    positive horizons are sorted ascending and cut into batches, each holding
+    the horizons up to twice its smallest. Each batch is one downward pass
+    (``_batch_depths``) over the samples whose base was still D at the previous
+    batch's largest horizon; the horizon of rank i in the batch counts the
+    samples D at more than i of its horizons, and only those D at all of them
+    go on. A base resolved at a shorter horizon stays resolved at every longer
+    one (module docstring), so a sample left behind counts 0 at every later
+    horizon and its cone is never hashed again: this is the doubling schedule
+    of coupling from the past. Horizon 0 has no line to walk: its base site is
+    the frontier, always D, so it counts every sample and makes no seeds.
+
+    A batch of largest horizon B hashes at most B^2 sites a sample. The
+    largest horizons of batches two apart more than double, so the batches
+    hash at most 8/3 of the one-pass count, samples x (largest horizon)^2
+    (the last two batches at most H^2 each, the two before them (H/2)^2
+    each, and so on). The worst case is p = q = 0, where nothing resolves and
+    every batch re-hashes every sample's lines below its largest horizon:
+    50,100,101, say, hashes about twice the one pass there.
     Samples run in chunks of at most _CELL_BUDGET cells of the widest line, and
     a chunk's seeds are made when it starts, so memory does not grow with
     ``samples``.
@@ -141,44 +207,25 @@ def _count_draws(
     draws = dict.fromkeys(horizons, 0)
     if 0 in draws:
         draws[0] = samples
-    levels = sorted({h for h in horizons if h > 0}, reverse=True)
-    if not levels:
+    batches: list[list[int]] = []
+    for h in sorted({h for h in horizons if h > 0}):
+        if batches and h <= 2 * batches[-1][0]:
+            batches[-1].append(h)
+        else:
+            batches.append([h])
+    if not batches:
         return draws
-    top = levels[0]
     cuts = variate_cuts(params)  # p and 1 - q
-    # the narrowest signed type holding every code 1 +- m: int8 up to 126 horizons
-    dtype = np.min_scalar_type(-2 - len(levels))
-    rows = _CELL_BUDGET // (1 + 2 * top)
+    rows = _CELL_BUDGET // (1 + 2 * batches[-1][-1])
     for start in range(0, samples, rows):
         seeds = stream.child_seeds_u64(min(rows, samples - start), start)
-        m, codes, live = 0, np.empty((0, 1), dtype=dtype), np.arange(0)
-        for s in range(top - 1, -1, -1):
-            if m < len(levels) and levels[m] == s + 1:
-                entered = np.full((seeds.size, 2 * s + 3), 1 - m, dtype=dtype)
-                if live.size:
-                    entered[live] = codes
-                codes, live = entered, np.arange(seeds.size)
-                del entered  # else it keeps this line's codes alive to the next entry
-                m += 1
-            kept = _holds_d(codes, m).any(axis=1)
-            if not kept.all():
-                codes, live = codes[kept], live[kept]
-            if not live.size:
-                if m == len(levels):
-                    break
-                continue
-            # the line's SiteLabel codes 0, 1, 2, spread to 1 - m, 1, 1 + m
-            labels = u01_block(seeds[live], s, s * version.offset, 1 + 2 * s, cuts)
-            if m > 1:
-                labels = labels.astype(dtype, copy=False)
-                labels -= 1
-                labels *= m
-                labels += 1
-            codes = classify_line(labels, codes, version)
-            del labels  # else it keeps this line's labels alive through the next hash
-        depth = m - np.abs(codes[:, 0] - 1)
-        for rank, h in enumerate(reversed(levels)):
-            draws[h] += int(np.count_nonzero(depth > rank))
+        for batch in batches:
+            depth = _batch_depths(version, batch, seeds, cuts)
+            for rank, h in enumerate(batch):
+                draws[h] += int(np.count_nonzero(depth > rank))
+            seeds = seeds[depth == len(batch)]
+            if not seeds.size:
+                break
     return draws
 
 

@@ -344,6 +344,29 @@ def out_set(v: GameVersion, x: int, y: int) -> tuple[tuple[int, int], ...]:
     return ((x - 1, y + 1), (x, y + 1), (x + 1, y + 1))
 
 
+def move_offset(v: GameVersion) -> int | None:
+    """The offset i read off the version's three moves: from each of a few
+    sites, the out-neighbours' x-coordinates minus x are {i, i+1, i+2}. None
+    if they are not three consecutive shifts, or not the same at every site."""
+    derived = set()
+    for x, y in ((0, 0), (3, -1), (-7, 4)):
+        shifts = {nx - x for nx, _ in out_set(v, x, y)}
+        i = min(shifts)
+        if shifts != {i, i + 1, i + 2}:
+            return None
+        derived.add(i)
+    return derived.pop() if len(derived) == 1 else None
+
+
+def readme_columns() -> dict[GameVersion, list[int]]:
+    """Each version's draws in the README's `game --p 1/4 --q 1/4 --samples
+    3000 --horizons 4,9 --seed 7`. Versions of one offset solve one label
+    field, so V1 and V2 draw alike, and so do V3 and V4."""
+    params, stream = Params(Fraction(1, 4), Fraction(1, 4)), SeededStream(7)
+    return {v: [est.draws for est in game.draw_fraction(v, params, (4, 9), 3000, stream)]
+            for v in GameVersion}
+
+
 def line_of(v: GameVersion, x: int, y: int) -> int:
     """Line parameter k of site (x, y): diagonals for V1/V3, horizontals for V2/V4."""
     return x + y if v in (GameVersion.V1, GameVersion.V3) else y
@@ -437,6 +460,52 @@ def solve_sample(
         lines[s * step_k] = classes
         origins[s * step_k] = origin
     return ClassGrid(version, horizon, lines, origins)
+
+
+def one_pass_draws(
+    version: GameVersion,
+    params: Params,
+    horizons: Sequence[int],
+    samples: int,
+    stream: SeededStream,
+) -> dict[int, int]:
+    """``game._count_draws`` as one downward pass per chunk from the largest
+    horizon, every horizon entering on the way: each (sample, line) below it
+    is hashed once, whether or not the sample's base resolved at a shorter
+    horizon. It reads ``game``'s hash, line rule, D scan and cell budget by
+    attribute, so a spy or a smaller budget patched into ``game`` acts here
+    too."""
+    draws = dict.fromkeys(horizons, 0)
+    if 0 in draws:
+        draws[0] = samples
+    levels = sorted({h for h in horizons if h > 0}, reverse=True)
+    if not levels:
+        return draws
+    top = levels[0]
+    cuts = pca.variate_cuts(params)
+    dtype = np.min_scalar_type(-2 - len(levels))
+    rows = game._CELL_BUDGET // (1 + 2 * top)
+    for start in range(0, samples, rows):
+        seeds = stream.child_seeds_u64(min(rows, samples - start), start)
+        m, codes, live = 0, np.empty((0, 1), dtype=dtype), np.arange(0)
+        for s in range(top - 1, -1, -1):
+            if m < len(levels) and levels[m] == s + 1:
+                entered = np.full((seeds.size, 2 * s + 3), 1 - m, dtype=dtype)
+                if live.size:
+                    entered[live] = codes
+                codes, live = entered, np.arange(seeds.size)
+                m += 1
+            kept = game._holds_d(codes, m).any(axis=1)
+            codes, live = codes[kept], live[kept]
+            if not live.size:
+                continue
+            labels = game.u01_block(seeds[live], s, s * version.offset, 1 + 2 * s, cuts)
+            labels = (1 + (labels.astype(dtype) - 1) * m).astype(dtype)
+            codes = game.classify_line(labels, codes, version)
+        depth = m - np.abs(codes[:, 0].astype(np.intp) - 1)
+        for rank, h in enumerate(reversed(levels)):
+            draws[h] += int(np.count_nonzero(depth > rank))
+    return draws
 
 
 # ------------------------------------------------------------------ laws

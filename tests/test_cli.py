@@ -1064,8 +1064,8 @@ def test_benchmark_tracer_finds_every_traced_name():
     # and steps only through step: work done elsewhere would read as no time
     assert simulate_run["counters"]["pca.hash_variates"] == 3 * 20
     assert simulate_run["spans"]["pca.step"]["count"] == 3
-    # one pass hashes each (sample, line) once: 10 samples x 4^2 sites, plus
-    # the 10 child seeds
+    # 2 and 4 are one batch, which hashes each (sample, line) below 4 once:
+    # 10 samples x 4^2 sites, plus the 10 child seeds
     assert game_run["counters"]["pca.hash_variates"] == 10 * 4**2 + 10
 
 

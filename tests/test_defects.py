@@ -11,7 +11,7 @@ import pytest
 
 from percolab import core, game, pca
 from percolab.cli import main
-from percolab.core import Params
+from percolab.core import GameVersion, Params
 
 import oracles
 
@@ -116,6 +116,42 @@ def test_a_defective_site_rule_fails_under_python_O():
     assert proc.returncode == 0, proc.stderr
     debug, step_law, line_rule = proc.stdout.split()
     assert debug == "False" and int(step_law) > 0 and int(line_rule) > 0
+
+
+# A version's offset off by one: V3 read at offset 0, as V1 and V2 are.  Two
+# comparisons read it: the offset against the one read off V3's moves, and
+# V3's draws in the README game against V4's, which solves the same label
+# field.  Each returns its mismatches, so none leans on an assert.
+def _v3_at_offset_0(version):
+    return 0 if version in (GameVersion.V1, GameVersion.V2, GameVersion.V3) else -1
+
+
+def _offset_mismatches():
+    columns = oracles.readme_columns()
+    return ([v for v in GameVersion if oracles.move_offset(v) != v.offset],
+            [(a, b) for a, b in ((GameVersion.V1, GameVersion.V2),
+                                 (GameVersion.V3, GameVersion.V4)) if columns[a] != columns[b]])
+
+
+def test_a_version_offset_off_by_one_fails_both_comparisons(monkeypatch):
+    assert _offset_mismatches() == ([], [])
+    monkeypatch.setattr(GameVersion, "offset", property(_v3_at_offset_0))
+    assert _offset_mismatches() == ([GameVersion.V3], [(GameVersion.V3, GameVersion.V4)])
+
+
+def test_a_version_offset_off_by_one_fails_under_python_O():
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "import oracles\n"
+            "from percolab.core import GameVersion\n"
+            "GameVersion.offset = property(lambda v: 0 if v is not GameVersion.V4 else -1)\n"
+            "columns = oracles.readme_columns()\n"
+            "print(__debug__, [v.value for v in GameVersion if oracles.move_offset(v) != v.offset],\n"
+            "      columns[GameVersion.V3] != columns[GameVersion.V4])\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "['V3']", "True"]
 
 
 def test_a_defective_rule_table_fails_under_python_O():

@@ -1,5 +1,7 @@
 import itertools
+import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +22,7 @@ from percolab.core import (
 from percolab.game import classify_line, draw_fraction, kernel_correspondence, wilson_interval
 from percolab.pca import SeededStream
 
+import oracles
 from oracles import (
     CLASS_TABLE,
     LocalDistribution,
@@ -68,13 +71,7 @@ def test_out_set_respects_line_structure(x, y, v):
 def test_each_version_offset_is_derived_from_its_moves(version):
     # the offset i is read off the version's three moves: from any site, the
     # out-neighbours' x-coordinates minus x are {i, i+1, i+2}
-    derived = set()
-    for x, y in ((0, 0), (3, -1), (-7, 4)):
-        shifts = {nx - x for nx, _ in out_set(version, x, y)}
-        i = min(shifts)
-        assert shifts == {i, i + 1, i + 2}
-        derived.add(i)
-    assert derived == {version.offset}
+    assert oracles.move_offset(version) == version.offset
 
 
 def test_v1_parity():
@@ -359,9 +356,7 @@ def test_versions_of_one_offset_draw_alike():
     # after line identification V1 and V2 read the window offset 0 and V3 and
     # V4 offset -1, so each pair solves one label field: the README's
     # `game --p 1/4 --q 1/4 --samples 3000 --horizons 4,9 --seed 7` columns
-    params, stream = Params(Fraction(1, 4), Fraction(1, 4)), SeededStream(7)
-    draws = {v: [est.draws for est in draw_fraction(v, params, (4, 9), 3000, stream)]
-             for v in GameVersion}
+    draws = oracles.readme_columns()
     assert draws[GameVersion.V1] == draws[GameVersion.V2] == [136, 6]
     assert draws[GameVersion.V3] == draws[GameVersion.V4] == [151, 8]
 
@@ -385,7 +380,28 @@ def test_wilson_interval_values():
         wilson_interval(0, 0)
 
 
-# ------------------------------------------------------------- one pass, many horizons
+@pytest.mark.parametrize("n", [2, 10, 1000])
+def test_wilson_interval_one_from_an_end_is_the_closed_form(n):
+    # (k + z^2/2 -+ z sqrt(k(n - k)/n + z^2/4)) / (n + z^2): only k = 0 and
+    # k = n put an endpoint at 0 or 1 exactly; at n = 1000 one success
+    # gives ci_low 0.000177, not 0
+    z = 1.96
+
+    def closed_form(k):
+        half = z * math.sqrt(k * (n - k) / n + z * z / 4)
+        return ((k + z * z / 2 - half) / (n + z * z), (k + z * z / 2 + half) / (n + z * z))
+
+    for k in (1, n - 1):
+        lo, hi = wilson_interval(k, n)
+        want_lo, want_hi = closed_form(k)
+        assert math.isclose(lo, want_lo, rel_tol=1e-12) and math.isclose(hi, want_hi, rel_tol=1e-12)
+        assert 0.0 < lo < hi < 1.0
+    if n == 1000:
+        assert round(wilson_interval(1, n)[0], 6) == 0.000177
+        assert round(wilson_interval(n - 1, n)[1], 6) == 0.999823
+
+
+# ------------------------------------------------------------- ascending batches, many horizons
 
 ORACLE_POINTS = [
     Params(Fraction(1, 4), Fraction(1, 4)),
@@ -393,6 +409,17 @@ ORACLE_POINTS = [
     Params(0, 0),
     Params(1, 0),
     Params(0, 1),
+]
+
+
+# Horizon lists and their batches: the positive horizons ascending, each batch
+# up to twice its smallest
+BATCHED_HORIZONS = [
+    ((6, 2, 9), ((2,), (6, 9))),
+    ((4, 4, 0, 7, 4), ((4, 7),)),
+    ((0,), ()),
+    ((5,), ((5,),)),
+    ((1, 0, 3), ((1,), (3,))),
 ]
 
 
@@ -413,22 +440,31 @@ def test_one_pass_matches_oracle_at_every_horizon(version, params, monkeypatch):
     stream = SeededStream(61)
     samples = 40
     children = [child_stream(stream, i) for i in range(samples)]
-    for horizons in ((6, 2, 9), (4, 4, 0, 7, 4), (0,), (5,), (1, 0, 3)):
+    for horizons, batches in BATCHED_HORIZONS:
         hashed.clear()
         ests = draw_fraction(version, params, horizons, samples, stream)
         assert [e.horizon for e in ests] == list(horizons)
+        classes = {}
         for est in ests:
-            single = [solve_sample(version, params, est.horizon, child).origin_class()
-                      for child in children]
-            assert est.draws == sum(1 for c in single if c == D), horizons
+            classes[est.horizon] = [solve_sample(version, params, est.horizon, child).origin_class()
+                                    for child in children]
+            assert est.draws == classes[est.horizon].count(D), horizons
             assert (est.samples, est.seed) == (samples, 61)
-        # each (sample, line) is hashed at most once, whatever the horizons
-        assert len(hashed) == len(set(hashed)), horizons
+        # each (sample, line) is hashed at most once a batch, and a sample
+        # enters a batch only if its base was D at the previous batch's
+        # largest horizon
+        allowed = Counter()
+        for k, batch in enumerate(batches):
+            for child, *earlier in zip(children, *(classes[b[-1]] for b in batches[:k])):
+                if all(c == D for c in earlier):
+                    allowed.update((child.seed, t) for t in range(batch[-1]))
+        assert Counter(hashed) - allowed == Counter(), horizons
 
 
 def test_one_pass_hashes_each_line_once_per_sample(monkeypatch):
     # p = q = 0: no site ever resolves, so every sample stays live at every
-    # horizon and the pass hashes each line below the largest horizon once
+    # horizon, and each batch, (3, 5) and then (7,), hashes each line below
+    # its largest horizon once
     hashed = []
     real_u01_block = game.u01_block
 
@@ -438,8 +474,84 @@ def test_one_pass_hashes_each_line_once_per_sample(monkeypatch):
 
     monkeypatch.setattr(game, "u01_block", spy)
     ests = draw_fraction(GameVersion.V2, Params(0, 0), (3, 7, 5), 30, SeededStream(4))
-    assert sum(hashed) == 30 * 7**2
+    assert sum(hashed) == 30 * (5**2 + 7**2)
     assert [e.draws for e in ests] == [30, 30, 30]
+
+
+@pytest.mark.parametrize("horizons", [
+    tuple(range(1, 201)),  # dense: seven batches, the last of 74 horizons
+    (3, 40, 41, 160, 500),  # sparse: batches 3; 40, 41; 160; 500
+    (9, 9, 3, 0, 9, 0),  # duplicates and horizon 0
+    (30, 7, 12, 1, 60, 2),  # unsorted
+    (0,),
+    tuple(range(130, 261)),  # one batch of 131 horizons: int16 codes
+], ids=["dense", "sparse", "duplicates", "unsorted", "zero", "int16"])
+@pytest.mark.parametrize("params", [Params(Fraction(1, 20), Fraction(1, 20)),
+                                    Params(Fraction(1, 100), Fraction(1, 100))], ids=str)
+def test_batches_match_the_one_pass_oracle(params, horizons, monkeypatch):
+    # 7 samples a chunk, 23 samples: the last chunk is short, and a batch
+    # after the first runs on a subset of each chunk
+    monkeypatch.setattr(game, "_CELL_BUDGET", 7 * (1 + 2 * max(horizons)))
+    stream = SeededStream(29)
+    for version in (GameVersion.V1, GameVersion.V3):
+        want = oracles.one_pass_draws(version, params, horizons, 23, stream)
+        assert game._count_draws(version, params, horizons, 23, stream) == want
+
+
+@pytest.mark.parametrize("horizons, ratio", [((50, 100, 101), 1.9),
+                                             (tuple(range(1, 201)), 1.4)],
+                         ids=["near-tight", "dense"])
+def test_batches_hash_at_most_8_3_of_the_one_pass(horizons, ratio, monkeypatch):
+    # p = q = 1e-6: hardly anything resolves, so every batch re-hashes nearly
+    # every sample's cone, near the worst case p = q = 0; still the batches
+    # hash at most 8/3 of what one pass from the largest horizon does
+    params = Params(Fraction(1, 10**6), Fraction(1, 10**6))
+    hashed = [0]
+    real_u01_block = game.u01_block
+
+    def spy(seeds, t, n0, count, *args):
+        hashed[0] += seeds.size * count
+        return real_u01_block(seeds, t, n0, count, *args)
+
+    monkeypatch.setattr(game, "u01_block", spy)
+    want = oracles.one_pass_draws(GameVersion.V1, params, horizons, 20, SeededStream(5))
+    one_pass, hashed[0] = hashed[0], 0
+    got = game._count_draws(GameVersion.V1, params, horizons, 20, SeededStream(5))
+    assert got == want
+    assert one_pass == 20 * max(horizons) ** 2
+    assert ratio * one_pass < hashed[0] <= 8 * one_pass / 3
+
+
+# The benchmark's games and the README's: draw_fraction's draws at each
+# horizon, and the label sites the batches hash (one pass from the largest
+# horizon would hash 39 995 717, 39 996 306, 5 587 159 and 22 104 029).
+PINNED_GAMES = [
+    ("mc_slow_decay", GameVersion.V3, Fraction(1, 100), (50, 100, 200), 1000, 7,
+     [378, 143, 15], 15_577_564),
+    ("mc_slow_decay seed 4249", GameVersion.V3, Fraction(1, 100), (50, 100, 200), 1000, 4249,
+     [366, 119, 13], 14_655_105),
+    ("mc_fast_decay", GameVersion.V1, Fraction(1, 4), (50, 100, 200), 1000, 7,
+     None, 2_137_250),
+    ("README", GameVersion.V1, Fraction(1, 4), (10, 50, 100), 10_000, 7, None, 669_502),
+]
+
+
+@pytest.mark.parametrize("name, version, pq, horizons, samples, seed, draws, sites",
+                         PINNED_GAMES, ids=[g[0] for g in PINNED_GAMES])
+def test_the_pinned_games_draw_and_hash_their_counts(name, version, pq, horizons, samples,
+                                                     seed, draws, sites, monkeypatch):
+    hashed = [0]
+    real_u01_block = game.u01_block
+
+    def spy(seeds, t, n0, count, *args):
+        hashed[0] += seeds.size * count
+        return real_u01_block(seeds, t, n0, count, *args)
+
+    monkeypatch.setattr(game, "u01_block", spy)
+    ests = draw_fraction(version, Params(pq, pq), horizons, samples, SeededStream(seed))
+    if draws is not None:
+        assert [e.draws for e in ests] == draws
+    assert hashed[0] == sites
 
 
 def test_draw_fraction_checks_every_horizon_before_hashing(monkeypatch):
@@ -559,18 +671,29 @@ def _packed_lines(horizons, monkeypatch):
 
 def test_packed_labels_are_the_site_labels_spread_by_m(monkeypatch):
     # each line's labels reach classify_line in the codes' dtype (int8, or
-    # int16 past 126 horizons) as the oracle's SiteLabel codes spread to
-    # 1 - m, 1 and 1 + m, where m counts the horizons entered by then
+    # int16 past 126 horizons in a batch) as the oracle's SiteLabel codes
+    # spread to 1 - m, 1 and 1 + m, where m counts the horizons of the current
+    # batch above the line; each batch walks down from its largest horizon
     params = Params(Fraction(1, 100), Fraction(1, 100))
-    for horizons, dtype in (((9, 3, 6), np.int8), (tuple(range(1, 141)), np.int16)):
+    for horizons, batches, dtype in (((9, 3, 6), ((3, 6), (9,)), np.int8),
+                                     (tuple(range(130, 261)), (tuple(range(130, 261)),),
+                                      np.int16)):
         hashed, packed = _packed_lines(horizons, monkeypatch)
-        assert len(hashed) == len(packed) == max(horizons)
+        assert len(hashed) == len(packed)
+        k = -1
         for (seeds, t, n0, count), labels in zip(hashed, packed):
-            m = sum(1 for h in horizons if h > t)
+            if k < 0 or t > last:
+                k += 1
+                assert t == batches[k][-1] - 1, (horizons, k)
+            else:
+                assert t == last - 1, (horizons, t)
+            last = t
+            m = sum(1 for h in batches[k] if h > t)
             want = np.stack([sample_labels(params, SeededStream(int(seed)), t, n0, count)
                              for seed in seeds])
             assert labels.dtype == (dtype if m > 1 else np.int8)  # m = 1: the codes themselves
             assert np.array_equal(labels, 1 + (want.astype(np.intp) - 1) * m), (horizons, t)
+        assert k == len(batches) - 1, horizons
     assert max(int(labels.max()) for labels in packed) > 127
 
 
@@ -586,14 +709,14 @@ def test_the_unsigned_d_scan_is_the_abs_form(dtype):
 
 
 def test_more_horizons_than_int8_codes_hold_match_single_runs():
-    # 140 distinct horizons need codes 1 +- 140, past int8
+    # 130..260 is one batch of 131 horizons: codes 1 +- 131, past int8
     params = Params(Fraction(1, 100), Fraction(1, 100))
     stream = SeededStream(8)
-    horizons = tuple(range(1, 141))
+    horizons = tuple(range(130, 261))
     ests = draw_fraction(GameVersion.V3, params, horizons, 20, stream)
     singles = [draw_fraction(GameVersion.V3, params, (h,), 20, stream)[0].draws
-               for h in horizons]
-    assert [e.draws for e in ests] == singles
+               for h in horizons[::13]]  # 130, 143, ..., 260
+    assert [e.draws for e in ests[::13]] == singles
     assert singles[-1] < singles[0]
 
 

@@ -498,14 +498,8 @@ def test_batches_match_the_one_pass_oracle(params, horizons, monkeypatch):
         assert game._count_draws(version, params, horizons, 23, stream) == want
 
 
-@pytest.mark.parametrize("horizons, ratio", [((50, 100, 101), 1.9),
-                                             (tuple(range(1, 201)), 1.4)],
-                         ids=["near-tight", "dense"])
-def test_batches_hash_at_most_8_3_of_the_one_pass(horizons, ratio, monkeypatch):
-    # p = q = 1e-6: hardly anything resolves, so every batch re-hashes nearly
-    # every sample's cone, near the worst case p = q = 0; still the batches
-    # hash at most 8/3 of what one pass from the largest horizon does
-    params = Params(Fraction(1, 10**6), Fraction(1, 10**6))
+def _hashed_sites(monkeypatch):
+    """A one-item list counting the label sites ``game.u01_block`` hashes."""
     hashed = [0]
     real_u01_block = game.u01_block
 
@@ -514,6 +508,18 @@ def test_batches_hash_at_most_8_3_of_the_one_pass(horizons, ratio, monkeypatch):
         return real_u01_block(seeds, t, n0, count, *args)
 
     monkeypatch.setattr(game, "u01_block", spy)
+    return hashed
+
+
+@pytest.mark.parametrize("horizons, ratio", [((50, 100, 101), 1.9),
+                                             (tuple(range(1, 201)), 1.4)],
+                         ids=["near-tight", "dense"])
+def test_batches_hash_at_most_8_3_of_the_one_pass(horizons, ratio, monkeypatch):
+    # p = q = 1e-6: hardly anything resolves, so every batch re-hashes nearly
+    # every sample's cone, near the worst case p = q = 0; still the batches
+    # hash at most 8/3 of what one pass from the largest horizon does
+    params = Params(Fraction(1, 10**6), Fraction(1, 10**6))
+    hashed = _hashed_sites(monkeypatch)
     want = oracles.one_pass_draws(GameVersion.V1, params, horizons, 20, SeededStream(5))
     one_pass, hashed[0] = hashed[0], 0
     got = game._count_draws(GameVersion.V1, params, horizons, 20, SeededStream(5))
@@ -540,14 +546,7 @@ PINNED_GAMES = [
                          PINNED_GAMES, ids=[g[0] for g in PINNED_GAMES])
 def test_the_pinned_games_draw_and_hash_their_counts(name, version, pq, horizons, samples,
                                                      seed, draws, sites, monkeypatch):
-    hashed = [0]
-    real_u01_block = game.u01_block
-
-    def spy(seeds, t, n0, count, *args):
-        hashed[0] += seeds.size * count
-        return real_u01_block(seeds, t, n0, count, *args)
-
-    monkeypatch.setattr(game, "u01_block", spy)
+    hashed = _hashed_sites(monkeypatch)
     ests = draw_fraction(version, Params(pq, pq), horizons, samples, SeededStream(seed))
     if draws is not None:
         assert [e.draws for e in ests] == draws

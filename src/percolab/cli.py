@@ -124,7 +124,9 @@ def _int_list(text: str) -> tuple[int, ...]:
 # running (and filling memory) for hours.  So is the most label sites a game
 # or sweep may hash, counted as one pass from the largest horizon would hash
 # them, points x samples x (largest horizon)^2 (README sweep: 4.2e8); the
-# game's ascending batches hash at most 8/3 of that.  And so is the most site
+# game's ascending batches hash at most 8/3 of that, so the cap admits at most
+# about 2.7e10 hashed sites, some two and a half minutes at the 2e8 sites a
+# second they hash near p = q = 0 (2-CPU Xeon VM).  And so is the most site
 # updates a row command may ask, --width x --steps (README: 2e7).  A step
 # costs about 22 us whatever its width and then some 4 ns a site (2-CPU Xeon
 # VM: 29 us at width 1, 58 us at 10**4, 415 us at 10**5), so a narrower row

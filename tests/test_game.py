@@ -511,10 +511,9 @@ def _hashed_sites(monkeypatch):
     return hashed
 
 
-@pytest.mark.parametrize("horizons, ratio", [((50, 100, 101), 1.9),
-                                             (tuple(range(1, 201)), 1.4)],
+@pytest.mark.parametrize("horizons", [(50, 100, 101), tuple(range(1, 201))],
                          ids=["near-tight", "dense"])
-def test_batches_hash_at_most_8_3_of_the_one_pass(horizons, ratio, monkeypatch):
+def test_batches_hash_at_most_8_3_of_the_one_pass(horizons, monkeypatch):
     # p = q = 1e-6: hardly anything resolves, so every batch re-hashes nearly
     # every sample's cone, near the worst case p = q = 0; still the batches
     # hash at most 8/3 of what one pass from the largest horizon does
@@ -525,7 +524,7 @@ def test_batches_hash_at_most_8_3_of_the_one_pass(horizons, ratio, monkeypatch):
     got = game._count_draws(GameVersion.V1, params, horizons, 20, SeededStream(5))
     assert got == want
     assert one_pass == 20 * max(horizons) ** 2
-    assert ratio * one_pass < hashed[0] <= 8 * one_pass / 3
+    assert hashed[0] <= 8 * one_pass / 3
 
 
 # The benchmark's games and the README's: draw_fraction's draws at each
@@ -708,15 +707,17 @@ def test_the_unsigned_d_scan_is_the_abs_form(dtype):
 
 
 def test_more_horizons_than_int8_codes_hold_match_single_runs():
-    # 130..260 is one batch of 131 horizons: codes 1 +- 131, past int8
-    params = Params(Fraction(1, 100), Fraction(1, 100))
+    # 130..260 is one batch of 131 horizons: codes 1 +- 131, past int8; at
+    # p = q = 1/300 the 20 samples' draws take five values across it (7 down
+    # to 3), so the int16 depths are checked at more than one value
+    params = Params(Fraction(1, 300), Fraction(1, 300))
     stream = SeededStream(8)
     horizons = tuple(range(130, 261))
     ests = draw_fraction(GameVersion.V3, params, horizons, 20, stream)
     singles = [draw_fraction(GameVersion.V3, params, (h,), 20, stream)[0].draws
-               for h in horizons[::13]]  # 130, 143, ..., 260
-    assert [e.draws for e in ests[::13]] == singles
-    assert singles[-1] < singles[0]
+               for h in horizons]
+    assert [e.draws for e in ests] == singles
+    assert len(set(singles)) > 2 and singles[-1] < singles[0]
 
 
 def test_no_line_outlives_its_classification():

@@ -27,10 +27,8 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import csv
 import gc
 import importlib
-import io
 import json
 import math
 import os
@@ -252,11 +250,12 @@ def _artifact_version() -> str:
 
 
 def _csv_text(fieldnames: Sequence[str], rows: Sequence[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
+    """The rows as CSV, a header line first: ``csv.DictWriter``'s text, as no
+    field (a name, a number, a version or a rational such as 1/4) holds a
+    comma, a quote or a line break that it would quote."""
+    lines = [",".join(fieldnames)]
+    lines += [",".join([str(row[name]) for name in fieldnames]) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _json_text(obj) -> str:

@@ -34,17 +34,22 @@ ALL_ZERO (000) 0 below p, else 1; MIXED (a ? and no 1) 0, ?, 1; HAS_ONE (a 1)
 1 only at or above 1 - q.  The rule is written once in the standard library
 (``core.site_class``, which ``verify kernel`` checks exactly) and once
 vectorised (``site_classes``), which ``step`` and ``game.classify_line`` read.
-A row's hash XORs the (seed, t) prefix, hashed in Python ints, into the
-per-site keys of sites 0..width-1, which are cached, so a row builds them
-once; both sides carry the finalizer's first round already (``_site_keys``).
-``u01_block`` hashes many streams in row tiles of at most ``_TILE`` variates,
-in a tile and scratch array that the process makes once and reuses, so its
-temporaries stay cache-sized however many streams it serves.  It reads each
-tile against the cuts while the tile is still in cache and returns only int8
-label codes (how many cuts each variate reaches): the game's labels, without a
-line's uint64 variate block.  It compares the raw hashes with the
-cuts shifted left by 11, which decides as the variates would, so the label
-path never shifts a hash.
+One kernel, ``u01_block``, turns hashes into labels, for rows and games
+alike.  A variate XORs its (seed, t) prefix into the key of its site n, and the
+keys of a run of sites are cached, so a row builds them once; both sides carry
+the finalizer's first round already (``_site_keys``).  The kernel hashes
+either many streams at one step (the game's samples, prefixes in numpy) or one
+stream at a run of consecutive steps (prefixes in Python ints, without numpy's
+fixed cost per call), in tiles of at most ``_TILE`` variates, in a tile and
+scratch array that the process makes once and reuses, so its temporaries stay
+cache-sized however many rows it serves.  It reads each tile against the cuts
+while the tile is still in cache and returns only int8 label codes (how many
+cuts each variate reaches), never a uint64 variate block.  It compares the raw
+hashes with the cuts shifted left by 11, which decides as the variates would,
+so the label path never shifts a hash.  ``step`` reads its row's labels from
+the stream it is given: a ``SeededStream`` hashes the one step, and a row loop
+(``trajectory``, ``last_row``) hands it a ``_StepTiles`` that hashes up to
+``_TILE // width`` consecutive steps per call, none past the loop's last.
 
 A configuration is one cyclic row, or a stack of cyclic rows of one width,
 at sites 0..width-1: ``step`` keeps the width and wraps indices, by copying
@@ -82,6 +87,8 @@ _TAG_T = _U64(0xD6E8FEB86659FD93)
 _TAG_N = _U64(0xA0761D6478BD642F)
 _TAG_CHILD = _U64(0x8BB84B93962EACC9)
 _MASK64 = (1 << 64) - 1
+_ONE53 = _U64(1 << 53)  # the cut of 1, which no variate reaches
+_S11, _S27, _S30, _S31 = (_U64(n) for n in (11, 27, 30, 31))  # shift counts, made once
 _GOLD_INT, _MUL1_INT, _MUL2_INT, _TAG_T_INT = (int(c) for c in (_GOLD, _MUL1, _MUL2, _TAG_T))
 
 
@@ -99,10 +106,10 @@ def _finalize_tail(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarr
     new one."""
     t = np.empty_like(z) if scratch is None else scratch
     z *= _MUL1
-    np.right_shift(z, _U64(27), out=t)
+    np.right_shift(z, _S27, t)
     z ^= t
     z *= _MUL2
-    np.right_shift(z, _U64(31), out=t)
+    np.right_shift(z, _S31, t)
     z ^= t
     return z
 
@@ -110,7 +117,7 @@ def _finalize_tail(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarr
 def _finalize(z: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer, in place on a uint64 array that the caller owns;
     returns it."""
-    t = z >> _U64(30)
+    t = z >> _S30
     z ^= t
     return _finalize_tail(z, t)
 
@@ -147,23 +154,36 @@ def _site_keys(n0: int, count: int) -> np.ndarray:
     keys = _as_u64(n0 + np.arange(count, dtype=np.int64))
     keys *= _MUL1
     keys += _TAG_N
-    keys ^= keys >> _U64(30)
+    keys ^= keys >> _S30
     keys.setflags(write=False)
     return keys
 
 
 @lru_cache(maxsize=1)
-def _tile_buffers(cells: int) -> tuple[np.ndarray, np.ndarray]:
-    """A uint64 tile and its scratch array of ``cells`` entries each, made once
-    and lent to every ``u01_block`` call (percolab runs single-threaded).  One
-    entry suffices: every row up to ``_TILE`` wide asks for the same size."""
-    return np.empty(cells, dtype=_U64), np.empty(cells, dtype=_U64)
+def _tile_buffers(cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A uint64 tile and its scratch array of ``cells`` entries each, and the
+    scratch array read as bools, made once and lent to every ``u01_block``
+    call (percolab runs single-threaded).  One entry suffices: every row up to
+    ``_TILE`` wide asks for the same size."""
+    scratch = np.empty(cells, dtype=_U64)
+    return np.empty(cells, dtype=_U64), scratch, scratch.view(np.bool_)
 
 
-def u01_block(seeds: np.ndarray, t: int, n0: int, count: int,
+def _step_prefix(head: int, t: int) -> int:
+    """The (seed, t) prefix of step t, with the finalizer's first round
+    applied, from ``head``, the seed's own hash: in Python ints, masked to 64
+    bits, the same bits as numpy's uint64 arithmetic without its fixed cost
+    per call."""
+    z = _finalize_int(head ^ _step_key(t))
+    return z ^ (z >> 30)
+
+
+def u01_block(seeds, t, n0: int, count: int,
               cuts: tuple[np.uint64, ...]) -> np.ndarray:
-    """Label codes for many streams at once: shape (len(seeds), count), keyed
-    (t, n0+j).  Each variate, the 53-bit integer k of the uniform k * 2**-53,
+    """Label codes keyed (t, n0+j), shape (rows, count): one row per seed of
+    the array ``seeds`` at the step ``t``, or, when ``t`` is a range, one row
+    per step of ``t`` in order, all of the one stream whose seed is the int
+    ``seeds``.  Each variate, the 53-bit integer k of the uniform k * 2**-53,
     is read as the number of ``cuts`` it reaches, an int8, while its tile is
     still in cache; the cuts are ascending integer cut points as made by
     ``variate_cuts``.  The variates themselves are never kept, so a caller
@@ -171,35 +191,41 @@ def u01_block(seeds: np.ndarray, t: int, n0: int, count: int,
 
     The rows are hashed in tiles of at most ``_TILE`` variates (one row at
     least), in the process's reused tile and scratch array
-    (``_tile_buffers``).
+    (``_tile_buffers``).  One stream's prefixes are made in Python ints
+    (``_step_prefix``), many streams' in numpy.
     """
     # k = h >> 11 reaches a cut c < 2**53 iff its hash h reaches c << 11.
     # No variate reaches a cut of 2**53 or more, and the cuts ascend, so
     # the cuts that some hash reaches are the first few.
-    cuts = [_U64(int(c) << 11) for c in cuts if c < 1 << 53]
-    out = np.empty((seeds.size, count), dtype=np.int8)
+    cuts = [c << _S11 for c in cuts if c < _ONE53]
+    if isinstance(t, range):
+        head = _finalize_int((seeds + _GOLD_INT) & _MASK64)
+        prefix = np.array([_step_prefix(head, s) for s in t], dtype=_U64)
+    else:
+        prefix = _finalize(seeds.reshape(-1) + _GOLD)
+        prefix ^= _U64(_step_key(t))
+        _finalize(prefix)
+        prefix ^= prefix >> _S30
+    out = np.empty((prefix.size, count), dtype=np.int8)
     if not cuts:
         out.fill(0)
         return out
-    prefix = _finalize(seeds.reshape(-1) + _GOLD)
-    prefix ^= _U64(_step_key(t))
-    _finalize(prefix)
-    prefix ^= prefix >> _U64(30)
     keys = _site_keys(n0, count)
     rows = max(1, _TILE // max(count, 1))
-    buf, spare = _tile_buffers(max(_TILE, count))
+    buf, spare, flags = _tile_buffers(max(_TILE, count))
+    # Each tile is hashed flat, and read into its rows of the flat labels.
+    column, labels = prefix[:, None], out.reshape(-1)
     for r0 in range(0, prefix.size, rows):
-        part = prefix[r0:r0 + rows, None]
+        part = column[r0:r0 + rows]
         cells = part.size * count
-        tile = buf[:cells].reshape(-1, count)
-        np.bitwise_xor(part, keys, out=tile)
-        _finalize_tail(tile, spare[:cells].reshape(tile.shape))
-        reached = out[r0:r0 + rows]
-        np.greater_equal(tile, cuts[0], out=reached.view(np.bool_))
-        also = spare.view(np.bool_)[:cells].reshape(tile.shape)
+        tile = buf[:cells]
+        np.bitwise_xor(part, keys, tile.reshape(part.size, count))
+        _finalize_tail(tile, spare[:cells])
+        reached = labels[r0 * count:r0 * count + cells]
+        np.greater_equal(tile, cuts[0], reached.view(np.bool_))
         for cut in cuts[1:]:
-            np.greater_equal(tile, cut, out=also)
-            reached += also.view(np.int8)
+            np.greater_equal(tile, cut, flags[:cells])
+            reached += flags[:cells].view(np.int8)
     return out
 
 
@@ -215,14 +241,21 @@ class SeededStream(NamedTuple):
         """Variates at sites n0, n0+1, ..., n0+count-1 of step t, as the 53-bit
         integers k of the uniforms k * 2**-53.
 
-        The (seed, t) prefix is hashed in Python ints, masked to 64 bits: the
-        same bits as numpy's uint64 arithmetic, without its fixed cost per call.
+        Nothing in percolab calls it: rows and games read labels, not
+        variates, through ``u01_block``.  It is kept for the tests that read
+        variates and for the benchmark's tracer, which rebinds it by name,
+        and can go once the tracer reads timers and counters that the package
+        keeps itself.
         """
-        prefix = _finalize_int((self.seed + _GOLD_INT) & _MASK64)
-        prefix = _finalize_int(prefix ^ _step_key(t))
-        k = np.bitwise_xor(_site_keys(n0, count), _U64(prefix ^ (prefix >> 30)))
+        head = _finalize_int((self.seed + _GOLD_INT) & _MASK64)
+        k = np.bitwise_xor(_site_keys(n0, count), _U64(_step_prefix(head, t)))
         _finalize_tail(k)
-        return np.right_shift(k, _U64(11), out=k)
+        return np.right_shift(k, _S11, out=k)
+
+    def labels(self, t: int, width: int, cuts: tuple[np.uint64, ...]) -> np.ndarray:
+        """The label codes of sites 0..width-1 of step t under ``cuts``: one
+        ``u01_block`` row."""
+        return u01_block(self.seed, range(t, t + 1), 0, width, cuts)[0]
 
     def child_seeds_u64(self, count: int, start: int = 0) -> np.ndarray:
         """Seeds of the derived streams for samples start..start+count-1; distinct
@@ -356,16 +389,36 @@ def site_classes(labels, successors) -> np.ndarray:
     return cls
 
 
-def step(cfg: Configuration, model: ModelSpec, stream: SeededStream, t: int) -> Configuration:
+def step(cfg: Configuration, model: ModelSpec, stream: SeededStream | _StepTiles,
+         t: int) -> Configuration:
     """Advance a row, or each row of a stack under the same variates, by one step;
     deterministic given (seed, t) and the input.  Each site is labelled as
     the game labels it, by the number of cuts its variate reaches, and runs
-    the game's induction step on its triple (module docstring)."""
-    k = stream.u01_range(t, 0, cfg.width)
-    cut_p, cut_1q = variate_cuts(model.params)
-    labels = (k >= cut_p).view(np.int8)
-    labels += (k >= cut_1q).view(np.int8)
+    the game's induction step on its triple (module docstring).  The labels
+    are ``stream.labels``: a ``SeededStream``'s, or a row loop's
+    ``_StepTiles``."""
+    labels = stream.labels(t, cfg.width, variate_cuts(model.params))
     return Configuration._of_rule(site_classes(labels, _extended_row(cfg, model.offset)))
+
+
+class _StepTiles:
+    """The labels of one stream at the steps ``times``, which a row loop asks
+    for in order: ``max(1, _TILE // width)`` consecutive steps are hashed per
+    ``u01_block`` call, and none past ``times``.  ``step`` reads its
+    ``labels`` as it reads a ``SeededStream``'s."""
+
+    __slots__ = ("seed", "stop", "start", "block")
+
+    def __init__(self, stream: SeededStream, times: range) -> None:
+        self.seed, self.stop = stream.seed, times.stop
+        self.start, self.block = times.start, ()
+
+    def labels(self, t: int, width: int, cuts: tuple[np.uint64, ...]) -> np.ndarray:
+        i = t - self.start
+        if not 0 <= i < len(self.block):
+            tile = range(t, min(t + max(1, _TILE // width), self.stop))
+            self.start, self.block, i = t, u01_block(self.seed, tile, 0, width, cuts), 0
+        return self.block[i]
 
 
 class StepStats(NamedTuple):
@@ -390,8 +443,9 @@ def trajectory(
         raise ValueError("steps must be >= 1")
     cfg = init
     rows = [StepStats(0, cfg.width, *cfg.counts())]
+    tiles = _StepTiles(stream, range(steps))
     for t in range(steps):
-        cfg = step(cfg, model, stream, t)
+        cfg = step(cfg, model, tiles, t)
         rows.append(StepStats(t + 1, cfg.width, *cfg.counts()))
     return TrajectoryResult(tuple(rows), cfg)
 
@@ -404,8 +458,9 @@ _WINDOW = 64
 def _from_qmarks(model: ModelSpec, width: int, stream: SeededStream, times: range) -> Configuration:
     """The all-? row of ``width`` sites, stepped at each t of ``times`` in turn."""
     row = Configuration.constant(width, EnvSymbol.QMARK)
+    tiles = _StepTiles(stream, times)
     for t in times:
-        row = step(row, model, stream, t)
+        row = step(row, model, tiles, t)
     return row
 
 

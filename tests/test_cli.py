@@ -1,8 +1,10 @@
 """CLI behaviour: parsing, schemas, determinism, exit codes."""
 
 import argparse
+import csv
 import hashlib
 import importlib.util
+import io
 import json
 import subprocess
 import sys
@@ -16,6 +18,7 @@ import pytest
 from percolab.cli import (
     DEFAULT_SEED,
     _artifact_version,
+    _csv_text,
     _grid_spec,
     _int_list,
     _rational,
@@ -474,6 +477,44 @@ def test_game_out_file_matches_stdout(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert path.read_text() == stdout_text
+
+
+def _dict_writer_text(fieldnames, rows):
+    """``rows`` as the standard library's csv.DictWriter writes them."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--p", "1/4", "--q", "1/4", "--init", "qmarks", "--width", "30", "--steps", "5"),
+    ("game", "--version", "v3", "--p", "1/10", "--q", "1/10", "--horizons", "2,5",
+     "--samples", "40"),
+    ("sweep", "--version", "v1", "--p-grid", "0:1/3:1/3", "--q-grid", "1/5:0.25:0.05",
+     "--horizons", "3", "--samples", "30"),
+], ids=lambda argv: argv[0])
+def test_csv_output_is_what_csv_dictwriter_writes(capsys, argv):
+    # the CSV is joined by hand; its JSON rows, written by csv.DictWriter,
+    # must give the same text byte for byte
+    code, text = run_cli(capsys, *argv)
+    _, as_json = run_cli(capsys, *argv, "--format", "json")
+    rows = json.loads(as_json)
+    assert code == 0 and len(rows) >= 2
+    assert text == _dict_writer_text(list(rows[0]), rows)
+
+
+def test_csv_fields_are_written_as_csv_dictwriter_writes_them():
+    # a sweep row's p as a Fraction and its interval as floats, next to ints
+    # and strings
+    fields = ("version", "p", "q", "horizon", "draw_fraction", "ci_low", "ci_high", "seed")
+    rows = [{"version": "V1", "p": Fraction(1, 3), "q": "1/5", "horizon": 3,
+             "draw_fraction": 0.1, "ci_low": 1.7728955736826037e-05, "ci_high": 0.3333333333333333,
+             "seed": 2**64 - 1},
+            {"version": "V4", "p": Fraction(0), "q": "0", "horizon": 0, "draw_fraction": 1.0,
+             "ci_low": 0.0, "ci_high": 1.0, "seed": 0}]
+    assert _csv_text(fields, rows) == _dict_writer_text(fields, rows)
 
 
 # ------------------------------------------------------------------ verify
@@ -1060,7 +1101,7 @@ def test_benchmark_tracer_finds_every_traced_name():
                                   "--steps", "3")
     assert {"pca.hash", "game.classify", "game.induction"} <= set(game_run["spans"])
     assert {"pca.hash", "pca.step"} <= set(simulate_run["spans"])
-    # simulate hashes each of its 3 x 20 output sites once, through u01_range,
+    # simulate hashes each of its 3 x 20 output sites once, through u01_block,
     # and steps only through step: work done elsewhere would read as no time
     assert simulate_run["counters"]["pca.hash_variates"] == 3 * 20
     assert simulate_run["spans"]["pca.step"]["count"] == 3

@@ -337,3 +337,51 @@ def test_no_numpy_compare_with_an_enum_member_in_the_row_layers():
         found += [f"{path.name}:{line} {name}"
                   for line, name in _enum_member_compares(tree, vars(module))]
     assert not found, f"comparisons with an enum member: {found}"
+
+
+def _called_name(func):
+    """The name a call reads its function by: f in f(...), attr in x.attr(...)."""
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _cut_compares(function):
+    """Lines where ``function`` compares something with a name it bound from
+    a ``variate_cuts(...)`` call, by an operator or a numpy comparison ufunc."""
+    cut_names = {target.id
+                 for node in ast.walk(function)
+                 if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                 and _called_name(node.value.func) == "variate_cuts"
+                 for name in node.targets for target in ast.walk(name)
+                 if isinstance(target, ast.Name)}
+
+    def reads_a_cut(operands):
+        return any(isinstance(leaf, ast.Name) and leaf.id in cut_names
+                   for operand in operands for leaf in ast.walk(operand))
+
+    found = []
+    for node in ast.walk(function):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif isinstance(node, ast.Call) and _called_name(node.func) in _COMPARE_UFUNCS:
+            operands = node.args
+        else:
+            continue
+        if reads_a_cut(operands):
+            found.append(node.lineno)
+    return found
+
+
+def test_labels_come_only_from_u01_block():
+    # one hash-to-label path for rows and games: no module reads variates
+    # through u01_range, and no function compares anything with the cuts it
+    # got from variate_cuts; pca.step reads its labels from the stream, one
+    # u01_block row, and u01_block is handed the cuts
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno} calls u01_range" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and _called_name(node.func) == "u01_range"]
+        found += [f"{path.name}:{line} {node.name} compares with variate_cuts"
+                  for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                  for line in _cut_compares(node)]
+    assert not found, f"labels made outside u01_block: {found}"

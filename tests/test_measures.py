@@ -1024,6 +1024,19 @@ def test_a_zero_coefficient_keeps_its_key_and_leaves_its_row():
     assert plan.degree == 0  # E counts only nonzero terms
 
 
+def test_plan_degree_is_the_largest_degree_plus_span():
+    # E is the largest i + k + span of a nonzero term: here the pq-weighted
+    # span-3 pushforward's 1 + 1 + 3 = 5 over the q-weighted cylinder's 1.
+    # The two terms read E apart from i + k - span (1) and i - k + span (3),
+    # which today's plans do not
+    c, f, p, q = measures._cylinder, measures._pushforward, measures._P, measures._Q
+    plan = measures._plan([p * q * f("10?") + q * c("?")])
+    assert plan.spans == (3, 0)
+    assert plan.degree == 5
+    # each coefficient over s^E: p q s^0 on the span-3 value, q s^4 on the cylinder
+    assert plan.rows == (((0, 1), (((1, 1, 1, 0),), ((1, 0, 1, 4),))),)
+
+
 def test_a_product_of_two_functionals_is_refused():
     c, p = measures._cylinder, measures._P
     with pytest.raises(TypeError, match="a product of two functionals is not linear"):

@@ -14,6 +14,7 @@ from percolab.pca import (
     Configuration,
     ModelSpec,
     SeededStream,
+    StepStats,
     _TILE,
     _WINDOW,
     _extended_row,
@@ -111,8 +112,9 @@ def _assert_block_holds(seeds, t, n0, want):
 
 
 def test_key_prefix_in_python_ints_matches_numpy_bit_for_bit():
-    # u01_range hashes the (seed, t) prefix in Python ints, u01_block one prefix
-    # per seed in numpy: both must give the oracle's bits
+    # u01_range, and u01_block over one stream's steps, hash the (seed, t)
+    # prefix in Python ints, u01_block over many seeds one prefix per seed in
+    # numpy: all must give the oracle's bits
     rng = np.random.default_rng(5)
     seeds = [0, 1, 2**63 - 1, 2**63, 2**64 - 1,
              *(int(x) for x in rng.integers(0, 2**64, size=12, dtype=np.uint64))]
@@ -127,6 +129,9 @@ def test_key_prefix_in_python_ints_matches_numpy_bit_for_bit():
                 want = _oracle_variates(seed, t, sites)
                 assert stream.u01_range(t, n0, 4).tobytes() == want.tobytes()
             assert int(stream.u01_range(t, -3, 1)[0]) == int(_oracle_variates(seed, t, -3))
+            steps = range(t, t + 3)
+            want = np.array([_oracle_variates(seed, s, starts[1] + np.arange(4)) for s in steps])
+            _assert_block_holds(stream.seed, steps, starts[1], want)
     sites = -2 + np.arange(5, dtype=np.int64)
     for t in ts:
         want = np.array([_oracle_variates(seed, t, sites) for seed in seeds])
@@ -560,6 +565,67 @@ def test_trajectory_deterministic_and_seed_sensitive():
     assert not np.array_equal(r1.final.cells, r3.final.cells)
 
 
+def _hashed_sizes(monkeypatch):
+    """A list that gets the label count of each ``pca.u01_block`` call from
+    now on."""
+    sizes = []
+    real = pca.u01_block
+
+    def counting(*args):
+        labels = real(*args)
+        sizes.append(labels.size)
+        return labels
+
+    monkeypatch.setattr(pca, "u01_block", counting)
+    return sizes
+
+
+# (width, _TILE): the tile's own size, which 10 923 does not divide and 70 000
+# exceeds, and for the narrowest rows a tile of 64 variates, so that their
+# K - 1, K and K + 1 steps (tens of thousands under the real tile) stay short.
+TILE_WIDTHS = [(1, 64), (2, 64), (3, 64), (200, _TILE), (10_923, _TILE), (70_000, _TILE)]
+
+
+@pytest.mark.parametrize("offset, rows", [(-1, 1), (0, 1), (5, 1), (0, 2)],
+                         ids=["offset-1", "offset0", "offset5", "stack"])
+@pytest.mark.parametrize("width, tile", TILE_WIDTHS, ids=lambda v: str(v))
+def test_trajectory_tiles_match_the_one_step_oracle(monkeypatch, width, tile, offset, rows):
+    # a trajectory labels K = max(1, _TILE // width) consecutive steps per
+    # u01_block call and stops at its last step; at every step count around a
+    # tile's end its rows equal a loop of single steps.  The loop runs
+    # oracles.step throughout on rows up to 200 sites wide; on the wider ones,
+    # where its exact object arithmetic takes 14 to 89 ms a step, it runs
+    # oracles.step for K + 1 steps, then pca.step on the stream itself, one
+    # u01_block row a step, which test_step_matches_sitewise_oracle holds to
+    # oracles.step, and only their single row at offset 0 runs 1 000 steps
+    monkeypatch.setattr(pca, "_TILE", tile)
+    per_tile = max(1, tile // width)
+    counts = sorted({1, per_tile - 1, per_tile, per_tile + 1, 1000} - {0})
+    if width > 200 and (offset, rows) != (0, 1):
+        counts = [n for n in counts if n <= per_tile + 1]
+    model = ModelSpec(offset, Params(Fraction(1, 20), Fraction(1, 20)))
+    stream = SeededStream(width + offset)
+    rng = np.random.RandomState(width)
+    shape = (width,) if rows == 1 else (rows, width)
+    init = Configuration(rng.randint(0, 3, size=shape).astype(np.int8))
+    cfg, want, cells = init, [StepStats(0, width, *init.counts())], {}
+    for t in range(counts[-1]):
+        one_step = oracles.step if t <= per_tile or width <= 200 else step
+        cfg = one_step(cfg, model, stream, t)
+        want.append(StepStats(t + 1, width, *cfg.counts()))
+        cells[t + 1] = cfg.cells
+    sizes = _hashed_sizes(monkeypatch)
+    for steps in counts:
+        sizes.clear()
+        got = trajectory(init, model, steps, stream)
+        assert got.rows == tuple(want[:steps + 1])
+        assert got.final.cells.shape == init.cells.shape
+        assert np.array_equal(got.final.cells, cells[steps])
+        # one label per (t, n) of the loop's steps, K steps to a call
+        assert sum(sizes) == steps * width
+        assert sizes == [min(per_tile, steps - t) * width for t in range(0, steps, per_tile)]
+
+
 
 # Steps a 10^4-site envelope row 1000 times in a fresh interpreter, called from
 # Python rather than through the CLI, and prints the minor page faults taken
@@ -638,20 +704,12 @@ def test_stacked_step_equals_per_row_step(monkeypatch, codes, view, offset, para
             for _ in range(3)]
     stack = _stack(*rows)
     windows = [oracles.light_cone(row, offset, steps=4) for row in rows]
-    hashed = []
-    real = SeededStream.u01_range
-
-    def counting(self, t, n0, count):
-        hashed.append(count)
-        return real(self, t, n0, count)
-
     for t in range(4):
         want = [step(row, model, stream, t) for row in rows]
-        monkeypatch.setattr(SeededStream, "u01_range", counting)
+        hashed = _hashed_sizes(monkeypatch)
         stack = step(stack, model, stream, t)
         monkeypatch.undo()
         assert hashed == [want[0].width]
-        hashed.clear()
         assert stack.width == want[0].width
         if view == "cyclic":
             for got, w in zip(stack.cells, want):
@@ -763,6 +821,25 @@ def test_last_row_steps_only_its_window_at_a_quarter(monkeypatch):
     calls = _steps_counted(monkeypatch)
     row = last_row(ModelSpec(0, Params(*QUARTER)), 10_000, 1000, SeededStream(1729))
     assert len(calls) <= _WINDOW and row.counts()[1] == 0
+
+
+@pytest.mark.parametrize("pq, runs", [(QUARTER, "window"),
+                                      ((Fraction(1, 100), Fraction(1, 100)), "both")])
+def test_last_row_window_crosses_tile_edges(monkeypatch, pq, runs):
+    # a tile of a 10 923-site row holds 5 steps, so the 64-step window ends 4
+    # steps into its 13th tile; the row is the forward loop's, and only the
+    # window's own steps are hashed, then every step from t = 0 when ? outlives
+    # the window
+    width, steps = 10_923, 150
+    model = ModelSpec(0, Params(*pq))
+    stream = SeededStream(43)
+    want = oracles.last_row(model, width, steps, stream)
+    sizes = _hashed_sizes(monkeypatch)
+    got = last_row(model, width, steps, stream)
+    assert got.cells.tobytes() == want.cells.tobytes()
+    assert _TILE // width == 5
+    assert sizes[:13] == [5 * width] * 12 + [4 * width]
+    assert sum(sizes) == (_WINDOW + steps * (runs == "both")) * width
 
 
 REFINE_POINTS = [*FORMULA_GRID, (Fraction(0), Fraction(0)), THIRD]

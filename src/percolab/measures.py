@@ -11,8 +11,9 @@ catalog of closed-form expressions for pushforward probabilities of small
 cylinders (with their non-negative remainder terms), a chain of weight
 functionals w0..w4, two inequalities assembled by summing rows of window
 tables, and the master inequality comparing w4 before and after one update.
-Cylinder and pushforward probabilities are summed in Python ints and leave as
-Fractions; a pushforward kernel multiplies the point's integer class-law
+Cylinder and pushforward probabilities are integer sums over one
+denominator, which the checks read as they are and which become Fractions only
+when returned; a pushforward kernel multiplies the point's integer class-law
 masses over its scale (``Params.law_masses``).  Every quantity built on top
 is a linear functional of those values whose coefficients are polynomials in
 (p, q): its transcription runs once per process, on first use, on unit
@@ -244,13 +245,20 @@ def _event(text: str) -> CylinderPattern:
     return CylinderPattern.parse(text)
 
 
-def cylinder_prob(mu: TIMeasure, text: str) -> Fraction:
-    """Probability under mu of the cylinder event named by the pattern text."""
+def cylinder_prob(mu: TIMeasure, text: str, *, numerator: bool = False) -> Fraction | int:
+    """Probability under mu of the cylinder event named by the pattern text.
+
+    The sum of the event's word counts over ``mu.den``, made a Fraction; with
+    ``numerator=True`` the integer sum itself, which is how the compiled checks
+    read it.  They call this function for it, not the counts, because the
+    benchmark's tracer counts cylinder reads by wrapping it.
+    """
     pat = _event(text)
     if pat.span > ORDER:
         raise ValueError(f"pattern span {pat.span} exceeds measure order {ORDER}")
     marg = mu.counts[pat.span]
-    return Fraction(sum([marg[i] for i in pat.indices]), mu.den)
+    num = sum([marg[i] for i in pat.indices])
+    return num if numerator else Fraction(num, mu.den)
 
 
 @lru_cache(maxsize=None)
@@ -320,7 +328,8 @@ def _pushforward_kernel(text: str, params: Params) -> tuple[int, tuple[int, ...]
 _point_kernel = per_point(_pushforward_kernel)
 
 
-def pushforward_cylinder(mu: TIMeasure, text: str, params: Params) -> Fraction:
+def pushforward_cylinder(mu: TIMeasure, text: str, params: Params, *,
+                         numerator: bool = False) -> Fraction | int:
     """Probability of the cylinder event after one synchronous update of mu.
 
     The dot product of the kernel with mu's word masses grouped by class
@@ -330,6 +339,13 @@ def pushforward_cylinder(mu: TIMeasure, text: str, params: Params) -> Fraction:
     columns per event word (3^k words for an event with k ``[0?1]`` cells),
     sharing the sums of words with a common prefix, and reads the 3^span
     result once per signature group.
+
+    The dot product is an integer over the kernel's denominator s**span (s
+    the point's scale) times ``mu.den``, made a Fraction; with
+    ``numerator=True`` it is returned as that integer, which is how the
+    compiled checks read it.  They call this function for it, not the kernel,
+    because the benchmark's tracer times kernel builds and warm reads by
+    wrapping it.
     """
     span = _event(text).span
     if span + 2 > ORDER:
@@ -338,7 +354,8 @@ def pushforward_cylinder(mu: TIMeasure, text: str, params: Params) -> Fraction:
     masses = mu.signature_masses.get(span)
     if masses is None:
         masses = mu.signature_masses[span] = _group_masses(mu.counts[span + 2], span)
-    return Fraction(sum(map(operator.mul, kernel, masses)), den * mu.den)
+    num = sum(map(operator.mul, kernel, masses))
+    return num if numerator else Fraction(num, den * mu.den)
 
 
 # ------------------------------------------------------------------ linear functionals
@@ -498,13 +515,14 @@ def _plan(forms: Sequence[Sparse]) -> _Plan:
 class _Form(NamedTuple):
     """Functionals at one (p, q), compiled to integers.
 
-    Basis value j of a measure mu is read as an integer numerator n[j] over
-    ``scales[j] * mu.den``; functional i is then ``sum(coefs * n[idx]) /
-    (den * mu.den)`` for its row (idx, coefs) = ``rows[order[i]]``.
+    Basis value j of a measure mu is read as an integer numerator n[j]: a
+    cylinder's over ``mu.den``, a pushforward's of span k over ``s**k *
+    mu.den`` (s the point's scale), as ``_values`` reads them; functional i is
+    then ``sum(coefs * n[idx]) / (den * mu.den)`` for its row (idx, coefs) =
+    ``rows[order[i]]``.
     """
 
     keys: tuple[Key, ...]
-    scales: tuple[int, ...]
     rows: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     den: int
     order: tuple[int, ...]
@@ -523,8 +541,7 @@ def _compile(plan: _Plan, params: Optional[Params]) -> _Form:
     pa, pb, ps = ([x**n for n in range(plan.degree + 1)] for x in (a, b, s))
     rows = tuple((idx, tuple(sum([c * pa[i] * pb[k] * ps[l] for c, i, k, l in coef])
                              for coef in coefs)) for idx, coefs in plan.rows)
-    return _Form(plan.keys, tuple(s**span for span in plan.spans), rows, s**plan.degree,
-                 plan.order)
+    return _Form(plan.keys, rows, s**plan.degree, plan.order)
 
 
 def _values(form: _Form, mu: TIMeasure, params: Optional[Params]) -> tuple[list[int], int]:
@@ -533,21 +550,22 @@ def _values(form: _Form, mu: TIMeasure, params: Optional[Params]) -> tuple[list[
     distinct functional, and no Fraction, so a caller decides a sign or an
     order on integers and makes a Fraction only for a value it reports.
 
-    Cylinder values come through cylinder_prob once per (measure, text) and
-    stay on the measure; pushforward values come through pushforward_cylinder,
-    whose kernels stay on the point.
+    The basis values are read as integer numerators too: a cylinder's over
+    ``mu.den``, through ``cylinder_prob(..., numerator=True)`` once per
+    (measure, text), kept on the measure; a pushforward's over its kernel's
+    denominator times ``mu.den``, through ``pushforward_cylinder(...,
+    numerator=True)``, whose kernels stay on the point.  Both are called by
+    their module-level names, the benchmark tracer's hook.
     """
     counts = mu.cylinder_counts
     nums = []
-    for (kind, text), scale in zip(form.keys, form.scales):
+    for kind, text in form.keys:
         if kind == "c":
             num = counts.get(text)
             if num is None:
-                value = cylinder_prob(mu, text)
-                num = counts[text] = value.numerator * (mu.den // value.denominator)
+                num = counts[text] = cylinder_prob(mu, text, numerator=True)
         else:
-            value = pushforward_cylinder(mu, text, params)
-            num = value.numerator * (scale * mu.den // value.denominator)
+            num = pushforward_cylinder(mu, text, params, numerator=True)
         nums.append(num)
     sums = [sum([a * nums[j] for j, a in zip(idx, coefs)]) for idx, coefs in form.rows]
     return [sums[i] for i in form.order], form.den * mu.den

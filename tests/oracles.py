@@ -787,6 +787,24 @@ def over_one_den(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     return tuple(f.numerator * (den // f.denominator) for f in fracs), den
 
 
+def values(form, mu: TIMeasure, params: Params | None) -> tuple[list[int], int]:
+    """``measures._values`` with every basis value read as a Fraction and then
+    turned into its numerator over the denominator ``_values`` reads it over:
+    ``mu.den`` for a cylinder, s^span * mu.den for a pushforward, with s the
+    point's scale."""
+    s = 1 if params is None else params.scaled[0]
+    nums = []
+    for kind, text in form.keys:
+        if kind == "c":
+            value, den = cylinder_prob(mu, text), mu.den
+        else:
+            value = pushforward_cylinder(mu, text, params)
+            den = s ** core.CylinderPattern.parse(text).span * mu.den
+        nums.append(value.numerator * (den // value.denominator))
+    sums = [sum([a * nums[j] for j, a in zip(idx, coefs)]) for idx, coefs in form.rows]
+    return [sums[i] for i in form.order], form.den * mu.den
+
+
 def linear(mu: TIMeasure, terms: Sequence[tuple[int, str]]) -> Fraction:
     """sum of coef * mu(text) over the (coef, text) terms."""
     return sum((coef * cylinder_prob(mu, pat) for coef, pat in terms), Fraction(0))

@@ -547,7 +547,8 @@ def test_verify_formulas_computes_each_pushforward_once(capsys, monkeypatch):
     called = []
     pushforward = measures.pushforward_cylinder
     monkeypatch.setattr(measures, "pushforward_cylinder",
-                        lambda mu, fid, params: called.append(fid) or pushforward(mu, fid, params))
+                        lambda mu, fid, params, **kw: called.append(fid) or
+                        pushforward(mu, fid, params, **kw))
     code, out = run_cli(capsys, "verify", "formulas", "--measures", "0")
     report = json.loads(out)
     assert code == 0 and report["pass"] is True
@@ -1124,6 +1125,38 @@ def test_benchmark_tracer_counts_lemma_pairs():
     summary = _traced_summary("verify", "lemmas", "--grid", "coarse")
     assert summary["spans"]["orders.lemma"]["count"] == 10  # 5 points x 2 lemmas
     assert summary["counters"]["orders.lemma_pairs"] == 10 * 729
+
+
+def _counting_everywhere(monkeypatch, module, attr):
+    """The texts module.attr is called with, counted by a wrapper rebound in
+    every percolab namespace that holds the function, as the benchmark's
+    tracer (perfbench/spans.py) rebinds it, keywords passed through."""
+    original, calls = getattr(module, attr), []
+
+    def counting(mu, text, *args, **kwargs):
+        calls.append(text)
+        return original(mu, text, *args, **kwargs)
+
+    for name, namespace in list(sys.modules.items()):
+        if name == "percolab" or name.startswith("percolab."):
+            for key, value in list(vars(namespace).items()):
+                if value is original:
+                    monkeypatch.setattr(namespace, key, counting)
+    return calls
+
+
+def test_benchmark_tracer_counts_every_basis_value_read(capsys, monkeypatch):
+    # exact_measures' commands read every pushforward and cylinder value through
+    # the two module-level functions the tracer wraps: its recorded
+    # measures.pushforward_calls and measures.cylinder_calls, 2 580 and 3 655
+    from percolab import measures
+
+    pushforwards = _counting_everywhere(monkeypatch, measures, "pushforward_cylinder")
+    cylinders = _counting_everywhere(monkeypatch, measures, "cylinder_prob")
+    assert run_cli(capsys, "verify", "weights", "--measures", "20", "--grid", "1/2",
+                   "--seed", "1729")[0] == 0
+    assert run_cli(capsys, "verify", "tables", "--measures", "20", "--seed", "1729")[0] == 0
+    assert (len(pushforwards), len(cylinders)) == (2580, 3655)
 
 
 def _fresh_run(report: str, *argv):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from percolab import core, game, pca
+from percolab import core, game, measures, pca
 from percolab.cli import main
 from percolab.core import GameVersion, Params
 
@@ -46,6 +46,73 @@ TABLE_CHECKS = (("lemmas", "--grid", "fine"), ("kernel", "--p", "1/4", "--q", "1
 def test_a_defective_rule_table_fails_every_check(monkeypatch, defect, check):
     monkeypatch.setattr(core, "CLASS_LAWS", defect(core.CLASS_LAWS))
     assert main(["verify", *check]) == 1
+
+
+def _master_term_doubled(term):
+    """The master inequality's slack terms with term ``term``'s coefficient doubled."""
+    terms = measures._MASTER_TERMS
+    name, coef, cylinders = terms[term]
+    doubled = (name, lambda p, q, r: 2 * coef(p, q, r), cylinders)
+    return terms[:term] + (doubled,) + terms[term + 1:]
+
+
+def _weights_check(count, grid):
+    return ("verify", "weights", "--measures", str(count), "--grid", grid)
+
+
+# A doubled master coefficient, one term at a time, against the weights check
+# at its cheapest setting that refutes it.  --measures n draws the first
+# measures of --measures n + 1, and grid 1/2's points are among grid 1/4's, so
+# each row run on grid 1/2 or 1/4 also fails --measures 5 --grid 1/4.
+WEIGHTS_CHECK = _weights_check(5, "1/4")
+DOUBLED_TERMS_REFUTED = {**dict.fromkeys((0, 1, 2, 3, 4, 5), _weights_check(1, "1/2")),
+                         6: _weights_check(5, "1/2"), 8: WEIGHTS_CHECK,
+                         9: _weights_check(0, "1/2"), 13: WEIGHTS_CHECK,
+                         16: _weights_check(7, "1/8")}
+# No sampled measure refutes these doubled: the 43 measures of --measures 20 on
+# grid 1/8 miss each of them, and 14, 15 and 17 even at x11.  Only a certifier
+# that bounds the slack over every measure at once would catch them.
+DOUBLED_TERMS_UNREFUTED = (10, 11, 14, 15, 17)
+# Not defects: no sampled measure on grid 1/8 and no certifier probe (ROADMAP
+# direction 9) has refuted the inequality with either of these even at x11.
+DOUBLED_TERMS_NOT_DEFECTS = (7, 12)
+
+
+@pytest.fixture
+def master_plan_rebuilt():
+    """The master plan transcribed again, from a patched term list, and after it."""
+    measures._master_plan.cache_clear()
+    yield
+    measures._master_plan.cache_clear()
+
+
+@pytest.mark.parametrize("term", [*DOUBLED_TERMS_REFUTED, *(
+    pytest.param(term, marks=pytest.mark.xfail(
+        strict=True, reason="no sampled measure refutes it: needs ROADMAP direction 9's certifier"))
+    for term in DOUBLED_TERMS_UNREFUTED)])
+def test_a_doubled_master_coefficient_fails_the_weights_check(monkeypatch, master_plan_rebuilt,
+                                                              term):
+    monkeypatch.setattr(measures, "_MASTER_TERMS", _master_term_doubled(term))
+    assert main(list(DOUBLED_TERMS_REFUTED.get(term, WEIGHTS_CHECK))) == 1
+
+
+def test_every_master_term_has_one_doubled_row():
+    rows = [*DOUBLED_TERMS_REFUTED, *DOUBLED_TERMS_UNREFUTED, *DOUBLED_TERMS_NOT_DEFECTS]
+    assert sorted(rows) == list(range(len(measures._MASTER_TERMS)))
+
+
+def test_a_doubled_master_coefficient_fails_under_python_O():
+    code = ("import sys\n"
+            "from percolab import cli, measures\n"
+            "name, coef, cylinders = measures._MASTER_TERMS[0]\n"
+            "measures._MASTER_TERMS = ((name, lambda p, q, r: 2 * coef(p, q, r), cylinders),\n"
+            "                          *measures._MASTER_TERMS[1:])\n"
+            "sys.stderr.write(f'debug={__debug__}')\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code, *DOUBLED_TERMS_REFUTED[0]],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stderr == "debug=False"
+    assert proc.returncode == 1
 
 
 def _trap_target_swapped(rule):

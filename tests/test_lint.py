@@ -165,6 +165,19 @@ def test_exact_modules_hold_no_float():
     assert not found, f"floats in the exact modules: {found}"
 
 
+def test_values_reads_basis_values_as_integer_numerators():
+    # measures._values reads each cylinder and pushforward as the integer
+    # numerator its function summed; a Fraction made there only to be taken
+    # apart again costs a gcd per value read
+    tree = ast.parse((SRC / "measures.py").read_text(encoding="utf-8"), filename="measures.py")
+    (values,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                 and node.name == "_values"]
+    found = [f"measures.py:{node.lineno} {ast.unparse(node)}" for node in ast.walk(values)
+             if isinstance(node, ast.Name) and node.id == "Fraction"
+             or isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator")]
+    assert not found, f"Fraction work in measures._values: {found}"
+
+
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 

@@ -1143,9 +1143,9 @@ def test_cylinder_counts_are_summed_once_per_measure(monkeypatch):
     texts = []
     real = measures.cylinder_prob
 
-    def counting(mu, text):
+    def counting(mu, text, **kwargs):
         texts.append(text)
-        return real(mu, text)
+        return real(mu, text, **kwargs)
 
     monkeypatch.setattr(measures, "cylinder_prob", counting)
     mu = reversible_markov_measure([[3, 1, 2], [1, 0, 1], [2, 1, 3]])
@@ -1155,6 +1155,46 @@ def test_cylinder_counts_are_summed_once_per_measure(monkeypatch):
     verify_table_inequality("ineq_1", mu)
     assert len(texts) == len(set(texts)) > 40
     assert set(texts) == set(mu.cylinder_counts)
+
+
+_VALUES_POINTS = tuple(Params(Fraction(p), Fraction(q)) for p, q in (
+    ("1/3", "1/5"), ("1/100", "1/100"), ("1/3", "0"), ("0", "1")))
+
+
+def test_values_read_as_integers_match_the_fraction_reading_oracle():
+    # _values reads each basis value as an integer numerator; the oracle reads
+    # it as a Fraction and takes it apart.  Every plan, compiled at each point
+    # (and the constant table plans also without one, as their checks run),
+    # gives the same numerators on every measure
+    mus = sampled_measures(3, 1729) + [_skewed_empirical()]
+    plans = _every_plan()
+    for params in (*_VALUES_POINTS, None):
+        for name, plan in plans.items():
+            if params is None and plan.degree:
+                continue
+            form = measures._compile(plan, params)
+            for mu in mus:
+                got = measures._values(form, mu, params)
+                assert got == oracles.values(form, mu, params), (name, mu.name, str(params))
+
+
+def test_integer_mode_is_the_fraction_mode_over_its_denominator():
+    # for every catalog text, read as a cylinder and as a pushforward
+    mus = sampled_measures(3, 1729) + [_skewed_empirical()]
+    for params in _VALUES_POINTS:
+        s = params.scaled[0]
+        for mu in mus:
+            for text in CLOSED_FORM_IDS:
+                num = cylinder_prob(mu, text, numerator=True)
+                assert type(num) is int and num == cylinder_prob(mu, text) * mu.den
+                num = pushforward_cylinder(mu, text, params, numerator=True)
+                den = s ** CylinderPattern.parse(text).span * mu.den
+                assert type(num) is int and num == pushforward_cylinder(mu, text, params) * den
+    # with the same span checks
+    with pytest.raises(ValueError, match="exceeds measure order"):
+        cylinder_prob(MARKOV, "0000000", numerator=True)
+    with pytest.raises(ValueError, match="needs order >= 7"):
+        pushforward_cylinder(MARKOV, "00000", PP, numerator=True)
 
 
 # ------------------------------------------------------------------ properties
